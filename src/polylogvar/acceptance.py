@@ -17,7 +17,7 @@ import mpmath as mp
 from .analytic import li_series, monodromy
 from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, sign_multiplicity)
-from .exact import RationalMatrix, RationalPolynomial, eulerian, nilpotency_index
+from .exact import RationalPolynomial, eulerian, nilpotency_index
 from .forms import form_recurrence_check, gauge_exactness_check, integrate_cube
 from .hodge import flatness_residual, kummer_block_check, trivial_subobject_check
 from .partitions import paving_check, postnikov_graded_check
@@ -93,13 +93,8 @@ def criterion_3():
         for which in (0, 1):
             M = cached_monodromy(n, which)
             den = M.max_denominator()
-            ident = RationalMatrix.identity(n + 1)
-            N = M - ident
-            power = ident
-            for _ in range(n + 1):
-                power = power * N
-            unipotent = power.is_zero()
             index = nilpotency_index(M)
+            unipotent = index is not None
             details[f"n{n}_loop{which}"] = {
                 "max_denominator": den,
                 "unipotent": unipotent,
@@ -107,7 +102,7 @@ def criterion_3():
                 "matrix": [[str(v) for v in row] for row in M.entries],
             }
             ok = ok and den <= math.factorial(n) and unipotent
-            ok = ok and index is not None and index <= n + 1
+            ok = ok and index <= n + 1
     square = monodromy(2, square_loop_around_one(), tol=1e-10, prec=PREC)
     homotopic = square == cached_monodromy(2, 1)
     details["square_equals_loop1_n2"] = homotopic

@@ -30,6 +30,13 @@ from .poset import poset_homology
 from .report import RunReport
 
 
+# Largest --n for the commands that build (n+1) x (n+1) period matrices of
+# mpmath complex numbers; bounds their memory and time.
+MAX_MATRIX_N = 64
+_MATRIX_COMMANDS = ("lambda", "transport", "monodromy", "filtration",
+                    "kummer-block", "flatness")
+
+
 def _parse_z(text):
     """Validate the 're[,im]' shape; defer numeric parsing to _z_value so the
     value is read at the command's working precision, not the default one."""
@@ -168,6 +175,9 @@ def _validate(args):
     n = getattr(args, "n", None)
     if n is not None and n < 0:
         raise DomainError("--n must be nonnegative")
+    if args.command in _MATRIX_COMMANDS and n > MAX_MATRIX_N:
+        raise DomainError(f"--n must be at most {MAX_MATRIX_N} for "
+                          f"{args.command}")
 
 
 def _run(args):

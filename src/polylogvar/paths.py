@@ -3,7 +3,7 @@
 A path is a base point followed by segments, each either a straight line to
 an endpoint or a circular arc (center + signed angular sweep).  Segments are
 anchored at the previous endpoint, so continuity holds by construction.  Arcs
-stay geometric; only the transport integrator ever flattens them.
+stay geometric; transport steps along them on the circle itself.
 """
 
 import json

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polylogvar import analytic
 from polylogvar.analytic import (li_series, monodromy, principal_lambda,
                                  transport)
 from polylogvar.errors import DomainError, PathError, ReconstructionError
 from polylogvar.exact import RationalMatrix
 from polylogvar.paths import LineTo, PathSpec, canonical_loop
 
-from oracles import (LOG2, PI2_OVER_12, alternating_li2_minus1, ref_polylog,
-                     ref_minus_log1m)
+from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
+                     ref_polylog, ref_minus_log1m)
 
 TOL = 1e-10
 
@@ -176,6 +179,30 @@ class TestTransport:
         assert moved.validate_invariants()
         assert moved.branch_tag.endswith("loop0")
 
+    @pytest.mark.parametrize("prec, tol", [(128, 1e-40), (256, 1e-80)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_precision_controls_accuracy(self, n, prec, tol):
+        # off the real axis to |z1| < 0.75, away from the cut [1, oo): row 0
+        # continues to the principal Li_j(z1)
+        z1 = complex(-0.25, 0.5)
+        path = PathSpec(complex(0.5, 0.0),
+                        (LineTo(complex(0.5, 0.5)), LineTo(z1)))
+        start = principal_lambda(n, 0.5, tol=tol, prec=prec)
+        moved = transport(n, path, start, prec=prec)
+        with mp.workprec(ORACLE_PREC):
+            bound = mp.mpf(2) ** -(prec - 16)
+            for j in range(1, n + 1):
+                assert abs(moved.entries[0][j] - ref_polylog(j, z1)) < bound
+
+    def test_path_through_puncture_rejected(self):
+        through = PathSpec(complex(0.5, 0), (LineTo(complex(-0.5, 0)),))
+        start = principal_lambda(1, 0.5, tol=TOL)
+        with pytest.raises(DomainError):
+            transport(1, through, start, margin=0)
+        # passes validation within its 1e-12 slack; transport stops short of 0
+        with pytest.raises(PathError):
+            transport(1, through, start, margin=1e-13)
+
 
 class TestMonodromy:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -222,6 +249,42 @@ class TestMonodromy:
         a = monodromy(2, canonical_loop(1), tol=1e-10, prec=128)
         b = monodromy(2, canonical_loop(1), tol=1e-14, prec=192)
         assert a == b
+
+    def test_ambiguous_certificate_rejected_before_transport(self, monkeypatch):
+        def no_transport(*args, **kwargs):
+            raise AssertionError("transport ran")
+
+        monkeypatch.setattr(analytic, "transport", no_transport)
+        # 2 * (100 * 1e-8) * 5040^2 is about 51: no unique rational
+        with pytest.raises(DomainError):
+            monodromy(7, canonical_loop(0), tol=1e-8)
+        with pytest.raises(DomainError):
+            monodromy(2, canonical_loop(0), tol=1e-7, max_den=300)
+
+
+@settings(deadline=None, max_examples=6)
+@given(around=st.sampled_from([0, 1]), inner=st.floats(0.35, 0.65),
+       outer=st.floats(1.3, 1.6), y0=st.floats(-0.6, -0.3),
+       y1=st.floats(0.3, 0.6))
+def test_rectangles_are_homotopic_to_canonical_loops(around, inner, outer,
+                                                     y0, y1):
+    """Counterclockwise rectangles from the base point 1/2 around one
+    puncture, with one vertical edge between the punctures."""
+    if around == 1:
+        corners = [(inner, y0), (outer, y0), (outer, y1), (inner, y1),
+                   (inner, y0)]
+        expected = expected_monodromy_loop1(2)
+    else:
+        corners = [(inner, y0), (inner, y1), (1 - outer, y1), (1 - outer, y0),
+                   (inner, y0)]
+        expected = expected_monodromy_loop0(2)
+    segs = tuple(LineTo(complex(x, y)) for x, y in corners)
+    rect = PathSpec(complex(0.5, 0.0), segs + (LineTo(complex(0.5, 0.0)),),
+                    closed=True)
+    rect.validate(margin=0.3)
+    assert monodromy(2, rect, tol=TOL) == expected
+    assert monodromy(2, rect.reversed(), tol=TOL) * expected == \
+        RationalMatrix.identity(3)
 
 
 def test_invariant_validation_catches_corruption():

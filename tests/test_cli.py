@@ -117,6 +117,26 @@ def test_numerical_failure_exit_4():
     assert code == 4
 
 
+def test_ambiguous_certificate_exit_3():
+    # 2 * (100 * 1e-8) * 7!^2 > 1: a rational within rtol would not be unique
+    code, _ = run_cli(["monodromy", "--n", "7", "--loop", "loop0",
+                       "--tol", "1e-8"])
+    assert code == 3
+
+
+def test_matrix_size_guard_exit_3():
+    from polylogvar.cli import MAX_MATRIX_N
+    for cmd, *rest in (["lambda", "--z", "0.5"],
+                       ["transport", "--loop", "loop0"],
+                       ["monodromy", "--loop", "loop0"],
+                       ["filtration", "--z", "0.5"],
+                       ["kummer-block", "--z", "0.5"], ["flatness"]):
+        code, _ = run_cli([cmd, "--n", str(MAX_MATRIX_N + 1)] + rest)
+        assert code == 3
+    code, _ = run_cli(["lambda", "--n", str(MAX_MATRIX_N), "--z", "0.5"])
+    assert code == 0
+
+
 def test_bad_max_den_is_domain_error():
     code, _ = run_cli(["monodromy", "--n", "2", "--loop", "loop0",
                        "--max-den", "0"])
