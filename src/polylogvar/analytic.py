@@ -10,7 +10,9 @@ and infinity.  Transport continues it along a path by a chain of disks, each
 at most 0.4 times as wide as the distance to the punctures, multiplying by
 one unitriangular transition matrix per disk whose entries are closed-form
 logarithms or Taylor series with a majorant tail bound set by the working
-precision (van der Hoeven 1999; Mezzarobba 2016).
+precision (van der Hoeven 1999; Mezzarobba 2016).  The series run on Python
+integers in fixed point, with guard bits sized from the term count so that
+their rounding stays below the truncation error.
 
 Monodromy matrices come out of transport around a closed loop followed by
 exact rational reconstruction of every entry; the normalization by powers of
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
@@ -183,6 +186,25 @@ def _transition(n, c, z1, terms):
     ``terms`` terms of sum_k u_j[k] w^k, where
     (1-c)(k+1) u_1[k+1] = u_0[k] + k u_1[k] and
     c (k+1) u_j[k+1] = u_{j-1}[k] - k u_j[k].
+
+    The logarithms are taken in mpmath.  The sums run in fixed point: with
+    p = w/(1-c) and q = w/c floored to Python integers scaled by 2^F, t[j]
+    holds u_j[k] w^k from k = 1 (t[1] = p, t[j] = 0 for j >= 2) and steps by
+    t[j] <- q (t[j-1] - k t[j]) / (k+1) and t[1] <- p k t[1] / (k+1), as
+    exact integer differences and multiples of k, one complex product with a
+    single floor shift by F per part, and a floor division by k + 1.  For
+    n = 1 no sum is needed.
+
+    Rounding bound.  Let u = 2^-F.  The shift and the division leave each
+    part of a new term less than 1.5u below its value, so less than 2.2u in
+    modulus, and flooring p and q adds less than 0.6u per term (every exact
+    term has modulus below 0.4).  An old error e enters the new term
+    multiplied by q k/(k+1) and q/(k+1), or by p k/(k+1), so by at most
+    0.4 |e| in all, since |p|, |q| <= 0.4: each term's error stays below
+    2.8u / 0.6 < 5u, and the sum's below 5 K u for K = ``terms``.  Hence
+    F = prec + G with G = ceil(log2(5 K)) + 8 guard bits, which makes the
+    fixed-point error at most 2^-(prec + 8), the same as the truncation error
+    bounded in ``transport``.
     """
     w = z1 - c
     p = w / (1 - c)
@@ -191,15 +213,33 @@ def _transition(n, c, z1, terms):
     tau = [mp.mpf(1)]
     for m in range(1, n + 1):
         tau.append(tau[-1] * ell / m)
-    top = [mp.mpf(1), -mp.log(1 - p)] + [mp.mpc(0)] * (n - 1)
-    # t[j] holds u_j[k] w^k, from k = 1 (u_1[1] w = p, u_j[1] = 0 for j >= 2)
-    t = [None, p] + [mp.mpc(0)] * (n - 1)
+    top = [mp.mpf(1), -mp.log(1 - p)]
+    if n == 1:
+        return top, tau
+    prec = mp.mp.prec
+    # (5 K - 1).bit_length() is ceil(log2(5 K))
+    F = prec + (5 * terms - 1).bit_length() + _GUARD_BITS
+    p_re, p_im = (to_fixed(v, F) for v in p._mpc_)
+    q_re, q_im = (to_fixed(v, F) for v in q._mpc_)
+    t_re = [0, p_re] + [0] * (n - 1)
+    t_im = [0, p_im] + [0] * (n - 1)
+    s_re = [0] * (n + 1)
+    s_im = [0] * (n + 1)
     for k in range(1, terms - 1):
-        qk = q / (k + 1)
+        k1 = k + 1
         for j in range(n, 1, -1):
-            t[j] = qk * (t[j - 1] - k * t[j])
-            top[j] += t[j]
-        t[1] *= p * k / (k + 1)
+            d_re = t_re[j - 1] - k * t_re[j]
+            d_im = t_im[j - 1] - k * t_im[j]
+            t_re[j] = ((q_re * d_re - q_im * d_im) >> F) // k1
+            t_im[j] = ((q_re * d_im + q_im * d_re) >> F) // k1
+            s_re[j] += t_re[j]
+            s_im[j] += t_im[j]
+        a, b = t_re[1], t_im[1]
+        t_re[1] = ((p_re * a - p_im * b) * k >> F) // k1
+        t_im[1] = ((p_re * b + p_im * a) * k >> F) // k1
+    for j in range(2, n + 1):
+        top.append(mp.make_mpc((from_man_exp(s_re[j], -F, prec, "n"),
+                                from_man_exp(s_im[j], -F, prec, "n"))))
     return top, tau
 
 
@@ -239,6 +279,13 @@ def transport(n, path, start, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     count that puts 0.4^K / 0.6 below 2^-(prec + 8), fixed once per call
     (104 terms at 128 bits, 201 at 256), so the accuracy follows ``prec``;
     ``tol`` does not enter.
+
+    Rounding.  The sums run in fixed point with guard bits sized from K, so
+    they add at most another 2^-(prec + 8) (see ``_transition``).  Forming
+    w, p = w/(1-c) and q = w/c at ``prec`` bits costs a relative error of
+    about 3 * 2^-prec, which moves an entry by at most x/(1 - x) <= 2/3 of
+    that; with the logarithm and the final rounding, every entry of row 0 of
+    T is within 2^-(prec - 2) of the exact transition.
 
     Every step that does not end a segment advances by at least 0.4 times
     the distance to the punctures, so the step count is bounded by the

@@ -208,7 +208,7 @@ def _run(args):
         return {"matrix": [[v for v in row] for row in M.entries]}, None
     if c == "flatness":
         z = _z_value(args)
-        resid = flatness_residual(args.n, z)
+        resid = flatness_residual(args.n, z, prec=args.precision)
         return ({"residual": resid, "h": 1e-6, "tolerance": 1e-4},
                 "pass" if resid <= 1e-4 else "fail")
     if c == "filtration":

@@ -1,8 +1,9 @@
 """Independent reference values for the test suite.
 
 Everything here goes through mpmath's own polylog/log/pi machinery at 256
-bits, or through direct series with proven error bounds - never through the
-package code paths being tested.
+bits (more where a check at 256 bits needs a finer reference), or through
+direct series with proven error bounds - never through the package code
+paths being tested.
 """
 
 import mpmath as mp
@@ -16,9 +17,9 @@ LI2_HALF = "0.5822405264650125059026563201596801087442"
 LI3_HALF = "0.5372131936080402009406232255949658266704"
 
 
-def ref_polylog(n, z):
-    """mpmath's independent polylogarithm at 256-bit precision."""
-    with mp.workprec(ORACLE_PREC):
+def ref_polylog(n, z, prec=ORACLE_PREC):
+    """mpmath's independent polylogarithm at ``prec`` bits (default 256)."""
+    with mp.workprec(prec):
         return mp.polylog(n, mp.mpc(z))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polylogvar import analytic
@@ -250,6 +250,16 @@ class TestMonodromy:
         b = monodromy(2, canonical_loop(1), tol=1e-14, prec=192)
         assert a == b
 
+    @pytest.mark.parametrize("n, prec, tol", [(4, 64, 1e-10), (4, 512, 1e-14),
+                                              (8, 128, 1e-14)])
+    def test_guard_sizing_at_extremes(self, n, prec, tol):
+        # the fixed-point guard bits follow prec and the term count, so the
+        # certificate holds at the smallest and largest precisions and weights
+        assert monodromy(n, canonical_loop(0), tol=tol, prec=prec) == \
+            expected_monodromy_loop0(n)
+        assert monodromy(n, canonical_loop(1), tol=tol, prec=prec) == \
+            expected_monodromy_loop1(n)
+
     def test_ambiguous_certificate_rejected_before_transport(self, monkeypatch):
         def no_transport(*args, **kwargs):
             raise AssertionError("transport ran")
@@ -285,6 +295,58 @@ def test_rectangles_are_homotopic_to_canonical_loops(around, inner, outer,
     assert monodromy(2, rect, tol=TOL) == expected
     assert monodromy(2, rect.reversed(), tol=TOL) * expected == \
         RationalMatrix.identity(3)
+
+
+def _meets_cuts(a, b):
+    """Whether the segment [a, b] meets (-oo, 0] or [1, oo)."""
+    if a.imag == b.imag == 0:
+        return not (0 < a.real < 1 and 0 < b.real < 1)
+    if (a.imag > 0 and b.imag > 0) or (a.imag < 0 and b.imag < 0):
+        return False
+    t = a.imag / (a.imag - b.imag)
+    return not 0 < a.real + t * (b.real - a.real) < 1
+
+
+def _oracle_solution(n, z, prec):
+    """L(z) on the principal branch, from mpmath's polylog and log."""
+    with mp.workprec(prec):
+        z = mp.mpc(z)
+        lg = mp.log(z)
+        two_pi_i = 2j * mp.pi
+        L = mp.matrix(n + 1, n + 1)
+        L[0, 0] = 1
+        for j in range(1, n + 1):
+            L[0, j] = ref_polylog(j, z, prec)
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                L[i, j] = two_pi_i ** i * lg ** (j - i) / mp.factorial(j - i)
+        return L
+
+
+@settings(deadline=None, max_examples=12)
+@given(n=st.integers(1, 5), x=st.floats(-1.5, 2.5), y=st.floats(-1.5, 1.5),
+       ratio=st.floats(0, 0.4), angle=st.floats(0, 2 * math.pi))
+def test_transition_row0_against_oracle(n, x, y, ratio, angle):
+    """Row 0 of one disk's transition matrix, against L(c)^-1 L(z1) built
+    from mpmath's polylog, within the 2^-(prec - 2) bound of ``transport``."""
+    c = complex(x, y)
+    d = min(abs(c), abs(1 - c))
+    assume(d >= 0.05)
+    z1 = c + ratio * d * complex(math.cos(angle), math.sin(angle))
+    assume(abs(z1 - c) <= 0.4 * d)
+    assume(not _meets_cuts(c, z1))
+    # 64 bits above the largest precision under test
+    oracle_prec = ORACLE_PREC + 64
+    with mp.workprec(oracle_prec):
+        T = mp.inverse(_oracle_solution(n, c, oracle_prec)) \
+            * _oracle_solution(n, z1, oracle_prec)
+    for prec in (64, 128, 256):
+        with mp.workprec(prec):
+            top, _ = analytic._transition(n, mp.mpc(c), mp.mpc(z1),
+                                          analytic._series_terms(prec))
+        with mp.workprec(oracle_prec):
+            for j in range(1, n + 1):
+                assert abs(top[j] - T[0, j]) <= mp.mpf(2) ** -(prec - 2)
 
 
 def test_invariant_validation_catches_corruption():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from polylogvar import cli
 from polylogvar.cli import main
 
 
@@ -234,6 +235,20 @@ def test_flatness_cli():
     code, out = run_cli(["flatness", "--n", "2"])
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_flatness_follows_precision(monkeypatch, prec):
+    seen = []
+
+    def fake_residual(n, z, prec=None):
+        seen.append(prec)
+        return 0.0
+
+    monkeypatch.setattr(cli, "flatness_residual", fake_residual)
+    code, out = run_cli(["flatness", "--n", "2", "--precision", str(prec)])
+    assert code == 0
+    assert seen == [prec]
 
 
 def test_poset_homology_cli():
