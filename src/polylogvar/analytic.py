@@ -7,12 +7,15 @@ matrix with first row (1, Li_1(z), ..., Li_n(z)) and rows i >= 1 given by
 dL = L * A(z) dz, where A(z) has 1/(1-z) in slot (0,1) and 1/z on the rest
 of the superdiagonal: a nilpotent Fuchsian system with poles only at 0, 1
 and infinity.  Transport continues it along a path by a chain of disks, each
-at most 0.4 times as wide as the distance to the punctures, multiplying by
-one unitriangular transition matrix per disk whose entries are closed-form
+at most 0.4 times as wide as the distance to the punctures, with one
+unitriangular transition matrix per disk whose entries are closed-form
 logarithms or Taylor series with a majorant tail bound set by the working
-precision (van der Hoeven 1999; Mezzarobba 2016).  The series run on Python
-integers in fixed point, with guard bits sized from the term count so that
-their rounding stays below the truncation error.
+precision (van der Hoeven 1999; Mezzarobba 2016).  It multiplies the start
+matrix once by the product of the transitions, of which only the first row
+and the sum of the logarithms change from disk to disk.  The series, that
+row and the principal first row of Li values run on Python integers in
+fixed point, with guard bits sized from the term count and the number of
+disks so that their rounding stays below the truncation error.
 
 Monodromy matrices come out of transport around a closed loop followed by
 exact rational reconstruction of every entry; the normalization by powers of
@@ -21,6 +24,7 @@ exact rational reconstruction of every entry; the normalization by powers of
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, to_fixed
@@ -131,6 +135,9 @@ def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
 
     Row 0 holds (1, Li_1(z), ..., Li_n(z)); row i >= 1 holds
     (2 pi i)^i log(z)^(j-i) / (j-i)! with the real principal logarithm.
+    Row 0 is summed by ``_li_row`` to a relative 2^-(prec + 7) before the
+    final rounding, so the whole matrix is good to the working precision;
+    ``tol`` does not enter.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -143,15 +150,48 @@ def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
             raise DomainError("principal_lambda needs real z in (0, 1)")
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         lg = mp.log(zr)
-        li_tol = mp.mpf(tol) * mp.mpf("1e-4")
         grid = [[mp.mpc(0)] * (n + 1) for _ in range(n + 1)]
-        grid[0][0] = mp.mpc(1)
-        for j in range(1, n + 1):
-            grid[0][j] = _li_unit_disk(j, mp.mpc(zr), li_tol)
+        grid[0] = [mp.mpc(1)] + _li_row(n, zr, prec)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 grid[i][j] = two_pi_i ** i * lg ** (j - i) / mp.factorial(j - i)
         return PeriodMatrix(n, tuple(tuple(row) for row in grid), "principal")
+
+
+def _li_row(n, x, prec):
+    """[Li_1(x), ..., Li_n(x)] for an mpf x in (0, 1), summed in fixed point.
+
+    x^k is kept as the integer t_k, scaled by 2^F: t_1 = X = floor(x 2^F) and
+    t_k = t_(k-1) X >> F.  The terms x^k / k^j for all j come from t_k by n
+    successive floor divisions by k.  K terms leave a tail of at most
+    x^(K+1) / (1 - x), so K is the least count that puts it below
+    x 2^-(prec + 8).
+
+    Rounding bound.  Let u = 2^-F.  Each t_k lies below x_F^k by less than
+    u / (1 - x), where x_F = X u, and x_F^k lies below x^k by less than
+    k x^(k-1) u; the divisions add less than 2u per term.  Over K terms the
+    error is below u ((H_K + 1) / (1 - x) + 2K) < 3 (K + 1) u / (1 - x), so
+    F = prec + 8 + ceil(log2(3 (K + 1) / (x (1 - x)))) puts it below
+    x 2^-(prec + 8).  Since Li_j(x) >= x, every sum is within a relative
+    2^-(prec + 7) of Li_j(x) before the final rounding to ``prec`` bits.
+    """
+    if n == 0:
+        return []
+    terms = int(mp.ceil((prec + 8 - mp.log(1 - x, 2)) / -mp.log(x, 2)))
+    if terms > _SERIES_CAP:
+        raise IntegrationError(f"series would need {terms} terms, more than "
+                               f"{_SERIES_CAP}")
+    F = prec + 8 + int(mp.ceil(mp.log(3 * (terms + 1) / (x * (1 - x)), 2)))
+    X = to_fixed(x._mpf_, F)
+    t = X
+    s = [0] * (n + 1)
+    for k in range(1, terms + 1):
+        v = t
+        for j in range(1, n + 1):
+            v //= k
+            s[j] += v
+        t = t * X >> F
+    return [_from_fixed(s[j], 0, F) for j in range(1, n + 1)]
 
 
 # Each disk step covers at most this fraction of the distance from its centre
@@ -166,30 +206,76 @@ def _series_terms(prec):
                      / -math.log2(_STEP_RATIO))
 
 
+def _fraction_bits(prec, terms):
+    """F = prec + ceil(log2(5 K + 6)) + 8 for K = ``terms``: the fixed-point
+    scale that keeps K series terms and one product step within 2^-(prec + 8)
+    (see ``transport``)."""
+    # (5 K + 5).bit_length() is ceil(log2(5 K + 6))
+    return prec + (5 * terms + 5).bit_length() + _GUARD_BITS
+
+
 def _segment_curve(z0, seg):
     """(z(s) for s in [0, 1], arclength) of ``seg`` anchored at z0, in the
-    active mpmath precision."""
+    active mpmath precision; a line ends exactly on its endpoint."""
     if isinstance(seg, LineTo):
-        d = mp.mpc(seg.end) - z0
-        return (lambda s: z0 + s * d), abs(d)
+        e = mp.mpc(seg.end)
+        return (lambda s: (1 - s) * z0 + s * e), abs(e - z0)
     c = mp.mpc(seg.center)
     w0 = z0 - c
     i_sweep = mp.mpc(0, seg.sweep)
     return (lambda s: c + w0 * mp.exp(i_sweep * s)), abs(w0 * i_sweep)
 
 
-def _transition(n, c, z1, terms):
-    """Row 0 and the superdiagonal of T(c -> z1), where L(z1) = L(c) T.
+def _disk_chain(path, margin):
+    """The steps (c, z1) that cover ``path``, in the active precision.
+
+    From a centre c the step runs to the point z1 a further arclength of at
+    most 0.4 * dist(c, {0, 1}) along the path, which becomes the next centre;
+    a centre closer than margin / 2 to a puncture raises PathError.
+    """
+    steps = []
+    z = mp.mpc(path.base_point)
+    for seg in path.segments:
+        curve, length = _segment_curve(z, seg)
+        s = mp.mpf(0)
+        while length and s < 1:
+            dist = min(abs(z), abs(1 - z))
+            if dist < margin / 2:
+                raise PathError(f"transport came within {float(dist):.3e} "
+                                f"of a puncture (margin {margin})")
+            s = min(s + _STEP_RATIO * dist / length, 1)
+            z1 = curve(s)
+            steps.append((z, z1))
+            z = z1
+    return steps
+
+
+def _product_guard(n, disks):
+    """Least G with 2^G >= D * sum_{l < n} (0.52 D)^l / l!, for D = ``disks``;
+    the growth bound of a product of D transitions (see ``transport``)."""
+    b = Fraction(13 * disks, 25)
+    total, term = 0, Fraction(1)
+    for l in range(n):
+        total += term
+        term *= b / (l + 1)
+    return (math.ceil(disks * total) - 1).bit_length() if disks else 0
+
+
+def _transition(n, c, z1, terms, F):
+    """Row 0 and the superdiagonal of T(c -> z1), where L(z1) = L(c) T, in
+    fixed point: lists of (real, imaginary) Python integers scaled by 2^F.
 
     Row i >= 1 of T holds tau[m] = log(1 + w/c)^m / m! in column i + m, with
     w = z1 - c.  Row 0 holds 1, -log(1 - w/(1-c)) and, for j >= 2, the first
     ``terms`` terms of sum_k u_j[k] w^k, where
     (1-c)(k+1) u_1[k+1] = u_0[k] + k u_1[k] and
-    c (k+1) u_j[k+1] = u_{j-1}[k] - k u_j[k].
+    c (k+1) u_j[k+1] = u_{j-1}[k] - k u_j[k].  Returns (top, tau), each
+    indexed 0..n.
 
-    The logarithms are taken in mpmath.  The sums run in fixed point: with
-    p = w/(1-c) and q = w/c floored to Python integers scaled by 2^F, t[j]
-    holds u_j[k] w^k from k = 1 (t[1] = p, t[j] = 0 for j >= 2) and steps by
+    w, p = w/(1-c), q = w/c and the two logarithms are taken in mpmath at the
+    active precision and floored to 2^-F.  tau[m] is tau[m-1] times the
+    logarithm, shifted and floor-divided by m.  The sums start from k = 1
+    (t[1] = p, t[j] = 0 for j >= 2) and step by
     t[j] <- q (t[j-1] - k t[j]) / (k+1) and t[1] <- p k t[1] / (k+1), as
     exact integer differences and multiples of k, one complex product with a
     single floor shift by F per part, and a floor division by k + 1.  For
@@ -201,30 +287,28 @@ def _transition(n, c, z1, terms):
     term has modulus below 0.4).  An old error e enters the new term
     multiplied by q k/(k+1) and q/(k+1), or by p k/(k+1), so by at most
     0.4 |e| in all, since |p|, |q| <= 0.4: each term's error stays below
-    2.8u / 0.6 < 5u, and the sum's below 5 K u for K = ``terms``.  Hence
-    F = prec + G with G = ceil(log2(5 K)) + 8 guard bits, which makes the
-    fixed-point error at most 2^-(prec + 8), the same as the truncation error
-    bounded in ``transport``.
+    2.8u / 0.6 < 5u, and the sum's below 5 K u for K = ``terms``.  Likewise
+    tau[m] stays within 4u of l^m / m!, l the logarithm from mpmath.
     """
     w = z1 - c
     p = w / (1 - c)
     q = w / c
-    ell = mp.log(1 + q)
-    tau = [mp.mpf(1)]
-    for m in range(1, n + 1):
-        tau.append(tau[-1] * ell / m)
-    top = [mp.mpf(1), -mp.log(1 - p)]
+    ell_re, ell_im = _to_fixed(mp.log(1 + q), F)
+    tau_re = [1 << F, ell_re]
+    tau_im = [0, ell_im]
+    for m in range(2, n + 1):
+        a, b = tau_re[-1], tau_im[-1]
+        tau_re.append(((a * ell_re - b * ell_im) >> F) // m)
+        tau_im.append(((a * ell_im + b * ell_re) >> F) // m)
+    l1_re, l1_im = _to_fixed(-mp.log(1 - p), F)
+    s_re = [1 << F, l1_re] + [0] * (n - 1)
+    s_im = [0, l1_im] + [0] * (n - 1)
     if n == 1:
-        return top, tau
-    prec = mp.mp.prec
-    # (5 K - 1).bit_length() is ceil(log2(5 K))
-    F = prec + (5 * terms - 1).bit_length() + _GUARD_BITS
-    p_re, p_im = (to_fixed(v, F) for v in p._mpc_)
-    q_re, q_im = (to_fixed(v, F) for v in q._mpc_)
+        return (s_re, s_im), (tau_re, tau_im)
+    p_re, p_im = _to_fixed(p, F)
+    q_re, q_im = _to_fixed(q, F)
     t_re = [0, p_re] + [0] * (n - 1)
     t_im = [0, p_im] + [0] * (n - 1)
-    s_re = [0] * (n + 1)
-    s_im = [0] * (n + 1)
     for k in range(1, terms - 1):
         k1 = k + 1
         for j in range(n, 1, -1):
@@ -237,14 +321,26 @@ def _transition(n, c, z1, terms):
         a, b = t_re[1], t_im[1]
         t_re[1] = ((p_re * a - p_im * b) * k >> F) // k1
         t_im[1] = ((p_re * b + p_im * a) * k >> F) // k1
-    for j in range(2, n + 1):
-        top.append(mp.make_mpc((from_man_exp(s_re[j], -F, prec, "n"),
-                                from_man_exp(s_im[j], -F, prec, "n"))))
-    return top, tau
+    return (s_re, s_im), (tau_re, tau_im)
+
+
+def _to_fixed(v, F):
+    """The real and imaginary parts of the mpc v, floored to 2^-F and scaled
+    by 2^F."""
+    return [to_fixed(x, F) for x in v._mpc_]
+
+
+def _from_fixed(re, im, F):
+    """The mpc re 2^-F + i im 2^-F, rounded to the active precision."""
+    prec = mp.mp.prec
+    return mp.make_mpc((from_man_exp(re, -F, prec, "n"),
+                        from_man_exp(im, -F, prec, "n")))
 
 
 def _times_transition(lam, top, tau):
-    """lam * T; exact zeros of lam are skipped, so they stay exact."""
+    """lam * T for the unitriangular T with row 0 ``top`` and tau[m] on the
+    m-th superdiagonal of the other rows; exact zeros of lam are skipped, so
+    they stay exact."""
     out = []
     for row in lam:
         new = [row[0]]
@@ -262,35 +358,69 @@ def transport(n, path, start, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
               margin=DEFAULT_MARGIN):
     """Analytic continuation of ``start`` along ``path``.
 
-    The path is covered by a chain of disks.  From a centre c on the path the
-    step runs to the point z1 a further arclength of at most
-    0.4 * dist(c, {0, 1}) along it (so |z1 - c| <= 0.4 * dist(c, {0, 1}) as
-    well), and L <- L * T(c -> z1) with the upper unitriangular transition
-    matrix of ``_transition``.  Its rows i >= 1 and entry (0, 1) are closed
-    forms; since |w/c| and |w/(1-c)| are at most 0.4 (w = z1 - c), the
-    principal logarithms in them are the continuations along the step.
+    The path is covered by a chain of D disks (``_disk_chain``): from a
+    centre c the step runs to the point z1 a further arclength of at most
+    0.4 * dist(c, {0, 1}) along it, so |z1 - c| <= 0.4 * dist(c, {0, 1}) as
+    well.  Each step has the upper unitriangular transition matrix
+    T(c -> z1) of ``_transition``; its rows i >= 1 and entry (0, 1) are
+    closed forms, and since |w/c| and |w/(1-c)| are at most 0.4
+    (w = z1 - c), the principal logarithms in them are the continuations
+    along the step.  Transport forms the product P = T_1 ... T_D and returns
+    start * P.  The lower-right block of every T_k is exp(l_k N), N the upper
+    shift and l_k = log(1 + w/c), so that block of P is exp(Lambda N) with
+    Lambda = sum l_k; only row 0 of P needs work per disk, R <- R T_k, about
+    n^2 / 2 complex products.  R and Lambda are kept in Python-int fixed
+    point at 2^-F, like the series; start * P is formed once at the end, in
+    mpmath at F bits, and rounded to ``prec``.
 
     Tail bound for the entries (0, j), j >= 2.  Write d = dist(c, {0, 1}).
     The Taylor coefficients of 1/(1-z) and 1/z at c are bounded by
     d^-(k+1), those of 1/(d - w), so row 0 of T is majorized coefficientwise
     by (-log(1 - w/d))^j / j!.  These majorants sum over j to 1/(1 - w/d),
     so their coefficient of w^k is at most d^-k, and summing K terms leaves
-    an error of at most x^K / (1 - x) with x = |w|/d <= 0.4.  K is the least
-    count that puts 0.4^K / 0.6 below 2^-(prec + 8), fixed once per call
-    (104 terms at 128 bits, 201 at 256), so the accuracy follows ``prec``;
-    ``tol`` does not enter.
+    an error of at most x^K / (1 - x) with x = |w|/d <= 0.4.
 
-    Rounding.  The sums run in fixed point with guard bits sized from K, so
-    they add at most another 2^-(prec + 8) (see ``_transition``).  Forming
-    w, p = w/(1-c) and q = w/c at ``prec`` bits costs a relative error of
-    about 3 * 2^-prec, which moves an entry by at most x/(1 - x) <= 2/3 of
-    that; with the logarithm and the final rounding, every entry of row 0 of
-    T is within 2^-(prec - 2) of the exact transition.
+    Growth of the product.  Since |l_k| and |-log(1 - w/d)| are at most
+    -log 0.6 < 0.52, every T_k is bounded entrywise by exp(0.52 S), S the
+    (n+1) x (n+1) upper shift, and its row 0 by the majorants above; these
+    matrices are polynomials in S, so they commute, and every partial
+    product is bounded by exp(0.52 D S), with entries (0.52 D)^m / m!.  Let
+    each computed T_k differ from the exact one by at most e per entry above
+    the diagonal, and let forming R T_k round each entry of row 0 by at most
+    r.  The error of R after step k is the old error times T_k, plus R times
+    the change of T_k, plus the rounding; R is bounded by row 0 of
+    exp(0.52 (k - 1) S), and the errors are carried to the end by
+    T_(k+1) ... T_D, bounded by exp(0.52 (D - k) S).  So entry (0, j) of P
+    ends within (e + r) E of the exact product, where
+    E = D sum_{l < n} (0.52 D)^l / l!, up to a second-order term in e.
+
+    Guard bits.  G = ceil(log2 E) (``_product_guard``) grows like
+    log2 D + n log2(0.52 D).  K is the least count that puts 0.4^K / 0.6
+    below 2^-(prec + G + 8) (114 terms at 128 bits for a canonical loop at
+    n = 4, where D = 21 and G = 13), and
+    F = prec + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``).  With
+    u = 2^-F, the series err by at most 2^-(prec + G + 8) + 5 K u (see
+    ``_transition``) plus 2u, since forming w, p and q at F bits moves an
+    entry by at most 2/3 of their relative error, about 3u; the logarithms,
+    with that input error, and tau[m] err by less than 6u; and each entry of
+    R T_k is shifted once per part, so r < 1.5u.  Hence
+    e + r < 2^-(prec + G + 8) + (5 K + 6) u <= 2^-(prec + G + 7): every
+    entry of row 0 of P is within 2^-(prec + 7) of the exact product for the
+    chain, and Lambda, a sum of D floored logarithms, is within 3 D u.
+
+    Whole-transport bound.  The chain runs from the base point to the end of
+    the last segment, exactly for a line; the exact product for it is
+    L(base)^-1 L(end) on the continued branch.  Moving Lambda by at most
+    2^-(prec + 7) moves each Lambda^m / m! by at most 2^-(prec + 7) e^|Lambda|,
+    and the final product at F bits adds less than that again, so every entry
+    v of row i of the result lies within
+    2^-prec |v| + 2^-(prec + 6) e^|Lambda| sum_k |start[i][k]|
+    of row i of start times L(base)^-1 L(end); the first term is the final
+    rounding.  The accuracy follows ``prec``; ``tol`` does not enter.
 
     Every step that does not end a segment advances by at least 0.4 times
     the distance to the punctures, so the step count is bounded by the
-    arclength over 0.2 * margin; a centre closer than margin / 2 to a
-    puncture raises PathError.  Exact zeros of ``start`` stay exact.
+    arclength over 0.2 * margin.  Exact zeros of ``start`` stay exact.
     """
     if n < 1:
         raise DomainError("transport needs n >= 1")
@@ -299,24 +429,41 @@ def transport(n, path, start, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
-    terms = _series_terms(prec)
     with mp.workprec(prec):
-        lam = [[mp.mpc(v) for v in row] for row in start.entries]
-        z = mp.mpc(path.base_point)
-        for seg in path.segments:
-            curve, length = _segment_curve(z, seg)
-            s = mp.mpf(0)
-            while length and s < 1:
-                dist = min(abs(z), abs(1 - z))
-                if dist < margin / 2:
-                    raise PathError(f"transport came within {float(dist):.3e} "
-                                    f"of a puncture (margin {margin})")
-                s = min(s + _STEP_RATIO * dist / length, 1)
-                z1 = curve(s)
-                lam = _times_transition(lam, *_transition(n, z, z1, terms))
-                z = z1
+        steps = _disk_chain(path, margin)
+    guard = _product_guard(n, len(steps))
+    terms = _series_terms(prec + guard)
+    F = _fraction_bits(prec + guard, terms)
+    r_re = [0] * (n + 1)
+    r_im = [0] * (n + 1)
+    log_re = log_im = 0
+    with mp.workprec(F):
+        for c, z1 in steps:
+            (top_re, top_im), (tau_re, tau_im) = _transition(
+                n, c, z1, terms, F)
+            # row 0 of R T, from the right so that r[i], i < j, are still old
+            for j in range(n, 0, -1):
+                a = b = 0
+                for i in range(1, j):
+                    x, y = r_re[i], r_im[i]
+                    a += x * tau_re[j - i] - y * tau_im[j - i]
+                    b += x * tau_im[j - i] + y * tau_re[j - i]
+                r_re[j] += top_re[j] + (a >> F)
+                r_im[j] += top_im[j] + (b >> F)
+            log_re += tau_re[1]
+            log_im += tau_im[1]
+        log_sum = _from_fixed(log_re, log_im, F)
+        row0 = [mp.mpf(1)] + [_from_fixed(r_re[j], r_im[j], F)
+                              for j in range(1, n + 1)]
+        powers = [mp.mpf(1)]
+        for m in range(1, n + 1):
+            powers.append(powers[-1] * log_sum / m)
+        moved = _times_transition([[mp.mpc(v) for v in row]
+                                   for row in start.entries], row0, powers)
+    with mp.workprec(prec):
         tag = f"{start.branch_tag} . {path.describe()}"
-        return PeriodMatrix(n, tuple(tuple(row) for row in lam), tag)
+        return PeriodMatrix(n, tuple(tuple(+v for v in row) for row in moved),
+                            tag)
 
 
 def _solve_upper(lam, target, n):

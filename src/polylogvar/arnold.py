@@ -310,13 +310,6 @@ def arnold_character(n):
     return ClassFunction(n, vals)
 
 
-def dual_character(chi):
-    """Character of the dual representation: values on inverse classes.
-    Cycle types are closed under inversion, so this is the identity here;
-    kept explicit so the duality step stays visible."""
-    return ClassFunction(chi.n, chi.values)
-
-
 def sign_character(n):
     return ClassFunction(n, tuple(Fraction(sign_of_class(lam, n))
                                   for lam in integer_partitions(n)))
@@ -330,8 +323,9 @@ def sign_multiplicity(n):
         return 1
     if not 2 <= n <= MAX_CHARACTER_N:
         raise DomainError(f"sign_multiplicity supports 1 <= n <= {MAX_CHARACTER_N}")
-    chi = dual_character(arnold_character(n))
-    mult = chi.inner(sign_character(n))
+    # a character of the symmetric group is real and constant on cycle
+    # types, which are closed under inversion, so it is its own dual
+    mult = arnold_character(n).inner(sign_character(n))
     if mult.denominator != 1 or mult < 0:
         raise ArithmeticError("inner product is not a nonnegative integer")
     return int(mult)
@@ -381,10 +375,9 @@ def induced_cyclic_character(n, primitive=True):
 
 
 def induced_character_check(n, primitive=True):
-    """Classwise identity between the dual top-component character and
-    sign tensor the induced cyclic character."""
+    """Classwise identity between the top-component character (its own
+    dual) and sign tensor the induced cyclic character."""
     if not 2 <= n <= MAX_CHARACTER_N:
         raise DomainError(f"induced_character_check supports 2 <= n <= {MAX_CHARACTER_N}")
-    lhs = dual_character(arnold_character(n))
     rhs = induced_cyclic_character(n, primitive=primitive).tensor_sign()
-    return lhs == rhs
+    return arnold_character(n) == rhs

@@ -35,6 +35,10 @@ from .report import RunReport
 MAX_MATRIX_N = 64
 _MATRIX_COMMANDS = ("lambda", "transport", "monodromy", "filtration",
                     "kummer-block", "flatness")
+# Largest --precision in bits; mpmath's cost grows faster than linearly in it.
+MAX_PRECISION = 4096
+# Largest --samples for paving, whose memory grows with samples * n floats.
+MAX_SAMPLES = 10 ** 6
 
 
 def _parse_z(text):
@@ -167,8 +171,12 @@ def _validate(args):
         raise DomainError("--tol must be positive")
     if getattr(args, "precision", 128) < 64:
         raise DomainError("--precision must be at least 64 bits")
+    if getattr(args, "precision", 128) > MAX_PRECISION:
+        raise DomainError(f"--precision must be at most {MAX_PRECISION} bits")
     if getattr(args, "samples", 1) < 1:
         raise DomainError("--samples must be positive")
+    if getattr(args, "samples", 1) > MAX_SAMPLES:
+        raise DomainError(f"--samples must be at most {MAX_SAMPLES}")
     max_den = getattr(args, "max_den", None)
     if max_den is not None and max_den < 1:
         raise DomainError("--max-den must be at least 1")

@@ -175,7 +175,7 @@ def kummer_block_check(n, z, tol=1e-10, prec=128):
     """
     if n < 1:
         raise DomainError("kummer_block_check needs n >= 1")
-    lam = principal_lambda(n, z, tol=min(tol, 1e-12), prec=prec)
+    lam = principal_lambda(n, z, prec=prec)
     with mp.workprec(prec):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         lg = mp.log(mp.mpc(mp.mpmathify(z)).real)
@@ -205,10 +205,9 @@ def flatness_residual(n, z=0.5, h=1e-6, prec=192):
     with mp.workprec(prec):
         zr = mp.mpf(z)
         hh = mp.mpf(h)
-        tol = mp.mpf("1e-30")
-        lp = principal_lambda(n, zr + hh, tol=tol, prec=prec)
-        lm = principal_lambda(n, zr - hh, tol=tol, prec=prec)
-        l0 = principal_lambda(n, zr, tol=tol, prec=prec)
+        lp = principal_lambda(n, zr + hh, prec=prec)
+        lm = principal_lambda(n, zr - hh, prec=prec)
+        l0 = principal_lambda(n, zr, prec=prec)
         A = evaluate_connection(connection(n), zr, prec=prec)
         resid = mp.mpf(0)
         for i in range(n + 1):

@@ -342,11 +342,78 @@ def test_transition_row0_against_oracle(n, x, y, ratio, angle):
             * _oracle_solution(n, z1, oracle_prec)
     for prec in (64, 128, 256):
         with mp.workprec(prec):
-            top, _ = analytic._transition(n, mp.mpc(c), mp.mpc(z1),
-                                          analytic._series_terms(prec))
+            terms = analytic._series_terms(prec)
+            F = analytic._fraction_bits(prec, terms)
+            (t_re, t_im), _ = analytic._transition(n, mp.mpc(c), mp.mpc(z1),
+                                                   terms, F)
+            top = [analytic._from_fixed(a, b, F) for a, b in zip(t_re, t_im)]
         with mp.workprec(oracle_prec):
             for j in range(1, n + 1):
                 assert abs(top[j] - T[0, j]) <= mp.mpf(2) ** -(prec - 2)
+
+
+@settings(deadline=None, max_examples=12)
+@given(n=st.integers(1, 4), side=st.sampled_from([1, -1]),
+       corners=st.lists(st.tuples(st.floats(-1.2, 2.2), st.floats(0.3, 1.2)),
+                        min_size=1, max_size=3),
+       radius=st.floats(0.25, 0.74), angle=st.floats(0.3, math.pi - 0.3))
+def test_multi_disk_transport_against_oracle(n, side, corners, radius, angle):
+    """Row 0 of ``transport`` along a 2-4 segment polyline from 1/2 that
+    stays at least 0.2 from the punctures inside one half-plane, against the
+    continuation of the given start matrix built from mpmath's polylog,
+    within the whole-transport bound in ``transport``'s docstring."""
+    end = complex(radius * math.cos(angle), side * radius * math.sin(angle))
+    pts = [complex(x, side * y) for x, y in corners] + [end]
+    path = PathSpec(complex(0.5, 0.0), tuple(LineTo(p) for p in pts))
+    try:
+        path.validate(margin=0.2)
+    except PathError:
+        assume(False)
+    oracle_prec = ORACLE_PREC + 64
+    with mp.workprec(oracle_prec):
+        P = mp.inverse(_oracle_solution(n, 0.5, oracle_prec)) \
+            * _oracle_solution(n, end, oracle_prec)
+        growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
+    for prec in (64, 128, 256):
+        start = principal_lambda(n, 0.5, prec=prec)
+        moved = transport(n, path, start, prec=prec)
+        with mp.workprec(oracle_prec):
+            row = mp.matrix([list(start.entries[0])]) * P
+            weight = sum(abs(v) for v in start.entries[0])
+            for j in range(1, n + 1):
+                v = moved.entries[0][j]
+                bound = mp.mpf(2) ** -prec * abs(v) \
+                    + mp.mpf(2) ** -(prec + 6) * growth * weight
+                assert abs(v - row[0, j]) <= bound
+
+
+class TestPrincipalLambdaPrecision:
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_row0_follows_precision(self, prec):
+        for x in (0.05, 0.5, 0.75, 0.9, Fraction(1, 3)):
+            lam = principal_lambda(4, x, prec=prec)
+            with mp.workprec(ORACLE_PREC + 64):
+                xr = mp.mpf(x.numerator) / x.denominator \
+                    if isinstance(x, Fraction) else mp.mpf(x)
+                for j in range(1, 5):
+                    ref = ref_polylog(j, xr, ORACLE_PREC + 64)
+                    assert abs(lam.entries[0][j] - ref) <= \
+                        mp.mpf(2) ** -(prec - 1)
+
+    def test_loop0_entries_near_their_rationals(self):
+        # before reconstruction, L0^-1 transport(L0) must already sit within
+        # 2^-100 of the exact loop0 matrix at 128 bits
+        n = 4
+        start = principal_lambda(n, 0.5, tol=TOL, prec=128)
+        moved = transport(n, canonical_loop(0), start, tol=TOL, prec=128)
+        exact = expected_monodromy_loop0(n)
+        with mp.workprec(128):
+            M = analytic._solve_upper(start.rows(), moved.rows(), n)
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    q = exact.entries[i][j]
+                    target = mp.mpf(q.numerator) / q.denominator
+                    assert abs(M[i][j] - target) <= mp.mpf(2) ** -100
 
 
 def test_invariant_validation_catches_corruption():

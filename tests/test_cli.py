@@ -138,6 +138,27 @@ def test_matrix_size_guard_exit_3():
     assert code == 0
 
 
+def test_resource_guards_exit_3_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "li_series", no_work)
+    monkeypatch.setattr(cli, "paving_check", no_work)
+    code, _ = run_cli(["li", "--n", "2", "--z", "0.5", "--precision",
+                       str(cli.MAX_PRECISION + 1)])
+    assert code == 3
+    code, _ = run_cli(["paving", "--n", "3", "--z", "0.5", "--samples",
+                       str(cli.MAX_SAMPLES + 1)])
+    assert code == 3
+
+
+def test_resource_guards_admit_their_limits():
+    code, _ = run_cli(["li", "--n", "2", "--z", "0.5", "--precision",
+                       str(cli.MAX_PRECISION)])
+    assert code == 0
+    assert cli.MAX_PRECISION == 4096 and cli.MAX_SAMPLES == 10 ** 6
+
+
 def test_bad_max_den_is_domain_error():
     code, _ = run_cli(["monodromy", "--n", "2", "--loop", "loop0",
                        "--max-den", "0"])
