@@ -62,7 +62,7 @@ def criterion_1():
             ok = ok and err0 <= 1e-10
             for k in range(1, n + 1):
                 quad = integrate_cube(n, k, z, 1e-8)
-                ref = li_series(k, z, tol=1e-20, prec=PREC)
+                ref = li_series(k, z, prec=PREC)
                 err = float(abs(quad - ref))
                 worst = max(worst, err)
                 ok = ok and err <= 1e-6

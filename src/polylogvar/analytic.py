@@ -81,53 +81,56 @@ class PeriodMatrix:
 
 
 def li_series(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
-    """Li_n(z) by its defining power series, for |z| <= 0.75.
+    """Li_n(z) for |z| <= 0.75 or real z in [-1, -0.75], to ``prec`` bits.
 
-    The partial sum stops once the geometric tail bound
-    |z|^(K+1) / ((K+1)^n (1-|z|)) drops below tol.  On the real interval
-    [-1, -0.75] the series is summed with alternating-series acceleration
-    instead (the plain tail bound is useless there).  Anywhere else outside
-    the disk, callers must use transport.
+    On the disk |z| <= 0.75 it is the last entry of ``_li_row``, the
+    defining power series summed in fixed point.  On [-1, -0.75) it is entry
+    n of row 0 of L(-1) T(-1 -> z), one ``_transition`` disk around -1: the
+    step w = z + 1 lies in [0, 0.25], within 0.4 dist(-1, {0, 1}), and every
+    logarithm in it is real.  The start row is Li_j(-1) = -eta(j) from
+    mpmath at the disk's F bits.  Either way the value is within a relative
+    2^-(prec + 7) of Li_n(z) before the final rounding to ``prec`` bits (see
+    ``_li_row`` and ``_li_from_minus_one``), so within 2^-(prec - 1) after
+    it; ``tol`` does not enter.  z = 0 gives an exact 0.  Anywhere else,
+    callers must use transport.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
     with mp.workprec(prec):
         zc = mp.mpc(mp.mpmathify(z))
+        if not zc:
+            return mp.mpc(0)
         if abs(zc) <= 0.75:
-            return _li_unit_disk(n, zc, mp.mpf(tol))
+            return _li_row(n, zc, prec)[-1]
         if zc.imag == 0 and -1 <= zc.real < 0:
-            return _li_alternating(n, zc.real, tol, prec)
+            return _li_from_minus_one(n, zc, prec)
         raise DomainError("li_series requires |z| <= 0.75 or real z in "
                           "[-1, -0.75]; use transport elsewhere")
 
 
-def _li_alternating(n, x, tol, prec):
-    guard = max(16, int(-mp.log(mp.mpf(tol), 2)) + 16)
-    with mp.workprec(max(prec, guard) + 16):
-        val = mp.nsum(lambda k: mp.mpf(x) ** k / k ** n, [1, mp.inf],
-                      method="a")
-    return mp.mpc(val)
+def _li_from_minus_one(n, z, prec):
+    """Li_n(z) for real z in [-1, -0.75), as entry n of row 0 of
+    L(-1) T(-1 -> z): top[n] + sum_{i=1..n} Li_i(-1) tau[n - i], with
+    ``_transition``'s row 0 ``top`` and logarithm powers ``tau``.
 
-
-def _li_unit_disk(n, zc, tol):
-    # same tail bound as li_series, valid on the whole open unit disk
-    az = abs(zc)
-    if az == 0:
-        return mp.mpc(0)
-    if az >= 1:
-        raise DomainError("series evaluation requires |z| < 1")
-    s = mp.mpc(0)
-    zk = mp.mpc(zc)
-    k = 1
-    while True:
-        s += zk / mp.mpf(k) ** n
-        if az ** (k + 1) / ((k + 1) ** n * (1 - az)) <= tol:
-            return s
-        k += 1
-        zk *= zc
-        if k > _SERIES_CAP:
-            raise IntegrationError("series did not reach tolerance "
-                                   f"within {_SERIES_CAP} terms")
+    Bound.  With |w| <= 0.25 and d = 1 the majorant tail of ``transport`` is
+    at most 0.25^K / 0.75 <= 0.4^K / 0.6, so K = ``_series_terms(prec + 2)``
+    puts it below 2^-(prec + 10).  Let u = 2^-F.  top[n] is off by less than
+    5 K u + 2u more, tau[m] by less than 6u (see ``transport``), each
+    Li_i(-1), of modulus below 1, by less than 2u after flooring, and the
+    sum is floored once; as sum_m |log(1 - w)|^m / m! < 1.4, the rounding is
+    below (5 K + 6 n + 6) u <= 2^-(prec + 10) for
+    F = ``_fraction_bits(prec + 2, K + 2 n)``.  The series being alternating
+    with terms falling in modulus, |Li_n(z)| >= |z| - |z|^2 / 2^n >= 3/8, so
+    the error of 2^-(prec + 9) is a relative 2^-(prec + 7).
+    """
+    terms = _series_terms(prec + 2)
+    F = _fraction_bits(prec + 2, terms + 2 * n)
+    with mp.workprec(F):
+        (top, _), (tau, _) = _transition(n, mp.mpc(-1), z, terms, F)
+        acc = sum(to_fixed((-mp.altzeta(i))._mpf_, F) * tau[n - i]
+                  for i in range(1, n + 1))
+    return _from_fixed(top[n] + (acc >> F), 0, F)
 
 
 def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
@@ -151,47 +154,64 @@ def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         lg = mp.log(zr)
         grid = [[mp.mpc(0)] * (n + 1) for _ in range(n + 1)]
-        grid[0] = [mp.mpc(1)] + _li_row(n, zr, prec)
+        grid[0] = [mp.mpc(1)] + _li_row(n, zm, prec)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 grid[i][j] = two_pi_i ** i * lg ** (j - i) / mp.factorial(j - i)
         return PeriodMatrix(n, tuple(tuple(row) for row in grid), "principal")
 
 
-def _li_row(n, x, prec):
-    """[Li_1(x), ..., Li_n(x)] for an mpf x in (0, 1), summed in fixed point.
+def _li_row(n, z, prec):
+    """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| < 1 that lies in
+    (0, 1) or has |z| <= 0.75, as z S_j with S_j = sum_k z^(k-1) / k^j
+    summed in fixed point.
 
-    x^k is kept as the integer t_k, scaled by 2^F: t_1 = X = floor(x 2^F) and
-    t_k = t_(k-1) X >> F.  The terms x^k / k^j for all j come from t_k by n
-    successive floor divisions by k.  K terms leave a tail of at most
-    x^(K+1) / (1 - x), so K is the least count that puts it below
-    x 2^-(prec + 8).
+    z^(k-1) is kept as the pair of integers t_k, scaled by 2^F: t_1 = 2^F and
+    t_(k+1) = t_k Z, Z the parts of z floored to 2^-F, with each part shifted
+    down by F.  The terms of S_j for all j come from t_k by n successive
+    floor divisions by k.  With r = |z|, K terms leave a tail of at most
+    r^K / (1 - r), so K is the least count that puts it below 2^-(prec + 10).
 
-    Rounding bound.  Let u = 2^-F.  Each t_k lies below x_F^k by less than
-    u / (1 - x), where x_F = X u, and x_F^k lies below x^k by less than
-    k x^(k-1) u; the divisions add less than 2u per term.  Over K terms the
-    error is below u ((H_K + 1) / (1 - x) + 2K) < 3 (K + 1) u / (1 - x), so
-    F = prec + 8 + ceil(log2(3 (K + 1) / (x (1 - x)))) puts it below
-    x 2^-(prec + 8).  Since Li_j(x) >= x, every sum is within a relative
-    2^-(prec + 7) of Li_j(x) before the final rounding to ``prec`` bits.
+    Rounding bound.  Let u = 2^-F.  Each t_k is off from Z^(k-1) by less
+    than sqrt(2) u / (1 - r), Z^(k-1) from z^(k-1) by less than
+    sqrt(2) (k-1) r^(k-2) u, and the divisions add less than 2 sqrt(2) u per
+    term.  Over K terms the error is below
+    sqrt(2) u ((H_K + 1) / (1 - r) + 2 K) < 5 (K + 1) u / (1 - r), the
+    factor 5 > 3 sqrt(2) covering |Z| > r to second order, so
+    F = prec + 10 + ceil(log2(5 (K + 1) / (1 - r))) puts it below
+    2^-(prec + 10).  F does not grow as z shrinks.
+
+    Lower bound.  |Li_j(z)| >= r / 4, so |S_j| >= 1/4, on the domain:
+    Li_j(x) >= x on (0, 1); for |z| <= 0.75, Koebe's theorem gives
+    |Li_1(z)| >= r / (1 + r)^2 >= r / 4 (-log(1 - z) is univalent on the
+    unit disk), and for j >= 2 |Li_j(z)| >= r - r^2 / (4 (1 - r)) >= r / 4.
+    So every S_j is within a relative 2^-(prec + 7), and z S_j, formed
+    exactly and rounded once to the active precision, is within a relative
+    2^-(prec + 7) of Li_j(z) before that rounding.
     """
     if n == 0:
         return []
-    terms = int(mp.ceil((prec + 8 - mp.log(1 - x, 2)) / -mp.log(x, 2)))
+    r = abs(z)
+    terms = int(mp.ceil((prec + 10 - mp.log(1 - r, 2)) / -mp.log(r, 2)))
     if terms > _SERIES_CAP:
         raise IntegrationError(f"series would need {terms} terms, more than "
                                f"{_SERIES_CAP}")
-    F = prec + 8 + int(mp.ceil(mp.log(3 * (terms + 1) / (x * (1 - x)), 2)))
-    X = to_fixed(x._mpf_, F)
-    t = X
-    s = [0] * (n + 1)
+    F = prec + 10 + int(mp.ceil(mp.log(5 * (terms + 1) / (1 - r), 2)))
+    X, Y = _to_fixed(z, F)
+    t_re, t_im = 1 << F, 0
+    s_re = [0] * (n + 1)
+    s_im = [0] * (n + 1)
     for k in range(1, terms + 1):
-        v = t
+        a, b = t_re, t_im
         for j in range(1, n + 1):
-            v //= k
-            s[j] += v
-        t = t * X >> F
-    return [_from_fixed(s[j], 0, F) for j in range(1, n + 1)]
+            a //= k
+            b //= k
+            s_re[j] += a
+            s_im[j] += b
+        t_re, t_im = (t_re * X - t_im * Y) >> F, (t_re * Y + t_im * X) >> F
+    return [z * mp.make_mpc((from_man_exp(s_re[j], -F),
+                             from_man_exp(s_im[j], -F)))
+            for j in range(1, n + 1)]
 
 
 # Each disk step covers at most this fraction of the distance from its centre
@@ -507,8 +527,8 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
             raise DomainError(
                 f"tolerance 100 * {tol} cannot single out a rational with "
                 f"denominator <= {max_den}: need 2 * rtol * max_den^2 < 1")
-    start = principal_lambda(n, base.real, tol=tol, prec=prec)
-    moved = transport(n, loop, start, tol=tol, prec=prec, margin=margin)
+    start = principal_lambda(n, base.real, prec=prec)
+    moved = transport(n, loop, start, prec=prec, margin=margin)
     with mp.workprec(prec):
         M = _solve_upper(start.rows(), moved.rows(), n)
         out = []

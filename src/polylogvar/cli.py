@@ -4,6 +4,12 @@ Every subcommand validates its flags, runs one library operation, and writes
 a RunReport to stdout as JSON (or CSV with --format csv).  Exit codes:
 0 success, 1 suite failure, 2 usage error, 3 domain error, 4 numerical
 failure (reconstruction or integration).
+
+--precision sets the accuracy of every series value, period matrix and
+transport; --tol never enters them.  --tol only sets the bounds that decide a
+certificate or a verdict: the reconstruction tolerance of monodromy
+(100 * tol), the entrywise bound of kummer-block and the quadrature target of
+integrate.
 """
 
 import argparse
@@ -31,9 +37,10 @@ from .report import RunReport
 
 
 # Largest --n for the commands that build (n+1) x (n+1) period matrices of
-# mpmath complex numbers; bounds their memory and time.
+# mpmath complex numbers, and for li, which sums the whole row Li_1..Li_n;
+# bounds their memory and time.
 MAX_MATRIX_N = 64
-_MATRIX_COMMANDS = ("lambda", "transport", "monodromy", "filtration",
+_MATRIX_COMMANDS = ("li", "lambda", "transport", "monodromy", "filtration",
                     "kummer-block", "flatness")
 # Largest --precision in bits; mpmath's cost grows faster than linearly in it.
 MAX_PRECISION = 4096
@@ -83,7 +90,10 @@ def build_parser():
                     "partition-lattice checks.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-12,
-                        help="numerical tolerance (default 1e-12)")
+                        help="tolerance of the monodromy certificate, "
+                             "kummer-block and integrate (default 1e-12); "
+                             "the accuracy of series, matrices and transport "
+                             "follows --precision alone")
     common.add_argument("--precision", type=int, default=128,
                         help="working precision in bits (default 128)")
     common.add_argument("--seed", type=int, default=0,
@@ -193,10 +203,10 @@ def _run(args):
     c = args.command
     if c == "li":
         z = _z_value(args)
-        return {"value": li_series(args.n, z, tol=args.tol, prec=args.precision)}, None
+        return {"value": li_series(args.n, z, prec=args.precision)}, None
     if c == "lambda":
         z = _z_value(args)
-        lam = principal_lambda(args.n, z, tol=args.tol, prec=args.precision)
+        lam = principal_lambda(args.n, z, prec=args.precision)
         return {"matrix": _matrix_result(lam.entries),
                 "branch_tag": lam.branch_tag}, None
     if c == "transport":
@@ -204,9 +214,8 @@ def _run(args):
         base = loop.base_point
         if base.imag != 0 or not 0 < base.real < 1:
             raise DomainError("path base point must be real in (0, 1)")
-        start = principal_lambda(args.n, base.real, tol=args.tol,
-                                 prec=args.precision)
-        moved = transport(args.n, loop, start, tol=args.tol, prec=args.precision)
+        start = principal_lambda(args.n, base.real, prec=args.precision)
+        moved = transport(args.n, loop, start, prec=args.precision)
         return {"matrix": _matrix_result(moved.entries),
                 "branch_tag": moved.branch_tag}, None
     if c == "monodromy":
@@ -221,7 +230,7 @@ def _run(args):
                 "pass" if resid <= 1e-4 else "fail")
     if c == "filtration":
         z = _z_value(args)
-        lam = principal_lambda(args.n, z, tol=args.tol, prec=args.precision)
+        lam = principal_lambda(args.n, z, prec=args.precision)
         fib = FilteredFiber.from_period_matrix(lam)
         graded = graded_dimensions(fib)
         rep = hodge_transversality_check(fib)

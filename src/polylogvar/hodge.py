@@ -235,7 +235,7 @@ def trivial_subobject_check(n, tol=1e-12, prec=128, monodromies=None):
     """
     details = []
     ok = True
-    lam = principal_lambda(n, 0.5, tol=tol, prec=prec)
+    lam = principal_lambda(n, 0.5, prec=prec)
     col0 = [lam.entries[i][0] for i in range(n + 1)]
     if not (col0[0] == 1 and all(v == 0 for v in col0[1:])):
         ok = False

@@ -2,7 +2,8 @@
 
 Schema (stable field names): "command", "params", "result", "verdict",
 "elapsed_ms".  Complex numbers serialize as two-element [re, im] arrays of
-decimal strings at the working precision, rationals as "p/q" strings.
+decimal strings with the digits a working-precision value carries
+(``_digits_for``), rationals as "p/q" strings.
 Serialization is deterministic for identical inputs and seed; wall time is
 reported only on request, since a varying field would break byte
 reproducibility.
@@ -11,13 +12,16 @@ reproducibility.
 import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
 
 import mpmath as mp
 
 
 def _digits_for(prec_bits):
-    return max(int(prec_bits * 0.30103) + 2, 17)
+    """floor((prec - 2) log10 2) significant digits: a value good to a
+    relative 2^-(prec - 1) then prints within one unit of its last digit."""
+    return int((prec_bits - 2) * math.log10(2))
 
 
 def to_jsonable(value, prec_bits=128):

@@ -23,6 +23,22 @@ def ref_polylog(n, z, prec=ORACLE_PREC):
         return mp.polylog(n, mp.mpc(z))
 
 
+def ref_solution(n, z, prec=ORACLE_PREC):
+    """L(z) on the principal branch, from mpmath's polylog and log."""
+    with mp.workprec(prec):
+        z = mp.mpc(z)
+        lg = mp.log(z)
+        two_pi_i = 2j * mp.pi
+        L = mp.matrix(n + 1, n + 1)
+        L[0, 0] = 1
+        for j in range(1, n + 1):
+            L[0, j] = ref_polylog(j, z, prec)
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                L[i, j] = two_pi_i ** i * lg ** (j - i) / mp.factorial(j - i)
+        return L
+
+
 def ref_minus_log1m(z):
     """-log(1-z) at 256-bit precision (equals Li_1)."""
     with mp.workprec(ORACLE_PREC):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polylogvar import analytic
@@ -14,7 +14,7 @@ from polylogvar.exact import RationalMatrix
 from polylogvar.paths import LineTo, PathSpec, canonical_loop
 
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
-                     ref_polylog, ref_minus_log1m)
+                     ref_polylog, ref_minus_log1m, ref_solution)
 
 TOL = 1e-10
 
@@ -73,6 +73,26 @@ class TestLiSeries:
             v = li_series(n, z, tol=1e-22, prec=160)
             with mp.workprec(256):
                 assert abs(v - ref_polylog(n, z)) < mp.mpf("1e-21")
+
+
+# |z| stays below 0.75 after float rounding; the examples cover the rim
+_DISK_POINTS = st.builds(lambda r, a: r * complex(math.cos(a), math.sin(a)),
+                         st.floats(0, 0.7499), st.floats(0, 2 * math.pi))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 5), z=st.one_of(_DISK_POINTS, st.floats(-1, -0.75)),
+       prec=st.sampled_from([64, 128, 256]),
+       tol=st.sampled_from([1e-8, 1e-12, 1e-20]))
+@example(n=5, z=-1.0, prec=256, tol=1e-8)
+@example(n=3, z=0.75j, prec=128, tol=1e-8)
+def test_li_series_follows_precision(n, z, prec, tol):
+    """Both kernels of ``li_series`` are within a relative 2^-(prec - 1) of
+    mpmath's polylog, whatever ``tol`` is."""
+    v = li_series(n, z, tol=tol, prec=prec)
+    ref = ref_polylog(n, z, prec + 64)
+    with mp.workprec(prec + 64):
+        assert abs(v - ref) <= mp.mpf(2) ** -(prec - 1) * abs(ref)
 
 
 class TestPrincipalLambda:
@@ -307,22 +327,6 @@ def _meets_cuts(a, b):
     return not 0 < a.real + t * (b.real - a.real) < 1
 
 
-def _oracle_solution(n, z, prec):
-    """L(z) on the principal branch, from mpmath's polylog and log."""
-    with mp.workprec(prec):
-        z = mp.mpc(z)
-        lg = mp.log(z)
-        two_pi_i = 2j * mp.pi
-        L = mp.matrix(n + 1, n + 1)
-        L[0, 0] = 1
-        for j in range(1, n + 1):
-            L[0, j] = ref_polylog(j, z, prec)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                L[i, j] = two_pi_i ** i * lg ** (j - i) / mp.factorial(j - i)
-        return L
-
-
 @settings(deadline=None, max_examples=12)
 @given(n=st.integers(1, 5), x=st.floats(-1.5, 2.5), y=st.floats(-1.5, 1.5),
        ratio=st.floats(0, 0.4), angle=st.floats(0, 2 * math.pi))
@@ -338,8 +342,8 @@ def test_transition_row0_against_oracle(n, x, y, ratio, angle):
     # 64 bits above the largest precision under test
     oracle_prec = ORACLE_PREC + 64
     with mp.workprec(oracle_prec):
-        T = mp.inverse(_oracle_solution(n, c, oracle_prec)) \
-            * _oracle_solution(n, z1, oracle_prec)
+        T = mp.inverse(ref_solution(n, c, oracle_prec)) \
+            * ref_solution(n, z1, oracle_prec)
     for prec in (64, 128, 256):
         with mp.workprec(prec):
             terms = analytic._series_terms(prec)
@@ -371,8 +375,8 @@ def test_multi_disk_transport_against_oracle(n, side, corners, radius, angle):
         assume(False)
     oracle_prec = ORACLE_PREC + 64
     with mp.workprec(oracle_prec):
-        P = mp.inverse(_oracle_solution(n, 0.5, oracle_prec)) \
-            * _oracle_solution(n, end, oracle_prec)
+        P = mp.inverse(ref_solution(n, 0.5, oracle_prec)) \
+            * ref_solution(n, end, oracle_prec)
         growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
     for prec in (64, 128, 256):
         start = principal_lambda(n, 0.5, prec=prec)

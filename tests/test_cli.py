@@ -2,10 +2,13 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 from polylogvar import cli
 from polylogvar.cli import main
+
+from oracles import ref_polylog, ref_solution
 
 
 def run_cli(args):
@@ -127,7 +130,7 @@ def test_ambiguous_certificate_exit_3():
 
 def test_matrix_size_guard_exit_3():
     from polylogvar.cli import MAX_MATRIX_N
-    for cmd, *rest in (["lambda", "--z", "0.5"],
+    for cmd, *rest in (["li", "--z", "0.5"], ["lambda", "--z", "0.5"],
                        ["transport", "--loop", "loop0"],
                        ["monodromy", "--loop", "loop0"],
                        ["filtration", "--z", "0.5"],
@@ -278,3 +281,41 @@ def test_poset_homology_cli():
     rep = json.loads(out)
     assert rep["verdict"] == "pass"
     assert rep["result"]["dimensions"] == [[0, 0], [1, 6]]
+
+
+def _last_place(text):
+    """One unit in the last printed place of an mpmath decimal string."""
+    mantissa, _, exponent = text.partition("e")
+    return mp.mpf(10) ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_printed_digits_are_correct(prec):
+    """Every printed part lies within one unit in its last printed place of
+    mpmath's value at prec + 64 bits, for z as the command reads it."""
+    ref_prec = prec + 64
+
+    def z_at(text):
+        with mp.workprec(prec):
+            return mp.mpc(*(mp.mpf(p) for p in text.split(",")))
+
+    cases = []
+    for n, text in ((2, "0.5"), (3, "0.3,-0.4"), (2, "-0.9")):
+        code, out = run_cli(["li", "--n", str(n), "--z", text,
+                             "--precision", str(prec)])
+        assert code == 0
+        cases.append((json.loads(out)["result"]["value"],
+                      ref_polylog(n, z_at(text), ref_prec)))
+    code, out = run_cli(["lambda", "--n", "2", "--z", "0.5",
+                         "--precision", str(prec)])
+    assert code == 0
+    oracle = ref_solution(2, z_at("0.5"), ref_prec)
+    for i, row in enumerate(json.loads(out)["result"]["matrix"]):
+        cases.extend((v, oracle[i, j]) for j, v in enumerate(row))
+    assert len(cases) == 12
+    with mp.workprec(ref_prec):
+        for printed, ref in cases:
+            ref = mp.mpc(ref)
+            for text, part in zip(printed, (ref.real, ref.imag)):
+                assert abs(mp.mpf(text) - part) <= _last_place(text), \
+                    (prec, text, part)
