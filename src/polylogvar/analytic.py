@@ -139,8 +139,18 @@ def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
     Row 0 holds (1, Li_1(z), ..., Li_n(z)); row i >= 1 holds
     (2 pi i)^i log(z)^(j-i) / (j-i)! with the real principal logarithm.
     Row 0 is summed by ``_li_row`` to a relative 2^-(prec + 7) before the
-    final rounding, so the whole matrix is good to the working precision;
-    ``tol`` does not enter.
+    final rounding.  Every entry is rounded once, to ``prec`` bits, so each
+    is within a relative 2^-(prec - 1); ``tol`` does not enter.
+
+    Bound for rows i >= 1.  The real magnitude (2 pi)^i lg^m / m!, m = j - i,
+    is formed at F bits, u = 2^-F, as P_i T_m with P_i = P_(i-1) (2 pi) and
+    T_m = T_(m-1) lg / m, then multiplied exactly by the unit i^i.  Take
+    2 pi and lg = log(z) each within a relative 2u and every product or
+    quotient within u: P_i carries at most 3 i such factors (1 + u), T_m at
+    most 4 m and the product one more, 4 n + 1 in all as i + m <= n, so the
+    magnitude is within a relative 1.01 (4 n + 1) u < (5 n + 6) u.
+    F = prec + 10 + bitlength(5 n + 5) puts that below 2^-(prec + 10), and
+    the rounding to ``prec`` bits adds at most 2^-prec.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -151,13 +161,20 @@ def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
         zr = zm.real
         if not 0 < zr < 1:
             raise DomainError("principal_lambda needs real z in (0, 1)")
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        lg = mp.log(zr)
         grid = [[mp.mpc(0)] * (n + 1) for _ in range(n + 1)]
         grid[0] = [mp.mpc(1)] + _li_row(n, zm, prec)
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                grid[i][j] = two_pi_i ** i * lg ** (j - i) / mp.factorial(j - i)
+        with mp.workprec(prec + 10 + (5 * n + 5).bit_length()):
+            two_pi, lg = 2 * mp.pi, mp.log(zr)
+            terms = [mp.mpf(1)]
+            for m in range(1, n):
+                terms.append(terms[-1] * lg / m)
+            power, rows = mp.mpf(1), []
+            for i in range(1, n + 1):
+                power *= two_pi
+                rows.append([power * t for t in terms[:n + 1 - i]])
+        for i, row in enumerate(rows, 1):
+            unit = mp.mpc((1, 1j, -1, -1j)[i % 4])
+            grid[i][i:] = [unit * v for v in row]
         return PeriodMatrix(n, tuple(tuple(row) for row in grid), "principal")
 
 

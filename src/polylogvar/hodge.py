@@ -172,11 +172,22 @@ def kummer_block_check(n, z, tol=1e-10, prec=128):
     coefficients) and rescaled by the divided-power diagonal
     diag(0!, ..., (n-1)!); the block entries of the solution matrix must then
     match entrywise within tol.
+
+    The expected entries are formed at F = prec + 10 + bitlength(2 n + 16)
+    bits, u = 2^-F, and rounded once to ``prec`` bits, as the matrix entries
+    are.  2 pi i, log z, C(b, a), a! and b! are each within a relative 2u;
+    mpmath forms an integer power x^m with one rounding of 2u on top of m
+    times the error of x; each of the five products and quotients adds u.
+    With m = b - a and a + m <= n - 1 an entry collects at most
+    (2 a + 2 m + 17) u <= (2 n + 15) u < 2^-(prec + 10).  Both sides then
+    round values that close to the same number, so max_error is zero, or one
+    unit in the last place where that number lies within 2^-(prec + 9) of a
+    rounding boundary, unless the matrix is off by more.
     """
     if n < 1:
         raise DomainError("kummer_block_check needs n >= 1")
     lam = principal_lambda(n, z, prec=prec)
-    with mp.workprec(prec):
+    with mp.workprec(prec + 10 + (2 * n + 16).bit_length()):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
         lg = mp.log(mp.mpc(mp.mpmathify(z)).real)
         # Sym^{n-1} in the monomial basis: S[a][b] = C(b, a) log^(b-a) (2 pi i)^a
@@ -184,13 +195,15 @@ def kummer_block_check(n, z, tol=1e-10, prec=128):
         for b in range(n):
             for a in range(b + 1):
                 S[a][b] = mp.binomial(b, a) * lg ** (b - a) * two_pi_i ** a
+        expected = [[two_pi_i * S[a][b] * mp.factorial(a) / mp.factorial(b)
+                     for b in range(n)] for a in range(n)]
+    with mp.workprec(prec):
         max_err = mp.mpf(0)
         worst = None
         for a in range(n):
             for b in range(n):
-                expected = two_pi_i * S[a][b] * mp.factorial(a) / mp.factorial(b)
                 got = lam.entries[1 + a][1 + b]
-                err = abs(got - expected)
+                err = abs(got - +expected[a][b])
                 if err > max_err:
                     max_err = err
                     worst = (1 + a, 1 + b)

@@ -18,8 +18,11 @@ LI3_HALF = "0.5372131936080402009406232255949658266704"
 
 
 def ref_polylog(n, z, prec=ORACLE_PREC):
-    """mpmath's independent polylogarithm at ``prec`` bits (default 256)."""
-    with mp.workprec(prec):
+    """mpmath's independent polylogarithm at ``prec`` bits (default 256),
+    plus as many bits as |z| is below 1: mpmath forms Li_1(z) as
+    -log(1 - z), which keeps none of a z below 2^-prec."""
+    extra = max(0, -mp.mag(z)) if z else 0
+    with mp.workprec(prec + extra):
         return mp.polylog(n, mp.mpc(z))
 
 

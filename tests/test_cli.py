@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -103,6 +104,63 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli([])
+    assert exc.value.code == 2
+
+
+# a value for each flag a command can require
+_REQUIRED_VALUES = {"--n": "2", "--z": "0.5", "--k": "1", "--loop": "loop0"}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_a_call_builds_only_its_own_parser(monkeypatch, name):
+    built, seen = [], []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def handler(args):
+        seen.append(args)
+        return {}, True
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    command = cli.COMMANDS[name]
+    monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=handler))
+    argv = [name]
+    for flag, kwargs in command.flags:
+        if kwargs.get("required"):
+            argv += [flag, _REQUIRED_VALUES[flag]]
+    code, _ = run_cli(argv)
+    assert code == 0
+    assert built == [f"polylogvar {name}"]
+    assert len(seen) == 1 and seen[0].command == name
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: polylogvar [-h]")
+    for name, command in cli.COMMANDS.items():
+        assert name in out and command.help in out
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_command_help(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: polylogvar {name} [-h]")
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["polylogvar", "arnold", "--n", "4"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["result"]["dimension"] == 6
 
 
 def test_domain_error_exit_3():
@@ -139,6 +197,23 @@ def test_matrix_size_guard_exit_3():
         assert code == 3
     code, _ = run_cli(["lambda", "--n", str(MAX_MATRIX_N), "--z", "0.5"])
     assert code == 0
+
+
+def test_form_commands_take_the_matrix_cap(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    n = cli.MAX_MATRIX_N
+    cases = (["omega", "--k", "1"], ["recurrence-check", "--k", "2"])
+    with monkeypatch.context() as m:
+        m.setattr(cli, "omega", no_work)
+        m.setattr(cli, "form_recurrence_check", no_work)
+        for cmd, *rest in cases:
+            code, _ = run_cli([cmd, "--n", str(n + 1)] + rest)
+            assert code == 3
+    for cmd, *rest in cases:
+        code, out = run_cli([cmd, "--n", str(n)] + rest)
+        assert code == 0 and json.loads(out)["params"]["n"] == n
 
 
 def test_resource_guards_exit_3_before_any_work(monkeypatch):
@@ -251,6 +326,18 @@ def test_filtration_report():
 def test_kummer_block_cli():
     code, out = run_cli(["kummer-block", "--n", "2", "--z", "0.5",
                          "--tol", "1e-10"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "4", "--z", "0.695575", "--precision", "128", "--tol", "1e-36"],
+    ["--n", "3", "--z", "0.118877", "--precision", "256", "--tol", "1e-76"],
+])
+def test_kummer_block_reads_the_matrix_error(argv):
+    """The expected block is rounded once, as the matrix is, so a bound
+    below one unit in the last place of the largest entry still passes."""
+    code, out = run_cli(["kummer-block"] + argv)
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylogvar.exact import (RationalMatrix, RationalPolynomial, eulerian,
                               mpf_to_fraction, nilpotency_index,
@@ -58,6 +60,32 @@ class TestRationalReconstruct:
                 x = mp.mpf(p) / q
                 got = rational_reconstruct(x, q, Fraction(1, 10 ** 12))
                 assert got == Fraction(p, q)
+
+    # noise as a multiple of tol = 1 / (4 max_den^2), for which
+    # 2 tol max_den^2 < 1: at most one p/q with q <= max_den lies within tol
+    @settings(max_examples=200)
+    @given(p=st.integers(-10 ** 6, 10 ** 6), q=st.integers(1, 10 ** 4),
+           extra=st.integers(0, 10 ** 4),
+           noise=st.fractions(-1, 1, max_denominator=10 ** 9))
+    def test_recovers_within_tolerance(self, p, q, extra, noise):
+        max_den = q + extra
+        tol = Fraction(1, 4 * max_den ** 2)
+        x = Fraction(p, q) + noise * tol
+        assert rational_reconstruct(x, max_den, tol) == Fraction(p, q)
+
+    @settings(max_examples=200)
+    @given(p=st.integers(-10 ** 6, 10 ** 6), q=st.integers(1, 10 ** 4),
+           extra=st.integers(0, 10 ** 4),
+           noise=st.fractions(1, 2, max_denominator=10 ** 9).filter(
+               lambda f: f > 1),
+           sign=st.sampled_from([1, -1]))
+    def test_refuses_outside_tolerance(self, p, q, extra, noise, sign):
+        """Off by more than tol and at most 1 / (2 max_den^2), x is more
+        than tol from every p'/q' with q' <= max_den too."""
+        max_den = q + extra
+        tol = Fraction(1, 4 * max_den ** 2)
+        x = Fraction(p, q) + sign * noise * tol
+        assert rational_reconstruct(x, max_den, tol) is None
 
     def test_mpf_inputs(self):
         with mp.workprec(128):

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polylogvar.errors import PathError
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
@@ -31,6 +33,42 @@ def test_loop_then_reverse_winds_zero():
 def test_reversed_windings_negate():
     l1 = canonical_loop(1)
     assert l1.reversed().winding_number(1) == -1
+
+
+@st.composite
+def closed_loops(draw):
+    """A canonical loop, or a closed polygon based at 1/2 that keeps the
+    margin from both punctures."""
+    kind = draw(st.sampled_from(["loop0", "loop1", "polygon"]))
+    if kind != "polygon":
+        return canonical_loop(int(kind[-1]))
+    corners = draw(st.lists(st.builds(complex, st.floats(-1.5, 2.5),
+                                      st.floats(-1.5, 1.5)),
+                            min_size=2, max_size=5))
+    loop = PathSpec(0.5 + 0j, tuple(LineTo(c) for c in corners)
+                    + (LineTo(0.5 + 0j),), closed=True)
+    try:
+        loop.validate()
+    except PathError:
+        assume(False)
+    return loop
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop=closed_loops())
+def test_reversed_negates_winding(loop):
+    for p in (0, 1):
+        assert loop.reversed().winding_number(p) == -loop.winding_number(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=closed_loops(), b=closed_loops())
+def test_then_adds_windings(a, b):
+    both = a.then(b)
+    assert both.closed
+    for p in (0, 1):
+        assert both.winding_number(p) == \
+            a.winding_number(p) + b.winding_number(p)
 
 
 def test_margin_violation_rejected():
