@@ -170,6 +170,36 @@ def _distance_to_cut(z):
     return abs(z - 1.0)
 
 
+def _legendre(m, x):
+    """P_m(x) and P_m'(x) by the recurrence (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, m):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, m * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(m):
+    """The m-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    Each node is found by Newton's method on P_m from Tricomi's estimate
+    cos(pi (i - 1/4) / (m + 1/2)), and its weight is 2 / ((1 - x^2) P_m'(x)^2).
+    As in numpy's ``leggauss``, nodes and weights are then symmetrized about
+    0 and the weights scaled to sum 2.
+    """
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p, dp = _legendre(m, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    dp = _legendre(m, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = (x - x[::-1]) / 2
+    w = (w + w[::-1]) / 2
+    return x, w * (2.0 / w.sum())
+
+
 def _tensor_value(coeffs, z, nodes, weights, n, k, r):
     """One tensor-product Gauss-Legendre pass; nodes/weights already on [0,1]."""
     order = len(nodes)
@@ -187,7 +217,10 @@ def _tensor_value(coeffs, z, nodes, weights, n, k, r):
         if k == 0:
             vals = np.ones_like(x)
         else:
-            vals = z * np.polynomial.polynomial.polyval(x, coeffs) / (1.0 - x) ** (r + 1)
+            horner = np.full_like(x, coeffs[-1])
+            for c in coeffs[-2::-1]:
+                horner = horner * x + c
+            vals = z * horner / (1.0 - x) ** (r + 1)
         return np.sum(vals * w)
 
     if not chunked:
@@ -200,7 +233,8 @@ def _tensor_value(coeffs, z, nodes, weights, n, k, r):
 
 def integrate_cube(n, k, z, tol, max_order=_MAX_QUAD_ORDER):
     """Integral of omega(n, k) over the unit n-cube by tensor-product
-    Gauss-Legendre quadrature, doubling the order per axis until two
+    Gauss-Legendre quadrature (the rule of ``_gauss_legendre`` mapped to
+    [0, 1] on each axis), doubling the order per axis from 4 until two
     successive refinements agree within tol.
 
     Cost guard: 1 <= n <= 4.  The point z must keep distance >= 0.05 from
@@ -222,7 +256,7 @@ def integrate_cube(n, k, z, tol, max_order=_MAX_QUAD_ORDER):
     prev = None
     order = 4
     while order <= max_order:
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _gauss_legendre(order)
         nodes = 0.5 * (x + 1.0)
         weights = 0.5 * w
         val = _tensor_value(coeffs, zc, nodes, weights, n, k, r)

@@ -160,16 +160,64 @@ class PavingReport:
     volume_identity_ok: bool
 
 
+def _uniforms(rng, count):
+    """``count`` uniforms in [0, 1) with 53 random bits each: the top 53 bits
+    of consecutive 64-bit words of the stdlib Mersenne Twister stream."""
+    words = np.frombuffer(rng.randbytes(8 * count), dtype="<u8")
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _codes(perms):
+    """The code sum_r p[r] * n^r of each row p of an (m, n) array of
+    0-based permutations."""
+    n = perms.shape[1]
+    return perms @ n ** np.arange(n)
+
+
+def _family_table(family, n):
+    """Multiplicity of each permutation s in ``family``, indexed by the code
+    of s^{-1} (0-based).  Every entry must be a permutation of 1..n."""
+    inverses = []
+    for sigma in family:
+        if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
+            raise DomainError(
+                f"family entry {tuple(sigma)} is not a permutation of 1..{n}")
+        inv = [0] * n
+        for pos, v in enumerate(sigma):
+            inv[v - 1] = pos  # x_{sigma^{-1}(r)} is the r-th smallest
+        inverses.append(inv)
+    inverses = np.array(inverses, dtype=np.int64).reshape(-1, n)
+    return np.bincount(_codes(inverses), minlength=n ** n)
+
+
 def paving_check(n, z, samples, seed, family=None):
     """Sample points of the open cube (1, 1/z)^n and count, per point, the
     order simplices 1 < x_{s^{-1}(1)} < ... < x_{s^{-1}(n)} < 1/z containing
     it strictly; a paving means every point lies in exactly one.  Points with
-    tied coordinates are redrawn.  Also checks the exact volume identity
-    n! * vol(simplex) = vol(cube) symbolically.
+    tied coordinates or on the boundary are redrawn.  Also checks the exact
+    volume identity n! * vol(simplex) = vol(cube) symbolically.
+
+    Lemma: a tie-free point x of the open cube lies in the simplex of s iff
+    s^{-1} is the argsort of x.  Proof: the bounds 1 < x_i < 1/z hold for
+    every coordinate, so x lies in the simplex of s iff the coordinates
+    x_{s^{-1}(1)}, ..., x_{s^{-1}(n)} strictly increase.  With no ties there
+    is exactly one strictly increasing arrangement of the coordinates, the
+    one the argsort lists.  So the cover of x is the multiplicity in the
+    family of the one permutation whose inverse is argsort(x); it is looked
+    up in a table built once from the family, one argsort per point.
+
+    The points come from the stdlib Mersenne Twister ``random.Random(seed)``
+    (MT19937), 53 random bits per coordinate, drawn row by row; redraws
+    continue the same stream.  A ``seed`` therefore picks other points than
+    numpy's PCG64 stream of the same seed, which earlier releases drew from;
+    the reports agree whenever no redraw is needed.
 
     ``family`` overrides the permutation family (used to demonstrate that a
-    defective family fails).
+    defective family fails); an entry that is not a permutation of 1..n
+    raises DomainError before any sampling.
     """
+    import random
+
     if not 1 <= n <= 6:
         raise DomainError("paving_check supports 1 <= n <= 6")
     zf = float(z)
@@ -177,38 +225,35 @@ def paving_check(n, z, samples, seed, family=None):
         raise DomainError("z must lie in (0, 1)")
     if samples < 1:
         raise DomainError("need at least one sample")
+    if seed < 0:
+        raise DomainError("seed must be a non-negative integer")
     if family is None:
-        family = list(itertools.permutations(range(1, n + 1)))
-    rng = np.random.default_rng(seed)
+        family = itertools.permutations(range(1, n + 1))
+    table = _family_table(family, n)
+    rng = random.Random(seed)
     lo, hi = 1.0, 1.0 / zf
 
-    pts = rng.uniform(lo, hi, size=(samples, n))
+    def draw(rows):
+        return (lo + (hi - lo) * _uniforms(rng, rows * n)).reshape(rows, n)
+
+    pts = draw(samples)
+    order = np.argsort(pts, axis=1)
     redraws = 0
     for _ in range(100):
-        bad = np.zeros(samples, dtype=bool)
-        sorted_pts = np.sort(pts, axis=1)
+        ordered = np.take_along_axis(pts, order, axis=1)
+        bad = (ordered[:, 0] <= lo) | (ordered[:, -1] >= hi)
         if n > 1:
-            bad |= (np.diff(sorted_pts, axis=1) == 0).any(axis=1)
-        bad |= (pts <= lo).any(axis=1) | (pts >= hi).any(axis=1)
+            bad |= (np.diff(ordered, axis=1) == 0).any(axis=1)
         if not bad.any():
             break
-        redraws += int(bad.sum())
-        pts[bad] = rng.uniform(lo, hi, size=(int(bad.sum()), n))
+        count = int(bad.sum())
+        redraws += count
+        pts[bad] = draw(count)
+        order[bad] = np.argsort(pts[bad], axis=1)
     else:
         raise DomainError("could not draw tie-free samples")
 
-    cover = np.zeros(samples, dtype=np.int64)
-    for sigma in family:
-        inv = [0] * n
-        for pos, v in enumerate(sigma):
-            inv[v - 1] = pos  # x_{sigma^{-1}(r)} is the r-th smallest
-        ordered = pts[:, [inv[r] for r in range(n)]]
-        inside = np.ones(samples, dtype=bool)
-        inside &= ordered[:, 0] > lo
-        inside &= ordered[:, -1] < hi
-        if n > 1:
-            inside &= (np.diff(ordered, axis=1) > 0).all(axis=1)
-        cover += inside
+    cover = table[_codes(order)]
 
     # exact volume identity: n! * (1/z - 1)^n / n! == (1/z - 1)^n
     zq = Fraction(str(z)) if not isinstance(z, Fraction) else z

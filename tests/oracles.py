@@ -1,12 +1,13 @@
 """Independent reference values for the test suite.
 
 Everything here goes through mpmath's own polylog/log/pi machinery at 256
-bits (more where a check at 256 bits needs a finer reference), or through
-direct series with proven error bounds - never through the package code
-paths being tested.
+bits (more where a check at 256 bits needs a finer reference), through
+direct series with proven error bounds, or, for the paving, through a direct
+per-simplex count - never through the package code paths being tested.
 """
 
 import mpmath as mp
+import numpy as np
 
 ORACLE_PREC = 256
 
@@ -52,3 +53,22 @@ def alternating_li2_minus1():
     """Li_2(-1) summed as an accelerated alternating series."""
     with mp.workprec(ORACLE_PREC):
         return mp.nsum(lambda k: (-1) ** k / k ** 2, [1, mp.inf], method="a")
+
+
+def ref_paving_cover(pts, lo, hi, family):
+    """For each row x of ``pts``, the number of entries s of ``family`` whose
+    order simplex lo < x_{s^{-1}(1)} < ... < x_{s^{-1}(n)} < hi contains x
+    strictly: one gathered copy of the points per permutation, compared
+    coordinate by coordinate."""
+    n = pts.shape[1]
+    cover = np.zeros(len(pts), dtype=np.int64)
+    for sigma in family:
+        inv = [0] * n
+        for pos, v in enumerate(sigma):
+            inv[v - 1] = pos
+        ordered = pts[:, inv]
+        inside = (ordered[:, 0] > lo) & (ordered[:, -1] < hi)
+        if n > 1:
+            inside &= (np.diff(ordered, axis=1) > 0).all(axis=1)
+        cover += inside
+    return cover

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -95,6 +96,41 @@ def test_byte_determinism_subprocess():
     r2 = subprocess.run(cmd, capture_output=True, text=True)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+# what ``import polylogvar.cli`` adds to sys.modules after numpy and mpmath
+_IMPORT_ADDS = {"_decimal", "_json", "argparse", "dataclasses", "decimal",
+                "fractions", "gettext", "json", "json.decoder",
+                "json.encoder", "json.scanner"}
+
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import numpy, mpmath
+before = set(sys.modules)
+import polylogvar.cli
+imported = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    polylogvar.cli.main(["paving", "--n", "3", "--z", "0.5", "--samples", "1000"])
+    polylogvar.cli.main(["integrate", "--n", "2", "--k", "1", "--z", "0.5"])
+print(json.dumps({"import": sorted(imported - before),
+                  "run": sorted(set(sys.modules) - imported)}))
+"""
+
+
+def test_paving_and_integrate_import_no_numpy_submodules():
+    # on numpy 1.x, ``import numpy`` loads both submodules and this holds trivially
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    r = subprocess.run([sys.executable, "-c", _MODULE_PROBE], env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    added = json.loads(r.stdout)
+    assert not [m for m in added["run"]
+                if m.split(".")[:2] in (["numpy", "random"],
+                                        ["numpy", "polynomial"])]
+    assert {m for m in added["import"]
+            if m.split(".")[0] != "polylogvar"} <= _IMPORT_ADDS
 
 
 def test_usage_error_exit_2():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from polylogvar.errors import DomainError, IntegrationError
-from polylogvar.forms import (form_recurrence_check, gauge_form,
-                              gauge_exactness_check, integrate_cube, omega)
+from polylogvar.forms import (_gauss_legendre, form_recurrence_check,
+                              gauge_form, gauge_exactness_check,
+                              integrate_cube, omega)
 from polylogvar.mpoly import MPoly, rational_functions_equal
 from polylogvar.analytic import li_series
 
@@ -142,3 +145,18 @@ class TestIntegrateCube:
         a = integrate_cube(3, 2, mp.mpc("0.25", "0.25"), 1e-8)
         b = integrate_cube(3, 2, mp.mpc("0.25", "0.25"), 1e-8)
         assert a == b
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64, 128, 256])
+class TestGaussLegendre:
+    def test_matches_leggauss(self, m):
+        x, w = _gauss_legendre(m)
+        ref_x, ref_w = leggauss(m)
+        assert np.abs(x - ref_x).max() <= 1e-15
+        assert np.abs(w - ref_w).max() <= 1e-14
+
+    def test_integrates_monomials_exactly(self, m):
+        x, w = _gauss_legendre(m)
+        for j in range(2 * m):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(np.sum(w * x ** j) - exact) <= 1e-14

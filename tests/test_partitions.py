@@ -1,11 +1,20 @@
+import itertools
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polylogvar import partitions
 from polylogvar.errors import DomainError
-from polylogvar.partitions import (SetPartition, bell_number, partitions_of,
-                                   paving_check, postnikov_graded_check,
+from polylogvar.partitions import (SetPartition, _codes, _family_table,
+                                   bell_number, partitions_of, paving_check,
+                                   postnikov_graded_check,
                                    stirling_first_unsigned)
+
+from oracles import ref_paving_cover
 
 
 class TestPartitions:
@@ -90,7 +99,6 @@ class TestPaving:
         assert rep.passed
 
     def test_duplicate_family_fails(self):
-        import itertools
         fam = list(itertools.permutations(range(1, 3)))
         fam[1] = fam[0]  # one simplex listed twice, another missing
         rep = paving_check(2, 0.5, 1000, seed=0, family=fam)
@@ -107,3 +115,85 @@ class TestPaving:
             paving_check(7, 0.5, 10, seed=0)
         with pytest.raises(DomainError):
             paving_check(2, 1.5, 10, seed=0)
+
+    def test_negative_seed_is_domain_error(self):
+        with pytest.raises(DomainError):
+            paving_check(2, 0.5, 10, seed=-1)
+
+    def test_boundary_points_are_redrawn(self, monkeypatch):
+        # the first draw puts every point on the face x = 1; the redraw is
+        # the first draw of a genuine stream
+        real = partitions._uniforms
+        calls = []
+
+        def first_on_face(rng, count):
+            calls.append(count)
+            u = real(rng, count)
+            return np.zeros_like(u) if len(calls) == 1 else u
+
+        monkeypatch.setattr(partitions, "_uniforms", first_on_face)
+        rep = paving_check(3, 0.5, 500, seed=0)
+        assert calls == [1500, 1500]
+        assert rep.redraws == 500
+        assert rep.passed and rep.min_cover == rep.max_cover == 1
+
+    def test_endless_ties_are_domain_error(self, monkeypatch):
+        monkeypatch.setattr(partitions, "_uniforms",
+                            lambda rng, count: np.full(count, 0.5))
+        with pytest.raises(DomainError):
+            paving_check(2, 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [(1, 1, 3), (1, 2), (1, 2, 3, 4),
+                                     (0, 1, 2), (1, 2, 4)])
+    def test_non_permutation_entry_is_domain_error(self, bad):
+        fam = list(itertools.permutations(range(1, 4)))
+        fam[fam.index((2, 1, 3))] = bad
+        with pytest.raises(DomainError):
+            paving_check(3, 0.5, 1000, seed=0, family=fam)
+
+
+@st.composite
+def _families(draw):
+    """n <= 4 and a multiset over S_n, with duplicates and gaps."""
+    n = draw(st.integers(1, 4))
+    perms = list(itertools.permutations(range(1, n + 1)))
+    fam = draw(st.lists(st.sampled_from(perms), max_size=2 * len(perms)))
+    return n, perms, fam
+
+
+class TestPavingCover:
+    @settings(max_examples=40, deadline=None)
+    @given(_families(), st.floats(0.05, 0.95), st.integers(0, 2 ** 31 - 1))
+    def test_reports_family_multiplicities(self, case, z, seed):
+        # 20000 samples miss some s in S_4 with probability below 1e-360
+        n, perms, fam = case
+        mu = Counter(fam)
+        rep = paving_check(n, z, 20000, seed, family=fam)
+        assert rep.min_cover == min(mu[s] for s in perms)
+        assert rep.max_cover == max(mu[s] for s in perms)
+        assert rep.passed == all(mu[s] == 1 for s in perms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_families(), st.data())
+    def test_argsort_lookup_matches_direct_count(self, case, data):
+        n, perms, fam = case
+        coords = st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)
+        rows = data.draw(st.lists(
+            st.lists(coords, min_size=n, max_size=n, unique=True),
+            min_size=1, max_size=20))
+        pts = np.array(rows)
+        got = _family_table(fam, n)[_codes(np.argsort(pts, axis=1))]
+        assert got.tolist() == ref_paving_cover(pts, 1.0, 2.0, fam).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_order_is_covered_once(self, n):
+        # one point per simplex: coordinate s^{-1}(r) gets the r-th value
+        perms = list(itertools.permutations(range(1, n + 1)))
+        pts = np.empty((len(perms), n))
+        for row, s in enumerate(perms):
+            for pos, v in enumerate(s):
+                pts[row, pos] = 1.0 + v / (n + 1)
+        direct = ref_paving_cover(pts, 1.0, 2.0, perms)
+        assert direct.tolist() == [1] * len(perms)
+        got = _family_table(perms, n)[_codes(np.argsort(pts, axis=1))]
+        assert got.tolist() == direct.tolist()
