@@ -6,10 +6,14 @@ a RunReport to stdout as JSON (or CSV with --format csv).  Exit codes:
 failure (reconstruction or integration).
 
 The table COMMANDS is the one place a command is defined: its help line, its
-own flags, its --n cap and its handler.  A call builds only the invoked
-command's parser; the top-level one, which lists them all, is built only for
-help, a missing command or an unknown one.  The commands that build period
-matrices, li, omega and recurrence-check take --n <= MAX_MATRIX_N (64).
+own flags, its --n cap and its handler.  A call reads its flags straight from
+that table when every token is spelled canonically (an exact flag name, with
+its value after "=" or as the next token if that does not start with "-");
+argparse is imported and the command's parser built only for help, a usage
+error or any other spelling, and the top-level parser, which lists every
+command, only for help, a missing command or an unknown one.  The commands
+that build period matrices, li, omega and recurrence-check take
+--n <= MAX_MATRIX_N (64).
 
 --precision sets the accuracy of every series value, period matrix and
 transport; --tol never enters them.  --tol only sets the bounds that decide a
@@ -18,12 +22,12 @@ certificate or a verdict: the reconstruction tolerance of monodromy
 integrate.
 """
 
-import argparse
 import json
 import math
 import sys
 import time
 from collections import namedtuple
+from types import SimpleNamespace
 
 import mpmath as mp
 
@@ -58,11 +62,13 @@ def _parse_z(text):
     value is read at the command's working precision, not the default one."""
     parts = text.split(",")
     if len(parts) not in (1, 2):
+        import argparse
         raise argparse.ArgumentTypeError("z must be 're' or 're,im'")
     try:
         for p in parts:
             mp.mpf(p.strip())
     except ValueError as e:
+        import argparse
         raise argparse.ArgumentTypeError(f"bad z component: {e}") from e
     return text
 
@@ -268,14 +274,70 @@ def _suite(args):
                          for r in results]}, all(r.passed for r in results)
 
 
+def _read_flags(flags, tokens):
+    """The values argparse would give ``flags`` for ``tokens``, keyed by
+    dest, when every token is canonical: an exact flag name followed by
+    "=value" or, for a value not starting with "-", by the value as the next
+    token; a store_true flag bare.  None for anything else, and for a missing
+    required flag or a value its type or choices reject, so that argparse can
+    accept or report it."""
+    spec = dict(flags)
+    given = {}
+    i = 0
+    while i < len(tokens):
+        flag, eq, value = tokens[i].partition("=")
+        kwargs = spec.get(flag)
+        if kwargs is None:
+            return None
+        i += 1
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            if i == len(tokens) or tokens[i].startswith("-"):
+                return None
+            value = tokens[i]
+            i += 1
+        elif value == "--":  # argparse reads "--flag=--" as no value
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except Exception:  # the fallback parser reports it, or raises it again
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = {}
+    for flag, kwargs in flags:
+        if flag in given:
+            value = given[flag]
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        values[flag[2:].replace("-", "_")] = value
+    return values
+
+
 def _parse(argv):
-    """Parse argv; only the top-level parser or one command's is built."""
+    """Parse argv: a canonical call is read from its COMMANDS entry; only
+    the top-level parser or one command's is built otherwise."""
     if argv and argv[0] in COMMANDS:
         name = argv[0]
+        flags = _SHARED_FLAGS + COMMANDS[name].flags
+        values = _read_flags(flags, argv[1:])
+        if values is not None:
+            return SimpleNamespace(command=name, **values)
+        import argparse
         parser = argparse.ArgumentParser(prog=f"polylogvar {name}")
-        for flag, kwargs in _SHARED_FLAGS + COMMANDS[name].flags:
+        for flag, kwargs in flags:
             parser.add_argument(flag, **kwargs)
         return parser.parse_args(argv[1:], argparse.Namespace(command=name))
+    import argparse
     parser = argparse.ArgumentParser(prog="polylogvar", description=(
         "Polylogarithm transport, monodromy, de Rham and partition-lattice "
         "checks."))

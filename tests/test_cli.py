@@ -6,6 +6,8 @@ import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylogvar import cli
 from polylogvar.cli import main
@@ -99,9 +101,8 @@ def test_byte_determinism_subprocess():
 
 
 # what ``import polylogvar.cli`` adds to sys.modules after numpy and mpmath
-_IMPORT_ADDS = {"_decimal", "_json", "argparse", "dataclasses", "decimal",
-                "fractions", "gettext", "json", "json.decoder",
-                "json.encoder", "json.scanner"}
+_IMPORT_ADDS = {"_decimal", "_json", "dataclasses", "decimal", "fractions",
+                "json", "json.decoder", "json.encoder", "json.scanner"}
 
 _MODULE_PROBE = """
 import contextlib, io, json, sys
@@ -131,6 +132,8 @@ def test_paving_and_integrate_import_no_numpy_submodules():
                                         ["numpy", "polynomial"])]
     assert {m for m in added["import"]
             if m.split(".")[0] != "polylogvar"} <= _IMPORT_ADDS
+    # canonical calls read their flags from the table, without argparse
+    assert not {"argparse", "gettext"} & set(added["run"])
 
 
 def test_usage_error_exit_2():
@@ -151,6 +154,8 @@ _REQUIRED_VALUES = {"--n": "2", "--z": "0.5", "--k": "1", "--loop": "loop0"}
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_a_call_builds_only_its_own_parser(monkeypatch, name):
+    """A canonical call builds no parser; help, an abbreviated flag and a
+    missing required flag build exactly the command's own."""
     built, seen = [], []
     init = argparse.ArgumentParser.__init__
 
@@ -165,14 +170,166 @@ def test_a_call_builds_only_its_own_parser(monkeypatch, name):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     command = cli.COMMANDS[name]
     monkeypatch.setitem(cli.COMMANDS, name, command._replace(run=handler))
-    argv = [name]
+    required = []
     for flag, kwargs in command.flags:
         if kwargs.get("required"):
-            argv += [flag, _REQUIRED_VALUES[flag]]
-    code, _ = run_cli(argv)
+            required += [flag, _REQUIRED_VALUES[flag]]
+    code, _ = run_cli([name] + required)
+    assert code == 0
+    assert built == []
+    assert len(seen) == 1 and seen[0].command == name
+
+    code, _ = run_cli([name, "--prec", "256"] + required)
     assert code == 0
     assert built == [f"polylogvar {name}"]
-    assert len(seen) == 1 and seen[0].command == name
+    assert len(seen) == 2 and vars(seen[1]) == dict(vars(seen[0]),
+                                                    precision=256)
+
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        run_cli([name, "-h"])
+    assert exc.value.code == 0
+    assert built == [f"polylogvar {name}"]
+
+    if required:
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            run_cli([name] + required[2:])
+        assert exc.value.code == 2
+        assert built == [f"polylogvar {name}"]
+    assert len(seen) == 2
+
+
+def test_table_flags_use_only_what_the_table_read_applies():
+    for name, command in cli.COMMANDS.items():
+        for flag, kwargs in cli._SHARED_FLAGS + command.flags:
+            assert flag.startswith("--") and "=" not in flag, (name, flag)
+            assert set(kwargs) <= {"type", "choices", "default", "required",
+                                   "action", "help"}, (name, flag)
+            assert kwargs.get("action", "store_true") == "store_true"
+            # argparse passes a string default through type; the table read
+            # takes it as it is
+            default = kwargs.get("default")
+            if isinstance(default, str) and "type" in kwargs:
+                assert kwargs["type"](default) == default, (name, flag)
+
+
+def _valid_text(kwargs):
+    """A value the flag's type and choices accept, as text."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    kind = kwargs.get("type")
+    if kind is int:
+        return st.integers(-10 ** 6, 10 ** 6).map(str)
+    if kind is float:
+        return st.floats(allow_nan=False).map(repr)
+    if kind is cli._parse_z:
+        return st.lists(st.floats(-2, 2).map(repr), min_size=1,
+                        max_size=2).map(",".join)
+    return st.sampled_from(["loop0", "loop1", "a=b.json", ""])
+
+
+_ODD_TEXT = st.sampled_from(["", "abc", "1,2,3", "xml", "0x1", "1.5", "-3",
+                             "--", "-h", "nan", "1e", " 7 "])
+
+
+@st.composite
+def _argv(draw, flags):
+    """Tokens for one command, and whether every token is canonical and
+    every required flag given."""
+    spec = dict(flags)
+    tokens, canonical, seen = [], True, set()
+
+    def add(flag, toks, ok):
+        nonlocal canonical
+        tokens.extend(toks)
+        canonical = canonical and ok
+        seen.add(flag)
+
+    def canonical_item(flag):
+        kwargs = spec[flag]
+        if kwargs.get("action") == "store_true":
+            return [flag], True
+        value = draw(_valid_text(kwargs))
+        if draw(st.booleans()):
+            return [f"{flag}={value}"], True
+        return [flag, value], not value.startswith("-")
+
+    if draw(st.booleans()):
+        for flag, kwargs in flags:
+            if kwargs.get("required"):
+                add(flag, *canonical_item(flag))
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from([f for f, _ in flags]))
+        kind = draw(st.sampled_from(["canonical", "canonical", "abbreviated",
+                                     "odd", "odd=", "bare", "stray"]))
+        if kind == "canonical":
+            add(flag, *canonical_item(flag))
+        elif kind == "abbreviated" and len(flag) > 3:  # else a stray token
+            cut = draw(st.integers(3, len(flag) - 1))
+            add(None, [flag[:cut]] + draw(st.lists(_valid_text(spec[flag]),
+                                                  max_size=1)), False)
+        elif kind == "odd":
+            add(flag, [flag, draw(_ODD_TEXT)], False)
+        elif kind == "odd=":
+            add(flag, [f"{flag}={draw(_ODD_TEXT)}"], False)
+        elif kind == "bare":
+            add(flag, [flag], spec[flag].get("action") == "store_true")
+        else:
+            add(None, [draw(st.sampled_from(["-h", "--help", "foo", "--",
+                                             "-0.5", "--timing=x"]))], False)
+    missing = any(kwargs.get("required") and flag not in seen
+                  for flag, kwargs in flags)
+    return tokens, canonical and not missing
+
+
+def _outcome(parse):
+    """vars() of what ``parse`` returns, or its exit code, with the text it
+    printed; in repr, so that a NaN --tol compares equal to itself."""
+    import contextlib
+    import io
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            result = sorted(vars(parse()).items())
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return repr(result), out.getvalue()
+
+
+def _argparse_reference(name, tokens):
+    parser = argparse.ArgumentParser(prog=f"polylogvar {name}")
+    for flag, kwargs in cli._SHARED_FLAGS + cli.COMMANDS[name].flags:
+        parser.add_argument(flag, **kwargs)
+    return parser.parse_args(tokens, argparse.Namespace(command=name))
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_read_matches_argparse(name, data):
+    """_parse returns what the command's argparse parser returns, or exits
+    as it does with the same text; a canonical argv takes the table path."""
+    flags = cli._SHARED_FLAGS + cli.COMMANDS[name].flags
+    tokens, canonical = data.draw(_argv(flags))
+    assert _outcome(lambda: cli._parse([name] + tokens)) == \
+        _outcome(lambda: _argparse_reference(name, tokens))
+    if canonical:
+        assert cli._read_flags(flags, tokens) is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--n=1", "--loop=--"],  # argparse reads no value: []
+    ["transport", "--n", "1", "--loop", ""],
+    ["li", "--n=2", "--z=-0.5,0.25", "--n=3"],
+    ["li", "--n", "2", "--z", "-0.5"],
+    ["flatness", "--n", "2", "--timing", "--timing"],
+    ["paving", "--n=2", "--z=0.5", "--format=xml"],
+    ["monodromy", "--n=1", "--loop=loop0", "--max-den=-"],
+])
+def test_table_read_matches_argparse_on_edges(argv):
+    assert _outcome(lambda: cli._parse(argv)) == \
+        _outcome(lambda: _argparse_reference(argv[0], argv[1:]))
 
 
 def test_help_lists_every_command(capsys):

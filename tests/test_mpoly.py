@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylogvar.mpoly import MPoly, rational_functions_equal
 
@@ -71,3 +73,63 @@ def test_degree_in():
     assert p.degree_in(0) == 2
     assert p.degree_in(1) == 4
     assert p.degree_in(2) == 0
+
+
+# --- ring laws, on random sparse polynomials in 1 to 3 variables -----------
+
+_COEFFS = st.fractions(min_value=-3, max_value=3,
+                       max_denominator=4).filter(bool)
+
+
+@st.composite
+def _polys(draw, nvars, count=1, nonzero=False):
+    """``count`` sparse polynomials in ``nvars`` variables with nonzero
+    Fraction coefficients and exponents up to 3."""
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    return [MPoly(nvars, draw(st.dictionaries(mono, _COEFFS,
+                                              min_size=int(nonzero),
+                                              max_size=4)))
+            for _ in range(count)]
+
+
+def _ring(count):
+    """``count`` polynomials in one ring of 1 to 3 variables."""
+    return st.integers(1, 3).flatmap(lambda nvars: _polys(nvars, count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring(3))
+def test_addition_is_commutative_and_associative(ps):
+    p, q, r = ps
+    assert p + q == q + p
+    assert (p + q) + r == p + (q + r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring(3))
+def test_multiplication_is_commutative_associative_and_distributive(ps):
+    p, q, r = ps
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring(1))
+def test_identities_and_additive_inverse(ps):
+    p, = ps
+    zero, one = MPoly.const(p.nvars, 0), MPoly.const(p.nvars, 1)
+    assert zero.is_zero()
+    assert p + zero == p and zero + p == p
+    assert p * one == p and one * p == p
+    assert (p * zero).is_zero()
+    assert (p - p).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda nvars: st.tuples(_polys(nvars), _polys(nvars, 2, nonzero=True))))
+def test_exact_division_and_cross_multiplication(case):
+    (p,), (q, r) = case
+    assert (p * q).divide_exact(q) == p
+    assert rational_functions_equal(p * r, q * r, p, q)

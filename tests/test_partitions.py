@@ -105,6 +105,13 @@ class TestPaving:
         assert not rep.passed
         assert rep.max_cover == 2 or rep.min_cover == 0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_missing_simplex_fails_volume_identity(self, n):
+        fam = list(itertools.permutations(range(1, n + 1)))[1:]
+        rep = paving_check(n, 0.5, 1000, seed=0, family=fam)
+        assert not rep.volume_identity_ok
+        assert not rep.passed
+
     def test_deterministic(self):
         a = paving_check(3, 0.5, 5000, seed=42)
         b = paving_check(3, 0.5, 5000, seed=42)
@@ -172,6 +179,7 @@ class TestPavingCover:
         assert rep.min_cover == min(mu[s] for s in perms)
         assert rep.max_cover == max(mu[s] for s in perms)
         assert rep.passed == all(mu[s] == 1 for s in perms)
+        assert rep.volume_identity_ok == (len(fam) == len(perms))
 
     @settings(max_examples=60, deadline=None)
     @given(_families(), st.data())
