@@ -19,7 +19,8 @@ that build period matrices, li, omega and recurrence-check take
 transport; --tol never enters them.  --tol only sets the bounds that decide a
 certificate or a verdict: the reconstruction tolerance of monodromy
 (100 * tol), the entrywise bound of kummer-block and the quadrature target of
-integrate.
+integrate.  integrate computes in float64 and reports its value as that
+double, not padded to --precision digits.
 """
 
 import json
@@ -81,11 +82,18 @@ def _z_value(args):
         return mp.mpc(mp.mpf(parts[0].strip()), mp.mpf(parts[1].strip()))
 
 
+class _UsageError(ValueError):
+    """A flag value no command can use; reported as a usage error."""
+
+
 def _resolve_loop(name_or_path):
     if name_or_path == "loop0":
         return canonical_loop(0)
     if name_or_path == "loop1":
         return canonical_loop(1)
+    # argparse hands "--loop=--" over as an empty list
+    if not isinstance(name_or_path, str) or not name_or_path:
+        raise _UsageError("--loop needs loop0, loop1 or the path of a JSON file")
     with open(name_or_path) as fh:
         return PathSpec.from_json_dict(json.load(fh), name=name_or_path)
 
@@ -200,8 +208,10 @@ def _omega(args):
 
 @_command("integrate", "cube integral of a basis form", None, _N, _K, _Z)
 def _integrate(args):
-    return {"value": integrate_cube(args.n, args.k, _z_value(args),
-                                    args.tol)}, None
+    # the quadrature runs in float64: report the double it is, not digits
+    # that --precision would pad onto it
+    return {"value": complex(integrate_cube(args.n, args.k, _z_value(args),
+                                            args.tol))}, None
 
 
 @_command("gauge-check", "exactness of the weight-one gauge identity", None)
@@ -393,7 +403,7 @@ def main(argv=None):
     except (IntegrationError, ReconstructionError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (FileNotFoundError, json.JSONDecodeError, _UsageError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     verdict = None if passed is None else "pass" if passed else "fail"

@@ -3,8 +3,12 @@
 Rows are dicts mapping column index to a nonzero Fraction.  Elimination is
 echelon-by-leading-column: each row is reduced at its largest column, so the
 support of a row under reduction moves strictly downward and never revisits
-a column.  On the incidence-style matrices here (boundary maps, relation
-multiples) that keeps fill-in and coefficient growth small.
+a column.  On the incidence-style matrices here (the boundary maps of poset
+homology, and the 100 degree-3 relation multiples of the Arnol'd
+certificate) that keeps fill-in and coefficient growth small.  The Arnol'd
+algebra no longer eliminates its top-degree relation multiples: it
+straightens to its nbc normal form, and ``sparse_rref`` serves only the test
+oracle that cross-checks it.
 """
 
 from fractions import Fraction

@@ -104,15 +104,13 @@ def stirling_first_unsigned(n, k):
 
 
 def _block_factor(size):
-    """Dimension of the top Arnol'd component on a block of this size; the
-    exhaustive linear algebra route is used (and cached) up to size 6, the
-    factorial formula above that."""
+    """Dimension of the top Arnol'd component on a block of this size: its
+    count of nbc monomials (increasing trees) from the certified
+    ``arnold_dimension``, 1 on a single vertex."""
     if size == 1:
         return 1
-    if size <= 6:
-        from .arnold import arnold_dimension
-        return arnold_dimension(size)
-    return math.factorial(size - 1)
+    from .arnold import arnold_dimension
+    return arnold_dimension(size)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,20 @@
 
 Everything here goes through mpmath's own polylog/log/pi machinery at 256
 bits (more where a check at 256 bits needs a finer reference), through
-direct series with proven error bounds, or, for the paving, through a direct
-per-simplex count - never through the package code paths being tested.
+direct series with proven error bounds, for the paving through a direct
+per-simplex count, and for the Arnol'd algebra through exhaustive
+elimination of its relation multiples - never through the package code
+paths being tested.
 """
+
+import functools
+import itertools
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from polylogvar.linalg_exact import sparse_rref
 
 ORACLE_PREC = 256
 
@@ -72,3 +80,65 @@ def ref_paving_cover(pts, lo, hi, family):
             inside &= (np.diff(ordered, axis=1) > 0).all(axis=1)
         cover += inside
     return cover
+
+
+def arnold_relation_rows(n, degree):
+    """Every nonzero product of a three-term relation
+    e_ij e_ik - e_ij e_jk + e_ik e_jk (i < j < k) with a monomial of degree
+    ``degree`` - 2 on K_n, in the exterior algebra: sparse rows mapping a
+    sorted tuple of edge pairs to a Fraction."""
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        terms = ((((i, j), (i, k)), 1), (((i, j), (j, k)), -1),
+                 (((i, k), (j, k)), 1))
+        for rest in itertools.combinations(edges, degree - 2):
+            row = {}
+            for pair, coef in terms:
+                word = pair + rest
+                if len(set(word)) == len(word):
+                    inv = sum(a > b for a, b in itertools.combinations(word, 2))
+                    row[tuple(sorted(word))] = Fraction(coef * (-1) ** inv)
+            if row:
+                yield row
+
+
+def _is_nbc(mono):
+    """No vertex has two edges from below."""
+    return len({b for _, b in mono}) == len(mono)
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_arnold_top(n):
+    """The top-degree relation multiples of K_n reduced by ``sparse_rref``
+    with the nbc monomials in the lowest columns, so that every other
+    monomial is a pivot equal to minus its tail of nbc monomials.  Returns
+    (monomials by column, column by monomial, nbc monomials, rref); raises
+    AssertionError if the non-pivot columns are not exactly the nbc
+    monomials."""
+    monos = sorted(itertools.combinations(
+        itertools.combinations(range(1, n + 1), 2), n - 1),
+        key=lambda m: (not _is_nbc(m), m))
+    col = {m: c for c, m in enumerate(monos)}
+    nbc = [m for m in monos if _is_nbc(m)]
+    rref = sparse_rref([{col[m]: v for m, v in row.items()}
+                        for row in arnold_relation_rows(n, n - 1)])
+    if set(rref) != set(range(len(nbc), len(monos))):
+        raise AssertionError("the nbc monomials are not the non-pivot columns")
+    return monos, col, nbc, rref
+
+
+def ref_arnold_action(n, perm):
+    """Matrix of a vertex permutation (dict v -> image) on the nbc basis of
+    the top Arnol'd component, by elimination: {(row monomial, column
+    monomial): Fraction}, zeros left out."""
+    monos, col, nbc, rref = _ref_arnold_top(n)
+    out = {}
+    for b in nbc:
+        word = tuple(tuple(sorted((perm[u], perm[v]))) for u, v in b)
+        sign = (-1) ** sum(x > y for x, y in itertools.combinations(word, 2))
+        c = col[tuple(sorted(word))]
+        image = ({monos[c2]: -sign * v for c2, v in rref[c].items() if c2 != c}
+                 if c in rref else {monos[c]: Fraction(sign)})
+        for m, v in image.items():
+            out[(m, b)] = v
+    return out

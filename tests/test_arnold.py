@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from polylogvar import arnold
 from polylogvar.arnold import (ArnoldElement, ClassFunction, arnold_basis,
                                arnold_character, arnold_dimension, class_size,
                                cycle_type_representative,
@@ -10,6 +12,8 @@ from polylogvar.arnold import (ArnoldElement, ClassFunction, arnold_basis,
                                induced_cyclic_character, integer_partitions,
                                sign_character, sign_multiplicity)
 from polylogvar.errors import DomainError
+
+from oracles import arnold_relation_rows, ref_arnold_action
 
 
 class TestDimension:
@@ -19,7 +23,7 @@ class TestDimension:
 
     def test_guard(self):
         with pytest.raises(DomainError):
-            arnold_dimension(8)
+            arnold_dimension(9)
         with pytest.raises(DomainError):
             arnold_dimension(1)
 
@@ -100,6 +104,10 @@ class TestArnoldElements:
         c = ArnoldElement.from_edges(3, [(1, 3), (2, 3)])
         assert (a + (-1) * b + c).is_zero()
 
+    def test_zero_scalar_gives_zero(self):
+        x = ArnoldElement.from_edges(3, [(1, 2), (1, 3)])
+        assert (0 * x).is_zero() and 0 * x == ArnoldElement(3)
+
     def test_squares_vanish(self):
         assert ArnoldElement.from_edges(3, [(1, 2), (1, 2)]).is_zero()
 
@@ -136,6 +144,52 @@ class TestArnoldElements:
         x = ArnoldElement.from_edges(4, [(1, 2), (2, 3), (3, 4)])
         y = ArnoldElement.from_edges(4, [(1, 2), (2, 3), (3, 4)])
         assert x.apply(perm) == y.apply(perm)
+
+
+class TestStraightening:
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_kills_every_top_degree_relation_multiple(self, n):
+        rows = list(arnold_relation_rows(n, n - 1))
+        assert rows
+        assert all(ArnoldElement(n, row).is_zero() for row in rows)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_character_matches_elimination(self, n):
+        want = []
+        for lam in integer_partitions(n):
+            action = ref_arnold_action(n, cycle_type_representative(lam))
+            want.append(sum(v for (row, col), v in action.items() if row == col))
+        assert list(arnold_character(n).values) == want
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_action_matrices_match_elimination(self, n):
+        basis = arnold_basis(n)
+        for images in itertools.permutations(range(1, n + 1)):
+            perm = dict(zip(range(1, n + 1), images))
+            action = {(m, pairs): v for pairs, elem in basis
+                      for m, v in elem.apply(perm).coords.items()}
+            assert action == ref_arnold_action(n, perm)
+
+    def test_certificate_guards_every_result(self, monkeypatch):
+        monkeypatch.setattr(arnold, "sparse_rank", lambda rows: 69)
+        arnold._certify.cache_clear()
+        arnold.arnold_dimension.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                arnold_dimension(4)
+            with pytest.raises(ArithmeticError):
+                arnold_basis(3)
+        finally:
+            arnold._certify.cache_clear()
+            arnold.arnold_dimension.cache_clear()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [7, 8])
+def test_identities_at_seven_and_eight(n):
+    assert arnold_character(n).degree() == arnold_dimension(n) == math.factorial(n - 1)
+    assert sign_multiplicity(n) == 0
+    assert induced_character_check(n)
 
 
 def test_class_function_inner_orthogonality():

@@ -446,6 +446,26 @@ def test_missing_path_file_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["transport", "monodromy"])
+def test_loop_without_a_value_exit_2(command, capsys):
+    for loop in (["--loop=--"], ["--loop", ""]):
+        assert main([command, "--n", "1"] + loop) == 2
+        assert capsys.readouterr().err.startswith("usage error: --loop")
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_integrate_prints_only_the_digits_of_its_double(prec):
+    code, out = run_cli(["integrate", "--n", "3", "--k", "2", "--z", "0.3,0.2",
+                         "--tol", "1e-12", "--precision", str(prec)])
+    assert code == 0
+    ref = ref_polylog(2, mp.mpc("0.3", "0.2"))
+    for text, want in zip(json.loads(out)["result"]["value"],
+                          (ref.real, ref.imag)):
+        digits = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+        assert len(digits) <= 17
+        assert abs(mp.mpf(text) - want) <= 1e-12
+
+
 def test_malformed_path_file_exit_2(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
