@@ -16,10 +16,11 @@ trace of each class representative on the nbc basis.
 
 That the nbc monomials are independent, not only spanning, is certified by
 ``_certify`` (the diamond lemma on the 100 degree-3 relation multiples of
-K_5; its docstring has the argument), which runs once per process before any
-dimension, basis or character is returned and raises ArithmeticError if it
-fails.  Dimension and character are capped at n = 8 (5 040 basis monomials;
-the character takes about 2 s there).
+K_5, whose rank it takes over F_2 on int bitsets; its docstring has the
+argument, and why that rank is the rational one), which runs once per
+process before any dimension, basis or character is returned and raises
+ArithmeticError if it fails.  Dimension and character are capped at n = 8
+(5 040 basis monomials; the character takes about 2 s there).
 """
 
 import itertools
@@ -184,19 +185,27 @@ def _certify():
     ambiguity, signs included, onto K_5.  There, reduced to irreducibles,
     both sides are nbc combinations whose difference lies in I_3(K_5), the
     span of the 100 products of the 10 relations with the 10 edges.  This
-    function checks that span has rank 70 = C(10, 3) - 50, where 50 counts
-    the degree-3 nbc monomials of K_5; as they span, they are then a basis
-    of the degree-3 quotient, the two sides agree, and every ambiguity
+    function shows that span has rank 70 = C(10, 3) - 50 over Q, where 50
+    counts the degree-3 nbc monomials of K_5; as they span, they are then a
+    basis of the degree-3 quotient, the two sides agree, and every ambiguity
     resolves, for every n.  The basis does not depend on the order in which
     a monomial's edges are written, only its signs do.
 
-    It also checks that the normal form sends each of the 100 products to 0,
-    which tests this implementation's rule and signs.  The rank makes that
-    check not vacuous: it shows that the rows span all of I_3(K_5), not a
-    smaller set that a faulty row generator could leave.
+    The rank.  Every coefficient of a row is +-1, so mod 2 a row is the
+    list of its monomials, and their rank over F_2 is 70 only if the rank
+    over Q is at least 70 (``sparse_rank``: an odd minor is nonzero).  The
+    function also checks that the normal form sends each of the 100
+    products to 0.  That puts the rows in the kernel of the normal form, a
+    linear map from the 120 degree-3 monomials onto the span of the 50 nbc
+    ones that fixes each of them; its kernel has dimension 70, so the rank
+    over Q is exactly 70.  The kill check also tests this implementation's
+    rule and signs, and the rank makes it not vacuous: it shows that the
+    rows span all of I_3(K_5), not a smaller set that a faulty row
+    generator could leave.
     """
     edges = list(itertools.combinations(range(1, 6), 2))
-    rows = []  # each relation times each edge, {sorted monomial: int}
+    col = {m: c for c, m in enumerate(itertools.combinations(edges, 3))}
+    rows = []  # each relation times each edge, {sorted monomial: +-1}
     for i, j, k in itertools.combinations(range(1, 6), 3):
         terms = ((((i, j), (i, k)), 1), (((i, j), (j, k)), -1),
                  (((i, k), (j, k)), 1))
@@ -207,11 +216,9 @@ def _certify():
                 if sgn:
                     row[mono] = coef * sgn
             rows.append(row)
-    nbc = sum(1 for m in itertools.combinations(edges, 3)
-              if len({k for _, k in m}) == 3)
-    rank = sparse_rank([{m: Fraction(v) for m, v in row.items()}
-                        for row in rows])
-    if any(_reduce(row) for row in rows) or rank != math.comb(10, 3) - nbc:
+    nbc = sum(1 for m in col if len({k for _, k in m}) == 3)
+    rank = sparse_rank([[col[m] for m in row] for row in rows])
+    if any(_reduce(row) for row in rows) or rank != len(col) - nbc:
         raise ArithmeticError("the straightening certificate failed")
 
 

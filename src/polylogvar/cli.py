@@ -3,7 +3,8 @@
 Every subcommand validates its flags, runs one library operation, and writes
 a RunReport to stdout as JSON (or CSV with --format csv).  Exit codes:
 0 success, 1 suite failure, 2 usage error, 3 domain error, 4 numerical
-failure (reconstruction or integration).
+failure (reconstruction, integration, or a combinatorial certificate that
+does not hold: ArithmeticError).
 
 The table COMMANDS is the one place a command is defined: its help line, its
 own flags, its --n cap and its handler.  A call reads its flags straight from
@@ -400,7 +401,7 @@ def main(argv=None):
     except (DomainError, PathError) as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 3
-    except (IntegrationError, ReconstructionError) as e:
+    except (ArithmeticError, IntegrationError, ReconstructionError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
     except (FileNotFoundError, json.JSONDecodeError, _UsageError) as e:

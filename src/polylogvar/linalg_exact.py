@@ -1,20 +1,64 @@
-"""Sparse exact linear algebra over Q.
+"""Sparse exact linear algebra: rank over F_2 for the certificates, and a
+reduced echelon form over Q for the test oracles.
 
-Rows are dicts mapping column index to a nonzero Fraction.  Elimination is
-echelon-by-leading-column: each row is reduced at its largest column, so the
-support of a row under reduction moves strictly downward and never revisits
-a column.  On the incidence-style matrices here (the boundary maps of poset
-homology, and the 100 degree-3 relation multiples of the Arnol'd
-certificate) that keeps fill-in and coefficient growth small.  The Arnol'd
-algebra no longer eliminates its top-degree relation multiples: it
-straightens to its nbc normal form, and ``sparse_rref`` serves only the test
-oracle that cross-checks it.
+``sparse_rank`` is what poset homology and the Arnol'd certificate run.  It
+takes the reduction mod 2 of an integer matrix, each row the list of columns
+where the matrix is odd, and eliminates on Python-int bitsets, so no
+rational arithmetic is done; its docstring says why its result bounds the
+rank over Q from below, and each caller's docstring why that is enough.
+
+``sparse_rref`` eliminates over Q on rows that are dicts mapping column
+index to a nonzero Fraction, echelon-by-leading-column: each row is reduced
+at its largest column, so the support of a row under reduction moves
+strictly downward and never revisits a column.  No certificate runs it: the
+tests use it as the reference over Q that the F_2 results are checked
+against, and it stays in the package because the benchmark's tracer
+(``perfbench/tracer.py``) wraps it by name.
 """
 
-from fractions import Fraction
+
+def sparse_rank(rows):
+    """Rank over F_2 of the given rows, each a list of the distinct columns
+    where an integer matrix is odd.
+
+    This is a lower bound on the rank over Q of the integer matrix: an
+    r x r minor that is odd is nonzero.  It can be smaller; the matrix
+    [[1, 1], [1, -1]] has rank 1 over F_2 and 2 over Q.
+
+    Each row becomes a Python-int bitset, reduced by XOR against the pivot
+    rows keyed by their highest set bit (``bit_length``) until it is zero
+    or has a new highest bit.
+    """
+    pivots = {}
+    for row in rows:
+        bits = sum(1 << c for c in row)
+        while bits:
+            lead = bits.bit_length()
+            if lead not in pivots:
+                pivots[lead] = bits
+                break
+            bits ^= pivots[lead]
+    return len(pivots)
 
 
-def _echelon(rows):
+def _subtract(row, coef, prow, lead):
+    """row -= coef * prow in place, over every column of prow but lead."""
+    for c, v in prow.items():
+        if c != lead:
+            nv = row.get(c, 0) - coef * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+
+
+def sparse_rref(rows):
+    """Fully reduced echelon form over Q of the span of the given rows
+    (dicts column -> nonzero Fraction).
+
+    Returns a dict pivot_column -> row, each row with coefficient 1 on its
+    pivot and support only on non-pivot columns otherwise.
+    """
     pivots = {}  # leading column -> row normalized to 1 at its lead
     for row in rows:
         row = dict(row)
@@ -23,46 +67,13 @@ def _echelon(rows):
             prow = pivots.get(lead)
             if prow is None:
                 pv = row[lead]
-                if pv != 1:
-                    row = {c: v / pv for c, v in row.items()}
-                pivots[lead] = row
+                pivots[lead] = {c: v / pv for c, v in row.items()}
                 break
-            coef = row.pop(lead)
-            for c2, v2 in prow.items():
-                if c2 == lead:
-                    continue
-                nv = row.get(c2, Fraction(0)) - coef * v2
-                if nv:
-                    row[c2] = nv
-                else:
-                    row.pop(c2, None)
-    return pivots
-
-
-def sparse_rank(rows):
-    """Exact rank over Q of the span of the given sparse rows."""
-    return len(_echelon(rows))
-
-
-def sparse_rref(rows):
-    """Fully reduced echelon form of the row span.
-
-    Returns a dict pivot_column -> row, each row with coefficient 1 on its
-    pivot and support only on non-pivot columns otherwise.
-    """
-    pivots = _echelon(rows)
+            _subtract(row, row.pop(lead), prow, lead)
     # tails only contain columns below the lead, so substituting in
     # ascending pivot order fully reduces everything in one pass
     for lead in sorted(pivots):
         row = pivots[lead]
-        for c in [c for c in list(row) if c != lead and c in pivots]:
-            coef = row.pop(c)
-            for c2, v2 in pivots[c].items():
-                if c2 == c:
-                    continue
-                nv = row.get(c2, Fraction(0)) - coef * v2
-                if nv:
-                    row[c2] = nv
-                else:
-                    row.pop(c2, None)
+        for c in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row.pop(c), pivots[c], c)
     return pivots

@@ -3,9 +3,10 @@
 Everything here goes through mpmath's own polylog/log/pi machinery at 256
 bits (more where a check at 256 bits needs a finer reference), through
 direct series with proven error bounds, for the paving through a direct
-per-simplex count, and for the Arnol'd algebra through exhaustive
-elimination of its relation multiples - never through the package code
-paths being tested.
+per-simplex count, for the Arnol'd algebra through exhaustive elimination
+of its relation multiples, and for ranks over F_2 and poset homology
+through dense mod-2 elimination and signed boundary maps reduced over Q -
+never through the package code paths being tested.
 """
 
 import functools
@@ -142,3 +143,58 @@ def ref_arnold_action(n, perm):
         for m, v in image.items():
             out[(m, b)] = v
     return out
+
+
+def gf2_rank(matrix):
+    """Rank over F_2 of a dense integer matrix (a list of equal-length
+    rows): Gauss-Jordan elimination on the entries mod 2, with row swaps."""
+    rows = [[v % 2 for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _set_partitions(items):
+    """Every set partition of the tuple ``items``, as a frozenset of
+    frozenset blocks: the first item joins a block of a partition of the
+    rest, or a block of its own."""
+    if not items:
+        yield frozenset()
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield part | {frozenset([first])}
+        for block in part:
+            yield (part - {block}) | {block | {first}}
+
+
+@functools.lru_cache(maxsize=None)
+def ref_poset_homology(n):
+    """Reduced rational homology of the proper part of the partition lattice
+    of {1..n}, as a tuple of (degree, dimension) for degrees 0 .. n-3: the
+    order complex from set partitions compared block by block, and the
+    ranks of its signed boundary maps from ``sparse_rref`` over Q."""
+    elems = [p for p in _set_partitions(tuple(range(1, n + 1)))
+             if 1 < len(p) < n]
+    coarser = {a: [b for b in elems if len(b) < len(a) and
+                   all(any(x <= y for y in b) for x in a)] for a in elems}
+    chains = [[(p,) for p in elems]]
+    while chains[-1]:
+        chains.append([c + (p,) for c in chains[-1] for p in coarser[c[-1]]])
+    ranks = [1]  # the augmentation
+    for q in range(1, len(chains) - 1):
+        col = {c: k for k, c in enumerate(chains[q - 1])}
+        ranks.append(len(sparse_rref(
+            {col[c[:d] + c[d + 1:]]: Fraction((-1) ** d) for d in range(q + 1)}
+            for c in chains[q])))
+    ranks.append(0)
+    return tuple((q, len(chains[q]) - ranks[q] - ranks[q + 1])
+                 for q in range(len(chains) - 1))

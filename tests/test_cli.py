@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylogvar import cli
+from polylogvar import arnold, cli, poset
 from polylogvar.cli import main
 
 from oracles import ref_polylog, ref_solution
@@ -619,3 +619,23 @@ def test_printed_digits_are_correct(prec):
             for text, part in zip(printed, (ref.real, ref.imag)):
                 assert abs(mp.mpf(text) - part) <= _last_place(text), \
                     (prec, text, part)
+
+
+@pytest.mark.parametrize("command", ["arnold", "poset-homology"])
+def test_failed_certificate_exits_4(monkeypatch, capsys, command):
+    """A rank that comes out one short fails the Arnol'd certificate and the
+    poset homology check; the command exits 4 with a message, not a
+    traceback."""
+    caches = (arnold._certify, arnold.arnold_dimension, poset.poset_homology)
+    for module in (arnold, poset):
+        monkeypatch.setattr(module, "sparse_rank",
+                            lambda rows, rank=module.sparse_rank: rank(rows) - 1)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        code, out = run_cli([command, "--n", "4"])
+        assert (code, out) == (4, "")
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+    finally:
+        for cached in caches:
+            cached.cache_clear()

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from polylogvar import poset
 from polylogvar.errors import DomainError
 from polylogvar.poset import poset_homology
+
+from oracles import ref_poset_homology
 
 
 @pytest.mark.parametrize("n,degree,dim", [(3, 0, 2), (4, 1, 6), (5, 2, 24)])
@@ -44,3 +47,30 @@ def test_small_n_refused():
         poset_homology(2)
     with pytest.raises(DomainError):
         poset_homology(8)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_matches_rational_oracle(n):
+    assert poset_homology(n) == ref_poset_homology(n)
+
+
+def test_undercounted_rank_is_refused(monkeypatch):
+    rank = poset.sparse_rank
+    monkeypatch.setattr(poset, "sparse_rank", lambda rows: rank(rows) - 1)
+    poset_homology.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            poset_homology(5)
+    finally:
+        poset_homology.cache_clear()
+
+
+def test_cached_result_cannot_be_changed():
+    poset_homology.cache_clear()
+    try:
+        hom = poset_homology(4)
+        with pytest.raises(TypeError):
+            hom[1] = (1, 0)
+        assert poset_homology(4) == ((0, 0), (1, 6))
+    finally:
+        poset_homology.cache_clear()
