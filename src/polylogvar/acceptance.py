@@ -19,7 +19,8 @@ from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, sign_multiplicity)
 from .exact import RationalPolynomial, eulerian, nilpotency_index
 from .forms import form_recurrence_check, gauge_exactness_check, integrate_cube
-from .hodge import flatness_residual, kummer_block_check, trivial_subobject_check
+from .hodge import (flatness_residual, flatness_step, kummer_block_check,
+                    trivial_subobject_check)
 from .partitions import paving_check, postnikov_graded_check
 from .paths import LineTo, PathSpec, canonical_loop
 from .poset import poset_homology
@@ -72,16 +73,17 @@ def criterion_1():
 
 
 def criterion_2():
-    """Finite differences of the solution matrix match the connection."""
+    """Finite differences of the solution matrix match the connection, at
+    192 bits and the step that precision gives."""
     residuals = {}
     ok = True
     for n in range(1, 5):
-        r = flatness_residual(n, 0.5, h=1e-6)
+        r = flatness_residual(n, 0.5, prec=192)
         residuals[str(n)] = r
         ok = ok and r <= 1e-4
     return CriterionResult(2, "flatness of the connection", ok,
                            {"residuals": residuals, "tolerance": 1e-4,
-                            "h": 1e-6})
+                            "h": float(flatness_step(192))})
 
 
 def criterion_3():

@@ -17,11 +17,13 @@ that build period matrices, li, omega and recurrence-check take
 --n <= MAX_MATRIX_N (64).
 
 --precision sets the accuracy of every series value, period matrix and
-transport; --tol never enters them.  --tol only sets the bounds that decide a
-certificate or a verdict: the reconstruction tolerance of monodromy
-(100 * tol), the entrywise bound of kummer-block and the quadrature target of
-integrate.  integrate computes in float64 and reports its value as that
-double, not padded to --precision digits.
+transport, and the finite-difference step of flatness, 2^-floor(prec/3);
+--tol never enters them.  flatness passes up to --n 20 at the default 128
+bits, and reaching n = 64 takes about 300 bits.  --tol only sets the bounds
+that decide a certificate or a verdict: the reconstruction tolerance of
+monodromy (100 * tol), the entrywise bound of kummer-block and the quadrature
+target of integrate.  integrate computes in float64 and reports its value as
+that double, not padded to --precision digits.
 """
 
 import json
@@ -41,8 +43,9 @@ from .arnold import (arnold_character, arnold_dimension,
 from .errors import DomainError, IntegrationError, PathError, ReconstructionError
 from .exact import eulerian
 from .forms import form_recurrence_check, gauge_exactness_check, integrate_cube, omega
-from .hodge import (FilteredFiber, flatness_residual, graded_dimensions,
-                    hodge_transversality_check, kummer_block_check)
+from .hodge import (FilteredFiber, flatness_residual, flatness_step,
+                    graded_dimensions, hodge_transversality_check,
+                    kummer_block_check)
 from .partitions import paving_check, postnikov_graded_check
 from .paths import PathSpec, canonical_loop
 from .poset import poset_homology
@@ -177,7 +180,8 @@ def _monodromy(args):
           MAX_MATRIX_N, _N, ("--z", dict(type=_parse_z, default="0.5")))
 def _flatness(args):
     resid = flatness_residual(args.n, _z_value(args), prec=args.precision)
-    return {"residual": resid, "h": 1e-6, "tolerance": 1e-4}, resid <= 1e-4
+    return {"residual": resid, "h": float(flatness_step(args.precision)),
+            "tolerance": 1e-4}, resid <= 1e-4
 
 
 @_command("filtration", "weight graded dimensions and transversality",

@@ -4,9 +4,10 @@ Everything here goes through mpmath's own polylog/log/pi machinery at 256
 bits (more where a check at 256 bits needs a finer reference), through
 direct series with proven error bounds, for the paving through a direct
 per-simplex count, for the Arnol'd algebra through exhaustive elimination
-of its relation multiples, and for ranks over F_2 and poset homology
-through dense mod-2 elimination and signed boundary maps reduced over Q -
-never through the package code paths being tested.
+of its relation multiples, for ranks over F_2 and poset homology through
+dense mod-2 elimination and signed boundary maps reduced over Q, and for
+Hodge transversality through nullspaces over Q - never through the package
+code paths being tested.
 """
 
 import functools
@@ -198,3 +199,40 @@ def ref_poset_homology(n):
     ranks.append(0)
     return tuple((q, len(chains[q]) - ranks[q] - ranks[q + 1])
                  for q in range(len(chains) - 1))
+
+
+def _nullspace(rows, ncols):
+    """A basis over Q of {c : row . c = 0 for every row}, each row a list of
+    ``ncols`` Fractions, read off the reduced echelon form of ``sparse_rref``:
+    one vector per free column."""
+    pivots = sparse_rref({j: v for j, v in enumerate(row) if v} for row in rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for lead, row in pivots.items():
+            vec[lead] = -row.get(free, 0)
+        basis.append(vec)
+    return basis
+
+
+def ref_transversality_failures(matrix):
+    """The k at which a square Fraction matrix A fails Hodge transversality,
+    by nullspaces over Q: the combinations of columns k..n that vanish in
+    rows k+1..n must form a line with a nonzero row k, and those of columns
+    k+1..n must all vanish in row k as well."""
+    n = len(matrix) - 1
+    failing = set()
+    for k in range(n + 1):
+        below = matrix[k + 1:]
+        null = _nullspace([row[k:] for row in below], n + 1 - k)
+        if len(null) != 1 or not any(
+                sum(a * c for a, c in zip(matrix[k][k:], v)) for v in null):
+            failing.add(k)
+            continue
+        null = _nullspace([row[k + 1:] for row in below], n - k)
+        if any(sum(a * c for a, c in zip(matrix[k][k + 1:], v)) for v in null):
+            failing.add(k)
+    return failing

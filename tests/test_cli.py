@@ -534,6 +534,14 @@ def test_filtration_report():
     rep = json.loads(out)
     assert rep["verdict"] == "pass"
     assert rep["result"]["graded_dimensions"] == [[0, 1], [2, 1], [4, 1]]
+    for n in (10, 11, 20, 64):
+        for z in ("0.1", "0.5"):
+            code, out = run_cli(["filtration", "--n", str(n), "--z", z])
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["verdict"] == "pass"
+            assert rep["result"]["graded_dimensions"] == [
+                [2 * k, 1] for k in range(n + 1)]
 
 
 def test_kummer_block_cli():
@@ -556,9 +564,10 @@ def test_kummer_block_reads_the_matrix_error(argv):
 
 
 def test_flatness_cli():
-    code, out = run_cli(["flatness", "--n", "2"])
-    assert code == 0
-    assert json.loads(out)["verdict"] == "pass"
+    for n in ("2", "12", "20"):
+        code, out = run_cli(["flatness", "--n", n])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -573,6 +582,7 @@ def test_flatness_follows_precision(monkeypatch, prec):
     code, out = run_cli(["flatness", "--n", "2", "--precision", str(prec)])
     assert code == 0
     assert seen == [prec]
+    assert json.loads(out)["result"]["h"] == 2.0 ** -(prec // 3)
 
 
 def test_poset_homology_cli():

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylogvar.analytic import principal_lambda, transport
 from polylogvar.errors import DomainError
@@ -9,6 +13,8 @@ from polylogvar.hodge import (FilteredFiber, OneForm,
                               hodge_transversality_check, kummer_block_check,
                               trivial_subobject_check)
 from polylogvar.paths import canonical_loop
+
+from oracles import ref_transversality_failures
 
 
 class TestConnection:
@@ -46,9 +52,14 @@ class TestConnection:
 
 
 class TestFlatness:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 20])
     def test_residual_small(self, n):
-        assert flatness_residual(n, 0.5, h=1e-6) <= 1e-4
+        assert flatness_residual(n, 0.5) <= 1e-4
+        for z in (0.1, 0.5, 0.75, 0.9):
+            assert flatness_residual(n, z, prec=128) <= 1e-4
+        # the step follows the precision, so the residual falls with it
+        assert (flatness_residual(n, 0.5, prec=256)
+                < flatness_residual(n, 0.5, prec=128))
 
 
 class TestFiltrations:
@@ -67,10 +78,12 @@ class TestFiltrations:
         assert all(d == 1 for _, d in dims)
         assert sum(d for _, d in dims) == 5
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 20, 64])
     def test_transversality_principal(self, n):
-        fib = FilteredFiber.from_period_matrix(principal_lambda(n, 0.5))
-        assert hodge_transversality_check(fib).passed
+        for z in (0.1, 0.5):
+            fib = FilteredFiber.from_period_matrix(principal_lambda(n, z))
+            assert hodge_transversality_check(fib).passed
+            assert graded_dimensions(fib) == [(2 * k, 1) for k in range(n + 1)]
 
     def test_transversality_degenerate(self):
         lam = principal_lambda(2, 0.5)
@@ -79,6 +92,36 @@ class TestFiltrations:
             grid[i][1] = grid[i][0]  # hodge column 1 replaced by column 0
         fib = FilteredFiber(2, tuple(tuple(r) for r in grid))
         assert not hodge_transversality_check(fib).passed
+
+    def test_transversality_refuses_a_lower_entry(self):
+        grid = [list(row) for row in principal_lambda(3, 0.5).entries]
+        grid[2][1] = grid[1][1]
+        rep = hodge_transversality_check(
+            FilteredFiber(3, tuple(tuple(r) for r in grid)))
+        assert not rep.passed
+        assert rep.failures == ((1, "entry (2, 1) below the diagonal is "
+                                    "nonzero: the fiber is not upper "
+                                    "triangular"),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_transversality_matches_rational_oracle(self, data):
+        """Random upper-triangular rational fibers, with random exact zeros
+        on the diagonal, fail at the k where nullspaces over Q say so."""
+        n = data.draw(st.integers(0, 5))
+        entry = st.fractions(-3, 3, max_denominator=4)
+        nonzero = entry.filter(bool)
+        grid = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+        for i in range(n + 1):
+            zero = data.draw(st.booleans())
+            grid[i][i] = Fraction(0) if zero else data.draw(nonzero)
+            for j in range(i + 1, n + 1):
+                grid[i][j] = data.draw(entry)
+        rep = hodge_transversality_check(
+            FilteredFiber(n, tuple(tuple(r) for r in grid)))
+        failing = ref_transversality_failures(grid)
+        assert [k for k, _ in rep.failures] == sorted(failing)
+        assert rep.passed == (not failing)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transversality_survives_transport(self, n):
