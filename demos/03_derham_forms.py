@@ -26,7 +26,7 @@ print("  d/dz omega(n,k) == omega(n,k-1)/z for 2 <= k <= n <= 6:", all_ok)
 print("\nweight-one gauge identity (exact, with vanishing boundary):",
       gauge_exactness_check())
 
-print("\ncube integrals against the series (tensor Gauss-Legendre):")
+print("\ncube integrals against the series (double-exponential rule in 1-D):")
 for (n, k, z) in [(2, 2, mp.mpf("0.5")), (3, 1, mp.mpf("-1")),
                   (3, 3, mp.mpc("0.25", "0.25"))]:
     quad = integrate_cube(n, k, z, 1e-10)

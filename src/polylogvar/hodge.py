@@ -206,9 +206,12 @@ def flatness_residual(n, z=0.5, prec=192):
     fixed step stops at its own O(h^2).  Those sizes grow like (2 pi)^n:
     the residual stays below 1e-4, the bound of criterion 2 and of the
     flatness command, up to n = 20 at 128 bits, and n = 64 needs about 300.
+
+    z is taken as given, so principal_lambda raises DomainError unless it is
+    real (a complex z with imaginary part 0 counts as real).
     """
     with mp.workprec(prec):
-        zr = mp.mpf(z)
+        zr = mp.mpmathify(z)
         hh = flatness_step(prec)
         lp = principal_lambda(n, zr + hh, prec=prec)
         lm = principal_lambda(n, zr - hh, prec=prec)

@@ -5,17 +5,20 @@ bits (more where a check at 256 bits needs a finer reference), through
 direct series with proven error bounds, for the paving through a direct
 per-simplex count, for the Arnol'd algebra through exhaustive elimination
 of its relation multiples, for ranks over F_2 and poset homology through
-dense mod-2 elimination and signed boundary maps reduced over Q, and for
-Hodge transversality through nullspaces over Q - never through the package
-code paths being tested.
+dense mod-2 elimination and signed boundary maps reduced over Q, for
+Hodge transversality through nullspaces over Q, and for cube integrals
+through a tensor Gauss-Legendre rule on the cube itself - never through the
+package code paths being tested.
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from polylogvar.linalg_exact import sparse_rref
 
@@ -63,6 +66,34 @@ def alternating_li2_minus1():
     """Li_2(-1) summed as an accelerated alternating series."""
     with mp.workprec(ORACLE_PREC):
         return mp.nsum(lambda k: (-1) ** k / k ** 2, [1, mp.inf], method="a")
+
+
+def ref_cube_integral(n, k, z, order=24):
+    """Integral of omega(n, k) over the unit n-cube, n <= 3, by the
+    order^n-point tensor Gauss-Legendre rule of numpy's ``leggauss``.
+
+    The integrand z E_r(x) / (1 - x)^(r+1), x = z t_1...t_n, r = n - k, takes
+    E_r's coefficients from the explicit sum
+    A(r, m) = sum_j (-1)^j C(r+1, j) (m+1-j)^r, not from the package's
+    recurrence.  For |z| <= 0.6 the pole in each t_i lies at distance >= 2/3
+    beyond [0, 1], so order 24 is exact to rounding.
+    """
+    if not 1 <= n <= 3:
+        raise ValueError("the tensor oracle covers 1 <= n <= 3")
+    nodes, weights = leggauss(order)
+    nodes, weights = (nodes + 1) / 2, weights / 2
+    u, w = np.ones(1), np.ones(1)
+    for _ in range(n):
+        u = np.multiply.outer(u, nodes).ravel()
+        w = np.multiply.outer(w, weights).ravel()
+    if k == 0:
+        return complex(w.sum())
+    r, z = n - k, complex(z)
+    coeffs = [sum((-1) ** j * math.comb(r + 1, j) * (m + 1 - j) ** r
+                  for j in range(m + 1)) for m in range(r)] or [1]
+    x = z * u
+    return complex(np.sum(w * z * np.polyval(coeffs[::-1], x)
+                          / (1 - x) ** (r + 1)))
 
 
 def ref_paving_cover(pts, lo, hi, family):

@@ -363,6 +363,8 @@ def test_domain_error_exit_3():
     assert code == 3
     code, _ = run_cli(["li", "--n", "2", "--z", "0.5", "--precision", "32"])
     assert code == 3
+    code, _ = run_cli(["flatness", "--n", "2", "--z=0.5,0.1"])
+    assert code == 3
 
 
 def test_numerical_failure_exit_4():
@@ -464,6 +466,26 @@ def test_integrate_prints_only_the_digits_of_its_double(prec):
         digits = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
         assert len(digits) <= 17
         assert abs(mp.mpf(text) - want) <= 1e-12
+
+
+def _integrate_subprocess(*argv):
+    """integrate at n = 4 in a fresh interpreter that must end within 20 s."""
+    return subprocess.run([sys.executable, "-m", "polylogvar", "integrate",
+                           "--n", "4", *argv], capture_output=True, text=True,
+                          timeout=20)
+
+
+def test_integrate_near_the_cut_is_resource_bounded():
+    r = _integrate_subprocess("--k", "1", "--z=2,0.05", "--tol", "1e-10")
+    assert r.returncode == 0, r.stderr
+    re, im = json.loads(r.stdout)["result"]["value"]
+    value = mp.mpc(mp.mpf(re), mp.mpf(im))
+    assert abs(value - ref_polylog(1, mp.mpc("2", "0.05"))) <= 1e-9
+
+
+def test_integrate_below_float64_resolution_exit_4():
+    r = _integrate_subprocess("--k", "3", "--z=0.5,0.3", "--tol", "1e-17")
+    assert r.returncode == 4, r.stderr
 
 
 def test_malformed_path_file_exit_2(tmp_path):
@@ -568,6 +590,11 @@ def test_flatness_cli():
         code, out = run_cli(["flatness", "--n", n])
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
+    # a complex spelling with imaginary part 0 is the real point
+    _, real = run_cli(["flatness", "--n", "2", "--z=0.5"])
+    code, spelled = run_cli(["flatness", "--n", "2", "--z=0.5,0"])
+    assert code == 0
+    assert json.loads(spelled)["result"] == json.loads(real)["result"]
 
 
 @pytest.mark.parametrize("prec", [128, 256])
