@@ -12,17 +12,17 @@ from polylogvar import li_series, principal_lambda
 mp.mp.pretty = True
 
 print("Li_1(1/2) = -log(1 - 1/2):")
-print("  series :", mp.nstr(li_series(1, 0.5, tol=1e-25, prec=128), 25))
+print("  series :", mp.nstr(li_series(1, 0.5, prec=128), 25))
 with mp.workprec(128):
     print("  log 2  :", mp.nstr(mp.log(2), 25))
 
 print("\nLi_2(-1) = -pi^2/12 (alternating endpoint of the disk):")
-print("  series :", mp.nstr(li_series(2, -1, tol=1e-25, prec=128), 25))
+print("  series :", mp.nstr(li_series(2, -1, prec=128), 25))
 with mp.workprec(128):
     print("  exact  :", mp.nstr(-mp.pi ** 2 / 12, 25))
 
 print("\nFundamental solution at z = 1/2, weight 3 (principal branch):")
-lam = principal_lambda(3, 0.5, tol=1e-12)
+lam = principal_lambda(3, 0.5)
 for row in lam.entries:
     print("  [" + ", ".join(mp.nstr(v, 8) for v in row) + "]")
 print("branch:", lam.branch_tag)

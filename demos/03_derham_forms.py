@@ -11,10 +11,11 @@ import mpmath as mp
 
 from polylogvar import (eulerian, form_recurrence_check, gauge_exactness_check,
                         integrate_cube, li_series, omega)
+from polylogvar.forms import pretty
 
 print("Eulerian polynomials (palindromic, E_r(1) = r!):")
 for r in range(5):
-    print(f"  E_{r} =", eulerian(r))
+    print(f"  E_{r}(x) =", pretty(eulerian(r), ["x"]))
 
 print("\nomega(3, 1) =", omega(3, 1))
 
@@ -30,6 +31,6 @@ print("\ncube integrals against the series (double-exponential rule in 1-D):")
 for (n, k, z) in [(2, 2, mp.mpf("0.5")), (3, 1, mp.mpf("-1")),
                   (3, 3, mp.mpc("0.25", "0.25"))]:
     quad = integrate_cube(n, k, z, 1e-10)
-    ref = li_series(k, z, tol=1e-20)
+    ref = li_series(k, z)
     print(f"  n={n} k={k} z={mp.nstr(z, 5)}: quad={mp.nstr(quad, 12)} "
           f"|quad - Li_k(z)| = {mp.nstr(abs(quad - ref), 3)}")

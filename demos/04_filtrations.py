@@ -37,7 +37,7 @@ print("\nweight graded dimensions:", graded_dimensions(fib))
 print("transversality (each graded piece pure of type (k,k), exactly):",
       hodge_transversality_check(fib).passed)
 
-moved = transport(n, canonical_loop(0), lam, tol=1e-10)
+moved = transport(n, canonical_loop(0), lam)
 print("still transversal after a loop around 0:",
       hodge_transversality_check(FilteredFiber.from_period_matrix(moved)).passed)
 

@@ -16,8 +16,8 @@ The package has four layers:
   graded-dimension identities.
 """
 
-from .exact import (Rational, RationalMatrix, RationalPolynomial, eulerian,
-                    nilpotency_index, rational_reconstruct)
+from .exact import (Rational, RationalMatrix, eulerian, nilpotency_index,
+                    rational_reconstruct)
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
 from .paths import Arc, LineTo, PathSpec, canonical_loop
@@ -44,7 +44,7 @@ __all__ = [
     "Arc", "ArnoldElement", "ClassFunction", "ConnectionMatrix", "DomainError",
     "FilteredFiber", "IntegrationError", "LineTo", "OneForm", "PathError",
     "PathSpec", "PeriodMatrix", "Rational", "RationalForm", "RationalMatrix",
-    "RationalPolynomial", "ReconstructionError", "SetPartition",
+    "ReconstructionError", "SetPartition",
     "arnold_basis", "arnold_character", "arnold_dimension", "bell_number",
     "canonical_loop",
     "connection", "eulerian", "evaluate_connection", "flatness_residual",

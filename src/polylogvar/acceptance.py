@@ -9,7 +9,6 @@ suite.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -17,10 +16,11 @@ import mpmath as mp
 from .analytic import li_series, monodromy
 from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, sign_multiplicity)
-from .exact import RationalPolynomial, eulerian, nilpotency_index
+from .exact import eulerian, nilpotency_index
 from .forms import form_recurrence_check, gauge_exactness_check, integrate_cube
 from .hodge import (flatness_residual, flatness_step, kummer_block_check,
                     trivial_subobject_check)
+from .mpoly import MPoly
 from .partitions import paving_check, postnikov_graded_check
 from .paths import LineTo, PathSpec, canonical_loop
 from .poset import poset_homology
@@ -37,8 +37,8 @@ class CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def cached_monodromy(n, which, tol=1e-10, prec=PREC):
-    return monodromy(n, canonical_loop(which), tol=tol, prec=prec)
+def cached_monodromy(n, which):
+    return monodromy(n, canonical_loop(which), tol=1e-10, prec=PREC)
 
 
 def square_loop_around_one():
@@ -145,14 +145,9 @@ def _eulerian_from_series(r):
     """Independent construction from the generating identity
     sum_j (j+1)^r x^j = E_r(x) / (1-x)^(r+1): multiply the truncated series
     by (1-x)^(r+1) and read off the polynomial coefficients."""
-    deg = max(r - 1, 0)
-    coeffs = []
-    for m in range(deg + 1):
-        acc = Fraction(0)
-        for i in range(m + 1):
-            acc += Fraction((-1) ** i * math.comb(r + 1, i)) * (m - i + 1) ** r
-        coeffs.append(acc)
-    return RationalPolynomial(coeffs)
+    return MPoly(1, {(m,): sum((-1) ** i * math.comb(r + 1, i) * (m - i + 1) ** r
+                               for i in range(m + 1))
+                     for m in range(max(r - 1, 0) + 1)})
 
 
 def criterion_6():
@@ -160,17 +155,16 @@ def criterion_6():
     match the generating-series construction, and have E_r(1) = r!, for
     r <= 12, exactly."""
     ok = True
-    x = RationalPolynomial([0, 1])
-    one_minus_x = RationalPolynomial([1, -1])
+    x = MPoly.var(1, 0)
+    one = MPoly.const(1, 1)
     for r in range(13):
         e = eulerian(r)
         ok = ok and e == _eulerian_from_series(r)
-        ok = ok and e(1) == math.factorial(r)
-        ok = ok and e.degree == max(r - 1, 0)
+        ok = ok and e.substitute(0, 1) == MPoly.const(1, math.factorial(r))
+        ok = ok and e.degree_in(0) == max(r - 1, 0)
         if r < 12:
-            lhs = eulerian(r + 1)
-            rhs = x * one_minus_x * e.derivative() + RationalPolynomial([1, r]) * e
-            ok = ok and lhs == rhs
+            rhs = x * (one - x) * e.diff(0) + (one + r * x) * e
+            ok = ok and eulerian(r + 1) == rhs
     return CriterionResult(6, "Eulerian polynomials", ok, {"r_max": 12})
 
 

@@ -80,7 +80,7 @@ class PeriodMatrix:
         return ok
 
 
-def li_series(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
+def li_series(n, z, prec=DEFAULT_PREC):
     """Li_n(z) for |z| <= 0.75 or real z in [-1, -0.75], to ``prec`` bits.
 
     On the disk |z| <= 0.75 it is the last entry of ``_li_row``, the
@@ -91,8 +91,7 @@ def li_series(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
     mpmath at the disk's F bits.  Either way the value is within a relative
     2^-(prec + 7) of Li_n(z) before the final rounding to ``prec`` bits (see
     ``_li_row`` and ``_li_from_minus_one``), so within 2^-(prec - 1) after
-    it; ``tol`` does not enter.  z = 0 gives an exact 0.  Anywhere else,
-    callers must use transport.
+    it.  z = 0 gives an exact 0.  Anywhere else, callers must use transport.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -133,14 +132,14 @@ def _li_from_minus_one(n, z, prec):
     return _from_fixed(top[n] + (acc >> F), 0, F)
 
 
-def principal_lambda(n, z, tol=DEFAULT_TOL, prec=DEFAULT_PREC):
+def principal_lambda(n, z, prec=DEFAULT_PREC):
     """Fundamental solution on the principal branch, at real z in (0, 1).
 
     Row 0 holds (1, Li_1(z), ..., Li_n(z)); row i >= 1 holds
     (2 pi i)^i log(z)^(j-i) / (j-i)! with the real principal logarithm.
     Row 0 is summed by ``_li_row`` to a relative 2^-(prec + 7) before the
     final rounding.  Every entry is rounded once, to ``prec`` bits, so each
-    is within a relative 2^-(prec - 1); ``tol`` does not enter.
+    is within a relative 2^-(prec - 1).
 
     Bound for rows i >= 1.  The real magnitude (2 pi)^i lg^m / m!, m = j - i,
     is formed at F bits, u = 2^-F, as P_i T_m with P_i = P_(i-1) (2 pi) and
@@ -391,8 +390,7 @@ def _times_transition(lam, top, tau):
     return out
 
 
-def transport(n, path, start, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
-              margin=DEFAULT_MARGIN):
+def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     """Analytic continuation of ``start`` along ``path``.
 
     The path is covered by a chain of D disks (``_disk_chain``): from a
@@ -453,7 +451,7 @@ def transport(n, path, start, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     v of row i of the result lies within
     2^-prec |v| + 2^-(prec + 6) e^|Lambda| sum_k |start[i][k]|
     of row i of start times L(base)^-1 L(end); the first term is the final
-    rounding.  The accuracy follows ``prec``; ``tol`` does not enter.
+    rounding.  The accuracy follows ``prec``.
 
     Every step that does not end a segment advances by at least 0.4 times
     the distance to the punctures, so the step count is bounded by the

@@ -45,7 +45,8 @@ from .arnold import (arnold_character, arnold_dimension,
                      sign_multiplicity)
 from .errors import DomainError, IntegrationError, PathError, ReconstructionError
 from .exact import eulerian
-from .forms import form_recurrence_check, gauge_exactness_check, integrate_cube, omega
+from .forms import (form_recurrence_check, gauge_exactness_check, integrate_cube,
+                    omega, pretty)
 from .hodge import (FilteredFiber, flatness_residual, flatness_step,
                     graded_dimensions, hodge_transversality_check,
                     kummer_block_check)
@@ -211,7 +212,8 @@ def _kummer_block(args):
 @_command("omega", "print a de Rham basis form", MAX_MATRIX_N, _N, _K)
 def _omega(args):
     return {"form": repr(omega(args.n, args.k)),
-            "eulerian_factor": repr(eulerian(max(args.n - args.k, 0)))}, None
+            "eulerian_factor": pretty(eulerian(max(args.n - args.k, 0)),
+                                      ["x"])}, None
 
 
 @_command("integrate", "cube integral of a basis form", None, _N, _K, _Z)

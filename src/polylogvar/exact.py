@@ -1,14 +1,17 @@
-"""Exact rational arithmetic: polynomials, matrices, Eulerian polynomials,
-and rational reconstruction of high-precision floats.
+"""Exact rational arithmetic: matrices, Eulerian polynomials, and rational
+reconstruction of high-precision floats.
 
 Rationals are `fractions.Fraction` throughout (arbitrary-size integers,
 normalized gcd, positive denominator), aliased as :data:`Rational`.
+Polynomials are `mpoly.MPoly`, the package's one polynomial class; the
+Eulerian polynomials are MPolys in one variable.
 """
 
-import math
 from fractions import Fraction
 
 import mpmath as mp
+
+from .mpoly import MPoly
 
 Rational = Fraction
 
@@ -28,88 +31,18 @@ def mpf_to_fraction(x):
     return -v if sign else v
 
 
-class RationalPolynomial:
-    """Dense univariate polynomial with Fraction coefficients, index = degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [Fraction(0)]
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self):
-        if self.coeffs == (Fraction(0),):
-            return 0
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self):
-        if len(self.coeffs) == 1:
-            return RationalPolynomial([0])
-        return RationalPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPolynomial):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return RationalPolynomial(out)
-        return RationalPolynomial([Fraction(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and len(self.coeffs) > 1:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(terms) if terms else "0"
-
-
 def eulerian(r):
-    """r-th Eulerian polynomial, by the recurrence
-    E_{r+1}(x) = x(1-x) E_r'(x) + (1+rx) E_r(x), starting from E_0 = 1.
+    """r-th Eulerian polynomial, as an MPoly in one variable x, by the
+    recurrence E_{k+1}(x) = x(1-x) E_k'(x) + (1+kx) E_k(x) from E_0 = 1.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    E = RationalPolynomial([1])
-    x = RationalPolynomial([0, 1])
-    one_minus_x = RationalPolynomial([1, -1])
+    x = MPoly.var(1, 0)
+    one = MPoly.const(1, 1)
+    x_one_minus_x = x * (one - x)
+    E = one
     for k in range(r):
-        E = x * one_minus_x * E.derivative() + RationalPolynomial([1, k]) * E
+        E = x_one_minus_x * E.diff(0) + (one + k * x) * E
     return E
 
 

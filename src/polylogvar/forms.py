@@ -58,11 +58,6 @@ class RationalForm:
         return self.n == other.n and rational_functions_equal(
             self.num, self.den, other.num, other.den)
 
-    def eval_at(self, z, ts):
-        """Numerical value of the coefficient at (z, t_1..t_n)."""
-        vals = [z] + list(ts)
-        return self.num.eval(vals) / self.den.eval(vals)
-
     def product_variable_degree(self):
         """Numerator degree in the product variable x = z t_1...t_n."""
         if self.n == 0 or self.num.is_zero():
@@ -71,15 +66,17 @@ class RationalForm:
 
     def __repr__(self):
         tag = "".join(f" dt{i}" for i in range(1, self.n + 1)) or " (0-form)"
-        return f"({_pretty(self.num)}) / ({_pretty(self.den)})" + tag
+        names = ["z"] + [f"t{i}" for i in range(1, self.n + 1)]
+        num, den = pretty(self.num, names), pretty(self.den, names)
+        return f"({num}) / ({den})" + tag
 
 
-def _pretty(poly):
-    """Render with the coordinate names z, t1..tn instead of x0, x1..."""
+def pretty(poly, names):
+    """Render with the variable names ``names`` instead of x0, x1, ..."""
     text = repr(poly)
-    for i in range(poly.nvars - 1, 0, -1):
-        text = text.replace(f"x{i}", f"t{i}")
-    return text.replace("x0", "z")
+    for i in range(poly.nvars - 1, -1, -1):  # x12 before x1
+        text = text.replace(f"x{i}", names[i])
+    return text
 
 
 def _product_monomial(n):
@@ -101,13 +98,9 @@ def omega(n, k, _exponent_shift=0):
     z = MPoly.var(nv, 0)
     u = _product_monomial(n)
     x = z * u
-    e = eulerian(r)
     num = MPoly(nv, {})
-    xpow = MPoly.const(nv, 1)
-    for c in e.coeffs:
-        if c:
-            num = num + c * z * xpow
-        xpow = xpow * x
+    for (d,), c in eulerian(r).terms.items():
+        num = num + c * z * x ** d
     den = (MPoly.const(nv, 1) - x) ** (r + 1 + _exponent_shift)
     return RationalForm(n, num, den)
 
@@ -229,7 +222,9 @@ def integrate_cube(n, k, z, tol):
     if _distance_to_cut(zc) < 0.05:
         raise DomainError("z too close to the half-line [1, oo)")
     r = n - k
-    descending = [float(c) for c in reversed(eulerian(r).coeffs)]
+    e = eulerian(r)
+    descending = [float(e.terms.get((d,), 0))
+                  for d in range(e.degree_in(0), -1, -1)]
     prev = None
     for level in range(_HALVINGS + 1):
         h = 0.5 ** (level + 1)

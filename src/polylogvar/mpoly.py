@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials with exact Fraction coefficients.
 
-A polynomial in ``nvars`` variables is a dict mapping exponent tuples to
+MPoly is the package's one polynomial class: the coefficients of the de Rham
+forms in (z, t_1..t_n), and the Eulerian polynomials in one variable x.  A
+polynomial in ``nvars`` variables is a dict mapping exponent tuples to
 nonzero Fractions.  Identities between rational functions are decided by
 cross-multiplication, which needs nothing beyond exact ring arithmetic.
 """
@@ -123,17 +125,6 @@ class MPoly:
         if not self.terms:
             return 0
         return max(m[i] for m in self.terms)
-
-    def eval(self, values):
-        """Evaluate at a point (any ring elements supporting + and *)."""
-        acc = 0
-        for mono, c in self.terms.items():
-            term = c
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * values[i]
-            acc = acc + term
-        return acc
 
     def divide_exact(self, divisor):
         """Quotient self/divisor if the division is exact, else None."""

@@ -68,6 +68,13 @@ def alternating_li2_minus1():
         return mp.nsum(lambda k: (-1) ** k / k ** 2, [1, mp.inf], method="a")
 
 
+def ref_eulerian(r):
+    """Coefficients of E_r, lowest degree first, from the explicit
+    alternating sum A(r, m) = sum_j (-1)^j C(r+1, j) (m+1-j)^r."""
+    return [sum((-1) ** j * math.comb(r + 1, j) * (m + 1 - j) ** r
+                for j in range(m + 1)) for m in range(r)] or [1]
+
+
 def ref_cube_integral(n, k, z, order=24):
     """Integral of omega(n, k) over the unit n-cube, n <= 3, by the
     order^n-point tensor Gauss-Legendre rule of numpy's ``leggauss``.
@@ -89,8 +96,7 @@ def ref_cube_integral(n, k, z, order=24):
     if k == 0:
         return complex(w.sum())
     r, z = n - k, complex(z)
-    coeffs = [sum((-1) ** j * math.comb(r + 1, j) * (m + 1 - j) ** r
-                  for j in range(m + 1)) for m in range(r)] or [1]
+    coeffs = ref_eulerian(r)
     x = z * u
     return complex(np.sum(w * z * np.polyval(coeffs[::-1], x)
                           / (1 - x) ** (r + 1)))

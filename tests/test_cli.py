@@ -1,8 +1,10 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from polylogvar import arnold, cli, poset
 from polylogvar.cli import main
 
-from oracles import ref_polylog, ref_solution
+from oracles import ref_eulerian, ref_polylog, ref_solution
 
 
 def run_cli(args):
@@ -543,11 +545,41 @@ def test_recurrence_check_all_k():
     assert set(rep["result"]["checks"]) == {"k2", "k3", "k4"}
 
 
+def _eval_printed(text, point):
+    """Exact value of a printed polynomial: ' + '-joined terms of '*'-joined
+    factors, each a rational, a variable, or a variable^power."""
+    total = Fraction(0)
+    for term in text.split(" + "):
+        value = Fraction(1)
+        for factor in term.split("*"):
+            name, _, power = factor.partition("^")
+            value *= (point[name] ** int(power or 1) if name in point
+                      else Fraction(factor))
+        total += value
+    return total
+
+
 def test_omega_report():
-    code, out = run_cli(["omega", "--n", "2", "--k", "1"])
-    assert code == 0
-    rep = json.loads(out)
-    assert "form" in rep["result"]
+    """For n = 1..6 and every k, the printed form and Eulerian factor,
+    evaluated exactly at a rational point, against z E_r(x) / (1 - x)^(r+1)
+    with E_r from the explicit alternating sum."""
+    for n in range(1, 7):
+        z = Fraction(-2, 3)
+        ts = [Fraction(i, i + 2) for i in range(1, n + 1)]
+        point = dict(z=z, **{f"t{i}": t for i, t in enumerate(ts, 1)})
+        x = z * math.prod(ts)
+        for k in range(n + 1):
+            code, out = run_cli(["omega", "--n", str(n), "--k", str(k)])
+            assert code == 0
+            res = json.loads(out)["result"]
+            r = n - k
+            e_r = sum(c * x ** m for m, c in enumerate(ref_eulerian(r)))
+            assert _eval_printed(res["eulerian_factor"], {"x": x}) == e_r
+            head, tag = res["form"].rsplit(")", 1)
+            assert tag == "".join(f" dt{i}" for i in range(1, n + 1))
+            num, den = head[1:].split(") / (")
+            want = 1 if k == 0 else z * e_r / (1 - x) ** (r + 1)
+            assert _eval_printed(num, point) / _eval_printed(den, point) == want
 
 
 def test_filtration_report():

@@ -6,37 +6,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylogvar.exact import (RationalMatrix, RationalPolynomial, eulerian,
-                              mpf_to_fraction, nilpotency_index,
-                              rational_reconstruct)
+from polylogvar.exact import (RationalMatrix, eulerian, mpf_to_fraction,
+                              nilpotency_index, rational_reconstruct)
+from polylogvar.mpoly import MPoly
 
 import mpmath as mp
 
 
+def _poly(coeffs):
+    """The one-variable MPoly sum_d coeffs[d] x^d."""
+    return MPoly(1, {(d,): c for d, c in enumerate(coeffs)})
+
+
 class TestEulerian:
     def test_small_values(self):
-        assert eulerian(0) == RationalPolynomial([1])
-        assert eulerian(1) == RationalPolynomial([1])
-        assert eulerian(2) == RationalPolynomial([1, 1])
-        assert eulerian(3) == RationalPolynomial([1, 4, 1])
+        assert eulerian(0) == _poly([1])
+        assert eulerian(1) == _poly([1])
+        assert eulerian(2) == _poly([1, 1])
+        assert eulerian(3) == _poly([1, 4, 1])
 
     def test_r4_by_hand(self):
         # one more recurrence step from 1 + 4x + x^2
-        assert eulerian(4) == RationalPolynomial([1, 11, 11, 1])
+        assert eulerian(4) == _poly([1, 11, 11, 1])
 
     @pytest.mark.parametrize("r", range(13))
     def test_value_at_one_is_factorial(self, r):
-        assert eulerian(r)(1) == math.factorial(r)
+        assert eulerian(r).substitute(0, 1) == MPoly.const(1, math.factorial(r))
 
     @pytest.mark.parametrize("r", range(1, 13))
     def test_palindromic_positive(self, r):
-        coeffs = eulerian(r).coeffs
-        assert coeffs == tuple(reversed(coeffs))
+        e = eulerian(r)
+        coeffs = [e.terms.get((d,), 0) for d in range(e.degree_in(0) + 1)]
+        assert coeffs == coeffs[::-1]
         assert all(c > 0 for c in coeffs)
 
     @pytest.mark.parametrize("r", range(13))
     def test_degree(self, r):
-        assert eulerian(r).degree == max(r - 1, 0)
+        e = eulerian(r)
+        assert e.nvars == 1
+        assert e.degree_in(0) == max(r - 1, 0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

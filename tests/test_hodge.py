@@ -125,9 +125,9 @@ class TestFiltrations:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transversality_survives_transport(self, n):
-        start = principal_lambda(n, 0.5, tol=1e-10)
+        start = principal_lambda(n, 0.5)
         for which in (0, 1):
-            moved = transport(n, canonical_loop(which), start, tol=1e-10)
+            moved = transport(n, canonical_loop(which), start)
             fib = FilteredFiber.from_period_matrix(moved)
             assert hodge_transversality_check(fib).passed
 
