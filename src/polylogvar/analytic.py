@@ -7,21 +7,23 @@ matrix with first row (1, Li_1(z), ..., Li_n(z)) and rows i >= 1 given by
 dL = L * A(z) dz, where A(z) has 1/(1-z) in slot (0,1) and 1/z on the rest
 of the superdiagonal: a nilpotent Fuchsian system with poles only at 0, 1
 and infinity.  Transport continues it along a path by a chain of disks, each
-at most 0.4 times as wide as the distance to the punctures, with one
-unitriangular transition matrix per disk whose entries are closed-form
-logarithms or Taylor series with a majorant tail bound set by the working
-precision (van der Hoeven 1999; Mezzarobba 2016).  It multiplies the start
-matrix once by the product of the transitions, of which only the first row
-and the sum of the logarithms change from disk to disk.  The series, that
-row and the principal first row of Li values run on Python integers in
-fixed point, with guard bits sized from the term count and the number of
-disks so that their rounding stays below the truncation error.
+at most 0.4 times as wide as the distance to the punctures (van der Hoeven
+1999; Mezzarobba 2016).  The product of the disks' transition matrices is
+unitriangular with exp(Lambda N) below row 0, N the upper shift and Lambda
+the continued log(end / base), so transport carries only its row 0, as the
+solution row of the system stepped across each disk by its truncated
+Taylor series, and takes Lambda once from the two end points.  It
+multiplies the start matrix by that product once, at the end.  The row
+step, the series and the principal first row of Li values run on Python
+integers in fixed point, with guard bits sized from the term count and the
+number of disks so that their rounding stays below the truncation error.
 
 Monodromy matrices come out of transport around a closed loop followed by
 exact rational reconstruction of every entry; the normalization by powers of
 2*pi*i is what makes those entries rational.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +40,8 @@ DEFAULT_PREC = 128
 DEFAULT_TOL = 1e-12
 
 _SERIES_CAP = 2_000_000
+# The most disks one transport may take; a longer chain is a PathError.
+_DISK_CAP = 100_000
 
 @dataclass(frozen=True)
 class PeriodMatrix:
@@ -85,10 +89,11 @@ def li_series(n, z, prec=DEFAULT_PREC):
 
     On the disk |z| <= 0.75 it is the last entry of ``_li_row``, the
     defining power series summed in fixed point.  On [-1, -0.75) it is entry
-    n of row 0 of L(-1) T(-1 -> z), one ``_transition`` disk around -1: the
-    step w = z + 1 lies in [0, 0.25], within 0.4 dist(-1, {0, 1}), and every
-    logarithm in it is real.  The start row is Li_j(-1) = -eta(j) from
-    mpmath at the disk's F bits.  Either way the value is within a relative
+    n of row 0 of L(-1) T(-1 -> z), the row (1, Li_1(-1), ..., Li_n(-1)),
+    Li_j(-1) = -eta(j) from mpmath, stepped by ``_step_row`` over one disk
+    around -1: the step w = z + 1 lies in [0, 0.25], within
+    0.4 dist(-1, {0, 1}), and every number in it is real.  Either way the
+    value is within a relative
     2^-(prec + 7) of Li_n(z) before the final rounding to ``prec`` bits (see
     ``_li_row`` and ``_li_from_minus_one``), so within 2^-(prec - 1) after
     it.  z = 0 gives an exact 0.  Anywhere else, callers must use transport.
@@ -108,28 +113,29 @@ def li_series(n, z, prec=DEFAULT_PREC):
 
 
 def _li_from_minus_one(n, z, prec):
-    """Li_n(z) for real z in [-1, -0.75), as entry n of row 0 of
-    L(-1) T(-1 -> z): top[n] + sum_{i=1..n} Li_i(-1) tau[n - i], with
-    ``_transition``'s row 0 ``top`` and logarithm powers ``tau``.
+    """Li_n(z) for real z in [-1, -0.75), as the last entry of the row
+    (1, Li_1(-1), ..., Li_n(-1)) stepped by ``_step_row`` from -1 to z.
 
-    Bound.  With |w| <= 0.25 and d = 1 the majorant tail of ``transport`` is
-    at most 0.25^K / 0.75 <= 0.4^K / 0.6, so K = ``_series_terms(prec + 2)``
-    puts it below 2^-(prec + 10).  Let u = 2^-F.  top[n] is off by less than
-    5 K u + 2u more, tau[m] by less than 6u (see ``transport``), each
-    Li_i(-1), of modulus below 1, by less than 2u after flooring, and the
-    sum is floored once; as sum_m |log(1 - w)|^m / m! < 1.4, the rounding is
-    below (5 K + 6 n + 6) u <= 2^-(prec + 10) for
-    F = ``_fraction_bits(prec + 2, K + 2 n)``.  The series being alternating
-    with terms falling in modulus, |Li_n(z)| >= |z| - |z|^2 / 2^n >= 3/8, so
-    the error of 2^-(prec + 9) is a relative 2^-(prec + 7).
+    Bound.  The step has x = |w| <= 0.25 and every |R_i| <= 1, so by the
+    majorants of ``_step_row`` the tail is at most 0.25^K / 0.75
+    <= 0.4^K / 0.6, which K = ``_series_terms(prec + 2)`` puts below
+    2^-(prec + 10).  Let u = 2^-F.  Each Li_i(-1), of modulus below 1, is
+    within 2u after flooring, which the step carries into entry n with the
+    weight sum_m |log(1 - x)|^m / m! = 1 / (1 - x) < 1.4, so within 2.7u;
+    flooring p and q moves entry n by less than 2.6u, and the rounding of
+    the row step adds less than 3 K u.  That is below
+    (5 K + 6) u <= 2^-(prec + 10) for F = ``_fraction_bits(prec + 2, K)``.
+    The series being alternating with terms falling in modulus,
+    |Li_n(z)| >= |z| - |z|^2 / 2^n >= 3/8, so the error of 2^-(prec + 9) is
+    a relative 2^-(prec + 7).
     """
     terms = _series_terms(prec + 2)
-    F = _fraction_bits(prec + 2, terms + 2 * n)
+    F = _fraction_bits(prec + 2, terms)
     with mp.workprec(F):
-        (top, _), (tau, _) = _transition(n, mp.mpc(-1), z, terms, F)
-        acc = sum(to_fixed((-mp.altzeta(i))._mpf_, F) * tau[n - i]
-                  for i in range(1, n + 1))
-    return _from_fixed(top[n] + (acc >> F), 0, F)
+        row = [to_fixed((-mp.altzeta(i))._mpf_, F) for i in range(1, n + 1)]
+    r_re, r_im = _step_row(row, [0] * n, (-1 << F, 0), _to_fixed(z, F),
+                           terms, F)
+    return _from_fixed(r_re[-1], r_im[-1], F)
 
 
 def principal_lambda(n, z, prec=DEFAULT_PREC):
@@ -233,6 +239,8 @@ def _li_row(n, z, prec):
 # Each disk step covers at most this fraction of the distance from its centre
 # to the nearer puncture; the series tail bound in ``transport`` relies on it.
 _STEP_RATIO = 0.4
+# Planned a relative 2^-20 inside _STEP_RATIO, so the ratio holds exactly.
+_PLAN_RATIO = _STEP_RATIO * (1 - 2 ** -20)
 _GUARD_BITS = 8
 
 
@@ -250,39 +258,48 @@ def _fraction_bits(prec, terms):
     return prec + (5 * terms + 5).bit_length() + _GUARD_BITS
 
 
-def _segment_curve(z0, seg):
-    """(z(s) for s in [0, 1], arclength) of ``seg`` anchored at z0, in the
-    active mpmath precision; a line ends exactly on its endpoint."""
-    if isinstance(seg, LineTo):
-        e = mp.mpc(seg.end)
-        return (lambda s: (1 - s) * z0 + s * e), abs(e - z0)
-    c = mp.mpc(seg.center)
-    w0 = z0 - c
-    i_sweep = mp.mpc(0, seg.sweep)
-    return (lambda s: c + w0 * mp.exp(i_sweep * s)), abs(w0 * i_sweep)
+def _disk_chain(path, margin, prec):
+    """The steps (c, z1) of the disk chain that covers ``path``.
 
-
-def _disk_chain(path, margin):
-    """The steps (c, z1) that cover ``path``, in the active precision.
-
-    From a centre c the step runs to the point z1 a further arclength of at
-    most 0.4 * dist(c, {0, 1}) along the path, which becomes the next centre;
-    a centre closer than margin / 2 to a puncture raises PathError.
+    From a centre c the step runs to the point z1 a further arclength of
+    ``_PLAN_RATIO`` * dist(c, {0, 1}) along the path, or to the end of the
+    segment if that comes first, and z1 becomes the next centre.  The chain
+    is planned in float64, so every point is a Python complex, a pair of
+    dyadic rationals, except the end of an arc about p from z0, which is
+    p + (z0 - p) exp(i sweep) taken once by mpmath at prec + 8 bits and
+    reached as an mpc.  A line ends exactly on its end point.  A chord is
+    no longer than its arc, and the slack of ``_PLAN_RATIO`` below 0.4
+    covers the rounding of the float64 points and of an arc's end, so every
+    step has |z1 - c| <= 0.4 dist(c, {0, 1}); ``_step_row`` checks it
+    exactly.  A centre closer than margin / 2 to a puncture, or a chain of
+    more than ``_DISK_CAP`` disks, raises PathError before any step is
+    taken.
     """
     steps = []
-    z = mp.mpc(path.base_point)
+    z = zf = path.base_point
     for seg in path.segments:
-        curve, length = _segment_curve(z, seg)
-        s = mp.mpf(0)
+        z0 = zf
+        if isinstance(seg, LineTo):
+            end, length = seg.end, abs(seg.end - z0)
+            curve = lambda s: (1 - s) * z0 + s * end  # noqa: E731
+        else:
+            p, w0, sweep = seg.center, z0 - seg.center, seg.sweep
+            with mp.workprec(prec + _GUARD_BITS):
+                end = p + (z - p) * mp.expj(sweep)
+            length = abs(w0 * sweep)
+            curve = lambda s: p + w0 * cmath.rect(1, sweep * s)  # noqa: E731
+        s = 0.0
         while length and s < 1:
-            dist = min(abs(z), abs(1 - z))
+            dist = min(abs(zf), abs(1 - zf))
             if dist < margin / 2:
-                raise PathError(f"transport came within {float(dist):.3e} "
-                                f"of a puncture (margin {margin})")
-            s = min(s + _STEP_RATIO * dist / length, 1)
-            z1 = curve(s)
+                raise PathError(f"transport came within {dist:.3e} of a "
+                                f"puncture (margin {margin})")
+            if len(steps) == _DISK_CAP:
+                raise PathError(f"the path needs more than {_DISK_CAP} disks")
+            s = min(s + _PLAN_RATIO * dist / length, 1.0)
+            z1 = end if s == 1 else curve(s)
             steps.append((z, z1))
-            z = z1
+            z, zf = z1, complex(z1)
     return steps
 
 
@@ -297,73 +314,91 @@ def _product_guard(n, disks):
     return (math.ceil(disks * total) - 1).bit_length() if disks else 0
 
 
-def _transition(n, c, z1, terms, F):
-    """Row 0 and the superdiagonal of T(c -> z1), where L(z1) = L(c) T, in
-    fixed point: lists of (real, imaginary) Python integers scaled by 2^F.
+def _step_row(r_re, r_im, c, z1, terms, F):
+    """R T(c -> z1) for the row R = (1, r) and the transition T with
+    L(z1) = L(c) T, in fixed point: r is entries 1..n as lists r_re, r_im,
+    and c, z1 are pairs, all Python integers scaled by 2^F.  Returns the new
+    entries 1..n as two lists.
 
-    Row i >= 1 of T holds tau[m] = log(1 + w/c)^m / m! in column i + m, with
-    w = z1 - c.  Row 0 holds 1, -log(1 - w/(1-c)) and, for j >= 2, the first
-    ``terms`` terms of sum_k u_j[k] w^k, where
-    (1-c)(k+1) u_1[k+1] = u_0[k] + k u_1[k] and
-    c (k+1) u_j[k+1] = u_{j-1}[k] - k u_j[k].  Returns (top, tau), each
-    indexed 0..n.
+    The row y with y(c) = R solves dy = y A dz: y_0 = 1, (1 - z) y_1' = 1
+    and z y_j' = y_(j-1) for j >= 2.  With w = z1 - c, p = w/(1-c) and
+    q = w/c, its Taylor terms t_j[k] = Y_j[k] w^k at c are t_j[0] = R_j,
+    t_1[k] = p^k / k for k >= 1, and
+    t_j[k+1] = q (t_(j-1)[k] - k t_j[k]) / (k+1) for j >= 2; the new R_j is
+    the sum of t_j[k] over k < K, K = ``terms``.  w is exact, and p and q
+    are floored quotients of integers.  Each j runs over k on its own, from
+    the terms of j - 1: an exact integer difference, one complex product
+    with a single floor shift by F per part, and a floor division by k + 1;
+    t_1 divides the powers of p by k.  The bounds below rest on
+    |w| <= 0.4 dist(c, {0, 1}), which is checked first, exactly, as
+    25 |w|^2 <= 4 min(|c|^2, |1 - c|^2); IntegrationError if it fails.
 
-    w, p = w/(1-c), q = w/c and the two logarithms are taken in mpmath at the
-    active precision and floored to 2^-F.  tau[m] is tau[m-1] times the
-    logarithm, shifted and floor-divided by m.  The sums start from k = 1
-    (t[1] = p, t[j] = 0 for j >= 2) and step by
-    t[j] <- q (t[j-1] - k t[j]) / (k+1) and t[1] <- p k t[1] / (k+1), as
-    exact integer differences and multiples of k, one complex product with a
-    single floor shift by F per part, and a floor division by k + 1.  For
-    n = 1 no sum is needed.
+    Majorants.  Let x = |w| / dist(c, {0, 1}), so |p|, |q| <= x <= 0.4.
+    With t_1[k+1] = p (delta_k0 + k t_1[k]) / (k+1), the t_j[k], as
+    polynomials in p, q and R, have coefficients no larger in modulus than
+    those of the recurrences with every difference made a sum; with
+    p = q = x these give the Taylor terms at scale x of
+    (1 - s) y_j' = y_(j-1), j >= 1, whose transition has L(s)^m / m!,
+    L = -log(1 - s), in column i + m of row i.  As the L^m / m! sum to
+    1 / (1 - s), each has Taylor coefficients at most 1, so truncating at K
+    terms moves an entry of T by at most x^K / (1 - x), and the entry is at
+    most L(x)^m / m! <= 0.52^m / m!.
 
-    Rounding bound.  Let u = 2^-F.  The shift and the division leave each
-    part of a new term less than 1.5u below its value, so less than 2.2u in
-    modulus, and flooring p and q adds less than 0.6u per term (every exact
-    term has modulus below 0.4).  An old error e enters the new term
-    multiplied by q k/(k+1) and q/(k+1), or by p k/(k+1), so by at most
-    0.4 |e| in all, since |p|, |q| <= 0.4: each term's error stays below
-    2.8u / 0.6 < 5u, and the sum's below 5 K u for K = ``terms``.  Likewise
-    tau[m] stays within 4u of l^m / m!, l the logarithm from mpmath.
+    Rounding bound.  Let u = 2^-F.  p and q are within sqrt(2) u, which
+    moves an entry of the truncated T by at most
+    sqrt(2) u d/dx (L(x)^m / m!) <= sqrt(2) u / (1 - x)^2 < 4u.  A shift or
+    a division leaves each part less than u below its value, and the two
+    together less than 1.5u for k >= 1, so less than 2.2u in modulus.  A
+    power of p carries the old error times p, so its error stays below
+    1.5u / 0.59 < 2.5u and that of t_1[k] below 1.3u + 1.5u.  An old error e
+    enters a later t_j multiplied by q/(k+1) and q k/(k+1), so by at most
+    0.41 |e| in all: each term's error stays below 2.2u / 0.59 < 3.8u.  So
+    the result is R T~ + rho, with T~ unit upper triangular and within
+    x^K / (1 - x) + 4u of T above the diagonal, and |rho_j| < 3.8 K u.
     """
-    w = z1 - c
-    p = w / (1 - c)
-    q = w / c
-    ell_re, ell_im = _to_fixed(mp.log(1 + q), F)
-    tau_re = [1 << F, ell_re]
-    tau_im = [0, ell_im]
-    for m in range(2, n + 1):
-        a, b = tau_re[-1], tau_im[-1]
-        tau_re.append(((a * ell_re - b * ell_im) >> F) // m)
-        tau_im.append(((a * ell_im + b * ell_re) >> F) // m)
-    l1_re, l1_im = _to_fixed(-mp.log(1 - p), F)
-    s_re = [1 << F, l1_re] + [0] * (n - 1)
-    s_im = [0, l1_im] + [0] * (n - 1)
-    if n == 1:
-        return (s_re, s_im), (tau_re, tau_im)
-    p_re, p_im = _to_fixed(p, F)
-    q_re, q_im = _to_fixed(q, F)
-    t_re = [0, p_re] + [0] * (n - 1)
-    t_im = [0, p_im] + [0] * (n - 1)
-    for k in range(1, terms - 1):
-        k1 = k + 1
-        for j in range(n, 1, -1):
-            d_re = t_re[j - 1] - k * t_re[j]
-            d_im = t_im[j - 1] - k * t_im[j]
-            t_re[j] = ((q_re * d_re - q_im * d_im) >> F) // k1
-            t_im[j] = ((q_re * d_im + q_im * d_re) >> F) // k1
-            s_re[j] += t_re[j]
-            s_im[j] += t_im[j]
-        a, b = t_re[1], t_im[1]
-        t_re[1] = ((p_re * a - p_im * b) * k >> F) // k1
-        t_im[1] = ((p_re * b + p_im * a) * k >> F) // k1
-    return (s_re, s_im), (tau_re, tau_im)
+    c_re, c_im = c
+    w_re, w_im = z1[0] - c_re, z1[1] - c_im
+    ww = w_re * w_re + w_im * w_im
+    quotients = []
+    for x, y in (((1 << F) - c_re, -c_im), c):
+        xy = x * x + y * y
+        if not xy or 25 * ww > 4 * xy:
+            raise IntegrationError("a disk step is longer than 0.4 times the "
+                                   "distance to the punctures")
+        quotients += [((w_re * x + w_im * y) << F) // xy,
+                      ((w_im * x - w_re * y) << F) // xy]
+    p_re, p_im, q_re, q_im = quotients
+    a, b = p_re, p_im
+    t_re, t_im = [r_re[0], a], [r_im[0], b]
+    for k in range(2, terms):
+        a, b = (p_re * a - p_im * b) >> F, (p_re * b + p_im * a) >> F
+        t_re.append(a // k)
+        t_im.append(b // k)
+    out_re, out_im = [sum(t_re)], [sum(t_im)]
+    for a, b in zip(r_re[1:], r_im[1:]):
+        prev_re, prev_im = t_re, t_im
+        t_re, t_im = [a], [b]
+        for k, k1, u, v in zip(range(terms - 1), range(1, terms),
+                               prev_re, prev_im):
+            d_re, d_im = u - k * a, v - k * b
+            a = ((q_re * d_re - q_im * d_im) >> F) // k1
+            b = ((q_re * d_im + q_im * d_re) >> F) // k1
+            t_re.append(a)
+            t_im.append(b)
+        out_re.append(sum(t_re))
+        out_im.append(sum(t_im))
+    return out_re, out_im
 
 
 def _to_fixed(v, F):
-    """The real and imaginary parts of the mpc v, floored to 2^-F and scaled
-    by 2^F."""
-    return [to_fixed(x, F) for x in v._mpc_]
+    """The parts of v, an mpc or a Python number, floored to 2^-F and
+    scaled by 2^F; exact for a double whose nonzero parts are at least
+    2^(53 - F) in modulus."""
+    if isinstance(v, mp.mpc):
+        return [to_fixed(x, F) for x in v._mpc_]
+    v = complex(v)
+    return [(m << F) // d for m, d in (v.real.as_integer_ratio(),
+                                       v.imag.as_integer_ratio())]
 
 
 def _from_fixed(re, im, F):
@@ -373,57 +408,46 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-def _times_transition(lam, top, tau):
-    """lam * T for the unitriangular T with row 0 ``top`` and tau[m] on the
-    m-th superdiagonal of the other rows; exact zeros of lam are skipped, so
-    they stay exact."""
-    out = []
-    for row in lam:
-        new = [row[0]]
-        for j in range(1, len(tau)):
-            acc = row[0] * top[j] if row[0] else mp.mpc(0)
-            for k in range(1, j + 1):
-                if row[k]:
-                    acc += row[k] * tau[j - k]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
 def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     """Analytic continuation of ``start`` along ``path``.
 
-    The path is covered by a chain of D disks (``_disk_chain``): from a
-    centre c the step runs to the point z1 a further arclength of at most
-    0.4 * dist(c, {0, 1}) along it, so |z1 - c| <= 0.4 * dist(c, {0, 1}) as
-    well.  Each step has the upper unitriangular transition matrix
-    T(c -> z1) of ``_transition``; its rows i >= 1 and entry (0, 1) are
-    closed forms, and since |w/c| and |w/(1-c)| are at most 0.4
-    (w = z1 - c), the principal logarithms in them are the continuations
-    along the step.  Transport forms the product P = T_1 ... T_D and returns
-    start * P.  The lower-right block of every T_k is exp(l_k N), N the upper
-    shift and l_k = log(1 + w/c), so that block of P is exp(Lambda N) with
-    Lambda = sum l_k; only row 0 of P needs work per disk, R <- R T_k, about
-    n^2 / 2 complex products.  R and Lambda are kept in Python-int fixed
-    point at 2^-F, like the series; start * P is formed once at the end, in
-    mpmath at F bits, and rounded to ``prec``.
+    The path is covered by a chain of D disks (``_disk_chain``) with
+    |z1 - c| <= 0.4 * dist(c, {0, 1}) for every step from c to z1.  The
+    transition T(c -> z1), L(z1) = L(c) T, is upper unitriangular, and its
+    rows i >= 1 are those of exp(l N), N the upper shift and
+    l = log(1 + w/c), w = z1 - c, the principal logarithm since
+    |w/c| <= 0.4.  So the product P = T_1 ... T_D is exp(Lambda N) below
+    row 0, with Lambda = sum l_k, and transport returns start * P, formed
+    once at the end, in mpmath at F bits, and rounded to ``prec``.
 
-    Tail bound for the entries (0, j), j >= 2.  Write d = dist(c, {0, 1}).
-    The Taylor coefficients of 1/(1-z) and 1/z at c are bounded by
-    d^-(k+1), those of 1/(d - w), so row 0 of T is majorized coefficientwise
-    by (-log(1 - w/d))^j / j!.  These majorants sum over j to 1/(1 - w/d),
-    so their coefficient of w^k is at most d^-k, and summing K terms leaves
-    an error of at most x^K / (1 - x) with x = |w|/d <= 0.4.
+    Row 0 of P is the solution row R <- R T_k, from R = e_0, stepped by
+    ``_step_row`` across each disk in Python-int fixed point at 2^-F, about
+    n K complex products a disk.  The points of the chain are converted to
+    fixed point once; a double converts exactly unless a nonzero part is
+    below 2^(53 - F) in modulus.
 
-    Growth of the product.  Since |l_k| and |-log(1 - w/d)| are at most
-    -log 0.6 < 0.52, every T_k is bounded entrywise by exp(0.52 S), S the
-    (n+1) x (n+1) upper shift, and its row 0 by the majorants above; these
-    matrices are polynomials in S, so they commute, and every partial
-    product is bounded by exp(0.52 D S), with entries (0.52 D)^m / m!.  Let
-    each computed T_k differ from the exact one by at most e per entry above
-    the diagonal, and let forming R T_k round each entry of row 0 by at most
-    r.  The error of R after step k is the old error times T_k, plus R times
-    the change of T_k, plus the rounding; R is bounded by row 0 of
+    Lambda.  As 1 + w/c = z1/c, exp(Lambda) = z_end / z_base, so
+    Lambda = Log(z_end / z_base) + 2 pi i m for an integer
+    m = (sum theta_k - Arg(z_end / z_base)) / (2 pi), where
+    theta_k = Im l_k = Arg(z1/c) and |theta_k| <= asin 0.4 < 0.42.  m is
+    the nearest integer to that quotient taken in float64 from the phase of
+    the quotient of the doubles nearest c and z1: z1/c lies at least 0.6
+    from 0, with its argument at least 2.7 from the cut at +-pi, so each
+    phase is within 2^-48 of theta_k, and for D <= ``_DISK_CAP`` the sum of
+    phases, and with it the quotient, is within 2^-30 of its exact value.
+    The logarithm is taken once, at F + 20 bits, from the fixed-point end
+    points; as |Log(z_end / z_base)| < 2^11 for points of double range and
+    2 pi |m| < 0.42 D + 7, Lambda is within u = 2^-F of the exact sum.
+
+    Growth of the product.  Write d = dist(c, {0, 1}).  Since |l_k| and
+    |-log(1 - w/d)| are at most -log 0.6 < 0.52, every T_k is bounded
+    entrywise by exp(0.52 S), S the (n+1) x (n+1) upper shift (the
+    majorants of ``_step_row``); these matrices are polynomials in S, so
+    they commute, and every partial product is bounded by exp(0.52 D S),
+    with entries (0.52 D)^m / m!.  Let each step return R T~_k + rho_k, with
+    T~_k within e of T_k per entry above the diagonal and every |rho_k| at
+    most r.  The error of R after step k is the old error times T_k, plus R
+    times T~_k - T_k, plus rho_k; R is bounded by row 0 of
     exp(0.52 (k - 1) S), and the errors are carried to the end by
     T_(k+1) ... T_D, bounded by exp(0.52 (D - k) S).  So entry (0, j) of P
     ends within (e + r) E of the exact product, where
@@ -433,29 +457,27 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     log2 D + n log2(0.52 D).  K is the least count that puts 0.4^K / 0.6
     below 2^-(prec + G + 8) (114 terms at 128 bits for a canonical loop at
     n = 4, where D = 21 and G = 13), and
-    F = prec + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``).  With
-    u = 2^-F, the series err by at most 2^-(prec + G + 8) + 5 K u (see
-    ``_transition``) plus 2u, since forming w, p and q at F bits moves an
-    entry by at most 2/3 of their relative error, about 3u; the logarithms,
-    with that input error, and tau[m] err by less than 6u; and each entry of
-    R T_k is shifted once per part, so r < 1.5u.  Hence
+    F = prec + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``).  By
+    ``_step_row``, e < 2^-(prec + G + 8) + 4u and r < 3.8 K u, so
     e + r < 2^-(prec + G + 8) + (5 K + 6) u <= 2^-(prec + G + 7): every
     entry of row 0 of P is within 2^-(prec + 7) of the exact product for the
-    chain, and Lambda, a sum of D floored logarithms, is within 3 D u.
+    chain.
 
     Whole-transport bound.  The chain runs from the base point to the end of
-    the last segment, exactly for a line; the exact product for it is
-    L(base)^-1 L(end) on the continued branch.  Moving Lambda by at most
-    2^-(prec + 7) moves each Lambda^m / m! by at most 2^-(prec + 7) e^|Lambda|,
-    and the final product at F bits adds less than that again, so every entry
-    v of row i of the result lies within
+    the last segment, exactly for a line and within 2^-(prec + 8) times the
+    radius for an arc; the exact product for it is L(base)^-1 L(end) on the
+    continued branch.  Moving Lambda by at most 2^-(prec + 7) moves each
+    Lambda^m / m! by at most 2^-(prec + 7) e^|Lambda|, and the final product
+    at F bits adds less than that again, so every entry v of row i of the
+    result lies within
     2^-prec |v| + 2^-(prec + 6) e^|Lambda| sum_k |start[i][k]|
     of row i of start times L(base)^-1 L(end); the first term is the final
     rounding.  The accuracy follows ``prec``.
 
-    Every step that does not end a segment advances by at least 0.4 times
-    the distance to the punctures, so the step count is bounded by the
-    arclength over 0.2 * margin.  Exact zeros of ``start`` stay exact.
+    Every step that does not end a segment advances by almost 0.4 times the
+    distance to the punctures, so the step count is bounded by the
+    arclength over 0.2 * margin, and by ``_DISK_CAP``.  Exact zeros of
+    ``start`` stay exact.
     """
     if n < 1:
         raise DomainError("transport needs n >= 1")
@@ -464,37 +486,33 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
-    with mp.workprec(prec):
-        steps = _disk_chain(path, margin)
+    steps = _disk_chain(path, margin, prec)
     guard = _product_guard(n, len(steps))
     terms = _series_terms(prec + guard)
     F = _fraction_bits(prec + guard, terms)
-    r_re = [0] * (n + 1)
-    r_im = [0] * (n + 1)
-    log_re = log_im = 0
+    r_re, r_im = [0] * n, [0] * n
+    points = [_to_fixed(z, F)
+              for z in [path.base_point] + [z1 for _, z1 in steps]]
+    for c, z1 in zip(points, points[1:]):
+        r_re, r_im = _step_row(r_re, r_im, c, z1, terms, F)
+    turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
+                     for z0, z1 in steps)
+    with mp.workprec(F + 20):
+        log_ratio = mp.log(_from_fixed(*points[-1], F)
+                           / _from_fixed(*points[0], F))
+        m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
+        log_sum = log_ratio + 2j * m * mp.pi
     with mp.workprec(F):
-        for c, z1 in steps:
-            (top_re, top_im), (tau_re, tau_im) = _transition(
-                n, c, z1, terms, F)
-            # row 0 of R T, from the right so that r[i], i < j, are still old
-            for j in range(n, 0, -1):
-                a = b = 0
-                for i in range(1, j):
-                    x, y = r_re[i], r_im[i]
-                    a += x * tau_re[j - i] - y * tau_im[j - i]
-                    b += x * tau_im[j - i] + y * tau_re[j - i]
-                r_re[j] += top_re[j] + (a >> F)
-                r_im[j] += top_im[j] + (b >> F)
-            log_re += tau_re[1]
-            log_im += tau_im[1]
-        log_sum = _from_fixed(log_re, log_im, F)
-        row0 = [mp.mpf(1)] + [_from_fixed(r_re[j], r_im[j], F)
-                              for j in range(1, n + 1)]
-        powers = [mp.mpf(1)]
-        for m in range(1, n + 1):
-            powers.append(powers[-1] * log_sum / m)
-        moved = _times_transition([[mp.mpc(v) for v in row]
-                                   for row in start.entries], row0, powers)
+        # P: row 0 as stepped, exp(Lambda N) below; zeros of start stay exact
+        power = [mp.mpf(1)]
+        for k in range(1, n + 1):
+            power.append(power[-1] * log_sum / k)
+        P = [[mp.mpf(1)] + [_from_fixed(a, b, F)
+                            for a, b in zip(r_re, r_im)]]
+        P += [[0] * i + power[:n + 1 - i] for i in range(1, n + 1)]
+        moved = [[sum((mp.mpc(row[k]) * P[k][j] for k in range(j + 1)
+                       if row[k]), mp.mpc(0)) for j in range(n + 1)]
+                 for row in start.entries]
     with mp.workprec(prec):
         tag = f"{start.branch_tag} . {path.describe()}"
         return PeriodMatrix(n, tuple(tuple(+v for v in row) for row in moved),

@@ -6,6 +6,7 @@ anchored at the previous endpoint, so continuity holds by construction.  Arcs
 stay geometric; transport steps along them on the circle itself.
 """
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ def _line_distance(a, b, p):
 def _arc_distance(start, center, sweep, p):
     w0 = start - center
     r = abs(w0)
-    if abs(sweep) >= 2 * math.pi:
+    if not r or abs(sweep) >= 2 * math.pi:
         return abs(abs(p - center) - r)
     phi = math.atan2(((p - center) / w0).imag, ((p - center) / w0).real)
     lo, hi = min(0.0, sweep), max(0.0, sweep)
@@ -62,6 +63,9 @@ class PathSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise PathError("path needs at least one segment")
+        if not all(cmath.isfinite(v) for seg in self.segments
+                   for v in (self.base_point, *vars(seg).values())):
+            raise PathError("path points and sweeps must be finite")
 
     def segment_starts(self):
         starts = []

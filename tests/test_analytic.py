@@ -12,7 +12,7 @@ from polylogvar.analytic import (li_series, monodromy, principal_lambda,
                                  transport)
 from polylogvar.errors import DomainError, PathError, ReconstructionError
 from polylogvar.exact import RationalMatrix
-from polylogvar.paths import LineTo, PathSpec, canonical_loop
+from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
                      ref_polylog, ref_minus_log1m, ref_solution)
@@ -233,6 +233,27 @@ class TestTransport:
             for j in range(1, n + 1):
                 assert abs(moved.entries[0][j] - ref_polylog(j, z1)) < bound
 
+    @pytest.mark.parametrize("prec", [128, 256])
+    def test_open_path_ends_on_its_arc(self, prec):
+        """Transport along an arc of radius 1/2 about 0 ends at
+        0.5 exp(i sweep) itself, not at its float64 neighbour: row 0
+        matches mpmath's polylog there within the whole-transport bound."""
+        n = 4
+        sweep = math.pi / 3
+        path = PathSpec(complex(0.5, 0.0), (Arc(0j, sweep),))
+        start = principal_lambda(n, 0.5, prec=prec)
+        moved = transport(n, path, start, prec=prec)
+        oracle_prec = ORACLE_PREC + 64
+        with mp.workprec(oracle_prec):
+            end = mp.mpf(0.5) * mp.expj(mp.mpf(sweep))
+            growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
+            weight = sum(abs(v) for v in start.entries[0])
+            for j in range(1, n + 1):
+                v = moved.entries[0][j]
+                bound = mp.mpf(2) ** -prec * abs(v) \
+                    + mp.mpf(2) ** -(prec + 6) * growth * weight
+                assert abs(v - ref_polylog(j, end, oracle_prec)) <= bound
+
     def test_path_through_puncture_rejected(self):
         through = PathSpec(complex(0.5, 0), (LineTo(complex(-0.5, 0)),))
         start = principal_lambda(1, 0.5)
@@ -272,6 +293,23 @@ class TestMonodromy:
     def test_upper_triangular(self):
         for which in (0, 1):
             assert monodromy(2, canonical_loop(which), tol=TOL).is_upper_triangular()
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_double_turn_squares_the_monodromy(self, which):
+        # Lambda gains 4 pi i on one arc: m = 2 in Log z_end - Log z_base
+        expected = (expected_monodromy_loop0, expected_monodromy_loop1)[which]
+        loop = PathSpec(complex(0.5, 0.0),
+                        (LineTo(complex(0.25 + 0.5 * which, 0.0)),
+                         Arc(complex(which, 0.0), 4 * math.pi),
+                         LineTo(complex(0.5, 0.0))), closed=True)
+        assert monodromy(3, loop, tol=TOL) == expected(3) * expected(3)
+
+    def test_turn_and_turn_back_is_identity(self):
+        loop = PathSpec(complex(0.5, 0.0),
+                        (LineTo(complex(0.25, 0.0)), Arc(0j, 2 * math.pi),
+                         Arc(0j, -2 * math.pi), LineTo(complex(0.5, 0.0))),
+                        closed=True)
+        assert monodromy(3, loop, tol=TOL) == RationalMatrix.identity(4)
 
     def test_open_path_rejected(self):
         path = PathSpec(complex(0.5, 0), (LineTo(complex(0.6, 0)),))
@@ -346,33 +384,125 @@ def _meets_cuts(a, b):
     return not 0 < a.real + t * (b.real - a.real) < 1
 
 
-@settings(deadline=None, max_examples=12)
-@given(n=st.integers(1, 5), x=st.floats(-1.5, 2.5), y=st.floats(-1.5, 1.5),
-       ratio=st.floats(0, 0.4), angle=st.floats(0, 2 * math.pi))
-def test_transition_row0_against_oracle(n, x, y, ratio, angle):
-    """Row 0 of one disk's transition matrix, against L(c)^-1 L(z1) built
-    from mpmath's polylog, within the 2^-(prec - 2) bound of ``transport``."""
+def _fractions(z):
+    """The parts of z, a Python number or an mpc, as exact Fractions."""
+    if isinstance(z, mp.mpc):
+        return tuple(Fraction((-1) ** sign * man) * Fraction(2) ** exp
+                     for sign, man, exp, _ in z._mpc_)
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _within_step_ratio(c, z1):
+    """|z1 - c|^2 <= 0.16 min(|c|^2, |1 - c|^2), decided exactly."""
+    (a, b), (x, y) = _fractions(c), _fractions(z1)
+    return (x - a) ** 2 + (y - b) ** 2 <= \
+        Fraction(4, 25) * min(a * a + b * b, (1 - a) ** 2 + b * b)
+
+
+def _stepped_row(row, c, z1, prec):
+    """Entries 1..n of (1, row) T(c -> z1) from ``_step_row``, at the term
+    count and fraction bits of ``prec``, rounded to ``prec`` bits."""
+    terms = analytic._series_terms(prec)
+    F = analytic._fraction_bits(prec, terms)
+    fixed = [analytic._to_fixed(v, F) for v in row]
+    r_re, r_im = analytic._step_row(
+        [a for a, _ in fixed], [b for _, b in fixed],
+        analytic._to_fixed(c, F), analytic._to_fixed(z1, F), terms, F)
+    with mp.workprec(prec):
+        return [analytic._from_fixed(a, b, F) for a, b in zip(r_re, r_im)]
+
+
+_DISK_STEP = dict(x=st.floats(-1.5, 2.5), y=st.floats(-1.5, 1.5),
+                  ratio=st.floats(0, 0.4), angle=st.floats(0, 2 * math.pi))
+
+
+def _disk_step(x, y, ratio, angle):
+    """(c, z1) for a step of ``ratio`` times the distance to the punctures,
+    or a failed assumption when c is within 0.05 of one, the step leaves
+    the disk or it crosses a cut."""
     c = complex(x, y)
     d = min(abs(c), abs(1 - c))
     assume(d >= 0.05)
     z1 = c + ratio * d * complex(math.cos(angle), math.sin(angle))
-    assume(abs(z1 - c) <= 0.4 * d)
+    assume(_within_step_ratio(c, z1))
     assume(not _meets_cuts(c, z1))
-    # 64 bits above the largest precision under test
+    return c, z1
+
+
+def _oracle_transition(n, c, z1):
+    """L(c)^-1 L(z1) from mpmath's polylog, 64 bits above the largest
+    precision under test."""
     oracle_prec = ORACLE_PREC + 64
     with mp.workprec(oracle_prec):
-        T = mp.inverse(ref_solution(n, c, oracle_prec)) \
+        return mp.inverse(ref_solution(n, c, oracle_prec)) \
             * ref_solution(n, z1, oracle_prec)
+
+
+@settings(deadline=None, max_examples=12)
+@given(n=st.integers(1, 5), **_DISK_STEP)
+def test_transition_row0_against_oracle(n, x, y, ratio, angle):
+    """Row 0 of one disk's transition matrix, the start row e_0 stepped by
+    ``_step_row``, against L(c)^-1 L(z1) built from mpmath's polylog, within
+    the 2^-(prec - 2) bound of ``transport``."""
+    c, z1 = _disk_step(x, y, ratio, angle)
+    T = _oracle_transition(n, c, z1)
     for prec in (64, 128, 256):
-        with mp.workprec(prec):
-            terms = analytic._series_terms(prec)
-            F = analytic._fraction_bits(prec, terms)
-            (t_re, t_im), _ = analytic._transition(n, mp.mpc(c), mp.mpc(z1),
-                                                   terms, F)
-            top = [analytic._from_fixed(a, b, F) for a, b in zip(t_re, t_im)]
-        with mp.workprec(oracle_prec):
+        top = _stepped_row([0] * n, c, z1, prec)
+        with mp.workprec(ORACLE_PREC + 64):
             for j in range(1, n + 1):
-                assert abs(top[j] - T[0, j]) <= mp.mpf(2) ** -(prec - 2)
+                assert abs(top[j - 1] - T[0, j]) <= mp.mpf(2) ** -(prec - 2)
+
+
+@settings(deadline=None, max_examples=12)
+@given(n=st.integers(1, 5), **_DISK_STEP,
+       row=st.lists(st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+                    min_size=5, max_size=5))
+def test_step_row_moves_any_start_row(n, x, y, ratio, angle, row):
+    """A random start row R = (1, r) stepped by ``_step_row`` against R T
+    from the oracle, within 2^-(prec - 2) times its weight 1 + sum |r_i|:
+    the truncation error grows with R, the rounding does not."""
+    c, z1 = _disk_step(x, y, ratio, angle)
+    row = row[:n]
+    T = _oracle_transition(n, c, z1)
+    weight = 1 + sum(abs(v) for v in row)
+    for prec in (64, 128, 256):
+        moved = _stepped_row(row, c, z1, prec)
+        with mp.workprec(ORACLE_PREC + 64):
+            for j in range(1, n + 1):
+                want = T[0, j] + sum(row[i - 1] * T[i, j]
+                                     for i in range(1, j + 1))
+                assert abs(moved[j - 1] - want) <= \
+                    mp.mpf(2) ** -(prec - 2) * weight
+
+
+_PLANE = st.builds(complex, st.floats(-2, 3), st.floats(-2, 2))
+_SEGMENT = st.one_of(
+    st.builds(LineTo, _PLANE),
+    st.builds(Arc, st.one_of(st.sampled_from([0j, 1 + 0j]), _PLANE),
+              st.floats(-7, 7)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(base=_PLANE, segments=st.lists(_SEGMENT, min_size=1, max_size=4))
+def test_disk_chain_steps_stay_in_their_disks(base, segments):
+    """Every step of ``_disk_chain`` has |z1 - c| <= 0.4 dist(c, {0, 1})
+    exactly, the steps chain from the base point, and every line ends
+    exactly on its end point."""
+    path = PathSpec(base, tuple(segments))
+    try:
+        path.validate(margin=0.05)
+    except PathError:
+        assume(False)
+    steps = analytic._disk_chain(path, 0.05, 128)
+    points = [base] + [z1 for _, z1 in steps]
+    for k, (c, z1) in enumerate(steps):
+        assert c == points[k]
+        assert _within_step_ratio(c, z1)
+    k = 0
+    for seg in segments:
+        if isinstance(seg, LineTo):
+            k = points.index(seg.end, k)
 
 
 @settings(deadline=None, max_examples=12)

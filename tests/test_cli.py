@@ -497,6 +497,32 @@ def test_malformed_path_file_exit_2(tmp_path):
     assert code == 2
 
 
+def _transport_subprocess(tmp_path, text):
+    """transport along the path JSON ``text`` in a fresh interpreter that
+    must end within 20 s."""
+    f = tmp_path / "path.json"
+    f.write_text(text)
+    return subprocess.run([sys.executable, "-m", "polylogvar", "transport",
+                           "--n", "1", "--loop", str(f)], capture_output=True,
+                          text=True, timeout=20)
+
+
+def test_non_finite_path_exit_3(tmp_path):
+    # the NaN sweep once dropped its arc and printed the matrix at 0.25
+    r = _transport_subprocess(tmp_path, (
+        '{"base":[0.5,0],"segments":[{"line":[0.25,0]},'
+        '{"arc":{"center":[0,0],"sweep":NaN}}]}'))
+    assert r.returncode == 3, r.stderr
+    assert r.stdout == ""
+
+
+def test_endless_arc_exit_3_at_the_disk_cap(tmp_path):
+    r = _transport_subprocess(tmp_path, (
+        '{"base":[0.5,0],"segments":[{"arc":{"center":[0,0],"sweep":1e9}}]}'))
+    assert r.returncode == 3, r.stderr
+    assert "disks" in r.stderr
+
+
 def test_paving_nonrational_z_still_works():
     code, out = run_cli(["paving", "--n", "2", "--z", "0.3", "--samples",
                          "2000", "--seed", "5"])

@@ -111,6 +111,26 @@ def test_json_malformed():
         PathSpec.from_json('{"base": [0.5, 0], "segments": [{"bad": 1}]}')
 
 
+@pytest.mark.parametrize("bad", [
+    dict(base=complex(math.nan, 0)),
+    dict(end=complex(0.25, math.inf)),
+    dict(center=complex(-math.inf, 0)),
+    dict(sweep=math.nan),
+])
+def test_non_finite_numbers_rejected(bad):
+    base = bad.get("base", complex(0.5, 0))
+    segs = (LineTo(bad.get("end", complex(0.25, 0))),
+            Arc(bad.get("center", 0j), bad.get("sweep", math.pi)))
+    with pytest.raises(PathError):
+        PathSpec(base, segs)
+
+
+def test_point_arc_distance():
+    # an arc about its own start point is that point
+    path = PathSpec(complex(0.5, 0), (Arc(complex(0.5, 0), 1.0),))
+    assert path.validate(margin=0.5)
+
+
 def test_concat_needs_matching_endpoints():
     l0 = canonical_loop(0)
     shifted = PathSpec(complex(0.4, 0), (LineTo(complex(0.3, 0)),))
