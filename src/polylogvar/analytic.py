@@ -239,8 +239,10 @@ def _li_row(n, z, prec):
 # Each disk step covers at most this fraction of the distance from its centre
 # to the nearer puncture; the series tail bound in ``transport`` relies on it.
 _STEP_RATIO = 0.4
-# Planned a relative 2^-20 inside _STEP_RATIO, so the ratio holds exactly.
+# Steps are planned a relative 2^-20 inside _STEP_RATIO and must pass
+# a float64 test against _CHECK_RATIO that implies the exact ratio.
 _PLAN_RATIO = _STEP_RATIO * (1 - 2 ** -20)
+_CHECK_RATIO = _STEP_RATIO * (1 - 2 ** -40)
 _GUARD_BITS = 8
 
 
@@ -261,46 +263,72 @@ def _fraction_bits(prec, terms):
 def _disk_chain(path, margin, prec):
     """The steps (c, z1) of the disk chain that covers ``path``.
 
-    From a centre c the step runs to the point z1 a further arclength of
-    ``_PLAN_RATIO`` * dist(c, {0, 1}) along the path, or to the end of the
-    segment if that comes first, and z1 becomes the next centre.  The chain
-    is planned in float64, so every point is a Python complex, a pair of
-    dyadic rationals, except the end of an arc about p from z0, which is
-    p + (z0 - p) exp(i sweep) taken once by mpmath at prec + 8 bits and
-    reached as an mpc.  A line ends exactly on its end point.  A chord is
-    no longer than its arc, and the slack of ``_PLAN_RATIO`` below 0.4
-    covers the rounding of the float64 points and of an arc's end, so every
-    step has |z1 - c| <= 0.4 dist(c, {0, 1}); ``_step_row`` checks it
-    exactly.  A centre closer than margin / 2 to a puncture, or a chain of
-    more than ``_DISK_CAP`` disks, raises PathError before any step is
-    taken.
+    Each step is planned in float64 from zf, the double nearest its centre
+    c, the end of the step before.  Its length is
+    ``_PLAN_RATIO`` * dist(zf, {0, 1}) (``_plan_step``): along an arc it
+    turns zf about the centre while the sweep left is longer than that,
+    then it runs straight for the segment's end, which it takes once it is
+    that close.  z1 becomes the next centre.  So every point is a Python
+    complex, a pair of dyadic rationals, except the end of an arc of radius
+    r about p from z0: p + (mpc(z0) - p) exp(i sweep), taken once by mpmath
+    at prec + 8 bits, within 2^-(prec + 6) (|p| + r) of its value, and
+    reached as an mpc.  A line ends exactly on its end point.  As a step is
+    planned from its own start, its rounding scales with |z1|, not with the
+    length of the segment.
+
+    Every step must pass, in float64,
+    |z1 - zf| + 2^-51 (|z1| + |zf|) <= ``_CHECK_RATIO`` dist(zf, {0, 1}).
+    Each abs, difference and product there is within a relative 2^-51 of
+    its value, and z1 and c within a relative 2^-53 of their doubles, which
+    the 2^-51 terms cover; so every step has |z1 - c| <= 0.4 dist(c, {0, 1}),
+    which ``_step_row`` checks again, exactly.  The planned step, within a
+    relative 2^-20 of the bound, fails the test only when dist(zf, {0, 1})
+    is below about 2^-28 |zf|, within a few 1e-9 of 1 (a margin below 1e-8
+    allows that).  Such a step, a centre closer than margin / 2 to a
+    puncture, or a chain of more than ``_DISK_CAP`` disks raises PathError
+    before any step is taken.
     """
     steps = []
     z = zf = path.base_point
     for seg in path.segments:
-        z0 = zf
         if isinstance(seg, LineTo):
-            end, length = seg.end, abs(seg.end - z0)
-            curve = lambda s: (1 - s) * z0 + s * end  # noqa: E731
+            p, left, end = None, 0.0, seg.end
         else:
-            p, w0, sweep = seg.center, z0 - seg.center, seg.sweep
+            p, left = seg.center, seg.sweep
             with mp.workprec(prec + _GUARD_BITS):
-                end = p + (z - p) * mp.expj(sweep)
-            length = abs(w0 * sweep)
-            curve = lambda s: p + w0 * cmath.rect(1, sweep * s)  # noqa: E731
-        s = 0.0
-        while length and s < 1:
+                end = p + (mp.mpc(z) - p) * mp.expj(left)
+        while left or z != end:
             dist = min(abs(zf), abs(1 - zf))
             if dist < margin / 2:
                 raise PathError(f"transport came within {dist:.3e} of a "
                                 f"puncture (margin {margin})")
             if len(steps) == _DISK_CAP:
                 raise PathError(f"the path needs more than {_DISK_CAP} disks")
-            s = min(s + _PLAN_RATIO * dist / length, 1.0)
-            z1 = end if s == 1 else curve(s)
+            z1, left = _plan_step(zf, p, left, end, _PLAN_RATIO * dist)
+            z1f = complex(z1)
+            if abs(z1f - zf) + 2 ** -51 * (abs(z1f) + abs(zf)) \
+                    > _CHECK_RATIO * dist:
+                raise PathError(f"transport came within {dist:.3e} of a "
+                                f"puncture, too close to step in float64")
             steps.append((z, z1))
-            z, zf = z1, complex(z1)
+            z, zf = z1, z1f
     return steps
+
+
+def _plan_step(zf, p, left, end, step):
+    """(z1, sweep left after it) for one step of length at most ``step``
+    from zf: zf turned about p along an arc of length ``step``, if that is
+    shorter than the sweep ``left``, else toward ``end``, and onto it once
+    it is within ``step``."""
+    if left and step < abs(left * (zf - p)):
+        angle = math.copysign(step / abs(zf - p), left)
+        # exp(i angle) - 1 = 2i sin(angle / 2) exp(i angle / 2), uncancelled
+        return zf + (zf - p) * 2j * math.sin(angle / 2) \
+            * cmath.rect(1, angle / 2), left - angle
+    gap = complex(end) - zf
+    if abs(gap) <= step:
+        return end, 0.0
+    return zf + gap * (step / abs(gap)), 0.0
 
 
 def _product_guard(n, disks):
@@ -464,10 +492,11 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     chain.
 
     Whole-transport bound.  The chain runs from the base point to the end of
-    the last segment, exactly for a line and within 2^-(prec + 8) times the
-    radius for an arc; the exact product for it is L(base)^-1 L(end) on the
-    continued branch.  Moving Lambda by at most 2^-(prec + 7) moves each
-    Lambda^m / m! by at most 2^-(prec + 7) e^|Lambda|, and the final product
+    the last segment, exactly for a line and within 2^-(prec + 6) (|p| + r)
+    for an arc of radius r about p; the exact product for it is
+    L(base)^-1 L(end) on the continued branch.  Moving Lambda by at most
+    2^-(prec + 7) moves each Lambda^m / m! by at most
+    2^-(prec + 7) e^|Lambda|, and the final product
     at F bits adds less than that again, so every entry v of row i of the
     result lies within
     2^-prec |v| + 2^-(prec + 6) e^|Lambda| sum_k |start[i][k]|

@@ -117,11 +117,9 @@ class PathSpec:
 
     def winding_number(self, p):
         """Winding of the path around the point p (path must avoid p)."""
-        total = 0.0
         starts, _ = self.segment_starts()
-        for start, seg in zip(starts, self.segments):
-            total += _sweep_angle(start, seg, p)
-        turns = total / (2 * math.pi)
+        turns = sum(_sweep_angle(start, seg, p) for start, seg
+                    in zip(starts, self.segments)) / (2 * math.pi)
         n = round(turns)
         if abs(turns - n) > 1e-6:
             raise PathError(f"winding number did not converge: {turns}")
@@ -180,37 +178,32 @@ def _segment_end(start, seg):
 def _sweep_angle(start, seg, p):
     """Continuous change of arg(z - p) along one segment.
 
-    Arcs are pre-split into pieces of sweep <= pi/4; a piece whose chord is
-    at most half the distance to p then stays inside a disk avoiding p, so
-    the principal argument of the endpoint ratio is the true change.
+    Along a line it is the principal argument of the end point ratio.  An
+    arc is cut into pieces of sweep at most pi / 2, and along each the
+    change is that along its chord, plus 2 pi with the sign of the sweep
+    when p lies between the piece and its chord: the piece and the chord
+    back then wind once about p, the way the arc turns.
     """
-
-    def zfun(s):
-        if isinstance(seg, LineTo):
-            return start + s * (seg.end - start)
-        w0 = start - seg.center
-        return seg.center + w0 * complex(math.cos(seg.sweep * s),
-                                         math.sin(seg.sweep * s))
-
-    def rec(s0, s1, z0, z1, depth):
-        if abs(z0 - p) == 0 or abs(z1 - p) == 0:
-            raise PathError("path passes through the winding point")
-        if abs(z1 - z0) <= 0.5 * abs(z0 - p) or depth > 60:
-            q = (z1 - p) / (z0 - p)
-            return math.atan2(q.imag, q.real)
-        sm = 0.5 * (s0 + s1)
-        zm = zfun(sm)
-        return rec(s0, sm, z0, zm, depth + 1) + rec(sm, s1, zm, z1, depth + 1)
-
-    pieces = 1
-    if isinstance(seg, Arc):
-        pieces = max(1, math.ceil(abs(seg.sweep) / (math.pi / 4)))
-    total = 0.0
-    knots = [i / pieces for i in range(pieces + 1)]
-    zs = [zfun(s) for s in knots]
-    for i in range(pieces):
-        total += rec(knots[i], knots[i + 1], zs[i], zs[i + 1], 0)
+    if isinstance(seg, LineTo):
+        return _chord_angle(start, seg.end, p)
+    pieces = max(1, math.ceil(abs(seg.sweep) / (math.pi / 2)))
+    turn = cmath.rect(1, seg.sweep / pieces)
+    w, total = start - seg.center, 0.0
+    for _ in range(pieces):
+        a, b = seg.center + w, seg.center + w * turn
+        total += _chord_angle(a, b, p)
+        # the arc lies right of the chord a -> b when it turns left
+        beside = ((b - a).conjugate() * (p - a)).imag * seg.sweep < 0
+        if beside and abs(p - seg.center) < abs(w):
+            total += math.copysign(2 * math.pi, seg.sweep)
+        w *= turn
     return total
+
+
+def _chord_angle(a, b, p):
+    if a == p or b == p:
+        raise PathError("path passes through the winding point")
+    return cmath.phase((b - p) / (a - p))
 
 
 def canonical_loop(which):

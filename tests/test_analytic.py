@@ -234,18 +234,25 @@ class TestTransport:
                 assert abs(moved.entries[0][j] - ref_polylog(j, z1)) < bound
 
     @pytest.mark.parametrize("prec", [128, 256])
-    def test_open_path_ends_on_its_arc(self, prec):
-        """Transport along an arc of radius 1/2 about 0 ends at
-        0.5 exp(i sweep) itself, not at its float64 neighbour: row 0
-        matches mpmath's polylog there within the whole-transport bound."""
+    @pytest.mark.parametrize("corner, centre", [(None, 0j),
+                                                (0.5 + 0.5j, 0.1 + 0.1j)],
+                             ids=["about-0", "inexact-radius"])
+    def test_open_path_ends_on_its_arc(self, prec, corner, centre):
+        """Transport along an arc of sweep pi/3 ends at
+        p + (a - p) exp(i sweep) itself, for the start a and centre p, not
+        at its float64 neighbour: row 0 matches mpmath's polylog there
+        within the whole-transport bound.  From 0.5 + 0.5j about
+        0.1 + 0.1j, a - p is not exact in float64."""
         n = 4
         sweep = math.pi / 3
-        path = PathSpec(complex(0.5, 0.0), (Arc(0j, sweep),))
+        lines = (LineTo(corner),) if corner else ()
+        path = PathSpec(complex(0.5, 0.0), lines + (Arc(centre, sweep),))
         start = principal_lambda(n, 0.5, prec=prec)
         moved = transport(n, path, start, prec=prec)
         oracle_prec = ORACLE_PREC + 64
         with mp.workprec(oracle_prec):
-            end = mp.mpf(0.5) * mp.expj(mp.mpf(sweep))
+            a, p = mp.mpc(corner or 0.5), mp.mpc(centre)
+            end = p + (a - p) * mp.expj(mp.mpf(sweep))
             growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
             weight = sum(abs(v) for v in start.entries[0])
             for j in range(1, n + 1):
@@ -262,6 +269,14 @@ class TestTransport:
         # passes validation within its 1e-12 slack; transport stops short of 0
         with pytest.raises(PathError):
             transport(1, through, start, margin=1e-13)
+
+    def test_float64_planning_floor_is_a_path_error(self):
+        # 1e-14 from 1 the doubles are too coarse to plan a step of the
+        # exact ratio: a PathError, not a step that fails the exact check
+        past = PathSpec(complex(0.5, 1e-14), (LineTo(complex(1.5, 1e-14)),))
+        start = principal_lambda(1, 0.5)
+        with pytest.raises(PathError, match="float64"):
+            transport(1, past, start, margin=1e-14)
 
 
 class TestMonodromy:
@@ -503,6 +518,39 @@ def test_disk_chain_steps_stay_in_their_disks(base, segments):
     for seg in segments:
         if isinstance(seg, LineTo):
             k = points.index(seg.end, k)
+
+
+# 1e7 + 0.002 from 1e7 i, so the arc about 1e7 i passes 0.002 below 0
+_FAR_ARC_START = 1e7j + (1e7 + 0.002) * complex(-math.sin(0.5),
+                                                -math.cos(0.5))
+
+
+@pytest.mark.parametrize("path, m0, m1", [
+    (PathSpec(complex(-1e7, 0.002), (LineTo(complex(1e7, 0.002)),)), 0, 0),
+    (PathSpec(_FAR_ARC_START, (Arc(1e7j, 1.0),)), 1, 1)],
+    ids=["line", "arc"])
+def test_long_segment_past_the_punctures(path, m0, m1):
+    """A line and an arc 1e7 or more long that pass 0.002 from 0 and 1: every
+    step keeps the exact ratio, and transport of the identity at n = 2 gives
+    Lambda = Log(end / base) + 2 pi i m0 in entry (1, 2) and
+    Log(1 - base) - Log(1 - end) - 2 pi i m1 in entry (0, 1), within the
+    whole-transport bound.  The arc crosses both cuts once."""
+    path.validate()
+    steps = analytic._disk_chain(path, 1e-3, 128)
+    assert all(_within_step_ratio(c, z1) for c, z1 in steps)
+    one, zero = mp.mpc(1), mp.mpc(0)
+    start = analytic.PeriodMatrix(2, tuple(
+        tuple(one if i == j else zero for j in range(3)) for i in range(3)))
+    moved = transport(2, path, start)
+    with mp.workprec(ORACLE_PREC):
+        base, end = mp.mpc(path.base_point), mp.mpc(steps[-1][1])
+        lam = mp.log(end) - mp.log(base) + 2j * mp.pi * m0
+        li1 = mp.log(1 - base) - mp.log(1 - end) - 2j * mp.pi * m1
+        for v, want in ((moved.entries[1][2], lam),
+                        (moved.entries[0][1], li1)):
+            bound = mp.mpf(2) ** -128 * abs(v) \
+                + mp.mpf(2) ** -134 * mp.exp(abs(lam))
+            assert abs(v - want) <= bound
 
 
 @settings(deadline=None, max_examples=12)

@@ -35,6 +35,15 @@ def test_reversed_windings_negate():
     assert l1.reversed().winding_number(1) == -1
 
 
+def test_winding_between_an_arc_and_its_chord():
+    # a quarter circle about 0 from 1 to i and back along its chord winds
+    # once about a point between the two, and not about 0
+    path = PathSpec(1 + 0j, (Arc(0j, math.pi / 2), LineTo(1 + 0j)))
+    assert path.winding_number(0.6 + 0.6j) == 1
+    assert path.reversed().winding_number(0.6 + 0.6j) == -1
+    assert (path.winding_number(0), path.winding_number(0.4 + 0.4j)) == (0, 0)
+
+
 @st.composite
 def closed_loops(draw):
     """A canonical loop, or a closed polygon based at 1/2 that keeps the
