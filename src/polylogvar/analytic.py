@@ -18,9 +18,13 @@ step, the series and the principal first row of Li values run on Python
 integers in fixed point, with guard bits sized from the term count and the
 number of disks so that their rounding stays below the truncation error.
 
-Monodromy matrices come out of transport around a closed loop followed by
-exact rational reconstruction of every entry; the normalization by powers of
-2*pi*i is what makes those entries rational.
+Monodromy matrices share transport's disk chain and row step
+(``_step_chain``).  Below row 0 the system is the Tate-twisted symmetric
+power of the Kummer (log) system, so rows 1..n of a monodromy matrix are
+fixed by the loop's winding number about 0; only the n entries of row 0,
+from the row (1, Li_1, ..., Li_n) stepped around the loop, are reconstructed
+as exact rationals.  The normalization by powers of 2*pi*i is what makes
+those entries rational.
 """
 
 import cmath
@@ -436,6 +440,49 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
+def _step_chain(n, path, prec, margin, li_start=False):
+    """(d_re, d_im, m, Lambda, F) for ``path``, as ``transport``'s
+    docstring sizes and bounds them.
+
+    The solution row (1, R) is stepped by ``_step_row`` across the disk
+    chain of ``path`` (``_disk_chain``), with K terms a disk and F fraction
+    bits sized from ``prec`` and the number of disks.  R starts at 0, or
+    with ``li_start`` at (Li_1(b), ..., Li_n(b)) for the base point b, from
+    ``_li_row`` at F bits and floored to 2^-F.  d is the change of R across
+    the chain, an exact difference of Python integers scaled by 2^F: from 0
+    it is row 0 of the chain's product P.  Lambda = Log(z_end / z_base)
+    + 2 pi i m is the continued log(z_end / z_base), at F + 20 bits from
+    the fixed-point end points, with the integer m from the float64 phase
+    sum of the steps.
+    """
+    if not margin > 0:
+        raise DomainError("margin must be positive")
+    path.validate(margin)
+    steps = _disk_chain(path, margin, prec)
+    guard = _product_guard(n, len(steps))
+    terms = _series_terms(prec + guard)
+    F = _fraction_bits(prec + guard, terms)
+    points = [_to_fixed(z, F)
+              for z in [path.base_point] + [z1 for _, z1 in steps]]
+    s_re, s_im = [0] * n, [0] * n
+    if li_start:
+        with mp.workprec(F):
+            s_re, s_im = zip(*(_to_fixed(v, F) for v in
+                               _li_row(n, mp.mpc(path.base_point), F)))
+    r_re, r_im = s_re, s_im
+    for c, z1 in zip(points, points[1:]):
+        r_re, r_im = _step_row(r_re, r_im, c, z1, terms, F)
+    turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
+                     for z0, z1 in steps)
+    with mp.workprec(F + 20):
+        log_ratio = mp.log(_from_fixed(*points[-1], F)
+                           / _from_fixed(*points[0], F))
+        m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
+        log_sum = log_ratio + 2j * m * mp.pi
+    return ([a - b for a, b in zip(r_re, s_re)],
+            [a - b for a, b in zip(r_im, s_im)], m, log_sum, F)
+
+
 def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     """Analytic continuation of ``start`` along ``path``.
 
@@ -446,7 +493,9 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     l = log(1 + w/c), w = z1 - c, the principal logarithm since
     |w/c| <= 0.4.  So the product P = T_1 ... T_D is exp(Lambda N) below
     row 0, with Lambda = sum l_k, and transport returns start * P, formed
-    once at the end, in mpmath at F bits, and rounded to ``prec``.
+    once at the end, in mpmath at F bits, and rounded to ``prec``.  The
+    chain, the sizing, the row step and the phase sum below are
+    ``_step_chain``'s, which ``monodromy`` shares.
 
     Row 0 of P is the solution row R <- R T_k, from R = e_0, stepped by
     ``_step_row`` across each disk in Python-int fixed point at 2^-F, about
@@ -512,25 +561,7 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
         raise DomainError("transport needs n >= 1")
     if start.n != n:
         raise DomainError("start matrix has the wrong weight")
-    if not margin > 0:
-        raise DomainError("margin must be positive")
-    path.validate(margin)
-    steps = _disk_chain(path, margin, prec)
-    guard = _product_guard(n, len(steps))
-    terms = _series_terms(prec + guard)
-    F = _fraction_bits(prec + guard, terms)
-    r_re, r_im = [0] * n, [0] * n
-    points = [_to_fixed(z, F)
-              for z in [path.base_point] + [z1 for _, z1 in steps]]
-    for c, z1 in zip(points, points[1:]):
-        r_re, r_im = _step_row(r_re, r_im, c, z1, terms, F)
-    turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
-                     for z0, z1 in steps)
-    with mp.workprec(F + 20):
-        log_ratio = mp.log(_from_fixed(*points[-1], F)
-                           / _from_fixed(*points[0], F))
-        m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
-        log_sum = log_ratio + 2j * m * mp.pi
+    r_re, r_im, _, log_sum, F = _step_chain(n, path, prec, margin)
     with mp.workprec(F):
         # P: row 0 as stepped, exp(Lambda N) below; zeros of start stay exact
         power = [mp.mpf(1)]
@@ -548,31 +579,50 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
                             tag)
 
 
-def _solve_upper(lam, target, n):
-    """M with M * lam = target, lam upper triangular; by forward substitution
-    along each row."""
-    M = [[mp.mpc(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            acc = target[i][j]
-            for k in range(j):
-                if M[i][k]:
-                    acc -= M[i][k] * lam[k][j]
-            M[i][j] = acc / lam[j][j]
-    return M
-
-
 def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
-              margin=DEFAULT_MARGIN, max_den=None):
-    """Exact monodromy matrix of the weight-n system along a closed loop.
+              margin=DEFAULT_MARGIN):
+    """Exact monodromy matrix M of the weight-n system along a closed loop
+    based at real b in (0, 1): L(b) continued around the loop is M L(b).
 
-    Transports the principal fundamental solution around the loop, divides by
-    the start matrix, and certifies each entry as a rational number with
-    denominator at most max_den (default n!) within rtol = 100 * tol.  Two
-    such rationals differ by at least 1/max_den^2, so the certified value is
-    unique only when 2 * rtol * max_den^2 < 1; otherwise DomainError is raised
-    before any transport.  Raises ReconstructionError when an entry fails to
-    certify - a sign of insufficient precision or an inadmissible path.
+    Structure.  Transport returns L(b) P, P the product of the chain's
+    transitions, so M = L(b) P L(b)^-1.  Write L(b) = [[1, v], [0, D E(l)]]
+    with v = (Li_1(b), ..., Li_n(b)), l = log b, D = diag((2 pi i)^i) and
+    E(x) the n x n matrix with x^(j-i) / (j-i)! at (i, j), so
+    E(x) E(y) = E(x + y); and P = [[1, r], [0, E(Lambda)]] (``transport``).
+    Then M = [[1, (u - v) E(-l) D^-1], [0, D E(Lambda) D^-1]], where
+    u = r + v E(Lambda) is row 0 of L(b) P: the row (1, v) stepped across
+    the chain.  The loop closes, so Lambda = 2 pi i m for the winding m
+    about 0, and entry (i, j) of rows 1..n is
+    (2 pi i)^(i-j) (2 pi i m)^(j-i) / (j-i)! = m^(j-i) / (j-i)!, exactly.
+    So only row 0 is computed: v by ``_li_row`` at the chain's F bits,
+    stepped across the disk chain that transport takes, and u - v, an
+    exact difference of integers, times E(-l) D^-1 at F bits
+    (``_step_chain``).
+
+    Denominators.  The loop is a word in the loops about 0 and 1 from b,
+    whose matrices are M_0 (m = 1, row 0 = e_0) and M_1 = I - E_01, with
+    inverses M_0^-1 (m = -1) and I + E_01.  Entry (i, j) of each lies in
+    (1/(j-i)!) Z, and a product of upper triangular matrices keeps that, as
+    1 / ((k-i)! (j-k)!) = C(j-i, k-i) / (j-i)! and binomial coefficients are
+    integers.  So every entry of M is a rational with denominator at most
+    n!, and row 0 is reconstructed as one, within rtol = 100 * tol.  Two
+    such rationals differ by at least 1/(n!)^2, so the certified value is
+    unique only when 2 * rtol * (n!)^2 < 1; otherwise DomainError is raised
+    before any transport.
+
+    Accuracy.  Let V = max(1, Li_1(b)), which bounds every |Li_j(b)|.  The
+    floored start row is within 3 V 2^-F of v, and it cancels from u - v up
+    to its image under P - I.  In ``transport``'s growth bound, a start row
+    bounded by V in every entry, in place of e_0, multiplies the carried
+    error by at most n V, so u - v is within (n + 1) V 2^-(prec + 7) of its
+    value for the chain.  So row 0 of M, certified at F bits, is within
+    (n + 1) V e^|l| 2^-(prec + 6), the product at F bits taking less than
+    half of that, plus the change of u between b and the chain's end.  That
+    end is the loop's end exactly when the loop ends on a line, b itself
+    for the canonical loops; a closure gap the reconstruction tolerance
+    does not absorb fails the certificate.
+    Raises ReconstructionError when an entry fails to certify - a sign of
+    insufficient precision or an inadmissible path.
     """
     if n < 1:
         raise DomainError("monodromy needs n >= 1")
@@ -581,31 +631,35 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     base = loop.base_point
     if abs(base.imag) > 0 or not 0 < base.real < 1:
         raise DomainError("monodromy loops must be based at real z in (0, 1)")
-    if max_den is None:
-        max_den = math.factorial(n)
+    max_den = math.factorial(n)
     with mp.workprec(prec):
         rtol = mp.mpf(tol) * 100
         if 2 * rtol * max_den ** 2 >= 1:
             raise DomainError(
                 f"tolerance 100 * {tol} cannot single out a rational with "
                 f"denominator <= {max_den}: need 2 * rtol * max_den^2 < 1")
-    start = principal_lambda(n, base.real, prec=prec)
-    moved = transport(n, loop, start, prec=prec, margin=margin)
-    with mp.workprec(prec):
-        M = _solve_upper(start.rows(), moved.rows(), n)
-        out = []
-        for i in range(n + 1):
-            row = []
-            for j in range(n + 1):
-                v = M[i][j]
-                if abs(v.imag) > rtol:
-                    raise ReconstructionError(
-                        f"entry ({i},{j}) has imaginary part {mp.nstr(v.imag, 5)}")
-                r = rational_reconstruct(v.real, max_den, rtol)
-                if r is None:
-                    raise ReconstructionError(
-                        f"entry ({i},{j}) = {mp.nstr(v.real, 20)} is not a "
-                        f"rational with denominator <= {max_den}")
-                row.append(r)
-            out.append(row)
-        return RationalMatrix(out)
+    d_re, d_im, m, _, F = _step_chain(n, loop, prec, margin, li_start=True)
+    with mp.workprec(F):
+        # row 0: (u - v) E(-log b) D^-1; D^-1 divides entry j by (2 pi i)^j
+        lg, two_pi = mp.log(base.real), 2 * mp.pi
+        power = [mp.mpf(1)]
+        for k in range(1, n):
+            power.append(-power[-1] * lg / k)
+        diff = [_from_fixed(a, b, F) for a, b in zip(d_re, d_im)]
+        row0 = [sum(diff[k] * power[j - 1 - k] for k in range(j))
+                * (1, -1j, -1, 1j)[j % 4] / two_pi ** j
+                for j in range(1, n + 1)]
+    out = [[Fraction(1)]]
+    for j, v in enumerate(row0, 1):
+        if abs(v.imag) > rtol:
+            raise ReconstructionError(
+                f"entry (0,{j}) has imaginary part {mp.nstr(v.imag, 5)}")
+        r = rational_reconstruct(v.real, max_den, rtol)
+        if r is None:
+            raise ReconstructionError(
+                f"entry (0,{j}) = {mp.nstr(v.real, 20)} is not a "
+                f"rational with denominator <= {max_den}")
+        out[0].append(r)
+    out += [[0] * i + [Fraction(m ** k, math.factorial(k))
+                       for k in range(n + 1 - i)] for i in range(1, n + 1)]
+    return RationalMatrix(out)

@@ -20,13 +20,14 @@ that build period matrices, li, omega and recurrence-check take
 transport, and the finite-difference step of flatness, 2^-floor(prec/3);
 --tol never enters them.  flatness passes up to --n 20 at the default 128
 bits, and reaching n = 64 takes about 300 bits.  --tol only sets the bounds
-that decide a certificate or a verdict: the reconstruction tolerance of
-monodromy (100 * tol), the entrywise bound of kummer-block and the quadrature
-target of integrate.  integrate computes the cube integral as the
-one-dimensional integral it equals, by a double-exponential rule in float64
-with at most 65 537 nodes a level, and reports its value as that double, not
-padded to --precision digits; a --tol below the rounding of that sum ends in
-exit 4.
+that decide a certificate or a verdict: the tolerance (100 * tol) within
+which monodromy certifies the n entries of row 0 as rationals with
+denominator at most n!, a bound that no flag sets, the entrywise bound of
+kummer-block and the quadrature target of integrate.  integrate computes the
+cube integral as the one-dimensional integral it equals, by a
+double-exponential rule in float64 with at most 65 537 nodes a level, and
+reports its value as that double, not padded to --precision digits; a --tol
+below the rounding of that sum ends in exit 4.
 """
 
 import json
@@ -170,13 +171,10 @@ def _transport(args):
 
 
 @_command("monodromy", "exact monodromy matrix of a closed loop",
-          MAX_MATRIX_N, _N, ("--loop", dict(required=True)),
-          ("--max-den", dict(type=int, default=None,
-                             help="denominator bound (default n!)")))
+          MAX_MATRIX_N, _N, ("--loop", dict(required=True)))
 def _monodromy(args):
     loop = _resolve_loop(args.loop)
-    M = monodromy(args.n, loop, tol=args.tol, prec=args.precision,
-                  max_den=args.max_den)
+    M = monodromy(args.n, loop, tol=args.tol, prec=args.precision)
     return {"matrix": [list(row) for row in M.entries]}, None
 
 
@@ -379,9 +377,6 @@ def _validate(args):
         raise DomainError("--samples must be positive")
     if getattr(args, "samples", 1) > MAX_SAMPLES:
         raise DomainError(f"--samples must be at most {MAX_SAMPLES}")
-    max_den = getattr(args, "max_den", None)
-    if max_den is not None and max_den < 1:
-        raise DomainError("--max-den must be at least 1")
     n = getattr(args, "n", None)
     if n is not None and n < 0:
         raise DomainError("--n must be nonnegative")

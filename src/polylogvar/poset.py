@@ -14,18 +14,25 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .linalg_exact import sparse_rank
-from .partitions import partitions_of
+from .partitions import SetPartition, partitions_of
 
 
 def _proper_part(n):
     """Partitions strictly between the discrete and the one-block partition,
-    plus the strict order relation as adjacency lists."""
+    plus the strict order relation as adjacency lists.
+
+    The partitions strictly above p, with k blocks, are p's blocks merged
+    along each partition of {1, ..., k} strictly between the discrete and
+    the one-block one."""
     elems = [p for p in partitions_of(n) if 1 < p.num_blocks() < n]
-    above = [[] for _ in elems]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            if p.num_blocks() > q.num_blocks() and p.refines(q):
-                above[i].append(j)
+    index = {p: i for i, p in enumerate(elems)}
+    above = []
+    for p in elems:
+        k = p.num_blocks()
+        merged = (SetPartition(tuple(sum((p.blocks[b - 1] for b in group), ())
+                                     for group in sigma.blocks))
+                  for sigma in partitions_of(k) if 1 < sigma.num_blocks() < k)
+        above.append(sorted(index[q] for q in merged))
     return elems, above
 
 

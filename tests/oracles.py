@@ -68,6 +68,33 @@ def alternating_li2_minus1():
         return mp.nsum(lambda k: (-1) ** k / k ** 2, [1, mp.inf], method="a")
 
 
+def ref_generator(n, which, sign):
+    """The closed form of M_which^sign, sign = +-1, the monodromy about
+    puncture 0 or 1 at weight n: M_0^sign has row 0 = e_0 and
+    sign^(j-i) / (j-i)! at (i, j), j >= i, on rows 1..n; M_1^sign is
+    I - sign E_01."""
+    m = [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n + 1)]
+    if which == 1:
+        m[0][1] = Fraction(-sign)
+    else:
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                m[i][j] = Fraction(sign ** (j - i), math.factorial(j - i))
+    return m
+
+
+def ref_word_monodromy(n, word):
+    """The product, in word order, of ``ref_generator(n, which, sign)`` over
+    the letters (which, sign) of ``word``."""
+    out = [[Fraction(int(i == j)) for j in range(n + 1)]
+           for i in range(n + 1)]
+    for which, sign in word:
+        g = ref_generator(n, which, sign)
+        out = [[sum(row[k] * g[k][j] for k in range(n + 1))
+                for j in range(n + 1)] for row in out]
+    return out
+
+
 def ref_eulerian(r):
     """Coefficients of E_r, lowest degree first, from the explicit
     alternating sum A(r, m) = sum_j (-1)^j C(r+1, j) (m+1-j)^r."""

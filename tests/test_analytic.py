@@ -15,7 +15,8 @@ from polylogvar.exact import RationalMatrix
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
-                     ref_polylog, ref_minus_log1m, ref_solution)
+                     ref_polylog, ref_minus_log1m, ref_solution,
+                     ref_word_monodromy)
 
 TOL = 1e-10
 
@@ -332,9 +333,14 @@ class TestMonodromy:
             monodromy(1, path)
 
     def test_tight_denominator_bound_fails(self):
-        # weight 3 monodromy around 0 contains 1/2, so max_den = 1 cannot certify
-        with pytest.raises(ReconstructionError):
-            monodromy(3, canonical_loop(0), tol=TOL, max_den=1)
+        # the loop around 1 ends 5e-10 past its base, inside the closure
+        # tolerance: Li_1 moves by 1e-9 there, so entry (0, 1) is off by
+        # 1.6e-10 i, more than rtol = 1e-10 allows
+        loop = PathSpec(complex(0.5, 0.0),
+                        (LineTo(complex(0.75, 0.0)), Arc(1 + 0j, 2 * math.pi),
+                         LineTo(complex(0.5 + 5e-10, 0.0))), closed=True)
+        with pytest.raises(ReconstructionError, match=r"entry \(0,1\)"):
+            monodromy(3, loop, tol=1e-12)
 
     def test_precision_independence(self):
         # the reconstructed matrix is exact, so precision cannot change it
@@ -353,15 +359,34 @@ class TestMonodromy:
             expected_monodromy_loop1(n)
 
     def test_ambiguous_certificate_rejected_before_transport(self, monkeypatch):
-        def no_transport(*args, **kwargs):
-            raise AssertionError("transport ran")
+        def no_step(*args, **kwargs):
+            raise AssertionError("a disk step ran")
 
-        monkeypatch.setattr(analytic, "transport", no_transport)
+        monkeypatch.setattr(analytic, "_step_row", no_step)
         # 2 * (100 * 1e-8) * 5040^2 is about 51: no unique rational
         with pytest.raises(DomainError):
             monodromy(7, canonical_loop(0), tol=1e-8)
+        # 2 * (100 * 1e-8) * 720^2 is about 1.04, just over the bound
         with pytest.raises(DomainError):
-            monodromy(2, canonical_loop(0), tol=1e-7, max_den=300)
+            monodromy(6, canonical_loop(0), tol=1e-8)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 4),
+       word=st.lists(st.tuples(st.sampled_from([0, 1]),
+                               st.sampled_from([1, -1])),
+                     min_size=1, max_size=4))
+def test_word_monodromy_is_the_generator_product(n, word):
+    """A word in the canonical loops and their reverses, joined end to end,
+    has the product of the generators' closed forms in word order as its
+    monodromy: M(a.then(b)) = M(a) M(b)."""
+    loops = [canonical_loop(which) if sign == 1
+             else canonical_loop(which).reversed() for which, sign in word]
+    path = loops[0]
+    for loop in loops[1:]:
+        path = path.then(loop)
+    assert monodromy(n, path, tol=TOL) == \
+        RationalMatrix(ref_word_monodromy(n, word))
 
 
 @settings(deadline=None, max_examples=6)
@@ -602,19 +627,20 @@ class TestPrincipalLambdaPrecision:
                         mp.mpf(2) ** -(prec - 1)
 
     def test_loop0_entries_near_their_rationals(self):
-        # before reconstruction, L0^-1 transport(L0) must already sit within
-        # 2^-100 of the exact loop0 matrix at 128 bits
+        # transport(L0) around loop0 is M_0 L0: at 128 bits it must sit
+        # within 2^-100 of the exact M_0 times L0
         n = 4
         start = principal_lambda(n, 0.5, prec=128)
         moved = transport(n, canonical_loop(0), start, prec=128)
         exact = expected_monodromy_loop0(n)
         with mp.workprec(128):
-            M = analytic._solve_upper(start.rows(), moved.rows(), n)
             for i in range(n + 1):
                 for j in range(n + 1):
-                    q = exact.entries[i][j]
-                    target = mp.mpf(q.numerator) / q.denominator
-                    assert abs(M[i][j] - target) <= mp.mpf(2) ** -100
+                    target = sum(mp.mpf(q.numerator) / q.denominator
+                                 * start.entries[k][j]
+                                 for k, q in enumerate(exact.entries[i]))
+                    assert abs(moved.entries[i][j] - target) <= \
+                        mp.mpf(2) ** -100
 
 
 def test_invariant_validation_catches_corruption():

@@ -327,7 +327,7 @@ def test_table_read_matches_argparse(name, data):
     ["li", "--n", "2", "--z", "-0.5"],
     ["flatness", "--n", "2", "--timing", "--timing"],
     ["paving", "--n=2", "--z=0.5", "--format=xml"],
-    ["monodromy", "--n=1", "--loop=loop0", "--max-den=-"],
+    ["monodromy", "--n=1", "--loop=loop0", "--tol=-"],
 ])
 def test_table_read_matches_argparse_on_edges(argv):
     assert _outcome(lambda: cli._parse(argv)) == \
@@ -369,10 +369,17 @@ def test_domain_error_exit_3():
     assert code == 3
 
 
-def test_numerical_failure_exit_4():
-    # weight-3 monodromy around 0 contains 1/2; denominator bound 1 fails
-    code, _ = run_cli(["monodromy", "--n", "3", "--loop", "loop0",
-                       "--max-den", "1", "--tol", "1e-10"])
+def test_numerical_failure_exit_4(tmp_path):
+    # the loop around 1 ends 5e-10 past its base, inside the closure
+    # tolerance; entry (0, 1) is then 1.6e-10 i off, beyond rtol = 1e-10
+    loop = {"base": [0.5, 0.0],
+            "segments": [{"line": [0.75, 0.0]},
+                         {"arc": {"center": [1.0, 0.0], "sweep": 2 * math.pi}},
+                         {"line": [0.5 + 5e-10, 0.0]}],
+            "closed": True}
+    f = tmp_path / "loop.json"
+    f.write_text(json.dumps(loop))
+    code, _ = run_cli(["monodromy", "--n", "3", "--loop", str(f)])
     assert code == 4
 
 
@@ -432,12 +439,6 @@ def test_resource_guards_admit_their_limits():
                        str(cli.MAX_PRECISION)])
     assert code == 0
     assert cli.MAX_PRECISION == 4096 and cli.MAX_SAMPLES == 10 ** 6
-
-
-def test_bad_max_den_is_domain_error():
-    code, _ = run_cli(["monodromy", "--n", "2", "--loop", "loop0",
-                       "--max-den", "0"])
-    assert code == 3
 
 
 def test_flag_validation_before_compute():
