@@ -24,7 +24,10 @@ power of the Kummer (log) system, so rows 1..n of a monodromy matrix are
 fixed by the loop's winding number about 0; only the n entries of row 0,
 from the row (1, Li_1, ..., Li_n) stepped around the loop, are reconstructed
 as exact rationals.  The normalization by powers of 2*pi*i is what makes
-those entries rational.
+those entries rational.  Monodromy runs at the least precision that
+certifies: its row step is sized for the fewest bits whose proved row-0
+radius lies within the reconstruction tolerance, and the caller's precision
+only caps that count.
 """
 
 import cmath
@@ -37,7 +40,7 @@ from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
-from .exact import RationalMatrix, rational_reconstruct
+from .exact import RationalMatrix, mpf_to_fraction, rational_reconstruct
 from .paths import DEFAULT_MARGIN, LineTo
 
 DEFAULT_PREC = 128
@@ -74,18 +77,6 @@ class PeriodMatrix:
 
     def rows(self):
         return [list(row) for row in self.entries]
-
-    def validate_invariants(self):
-        """Column 0 is e_0, row n is (0,...,0,(2 pi i)^n), upper triangular."""
-        n = self.n
-        two_pi_i_n = (2 * mp.pi * mp.mpc(0, 1)) ** n
-        ok = self.entries[0][0] == 1
-        ok = ok and all(self.entries[i][0] == 0 for i in range(1, n + 1))
-        ok = ok and all(self.entries[n][j] == 0 for j in range(n))
-        ok = ok and mp.almosteq(self.entries[n][n], two_pi_i_n)
-        ok = ok and all(self.entries[i][j] == 0
-                        for i in range(n + 1) for j in range(i))
-        return ok
 
 
 def li_series(n, z, prec=DEFAULT_PREC):
@@ -276,9 +267,13 @@ def _disk_chain(path, margin, prec):
     complex, a pair of dyadic rationals, except the end of an arc of radius
     r about p from z0: p + (mpc(z0) - p) exp(i sweep), taken once by mpmath
     at prec + 8 bits, within 2^-(prec + 6) (|p| + r) of its value, and
-    reached as an mpc.  A line ends exactly on its end point.  As a step is
-    planned from its own start, its rounding scales with |z1|, not with the
-    length of the segment.
+    reached as an mpc.  A line ends exactly on its end point.  The last
+    segment of a closed path ends on the base point itself, which
+    ``PathSpec.validate`` puts within 1e-9 of that segment's end: a line
+    runs to it, and an arc turns its sweep and then runs straight to it, so
+    the chain of a closed path is closed.  As a step is planned from its own
+    start, its rounding scales with |z1|, not with the length of the
+    segment.
 
     Every step must pass, in float64,
     |z1 - zf| + 2^-51 (|z1| + |zf|) <= ``_CHECK_RATIO`` dist(zf, {0, 1}).
@@ -294,13 +289,16 @@ def _disk_chain(path, margin, prec):
     """
     steps = []
     z = zf = path.base_point
-    for seg in path.segments:
+    last = len(path.segments) - 1
+    for k, seg in enumerate(path.segments):
         if isinstance(seg, LineTo):
             p, left, end = None, 0.0, seg.end
         else:
             p, left = seg.center, seg.sweep
             with mp.workprec(prec + _GUARD_BITS):
                 end = p + (mp.mpc(z) - p) * mp.expj(left)
+        if path.closed and k == last:
+            end = path.base_point
         while left or z != end:
             dist = min(abs(zf), abs(1 - zf))
             if dist < margin / 2:
@@ -440,15 +438,18 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-def _step_chain(n, path, prec, margin, li_start=False):
+def _step_chain(n, path, prec, margin, li_bits=None):
     """(d_re, d_im, m, Lambda, F) for ``path``, as ``transport``'s
     docstring sizes and bounds them.
 
     The solution row (1, R) is stepped by ``_step_row`` across the disk
-    chain of ``path`` (``_disk_chain``), with K terms a disk and F fraction
-    bits sized from ``prec`` and the number of disks.  R starts at 0, or
-    with ``li_start`` at (Li_1(b), ..., Li_n(b)) for the base point b, from
-    ``_li_row`` at F bits and floored to 2^-F.  d is the change of R across
+    chain of ``path`` (``_disk_chain``, arc ends at ``prec`` + 8 bits), with
+    K terms a disk and F fraction bits sized from ``prec`` and the number of
+    disks, and R starting at 0.  With ``li_bits`` they are sized from
+    ``li_bits`` instead, and R starts at (Li_1(b), ..., Li_n(b)) for the
+    base point b, a real double, from ``_li_row`` at F bits and floored to
+    2^-F; F is then raised, if need be, until b converts exactly and
+    2^-F <= 2^-25 margin (see ``monodromy``).  d is the change of R across
     the chain, an exact difference of Python integers scaled by 2^F: from 0
     it is row 0 of the chain's product P.  Lambda = Log(z_end / z_base)
     + 2 pi i m is the continued log(z_end / z_base), at F + 20 bits from
@@ -459,13 +460,17 @@ def _step_chain(n, path, prec, margin, li_start=False):
         raise DomainError("margin must be positive")
     path.validate(margin)
     steps = _disk_chain(path, margin, prec)
+    bits = prec if li_bits is None else li_bits
     guard = _product_guard(n, len(steps))
-    terms = _series_terms(prec + guard)
-    F = _fraction_bits(prec + guard, terms)
+    terms = _series_terms(bits + guard)
+    F = _fraction_bits(bits + guard, terms)
+    if li_bits is not None:
+        F = max(F, Fraction(path.base_point.real).denominator.bit_length() - 1,
+                math.ceil(25 - math.log2(margin)))
     points = [_to_fixed(z, F)
               for z in [path.base_point] + [z1 for _, z1 in steps]]
     s_re, s_im = [0] * n, [0] * n
-    if li_start:
+    if li_bits is not None:
         with mp.workprec(F):
             s_re, s_im = zip(*(_to_fixed(v, F) for v in
                                _li_row(n, mp.mpc(path.base_point), F)))
@@ -542,7 +547,8 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
 
     Whole-transport bound.  The chain runs from the base point to the end of
     the last segment, exactly for a line and within 2^-(prec + 6) (|p| + r)
-    for an arc of radius r about p; the exact product for it is
+    for an arc of radius r about p, or back to the base point itself for a
+    closed path; the exact product for it is
     L(base)^-1 L(end) on the continued branch.  Moving Lambda by at most
     2^-(prec + 7) moves each Lambda^m / m! by at most
     2^-(prec + 7) e^|Lambda|, and the final product
@@ -579,6 +585,28 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
                             tag)
 
 
+def _row0_radius(n, base, bits):
+    """rho(bits) = (n + 1) V e^|log b| 2^-(bits + 6), the radius within which
+    ``monodromy`` proves row 0 from a chain sized for ``bits``, as an exact
+    Fraction for the double b = ``base`` in (0, 1).  V = max(1, b / (1 - b))
+    bounds Li_1(b) = -log(1 - b) <= b / (1 - b), hence every
+    |Li_j(b)| <= Li_1(b), and e^|log b| = 1 / b."""
+    b = Fraction(base)
+    return (n + 1) * max(1, b / (1 - b)) / b * Fraction(2) ** -(bits + 6)
+
+
+def _certified_bits(n, base, rtol):
+    """p*, the least integer p with ``_row0_radius``(n, base, p) <= rtol,
+    for a Fraction rtol > 0."""
+    q = _row0_radius(n, base, -6) / rtol
+    p = q.numerator.bit_length() - q.denominator.bit_length() - 6
+    while _row0_radius(n, base, p) > rtol:
+        p += 1
+    while _row0_radius(n, base, p - 1) <= rtol:
+        p -= 1
+    return p
+
+
 def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
               margin=DEFAULT_MARGIN):
     """Exact monodromy matrix M of the weight-n system along a closed loop
@@ -611,16 +639,44 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     before any transport.
 
     Accuracy.  Let V = max(1, Li_1(b)), which bounds every |Li_j(b)|.  The
-    floored start row is within 3 V 2^-F of v, and it cancels from u - v up
-    to its image under P - I.  In ``transport``'s growth bound, a start row
-    bounded by V in every entry, in place of e_0, multiplies the carried
-    error by at most n V, so u - v is within (n + 1) V 2^-(prec + 7) of its
-    value for the chain.  So row 0 of M, certified at F bits, is within
-    (n + 1) V e^|l| 2^-(prec + 6), the product at F bits taking less than
-    half of that, plus the change of u between b and the chain's end.  That
-    end is the loop's end exactly when the loop ends on a line, b itself
-    for the canonical loops; a closure gap the reconstruction tolerance
-    does not absorb fails the certificate.
+    chain is sized for p bits (below): K, G and F are ``transport``'s with p
+    in place of ``prec``.  The floored start row is within 3 V 2^-F of v,
+    and it cancels from u - v up to its image under P - I.  In
+    ``transport``'s growth bound, a start row bounded by V in every entry,
+    in place of e_0, multiplies the carried error by at most n V, so u - v
+    is within (n + 1) V 2^-(p + 7) of its value for the chain.  So row 0 of
+    M, certified at F bits, is within
+    rho(p) = (n + 1) V e^|l| 2^-(p + 6)
+    of row 0 of L(b) P_c L(b)^-1 for the exact product P_c of the chain,
+    the product at F bits taking less than half of rho(p).
+
+    The chain.  Its points are floored to 2^-F, which moves each by less
+    than sqrt(2) 2^-F; for F below 53 that is no longer exact for most
+    doubles.  F is at least the bit count of b's binary fraction, so b stays
+    exact, and the chain, which closes on b (``_disk_chain``), stays closed;
+    and 2^-F <= 2^-25 margin.  A planned step from c to z1 keeps a relative
+    2^-20 of the ratio 0.4 in reserve (``_PLAN_RATIO``), at least
+    0.4 2^-21 margin as d = dist(c, {0, 1}) >= margin / 2, and flooring
+    lengthens it by less than 2 sqrt(2) 2^-F and shortens d by less than
+    sqrt(2) 2^-F, together less than 3.4 2^-F < 0.4 2^-21 margin: every
+    floored step from c' to z1' passes the exact test
+    |z1' - c'| <= 0.4 dist(c', {0, 1}) of ``_step_row``, which checks it
+    again, so the row's series converges across it.  The planned chain
+    follows the loop inside its disks, and the quadrilateral of a planned
+    step and its floored image lies within 0.4 d + 2 sqrt(2) 2^-F < d of c,
+    so the floored closed chain is homotopic to the loop in C \\ {0, 1}.
+    Then P_c = L(b)^-1 M L(b), and its winding m is the loop's.
+
+    Precision.  ``_row0_radius`` forms rho(p) exactly in Fractions from the
+    double b, with V <= max(1, b / (1 - b)) and e^|l| = 1 / b, and
+    ``_certified_bits`` finds p*, the least p with rho(p) <= rtol.  The
+    chain is sized for p = min(prec, p*): ``prec`` is the most bits the
+    certificate may use.  A reconstructed rational lies within rtol of the
+    computed entry and the exact entry within rho(p) of it, so the two are
+    equal when rho(p) + rtol < 1/(n!)^2.  At p = p* that follows from the
+    rule above; for a cap ``prec`` below p* it is checked before any
+    transport, and DomainError, naming p*, is raised when it fails.  The
+    matrix is exact, so any cap that certifies gives the same one.
     Raises ReconstructionError when an entry fails to certify - a sign of
     insufficient precision or an inadmissible path.
     """
@@ -638,7 +694,16 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
             raise DomainError(
                 f"tolerance 100 * {tol} cannot single out a rational with "
                 f"denominator <= {max_den}: need 2 * rtol * max_den^2 < 1")
-    d_re, d_im, m, _, F = _step_chain(n, loop, prec, margin, li_start=True)
+    rtol_q = mpf_to_fraction(rtol)
+    need = _certified_bits(n, base.real, rtol_q)
+    bits = min(prec, need)
+    radius = _row0_radius(n, base.real, bits)
+    if radius + rtol_q >= Fraction(1, max_den ** 2):
+        raise DomainError(
+            f"{prec} bits prove row 0 only within {float(radius):.3g}, too "
+            f"wide to single out a rational with denominator <= {max_den}; "
+            f"this certificate needs {need} bits")
+    d_re, d_im, m, _, F = _step_chain(n, loop, prec, margin, li_bits=bits)
     with mp.workprec(F):
         # row 0: (u - v) E(-log b) D^-1; D^-1 divides entry j by (2 pi i)^j
         lg, two_pi = mp.log(base.real), 2 * mp.pi

@@ -23,7 +23,10 @@ bits, and reaching n = 64 takes about 300 bits.  --tol only sets the bounds
 that decide a certificate or a verdict: the tolerance (100 * tol) within
 which monodromy certifies the n entries of row 0 as rationals with
 denominator at most n!, a bound that no flag sets, the entrywise bound of
-kummer-block and the quadrature target of integrate.  integrate computes the
+kummer-block and the quadrature target of integrate.  monodromy's output is
+exact, so it runs at the least precision that certifies, the fewest bits
+whose proved row-0 error lies within 100 * tol; --precision only caps it,
+and a cap too low to single out the rationals is a domain error.  integrate computes the
 cube integral as the one-dimensional integral it equals, by a
 double-exponential rule in float64 with at most 65 537 nodes a level, and
 reports its value as that double, not padded to --precision digits; a --tol
@@ -113,8 +116,9 @@ _SHARED_FLAGS = (
         "tolerance of the monodromy certificate, kummer-block and integrate "
         "(default 1e-12); the accuracy of series, matrices and transport "
         "follows --precision alone"))),
-    ("--precision", dict(type=int, default=128,
-                         help="working precision in bits (default 128)")),
+    ("--precision", dict(type=int, default=128, help=(
+        "working precision in bits (default 128); monodromy runs at the "
+        "least precision that certifies, and this caps it"))),
     ("--seed", dict(type=int, default=0,
                     help="seed for randomized checks (default 0)")),
     ("--format", dict(choices=("json", "csv"), default="json")),

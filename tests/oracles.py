@@ -56,6 +56,16 @@ def ref_solution(n, z, prec=ORACLE_PREC):
         return L
 
 
+def period_matrix_invariants(lam):
+    """Whether the PeriodMatrix ``lam`` has column 0 equal to e_0, row n
+    equal to (0, ..., 0, (2 pi i)^n) and zeros below the diagonal, entry
+    (n, n) compared with mpmath's ``almosteq``."""
+    n, rows = lam.n, lam.entries
+    return (rows[0][0] == 1
+            and all(rows[i][j] == 0 for i in range(n + 1) for j in range(i))
+            and mp.almosteq(rows[n][n], (2j * mp.pi) ** n))
+
+
 def ref_minus_log1m(z):
     """-log(1-z) at 256-bit precision (equals Li_1)."""
     with mp.workprec(ORACLE_PREC):

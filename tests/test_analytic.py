@@ -15,8 +15,8 @@ from polylogvar.exact import RationalMatrix
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
-                     ref_polylog, ref_minus_log1m, ref_solution,
-                     ref_word_monodromy)
+                     period_matrix_invariants, ref_polylog, ref_minus_log1m,
+                     ref_solution, ref_word_monodromy)
 
 TOL = 1e-10
 
@@ -115,7 +115,7 @@ class TestPrincipalLambda:
 
     def test_invariants(self):
         for n in range(5):
-            assert principal_lambda(n, 0.5).validate_invariants()
+            assert period_matrix_invariants(principal_lambda(n, 0.5))
 
     def test_domain(self):
         for bad in (0, 1, -0.5, 1.5, mp.mpc(0.5, 0.1), complex(0.5, 0.1)):
@@ -214,7 +214,7 @@ class TestTransport:
         for j in range(n):
             assert moved.entries[n][j] == 0
         assert moved.entries[n][n] == start.entries[n][n]
-        assert moved.validate_invariants()
+        assert period_matrix_invariants(moved)
         assert moved.branch_tag.endswith("loop0")
 
     # the ids keep the tolerances these cases passed when transport still
@@ -332,15 +332,22 @@ class TestMonodromy:
         with pytest.raises(DomainError):
             monodromy(1, path)
 
-    def test_tight_denominator_bound_fails(self):
-        # the loop around 1 ends 5e-10 past its base, inside the closure
-        # tolerance: Li_1 moves by 1e-9 there, so entry (0, 1) is off by
-        # 1.6e-10 i, more than rtol = 1e-10 allows
+    def test_tight_denominator_bound_fails(self, first_step_off):
+        # the first disk step leaves Li_1 1e-9 off, which every later step
+        # carries unchanged, so entry (0, 1) is off by 1.6e-10 i, more than
+        # rtol = 1e-10 allows
+        with pytest.raises(ReconstructionError, match=r"entry \(0,1\)"):
+            monodromy(3, canonical_loop(1), tol=1e-12)
+
+    def test_loop_closing_within_the_closure_tolerance_certifies(self):
+        # the loop around 1 ends 5e-10 past its base, which validate allows;
+        # its disk chain closes on the base point itself
         loop = PathSpec(complex(0.5, 0.0),
                         (LineTo(complex(0.75, 0.0)), Arc(1 + 0j, 2 * math.pi),
                          LineTo(complex(0.5 + 5e-10, 0.0))), closed=True)
-        with pytest.raises(ReconstructionError, match=r"entry \(0,1\)"):
-            monodromy(3, loop, tol=1e-12)
+        assert monodromy(3, loop, tol=1e-12) == expected_monodromy_loop1(3)
+        steps = analytic._disk_chain(loop, 1e-3, 128)
+        assert steps[-1][1] == loop.base_point
 
     def test_precision_independence(self):
         # the reconstructed matrix is exact, so precision cannot change it
@@ -350,9 +357,12 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("n, prec, tol", [(4, 64, 1e-10), (4, 512, 1e-14),
                                               (8, 128, 1e-14)])
-    def test_guard_sizing_at_extremes(self, n, prec, tol):
-        # the fixed-point guard bits follow prec and the term count, so the
-        # certificate holds at the smallest and largest precisions and weights
+    def test_guard_sizing_at_extremes(self, monkeypatch, n, prec, tol):
+        # the fixed-point guard bits follow the sized precision and the term
+        # count, so the certificate holds at the smallest and largest
+        # precisions and weights; a certificate said to need more bits than
+        # any cap makes the chain be sized for the cap prec itself
+        monkeypatch.setattr(analytic, "_certified_bits", lambda *args: 10 ** 6)
         assert monodromy(n, canonical_loop(0), tol=tol, prec=prec) == \
             expected_monodromy_loop0(n)
         assert monodromy(n, canonical_loop(1), tol=tol, prec=prec) == \
@@ -369,24 +379,127 @@ class TestMonodromy:
         # 2 * (100 * 1e-8) * 720^2 is about 1.04, just over the bound
         with pytest.raises(DomainError):
             monodromy(6, canonical_loop(0), tol=1e-8)
+        # 64 bits prove row 0 within 3.6e-20, wider than 1 / (20!)^2; the
+        # certificate at tol 1e-50 needs 159
+        with pytest.raises(DomainError, match="needs 159 bits"):
+            monodromy(20, canonical_loop(0), tol=1e-50, prec=64)
 
 
-@settings(deadline=None, max_examples=30)
-@given(n=st.integers(1, 4),
-       word=st.lists(st.tuples(st.sampled_from([0, 1]),
-                               st.sampled_from([1, -1])),
-                     min_size=1, max_size=4))
-def test_word_monodromy_is_the_generator_product(n, word):
-    """A word in the canonical loops and their reverses, joined end to end,
-    has the product of the generators' closed forms in word order as its
-    monodromy: M(a.then(b)) = M(a) M(b)."""
-    loops = [canonical_loop(which) if sign == 1
-             else canonical_loop(which).reversed() for which, sign in word]
+def _seeded_rectangle(around, seed):
+    """A counterclockwise rectangle from the base point 1/2 around puncture
+    ``around``, its corners drawn by ``random.Random(seed)``; homotopic to
+    ``canonical_loop(around)``."""
+    rng = random.Random(seed)
+    inner, outer = rng.uniform(0.35, 0.65), rng.uniform(1.3, 1.6)
+    y0, y1 = rng.uniform(-0.6, -0.3), rng.uniform(0.3, 0.6)
+    if around == 1:
+        corners = [(inner, y0), (outer, y0), (outer, y1), (inner, y1),
+                   (inner, y0)]
+    else:
+        corners = [(inner, y0), (inner, y1), (1 - outer, y1), (1 - outer, y0),
+                   (inner, y0)]
+    return PathSpec(complex(0.5, 0.0),
+                    tuple(LineTo(complex(x, y)) for x, y in corners)
+                    + (LineTo(complex(0.5, 0.0)),), closed=True)
+
+
+def _word_path(word):
+    """The letters (which, sign, seed) joined end to end: the canonical loop
+    about ``which`` for seed None, else a seeded rectangle, reversed for
+    sign -1."""
+    loops = []
+    for which, sign, seed in word:
+        loop = canonical_loop(which) if seed is None \
+            else _seeded_rectangle(which, seed)
+        loops.append(loop if sign == 1 else loop.reversed())
     path = loops[0]
     for loop in loops[1:]:
         path = path.then(loop)
-    assert monodromy(n, path, tol=TOL) == \
-        RationalMatrix(ref_word_monodromy(n, word))
+    return path
+
+
+def _rtol(tol, prec=analytic.DEFAULT_PREC):
+    """rtol = 100 tol as ``monodromy`` forms it, as an exact Fraction."""
+    with mp.workprec(prec):
+        return analytic.mpf_to_fraction(mp.mpf(tol) * 100)
+
+
+_LETTERS = st.tuples(st.sampled_from([0, 1]), st.sampled_from([1, -1]),
+                     st.one_of(st.none(), st.integers(0, 2 ** 16)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(1, 6), word=st.lists(_LETTERS, min_size=1, max_size=4),
+       data=st.data())
+@example(n=6, word=[(0, 1, None), (1, -1, 7)], data=None)
+def test_word_monodromy_is_the_generator_product(n, word, data):
+    """A word in the canonical loops, seeded rectangles homotopic to them
+    and their reverses, joined end to end, has the product of the
+    generators' closed forms in word order as its monodromy:
+    M(a.then(b)) = M(a) M(b).  Any cap in [p*, 512] sizes the chain for p*
+    and leaves that matrix as it is; the cap still sets the precision of the
+    chain's arc ends."""
+    need = analytic._certified_bits(n, 0.5, _rtol(TOL))
+    cap = 512 if data is None else data.draw(st.integers(need, 512))
+    assert monodromy(n, _word_path(word), tol=TOL, prec=cap) == \
+        RationalMatrix(ref_word_monodromy(n, [(w, s) for w, s, _ in word]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_certified_bits_is_the_least_that_certify(n):
+    for base in (0.5, 0.3, 0.05, 0.9, 2 ** -20):
+        for tol in (1e-10, 1e-14, 1e-30, 1e-60):
+            rtol = _rtol(tol)
+            need = analytic._certified_bits(n, base, rtol)
+            radius = analytic._row0_radius(n, base, need)
+            assert radius <= rtol < analytic._row0_radius(n, base, need - 1)
+            # the radius with V = max(1, Li_1(b)) itself is no larger
+            with mp.workprec(ORACLE_PREC):
+                b = mp.mpf(base)
+                assert (n + 1) * max(1, -mp.log(1 - b)) / b \
+                    / mp.mpf(2) ** (need + 6) \
+                    <= mp.mpf(radius.numerator) / radius.denominator
+
+
+@pytest.mark.parametrize("prec", [16, 24, 64, 128])
+def test_monodromy_sizes_its_chain_for_the_certificate(monkeypatch, prec):
+    calls = []
+    step_chain = analytic._step_chain
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["li_bits"])
+        return step_chain(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_step_chain", spy)
+    assert monodromy(4, canonical_loop(0), tol=1e-10, prec=prec) == \
+        expected_monodromy_loop0(4)
+    assert calls == [min(prec, 24)]
+
+
+@pytest.mark.parametrize("n, word, tol", [
+    (4, [(0, 1, None)], 1e-10), (4, [(1, 1, None)], 1e-10),
+    (3, [(0, 1, None), (1, -1, None)], 1e-10),
+    (4, [(0, 1, None)], 1e-30), (4, [(1, 1, None)], 1e-30),
+    (2, [(1, 1, 5), (0, 1, 11)], 1e-30), (4, [(1, 1, None)], 1e-80)])
+def test_row0_entries_lie_within_the_proved_radius(monkeypatch, n, word, tol):
+    """Each real part handed to ``rational_reconstruct`` lies within
+    rho(p*) of the exact entry."""
+    seen = []
+    reconstruct = analytic.rational_reconstruct
+
+    def spy(x, max_den, rtol):
+        seen.append(analytic.mpf_to_fraction(x))
+        return reconstruct(x, max_den, rtol)
+
+    monkeypatch.setattr(analytic, "rational_reconstruct", spy)
+    M = monodromy(n, _word_path(word), tol=tol, prec=512)
+    exact = ref_word_monodromy(n, [(w, s) for w, s, _ in word])
+    assert M == RationalMatrix(exact)
+    radius = analytic._row0_radius(
+        n, 0.5, analytic._certified_bits(n, 0.5, _rtol(tol, 512)))
+    assert len(seen) == n
+    for v, e in zip(seen, exact[0][1:]):
+        assert abs(v - e) <= radius
 
 
 @settings(deadline=None, max_examples=6)
@@ -649,4 +762,4 @@ def test_invariant_validation_catches_corruption():
     grid[2][0] = mp.mpc(1)  # break column 0
     from polylogvar.analytic import PeriodMatrix
     bad = PeriodMatrix(2, tuple(tuple(r) for r in grid), "tampered")
-    assert not bad.validate_invariants()
+    assert not period_matrix_invariants(bad)

@@ -369,9 +369,16 @@ def test_domain_error_exit_3():
     assert code == 3
 
 
-def test_numerical_failure_exit_4(tmp_path):
+def test_numerical_failure_exit_4(first_step_off):
+    # the first disk step leaves Li_1 1e-9 off; entry (0, 1) is then
+    # 1.6e-10 i off, beyond rtol = 1e-10
+    code, _ = run_cli(["monodromy", "--n", "3", "--loop", "loop1"])
+    assert code == 4
+
+
+def test_loop_closing_within_the_closure_tolerance_exit_0(tmp_path):
     # the loop around 1 ends 5e-10 past its base, inside the closure
-    # tolerance; entry (0, 1) is then 1.6e-10 i off, beyond rtol = 1e-10
+    # tolerance; its disk chain closes on the base point itself
     loop = {"base": [0.5, 0.0],
             "segments": [{"line": [0.75, 0.0]},
                          {"arc": {"center": [1.0, 0.0], "sweep": 2 * math.pi}},
@@ -379,8 +386,20 @@ def test_numerical_failure_exit_4(tmp_path):
             "closed": True}
     f = tmp_path / "loop.json"
     f.write_text(json.dumps(loop))
-    code, _ = run_cli(["monodromy", "--n", "3", "--loop", str(f)])
-    assert code == 4
+    code, out = run_cli(["monodromy", "--n", "3", "--loop", str(f)])
+    assert code == 0
+    assert json.loads(out)["result"]["matrix"][0] == ["1", "-1", "0", "0"]
+
+
+def test_precision_cap_below_the_certificate_exit_3():
+    # at 64 bits row 0 is proved only within about 3.6e-20, far wider than
+    # 1 / (20!)^2; at 128 bits, 1.9e-39, it certifies
+    code, out = run_cli(["monodromy", "--n", "20", "--loop", "loop0",
+                         "--tol", "1e-50", "--precision", "64"])
+    assert code == 3
+    code, out = run_cli(["monodromy", "--n", "20", "--loop", "loop0",
+                         "--tol", "1e-50"])
+    assert code == 0
 
 
 def test_ambiguous_certificate_exit_3():
