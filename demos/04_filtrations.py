@@ -42,6 +42,6 @@ print("still transversal after a loop around 0:",
       hodge_transversality_check(FilteredFiber.from_period_matrix(moved)).passed)
 
 print("\ndivided-power symmetric-power block, weights 1..4 at z = 0.3/0.5/0.7:")
-ok = all(kummer_block_check(m, mp.mpf(z), tol=1e-10).passed
+ok = all(kummer_block_check(m, mp.mpf(z)).passed
          for m in range(1, 5) for z in ("0.3", "0.5", "0.7"))
 print("  all pass:", ok)

@@ -1,5 +1,7 @@
 """The acceptance battery: every structural identity the package certifies,
-with its tolerance pinned.
+with its tolerance pinned where it has one.  Criterion 4 has none: the
+Kummer block is an exact identity tied to the numbers by principal_lambda's
+proved radius, and the trivial subobject is read from the connection's tags.
 
 Each criterion returns a CriterionResult whose `details` dict contains only
 deterministically serializable values, so identical runs produce identical
@@ -113,16 +115,16 @@ def criterion_3():
 
 
 def criterion_4():
-    """Trivial subobject and divided-power symmetric-power block structure."""
+    """Trivial subobject and divided-power symmetric-power block structure,
+    with no tolerance."""
     ok = True
     details = {}
     for n in range(1, 5):
         for z in ("0.3", "0.5", "0.7"):
-            rep = kummer_block_check(n, mp.mpf(z), tol=1e-10, prec=PREC)
+            rep = kummer_block_check(n, mp.mpf(z), prec=PREC)
             details[f"kummer_n{n}_z{z}"] = rep.passed
             ok = ok and rep.passed
-        pre = {w: cached_monodromy(n, w) for w in (0, 1)}
-        triv = trivial_subobject_check(n, monodromies=pre)
+        triv = trivial_subobject_check(n)
         details[f"trivial_sub_n{n}"] = triv.passed
         ok = ok and triv.passed
     return CriterionResult(4, "trivial sub and twisted symmetric-power quotient",

@@ -19,18 +19,20 @@ that build period matrices, li, omega and recurrence-check take
 --precision sets the accuracy of every series value, period matrix and
 transport, and the finite-difference step of flatness, 2^-floor(prec/3);
 --tol never enters them.  flatness passes up to --n 20 at the default 128
-bits, and reaching n = 64 takes about 300 bits.  --tol only sets the bounds
-that decide a certificate or a verdict: the tolerance (100 * tol) within
-which monodromy certifies the n entries of row 0 as rationals with
-denominator at most n!, a bound that no flag sets, the entrywise bound of
-kummer-block and the quadrature target of integrate.  monodromy's output is
-exact, so it runs at the least precision that certifies, the fewest bits
-whose proved row-0 error lies within 100 * tol; --precision only caps it,
-and a cap too low to single out the rationals is a domain error.  integrate computes the
-cube integral as the one-dimensional integral it equals, by a
-double-exponential rule in float64 with at most 65 537 nodes a level, and
-reports its value as that double, not padded to --precision digits; a --tol
-below the rounding of that sum ends in exit 4.
+bits, and reaching n = 64 takes about 300 bits.  --tol reaches only
+monodromy and integrate: the tolerance (100 * tol) within which monodromy
+certifies the n entries of row 0 as rationals with denominator at most n!,
+a bound that no flag sets, and the quadrature target of integrate.
+kummer-block takes no tolerance: its block is an exact identity, and each
+entry must lie within principal_lambda's proved relative radius
+2^-(prec - 1).  monodromy's output is exact, so it runs at the least
+precision that certifies, the fewest bits whose proved row-0 error lies
+within 100 * tol; --precision only caps it, and a cap too low to single out
+the rationals is a domain error.  integrate computes the cube integral as
+the one-dimensional integral it equals, by a double-exponential rule in
+float64 with at most 65 537 nodes a level, and reports its value as that
+double, not padded to --precision digits; a --tol below the rounding of
+that sum ends in exit 4.
 """
 
 import json
@@ -113,9 +115,9 @@ def _resolve_loop(name_or_path):
 # The flags every command takes, before its own; (flag, add_argument kwargs).
 _SHARED_FLAGS = (
     ("--tol", dict(type=float, default=1e-12, help=(
-        "tolerance of the monodromy certificate, kummer-block and integrate "
-        "(default 1e-12); the accuracy of series, matrices and transport "
-        "follows --precision alone"))),
+        "tolerance of the monodromy certificate and of integrate (default "
+        "1e-12); the accuracy of series, matrices and transport follows "
+        "--precision alone"))),
     ("--precision", dict(type=int, default=128, help=(
         "working precision in bits (default 128); monodromy runs at the "
         "least precision that certifies, and this caps it"))),
@@ -205,8 +207,7 @@ def _filtration(args):
 @_command("kummer-block", "divided-power symmetric-power block check",
           MAX_MATRIX_N, _N, _Z)
 def _kummer_block(args):
-    rep = kummer_block_check(args.n, _z_value(args), tol=args.tol,
-                             prec=args.precision)
+    rep = kummer_block_check(args.n, _z_value(args), prec=args.precision)
     return {"max_error": rep.max_error, "failing_entry":
             list(rep.failing_entry) if rep.failing_entry else None}, rep.passed
 

@@ -134,13 +134,6 @@ class RationalMatrix:
     def is_zero(self):
         return all(v == 0 for row in self.entries for v in row)
 
-    def is_upper_triangular(self):
-        return all(self.entries[i][j] == 0
-                   for i in range(self.rows) for j in range(min(i, self.cols)))
-
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def max_denominator(self):
         return max(v.denominator for row in self.entries for v in row)
 

@@ -3,18 +3,25 @@ block-structure checks tying the fundamental solution to the rank-2
 logarithmic (Kummer) system.
 
 The filtrations are decided from the fiber's exact triangular shape, which
-entries are zero, with no rank decision and no tolerance.  The flatness
-check's step follows the working precision.
+entries are zero, with no rank decision and no tolerance.  The Kummer block
+is an exact identity in Q[log z, 2 pi i], tied to the computed matrix by
+principal_lambda's proved radius, and the trivial subobject is read from the
+connection's tags; neither check takes a tolerance.  The flatness check's
+step follows the working precision.
 """
 
 import enum
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
-from .analytic import principal_lambda, monodromy
+# monodromy is unused here; perfbench asserts hodge imports it (ROADMAP item 1)
+from .analytic import principal_lambda, monodromy  # noqa: F401
 from .errors import DomainError
-from .paths import canonical_loop
+from .mpoly import MPoly
 
 
 class OneForm(enum.Enum):
@@ -138,53 +145,90 @@ class BlockReport:
     failing_entry: tuple | None
 
 
-def kummer_block_check(n, z, tol=1e-10, prec=128):
-    """Lower-right n x n block of the weight-n solution matrix against the
-    2*pi*i-twisted divided-power symmetric power of the rank-2 logarithmic
-    matrix [[1, log z], [0, 2*pi*i]].
+def _closed_block(n):
+    """Rows and columns 1..n of the weight-n solution matrix in Q[l, tau],
+    l = log z and tau = 2 pi i: entry (a, b) is tau^(a+1) l^(b-a) / (b-a)!
+    on and above the diagonal, the closed form of principal_lambda."""
+    return [[MPoly(2, {(b - a, a + 1): Fraction(1, math.factorial(b - a))})
+             if b >= a else MPoly(2) for b in range(n)] for a in range(n)]
 
-    The symmetric power is expanded in the monomial basis (binomial
-    coefficients) and rescaled by the divided-power diagonal
-    diag(0!, ..., (n-1)!); the block entries of the solution matrix must then
-    match entrywise within tol.
 
-    The expected entries are formed at F = prec + 10 + bitlength(2 n + 16)
-    bits, u = 2^-F, and rounded once to ``prec`` bits, as the matrix entries
-    are.  2 pi i, log z, C(b, a), a! and b! are each within a relative 2u;
-    mpmath forms an integer power x^m with one rounding of 2u on top of m
-    times the error of x; each of the five products and quotients adds u.
-    With m = b - a and a + m <= n - 1 an entry collects at most
-    (2 a + 2 m + 17) u <= (2 n + 15) u < 2^-(prec + 10).  Both sides then
-    round values that close to the same number, so max_error is zero, or one
-    unit in the last place where that number lies within 2^-(prec + 9) of a
-    rounding boundary, unless the matrix is off by more.
+@lru_cache(maxsize=None)
+def _kummer_identity(n):
+    """Whether tau Sym^(n-1)[[1, l], [0, tau]], in the divided-power basis,
+    equals _closed_block(n), decided exactly in Q[l, tau].
+
+    On the basis y^b x^(n-1-b), b = 0..n-1, the matrix sends x to x and y to
+    l x + tau y, so column b of Sym^(n-1) holds the coefficients of
+    y^a x^(b-a) in (l x + tau y)^b.  The powers are multiplied out one
+    linear form at a time with x set to 1, as the exponent of x is b - a.
+    The divided-power basis y^b / b! scales entry (a, b) by a! / b!.
+    """
+    y, lg, tau = (MPoly.var(3, i) for i in range(3))
+    form, power = lg + tau * y, MPoly.const(3, 1)
+    closed = _closed_block(n)
+    for b in range(n):
+        column = [{} for _ in range(n)]
+        for (a, l, t), c in power.terms.items():
+            column[a][l, t + 1] = c * Fraction(math.factorial(a),
+                                               math.factorial(b))
+        if [MPoly(2, col) for col in column] != [row[b] for row in closed]:
+            return False
+        power = power * form
+    return True
+
+
+def kummer_block_check(n, z, prec=128):
+    """Rows and columns 1..n of the weight-n solution matrix against the
+    2 pi i-twisted divided-power symmetric power of the rank-2 logarithmic
+    matrix [[1, log z], [0, 2 pi i]], with no tolerance.
+
+    The block is an identity in Q[l, tau], l = log z and tau = 2 pi i:
+    _kummer_identity expands tau Sym^(n-1) and compares it with ``==``
+    against the closed form tau^i l^(j-i) / (j-i)! that principal_lambda
+    computes.  The verdict is memoised per n.
+
+    The numbers are then tied to that closed form by principal_lambda's
+    proved radius.  z is read once at ``prec`` bits, as principal_lambda
+    reads it.  Each entry l^m tau^t / m!, t = a + 1 and m + t <= n, is
+    evaluated at F bits, u = 2^-F: l within a relative 2u, l^m within
+    2 m u + 2u, 2 pi within u, (2 pi)^t within t u + 2u, their product
+    within u and the division by m! within 2u; at most (2 n + 8) u in all,
+    and 1.01 (2 n + 8) u < (3 n + 9) u, so
+    F = prec + 10 + bitlength(3 n + 9) puts the value w within a relative
+    e < 2^-(prec + 10) of the exact W.  principal_lambda's entry g is within
+    a relative 2^-(prec - 1) of W, so
+    |g - w| <= (2^-(prec - 1) + e) |W| <= (2^-(prec - 1) + 2^-(prec + 9)) |w|,
+    and the test |g - w| <= (2^-(prec - 1) + 2^-(prec + 8)) |w| at F bits,
+    its subtraction, modulus and product each within a relative 2u, accepts
+    every correct entry.  Entries below the diagonal are 0 and must be 0
+    exactly.  An entry more than 2^-(prec - 2) |W| from W fails.
+
+    max_error is the largest |g - w| with w rounded to ``prec`` bits, as the
+    matrix is; failing_entry is the first (i, j) outside its radius.
     """
     if n < 1:
         raise DomainError("kummer_block_check needs n >= 1")
-    lam = principal_lambda(n, z, prec=prec)
-    with mp.workprec(prec + 10 + (2 * n + 16).bit_length()):
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        lg = mp.log(mp.mpc(mp.mpmathify(z)).real)
-        # Sym^{n-1} in the monomial basis: S[a][b] = C(b, a) log^(b-a) (2 pi i)^a
-        S = [[mp.mpc(0)] * n for _ in range(n)]
-        for b in range(n):
-            for a in range(b + 1):
-                S[a][b] = mp.binomial(b, a) * lg ** (b - a) * two_pi_i ** a
-        expected = [[two_pi_i * S[a][b] * mp.factorial(a) / mp.factorial(b)
-                     for b in range(n)] for a in range(n)]
     with mp.workprec(prec):
-        max_err = mp.mpf(0)
-        worst = None
-        for a in range(n):
-            for b in range(n):
-                got = lam.entries[1 + a][1 + b]
-                err = abs(got - +expected[a][b])
-                if err > max_err:
-                    max_err = err
-                    worst = (1 + a, 1 + b)
-        passed = max_err <= tol
-        return BlockReport(passed=passed, max_error=float(max_err),
-                           failing_entry=None if passed else worst)
+        z = mp.mpc(mp.mpmathify(z))
+    lam = principal_lambda(n, z, prec=prec)
+    closed = _closed_block(n)
+    with mp.workprec(prec + 10 + (3 * n + 9).bit_length()):
+        two_pi, lg = 2 * mp.pi, mp.log(z.real)
+        want = {(1 + a, 1 + b): sum(
+            (mp.mpc((1, 1j, -1, -1j)[t % 4])
+             * (c.numerator * lg ** m * two_pi ** t / c.denominator)
+             for (m, t), c in closed[a][b].terms.items()), mp.mpc(0))
+            for a in range(n) for b in range(n)}
+        radius = mp.ldexp(1, 1 - prec) + mp.ldexp(1, -(prec + 8))
+        outside = [(i, j) for (i, j), w in want.items()
+                   if abs(lam.entries[i][j] - w) > radius * abs(w)]
+    with mp.workprec(prec):
+        max_err = max(abs(lam.entries[i][j] - +w)
+                      for (i, j), w in want.items())
+    return BlockReport(passed=_kummer_identity(n) and not outside,
+                       max_error=float(max_err),
+                       failing_entry=outside[0] if outside else None)
 
 
 def flatness_step(prec):
@@ -233,31 +277,29 @@ class TrivialSubReport:
     details: tuple
 
 
-def trivial_subobject_check(n, tol=1e-12, prec=128, monodromies=None):
-    """The line spanned by e_0 carries trivial monodromy: the reconstructed
-    monodromy of both canonical loops fixes e_0 exactly (column 0 is e_0),
-    and the solution matrix itself has column 0 equal to e_0.
+def trivial_subobject_check(n):
+    """The line spanned by e_0 carries trivial monodromy and every monodromy
+    is unipotent, read from the exact tags of connection(n): column 0 is
+    all ZERO and no tag on or below the diagonal is nonzero.
 
-    Precomputed monodromy matrices may be passed as {0: M, 1: M} to avoid
-    repeating the transport.
+    Proof.  The solution matrix satisfies dL = L A, A the evaluated
+    connection, and a step's transition T solves dT = T A from T = I; a
+    monodromy is M = L(b) P L(b)^-1, P the product of the loop's transitions
+    (``monodromy``).
+    - A e_0 = 0, so d(T e_0) = T A e_0 = 0 and T e_0 = e_0; so P e_0 = e_0.
+      L e_0 is constant for the same reason, and is e_0, the first column of
+      the fundamental solution, so every monodromy fixes e_0.
+    - A is strictly upper triangular, so every product of its values is
+      too, and T, I plus a convergent sum of iterated integrals of such
+      products, is unipotent.  So is P, and so is every monodromy M,
+      conjugate to P: (M - I)^(n+1) = 0.
+    A failure names each slot that breaks the shape.
     """
     details = []
-    ok = True
-    lam = principal_lambda(n, 0.5, prec=prec)
-    col0 = [lam.entries[i][0] for i in range(n + 1)]
-    if not (col0[0] == 1 and all(v == 0 for v in col0[1:])):
-        ok = False
-        details.append("solution matrix column 0 is not e_0")
-    for which in (0, 1):
-        if monodromies is not None and which in monodromies:
-            M = monodromies[which]
-        else:
-            M = monodromy(n, canonical_loop(which), tol=tol, prec=prec)
-        column = M.column(0)
-        if not (column[0] == 1 and all(v == 0 for v in column[1:])):
-            ok = False
-            details.append(f"loop{which} monodromy moves e_0")
-        if not M.is_upper_triangular():
-            ok = False
-            details.append(f"loop{which} monodromy is not upper triangular")
-    return TrivialSubReport(passed=ok, details=tuple(details))
+    for i, row in enumerate(connection(n).entries):
+        for j, tag in enumerate(row[:i + 1]):
+            if tag != OneForm.ZERO:
+                details.append(f"connection entry ({i}, {j}) is {tag.value}: "
+                               + ("e_0 is not flat" if j == 0 else
+                                  "not strictly upper triangular"))
+    return TrivialSubReport(passed=not details, details=tuple(details))

@@ -45,14 +45,6 @@ class SetPartition:
     def num_blocks(self):
         return len(self.blocks)
 
-    def refines(self, other):
-        """True when every block of self sits inside a block of other."""
-        where = {}
-        for bi, b in enumerate(other.blocks):
-            for x in b:
-                where[x] = bi
-        return all(len({where[x] for x in b}) == 1 for b in self.blocks)
-
 
 @lru_cache(maxsize=None)
 def partitions_of(n):

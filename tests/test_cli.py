@@ -654,10 +654,14 @@ def test_kummer_block_cli():
 @pytest.mark.parametrize("argv", [
     ["--n", "4", "--z", "0.695575", "--precision", "128", "--tol", "1e-36"],
     ["--n", "3", "--z", "0.118877", "--precision", "256", "--tol", "1e-76"],
+    ["--n", "40", "--z", "0.230867"],
+    ["--n", "51", "--z", "0.880774", "--precision", "64"],
 ])
 def test_kummer_block_reads_the_matrix_error(argv):
-    """The expected block is rounded once, as the matrix is, so a bound
-    below one unit in the last place of the largest entry still passes."""
+    """The verdict takes no tolerance: each entry must lie within
+    principal_lambda's proved relative radius 2^-(prec - 1).  The last two
+    have entries near 1e28 one rounding away from the expected value, which
+    an absolute bound of 1e-12 failed."""
     code, out = run_cli(["kummer-block"] + argv)
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"

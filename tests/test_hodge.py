@@ -1,3 +1,8 @@
+import contextlib
+import inspect
+import io
+import json
+import textwrap
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylogvar import acceptance, analytic, cli, hodge
 from polylogvar.analytic import principal_lambda, transport
 from polylogvar.errors import DomainError
-from polylogvar.hodge import (FilteredFiber, OneForm,
+from polylogvar.hodge import (ConnectionMatrix, FilteredFiber, OneForm,
                               connection, evaluate_connection,
                               flatness_residual, graded_dimensions,
                               hodge_transversality_check, kummer_block_check,
@@ -150,18 +156,94 @@ class TestKummerBlock:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("z", ["0.3", "0.5", "0.7"])
     def test_block_structure(self, n, z):
-        assert kummer_block_check(n, mp.mpf(z), tol=1e-10).passed
+        assert kummer_block_check(n, mp.mpf(z)).passed
 
     def test_needs_positive_weight(self):
         with pytest.raises(DomainError):
             kummer_block_check(0, 0.5)
 
+    def test_identity_is_exact_for_every_matrix_weight(self):
+        assert all(hodge._kummer_identity(n) for n in range(1, 65))
+
+    @pytest.mark.parametrize("n, z, prec", [(40, "0.230867", 128),
+                                            (51, "0.880774", 64)])
+    def test_one_ulp_on_a_large_entry_passes(self, n, z, prec):
+        """Entries near 1e28 off by one rounding, within the proved radius;
+        an absolute tolerance of 1e-12 failed both."""
+        rep = kummer_block_check(n, z, prec=prec)
+        assert rep.passed and rep.failing_entry is None, rep
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 64), k=st.integers(1, 990_000),
+           prec=st.sampled_from([64, 128, 256, 512]))
+    def test_every_drawn_block_passes(self, n, k, prec):
+        # z stops at 0.99: row 0's series grows like 1 / (1 - z), and past
+        # about 0.9998 it meets its term cap at 512 bits.
+        assert kummer_block_check(n, f"{k / 10 ** 6:.6f}", prec=prec).passed
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_patched_row_recurrence_fails(self, prec, monkeypatch):
+        src = textwrap.dedent(inspect.getsource(analytic.principal_lambda))
+        assert src.count("terms[-1] * lg / m)") == 1
+        scope = dict(vars(analytic))
+        exec(src.replace("terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"),
+             scope)
+        monkeypatch.setattr(hodge, "principal_lambda",
+                            scope["principal_lambda"])
+        rep = kummer_block_check(3, "0.5", prec=prec)
+        assert not rep.passed and rep.failing_entry == (1, 2)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["kummer-block", "--n", "3", "--z", "0.5",
+                             "--precision", str(prec)]) == 0
+        assert json.loads(out.getvalue())["verdict"] == "fail"
+
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("shift, passed", [(-1, True), (2, False)])
+    def test_entry_moved_against_the_radius(self, prec, shift, passed,
+                                            monkeypatch):
+        """Moving one entry by 2^-(prec + 1) keeps it inside the proved
+        radius 2^-(prec - 1); moving it by 2^-(prec - 2) puts it outside."""
+        lam = principal_lambda(4, "0.3", prec=prec)
+        grid = [list(row) for row in lam.entries]
+        with mp.workprec(prec + 20):
+            grid[2][4] *= 1 + mp.ldexp(1, -prec + shift)
+        moved = analytic.PeriodMatrix(4, tuple(map(tuple, grid)), "principal")
+        monkeypatch.setattr(hodge, "principal_lambda", lambda *a, **k: moved)
+        rep = kummer_block_check(4, "0.3", prec=prec)
+        assert rep.passed is passed
+        assert rep.failing_entry == (None if passed else (2, 4))
+
+
+def _connection_with_tag(i, j):
+    def patched(n):
+        grid = [list(row) for row in connection(n).entries]
+        if max(i, j) <= n:
+            grid[i][j] = OneForm.DLOG_Z
+        return ConnectionMatrix(n, tuple(map(tuple, grid)))
+    return patched
+
 
 class TestTrivialSub:
     @pytest.mark.parametrize("n", [1, 2])
     def test_e0_fixed(self, n):
-        rep = trivial_subobject_check(n, tol=1e-10)
+        rep = trivial_subobject_check(n)
         assert rep.passed, rep.details
+
+    def test_every_matrix_weight(self):
+        assert all(trivial_subobject_check(n).passed for n in range(65))
+
+    @pytest.mark.parametrize("i, j, reason", [
+        (1, 0, "e_0 is not flat"), (2, 1, "not strictly upper triangular"),
+        (2, 2, "not strictly upper triangular")])
+    def test_patched_connection_fails(self, i, j, reason, monkeypatch):
+        monkeypatch.setattr(hodge, "connection", _connection_with_tag(i, j))
+        rep = trivial_subobject_check(3)
+        assert not rep.passed
+        assert rep.details == (f"connection entry ({i}, {j}) is dz/z: "
+                               f"{reason}",)
+        crit = acceptance.criterion_4()
+        assert not crit.passed
+        assert crit.details[f"trivial_sub_n{max(i, j)}"] is False
 
     @pytest.mark.parametrize("z", ["0.3", "0.5", "0.7"])
     def test_lambda_column_zero(self, z):

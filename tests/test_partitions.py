@@ -33,12 +33,6 @@ class TestPartitions:
             for b in p.blocks:
                 assert list(b) == sorted(b)
 
-    def test_refinement(self):
-        fine = SetPartition(((1,), (2,), (3, 4)))
-        coarse = SetPartition(((1, 2), (3, 4)))
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SetPartition(((1, 2), (2, 3)))
