@@ -136,14 +136,37 @@ def _li_from_minus_one(n, z, prec):
 def principal_lambda(n, z, prec=DEFAULT_PREC):
     """Fundamental solution on the principal branch, at real z in (0, 1).
 
-    Row 0 holds (1, Li_1(z), ..., Li_n(z)); row i >= 1 holds
-    (2 pi i)^i log(z)^(j-i) / (j-i)! with the real principal logarithm.
+    Row 0 holds (1, Li_1(z), ..., Li_n(z)); rows 1..n are ``kummer_rows``.
     Row 0 is summed by ``_li_row`` to a relative 2^-(prec + 7) before the
     final rounding.  Every entry is rounded once, to ``prec`` bits, so each
     is within a relative 2^-(prec - 1).
+    """
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    with mp.workprec(prec):
+        zm = _principal_z(z)
+        row0 = [mp.mpc(1)] + _li_row(n, zm, prec)
+        grid = [row0] + kummer_rows(n, zm, prec)
+        return PeriodMatrix(n, tuple(tuple(row) for row in grid), "principal")
 
-    Bound for rows i >= 1.  The real magnitude (2 pi)^i lg^m / m!, m = j - i,
-    is formed at F bits, u = 2^-F, as P_i T_m with P_i = P_(i-1) (2 pi) and
+
+def _principal_z(z):
+    """z read at the working precision as an mpc; DomainError unless it is
+    real and in (0, 1)."""
+    zm = mp.mpc(mp.mpmathify(z))
+    if zm.imag != 0 or not 0 < zm.real < 1:
+        raise DomainError("principal_lambda needs real z in (0, 1)")
+    return zm
+
+
+def kummer_rows(n, z, prec=DEFAULT_PREC):
+    """Rows 1..n of ``principal_lambda(n, z, prec)``, entry for entry, with
+    no Li series: row i is zero before column i and holds
+    (2 pi i)^i log(z)^(j-i) / (j-i)! in column j >= i, with the real
+    principal logarithm, each rounded once to ``prec`` bits.
+
+    Bound.  The real magnitude (2 pi)^i lg^m / m!, m = j - i, is formed at
+    F bits, u = 2^-F, as P_i T_m with P_i = P_(i-1) (2 pi) and
     T_m = T_(m-1) lg / m, then multiplied exactly by the unit i^i.  Take
     2 pi and lg = log(z) each within a relative 2u and every product or
     quotient within u: P_i carries at most 3 i such factors (1 + u), T_m at
@@ -152,17 +175,8 @@ def principal_lambda(n, z, prec=DEFAULT_PREC):
     F = prec + 10 + bitlength(5 n + 5) puts that below 2^-(prec + 10), and
     the rounding to ``prec`` bits adds at most 2^-prec.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
     with mp.workprec(prec):
-        zm = mp.mpc(mp.mpmathify(z))
-        if zm.imag != 0:
-            raise DomainError("principal_lambda needs real z in (0, 1)")
-        zr = zm.real
-        if not 0 < zr < 1:
-            raise DomainError("principal_lambda needs real z in (0, 1)")
-        grid = [[mp.mpc(0)] * (n + 1) for _ in range(n + 1)]
-        grid[0] = [mp.mpc(1)] + _li_row(n, zm, prec)
+        zr = _principal_z(z).real
         with mp.workprec(prec + 10 + (5 * n + 5).bit_length()):
             two_pi, lg = 2 * mp.pi, mp.log(zr)
             terms = [mp.mpf(1)]
@@ -174,8 +188,8 @@ def principal_lambda(n, z, prec=DEFAULT_PREC):
                 rows.append([power * t for t in terms[:n + 1 - i]])
         for i, row in enumerate(rows, 1):
             unit = mp.mpc((1, 1j, -1, -1j)[i % 4])
-            grid[i][i:] = [unit * v for v in row]
-        return PeriodMatrix(n, tuple(tuple(row) for row in grid), "principal")
+            rows[i - 1] = [mp.mpc(0)] * i + [unit * v for v in row]
+        return rows
 
 
 def _li_row(n, z, prec):

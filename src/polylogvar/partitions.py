@@ -157,27 +157,37 @@ def _uniforms(rng, count):
     return (words >> np.uint64(11)) * 2.0 ** -53
 
 
-def _codes(perms):
-    """The code sum_r p[r] * n^r of each row p of an (m, n) array of
-    0-based permutations."""
-    n = perms.shape[1]
-    return perms @ n ** np.arange(n)
+_BLOCK_ROWS = 8192
+
+
+def _rank_codes(pts, lo, hi):
+    """Classify each row x of an (m, n) array by n (n - 1) / 2 column
+    comparisons.  Returns (codes, bad): a row is bad when two coordinates tie
+    or one lies outside (lo, hi); otherwise its code is sum_i rank_i * n^i,
+    rank_i the number of coordinates below x_i.  Bad rows get some code."""
+    n = pts.shape[1]
+    bad = (pts <= lo).any(axis=1) | (pts >= hi).any(axis=1)
+    # each pair i < j adds n^i when x_i > x_j and n^j when x_i < x_j
+    codes = np.full(len(pts), sum(j * n ** j for j in range(n)),
+                    dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            xi, xj = pts[:, i], pts[:, j]
+            bad |= xi == xj
+            codes += (xi > xj) * (n ** i - n ** j)
+    return codes, bad
 
 
 def _family_table(family, n):
     """Multiplicity of each permutation s in ``family``, indexed by the code
-    of s^{-1} (0-based).  Every entry must be a permutation of 1..n."""
-    inverses = []
+    sum_i (s(i) - 1) * n^i.  Every entry must be a permutation of 1..n."""
+    codes = []
     for sigma in family:
         if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
             raise DomainError(
                 f"family entry {tuple(sigma)} is not a permutation of 1..{n}")
-        inv = [0] * n
-        for pos, v in enumerate(sigma):
-            inv[v - 1] = pos  # x_{sigma^{-1}(r)} is the r-th smallest
-        inverses.append(inv)
-    inverses = np.array(inverses, dtype=np.int64).reshape(-1, n)
-    return np.bincount(_codes(inverses), minlength=n ** n)
+        codes.append(sum((v - 1) * n ** i for i, v in enumerate(sigma)))
+    return np.bincount(np.array(codes, dtype=np.int64), minlength=n ** n)
 
 
 def paving_check(n, z, samples, seed, family=None):
@@ -190,19 +200,26 @@ def paving_check(n, z, samples, seed, family=None):
     the cube's volume side^n; that fails for a family of any size but n!.
 
     Lemma: a tie-free point x of the open cube lies in the simplex of s iff
-    s^{-1} is the argsort of x.  Proof: the bounds 1 < x_i < 1/z hold for
-    every coordinate, so x lies in the simplex of s iff the coordinates
-    x_{s^{-1}(1)}, ..., x_{s^{-1}(n)} strictly increase.  With no ties there
-    is exactly one strictly increasing arrangement of the coordinates, the
-    one the argsort lists.  So the cover of x is the multiplicity in the
-    family of the one permutation whose inverse is argsort(x); it is looked
-    up in a table built once from the family, one argsort per point.
+    x_i is the s(i)-th smallest coordinate for every i, that is iff s(i) - 1
+    is the rank of x_i, the number of coordinates below it.  Proof: the
+    bounds 1 < x_i < 1/z hold for every coordinate, so x lies in the simplex
+    of s iff x_{s^{-1}(1)} < ... < x_{s^{-1}(n)}, which says x_{s^{-1}(r)}
+    has exactly r - 1 coordinates below it.  With no ties the ranks are a
+    permutation, so exactly one s qualifies.  So the cover of x is the
+    multiplicity in the family of the s with code sum_i rank_i * n^i; it is
+    looked up in a table built once from the family.
 
     The points come from the stdlib Mersenne Twister ``random.Random(seed)``
     (MT19937), 53 random bits per coordinate, drawn row by row; redraws
     continue the same stream.  A ``seed`` therefore picks other points than
     numpy's PCG64 stream of the same seed, which earlier releases drew from;
     the reports agree whenever no redraw is needed.
+
+    The points stream through in blocks of ``_BLOCK_ROWS`` rows, each
+    classified and then dropped: only a seen-flag per code and the count of
+    bad rows survive a block.  The bad rows of a pass are redrawn as the next
+    pass, in order, so the stream and the report equal those of drawing all
+    points at once.  Memory is O(_BLOCK_ROWS n + n^n) whatever ``samples``.
 
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n
@@ -224,28 +241,26 @@ def paving_check(n, z, samples, seed, family=None):
     table = _family_table(family, n)
     rng = random.Random(seed)
     lo, hi = 1.0, 1.0 / zf
+    seen = np.zeros(n ** n, dtype=bool)
 
-    def draw(rows):
-        return (lo + (hi - lo) * _uniforms(rng, rows * n)).reshape(rows, n)
-
-    pts = draw(samples)
-    order = np.argsort(pts, axis=1)
-    redraws = 0
+    rows, redraws = samples, 0
     for _ in range(100):
-        ordered = np.take_along_axis(pts, order, axis=1)
-        bad = (ordered[:, 0] <= lo) | (ordered[:, -1] >= hi)
-        if n > 1:
-            bad |= (np.diff(ordered, axis=1) == 0).any(axis=1)
-        if not bad.any():
+        bad = 0
+        for start in range(0, rows, _BLOCK_ROWS):
+            pts = _uniforms(rng, min(_BLOCK_ROWS, rows - start) * n)
+            pts *= hi - lo
+            pts += lo
+            codes, out = _rank_codes(pts.reshape(-1, n), lo, hi)
+            seen[codes[~out]] = True
+            bad += int(out.sum())
+        if not bad:
             break
-        count = int(bad.sum())
-        redraws += count
-        pts[bad] = draw(count)
-        order[bad] = np.argsort(pts[bad], axis=1)
+        rows = bad
+        redraws += bad
     else:
         raise DomainError("could not draw tie-free samples")
 
-    cover = table[_codes(order)]
+    cover = table[seen]
 
     zq = Fraction(str(z)) if not isinstance(z, Fraction) else z
     side = 1 / zq - 1

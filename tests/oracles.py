@@ -3,17 +3,18 @@
 Everything here goes through mpmath's own polylog/log/pi machinery at 256
 bits (more where a check at 256 bits needs a finer reference), through
 direct series with proven error bounds, for the paving through a direct
-per-simplex count, for the Arnol'd algebra through exhaustive elimination
-of its relation multiples, for ranks over F_2 and poset homology through
-dense mod-2 elimination and signed boundary maps reduced over Q, for
-Hodge transversality through nullspaces over Q, and for cube integrals
-through a tensor Gauss-Legendre rule on the cube itself - never through the
-package code paths being tested.
+per-simplex count on the whole stream drawn at once, for the Arnol'd
+algebra through exhaustive elimination of its relation multiples, for ranks
+over F_2 and poset homology through dense mod-2 elimination and signed
+boundary maps reduced over Q, for Hodge transversality through nullspaces
+over Q, and for cube integrals through a tensor Gauss-Legendre rule on the
+cube itself - never through the package code paths being tested.
 """
 
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -156,6 +157,45 @@ def ref_paving_cover(pts, lo, hi, family):
             inside &= (np.diff(ordered, axis=1) > 0).all(axis=1)
         cover += inside
     return cover
+
+
+def ref_paving_report(n, z, samples, seed, family=None, face_rows=0):
+    """The fields of ``paving_check(n, z, samples, seed, family)`` from the
+    whole first pass drawn in one ``randbytes`` call: 53-bit uniforms from
+    the top of each little-endian 64-bit word of ``random.Random(seed)``,
+    scaled to (1, 1/z).  The first ``face_rows`` rows are put on the face
+    x = 1.  The rows that tie or touch the boundary, found by sorting, are
+    redrawn in row order from the same stream, up to 100 passes; covers are
+    counted by ``ref_paving_cover``.  None if bad rows remain after 100
+    passes."""
+    rng = random.Random(seed)
+    lo, hi = 1.0, 1.0 / float(z)
+    if family is None:
+        family = list(itertools.permutations(range(1, n + 1)))
+
+    def draw(rows):
+        words = np.frombuffer(rng.randbytes(8 * rows * n), dtype="<u8")
+        u = (words >> np.uint64(11)) * 2.0 ** -53
+        return (lo + (hi - lo) * u).reshape(rows, n)
+
+    pts = draw(samples)
+    pts[:face_rows] = lo
+    redraws = 0
+    for _ in range(100):
+        ordered = np.sort(pts, axis=1)
+        bad = ((ordered[:, 0] <= lo) | (ordered[:, -1] >= hi)
+               | (np.diff(ordered, axis=1) <= 0).any(axis=1))
+        if not bad.any():
+            break
+        redraws += int(bad.sum())
+        pts[bad] = draw(int(bad.sum()))
+    else:
+        return None
+    cover = ref_paving_cover(pts, lo, hi, family)
+    volume_ok = len(family) == math.factorial(n)
+    return dict(n=n, passed=bool((cover == 1).all()) and volume_ok,
+                samples=samples, redraws=redraws, min_cover=int(cover.min()),
+                max_cover=int(cover.max()), volume_identity_ok=volume_ok)
 
 
 def arnold_relation_rows(n, degree):

@@ -174,22 +174,30 @@ class TestKummerBlock:
         assert rep.passed and rep.failing_entry is None, rep
 
     @settings(max_examples=20, deadline=None)
-    @given(n=st.integers(1, 64), k=st.integers(1, 990_000),
+    @given(n=st.integers(1, 64), k=st.integers(1, 999_999),
            prec=st.sampled_from([64, 128, 256, 512]))
     def test_every_drawn_block_passes(self, n, k, prec):
-        # z stops at 0.99: row 0's series grows like 1 / (1 - z), and past
-        # about 0.9998 it meets its term cap at 512 bits.
         assert kummer_block_check(n, f"{k / 10 ** 6:.6f}", prec=prec).passed
+
+    def test_needs_no_li_series(self, monkeypatch):
+        """Row 0's series would need more than its 2 000 000-term cap at
+        z = 0.9999 and 512 bits; the block never sums it."""
+        def no_series(*args):
+            raise AssertionError("kummer_block_check summed row 0")
+        monkeypatch.setattr(analytic, "_li_row", no_series)
+        with pytest.raises(AssertionError):
+            principal_lambda(2, "0.5")
+        rep = kummer_block_check(64, "0.9999", prec=512)
+        assert rep.passed
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
     def test_patched_row_recurrence_fails(self, prec, monkeypatch):
-        src = textwrap.dedent(inspect.getsource(analytic.principal_lambda))
+        src = textwrap.dedent(inspect.getsource(analytic.kummer_rows))
         assert src.count("terms[-1] * lg / m)") == 1
         scope = dict(vars(analytic))
         exec(src.replace("terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"),
              scope)
-        monkeypatch.setattr(hodge, "principal_lambda",
-                            scope["principal_lambda"])
+        monkeypatch.setattr(hodge, "kummer_rows", scope["kummer_rows"])
         rep = kummer_block_check(3, "0.5", prec=prec)
         assert not rep.passed and rep.failing_entry == (1, 2)
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -203,12 +211,10 @@ class TestKummerBlock:
                                             monkeypatch):
         """Moving one entry by 2^-(prec + 1) keeps it inside the proved
         radius 2^-(prec - 1); moving it by 2^-(prec - 2) puts it outside."""
-        lam = principal_lambda(4, "0.3", prec=prec)
-        grid = [list(row) for row in lam.entries]
+        rows = analytic.kummer_rows(4, "0.3", prec=prec)
         with mp.workprec(prec + 20):
-            grid[2][4] *= 1 + mp.ldexp(1, -prec + shift)
-        moved = analytic.PeriodMatrix(4, tuple(map(tuple, grid)), "principal")
-        monkeypatch.setattr(hodge, "principal_lambda", lambda *a, **k: moved)
+            rows[1][4] *= 1 + mp.ldexp(1, -prec + shift)
+        monkeypatch.setattr(hodge, "kummer_rows", lambda *a, **k: rows)
         rep = kummer_block_check(4, "0.3", prec=prec)
         assert rep.passed is passed
         assert rep.failing_entry == (None if passed else (2, 4))

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 
 from polylogvar import partitions
 from polylogvar.errors import DomainError
-from polylogvar.partitions import (SetPartition, _codes, _family_table,
+from polylogvar.partitions import (SetPartition, _family_table, _rank_codes,
                                    bell_number, partitions_of, paving_check,
                                    postnikov_graded_check,
                                    stirling_first_unsigned)
 
-from oracles import ref_paving_cover
+from oracles import ref_paving_cover, ref_paving_report
 
 
 class TestPartitions:
@@ -124,15 +126,8 @@ class TestPaving:
     def test_boundary_points_are_redrawn(self, monkeypatch):
         # the first draw puts every point on the face x = 1; the redraw is
         # the first draw of a genuine stream
-        real = partitions._uniforms
         calls = []
-
-        def first_on_face(rng, count):
-            calls.append(count)
-            u = real(rng, count)
-            return np.zeros_like(u) if len(calls) == 1 else u
-
-        monkeypatch.setattr(partitions, "_uniforms", first_on_face)
+        monkeypatch.setattr(partitions, "_uniforms", _first_draw_on_face(calls))
         rep = paving_check(3, 0.5, 500, seed=0)
         assert calls == [1500, 1500]
         assert rep.redraws == 500
@@ -153,10 +148,22 @@ class TestPaving:
             paving_check(3, 0.5, 1000, seed=0, family=fam)
 
 
+def _first_draw_on_face(calls):
+    """A ``_uniforms`` that records each count and returns zeros, the face
+    x = 1, on its first call, having consumed the stream as usual."""
+    real = partitions._uniforms
+
+    def first_on_face(rng, count):
+        calls.append(count)
+        u = real(rng, count)
+        return np.zeros_like(u) if len(calls) == 1 else u
+    return first_on_face
+
+
 @st.composite
-def _families(draw):
-    """n <= 4 and a multiset over S_n, with duplicates and gaps."""
-    n = draw(st.integers(1, 4))
+def _families(draw, max_n=4):
+    """n <= max_n and a multiset over S_n, with duplicates and gaps."""
+    n = draw(st.integers(1, max_n))
     perms = list(itertools.permutations(range(1, n + 1)))
     fam = draw(st.lists(st.sampled_from(perms), max_size=2 * len(perms)))
     return n, perms, fam
@@ -177,19 +184,33 @@ class TestPavingCover:
 
     @settings(max_examples=60, deadline=None)
     @given(_families(), st.data())
-    def test_argsort_lookup_matches_direct_count(self, case, data):
+    def test_rank_code_lookup_matches_direct_count(self, case, data):
         n, perms, fam = case
         coords = st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)
         rows = data.draw(st.lists(
             st.lists(coords, min_size=n, max_size=n, unique=True),
             min_size=1, max_size=20))
         pts = np.array(rows)
-        got = _family_table(fam, n)[_codes(np.argsort(pts, axis=1))]
+        codes, bad = _rank_codes(pts, 1.0, 2.0)
+        assert not bad.any()
+        got = _family_table(fam, n)[codes]
         assert got.tolist() == ref_paving_cover(pts, 1.0, 2.0, fam).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_rank_codes_flag_ties_and_the_boundary(self, n, data):
+        # few distinct values, the faces among them, so ties are common
+        values = st.sampled_from([0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0])
+        rows = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                  min_size=1, max_size=20))
+        pts = np.array(rows)
+        _, bad = _rank_codes(pts, 1.0, 2.0)
+        want = [len(set(r)) < n or not all(1 < v < 2 for v in r) for r in rows]
+        assert bad.tolist() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_order_is_covered_once(self, n):
-        # one point per simplex: coordinate s^{-1}(r) gets the r-th value
+        # one point per simplex: coordinate i gets the s(i)-th value
         perms = list(itertools.permutations(range(1, n + 1)))
         pts = np.empty((len(perms), n))
         for row, s in enumerate(perms):
@@ -197,5 +218,52 @@ class TestPavingCover:
                 pts[row, pos] = 1.0 + v / (n + 1)
         direct = ref_paving_cover(pts, 1.0, 2.0, perms)
         assert direct.tolist() == [1] * len(perms)
-        got = _family_table(perms, n)[_codes(np.argsort(pts, axis=1))]
-        assert got.tolist() == direct.tolist()
+        codes, bad = _rank_codes(pts, 1.0, 2.0)
+        assert not bad.any()
+        assert _family_table(perms, n)[codes].tolist() == direct.tolist()
+
+
+# z near 1 leaves a few dozen doubles in (1, 1/z), so ties and faces force
+# redraws; at 1 - 1e-15 an n of 5 cannot be drawn tie-free at all
+_Z_VALUES = st.floats(0.05, 0.95) | st.sampled_from(
+    ["0.5", "0.9999999999999", "0.99999999999999", "0.999999999999999"])
+
+
+class TestPavingStream:
+    @pytest.mark.parametrize("block", [partitions._BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("face", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(case=_families(max_n=5), whole=st.booleans(), z=_Z_VALUES,
+           seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(1, 600))
+    def test_matches_the_whole_stream_oracle(self, block, face, case, whole,
+                                             z, seed, samples):
+        """Blocks of any size draw the same points, redraws included, as
+        one draw of the whole first pass; the face patch puts the first
+        block on x = 1."""
+        n, _, fam = case
+        family = None if whole else fam
+        want = ref_paving_report(n, z, samples, seed, family,
+                                 face_rows=min(block, samples) if face else 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(partitions, "_BLOCK_ROWS", block)
+            if face:
+                patch.setattr(partitions, "_uniforms", _first_draw_on_face([]))
+            if want is None:
+                with pytest.raises(DomainError):
+                    paving_check(n, z, samples, seed, family=family)
+            else:
+                got = paving_check(n, z, samples, seed, family=family)
+                assert dataclasses.asdict(got) == want
+
+    def test_memory_does_not_grow_with_samples(self):
+        paving_check(6, 0.5, 10, 0)
+        peaks = []
+        for samples in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                paving_check(6, 0.5, samples, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 4 * 10 ** 6, peaks
+        assert peaks[1] - peaks[0] < 10 ** 6, peaks
