@@ -3,8 +3,8 @@ partition-lattice combinatorics behind the logarithmic local system.
 
 The package has four layers:
 
-* exact arithmetic (`exact`, `mpoly`): rationals, polynomials, rational
-  reconstruction, exact matrices;
+* exact arithmetic (`exact`, `mpoly`): rationals, polynomials, rounding
+  onto a lattice (1/q)Z within a proved radius, exact matrices;
 * the analytic engine (`paths`, `analytic`): high-precision polylogarithm
   values, fundamental solution matrices, parallel transport along paths in
   the twice-punctured plane, and exact monodromy extraction;

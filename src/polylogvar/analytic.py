@@ -24,10 +24,11 @@ power of the Kummer (log) system, so rows 1..n of a monodromy matrix are
 fixed by the loop's winding number about 0; only the n entries of row 0,
 from the row (1, Li_1, ..., Li_n) stepped around the loop, are reconstructed
 as exact rationals.  The normalization by powers of 2*pi*i is what makes
-those entries rational.  Monodromy runs at the least precision that
+those entries rational; entry (0, j) lies in the lattice (1/j!) Z, so it is
+certified by rounding once its proved radius is below half the spacing
+1/j!, with no tolerance.  Monodromy runs at the least precision that
 certifies: its row step is sized for the fewest bits whose proved row-0
-radius lies within the reconstruction tolerance, and the caller's precision
-only caps that count.
+radius is below 1/(2 n!), and the caller's precision only caps that count.
 """
 
 import cmath
@@ -44,7 +45,6 @@ from .exact import RationalMatrix, mpf_to_fraction, rational_reconstruct
 from .paths import DEFAULT_MARGIN, LineTo
 
 DEFAULT_PREC = 128
-DEFAULT_TOL = 1e-12
 
 _SERIES_CAP = 2_000_000
 # The most disks one transport may take; a longer chain is a PathError.
@@ -74,9 +74,6 @@ class PeriodMatrix:
 
     def entry(self, i, j):
         return self.entries[i][j]
-
-    def rows(self):
-        return [list(row) for row in self.entries]
 
 
 def li_series(n, z, prec=DEFAULT_PREC):
@@ -609,20 +606,20 @@ def _row0_radius(n, base, bits):
     return (n + 1) * max(1, b / (1 - b)) / b * Fraction(2) ** -(bits + 6)
 
 
-def _certified_bits(n, base, rtol):
-    """p*, the least integer p with ``_row0_radius``(n, base, p) <= rtol,
-    for a Fraction rtol > 0."""
-    q = _row0_radius(n, base, -6) / rtol
+def _certified_bits(n, base):
+    """p*, the least integer p with ``_row0_radius``(n, base, p) < 1 / (2 n!),
+    half the spacing of the lattice (1/n!) Z that holds every row-0 entry."""
+    half = Fraction(1, 2 * math.factorial(n))
+    q = _row0_radius(n, base, -6) / half
     p = q.numerator.bit_length() - q.denominator.bit_length() - 6
-    while _row0_radius(n, base, p) > rtol:
+    while _row0_radius(n, base, p) >= half:
         p += 1
-    while _row0_radius(n, base, p - 1) <= rtol:
+    while _row0_radius(n, base, p - 1) < half:
         p -= 1
     return p
 
 
-def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
-              margin=DEFAULT_MARGIN):
+def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     """Exact monodromy matrix M of the weight-n system along a closed loop
     based at real b in (0, 1): L(b) continued around the loop is M L(b).
 
@@ -646,11 +643,13 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     inverses M_0^-1 (m = -1) and I + E_01.  Entry (i, j) of each lies in
     (1/(j-i)!) Z, and a product of upper triangular matrices keeps that, as
     1 / ((k-i)! (j-k)!) = C(j-i, k-i) / (j-i)! and binomial coefficients are
-    integers.  So every entry of M is a rational with denominator at most
-    n!, and row 0 is reconstructed as one, within rtol = 100 * tol.  Two
-    such rationals differ by at least 1/(n!)^2, so the certified value is
-    unique only when 2 * rtol * (n!)^2 < 1; otherwise DomainError is raised
-    before any transport.
+    integers.  So entry (0, j) of M lies in the lattice (1/j!) Z, whose
+    points lie 1/j! apart.  A computed entry v within rho < 1/(2 j!) of it
+    has it as the one lattice point within rho of Re v: k/j! with
+    k = round(j! Re v) (``rational_reconstruct``).  That Re v lies within rho
+    of k/j! and Im v within rho of 0 are consistency checks; an entry that
+    fails either raises ReconstructionError, the sign of a fault or of an
+    inadmissible path.
 
     Accuracy.  Let V = max(1, Li_1(b)), which bounds every |Li_j(b)|.  The
     chain is sized for p bits (below): K, G and F are ``transport``'s with p
@@ -683,16 +682,17 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
 
     Precision.  ``_row0_radius`` forms rho(p) exactly in Fractions from the
     double b, with V <= max(1, b / (1 - b)) and e^|l| = 1 / b, and
-    ``_certified_bits`` finds p*, the least p with rho(p) <= rtol.  The
-    chain is sized for p = min(prec, p*): ``prec`` is the most bits the
-    certificate may use.  A reconstructed rational lies within rtol of the
-    computed entry and the exact entry within rho(p) of it, so the two are
-    equal when rho(p) + rtol < 1/(n!)^2.  At p = p* that follows from the
-    rule above; for a cap ``prec`` below p* it is checked before any
-    transport, and DomainError, naming p*, is raised when it fails.  The
-    matrix is exact, so any cap that certifies gives the same one.
-    Raises ReconstructionError when an entry fails to certify - a sign of
-    insufficient precision or an inadmissible path.
+    ``_certified_bits`` finds p*, the least p with rho(p) < 1/(2 n!), which
+    is at most 1/(2 j!) for every column j.  ``prec`` is the most bits the
+    certificate may use: the chain is sized for p = min(prec, p*), and when
+    rho(p) >= 1/(2 n!), that is when prec < p*, DomainError, naming p*, is
+    raised before any transport.  At b = 1/2, p* is about
+    log2((n + 1)!) - 4: 3 bits at n = 4, 124 at n = 33, 299 at n = 64.  The
+    matrix is exact, so any cap that certifies gives the same one; the cap
+    still sets the precision of the chain's arc ends.  No tolerance enters:
+    ``tol`` is accepted, for callers that still pass it, and read nowhere;
+    it goes once the benchmark's workloads stop passing it (ROADMAP.md,
+    item 1).
     """
     if n < 1:
         raise DomainError("monodromy needs n >= 1")
@@ -701,22 +701,14 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
     base = loop.base_point
     if abs(base.imag) > 0 or not 0 < base.real < 1:
         raise DomainError("monodromy loops must be based at real z in (0, 1)")
-    max_den = math.factorial(n)
-    with mp.workprec(prec):
-        rtol = mp.mpf(tol) * 100
-        if 2 * rtol * max_den ** 2 >= 1:
-            raise DomainError(
-                f"tolerance 100 * {tol} cannot single out a rational with "
-                f"denominator <= {max_den}: need 2 * rtol * max_den^2 < 1")
-    rtol_q = mpf_to_fraction(rtol)
-    need = _certified_bits(n, base.real, rtol_q)
+    need = _certified_bits(n, base.real)
     bits = min(prec, need)
     radius = _row0_radius(n, base.real, bits)
-    if radius + rtol_q >= Fraction(1, max_den ** 2):
+    if radius >= Fraction(1, 2 * math.factorial(n)):
         raise DomainError(
-            f"{prec} bits prove row 0 only within {float(radius):.3g}, too "
-            f"wide to single out a rational with denominator <= {max_den}; "
-            f"this certificate needs {need} bits")
+            f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
+            f"below 1/(2 * {n}!), half the spacing of its lattice; this "
+            f"certificate needs {need} bits")
     d_re, d_im, m, _, F = _step_chain(n, loop, prec, margin, li_bits=bits)
     with mp.workprec(F):
         # row 0: (u - v) E(-log b) D^-1; D^-1 divides entry j by (2 pi i)^j
@@ -730,14 +722,15 @@ def monodromy(n, loop, tol=DEFAULT_TOL, prec=DEFAULT_PREC,
                 for j in range(1, n + 1)]
     out = [[Fraction(1)]]
     for j, v in enumerate(row0, 1):
-        if abs(v.imag) > rtol:
+        if abs(mpf_to_fraction(v.imag)) > radius:
             raise ReconstructionError(
-                f"entry (0,{j}) has imaginary part {mp.nstr(v.imag, 5)}")
-        r = rational_reconstruct(v.real, max_den, rtol)
+                f"entry (0,{j}) has imaginary part {mp.nstr(v.imag, 5)}, "
+                f"beyond its proved radius {float(radius):.3g}")
+        r = rational_reconstruct(v.real, math.factorial(j), radius)
         if r is None:
             raise ReconstructionError(
-                f"entry (0,{j}) = {mp.nstr(v.real, 20)} is not a "
-                f"rational with denominator <= {max_den}")
+                f"entry (0,{j}) = {mp.nstr(v.real, 20)} is not within "
+                f"{float(radius):.3g} of a multiple of 1/{j}!")
         out[0].append(r)
     out += [[0] * i + [Fraction(m ** k, math.factorial(k))
                        for k in range(n + 1 - i)] for i in range(1, n + 1)]

@@ -20,15 +20,15 @@ that build period matrices, li, omega and recurrence-check take
 transport, and the finite-difference step of flatness, 2^-floor(prec/3);
 --tol never enters them.  flatness passes up to --n 20 at the default 128
 bits, and reaching n = 64 takes about 300 bits.  --tol reaches only
-monodromy and integrate: the tolerance (100 * tol) within which monodromy
-certifies the n entries of row 0 as rationals with denominator at most n!,
-a bound that no flag sets, and the quadrature target of integrate.
-kummer-block takes no tolerance: its block is an exact identity, and each
+integrate, as its quadrature target.  monodromy and kummer-block take no
+tolerance.  monodromy certifies entry (0, j) on the lattice (1/j!) Z by its
+proved radius, below half the spacing 1/j!; its output is exact, so it runs
+at the least precision that certifies, the fewest bits whose proved row-0
+radius is below 1/(2 n!), and --precision only caps it: a cap too low is a
+domain error that names the bits needed (--n 33 certifies at the default
+128, --n 64 needs 299).  kummer-block's block is an exact identity, and each
 entry must lie within principal_lambda's proved relative radius
-2^-(prec - 1).  monodromy's output is exact, so it runs at the least
-precision that certifies, the fewest bits whose proved row-0 error lies
-within 100 * tol; --precision only caps it, and a cap too low to single out
-the rationals is a domain error.  integrate computes the cube integral as
+2^-(prec - 1).  integrate computes the cube integral as
 the one-dimensional integral it equals, by a double-exponential rule in
 float64 with at most 65 537 nodes a level, and reports its value as that
 double, not padded to --precision digits; a --tol below the rounding of
@@ -117,9 +117,9 @@ def _resolve_loop(name_or_path):
 # The flags every command takes, before its own; (flag, add_argument kwargs).
 _SHARED_FLAGS = (
     ("--tol", dict(type=float, default=1e-12, help=(
-        "tolerance of the monodromy certificate and of integrate (default "
-        "1e-12); the accuracy of series, matrices and transport follows "
-        "--precision alone"))),
+        "quadrature target of integrate, the only command it reaches "
+        "(default 1e-12); the accuracy of series, matrices and transport, "
+        "and the monodromy certificate, follow --precision alone"))),
     ("--precision", dict(type=int, default=128, help=(
         "working precision in bits (default 128); monodromy runs at the "
         "least precision that certifies, and this caps it"))),
@@ -182,7 +182,7 @@ def _transport(args):
           MAX_MATRIX_N, _N, ("--loop", dict(required=True)))
 def _monodromy(args):
     loop = _resolve_loop(args.loop)
-    M = monodromy(args.n, loop, tol=args.tol, prec=args.precision)
+    M = monodromy(args.n, loop, prec=args.precision)
     return {"matrix": [list(row) for row in M.entries]}, None
 
 

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: matrices, Eulerian polynomials, and rational
-reconstruction of high-precision floats.
+"""Exact rational arithmetic: matrices, Eulerian polynomials, and the
+certification of high-precision floats on a lattice (1/q) Z.
 
 Rationals are `fractions.Fraction` throughout (arbitrary-size integers,
 normalized gcd, positive denominator), aliased as :data:`Rational`.
@@ -17,17 +17,12 @@ Rational = Fraction
 
 
 def mpf_to_fraction(x):
-    """Exact dyadic Fraction equal to the mpf ``x`` (no re-rounding)."""
-    if not isinstance(x, mp.mpf):
-        with mp.workprec(max(mp.mp.prec, 128)):
-            x = mp.mpf(x)
-    if x == 0:
-        return Fraction(0)
+    """Exact dyadic Fraction equal to the finite mpf ``x`` (no re-rounding)."""
     if not mp.isfinite(x):
         raise ValueError("cannot convert non-finite value to Fraction")
     sign, man, exp, _ = x._mpf_
     man, exp = int(man), int(exp)
-    v = Fraction(man) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** (-exp)))
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
 
 
@@ -46,44 +41,24 @@ def eulerian(r):
     return E
 
 
-def rational_reconstruct(x, max_denominator, tolerance):
-    """Continued-fraction convergent p/q of ``x`` with q <= max_denominator,
-    provided |x - p/q| <= tolerance; None otherwise.
+def rational_reconstruct(x, denominator, radius):
+    """k / q for q = ``denominator`` and k = round(q x), the point of the
+    lattice (1/q) Z nearest ``x``, when it is the only one within ``radius``
+    of x: radius < 1 / (2 q), and |x - k / q| <= radius.  None otherwise.
 
-    ``x`` may be a float, Fraction, or mpmath mpf; the computation is exact.
+    So a value known to lie in (1/q) Z and within ``radius`` of x is k / q.
+    ``x`` and ``radius`` may be ints, floats, Fractions or mpmath mpfs; every
+    comparison is exact.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    if isinstance(x, Fraction):
-        fx = x
-    elif isinstance(x, float):
-        fx = Fraction(x)
-    else:
-        fx = mpf_to_fraction(x)
-    tol = tolerance if isinstance(tolerance, Fraction) else (
-        Fraction(tolerance) if isinstance(tolerance, float) else mpf_to_fraction(tolerance))
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-    # convergents of the continued fraction of fx
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    a = fx
-    while True:
-        ai = a.numerator // a.denominator
-        p0, q0, p1, q1 = p1, q1, ai * p1 + p0, ai * q1 + q0
-        if q1 > max_denominator:
-            p, q = p0, q0
-            break
-        rem = a - ai
-        if rem == 0:
-            p, q = p1, q1
-            break
-        a = 1 / rem
-    if q < 1:
-        return None
-    cand = Fraction(p, q)
-    if abs(fx - cand) <= tol:
-        return cand
+    if denominator < 1:
+        raise ValueError("denominator must be >= 1")
+    x, radius = (mpf_to_fraction(v) if isinstance(v, mp.mpf) else Fraction(v)
+                 for v in (x, radius))
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    k = Fraction(round(denominator * x), denominator)
+    if 2 * denominator * radius < 1 and abs(x - k) <= radius:
+        return k
     return None
 
 

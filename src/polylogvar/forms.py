@@ -54,10 +54,6 @@ class RationalForm:
             num, den = reduced, q
         return RationalForm(self.n, num, den)
 
-    def equals(self, other):
-        return self.n == other.n and rational_functions_equal(
-            self.num, self.den, other.num, other.den)
-
     def product_variable_degree(self):
         """Numerator degree in the product variable x = z t_1...t_n."""
         if self.n == 0 or self.num.is_zero():

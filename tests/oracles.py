@@ -11,6 +11,7 @@ over Q, and for cube integrals through a tensor Gauss-Legendre rule on the
 cube itself - never through the package code paths being tested.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -104,6 +105,47 @@ def ref_word_monodromy(n, word):
         out = [[sum(row[k] * g[k][j] for k in range(n + 1))
                 for j in range(n + 1)] for row in out]
     return out
+
+
+def ref_loop_word(path, step=1e-3):
+    """The word, in letters (which, sign) as ``ref_word_monodromy`` takes
+    them, of a closed path based at real b in (0, 1), read from its signed
+    crossings of the rays (-oo, 0) and (1, oo).
+
+    C minus the two rays is simply connected, so a loop is homotopic to the
+    product, in the order met, of one generator loop per crossing: a
+    crossing of (-oo, 0) from the upper half-plane to the lower is the
+    counterclockwise loop about 0, (0, 1), and one of (1, oo) from the lower
+    to the upper is that about 1, (1, 1); the other ways are their inverses.
+    The path is followed in floats, lines exactly and arcs on their chords
+    at most ``step`` long.  A stretch on the real axis counts as one point:
+    the path crosses where it leaves the axis to the other side, at the
+    first point it reached the axis; that stretch cannot pass a puncture."""
+    points, z = [path.base_point], path.base_point
+    for seg in path.segments:
+        if hasattr(seg, "end"):
+            points.append(seg.end)
+        else:
+            w = z - seg.center
+            k = max(1, math.ceil(abs(seg.sweep * w) / step))
+            points += [seg.center + w * cmath.exp(1j * seg.sweep * i / k)
+                       for i in range(1, k + 1)]
+        z = points[-1]
+    word, side, touch = [], 0, None
+    for a, b in zip(points, points[1:]):
+        sign = (b.imag > 0) - (b.imag < 0)
+        if not sign:
+            touch = b.real if touch is None else touch
+            continue
+        if side and sign != side:
+            x = touch if touch is not None else \
+                a.real + (b.real - a.real) * a.imag / (a.imag - b.imag)
+            if x < 0:
+                word.append((0, side))
+            elif x > 1:
+                word.append((1, -side))
+        side, touch = sign, None
+    return word
 
 
 def ref_eulerian(r):

@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -15,8 +17,8 @@ from polylogvar.exact import RationalMatrix
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
-                     period_matrix_invariants, ref_polylog, ref_minus_log1m,
-                     ref_solution, ref_word_monodromy)
+                     period_matrix_invariants, ref_loop_word, ref_polylog,
+                     ref_minus_log1m, ref_solution, ref_word_monodromy)
 
 TOL = 1e-10
 
@@ -283,32 +285,32 @@ class TestTransport:
 class TestMonodromy:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_loop1(self, n):
-        assert monodromy(n, canonical_loop(1), tol=TOL) == expected_monodromy_loop1(n)
+        assert monodromy(n, canonical_loop(1)) == expected_monodromy_loop1(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_loop0(self, n):
-        assert monodromy(n, canonical_loop(0), tol=TOL) == expected_monodromy_loop0(n)
+        assert monodromy(n, canonical_loop(0)) == expected_monodromy_loop0(n)
 
     def test_loop0_weight_two_explicit(self):
         # identity plus a unit in entry (1, 2)
-        M = monodromy(2, canonical_loop(0), tol=TOL)
+        M = monodromy(2, canonical_loop(0))
         expected = RationalMatrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
         assert M == expected
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_homotopy_invariance(self, n):
-        square = monodromy(n, square_loop_around_one(), tol=TOL)
+        square = monodromy(n, square_loop_around_one())
         assert square == expected_monodromy_loop1(n)
 
     def test_inverse_loop(self):
         loop = canonical_loop(0)
-        M = monodromy(2, loop, tol=TOL)
-        Minv = monodromy(2, loop.reversed(), tol=TOL)
+        M = monodromy(2, loop)
+        Minv = monodromy(2, loop.reversed())
         assert M * Minv == RationalMatrix.identity(3)
 
     def test_upper_triangular(self):
         for which in (0, 1):
-            M = monodromy(2, canonical_loop(which), tol=TOL)
+            M = monodromy(2, canonical_loop(which))
             assert all(M[i, j] == 0 for i in range(3) for j in range(i))
 
     @pytest.mark.parametrize("which", [0, 1])
@@ -319,14 +321,14 @@ class TestMonodromy:
                         (LineTo(complex(0.25 + 0.5 * which, 0.0)),
                          Arc(complex(which, 0.0), 4 * math.pi),
                          LineTo(complex(0.5, 0.0))), closed=True)
-        assert monodromy(3, loop, tol=TOL) == expected(3) * expected(3)
+        assert monodromy(3, loop) == expected(3) * expected(3)
 
     def test_turn_and_turn_back_is_identity(self):
         loop = PathSpec(complex(0.5, 0.0),
                         (LineTo(complex(0.25, 0.0)), Arc(0j, 2 * math.pi),
                          Arc(0j, -2 * math.pi), LineTo(complex(0.5, 0.0))),
                         closed=True)
-        assert monodromy(3, loop, tol=TOL) == RationalMatrix.identity(4)
+        assert monodromy(3, loop) == RationalMatrix.identity(4)
 
     def test_open_path_rejected(self):
         path = PathSpec(complex(0.5, 0), (LineTo(complex(0.6, 0)),))
@@ -334,11 +336,11 @@ class TestMonodromy:
             monodromy(1, path)
 
     def test_tight_denominator_bound_fails(self, first_step_off):
-        # the first disk step leaves Li_1 1e-9 off, which every later step
-        # carries unchanged, so entry (0, 1) is off by 1.6e-10 i, more than
-        # rtol = 1e-10 allows
+        # the first disk step leaves Li_1 1 too large, which every later step
+        # carries unchanged, so entry (0, 1) is off by i / (2 pi), about
+        # 0.16 i, beyond its proved radius, 1/16 at n = 3
         with pytest.raises(ReconstructionError, match=r"entry \(0,1\)"):
-            monodromy(3, canonical_loop(1), tol=1e-12)
+            monodromy(3, canonical_loop(1))
 
     def test_loop_closing_within_the_closure_tolerance_certifies(self):
         # the loop around 1 ends 5e-10 past its base, which validate allows;
@@ -346,14 +348,14 @@ class TestMonodromy:
         loop = PathSpec(complex(0.5, 0.0),
                         (LineTo(complex(0.75, 0.0)), Arc(1 + 0j, 2 * math.pi),
                          LineTo(complex(0.5 + 5e-10, 0.0))), closed=True)
-        assert monodromy(3, loop, tol=1e-12) == expected_monodromy_loop1(3)
+        assert monodromy(3, loop) == expected_monodromy_loop1(3)
         steps = analytic._disk_chain(loop, 1e-3, 128)
         assert steps[-1][1] == loop.base_point
 
     def test_precision_independence(self):
-        # the reconstructed matrix is exact, so precision cannot change it
-        a = monodromy(2, canonical_loop(1), tol=1e-10, prec=128)
-        b = monodromy(2, canonical_loop(1), tol=1e-14, prec=192)
+        # the certified matrix is exact, so precision cannot change it
+        a = monodromy(2, canonical_loop(1), prec=128)
+        b = monodromy(2, canonical_loop(1), prec=192)
         assert a == b
 
     @pytest.mark.parametrize("n, prec, tol", [(4, 64, 1e-10), (4, 512, 1e-14),
@@ -362,7 +364,8 @@ class TestMonodromy:
         # the fixed-point guard bits follow the sized precision and the term
         # count, so the certificate holds at the smallest and largest
         # precisions and weights; a certificate said to need more bits than
-        # any cap makes the chain be sized for the cap prec itself
+        # any cap makes the chain be sized for the cap prec itself.  tol is
+        # accepted and read nowhere.
         monkeypatch.setattr(analytic, "_certified_bits", lambda *args: 10 ** 6)
         assert monodromy(n, canonical_loop(0), tol=tol, prec=prec) == \
             expected_monodromy_loop0(n)
@@ -374,16 +377,13 @@ class TestMonodromy:
             raise AssertionError("a disk step ran")
 
         monkeypatch.setattr(analytic, "_step_row", no_step)
-        # 2 * (100 * 1e-8) * 5040^2 is about 51: no unique rational
-        with pytest.raises(DomainError):
-            monodromy(7, canonical_loop(0), tol=1e-8)
-        # 2 * (100 * 1e-8) * 720^2 is about 1.04, just over the bound
-        with pytest.raises(DomainError):
-            monodromy(6, canonical_loop(0), tol=1e-8)
-        # 64 bits prove row 0 within 3.6e-20, wider than 1 / (20!)^2; the
-        # certificate at tol 1e-50 needs 159
-        with pytest.raises(DomainError, match="needs 159 bits"):
-            monodromy(20, canonical_loop(0), tol=1e-50, prec=64)
+        # 128 bits prove row 0 within 3.2e-39, just over 1 / (2 * 34!)
+        with pytest.raises(DomainError, match="needs 129 bits"):
+            monodromy(34, canonical_loop(0))
+        with pytest.raises(DomainError, match="needs 299 bits"):
+            monodromy(64, canonical_loop(0))
+        with pytest.raises(DomainError, match="needs 299 bits"):
+            monodromy(64, canonical_loop(1), prec=298)
 
 
 def _seeded_rectangle(around, seed):
@@ -419,47 +419,71 @@ def _word_path(word):
     return path
 
 
-def _rtol(tol, prec=analytic.DEFAULT_PREC):
-    """rtol = 100 tol as ``monodromy`` forms it, as an exact Fraction."""
-    with mp.workprec(prec):
-        return analytic.mpf_to_fraction(mp.mpf(tol) * 100)
-
-
 _LETTERS = st.tuples(st.sampled_from([0, 1]), st.sampled_from([1, -1]),
                      st.one_of(st.none(), st.integers(0, 2 ** 16)))
+
+
+def _spy_reconstruct(monkeypatch):
+    """Record (x, denominator, radius) of every ``rational_reconstruct``
+    call that ``monodromy`` makes, x as an exact Fraction."""
+    seen = []
+    reconstruct = analytic.rational_reconstruct
+
+    def spy(x, denominator, radius):
+        seen.append((analytic.mpf_to_fraction(x), denominator, radius))
+        return reconstruct(x, denominator, radius)
+
+    monkeypatch.setattr(analytic, "rational_reconstruct", spy)
+    return seen
 
 
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(1, 6), word=st.lists(_LETTERS, min_size=1, max_size=4),
        data=st.data())
 @example(n=6, word=[(0, 1, None), (1, -1, 7)], data=None)
+@example(n=1, word=[(1, 1, None), (1, 1, None)], data=None)
 def test_word_monodromy_is_the_generator_product(n, word, data):
     """A word in the canonical loops, seeded rectangles homotopic to them
     and their reverses, joined end to end, has the product of the
     generators' closed forms in word order as its monodromy:
     M(a.then(b)) = M(a) M(b).  Any cap in [p*, 512] sizes the chain for p*
     and leaves that matrix as it is; the cap still sets the precision of the
-    chain's arc ends."""
-    need = analytic._certified_bits(n, 0.5, _rtol(TOL))
+    chain's arc ends.  Each exact row-0 entry (0, j) lies within rho(p*) of
+    the real part handed to ``rational_reconstruct``, with its lattice
+    denominator j!."""
+    need = analytic._certified_bits(n, 0.5)
     cap = 512 if data is None else data.draw(st.integers(need, 512))
-    assert monodromy(n, _word_path(word), tol=TOL, prec=cap) == \
-        RationalMatrix(ref_word_monodromy(n, [(w, s) for w, s, _ in word]))
+    exact = ref_word_monodromy(n, [(w, s) for w, s, _ in word])
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _spy_reconstruct(patch)
+        assert monodromy(n, _word_path(word), prec=cap) == \
+            RationalMatrix(exact)
+    radius = analytic._row0_radius(n, 0.5, need)
+    assert [(d, r) for _, d, r in seen] == \
+        [(math.factorial(j), radius) for j in range(1, n + 1)]
+    for (x, _, _), e in zip(seen, exact[0][1:]):
+        assert abs(x - e) <= radius
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_certified_bits_is_the_least_that_certify(n):
+    half = Fraction(1, 2 * math.factorial(n))
     for base in (0.5, 0.3, 0.05, 0.9, 2 ** -20):
-        for tol in (1e-10, 1e-14, 1e-30, 1e-60):
-            rtol = _rtol(tol)
-            need = analytic._certified_bits(n, base, rtol)
-            radius = analytic._row0_radius(n, base, need)
-            assert radius <= rtol < analytic._row0_radius(n, base, need - 1)
-            # the radius with V = max(1, Li_1(b)) itself is no larger
-            with mp.workprec(ORACLE_PREC):
-                b = mp.mpf(base)
-                assert (n + 1) * max(1, -mp.log(1 - b)) / b \
-                    / mp.mpf(2) ** (need + 6) \
-                    <= mp.mpf(radius.numerator) / radius.denominator
+        need = analytic._certified_bits(n, base)
+        radius = analytic._row0_radius(n, base, need)
+        assert radius < half <= analytic._row0_radius(n, base, need - 1)
+        # the radius with V = max(1, Li_1(b)) itself is no larger
+        with mp.workprec(ORACLE_PREC):
+            b = mp.mpf(base)
+            assert (n + 1) * max(1, -mp.log(1 - b)) / b \
+                / mp.mpf(2) ** (need + 6) \
+                <= mp.mpf(radius.numerator) / radius.denominator
+
+
+def test_certified_bits_at_the_named_weights():
+    # at b = 1/2, p* is the least p with 2^(p + 5) > (n + 1)! * 2
+    assert [analytic._certified_bits(n, 0.5) for n in (4, 20, 30, 33, 34, 64)] \
+        == [3, 62, 109, 124, 129, 299]
 
 
 @pytest.mark.parametrize("prec", [16, 24, 64, 128])
@@ -472,9 +496,10 @@ def test_monodromy_sizes_its_chain_for_the_certificate(monkeypatch, prec):
         return step_chain(*args, **kwargs)
 
     monkeypatch.setattr(analytic, "_step_chain", spy)
-    assert monodromy(4, canonical_loop(0), tol=1e-10, prec=prec) == \
+    assert monodromy(4, canonical_loop(0), prec=prec) == \
         expected_monodromy_loop0(4)
-    assert calls == [min(prec, 24)]
+    # rho(3) = 5 * 2^-8 < 1 / 48 <= rho(2) at n = 4: three bits certify
+    assert calls == [min(prec, 3)]
 
 
 @pytest.mark.parametrize("n, word, tol", [
@@ -484,23 +509,20 @@ def test_monodromy_sizes_its_chain_for_the_certificate(monkeypatch, prec):
     (2, [(1, 1, 5), (0, 1, 11)], 1e-30), (4, [(1, 1, None)], 1e-80)])
 def test_row0_entries_lie_within_the_proved_radius(monkeypatch, n, word, tol):
     """Each real part handed to ``rational_reconstruct`` lies within
-    rho(p*) of the exact entry."""
-    seen = []
-    reconstruct = analytic.rational_reconstruct
-
-    def spy(x, max_den, rtol):
-        seen.append(analytic.mpf_to_fraction(x))
-        return reconstruct(x, max_den, rtol)
-
-    monkeypatch.setattr(analytic, "rational_reconstruct", spy)
+    rho(p*) of the exact entry, with the entry's lattice denominator j!.
+    ``tol`` is accepted and read nowhere, so the values handed over are
+    those of a call without it."""
+    seen = _spy_reconstruct(monkeypatch)
     M = monodromy(n, _word_path(word), tol=tol, prec=512)
     exact = ref_word_monodromy(n, [(w, s) for w, s, _ in word])
     assert M == RationalMatrix(exact)
-    radius = analytic._row0_radius(
-        n, 0.5, analytic._certified_bits(n, 0.5, _rtol(tol, 512)))
-    assert len(seen) == n
-    for v, e in zip(seen, exact[0][1:]):
+    radius = analytic._row0_radius(n, 0.5, analytic._certified_bits(n, 0.5))
+    assert [(d, r) for _, d, r in seen] == \
+        [(math.factorial(j), radius) for j in range(1, n + 1)]
+    for (v, _, _), e in zip(seen, exact[0][1:]):
         assert abs(v - e) <= radius
+    monodromy(n, _word_path(word), prec=512)
+    assert seen[n:] == seen[:n]
 
 
 @settings(deadline=None, max_examples=6)
@@ -523,9 +545,74 @@ def test_rectangles_are_homotopic_to_canonical_loops(around, inner, outer,
     rect = PathSpec(complex(0.5, 0.0), segs + (LineTo(complex(0.5, 0.0)),),
                     closed=True)
     rect.validate(margin=0.3)
-    assert monodromy(2, rect, tol=TOL) == expected
-    assert monodromy(2, rect.reversed(), tol=TOL) * expected == \
+    assert monodromy(2, rect) == expected
+    assert monodromy(2, rect.reversed()) * expected == \
         RationalMatrix.identity(3)
+
+
+def _seeded_loop(shape, around, seed):
+    """A closed path from the base point 1/2 about puncture 0, 1 or both
+    (``around`` 2), drawn by ``random.Random(seed)``: for ``shape`` "rect"
+    a counterclockwise rectangle, and for "arc" a line out to a circle
+    about 0, 1 or 1/2, an arc of a whole number of turns, from -2 to 2, plus
+    a part, and a line back.  Every line keeps at least 0.14, and every
+    circle at least 0.15, from the punctures."""
+    if shape == "rect" and around < 2:
+        return _seeded_rectangle(around, seed)
+    rng = random.Random(seed)
+    base = complex(0.5, 0.0)
+    if shape == "rect":
+        x0, x1 = rng.uniform(-0.6, -0.3), rng.uniform(1.3, 1.6)
+        y0, y1 = rng.uniform(-0.6, -0.3), rng.uniform(0.3, 0.6)
+        corners = [(0.5, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0),
+                   (0.5, y0), (0.5, 0.0)]
+        return PathSpec(base, tuple(LineTo(complex(x, y)) for x, y in corners),
+                        closed=True)
+
+    def angle():
+        # seen from the centre, the side on which the base point lies
+        if around == 2:
+            return rng.choice([1, -1]) * rng.uniform(math.pi / 4,
+                                                     3 * math.pi / 4)
+        return math.pi * around + rng.uniform(-math.pi / 2, math.pi / 2)
+
+    centre = complex((0.0, 1.0, 0.5)[around], 0.0)
+    radius = rng.uniform(0.7, 1.2) if around == 2 else rng.uniform(0.15, 0.4)
+    start, end = angle(), angle()
+    sweep = end - start + 2 * math.pi * rng.randint(-2, 2)
+    return PathSpec(base, (LineTo(centre + cmath.rect(radius, start)),
+                           Arc(centre, sweep), LineTo(base)), closed=True)
+
+
+def test_loop_word_reads_the_generators():
+    for which in (0, 1):
+        for loop in (canonical_loop(which), _seeded_rectangle(which, 3)):
+            assert ref_loop_word(loop) == [(which, 1)]
+            assert ref_loop_word(loop.reversed()) == [(which, -1)]
+    both = _seeded_loop("rect", 2, 3)
+    assert ref_loop_word(both) == [(1, 1), (0, 1)]
+    assert ref_loop_word(both.then(both.reversed())) == \
+        [(1, 1), (0, 1), (0, -1), (1, -1)]
+
+
+_PIECES = st.tuples(st.sampled_from(["rect", "arc"]), st.sampled_from([0, 1, 2]),
+                    st.sampled_from([1, -1]), st.integers(0, 2 ** 16))
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(1, 4), pieces=st.lists(_PIECES, min_size=1, max_size=3))
+@example(n=3, pieces=[("arc", 2, 1, 0), ("rect", 2, -1, 1), ("arc", 0, 1, 2)])
+def test_any_loop_has_the_monodromy_of_its_crossing_word(n, pieces):
+    """Seeded rectangles and arcs about 0, 1 or both, their reverses and
+    their concatenations have the monodromy of the word that
+    ``ref_loop_word`` reads from their crossings of (-oo, 0) and (1, oo)."""
+    loops = [_seeded_loop(shape, around, seed) for shape, around, _, seed
+             in pieces]
+    loops = [loop if sign == 1 else loop.reversed()
+             for loop, (_, _, sign, _) in zip(loops, pieces)]
+    path = functools.reduce(PathSpec.then, loops)
+    assert monodromy(n, path) == \
+        RationalMatrix(ref_word_monodromy(n, ref_loop_word(path)))
 
 
 def _meets_cuts(a, b):

@@ -370,8 +370,8 @@ def test_domain_error_exit_3():
 
 
 def test_numerical_failure_exit_4(first_step_off):
-    # the first disk step leaves Li_1 1e-9 off; entry (0, 1) is then
-    # 1.6e-10 i off, beyond rtol = 1e-10
+    # the first disk step leaves Li_1 1 off; entry (0, 1) is then about
+    # 0.16 i off, beyond its proved radius, 1/16 at n = 3
     code, _ = run_cli(["monodromy", "--n", "3", "--loop", "loop1"])
     assert code == 4
 
@@ -391,22 +391,24 @@ def test_loop_closing_within_the_closure_tolerance_exit_0(tmp_path):
     assert json.loads(out)["result"]["matrix"][0] == ["1", "-1", "0", "0"]
 
 
-def test_precision_cap_below_the_certificate_exit_3():
-    # at 64 bits row 0 is proved only within about 3.6e-20, far wider than
-    # 1 / (20!)^2; at 128 bits, 1.9e-39, it certifies
-    code, out = run_cli(["monodromy", "--n", "20", "--loop", "loop0",
-                         "--tol", "1e-50", "--precision", "64"])
+def test_precision_cap_below_the_certificate_exit_3(capsys):
+    # at the default 128 bits row 0 is proved only within about 3.2e-39,
+    # just over 1 / (2 * 34!); at 129 bits it certifies
+    code, _ = run_cli(["monodromy", "--n", "34", "--loop", "loop0"])
     assert code == 3
-    code, out = run_cli(["monodromy", "--n", "20", "--loop", "loop0",
-                         "--tol", "1e-50"])
+    assert "needs 129 bits" in capsys.readouterr().err
+    code, out = run_cli(["monodromy", "--n", "34", "--loop", "loop0",
+                         "--precision", "129"])
     assert code == 0
+    assert json.loads(out)["result"]["matrix"][1][2:4] == ["1", "1/2"]
 
 
-def test_ambiguous_certificate_exit_3():
-    # 2 * (100 * 1e-8) * 7!^2 > 1: a rational within rtol would not be unique
-    code, _ = run_cli(["monodromy", "--n", "7", "--loop", "loop0",
-                       "--tol", "1e-8"])
+def test_ambiguous_certificate_exit_3(capsys):
+    # 128 bits cannot single out a point of (1/64!) Z: the error names the
+    # 299 bits that can
+    code, _ = run_cli(["monodromy", "--n", "64", "--loop", "loop0"])
     assert code == 3
+    assert "needs 299 bits" in capsys.readouterr().err
 
 
 def test_matrix_size_guard_exit_3():

@@ -52,15 +52,27 @@ class TestEulerian:
 
 
 class TestRationalReconstruct:
+    """k / q, k = round(q x), is returned when it is the one point of
+    (1/q) Z within the radius of x: radius < 1 / (2 q) and
+    |x - k / q| <= radius."""
+
     def test_half(self):
-        assert rational_reconstruct(0.5, 10, 1e-9) == Fraction(1, 2)
+        assert rational_reconstruct(0.5, 2, 1e-9) == Fraction(1, 2)
+        assert rational_reconstruct(0.5 + 1e-10, 6, 1e-9) == Fraction(1, 2)
+        # 1/2 does not lie in Z
+        assert rational_reconstruct(0.5, 1, 1e-9) is None
 
     def test_minus_one(self):
         assert rational_reconstruct(-1.0, 10, 1e-9) == Fraction(-1)
+        assert rational_reconstruct(-1, 1, 0) == Fraction(-1)
 
     def test_pi_is_absent(self):
-        # best convergent within denominator 10 is 22/7, off by ~1.3e-3
-        assert rational_reconstruct(3.14159265358979, 10, 1e-9) is None
+        # 22/7 is the nearest point of (1/7) Z, off by about 1.3e-3
+        assert rational_reconstruct(3.14159265358979, 7, 1e-9) is None
+        # a radius of half the spacing or more does not single one out
+        assert rational_reconstruct(0.5, 10, Fraction(1, 20)) is None
+        assert rational_reconstruct(0.5, 10, Fraction(1, 21)) == \
+            Fraction(1, 2)
 
     def test_roundtrip_small_fractions(self):
         for q in range(1, 51):
@@ -69,40 +81,47 @@ class TestRationalReconstruct:
                 got = rational_reconstruct(x, q, Fraction(1, 10 ** 12))
                 assert got == Fraction(p, q)
 
-    # noise as a multiple of tol = 1 / (4 max_den^2), for which
-    # 2 tol max_den^2 < 1: at most one p/q with q <= max_den lies within tol
     @settings(max_examples=200)
     @given(p=st.integers(-10 ** 6, 10 ** 6), q=st.integers(1, 10 ** 4),
-           extra=st.integers(0, 10 ** 4),
+           share=st.integers(0, 10 ** 6),
            noise=st.fractions(-1, 1, max_denominator=10 ** 9))
-    def test_recovers_within_tolerance(self, p, q, extra, noise):
-        max_den = q + extra
-        tol = Fraction(1, 4 * max_den ** 2)
-        x = Fraction(p, q) + noise * tol
-        assert rational_reconstruct(x, max_den, tol) == Fraction(p, q)
+    def test_recovers_within_tolerance(self, p, q, share, noise):
+        """Off by at most a radius below 1 / (2 q), x gives p / q back."""
+        radius = Fraction(share, 2 * q * (10 ** 6 + 1))
+        x = Fraction(p, q) + noise * radius
+        assert rational_reconstruct(x, q, radius) == Fraction(p, q)
+        assert rational_reconstruct(float(x), q, radius) in (
+            Fraction(p, q), None)
 
     @settings(max_examples=200)
     @given(p=st.integers(-10 ** 6, 10 ** 6), q=st.integers(1, 10 ** 4),
-           extra=st.integers(0, 10 ** 4),
+           share=st.integers(1, 10 ** 6),
            noise=st.fractions(1, 2, max_denominator=10 ** 9).filter(
                lambda f: f > 1),
            sign=st.sampled_from([1, -1]))
-    def test_refuses_outside_tolerance(self, p, q, extra, noise, sign):
-        """Off by more than tol and at most 1 / (2 max_den^2), x is more
-        than tol from every p'/q' with q' <= max_den too."""
-        max_den = q + extra
-        tol = Fraction(1, 4 * max_den ** 2)
-        x = Fraction(p, q) + sign * noise * tol
-        assert rational_reconstruct(x, max_den, tol) is None
+    def test_refuses_outside_tolerance(self, p, q, share, noise, sign):
+        """Off by more than a radius r <= 1 / (4 q) and at most 2 r, x is
+        more than r from p / q and at least 1 / (2 q) from every other point
+        of (1/q) Z."""
+        radius = Fraction(share, 4 * q * 10 ** 6)
+        x = Fraction(p, q) + sign * noise * radius
+        assert rational_reconstruct(x, q, radius) is None
 
     def test_mpf_inputs(self):
         with mp.workprec(128):
             x = mp.mpf(3) / 7
-        assert rational_reconstruct(x, 10, 1e-20) == Fraction(3, 7)
+            radius = mp.mpf(2) ** -100
+        assert rational_reconstruct(x, 7, 1e-20) == Fraction(3, 7)
+        assert rational_reconstruct(x, 14, radius) == Fraction(3, 7)
+        # x is within 2^-129 of 3/7, not exactly on it
+        assert rational_reconstruct(x, 7, 0) is None
 
     def test_mpf_to_fraction_exact(self):
         assert mpf_to_fraction(mp.mpf("0.25")) == Fraction(1, 4)
         assert mpf_to_fraction(mp.mpf(0)) == 0
+        assert mpf_to_fraction(mp.mpf(-3) * 2 ** 70) == -3 * 2 ** 70
+        with pytest.raises(ValueError):
+            mpf_to_fraction(mp.inf)
 
 
 class TestNilpotency:
