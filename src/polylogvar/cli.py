@@ -45,7 +45,8 @@ from types import SimpleNamespace
 import mpmath as mp
 
 from . import acceptance
-from .analytic import li_series, monodromy, principal_lambda, transport
+from .analytic import (kummer_rows, li_series, monodromy, principal_lambda,
+                       transport)
 from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, integer_partitions,
                      sign_multiplicity)
@@ -197,8 +198,20 @@ def _flatness(args):
 @_command("filtration", "weight graded dimensions and transversality",
           MAX_MATRIX_N, _N, _Z)
 def _filtration(args):
-    lam = principal_lambda(args.n, _z_value(args), prec=args.precision)
-    fib = FilteredFiber.from_period_matrix(lam)
+    """Weight graded dimensions and transversality of the principal fiber.
+
+    The fiber is row 0's diagonal entry 1 over rows 1..n from
+    ``kummer_rows``, so no Li series is summed, even for z near 1.  Row 0
+    holds None above the diagonal.  That is sound: hodge_transversality_check
+    reads only the diagonal and the entries below it, as its docstring
+    proves, and graded_dimensions reads only n.  Arithmetic on None raises
+    and a test against 0 reads it as nonzero, so a check that began to read
+    those slots would fail, not pass on a made-up value.
+    """
+    n = args.n
+    rows = kummer_rows(n, _z_value(args), prec=args.precision)
+    fib = FilteredFiber(n, ((mp.mpc(1),) + (None,) * n,)
+                        + tuple(tuple(row) for row in rows))
     graded = graded_dimensions(fib)
     rep = hodge_transversality_check(fib)
     return {"graded_dimensions": [list(p) for p in graded],

@@ -19,7 +19,6 @@ double-exponential trapezoid rule in float64.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -75,14 +74,17 @@ def pretty(poly, names):
     return text
 
 
-def _product_monomial(n):
-    """t_1*...*t_n as an MPoly in (z, t1..tn)."""
-    return MPoly(n + 1, {(0,) + (1,) * n: Fraction(1)})
-
-
 def omega(n, k, _exponent_shift=0):
-    """The k-th basis form in weight n.  (The private exponent shift exists
-    so tests can break the denominator and watch the identities fail.)"""
+    """The k-th basis form in weight n, written straight into monomials.
+    (The private exponent shift exists so tests can break the denominator
+    and watch the identities fail.)
+
+    With x = z t_1...t_n, the monomial z^a x^d has the exponent tuple
+    (a + d, d, ..., d).  So, with r = n - k and e = r + 1, the numerator
+    z E_r(x) = sum_d E_r[d] z x^d is sum_d E_r[d] at (d + 1, d, ..., d), and
+    the denominator (1 - x)^e = sum_i (-1)^i C(e, i) x^i, by the binomial
+    theorem, is sum_i (-1)^i C(e, i) at (i, i, ..., i).  Every coefficient
+    is an integer."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if not 0 <= k <= n:
@@ -91,13 +93,11 @@ def omega(n, k, _exponent_shift=0):
     if k == 0:
         return RationalForm(n, MPoly.const(nv, 1), MPoly.const(nv, 1))
     r = n - k
-    z = MPoly.var(nv, 0)
-    u = _product_monomial(n)
-    x = z * u
-    num = MPoly(nv, {})
-    for (d,), c in eulerian(r).terms.items():
-        num = num + c * z * x ** d
-    den = (MPoly.const(nv, 1) - x) ** (r + 1 + _exponent_shift)
+    e = r + 1 + _exponent_shift
+    num = MPoly(nv, {(d + 1,) + (d,) * n: c
+                     for (d,), c in eulerian(r).terms.items()})
+    den = MPoly(nv, {(i,) * nv: (-1) ** i * math.comb(e, i)
+                     for i in range(e + 1)})
     return RationalForm(n, num, den)
 
 

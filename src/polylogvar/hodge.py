@@ -68,7 +68,13 @@ def evaluate_connection(c, z, prec=128):
 @dataclass(frozen=True)
 class FilteredFiber:
     """A fiber with its two flags: W_{2k} spanned by e_0..e_k, and F^k by
-    columns k..n of the solution matrix."""
+    columns k..n of the solution matrix.
+
+    The filtration checks read only the diagonal and the entries below it
+    (hodge_transversality_check's docstring proves that this decides
+    transversality for an upper-triangular fiber).  So the CLI's
+    ``filtration`` builds its fiber without row 0's Li series and leaves
+    None in row 0 above the diagonal."""
 
     n: int
     matrix: tuple  # (n+1) x (n+1) nested tuples, mpmath or python complex

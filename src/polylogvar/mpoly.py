@@ -1,24 +1,42 @@
-"""Sparse multivariate polynomials with exact Fraction coefficients.
+"""Sparse multivariate polynomials with exact rational coefficients.
 
 MPoly is the package's one polynomial class: the coefficients of the de Rham
 forms in (z, t_1..t_n), and the Eulerian polynomials in one variable x.  A
 polynomial in ``nvars`` variables is a dict mapping exponent tuples to
-nonzero Fractions.  Identities between rational functions are decided by
+nonzero coefficients, each an ``int`` when it is integral and a ``Fraction``
+with denominator above 1 otherwise, never a float.  The forms and the
+Eulerian polynomials have integer coefficients, so their arithmetic runs on
+ints.  Identities between rational functions are decided by
 cross-multiplication, which needs nothing beyond exact ring arithmetic.
 """
 
 from fractions import Fraction
+from operator import add, sub
+
+
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction; a float is
+    converted exactly."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class MPoly:
+    """Sparse polynomial: ``terms`` maps exponent tuples of length ``nvars``
+    to nonzero ints, or Fractions that are not integers."""
+
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
+        """Keep the nonzero coefficients of ``terms``, each made exact by
+        _exact; every operation below leaves its zeros for this to drop."""
         self.nvars = nvars
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     if len(mono) != nvars:
                         raise ValueError("bad exponent tuple")
@@ -26,13 +44,13 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars, i, power=1):
         mono = [0] * nvars
         mono[i] = power
-        return cls(nvars, {tuple(mono): Fraction(1)})
+        return cls(nvars, {tuple(mono): 1})
 
     def is_zero(self):
         return not self.terms
@@ -47,11 +65,7 @@ class MPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            v = out.get(mono, Fraction(0)) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + c
         return MPoly(self.nvars, out)
 
     def __neg__(self):
@@ -65,15 +79,11 @@ class MPoly:
             out = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    v = out.get(mono, Fraction(0)) + c1 * c2
-                    if v:
-                        out[mono] = v
-                    else:
-                        out.pop(mono, None)
+                    mono = tuple(map(add, m1, m2))
+                    out[mono] = out.get(mono, 0) + c1 * c2
             return MPoly(self.nvars, out)
-        return MPoly(self.nvars,
-                     {m: c * Fraction(other) for m, c in self.terms.items()})
+        other = _exact(other)
+        return MPoly(self.nvars, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -97,28 +107,19 @@ class MPoly:
             if e:
                 m2 = list(mono)
                 m2[i] = e - 1
-                m2 = tuple(m2)
-                v = out.get(m2, Fraction(0)) + c * e
-                if v:
-                    out[m2] = v
-                else:
-                    out.pop(m2, None)
+                out[tuple(m2)] = c * e
         return MPoly(self.nvars, out)
 
     def substitute(self, i, value):
-        """Set variable i to an exact Fraction constant."""
-        value = Fraction(value)
+        """Set variable i to an exact rational constant."""
+        value = _exact(value)
         out = {}
         for mono, c in self.terms.items():
             m2 = list(mono)
             e = m2[i]
             m2[i] = 0
             m2 = tuple(m2)
-            v = out.get(m2, Fraction(0)) + c * value ** e
-            if v:
-                out[m2] = v
-            else:
-                out.pop(m2, None)
+            out[m2] = out.get(m2, 0) + c * value ** e
         return MPoly(self.nvars, out)
 
     def degree_in(self, i):
@@ -127,7 +128,9 @@ class MPoly:
         return max(m[i] for m in self.terms)
 
     def divide_exact(self, divisor):
-        """Quotient self/divisor if the division is exact, else None."""
+        """Quotient self/divisor if the division is exact, else None.  Each
+        quotient coefficient is divided exactly, never as int / int, which
+        would round to a float."""
         if divisor.is_zero():
             raise ZeroDivisionError
         if self.is_zero():
@@ -140,14 +143,17 @@ class MPoly:
         while rem:
             mono = max(rem)
             c = rem[mono]
-            qm = tuple(a - b for a, b in zip(mono, dlead))
+            qm = tuple(map(sub, mono, dlead))
             if any(e < 0 for e in qm):
                 return None
-            qc = c / dc
+            if type(c) is int and type(dc) is int and not c % dc:
+                qc = c // dc
+            else:
+                qc = _exact(Fraction(c) / dc)
             quot[qm] = qc
             for m2, c2 in divisor.terms.items():
-                tm = tuple(a + b for a, b in zip(qm, m2))
-                v = rem.get(tm, Fraction(0)) - qc * c2
+                tm = tuple(map(add, qm, m2))
+                v = rem.get(tm, 0) - qc * c2
                 if v:
                     rem[tm] = v
                 else:

@@ -164,15 +164,22 @@ def _rank_codes(pts, lo, hi):
     """Classify each row x of an (m, n) array by n (n - 1) / 2 column
     comparisons.  Returns (codes, bad): a row is bad when two coordinates tie
     or one lies outside (lo, hi); otherwise its code is sum_i rank_i * n^i,
-    rank_i the number of coordinates below x_i.  Bad rows get some code."""
-    n = pts.shape[1]
-    bad = (pts <= lo).any(axis=1) | (pts >= hi).any(axis=1)
+    rank_i the number of coordinates below x_i.  Bad rows get some code.
+
+    The block is copied to column-major order once, so every comparison
+    reads two contiguous columns; the row-major block is not read again."""
+    m, n = pts.shape
+    cols = np.ascontiguousarray(pts.T)
+    del pts
+    bad = np.zeros(m, dtype=bool)
     # each pair i < j adds n^i when x_i > x_j and n^j when x_i < x_j
-    codes = np.full(len(pts), sum(j * n ** j for j in range(n)),
-                    dtype=np.int64)
+    codes = np.full(m, sum(j * n ** j for j in range(n)), dtype=np.int64)
     for i in range(n):
+        xi = cols[i]
+        bad |= xi <= lo
+        bad |= xi >= hi
         for j in range(i + 1, n):
-            xi, xj = pts[:, i], pts[:, j]
+            xj = cols[j]
             bad |= xi == xj
             codes += (xi > xj) * (n ** i - n ** j)
     return codes, bad
@@ -219,7 +226,9 @@ def paving_check(n, z, samples, seed, family=None):
     classified and then dropped: only a seen-flag per code and the count of
     bad rows survive a block.  The bad rows of a pass are redrawn as the next
     pass, in order, so the stream and the report equal those of drawing all
-    points at once.  Memory is O(_BLOCK_ROWS n + n^n) whatever ``samples``.
+    points at once.  ``_rank_codes`` copies a block to column-major order and
+    drops the row-major one, so at most two block-sized float arrays are
+    alive at a time: memory is O(_BLOCK_ROWS n + n^n) whatever ``samples``.
 
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n
@@ -247,10 +256,11 @@ def paving_check(n, z, samples, seed, family=None):
     for _ in range(100):
         bad = 0
         for start in range(0, rows, _BLOCK_ROWS):
-            pts = _uniforms(rng, min(_BLOCK_ROWS, rows - start) * n)
-            pts *= hi - lo
-            pts += lo
-            codes, out = _rank_codes(pts.reshape(-1, n), lo, hi)
+            count = min(_BLOCK_ROWS, rows - start)
+            # no name holds the row-major block, so _rank_codes drops it
+            codes, out = _rank_codes(
+                (_uniforms(rng, count * n) * (hi - lo) + lo).reshape(count, n),
+                lo, hi)
             seen[codes[~out]] = True
             bad += int(out.sum())
         if not bad:

@@ -22,7 +22,9 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from polylogvar.forms import RationalForm
 from polylogvar.linalg_exact import sparse_rref
+from polylogvar.mpoly import MPoly
 
 ORACLE_PREC = 256
 
@@ -153,6 +155,23 @@ def ref_eulerian(r):
     alternating sum A(r, m) = sum_j (-1)^j C(r+1, j) (m+1-j)^r."""
     return [sum((-1) ** j * math.comb(r + 1, j) * (m + 1 - j) ** r
                 for j in range(m + 1)) for m in range(r)] or [1]
+
+
+def ref_omega(n, k, _exponent_shift=0):
+    """omega(n, k) built from MPoly products: x = z * (t_1...t_n), the
+    numerator sum_d E_r[d] z x^d term by term with E_r from ``ref_eulerian``,
+    and the denominator (1 - x)^(r + 1 + _exponent_shift) by ``**``."""
+    nv = n + 1
+    one = MPoly.const(nv, 1)
+    if k == 0:
+        return RationalForm(n, one, one)
+    r = n - k
+    z = MPoly.var(nv, 0)
+    x = z * MPoly(nv, {(0,) + (1,) * n: 1})
+    num = MPoly(nv, {})
+    for d, c in enumerate(ref_eulerian(r)):
+        num = num + c * z * x ** d
+    return RationalForm(n, num, (one - x) ** (r + 1 + _exponent_shift))
 
 
 def ref_cube_integral(n, k, z, order=24):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylogvar import arnold, cli, poset
+from polylogvar import analytic, arnold, cli, poset
 from polylogvar.cli import main
 
 from oracles import ref_eulerian, ref_polylog, ref_solution
@@ -644,6 +644,21 @@ def test_filtration_report():
             assert rep["verdict"] == "pass"
             assert rep["result"]["graded_dimensions"] == [
                 [2 * k, 1] for k in range(n + 1)]
+
+
+def test_filtration_needs_no_li_series(monkeypatch):
+    """Row 0's series would need more than its 2 000 000-term cap at
+    z = 0.9999 and 512 bits; filtration never sums it."""
+    def no_series(*args):
+        raise AssertionError("filtration summed row 0")
+    monkeypatch.setattr(analytic, "_li_row", no_series)
+    code, out = run_cli(["filtration", "--n", "64", "--z", "0.9999",
+                         "--precision", "512"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "pass" and rep["result"]["failures"] == []
+    assert rep["result"]["graded_dimensions"] == [[2 * k, 1]
+                                                  for k in range(65)]
 
 
 def test_kummer_block_cli():

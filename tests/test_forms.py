@@ -11,7 +11,7 @@ from polylogvar.forms import (form_recurrence_check, gauge_form,
 from polylogvar.mpoly import MPoly, rational_functions_equal
 from polylogvar.analytic import li_series
 
-from oracles import LI2_HALF, LOG2, ref_cube_integral, ref_polylog
+from oracles import LI2_HALF, LOG2, ref_cube_integral, ref_omega, ref_polylog
 
 
 def test_omega_k0_is_constant():
@@ -46,6 +46,20 @@ def test_omega_3_1_uses_e2():
     x = z * MPoly(4, {(0, 1, 1, 1): Fraction(1)})
     assert w.num == z * (MPoly.const(4, 1) + x)
     assert w.den == (MPoly.const(4, 1) - x) ** 3
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_omega_matches_product_construction(n):
+    """The closed-form monomials equal the MPoly product construction, term
+    for term and in print, for every k and a broken exponent too."""
+    for k in range(n + 1):
+        for shift in (0, 1):
+            got, want = omega(n, k, shift), ref_omega(n, k, shift)
+            assert got.num.terms == want.num.terms
+            assert got.den.terms == want.den.terms
+            assert repr(got) == repr(want)
+            assert all(type(c) is int for c in got.num.terms.values())
+            assert all(type(c) is int for c in got.den.terms.values())
 
 
 def test_omega_bad_indices():

@@ -135,3 +135,100 @@ def test_exact_division_and_cross_multiplication(case):
     (p,), (q, r) = case
     assert (p * q).divide_exact(q) == p
     assert rational_functions_equal(p * r, q * r, p, q)
+
+
+# --- coefficients: ints when integral, Fractions otherwise, never floats ----
+
+_MIXED = st.one_of(st.integers(-5, 5),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _mixed_ring(draw, count):
+    """``count`` polynomials in 1 to 3 variables whose coefficients are ints
+    and Fractions, the Fractions integral or not, plus a rational point."""
+    nvars = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    polys = [MPoly(nvars, draw(st.dictionaries(mono, _MIXED, max_size=4)))
+             for _ in range(count)]
+    point = draw(st.lists(st.fractions(min_value=-2, max_value=2,
+                                       max_denominator=5),
+                          min_size=nvars, max_size=nvars))
+    return polys, point
+
+
+def _value(p, point):
+    """p at ``point``, summed term by term in Fractions."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        term = Fraction(c)
+        for x, e in zip(point, mono):
+            term *= x ** e
+        total += term
+    return total
+
+
+def _derivative_value(p, i, point):
+    """d p / d x_i at ``point``, from the power rule term by term."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        if mono[i]:
+            term = Fraction(c) * mono[i]
+            for j, (x, e) in enumerate(zip(point, mono)):
+                term *= x ** (e - (j == i))
+            total += term
+    return total
+
+
+def _exact_coefficients(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mixed_ring(2), st.integers(0, 3), st.data())
+def test_operations_commute_with_evaluation(case, k, data):
+    (p, q), point = case
+    i = data.draw(st.integers(0, p.nvars - 1))
+    a = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
+    vp, vq = _value(p, point), _value(q, point)
+    at_a = point[:i] + [a] + point[i + 1:]
+    results = [(p + q, vp + vq), (p - q, vp - vq), (p * q, vp * vq),
+               (-p, -vp), (p ** k, vp ** k), (a * p, a * vp),
+               (p.diff(i), _derivative_value(p, i, point)),
+               (p.substitute(i, a), _value(p, at_a))]
+    if not q.is_zero():
+        results.append(((p * q).divide_exact(q), vp))
+        quotient = p.divide_exact(q)
+        if quotient is not None and vq:
+            results.append((quotient, vp / vq))
+    for poly, want in [(p, vp), (q, vq)] + results:
+        assert _exact_coefficients(poly)
+        assert _value(poly, point) == want
+
+
+def test_integral_coefficients_are_ints():
+    p = MPoly(2, {(1, 0): Fraction(4, 2), (0, 1): 2.0, (0, 0): Fraction(1, 3)})
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    assert (3 * p).terms[0, 0] == 1 and type((3 * p).terms[0, 0]) is int
+    assert MPoly(1, {(0,): 0.5}).terms[(0,)] == Fraction(1, 2)
+
+
+def test_two_and_fraction_two_agree():
+    two, frac_two = MPoly.const(2, 2), MPoly.const(2, Fraction(2))
+    assert two == frac_two
+    assert hash(two) == hash(frac_two)
+    assert repr(two) == repr(frac_two) == "2"
+    assert type(frac_two.terms[0, 0]) is int
+
+
+@pytest.mark.parametrize("lead", [2, 3])
+def test_divide_exact_by_a_non_unit_leading_coefficient(lead):
+    """The quotient is 1/lead exactly: with lead = 2 it is 1/2, not 0.5,
+    and with lead = 3 no float rounding of 1/3 passes either."""
+    x = MPoly.var(2, 0)
+    y = MPoly.var(2, 1)
+    p = x * y + MPoly.const(2, 1)
+    q = p.divide_exact(lead * p)
+    assert q == MPoly.const(2, Fraction(1, lead))
+    assert type(q.terms[0, 0]) is Fraction and repr(q) == f"1/{lead}"
