@@ -24,9 +24,9 @@ from .paths import Arc, LineTo, PathSpec, canonical_loop
 from .analytic import (PeriodMatrix, li_series, monodromy, principal_lambda,
                        transport)
 from .hodge import (ConnectionMatrix, FilteredFiber, OneForm, connection,
-                    evaluate_connection, flatness_residual,
-                    graded_dimensions, hodge_transversality_check,
-                    kummer_block_check, trivial_subobject_check)
+                    flatness_residual, graded_dimensions,
+                    hodge_transversality_check, kummer_block_check,
+                    trivial_subobject_check)
 from .forms import (RationalForm, form_recurrence_check, gauge_exactness_check,
                     gauge_form, integrate_cube, omega)
 from .partitions import (SetPartition, bell_number, partitions_of,
@@ -47,7 +47,7 @@ __all__ = [
     "ReconstructionError", "SetPartition",
     "arnold_basis", "arnold_character", "arnold_dimension", "bell_number",
     "canonical_loop",
-    "connection", "eulerian", "evaluate_connection", "flatness_residual",
+    "connection", "eulerian", "flatness_residual",
     "form_recurrence_check", "gauge_exactness_check", "gauge_form",
     "graded_dimensions", "hodge_transversality_check", "induced_character_check",
     "induced_cyclic_character", "integrate_cube", "kummer_block_check",

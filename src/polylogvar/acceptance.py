@@ -1,9 +1,10 @@
 """The acceptance battery: every structural identity the package certifies,
-with its tolerance pinned where it has one.  Criteria 3 and 4 have none:
-monodromy certifies each entry on its lattice (1/j!) Z by a proved radius,
-the Kummer block is an exact identity tied to the numbers by
-principal_lambda's proved radius, and the trivial subobject is read from the
-connection's tags.
+with its tolerance pinned where it has one.  Criteria 2, 3 and 4 have none:
+flatness reads the connection's tags and ties the solution matrix to them
+by proved radii, monodromy certifies each entry on its lattice (1/j!) Z by
+a proved radius, the Kummer block is an exact identity tied to the numbers
+by principal_lambda's proved radius, and the trivial subobject is read from
+the connection's tags.
 
 Each criterion returns a CriterionResult whose `details` dict contains only
 deterministically serializable values, so identical runs produce identical
@@ -22,7 +23,7 @@ from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, sign_multiplicity)
 from .exact import eulerian, nilpotency_index
 from .forms import form_recurrence_check, gauge_exactness_check, integrate_cube
-from .hodge import (flatness_residual, flatness_step, kummer_block_check,
+from .hodge import (flatness_residual, kummer_block_check,
                     trivial_subobject_check)
 from .mpoly import MPoly
 from .partitions import paving_check, postnikov_graded_check
@@ -77,17 +78,18 @@ def criterion_1():
 
 
 def criterion_2():
-    """Finite differences of the solution matrix match the connection, at
-    192 bits and the step that precision gives."""
+    """The solution matrix solves the connection at 192 bits: its tags are
+    the stepped system, rows 1..n its exact closed form, and row 0 meets
+    the series within two proved radii (``flatness_residual``); each
+    residual is row 0's largest distance over its radius."""
     residuals = {}
     ok = True
     for n in range(1, 5):
-        r = flatness_residual(n, 0.5, prec=192)
-        residuals[str(n)] = r
-        ok = ok and r <= 1e-4
+        rep = flatness_residual(n, 0.5, prec=192)
+        residuals[str(n)] = rep.residual
+        ok = ok and rep.passed
     return CriterionResult(2, "flatness of the connection", ok,
-                           {"residuals": residuals, "tolerance": 1e-4,
-                            "h": float(flatness_step(192))})
+                           {"residuals": residuals, "tolerance": 1.0})
 
 
 def criterion_3():

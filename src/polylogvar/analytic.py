@@ -450,7 +450,7 @@ def _from_fixed(re, im, F):
 
 
 def _step_chain(n, path, prec, margin, li_bits=None):
-    """(d_re, d_im, m, Lambda, F) for ``path``, as ``transport``'s
+    """(d_re, d_im, m, Lambda, F, row) for ``path``, as ``transport``'s
     docstring sizes and bounds them.
 
     The solution row (1, R) is stepped by ``_step_row`` across the disk
@@ -462,7 +462,8 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     2^-F; F is then raised, if need be, until b converts exactly and
     2^-F <= 2^-25 margin (see ``monodromy``).  d is the change of R across
     the chain, an exact difference of Python integers scaled by 2^F: from 0
-    it is row 0 of the chain's product P.  Lambda = Log(z_end / z_base)
+    it is row 0 of the chain's product P.  row is the pair (r_re, r_im) of
+    the stepped row itself, the start plus d.  Lambda = Log(z_end / z_base)
     + 2 pi i m is the continued log(z_end / z_base), at F + 20 bits from
     the fixed-point end points, with the integer m from the float64 phase
     sum of the steps.
@@ -496,7 +497,7 @@ def _step_chain(n, path, prec, margin, li_bits=None):
         m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
         log_sum = log_ratio + 2j * m * mp.pi
     return ([a - b for a, b in zip(r_re, s_re)],
-            [a - b for a, b in zip(r_im, s_im)], m, log_sum, F)
+            [a - b for a, b in zip(r_im, s_im)], m, log_sum, F, (r_re, r_im))
 
 
 def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
@@ -578,7 +579,7 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
         raise DomainError("transport needs n >= 1")
     if start.n != n:
         raise DomainError("start matrix has the wrong weight")
-    r_re, r_im, _, log_sum, F = _step_chain(n, path, prec, margin)
+    r_re, r_im, _, log_sum, F, _ = _step_chain(n, path, prec, margin)
     with mp.workprec(F):
         # P: row 0 as stepped, exp(Lambda N) below; zeros of start stay exact
         power = [mp.mpf(1)]
@@ -709,7 +710,7 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
-    d_re, d_im, m, _, F = _step_chain(n, loop, prec, margin, li_bits=bits)
+    d_re, d_im, m, _, F, _ = _step_chain(n, loop, prec, margin, li_bits=bits)
     with mp.workprec(F):
         # row 0: (u - v) E(-log b) D^-1; D^-1 divides entry j by (2 pi i)^j
         lg, two_pi = mp.log(base.real), 2 * mp.pi

@@ -17,22 +17,25 @@ that build period matrices, li, omega and recurrence-check take
 --n <= MAX_MATRIX_N (64).
 
 --precision sets the accuracy of every series value, period matrix and
-transport, and the finite-difference step of flatness, 2^-floor(prec/3);
---tol never enters them.  flatness passes up to --n 20 at the default 128
-bits, and reaching n = 64 takes about 300 bits.  --tol reaches only
-integrate, as its quadrature target.  monodromy and kummer-block take no
-tolerance.  monodromy certifies entry (0, j) on the lattice (1/j!) Z by its
-proved radius, below half the spacing 1/j!; its output is exact, so it runs
-at the least precision that certifies, the fewest bits whose proved row-0
-radius is below 1/(2 n!), and --precision only caps it: a cap too low is a
-domain error that names the bits needed (--n 33 certifies at the default
-128, --n 64 needs 299).  kummer-block's block is an exact identity, and each
-entry must lie within principal_lambda's proved relative radius
-2^-(prec - 1).  integrate computes the cube integral as
-the one-dimensional integral it equals, by a double-exponential rule in
-float64 with at most 65 537 nodes a level, and reports its value as that
-double, not padded to --precision digits; a --tol below the rounding of
-that sum ends in exit 4.
+transport; --tol never enters them.  --tol reaches only integrate, as its
+quadrature target, and only integrate checks it.  monodromy, kummer-block and
+flatness take no tolerance.  monodromy certifies entry (0, j) on the lattice
+(1/j!) Z by its proved radius, below half the spacing 1/j!; its output is
+exact, so it runs at the least precision that certifies, the fewest bits
+whose proved row-0 radius is below 1/(2 n!), and --precision only caps it: a
+cap too low is a domain error that names the bits needed (--n 33 certifies
+at the default 128, --n 64 needs 299).  kummer-block's block is an exact
+identity, and each entry must lie within principal_lambda's proved relative
+radius 2^-(prec - 1); its max_error is the largest relative distance of an
+entry from the closed form, about 2^-prec.  flatness reads the connection's
+tags, checks rows 1..n as kummer-block does, and ties row 0, stepped along
+the line from z/2 to z, to its series within the sum of their proved radii;
+its residual is the largest distance over that sum, which must be at most
+its tolerance 1.0, and it passes at every --n up to 64 at the default 128
+bits.  integrate computes the cube integral as the one-dimensional integral
+it equals, by a double-exponential rule in float64 with at most 65 537 nodes
+a level, and reports its value as that double, not padded to --precision
+digits; a --tol below the rounding of that sum ends in exit 4.
 """
 
 import json
@@ -54,9 +57,8 @@ from .errors import DomainError, IntegrationError, PathError, ReconstructionErro
 from .exact import eulerian
 from .forms import (form_recurrence_check, gauge_exactness_check, integrate_cube,
                     omega, pretty)
-from .hodge import (FilteredFiber, flatness_residual, flatness_step,
-                    graded_dimensions, hodge_transversality_check,
-                    kummer_block_check)
+from .hodge import (FilteredFiber, flatness_residual, graded_dimensions,
+                    hodge_transversality_check, kummer_block_check)
 from .partitions import paving_check, postnikov_graded_check
 from .paths import PathSpec, canonical_loop
 from .poset import poset_homology
@@ -187,12 +189,11 @@ def _monodromy(args):
     return {"matrix": [list(row) for row in M.entries]}, None
 
 
-@_command("flatness", "finite-difference check of the connection",
+@_command("flatness", "certify that the solution matrix solves the connection",
           MAX_MATRIX_N, _N, ("--z", dict(type=_parse_z, default="0.5")))
 def _flatness(args):
-    resid = flatness_residual(args.n, _z_value(args), prec=args.precision)
-    return {"residual": resid, "h": float(flatness_step(args.precision)),
-            "tolerance": 1e-4}, resid <= 1e-4
+    rep = flatness_residual(args.n, _z_value(args), prec=args.precision)
+    return {"residual": rep.residual, "tolerance": 1.0}, rep.passed
 
 
 @_command("filtration", "weight graded dimensions and transversality",
@@ -387,8 +388,6 @@ def _parse(argv):
 
 
 def _validate(args):
-    if getattr(args, "tol", 1e-12) <= 0:
-        raise DomainError("--tol must be positive")
     if getattr(args, "precision", 128) < 64:
         raise DomainError("--precision must be at least 64 bits")
     if getattr(args, "precision", 128) > MAX_PRECISION:

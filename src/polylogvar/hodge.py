@@ -1,13 +1,15 @@
 """The connection matrix, weight and Hodge filtrations on a fiber, and the
-block-structure checks tying the fundamental solution to the rank-2
+checks tying the fundamental solution to the connection and to the rank-2
 logarithmic (Kummer) system.
 
 The filtrations are decided from the fiber's exact triangular shape, which
 entries are zero, with no rank decision and no tolerance.  The Kummer block
 is an exact identity in Q[log z, 2 pi i], tied to the computed matrix by
 principal_lambda's proved radius, and the trivial subobject is read from the
-connection's tags; neither check takes a tolerance.  The flatness check's
-step follows the working precision.
+connection's tags.  Flatness reads those tags too, takes rows 1..n from the
+Kummer block check and ties row 0, transported along a line, to its series
+within the sum of two proved radii.  None of these checks takes a
+tolerance.
 """
 
 import enum
@@ -18,10 +20,13 @@ from functools import lru_cache
 
 import mpmath as mp
 
-# monodromy is unused here; perfbench asserts hodge imports it (ROADMAP item 1)
-from .analytic import kummer_rows, principal_lambda, monodromy  # noqa: F401
+# monodromy and principal_lambda are unused here; perfbench's tracer pins
+# hodge's imports of them (ROADMAP item 1)
+from .analytic import (_from_fixed, _li_row, _principal_z, _step_chain,
+                       kummer_rows, monodromy, principal_lambda)  # noqa: F401
 from .errors import DomainError
 from .mpoly import MPoly
+from .paths import LineTo, PathSpec
 
 
 class OneForm(enum.Enum):
@@ -51,18 +56,6 @@ def connection(n):
         for k in range(1, n):
             grid[k][k + 1] = OneForm.DLOG_Z
     return ConnectionMatrix(n, tuple(tuple(row) for row in grid))
-
-
-def evaluate_connection(c, z, prec=128):
-    """The coefficient matrix A(z): dz/z -> 1/z, dz/(1-z) -> 1/(1-z)."""
-    with mp.workprec(prec):
-        zc = mp.mpc(z)
-        if zc == 0 or zc == 1:
-            raise DomainError("connection has poles at z = 0 and z = 1")
-        vals = {OneForm.ZERO: mp.mpc(0),
-                OneForm.DLOG_Z: 1 / zc,
-                OneForm.DLOG_1MZ: 1 / (1 - zc)}
-        return [[vals[tag] for tag in row] for row in c.entries]
 
 
 @dataclass(frozen=True)
@@ -208,13 +201,16 @@ def kummer_block_check(n, z, prec=128):
     e < 2^-(prec + 10) of the exact W.  principal_lambda's entry g is within
     a relative 2^-(prec - 1) of W, so
     |g - w| <= (2^-(prec - 1) + e) |W| <= (2^-(prec - 1) + 2^-(prec + 9)) |w|,
-    and the test |g - w| <= (2^-(prec - 1) + 2^-(prec + 8)) |w| at F bits,
-    its subtraction, modulus and product each within a relative 2u, accepts
+    and the test |g - w| / |w| <= 2^-(prec - 1) + 2^-(prec + 8) at F bits,
+    its subtraction, moduli and quotient each within a relative 2u, accepts
     every correct entry.  Entries below the diagonal are 0 and must be 0
     exactly.  An entry more than 2^-(prec - 2) |W| from W fails.
 
-    max_error is the largest |g - w| with w rounded to ``prec`` bits, as the
-    matrix is; failing_entry is the first (i, j) outside its radius.
+    max_error is the largest of those relative distances |g - w| / |w|, over
+    the entries on and above the diagonal, as the test computes them: about
+    2^-prec on a correct matrix, whose entries are rounded to ``prec`` bits,
+    and never above the radius when the check passes.  failing_entry is the
+    first (i, j) outside its radius.
     """
     if n < 1:
         raise DomainError("kummer_block_check needs n >= 1")
@@ -222,62 +218,100 @@ def kummer_block_check(n, z, prec=128):
         z = mp.mpc(mp.mpmathify(z))
     rows = kummer_rows(n, z, prec=prec)
     closed = _closed_block(n)
+    rel = {}
     with mp.workprec(prec + 10 + (3 * n + 9).bit_length()):
         two_pi, lg = 2 * mp.pi, mp.log(z.real)
-        want = {(1 + a, 1 + b): sum(
-            (mp.mpc((1, 1j, -1, -1j)[t % 4])
-             * (c.numerator * lg ** m * two_pi ** t / c.denominator)
-             for (m, t), c in closed[a][b].terms.items()), mp.mpc(0))
-            for a in range(n) for b in range(n)}
+        for a in range(n):
+            for b in range(a, n):
+                w = sum((mp.mpc((1, 1j, -1, -1j)[t % 4])
+                         * (c.numerator * lg ** m * two_pi ** t
+                            / c.denominator)
+                         for (m, t), c in closed[a][b].terms.items()))
+                rel[1 + a, 1 + b] = abs(rows[a][1 + b] - w) / abs(w)
         radius = mp.ldexp(1, 1 - prec) + mp.ldexp(1, -(prec + 8))
-        outside = [(i, j) for (i, j), w in want.items()
-                   if abs(rows[i - 1][j] - w) > radius * abs(w)]
-    with mp.workprec(prec):
-        max_err = max(abs(rows[i - 1][j] - +w)
-                      for (i, j), w in want.items())
+    outside = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+               if (rel[i, j] > radius if j >= i else rows[i - 1][j])]
     return BlockReport(passed=_kummer_identity(n) and not outside,
-                       max_error=float(max_err),
+                       max_error=float(max(rel.values())),
                        failing_entry=outside[0] if outside else None)
 
 
-def flatness_step(prec):
-    """The step of flatness_residual at ``prec`` bits: 2^-floor(prec/3),
-    exactly.  As a float it is 0.0 past 3224 bits, below the least double."""
-    return mp.ldexp(1, -(prec // 3))
+@dataclass(frozen=True)
+class FlatnessReport:
+    passed: bool
+    residual: float  # row 0's largest distance over its proved radius
 
 
 def flatness_residual(n, z=0.5, prec=192):
-    """Max-entry residual of the centered finite difference
-    (L(z+h) - L(z-h)) / (2h) against L(z) * A(z), with h = 2^-floor(prec/3).
+    """A FlatnessReport on whether the solution matrix L of
+    ``principal_lambda`` solves dL = L A for A = connection(n), at real z in
+    (0, 1) read at ``prec`` bits, with no tolerance.
 
-    The step balances the difference's two errors.  Its truncation error is
-    at most h^2/6 times the largest third derivative |L^(3)| on
-    [z - h, z + h].  principal_lambda gives each entry of L to a relative
-    2^-(prec - 1), so rounding adds about 2^-(prec - 1) |L| / h.  With h^3 of
-    order 2^-prec both are of order 2^-(2 prec / 3) times the size of L and
-    its derivatives, so the residual falls as the precision rises, where a
-    fixed step stops at its own O(h^2).  Those sizes grow like (2 pi)^n:
-    the residual stays below 1e-4, the bound of criterion 2 and of the
-    flatness command, up to n = 20 at 128 bits, and n = 64 needs about 300.
+    Tags.  connection(n) must be exactly dz/(1-z) at (0, 1), dz/z at
+    (k, k+1) for k >= 1 and ZERO elsewhere, the system that ``_step_row``
+    steps.  Then (L A)_(i, j) is 0 in column 0, L_(i, 0) / (1 - z) in
+    column 1 and L_(i, j-1) / z in column j >= 2.
 
-    z is taken as given, so principal_lambda raises DomainError unless it is
-    real (a complex z with imaginary part 0 counts as real).
+    Rows 1..n.  Row i holds tau^i l^(j-i) / (j-i)! in column j >= i and 0
+    before it, l = log z and tau = 2 pi i.  Its derivative is 0 for j <= i
+    and tau^i l^(j-i-1) / (j-i-1)! / z, the entry to its left over z, for
+    j > i; that is (L A)_(i, j), as L_(i, 0) = 0 for i >= 1.  So these rows
+    solve the system exactly when they are that closed form, and
+    ``kummer_block_check`` ties them to it by principal_lambda's proved
+    radius.
+
+    Row 0, (1, Li_1, ..., Li_n), summed by ``_li_row``, is tied to the
+    system itself.  Let z' be the double nearest z and b = z' / 2.
+    ``_step_chain`` steps the row (1, Li_1(b), ..., Li_n(b)) from
+    ``_li_row`` along the line from b to z', sized with li_bits = prec and
+    with margin min(b, 1 - z'), the line's distance to the punctures, and
+    the stepped row u must meet w = ``_li_row``(n, z', prec) within
+    rho_j = (n + 1) 2^-(prec + 6) + 2^-(prec + 6) |w_j| in every entry j.
+    - Transport.  As b < 1/2, every |Li_j(b)| <= Li_1(b) < log 2, so
+      V = 1 in ``monodromy``'s accuracy bound, and u is within
+      (n + 1) 2^-(prec + 7) + 3 2^-F of row 0 of L(b) P_c for the exact
+      product P_c of the chain, F >= prec + 12 its fraction bits.  F is at
+      least the bit count of b's binary fraction, so b and z' = 2 b are
+      exact, and the chain, as in ``monodromy``, runs from b to z' inside
+      disks that avoid both cuts: L(b) P_c = L(z') on the principal branch.
+    - Series.  At F bits, w_j is within a relative
+      2^-(prec + 7) + 2^-F (1 + 2^-(prec + 7)) < 1.07 2^-(prec + 7) of
+      Li_j(z'), so within 0.54 2^-(prec + 6) |w_j| (1 + 2^-prec).
+    So |u_j - w_j| < 0.6 rho_j.  The conversion, subtraction, modulus and
+    quotient at F bits, each within a relative 2^-F, with
+    2^-F |u_j| <= 2^-(prec + 12) (|w_j| + rho_j), keep the computed ratio
+    |u_j - w_j| / rho_j below 0.7 on a correct row, so the test
+    ratio <= 1 accepts it.  A fault in the series or in the row step fails
+    unless it is itself a solution of the system.  ``residual`` is the
+    largest ratio; n = 0 has no row 0 to tie, residual 0.
+
+    DomainError unless z is real in (0, 1) (a complex z with imaginary part
+    0 counts as real) and z' >= 2^-1021, so that b is a normal double, as
+    the chain's float64 plan needs; a z' the series cannot reach within its
+    term cap raises IntegrationError.
     """
     with mp.workprec(prec):
-        zr = mp.mpmathify(z)
-        hh = flatness_step(prec)
-        lp = principal_lambda(n, zr + hh, prec=prec)
-        lm = principal_lambda(n, zr - hh, prec=prec)
-        l0 = principal_lambda(n, zr, prec=prec)
-        A = evaluate_connection(connection(n), zr, prec=prec)
-        resid = mp.mpf(0)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                fd = (lp.entries[i][j] - lm.entries[i][j]) / (2 * hh)
-                prod = sum((l0.entries[i][k] * A[k][j] for k in range(n + 1)),
-                           mp.mpc(0))
-                resid = max(resid, abs(fd - prod))
-        return float(resid)
+        zp = float(_principal_z(z).real)
+    if not zp >= 2 ** -1021:
+        raise DomainError("flatness needs z >= 2^-1021: its row-0 tie "
+                          "starts from z / 2 as a normal double")
+    want = tuple(tuple(OneForm.DLOG_1MZ if (i, j) == (0, 1) else
+                       OneForm.DLOG_Z if j == i + 1 else OneForm.ZERO
+                       for j in range(n + 1)) for i in range(n + 1))
+    passed = connection(n).entries == want
+    if n == 0:
+        return FlatnessReport(passed, 0.0)
+    passed = passed and kummer_block_check(n, z, prec).passed
+    b = zp / 2
+    *_, F, (r_re, r_im) = _step_chain(
+        n, PathSpec(complex(b), (LineTo(complex(zp)),)), prec,
+        min(b, 1 - zp), li_bits=prec)
+    with mp.workprec(F):
+        ratio = max(abs(_from_fixed(x, y, F) - w)
+                    / mp.ldexp(n + 1 + abs(w), -(prec + 6))
+                    for x, y, w in zip(r_re, r_im,
+                                       _li_row(n, mp.mpc(zp), prec)))
+    return FlatnessReport(passed and ratio <= 1, float(ratio))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polylogvar import analytic, arnold, cli, poset
 from polylogvar.cli import main
+from polylogvar.hodge import FlatnessReport
 
 from oracles import ref_eulerian, ref_polylog, ref_solution
 
@@ -685,10 +686,13 @@ def test_kummer_block_reads_the_matrix_error(argv):
 
 
 def test_flatness_cli():
-    for n in ("2", "12", "20"):
+    for n in ("2", "12", "20", "64"):
         code, out = run_cli(["flatness", "--n", n])
         assert code == 0
-        assert json.loads(out)["verdict"] == "pass"
+        rep = json.loads(out)
+        assert rep["verdict"] == "pass"
+        assert 0 < rep["result"]["residual"] <= rep["result"]["tolerance"]
+        assert sorted(rep["result"]) == ["residual", "tolerance"]
     # a complex spelling with imaginary part 0 is the real point
     _, real = run_cli(["flatness", "--n", "2", "--z=0.5"])
     code, spelled = run_cli(["flatness", "--n", "2", "--z=0.5,0"])
@@ -702,13 +706,25 @@ def test_flatness_follows_precision(monkeypatch, prec):
 
     def fake_residual(n, z, prec=None):
         seen.append(prec)
-        return 0.0
+        return FlatnessReport(True, 0.25)
 
     monkeypatch.setattr(cli, "flatness_residual", fake_residual)
     code, out = run_cli(["flatness", "--n", "2", "--precision", str(prec)])
     assert code == 0
     assert seen == [prec]
-    assert json.loads(out)["result"]["h"] == 2.0 ** -(prec // 3)
+    assert json.loads(out)["result"] == {"residual": 0.25, "tolerance": 1.0}
+
+
+def test_tol_is_checked_only_where_it_is_read():
+    """monodromy never reads --tol, so --tol 0 runs; integrate's quadrature
+    refuses a target that is not positive."""
+    code, out = run_cli(["monodromy", "--n", "2", "--loop", "loop0",
+                         "--tol", "0"])
+    assert code == 0
+    assert json.loads(out)["result"]["matrix"][1] == ["0", "1", "1"]
+    code, _ = run_cli(["integrate", "--n", "2", "--k", "1", "--z", "0.3",
+                       "--tol", "0"])
+    assert code == 3
 
 
 def test_poset_homology_cli():

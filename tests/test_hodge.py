@@ -14,8 +14,7 @@ from polylogvar import acceptance, analytic, cli, hodge
 from polylogvar.analytic import principal_lambda, transport
 from polylogvar.errors import DomainError
 from polylogvar.hodge import (ConnectionMatrix, FilteredFiber, OneForm,
-                              connection, evaluate_connection,
-                              flatness_residual, graded_dimensions,
+                              connection, flatness_residual, graded_dimensions,
                               hodge_transversality_check, kummer_block_check,
                               trivial_subobject_check)
 from polylogvar.paths import canonical_loop
@@ -43,29 +42,91 @@ class TestConnection:
                 if j != i + 1:
                     assert c.entry(i, j) == OneForm.ZERO
 
-    def test_evaluate(self):
-        A = evaluate_connection(connection(1), 0.5)
-        assert A[0][1] == 2
-        A = evaluate_connection(connection(2), 2)
-        assert A[0][1] == -1
-        assert A[1][2] == mp.mpf("0.5")
 
-    def test_evaluate_at_puncture(self):
-        with pytest.raises(DomainError):
-            evaluate_connection(connection(1), 0)
-        with pytest.raises(DomainError):
-            evaluate_connection(connection(2), 1)
+def _patched_kummer_rows(old, new):
+    """kummer_rows with one piece of its source replaced."""
+    src = textwrap.dedent(inspect.getsource(analytic.kummer_rows))
+    assert src.count(old) == 1
+    scope = dict(vars(analytic))
+    exec(src.replace(old, new), scope)
+    return scope["kummer_rows"]
+
+
+def _flatness_fails(n, prec=128):
+    """flatness_residual and the flatness command fail, and so does
+    criterion 2, which runs n = 1..4, if the fault reaches n <= 4."""
+    assert not flatness_residual(n, "0.5", prec=prec).passed
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["flatness", "--n", str(n),
+                         "--precision", str(prec)]) == 0
+    assert json.loads(out.getvalue())["verdict"] == "fail"
+    assert acceptance.criterion_2().passed is (n > 4)
 
 
 class TestFlatness:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 20])
     def test_residual_small(self, n):
-        assert flatness_residual(n, 0.5) <= 1e-4
-        for z in (0.1, 0.5, 0.75, 0.9):
-            assert flatness_residual(n, z, prec=128) <= 1e-4
-        # the step follows the precision, so the residual falls with it
-        assert (flatness_residual(n, 0.5, prec=256)
-                < flatness_residual(n, 0.5, prec=128))
+        """Row 0 meets the series within its proved radius, with room to
+        spare, at either precision, and the ratio is never 0."""
+        for prec in (128, 256):
+            for z in (0.1, 0.5, 0.75, 0.9):
+                rep = flatness_residual(n, z, prec=prec)
+                assert rep.passed and 0 < rep.residual < 1e-2, (z, prec, rep)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 20), z=st.floats(0.01, 0.99),
+           prec=st.integers(64, 512))
+    def test_every_drawn_case_passes(self, n, z, prec):
+        rep = flatness_residual(n, z, prec=prec)
+        assert rep.passed and 0 < rep.residual <= 1, rep
+
+    @pytest.mark.parametrize("z", ["0.1", "0.5", "0.9"])
+    def test_weight_64_passes_at_128_bits(self, z):
+        rep = flatness_residual(64, z, prec=128)
+        assert rep.passed and 0 < rep.residual <= 1, rep
+
+    def test_weight_zero_has_no_row_to_tie(self):
+        assert flatness_residual(0, 0.5) == hodge.FlatnessReport(True, 0.0)
+
+    def test_residual_does_not_underflow_at_4096_bits(self):
+        assert 0 < flatness_residual(2, 0.5, prec=4096).residual <= 1
+
+    @pytest.mark.parametrize("z", [0, 1, 1.5, mp.mpc(0.5, 0.1), 2.0 ** -1023])
+    def test_z_outside_the_domain(self, z):
+        with pytest.raises(DomainError):
+            flatness_residual(2, z)
+
+    @pytest.mark.parametrize("n, i, j, tag", [
+        (3, 0, 1, OneForm.DLOG_Z), (3, 2, 3, OneForm.ZERO),
+        (3, 1, 2, OneForm.DLOG_1MZ), (3, 1, 3, OneForm.DLOG_Z),
+        (3, 2, 1, OneForm.DLOG_Z), (64, 63, 64, OneForm.ZERO)])
+    def test_patched_tag_fails(self, n, i, j, tag, monkeypatch):
+        monkeypatch.setattr(hodge, "connection",
+                            _connection_with_tag(i, j, tag))
+        assert flatness_residual(n, "0.5").residual <= 1
+        _flatness_fails(n)
+
+    def test_biased_li2_fails(self, monkeypatch):
+        """Li_2 off by a relative 1e-30 everywhere: the series at z' and the
+        row stepped from the series at z'/2 no longer meet."""
+        li_row = analytic._li_row
+
+        def biased(n, z, prec):
+            row = li_row(n, z, prec)
+            if n >= 2:
+                row[1] *= 1 + mp.mpf("1e-30")
+            return row
+        monkeypatch.setattr(analytic, "_li_row", biased)
+        monkeypatch.setattr(hodge, "_li_row", biased)
+        assert flatness_residual(2, "0.5").residual > 1e6
+        _flatness_fails(2)
+
+    def test_patched_kummer_rows_fail(self, monkeypatch):
+        monkeypatch.setattr(hodge, "kummer_rows", _patched_kummer_rows(
+            "terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"))
+        rep = flatness_residual(3, "0.5")
+        assert rep.residual <= 1 and not rep.passed
+        _flatness_fails(3)
 
 
 class TestFiltrations:
@@ -192,12 +253,8 @@ class TestKummerBlock:
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
     def test_patched_row_recurrence_fails(self, prec, monkeypatch):
-        src = textwrap.dedent(inspect.getsource(analytic.kummer_rows))
-        assert src.count("terms[-1] * lg / m)") == 1
-        scope = dict(vars(analytic))
-        exec(src.replace("terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"),
-             scope)
-        monkeypatch.setattr(hodge, "kummer_rows", scope["kummer_rows"])
+        monkeypatch.setattr(hodge, "kummer_rows", _patched_kummer_rows(
+            "terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"))
         rep = kummer_block_check(3, "0.5", prec=prec)
         assert not rep.passed and rep.failing_entry == (1, 2)
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -219,12 +276,31 @@ class TestKummerBlock:
         assert rep.passed is passed
         assert rep.failing_entry == (None if passed else (2, 4))
 
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    @pytest.mark.parametrize("n, z", [(1, "0.5"), (4, "0.3"),
+                                      (40, "0.230867")])
+    def test_max_error_is_the_relative_distance(self, n, z, prec,
+                                                monkeypatch):
+        """On a correct block max_error is positive, as each entry is
+        rounded to prec bits, and within the radius; an entry moved by a
+        relative 2^-(prec - 3) raises it above the radius."""
+        radius = 2.0 ** (1 - prec) + 2.0 ** -(prec + 8)
+        rep = kummer_block_check(n, z, prec=prec)
+        assert rep.passed and 0 < rep.max_error <= radius
+        rows = analytic.kummer_rows(n, z, prec=prec)
+        with mp.workprec(prec + 20):
+            rows[0][n] *= 1 + mp.ldexp(1, 3 - prec)
+        monkeypatch.setattr(hodge, "kummer_rows", lambda *a, **k: rows)
+        rep = kummer_block_check(n, z, prec=prec)
+        assert not rep.passed and rep.failing_entry == (1, n)
+        assert rep.max_error > radius
 
-def _connection_with_tag(i, j):
+
+def _connection_with_tag(i, j, tag=OneForm.DLOG_Z):
     def patched(n):
         grid = [list(row) for row in connection(n).entries]
         if max(i, j) <= n:
-            grid[i][j] = OneForm.DLOG_Z
+            grid[i][j] = tag
         return ConnectionMatrix(n, tuple(map(tuple, grid)))
     return patched
 
