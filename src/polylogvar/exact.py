@@ -26,19 +26,25 @@ def mpf_to_fraction(x):
     return -v if sign else v
 
 
+# E_0, E_1, ... as far as any call has needed them, shared by the process.
+_EULERIAN = [MPoly.const(1, 1)]
+
+
 def eulerian(r):
     """r-th Eulerian polynomial, as an MPoly in one variable x, by the
     recurrence E_{k+1}(x) = x(1-x) E_k'(x) + (1+kx) E_k(x) from E_0 = 1.
+
+    Each E_k is built once per process, by extending a module-level list,
+    and the list's own MPoly is returned: callers must not mutate it.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     x = MPoly.var(1, 0)
     one = MPoly.const(1, 1)
-    x_one_minus_x = x * (one - x)
-    E = one
-    for k in range(r):
-        E = x_one_minus_x * E.diff(0) + (one + k * x) * E
-    return E
+    while len(_EULERIAN) <= r:
+        k, E = len(_EULERIAN) - 1, _EULERIAN[-1]
+        _EULERIAN.append(x * (one - x) * E.diff(0) + (one + k * x) * E)
+    return _EULERIAN[r]
 
 
 def rational_reconstruct(x, denominator, radius):

@@ -6,10 +6,14 @@ polynomials,
     omega(n, 0) = dt_1...dt_n
     omega(n, k) = z * E_{n-k}(x) / (1 - x)^{n-k+1} dt_1...dt_n   (1 <= k <= n)
 
-Variable 0 is always z; variables 1..n are the cube coordinates.
-Derivative identities are decided exactly, by polynomial cross-multiplication,
-never by sampling: the k = 1 relation holds only up to an exact term, and the
-symbolic layer must keep that distinction sharp.
+They depend on the cube only through tau = t_1*...*t_n, so their
+coefficients are polynomials in the two variables (z, tau): variable 0 is z
+and variable 1 is tau, whatever n is (RationalForm says why every identity
+decided there holds in the cube coordinates).  Only the printed form expands
+tau^d to t1^d*...*tn^d.  Derivative identities are decided exactly, by
+polynomial cross-multiplication, never by sampling: the k = 1 relation holds
+only up to an exact term, and the symbolic layer must keep that distinction
+sharp.
 
 The one numerical operation is the period identity: integrate_cube sums
 omega(n, k) over the cube as the one-dimensional integral in
@@ -18,6 +22,7 @@ double-exponential trapezoid rule in float64.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -30,7 +35,29 @@ from .mpoly import MPoly, rational_functions_equal
 
 @dataclass(frozen=True)
 class RationalForm:
-    """(num/den) * dt_1...dt_n with exact multivariate coefficients."""
+    """(num/den) * dt_1...dt_n, with num and den exact polynomials in
+    (z, tau), tau = t_1...t_n: two exponents a monomial, not n + 1.
+
+    Why an identity decided in (z, tau) holds on the cube.  For n >= 1 let
+    phi: Q[z, tau] -> Q[z, t_1..t_n] send tau to t_1...t_n and fix z.
+    - phi is an injective ring map: it sends z^a tau^d to z^a t_1^d...t_n^d,
+      and distinct (a, d) give distinct monomials.  So num1 den2 - num2 den1
+      is 0 exactly when its image is, and cross-multiplication decides the
+      same equalities on either side.
+    - phi commutes with d/dz, since phi(tau) does not involve z.
+    - phi preserves exact division.  If phi(a) = phi(b) c, then every
+      substitution t_i -> lambda_i t_i with prod lambda_i = 1 fixes phi(a)
+      and phi(b), hence c, as the ring has no zero divisors and b != 0.  A monomial
+      z^a t^e fixed by all of them has e_i = e_j for all i, j (take
+      lambda_i = 2, lambda_j = 1/2), so c = phi(c') and, phi being
+      injective, a = b c'.  ``MPoly.divide_exact`` succeeds exactly when
+      the division is exact, so it succeeds on (a, b) exactly when it does
+      on their images, and returns the preimage of the image quotient.
+    Hence d_dz, and every identity built from sums, products, exact
+    quotients and d/dz, gives in (z, tau) the preimage of what it gives in
+    the cube coordinates.  At n = 0, tau is the empty product 1; the only
+    form there is omega(0, 0) = 1, and no identity is decided at n = 0.
+    """
 
     n: int
     num: MPoly
@@ -39,8 +66,9 @@ class RationalForm:
     def __post_init__(self):
         if self.den.is_zero():
             raise ValueError("denominator is identically zero")
-        if self.num.nvars != self.n + 1 or self.den.nvars != self.n + 1:
-            raise ValueError("coefficient polynomials must use variables (z, t1..tn)")
+        if self.n < 0 or self.num.nvars != 2 or self.den.nvars != 2:
+            raise ValueError("need n >= 0 and coefficient polynomials in "
+                             "the variables (z, tau)")
 
     def d_dz(self):
         """z-derivative, as a new RationalForm (quotient rule, then an
@@ -54,16 +82,20 @@ class RationalForm:
         return RationalForm(self.n, num, den)
 
     def product_variable_degree(self):
-        """Numerator degree in the product variable x = z t_1...t_n."""
-        if self.n == 0 or self.num.is_zero():
-            return 0
-        return max(min(mono[1:]) for mono in self.num.terms)
+        """Numerator degree in tau, so in the product variable x = z tau."""
+        return self.num.degree_in(1)
 
     def __repr__(self):
+        """The form in the cube coordinates, tau^d printed as t1^d*...*tn^d
+        (in an MPoly's repr every factor after the coefficient follows a
+        '*')."""
         tag = "".join(f" dt{i}" for i in range(1, self.n + 1)) or " (0-form)"
-        names = ["z"] + [f"t{i}" for i in range(1, self.n + 1)]
-        num, den = pretty(self.num, names), pretty(self.den, names)
+        num, den = (re.sub(r"\*x1(\^\d+|)", self._tau_on_cube, repr(p))
+                    .replace("x0", "z") for p in (self.num, self.den))
         return f"({num}) / ({den})" + tag
+
+    def _tau_on_cube(self, power):
+        return "".join(f"*t{i}{power[1]}" for i in range(1, self.n + 1))
 
 
 def pretty(poly, names):
@@ -75,29 +107,25 @@ def pretty(poly, names):
 
 
 def omega(n, k, _exponent_shift=0):
-    """The k-th basis form in weight n, written straight into monomials.
-    (The private exponent shift exists so tests can break the denominator
-    and watch the identities fail.)
+    """The k-th basis form in weight n, written straight into monomials in
+    (z, tau).  (The private exponent shift exists so tests can break the
+    denominator and watch the identities fail.)
 
-    With x = z t_1...t_n, the monomial z^a x^d has the exponent tuple
-    (a + d, d, ..., d).  So, with r = n - k and e = r + 1, the numerator
-    z E_r(x) = sum_d E_r[d] z x^d is sum_d E_r[d] at (d + 1, d, ..., d), and
-    the denominator (1 - x)^e = sum_i (-1)^i C(e, i) x^i, by the binomial
-    theorem, is sum_i (-1)^i C(e, i) at (i, i, ..., i).  Every coefficient
-    is an integer."""
+    With x = z tau, the monomial z^a x^d is z^(a + d) tau^d.  So, with
+    r = n - k and e = r + 1, the numerator z E_r(x) = sum_d E_r[d] z x^d is
+    sum_d E_r[d] at (d + 1, d), and the denominator
+    (1 - x)^e = sum_i (-1)^i C(e, i) x^i, by the binomial theorem, is
+    sum_i (-1)^i C(e, i) at (i, i).  Every coefficient is an integer."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     if not 0 <= k <= n:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
-    nv = n + 1
     if k == 0:
-        return RationalForm(n, MPoly.const(nv, 1), MPoly.const(nv, 1))
-    r = n - k
-    e = r + 1 + _exponent_shift
-    num = MPoly(nv, {(d + 1,) + (d,) * n: c
-                     for (d,), c in eulerian(r).terms.items()})
-    den = MPoly(nv, {(i,) * nv: (-1) ** i * math.comb(e, i)
-                     for i in range(e + 1)})
+        return RationalForm(n, MPoly.const(2, 1), MPoly.const(2, 1))
+    e = n - k + 1 + _exponent_shift
+    num = MPoly(2, {(d + 1, d): c
+                    for (d,), c in eulerian(n - k).terms.items()})
+    den = MPoly(2, {(i, i): (-1) ** i * math.comb(e, i) for i in range(e + 1)})
     return RationalForm(n, num, den)
 
 
@@ -120,13 +148,14 @@ def form_recurrence_check(n, k):
         return False
     lhs = omega(n, k).d_dz()
     rhs = omega(n, k - 1)
-    z = MPoly.var(n + 1, 0)
+    z = MPoly.var(2, 0)
     return rational_functions_equal(lhs.num, lhs.den, rhs.num, z * rhs.den)
 
 
 def gauge_exactness_check(nu_num=None, nu_den=None):
     """Exact statement that d/dz omega(1,1) - (1/(1-z)) omega(1,0) = d/dt nu,
-    with nu vanishing at t = 0 and t = 1.
+    with nu vanishing at t = 0 and t = 1.  At n = 1, tau is t itself, so the
+    forms and nu share the variables (z, t).
 
     A different candidate (num, den) pair for nu may be supplied; the check
     then reports whether that candidate satisfies both conditions.

@@ -261,17 +261,24 @@ def flatness_residual(n, z=0.5, prec=192):
     radius.
 
     Row 0, (1, Li_1, ..., Li_n), summed by ``_li_row``, is tied to the
-    system itself.  Let z' be the double nearest z and b = z' / 2.
-    ``_step_chain`` steps the row (1, Li_1(b), ..., Li_n(b)) from
-    ``_li_row`` along the line from b to z', sized with li_bits = prec and
-    with margin min(b, 1 - z'), the line's distance to the punctures, and
-    the stepped row u must meet w = ``_li_row``(n, z', prec) within
-    rho_j = (n + 1) 2^-(prec + 6) + 2^-(prec + 6) |w_j| in every entry j.
+    system itself.  Let z' be the double nearest z, b = z' / 2, and
+    e = max(0, ceil(log2(1/z')) - 1) extra bits, which make the transport
+    term relative to the row: as z' = m 2^-s with m in [1/2, 1)
+    (``math.frexp``), ceil(log2(1/z')) = s + 1, so e = max(0, s), and
+    2^-e <= 2 z'.  ``_step_chain`` steps the row (1, Li_1(b), ..., Li_n(b))
+    from ``_li_row`` along the line from b to z', sized with
+    li_bits = prec + e and with margin min(b, 1 - z'), the line's distance
+    to the punctures, and the stepped row u must meet
+    w = ``_li_row``(n, z', prec) within
+    rho_j = (n + 1) 2^-(prec + e + 6) + 2^-(prec + 6) |w_j| in every
+    entry j.  As Li_j(z') >= z' >= 2^-(e + 1), the first term is at most
+    2 (n + 1) 2^-(prec + 6) Li_j(z'): rho_j is relative to the row, so a
+    relative fault in Li_j shows at every z'.  For z' >= 1/2, e = 0.
     - Transport.  As b < 1/2, every |Li_j(b)| <= Li_1(b) < log 2, so
       V = 1 in ``monodromy``'s accuracy bound, and u is within
-      (n + 1) 2^-(prec + 7) + 3 2^-F of row 0 of L(b) P_c for the exact
-      product P_c of the chain, F >= prec + 12 its fraction bits.  F is at
-      least the bit count of b's binary fraction, so b and z' = 2 b are
+      (n + 1) 2^-(prec + e + 7) + 3 2^-F of row 0 of L(b) P_c for the exact
+      product P_c of the chain, F >= prec + e + 12 its fraction bits.  F is
+      at least the bit count of b's binary fraction, so b and z' = 2 b are
       exact, and the chain, as in ``monodromy``, runs from b to z' inside
       disks that avoid both cuts: L(b) P_c = L(z') on the principal branch.
     - Series.  At F bits, w_j is within a relative
@@ -302,13 +309,13 @@ def flatness_residual(n, z=0.5, prec=192):
     if n == 0:
         return FlatnessReport(passed, 0.0)
     passed = passed and kummer_block_check(n, z, prec).passed
-    b = zp / 2
+    b, extra = zp / 2, max(0, -math.frexp(zp)[1])
     *_, F, (r_re, r_im) = _step_chain(
         n, PathSpec(complex(b), (LineTo(complex(zp)),)), prec,
-        min(b, 1 - zp), li_bits=prec)
+        min(b, 1 - zp), li_bits=prec + extra)
     with mp.workprec(F):
         ratio = max(abs(_from_fixed(x, y, F) - w)
-                    / mp.ldexp(n + 1 + abs(w), -(prec + 6))
+                    / mp.ldexp(mp.ldexp(n + 1, -extra) + abs(w), -(prec + 6))
                     for x, y, w in zip(r_re, r_im,
                                        _li_row(n, mp.mpc(zp), prec)))
     return FlatnessReport(passed and ratio <= 1, float(ratio))

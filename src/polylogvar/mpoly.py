@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 MPoly is the package's one polynomial class: the coefficients of the de Rham
-forms in (z, t_1..t_n), and the Eulerian polynomials in one variable x.  A
-polynomial in ``nvars`` variables is a dict mapping exponent tuples to
-nonzero coefficients, each an ``int`` when it is integral and a ``Fraction``
-with denominator above 1 otherwise, never a float.  The forms and the
+forms in (z, tau), tau = t_1...t_n, and the Eulerian polynomials in one
+variable x.  A polynomial in ``nvars`` variables is a dict mapping exponent
+tuples to nonzero coefficients, each an ``int`` when it is integral and a
+``Fraction`` with denominator above 1 otherwise, never a float.  The forms and the
 Eulerian polynomials have integer coefficients, so their arithmetic runs on
 ints.  Identities between rational functions are decided by
 cross-multiplication, which needs nothing beyond exact ring arithmetic.

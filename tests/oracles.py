@@ -22,7 +22,6 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from polylogvar.forms import RationalForm
 from polylogvar.linalg_exact import sparse_rref
 from polylogvar.mpoly import MPoly
 
@@ -157,21 +156,52 @@ def ref_eulerian(r):
                 for j in range(m + 1)) for m in range(r)] or [1]
 
 
+def ref_on_cube(poly, n):
+    """The polynomial ``poly`` in (z, tau) as a polynomial in the cube
+    coordinates (z, t_1..t_n): tau -> t_1...t_n (the empty product 1 at
+    n = 0), summed term by term from MPoly products
+    z^a (t_1 * ... * t_n)^d."""
+    nv = n + 1
+    z = MPoly.var(nv, 0)
+    tau = MPoly.const(nv, 1)
+    for i in range(1, nv):
+        tau = tau * MPoly.var(nv, i)
+    out = MPoly(nv, {})
+    for (a, d), c in poly.terms.items():
+        out = out + c * z ** a * tau ** d
+    return out
+
+
 def ref_omega(n, k, _exponent_shift=0):
-    """omega(n, k) built from MPoly products: x = z * (t_1...t_n), the
-    numerator sum_d E_r[d] z x^d term by term with E_r from ``ref_eulerian``,
-    and the denominator (1 - x)^(r + 1 + _exponent_shift) by ``**``."""
+    """(num, den) of omega(n, k) in the cube coordinates (z, t_1..t_n),
+    built from MPoly products: x = z * (t_1...t_n), the numerator
+    sum_d E_r[d] z x^d term by term with E_r from ``ref_eulerian``, and the
+    denominator (1 - x)^(r + 1 + _exponent_shift) by ``**``."""
     nv = n + 1
     one = MPoly.const(nv, 1)
     if k == 0:
-        return RationalForm(n, one, one)
+        return one, one
     r = n - k
     z = MPoly.var(nv, 0)
     x = z * MPoly(nv, {(0,) + (1,) * n: 1})
     num = MPoly(nv, {})
     for d, c in enumerate(ref_eulerian(r)):
         num = num + c * z * x ** d
-    return RationalForm(n, num, (one - x) ** (r + 1 + _exponent_shift))
+    return num, (one - x) ** (r + 1 + _exponent_shift)
+
+
+def ref_cube_text(n, num, den):
+    """The printed form of (num/den) dt_1...dt_n for a (num, den) pair in
+    the cube coordinates: each MPoly repr with x0 named z and x_i named
+    t_i, the higher indices replaced first."""
+    texts = []
+    for poly in (num, den):
+        text = repr(poly)
+        for i in range(n, 0, -1):
+            text = text.replace(f"x{i}", f"t{i}")
+        texts.append(text.replace("x0", "z"))
+    tag = "".join(f" dt{i}" for i in range(1, n + 1)) or " (0-form)"
+    return f"({texts[0]}) / ({texts[1]})" + tag
 
 
 def ref_cube_integral(n, k, z, order=24):

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylogvar import exact
 from polylogvar.exact import (RationalMatrix, eulerian, mpf_to_fraction,
                               nilpotency_index, rational_reconstruct)
 from polylogvar.mpoly import MPoly
 
 import mpmath as mp
+
+from oracles import ref_eulerian
 
 
 def _poly(coeffs):
@@ -49,6 +52,16 @@ class TestEulerian:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             eulerian(-1)
+
+    def test_built_once_and_shared(self, monkeypatch):
+        """Every E_r comes from the process-wide list, so a second call
+        returns the same object; a fresh list, filled up to r = 20 and then
+        asked for lower r, gives the explicit sum's coefficients."""
+        monkeypatch.setattr(exact, "_EULERIAN", [MPoly.const(1, 1)])
+        for r in (20, 3, 0, 12):
+            assert eulerian(r) == _poly(ref_eulerian(r))
+            assert eulerian(r) is eulerian(r)
+        assert len(exact._EULERIAN) == 21
 
 
 class TestRationalReconstruct:

@@ -6,60 +6,112 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylogvar.errors import DomainError, IntegrationError
-from polylogvar.forms import (form_recurrence_check, gauge_form,
+from polylogvar.forms import (RationalForm, form_recurrence_check, gauge_form,
                               gauge_exactness_check, integrate_cube, omega)
 from polylogvar.mpoly import MPoly, rational_functions_equal
 from polylogvar.analytic import li_series
 
-from oracles import LI2_HALF, LOG2, ref_cube_integral, ref_omega, ref_polylog
+from oracles import (LI2_HALF, LOG2, ref_cube_integral, ref_cube_text,
+                     ref_omega, ref_on_cube, ref_polylog)
+
+
+def _on_cube(form):
+    """(num, den) of ``form`` in the cube coordinates, by the oracle."""
+    return ref_on_cube(form.num, form.n), ref_on_cube(form.den, form.n)
 
 
 def test_omega_k0_is_constant():
     w = omega(2, 0)
-    assert w.num == MPoly.const(3, 1)
-    assert w.den == MPoly.const(3, 1)
+    assert w.num == w.den == MPoly.const(2, 1)
+    assert _on_cube(w) == (MPoly.const(3, 1), MPoly.const(3, 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_omega_top_is_geometric_kernel(n):
     # omega(n, n) = z / (1 - z t1...tn), since E_0 = 1
-    w = omega(n, n)
+    num, den = _on_cube(omega(n, n))
     z = MPoly.var(n + 1, 0)
     x = z * MPoly(n + 1, {(0,) + (1,) * n: Fraction(1)})
-    assert w.num == z
-    assert w.den == MPoly.const(n + 1, 1) - x
+    assert num == z
+    assert den == MPoly.const(n + 1, 1) - x
 
 
 def test_omega_2_1_uses_e1():
     # E_1 = 1, so omega(2,1) = z / (1 - z t1 t2)^2
-    w = omega(2, 1)
+    num, den = _on_cube(omega(2, 1))
     z = MPoly.var(3, 0)
     x = z * MPoly(3, {(0, 1, 1): Fraction(1)})
-    assert w.num == z
-    assert w.den == (MPoly.const(3, 1) - x) ** 2
+    assert num == z
+    assert den == (MPoly.const(3, 1) - x) ** 2
 
 
 def test_omega_3_1_uses_e2():
     # E_2 = 1 + x, so the numerator is z (1 + z t1 t2 t3)
-    w = omega(3, 1)
+    num, den = _on_cube(omega(3, 1))
     z = MPoly.var(4, 0)
     x = z * MPoly(4, {(0, 1, 1, 1): Fraction(1)})
-    assert w.num == z * (MPoly.const(4, 1) + x)
-    assert w.den == (MPoly.const(4, 1) - x) ** 3
+    assert num == z * (MPoly.const(4, 1) + x)
+    assert den == (MPoly.const(4, 1) - x) ** 3
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_omega_matches_product_construction(n):
-    """The closed-form monomials equal the MPoly product construction, term
-    for term and in print, for every k and a broken exponent too."""
+    """The closed-form monomials in (z, tau), carried to the cube by the
+    oracle's substitution, equal the MPoly product construction term for
+    term, for every k and a broken exponent too."""
     for k in range(n + 1):
         for shift in (0, 1):
             got, want = omega(n, k, shift), ref_omega(n, k, shift)
-            assert got.num.terms == want.num.terms
-            assert got.den.terms == want.den.terms
-            assert repr(got) == repr(want)
+            assert got.num.nvars == got.den.nvars == 2
+            assert _on_cube(got) == want
             assert all(type(c) is int for c in got.num.terms.values())
             assert all(type(c) is int for c in got.den.terms.values())
+
+
+@pytest.mark.parametrize("n", list(range(9)) + [64])
+def test_repr_is_the_printed_cube_form(n):
+    """repr expands tau^d to t1^d...tn^d exactly as the oracle prints the
+    cube-coordinate pair; at n = 0 the only form is the constant 1."""
+    for k in range(n + 1):
+        assert repr(omega(n, k)) == ref_cube_text(n, *ref_omega(n, k))
+
+
+def test_rational_form_needs_z_tau():
+    """The coefficients are polynomials in (z, tau) for every n; a pair in
+    the n + 1 cube coordinates is refused."""
+    one = MPoly.const(4, 1)
+    with pytest.raises(ValueError):
+        RationalForm(3, one, one)
+    with pytest.raises(ValueError):
+        RationalForm(-1, MPoly.const(2, 1), MPoly.const(2, 1))
+    with pytest.raises(ValueError):
+        RationalForm(3, MPoly.const(2, 1), MPoly(2, {}))
+
+
+_ZT_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-5, 5), max_size=5).map(lambda terms: MPoly(2, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_ZT_POLYS, q=_ZT_POLYS, n=st.integers(1, 4))
+def test_substitution_commutes_with_ring_operations_and_d_dz(p, q, n):
+    """tau -> t_1...t_n is an injective ring map that commutes with d/dz
+    and preserves exact quotients, so every identity the forms decide in
+    (z, tau) holds in the cube coordinates."""
+    phi_p, phi_q = ref_on_cube(p, n), ref_on_cube(q, n)
+    assert ref_on_cube(p + q, n) == phi_p + phi_q
+    assert ref_on_cube(p * q, n) == phi_p * phi_q
+    assert ref_on_cube(p.diff(0), n) == phi_p.diff(0)
+    assert (phi_p == phi_q) is (p == q)
+    if not q.is_zero():
+        assert (p * q).divide_exact(q) == p
+        assert ref_on_cube(p * q, n).divide_exact(phi_q) == phi_p
+        quot = p.divide_exact(q)
+        cube_quot = phi_p.divide_exact(phi_q)
+        assert (quot is None) is (cube_quot is None)
+        if quot is not None:
+            assert ref_on_cube(quot, n) == cube_quot
 
 
 def test_omega_bad_indices():
@@ -76,11 +128,16 @@ def test_recurrence_exact(n, k):
 
 
 def test_recurrence_fails_with_wrong_exponent():
+    """A broken denominator fails the recurrence in (z, tau), and so does
+    its image in the cube coordinates."""
     n, k = 3, 2
     lhs = omega(n, k, _exponent_shift=1).d_dz()
     rhs = omega(n, k - 1)
-    z = MPoly.var(n + 1, 0)
+    z = MPoly.var(2, 0)
     assert not rational_functions_equal(lhs.num, lhs.den, rhs.num, z * rhs.den)
+    assert not rational_functions_equal(*_on_cube(lhs),
+                                        ref_on_cube(rhs.num, n),
+                                        ref_on_cube(z * rhs.den, n))
 
 
 def test_gauge_exactness():

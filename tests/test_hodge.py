@@ -121,6 +121,26 @@ class TestFlatness:
         assert flatness_residual(2, "0.5").residual > 1e6
         _flatness_fails(2)
 
+    @pytest.mark.parametrize("z", ["1e-5", "1e-100", "1e-300"])
+    def test_z_far_below_one_passes(self, z):
+        rep = flatness_residual(3, z, prec=128)
+        assert rep.passed and 0 < rep.residual < 1e-2, rep
+
+    def test_biased_li1_fails_far_below_one(self, monkeypatch):
+        """Li_1 off by a relative 1e-30 at z = 1e-100, where the row is
+        about 1e-100: the radius is relative to the row, so the bias fails.
+        A radius with an absolute term (n + 1) 2^-(prec + 6) passed it."""
+        li_row = analytic._li_row
+
+        def biased(n, z, prec):
+            row = li_row(n, z, prec)
+            row[0] *= 1 + mp.mpf("1e-30")
+            return row
+        monkeypatch.setattr(analytic, "_li_row", biased)
+        monkeypatch.setattr(hodge, "_li_row", biased)
+        rep = flatness_residual(3, "1e-100", prec=128)
+        assert not rep.passed and rep.residual > 1e6, rep
+
     def test_patched_kummer_rows_fail(self, monkeypatch):
         monkeypatch.setattr(hodge, "kummer_rows", _patched_kummer_rows(
             "terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"))
