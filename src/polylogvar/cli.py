@@ -71,9 +71,9 @@ from .report import RunReport
 MAX_MATRIX_N = 64
 # Largest --precision in bits; mpmath's cost grows faster than linearly in it.
 MAX_PRECISION = 4096
-# Largest --samples for paving.  It bounds time, about 0.4 s at n = 6 on a
-# 2-core x86-64 VM; paving's memory stays one block of points whatever the
-# sample count.
+# Largest --samples for paving.  It bounds time, about 0.4 s at n = 6 inside
+# cli.main (0.5-0.6 s for the whole command) on a 2-core x86-64 VM; paving's
+# memory stays one block of points whatever the sample count.
 MAX_SAMPLES = 10 ** 6
 
 

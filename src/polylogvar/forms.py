@@ -18,7 +18,8 @@ sharp.
 The one numerical operation is the period identity: integrate_cube sums
 omega(n, k) over the cube as the one-dimensional integral in
 s = -log(t_1...t_n) that it equals exactly (proof in its docstring), by a
-double-exponential trapezoid rule in float64.
+double-exponential trapezoid rule in float64 on the math module, each node
+evaluated once across the halvings of the step.
 """
 
 import math
@@ -26,7 +27,6 @@ import re
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .exact import eulerian
@@ -71,15 +71,15 @@ class RationalForm:
                              "the variables (z, tau)")
 
     def d_dz(self):
-        """z-derivative, as a new RationalForm (quotient rule, then an
-        opportunistic exact cancellation of the denominator)."""
+        """z-derivative, as a new RationalForm: the quotient rule's
+        numerator over q when q divides it exactly, else over q^2 (formed
+        only then)."""
         p, q = self.num, self.den
         num = p.diff(0) * q - p * q.diff(0)
-        den = q * q
         reduced = num.divide_exact(q)
         if reduced is not None:
-            num, den = reduced, q
-        return RationalForm(self.n, num, den)
+            return RationalForm(self.n, reduced, q)
+        return RationalForm(self.n, num, q * q)
 
     def product_variable_degree(self):
         """Numerator degree in tau, so in the product variable x = z tau."""
@@ -185,8 +185,9 @@ def gauge_exactness_check(nu_num=None, nu_den=None):
 
 
 # Halvings of the step after h = 1/2: at most 2^(_HALVINGS + 4) + 1 = 65 537
-# nodes a level, so a request that cannot converge still ends in milliseconds.
+# nodes, so a request that cannot converge still ends within about 0.2 s.
 _HALVINGS = 12
+_EPS = 2.0 ** -52  # float64's machine epsilon
 
 
 def _distance_to_cut(z):
@@ -227,12 +228,16 @@ def integrate_cube(n, k, z, tol):
     s_+ > 4e18: the tails left out add at most max |g| (s_-^n / n! + e^-s_+),
     below the rounding of any sum that max |g| enters.  The step starts
     at h = 1/2 and is halved, at most _HALVINGS times, until two successive
-    sums differ by at most tol; the finer one is returned.  A difference
-    below the rounding of the sum, eps * sum |term|, says nothing, so a tol
-    below that floor is never met and ends in IntegrationError.  The error of
-    the trapezoid rule falls like exp(-2 pi d / h), where d is the half-width
-    of the strip in t on which the integrand is analytic; the pole of g at
-    s = log z is what narrows it, so z near the cut needs more halvings.
+    sums differ by at most tol; the finer one is returned.  The nodes of
+    step h are among those of h/2, so each halving evaluates only the odd
+    multiples of h/2 that it adds, and every node is evaluated once; the
+    sums over all nodes so far are kept in math.fsum.  A difference below
+    the rounding of the sum, eps * sum |term| with eps = 2^-52, says
+    nothing, so a tol below that floor is never met and ends in
+    IntegrationError.  The error of the trapezoid rule falls like
+    exp(-2 pi d / h), where d is the half-width of the strip in t on which
+    the integrand is analytic; the pole of g at s = log z is what narrows
+    it, so z near the cut needs more halvings.
 
     Cost guard: 1 <= n <= 4.  The point z must keep distance >= 0.05 from
     the half-line [1, oo).
@@ -250,21 +255,36 @@ def integrate_cube(n, k, z, tol):
     e = eulerian(r)
     descending = [float(e.terms.get((d,), 0))
                   for d in range(e.degree_in(0), -1, -1)]
+
+    def term(t):
+        log_s = 0.5 * math.pi * math.sinh(t)
+        s = math.exp(log_s)
+        if s > 1000.0:
+            # s^n e^-s <= e^(4 * 43 - 1000) underflows to exactly 0.0
+            return 0.0
+        g = 1.0
+        if k:
+            x = zc * math.exp(-s)
+            p = 0j
+            for c in descending:
+                p = p * x + c
+            g = zc * p / (1.0 - x) ** (r + 1)
+        return g * math.exp(n * log_s - s) * math.cosh(t)
+
+    # level 0 takes t = -4 + j h for j = 0..16, each later level the odd j;
+    # fsum rounds the running sums once a level
+    scale = 0.5 * math.pi / math.factorial(n - 1)
+    real = imag = size = 0.0
     prev = None
     for level in range(_HALVINGS + 1):
         h = 0.5 ** (level + 1)
-        t = np.linspace(-4.0, 4.0, 2 ** (level + 4) + 1)  # step h
-        log_s = 0.5 * np.pi * np.sinh(t)
-        s = np.exp(log_s)
-        if k == 0:
-            g = 1.0
-        else:
-            x = zc * np.exp(-s)
-            g = zc * np.polyval(descending, x) / (1.0 - x) ** (r + 1)
-        terms = g * np.exp(n * log_s - s) * np.cosh(t)
-        terms *= 0.5 * np.pi * h / math.factorial(n - 1)
-        val = complex(terms.sum())
-        floor = np.finfo(float).eps * np.abs(terms).sum()
+        new = [term(j * h - 4.0) for j in
+               (range(1, 2 ** (level + 4), 2) if level else range(17))]
+        real = math.fsum([real] + [v.real for v in new])
+        imag = math.fsum([imag] + [v.imag for v in new])
+        size = math.fsum([size] + [abs(v) for v in new])
+        val = complex(real, imag) * (scale * h)
+        floor = _EPS * size * (scale * h)
         if prev is not None and max(abs(val - prev), floor) <= tol:
             return mp.mpc(val)
         prev = val

@@ -5,11 +5,10 @@ rescaled hypercube.
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -150,61 +149,117 @@ class PavingReport:
     volume_identity_ok: bool
 
 
-def _uniforms(rng, count):
-    """``count`` uniforms in [0, 1) with 53 random bits each: the top 53 bits
-    of consecutive 64-bit words of the stdlib Mersenne Twister stream."""
-    words = np.frombuffer(rng.randbytes(8 * count), dtype="<u8")
-    return (words >> np.uint64(11)) * 2.0 ** -53
-
-
 _BLOCK_ROWS = 8192
+_HIGH = 1 << 31  # the top bit of a 32-bit field; set on a tied row's code
 
 
-def _rank_codes(pts, lo, hi):
-    """Classify each row x of an (m, n) array by n (n - 1) / 2 column
-    comparisons.  Returns (codes, bad): a row is bad when two coordinates tie
-    or one lies outside (lo, hi); otherwise its code is sum_i rank_i * n^i,
-    rank_i the number of coordinates below x_i.  Bad rows get some code.
+def _words(rng, count):
+    """``count`` little-endian 32-bit words of the stdlib Mersenne Twister
+    stream ``rng``, as bytes."""
+    return rng.randbytes(4 * count)
 
-    The block is copied to column-major order once, so every comparison
-    reads two contiguous columns; the row-major block is not read again."""
-    m, n = pts.shape
-    cols = np.ascontiguousarray(pts.T)
-    del pts
-    bad = np.zeros(m, dtype=bool)
-    # each pair i < j adds n^i when x_i > x_j and n^j when x_i < x_j
-    codes = np.full(m, sum(j * n ** j for j in range(n)), dtype=np.int64)
+
+@lru_cache(maxsize=4)
+def _masks(rows):
+    """Two ints of ``rows`` 32-bit fields: 2^31 - 1 in every field, and
+    2^31 in every field."""
+    def fields(value):
+        return int.from_bytes(value.to_bytes(4, "little") * rows, "little")
+    return fields(_HIGH - 1), fields(_HIGH)
+
+
+def _rank_codes(block, n):
+    """Classify the rows of ``block``, little-endian 32-bit words in
+    row-major order, n words a row, by the values k_i = word_i >> 1.
+    Returns (codes, bad): ``codes[r]`` is sum_i rank_i * n^i for row r, with
+    rank_i the number of k_j below k_i, and has bit 31 set when two k_i of
+    the row tie; ``bad`` counts the tied rows.
+
+    All rows are classified at once on Python ints in 32-bit fields, field r
+    belonging to row r (SWAR, several values packed in one int).  Column i
+    is one int K_i: the words i, i + n, ... of the block, sliced out as
+    4-byte items and read little-endian, so the platform's byte order plays
+    no part.  Shifted down one bit and masked to 31 bits a field, field r
+    of K_i holds k_i of row r.
+
+    Comparison.  Let H hold 2^31 in every field.  For ints A, B whose
+    fields a_r, b_r are below 2^31, ((A | H) - B) & H has bit 31 of field r
+    set exactly when a_r >= b_r, and no borrow crosses a field.  Proof:
+    A | H = A + H, as a_r < 2^31, so (A | H) - B is the sum over r of
+    (2^31 + a_r - b_r) 2^(32 r).  Each 2^31 + a_r - b_r lies in
+    [1, 2^32 - 1], because |a_r - b_r| < 2^31, so this sum is the base-2^32
+    expansion of the difference: field r holds 2^31 + a_r - b_r, whose
+    bit 31 is set iff 2^31 + a_r - b_r >= 2^31, that is iff a_r >= b_r.
+
+    Each pair i < j gives two flag ints, for k_i >= k_j and for
+    k_j >= k_i.  Where both are set the row ties, and the tie flags are
+    OR'd together.  Otherwise exactly one is set, and it counts one
+    coordinate below the larger k.  A flag int is 2^31 times an int of
+    0/1 fields, so the sum over i of n^i times the flags of column i is
+    2^31 times the int whose field r is the code of row r: one shift by 31
+    at the end reads the codes off exactly.  Every code, a tied row's too,
+    is at most (n - 1)(1 + n + ... + n^(n-1)) = n^n - 1 < 6^6 < 2^31, so no
+    field reaches its neighbour, nor bit 31, where the tie flag goes.  The
+    code int is then turned into bytes, one 32-bit word a row.
+    """
+    from array import array
+
+    rows = len(block) // (4 * n)
+    low, high = _masks(rows)
+    words = array("I", block)  # only the 4-byte item size matters here
+    cols = [(int.from_bytes(words[i::n], "little") >> 1) & low
+            for i in range(n)]
+    raised = [k | high for k in cols]
+    flags = [0] * n  # 2^31 rank_i
+    tied = 0
     for i in range(n):
-        xi = cols[i]
-        bad |= xi <= lo
-        bad |= xi >= hi
         for j in range(i + 1, n):
-            xj = cols[j]
-            bad |= xi == xj
-            codes += (xi > xj) * (n ** i - n ** j)
-    return codes, bad
+            ge = (raised[i] - cols[j]) & high  # k_i >= k_j
+            le = (raised[j] - cols[i]) & high  # k_j >= k_i
+            tied |= ge & le
+            flags[i] += ge
+            flags[j] += le
+    code = sum(f * n ** i for i, f in enumerate(flags)) >> 31
+    codes = array("I", (code | tied).to_bytes(4 * rows, "little"))
+    if sys.byteorder == "big":
+        codes.byteswap()
+    return codes, tied.bit_count()
 
 
 def _family_table(family, n):
     """Multiplicity of each permutation s in ``family``, indexed by the code
     sum_i (s(i) - 1) * n^i.  Every entry must be a permutation of 1..n."""
-    codes = []
+    table = [0] * n ** n
     for sigma in family:
         if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
             raise DomainError(
                 f"family entry {tuple(sigma)} is not a permutation of 1..{n}")
-        codes.append(sum((v - 1) * n ** i for i, v in enumerate(sigma)))
-    return np.bincount(np.array(codes, dtype=np.int64), minlength=n ** n)
+        table[sum((v - 1) * n ** i for i, v in enumerate(sigma))] += 1
+    return table
 
 
 def paving_check(n, z, samples, seed, family=None):
     """Sample points of the open cube (1, 1/z)^n and count, per point, the
     order simplices 1 < x_{s^{-1}(1)} < ... < x_{s^{-1}(n)} < 1/z containing
-    it strictly; a paving means every point lies in exactly one.  Points with
-    tied coordinates or on the boundary are redrawn.  Also checks, in exact
-    Fraction arithmetic, that the family's simplices, each of volume
-    side^n / n! with side = 1/z - 1 and counted with multiplicity, add up to
-    the cube's volume side^n; that fails for a family of any size but n!.
+    it strictly; a paving means every point lies in exactly one.  Also
+    checks, in exact Fraction arithmetic, that the family's simplices, each
+    of volume side^n / n! with side = 1/z - 1 and counted with multiplicity,
+    add up to the cube's volume side^n; that fails for a family of any size
+    but n!.
+
+    The points.  Each coordinate is one little-endian 32-bit word of the
+    stdlib Mersenne Twister stream ``random.Random(seed)`` (MT19937), drawn
+    row by row: the word's top 31 bits k_i give the exact real
+    x_i = 1 + (1/z - 1)(k_i + 1/2) / 2^31.  As 0 <= k_i < 2^31, that lies
+    strictly inside (1, 1/z), so no point is ever on the boundary.  And
+    x_i is strictly increasing in k_i, so the ranks of the coordinates of x
+    are the ranks of the k_i, and x_i = x_j exactly when k_i = k_j: the
+    point itself is never formed.  So the points are centres of the cells
+    of a grid of 2^31 cells a side, and neither the draw nor the covers
+    depend on z, which enters only the volume identity.  A row is redrawn
+    only when two of its k_i are equal; redraws continue the same stream.  Earlier releases drew
+    53 bits a coordinate from this stream, so a ``seed`` now picks other
+    points than they did.
 
     Lemma: a tie-free point x of the open cube lies in the simplex of s iff
     x_i is the s(i)-th smallest coordinate for every i, that is iff s(i) - 1
@@ -216,19 +271,12 @@ def paving_check(n, z, samples, seed, family=None):
     multiplicity in the family of the s with code sum_i rank_i * n^i; it is
     looked up in a table built once from the family.
 
-    The points come from the stdlib Mersenne Twister ``random.Random(seed)``
-    (MT19937), 53 random bits per coordinate, drawn row by row; redraws
-    continue the same stream.  A ``seed`` therefore picks other points than
-    numpy's PCG64 stream of the same seed, which earlier releases drew from;
-    the reports agree whenever no redraw is needed.
-
     The points stream through in blocks of ``_BLOCK_ROWS`` rows, each
-    classified and then dropped: only a seen-flag per code and the count of
-    bad rows survive a block.  The bad rows of a pass are redrawn as the next
-    pass, in order, so the stream and the report equal those of drawing all
-    points at once.  ``_rank_codes`` copies a block to column-major order and
-    drops the row-major one, so at most two block-sized float arrays are
-    alive at a time: memory is O(_BLOCK_ROWS n + n^n) whatever ``samples``.
+    classified by ``_rank_codes`` and then dropped: only the set of codes
+    seen and the count of tied rows survive a block.  The tied rows of a
+    pass are redrawn as the next pass, in order, so the stream and the
+    report equal those of drawing all points at once.  Memory is
+    O(_BLOCK_ROWS n + n^n) whatever ``samples``.
 
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n
@@ -249,20 +297,16 @@ def paving_check(n, z, samples, seed, family=None):
         family = itertools.permutations(range(1, n + 1))
     table = _family_table(family, n)
     rng = random.Random(seed)
-    lo, hi = 1.0, 1.0 / zf
-    seen = np.zeros(n ** n, dtype=bool)
+    seen = set()
 
     rows, redraws = samples, 0
     for _ in range(100):
         bad = 0
         for start in range(0, rows, _BLOCK_ROWS):
-            count = min(_BLOCK_ROWS, rows - start)
-            # no name holds the row-major block, so _rank_codes drops it
-            codes, out = _rank_codes(
-                (_uniforms(rng, count * n) * (hi - lo) + lo).reshape(count, n),
-                lo, hi)
-            seen[codes[~out]] = True
-            bad += int(out.sum())
+            codes, tied = _rank_codes(
+                _words(rng, min(_BLOCK_ROWS, rows - start) * n), n)
+            seen.update(codes)
+            bad += tied
         if not bad:
             break
         rows = bad
@@ -270,14 +314,14 @@ def paving_check(n, z, samples, seed, family=None):
     else:
         raise DomainError("could not draw tie-free samples")
 
-    cover = table[seen]
+    cover = [table[code] for code in seen if code < _HIGH]
 
     zq = Fraction(str(z)) if not isinstance(z, Fraction) else z
     side = 1 / zq - 1
     vol_simplex = side ** n / math.factorial(n)
-    volume_ok = int(table.sum()) * vol_simplex == side ** n
+    volume_ok = sum(table) * vol_simplex == side ** n
 
-    return PavingReport(n=n, passed=bool((cover == 1).all()) and volume_ok,
+    return PavingReport(n=n, passed=set(cover) == {1} and volume_ok,
                         samples=samples, redraws=redraws,
-                        min_cover=int(cover.min()), max_cover=int(cover.max()),
+                        min_cover=min(cover), max_cover=max(cover),
                         volume_identity_ok=volume_ok)

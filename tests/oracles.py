@@ -250,27 +250,28 @@ def ref_paving_cover(pts, lo, hi, family):
     return cover
 
 
-def ref_paving_report(n, z, samples, seed, family=None, face_rows=0):
+def ref_paving_report(n, z, samples, seed, family=None, tied_rows=0):
     """The fields of ``paving_check(n, z, samples, seed, family)`` from the
-    whole first pass drawn in one ``randbytes`` call: 53-bit uniforms from
-    the top of each little-endian 64-bit word of ``random.Random(seed)``,
-    scaled to (1, 1/z).  The first ``face_rows`` rows are put on the face
-    x = 1.  The rows that tie or touch the boundary, found by sorting, are
-    redrawn in row order from the same stream, up to 100 passes; covers are
-    counted by ``ref_paving_cover``.  None if bad rows remain after 100
-    passes."""
+    whole first pass drawn in one ``randbytes`` call: each little-endian
+    32-bit word of ``random.Random(seed)`` gives k = word >> 1 and the
+    coordinate 1 + (1/z - 1)(k + 1/2) / 2^31 in float64, which keeps the
+    order of the k strictly for 0.05 <= z <= 0.95.  The first ``tied_rows``
+    rows are drawn as words of 0, so all their coordinates tie.  The rows
+    that tie or touch the boundary, found by sorting, are redrawn in row
+    order from the same stream, up to 100 passes; covers are counted by
+    ``ref_paving_cover``.  None if bad rows remain after 100 passes."""
     rng = random.Random(seed)
     lo, hi = 1.0, 1.0 / float(z)
     if family is None:
         family = list(itertools.permutations(range(1, n + 1)))
 
     def draw(rows):
-        words = np.frombuffer(rng.randbytes(8 * rows * n), dtype="<u8")
-        u = (words >> np.uint64(11)) * 2.0 ** -53
-        return (lo + (hi - lo) * u).reshape(rows, n)
+        words = np.frombuffer(rng.randbytes(4 * rows * n), dtype="<u4")
+        return words.reshape(rows, n) >> 1
 
-    pts = draw(samples)
-    pts[:face_rows] = lo
+    k = draw(samples)
+    k[:tied_rows] = 0
+    pts = lo + (hi - lo) * (k + 0.5) * 2.0 ** -31
     redraws = 0
     for _ in range(100):
         ordered = np.sort(pts, axis=1)
@@ -279,7 +280,7 @@ def ref_paving_report(n, z, samples, seed, family=None, face_rows=0):
         if not bad.any():
             break
         redraws += int(bad.sum())
-        pts[bad] = draw(int(bad.sum()))
+        pts[bad] = lo + (hi - lo) * (draw(int(bad.sum())) + 0.5) * 2.0 ** -31
     else:
         return None
     cover = ref_paving_cover(pts, lo, hi, family)
@@ -287,6 +288,15 @@ def ref_paving_report(n, z, samples, seed, family=None, face_rows=0):
     return dict(n=n, passed=bool((cover == 1).all()) and volume_ok,
                 samples=samples, redraws=redraws, min_cover=int(cover.min()),
                 max_cover=int(cover.max()), volume_identity_ok=volume_ok)
+
+
+def ref_rank_code(row):
+    """For a row of integers: None if two of them are equal, else
+    sum_i rank_i * n^i with rank_i the number of entries below row[i]."""
+    n = len(row)
+    if len(set(row)) < n:
+        return None
+    return sum(sum(v < x for v in row) * n ** i for i, x in enumerate(row))
 
 
 def arnold_relation_rows(n, degree):

@@ -121,13 +121,18 @@ print(json.dumps({"import": sorted(imported - before),
 """
 
 
-def test_paving_and_integrate_import_no_numpy_submodules():
-    # on numpy 1.x, ``import numpy`` loads both submodules and this holds trivially
+def _fresh_python(code):
+    """Run ``code`` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    r = subprocess.run([sys.executable, "-c", _MODULE_PROBE], env=env,
-                       capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_paving_and_integrate_import_no_numpy_submodules():
+    # on numpy 1.x, ``import numpy`` loads both submodules and this holds trivially
+    r = _fresh_python(_MODULE_PROBE)
     assert r.returncode == 0, r.stderr
     added = json.loads(r.stdout)
     assert not [m for m in added["run"]
@@ -137,6 +142,22 @@ def test_paving_and_integrate_import_no_numpy_submodules():
             if m.split(".")[0] != "polylogvar"} <= _IMPORT_ADDS
     # canonical calls read their flags from the table, without argparse
     assert not {"argparse", "gettext"} & set(added["run"])
+
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, sys
+import polylogvar, polylogvar.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    polylogvar.cli.main(["paving", "--n", "3", "--z", "0.5", "--samples", "1000"])
+    polylogvar.cli.main(["integrate", "--n", "2", "--k", "1", "--z", "0.5"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_the_package_and_its_float_paths_never_load_numpy():
+    r = _fresh_python(_NO_NUMPY_PROBE)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_2():

@@ -174,6 +174,15 @@ def test_derivative_reduces_denominator():
     assert d.den.degree_in(0) == 2
 
 
+def test_derivative_keeps_the_square_when_division_fails():
+    # d/dz 1/(1-z) = 1/(1-z)^2: the numerator 1 is not a multiple of 1 - z
+    one, z = MPoly.const(2, 1), MPoly.var(2, 0)
+    q = one - z
+    d = RationalForm(1, one, q).d_dz()
+    assert d.num == one
+    assert d.den == q * q
+
+
 class TestIntegrateCube:
     def test_k0_is_one(self):
         v = integrate_cube(2, 0, 0.5, 1e-10)

@@ -16,7 +16,7 @@ from polylogvar.partitions import (SetPartition, _family_table, _rank_codes,
                                    postnikov_graded_check,
                                    stirling_first_unsigned)
 
-from oracles import ref_paving_cover, ref_paving_report
+from oracles import ref_paving_cover, ref_paving_report, ref_rank_code
 
 
 class TestPartitions:
@@ -123,19 +123,20 @@ class TestPaving:
         with pytest.raises(DomainError):
             paving_check(2, 0.5, 10, seed=-1)
 
-    def test_boundary_points_are_redrawn(self, monkeypatch):
-        # the first draw puts every point on the face x = 1; the redraw is
-        # the first draw of a genuine stream
+    def test_tied_rows_are_redrawn(self, monkeypatch):
+        # the first draw ties every row; the redraw is the first draw of a
+        # genuine stream.  (A point is never on the boundary: each k_i
+        # stands for a real strictly inside (1, 1/z).)
         calls = []
-        monkeypatch.setattr(partitions, "_uniforms", _first_draw_on_face(calls))
+        monkeypatch.setattr(partitions, "_words", _first_draw_tied(calls))
         rep = paving_check(3, 0.5, 500, seed=0)
         assert calls == [1500, 1500]
         assert rep.redraws == 500
         assert rep.passed and rep.min_cover == rep.max_cover == 1
 
     def test_endless_ties_are_domain_error(self, monkeypatch):
-        monkeypatch.setattr(partitions, "_uniforms",
-                            lambda rng, count: np.full(count, 0.5))
+        monkeypatch.setattr(partitions, "_words",
+                            lambda rng, count: bytes(4 * count))
         with pytest.raises(DomainError):
             paving_check(2, 0.5, 10, seed=0)
 
@@ -148,16 +149,33 @@ class TestPaving:
             paving_check(3, 0.5, 1000, seed=0, family=fam)
 
 
-def _first_draw_on_face(calls):
-    """A ``_uniforms`` that records each count and returns zeros, the face
-    x = 1, on its first call, having consumed the stream as usual."""
-    real = partitions._uniforms
+def _first_draw_tied(calls):
+    """A ``_words`` that records each count and returns words of 0, so every
+    coordinate of every row ties, on its first call, having consumed the
+    stream as usual."""
+    real = partitions._words
 
-    def first_on_face(rng, count):
+    def first_tied(rng, count):
         calls.append(count)
-        u = real(rng, count)
-        return np.zeros_like(u) if len(calls) == 1 else u
-    return first_on_face
+        words = real(rng, count)
+        return bytes(len(words)) if len(calls) == 1 else words
+    return first_tied
+
+
+def _block(rows, low_bits):
+    """Little-endian 32-bit words, row by row, with top 31 bits k and the
+    dropped low bit taken in turn from ``low_bits``."""
+    words = [k for row in rows for k in row]
+    return b"".join((2 * k + low_bits[i % len(low_bits)]).to_bytes(4, "little")
+                    for i, k in enumerate(words))
+
+
+# drawn rows are tiled to these block sizes: one row, a short block and a
+# full one
+_BLOCK_SIZES = [1, 7, partitions._BLOCK_ROWS]
+# few distinct values, the extremes 0 and 2^31 - 1 among them, so ties are
+# common and a field borrow would show
+_FEW_VALUES = st.sampled_from([0, 1, 2, 2 ** 30, 2 ** 31 - 2, 2 ** 31 - 1])
 
 
 @st.composite
@@ -186,74 +204,66 @@ class TestPavingCover:
     @given(_families(), st.data())
     def test_rank_code_lookup_matches_direct_count(self, case, data):
         n, perms, fam = case
-        coords = st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)
-        rows = data.draw(st.lists(
+        coords = st.integers(0, 2 ** 31 - 1) | _FEW_VALUES
+        drawn = data.draw(st.lists(
             st.lists(coords, min_size=n, max_size=n, unique=True),
             min_size=1, max_size=20))
-        pts = np.array(rows)
-        codes, bad = _rank_codes(pts, 1.0, 2.0)
-        assert not bad.any()
-        got = _family_table(fam, n)[codes]
-        assert got.tolist() == ref_paving_cover(pts, 1.0, 2.0, fam).tolist()
+        table = _family_table(fam, n)
+        for size in _BLOCK_SIZES:
+            rows = [drawn[r % len(drawn)] for r in range(size)]
+            codes, bad = _rank_codes(_block(rows, [1, 0, 0]), n)
+            assert bad == 0
+            direct = ref_paving_cover(np.array(rows), -1, 2 ** 31, fam)
+            assert [table[c] for c in codes] == direct.tolist()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.data())
-    def test_rank_codes_flag_ties_and_the_boundary(self, n, data):
-        # few distinct values, the faces among them, so ties are common
-        values = st.sampled_from([0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 3.0])
-        rows = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
-                                  min_size=1, max_size=20))
-        pts = np.array(rows)
-        _, bad = _rank_codes(pts, 1.0, 2.0)
-        want = [len(set(r)) < n or not all(1 < v < 2 for v in r) for r in rows]
-        assert bad.tolist() == want
+    @given(st.integers(1, 6), st.data())
+    def test_rank_codes_match_per_row_ranks(self, n, data):
+        drawn = data.draw(st.lists(st.lists(_FEW_VALUES, min_size=n,
+                                            max_size=n),
+                                   min_size=1, max_size=20))
+        low_bits = data.draw(st.lists(st.integers(0, 1), min_size=1))
+        for size in _BLOCK_SIZES:
+            rows = [drawn[r % len(drawn)] for r in range(size)]
+            codes, bad = _rank_codes(_block(rows, low_bits), n)
+            want = [ref_rank_code(row) for row in rows]
+            assert bad == want.count(None)
+            assert [None if c >> 31 else c for c in codes] == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_order_is_covered_once(self, n):
-        # one point per simplex: coordinate i gets the s(i)-th value
+        # one point per simplex: coordinate i gets k = s(i)
         perms = list(itertools.permutations(range(1, n + 1)))
-        pts = np.empty((len(perms), n))
-        for row, s in enumerate(perms):
-            for pos, v in enumerate(s):
-                pts[row, pos] = 1.0 + v / (n + 1)
-        direct = ref_paving_cover(pts, 1.0, 2.0, perms)
+        direct = ref_paving_cover(np.array(perms), -1, 2 ** 31, perms)
         assert direct.tolist() == [1] * len(perms)
-        codes, bad = _rank_codes(pts, 1.0, 2.0)
-        assert not bad.any()
-        assert _family_table(perms, n)[codes].tolist() == direct.tolist()
-
-
-# z near 1 leaves a few dozen doubles in (1, 1/z), so ties and faces force
-# redraws; at 1 - 1e-15 an n of 5 cannot be drawn tie-free at all
-_Z_VALUES = st.floats(0.05, 0.95) | st.sampled_from(
-    ["0.5", "0.9999999999999", "0.99999999999999", "0.999999999999999"])
+        codes, bad = _rank_codes(_block(perms, [0]), n)
+        assert bad == 0
+        table = _family_table(perms, n)
+        assert [table[c] for c in codes] == direct.tolist()
 
 
 class TestPavingStream:
     @pytest.mark.parametrize("block", [partitions._BLOCK_ROWS, 7])
-    @pytest.mark.parametrize("face", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
     @settings(max_examples=25, deadline=None)
-    @given(case=_families(max_n=5), whole=st.booleans(), z=_Z_VALUES,
-           seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(1, 600))
-    def test_matches_the_whole_stream_oracle(self, block, face, case, whole,
+    @given(case=_families(max_n=5), whole=st.booleans(),
+           z=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
+           samples=st.integers(1, 600))
+    def test_matches_the_whole_stream_oracle(self, block, tied, case, whole,
                                              z, seed, samples):
         """Blocks of any size draw the same points, redraws included, as
-        one draw of the whole first pass; the face patch puts the first
-        block on x = 1."""
+        one draw of the whole first pass; the patch ties every row of the
+        first block, which forces the redraws."""
         n, _, fam = case
         family = None if whole else fam
         want = ref_paving_report(n, z, samples, seed, family,
-                                 face_rows=min(block, samples) if face else 0)
+                                 tied_rows=min(block, samples) if tied else 0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(partitions, "_BLOCK_ROWS", block)
-            if face:
-                patch.setattr(partitions, "_uniforms", _first_draw_on_face([]))
-            if want is None:
-                with pytest.raises(DomainError):
-                    paving_check(n, z, samples, seed, family=family)
-            else:
-                got = paving_check(n, z, samples, seed, family=family)
-                assert dataclasses.asdict(got) == want
+            if tied:
+                patch.setattr(partitions, "_words", _first_draw_tied([]))
+            got = paving_check(n, z, samples, seed, family=family)
+        assert dataclasses.asdict(got) == want
 
     def test_memory_does_not_grow_with_samples(self):
         paving_check(6, 0.5, 10, 0)
