@@ -17,6 +17,9 @@ multiplies the start matrix by that product once, at the end.  The row
 step, the series and the principal first row of Li values run on Python
 integers in fixed point, with guard bits sized from the term count and the
 number of disks so that their rounding stays below the truncation error.
+A Li row has one source, ``_li_row``: the series on the disk |z| <= 3/4,
+and for real z in [-1, -3/4) or (3/4, 1) the series' row at +-3/4 stepped
+to z by the same disk chain, so no special value and no term cap enters.
 
 Monodromy matrices share transport's disk chain and row step
 (``_step_chain``).  Below row 0 the system is the Tate-twisted symmetric
@@ -42,11 +45,10 @@ from mpmath.libmp import from_man_exp, to_fixed
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
 from .exact import RationalMatrix, mpf_to_fraction, rational_reconstruct
-from .paths import DEFAULT_MARGIN, LineTo
+from .paths import DEFAULT_MARGIN, LineTo, PathSpec
 
 DEFAULT_PREC = 128
 
-_SERIES_CAP = 2_000_000
 # The most disks one transport may take; a longer chain is a PathError.
 _DISK_CAP = 100_000
 
@@ -79,16 +81,12 @@ class PeriodMatrix:
 def li_series(n, z, prec=DEFAULT_PREC):
     """Li_n(z) for |z| <= 0.75 or real z in [-1, -0.75], to ``prec`` bits.
 
-    On the disk |z| <= 0.75 it is the last entry of ``_li_row``, the
-    defining power series summed in fixed point.  On [-1, -0.75) it is entry
-    n of row 0 of L(-1) T(-1 -> z), the row (1, Li_1(-1), ..., Li_n(-1)),
-    Li_j(-1) = -eta(j) from mpmath, stepped by ``_step_row`` over one disk
-    around -1: the step w = z + 1 lies in [0, 0.25], within
-    0.4 dist(-1, {0, 1}), and every number in it is real.  Either way the
-    value is within a relative
-    2^-(prec + 7) of Li_n(z) before the final rounding to ``prec`` bits (see
-    ``_li_row`` and ``_li_from_minus_one``), so within 2^-(prec - 1) after
-    it.  z = 0 gives an exact 0.  Anywhere else, callers must use transport.
+    It is the last entry of ``_li_row``: the series on the disk |z| <= 0.75,
+    and on [-1, -0.75) that series at -3/4 stepped along the line to z.
+    Either way the value is within a relative 2^-(prec + 7) of Li_n(z)
+    before the final rounding to ``prec`` bits, so within 2^-(prec - 1)
+    after it.  z = 0 gives an exact 0.  Anywhere else, callers must use
+    transport.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -96,47 +94,21 @@ def li_series(n, z, prec=DEFAULT_PREC):
         zc = mp.mpc(mp.mpmathify(z))
         if not zc:
             return mp.mpc(0)
-        if abs(zc) <= 0.75:
-            return _li_row(n, zc, prec)[-1]
-        if zc.imag == 0 and -1 <= zc.real < 0:
-            return _li_from_minus_one(n, zc, prec)
-        raise DomainError("li_series requires |z| <= 0.75 or real z in "
-                          "[-1, -0.75]; use transport elsewhere")
-
-
-def _li_from_minus_one(n, z, prec):
-    """Li_n(z) for real z in [-1, -0.75), as the last entry of the row
-    (1, Li_1(-1), ..., Li_n(-1)) stepped by ``_step_row`` from -1 to z.
-
-    Bound.  The step has x = |w| <= 0.25 and every |R_i| <= 1, so by the
-    majorants of ``_step_row`` the tail is at most 0.25^K / 0.75
-    <= 0.4^K / 0.6, which K = ``_series_terms(prec + 2)`` puts below
-    2^-(prec + 10).  Let u = 2^-F.  Each Li_i(-1), of modulus below 1, is
-    within 2u after flooring, which the step carries into entry n with the
-    weight sum_m |log(1 - x)|^m / m! = 1 / (1 - x) < 1.4, so within 2.7u;
-    flooring p and q moves entry n by less than 2.6u, and the rounding of
-    the row step adds less than 3 K u.  That is below
-    (5 K + 6) u <= 2^-(prec + 10) for F = ``_fraction_bits(prec + 2, K)``.
-    The series being alternating with terms falling in modulus,
-    |Li_n(z)| >= |z| - |z|^2 / 2^n >= 3/8, so the error of 2^-(prec + 9) is
-    a relative 2^-(prec + 7).
-    """
-    terms = _series_terms(prec + 2)
-    F = _fraction_bits(prec + 2, terms)
-    with mp.workprec(F):
-        row = [to_fixed((-mp.altzeta(i))._mpf_, F) for i in range(1, n + 1)]
-    r_re, r_im = _step_row(row, [0] * n, (-1 << F, 0), _to_fixed(z, F),
-                           terms, F)
-    return _from_fixed(r_re[-1], r_im[-1], F)
+        if abs(zc) > 0.75 and not (zc.imag == 0 and -1 <= zc.real < 0):
+            raise DomainError("li_series requires |z| <= 0.75 or real z in "
+                              "[-1, -0.75]; use transport elsewhere")
+        return _li_row(n, zc, prec)[-1]
 
 
 def principal_lambda(n, z, prec=DEFAULT_PREC):
     """Fundamental solution on the principal branch, at real z in (0, 1).
 
     Row 0 holds (1, Li_1(z), ..., Li_n(z)); rows 1..n are ``kummer_rows``.
-    Row 0 is summed by ``_li_row`` to a relative 2^-(prec + 7) before the
-    final rounding.  Every entry is rounded once, to ``prec`` bits, so each
-    is within a relative 2^-(prec - 1).
+    Row 0 is ``_li_row``'s, summed on z <= 3/4 and stepped from 3/4 above
+    it, to a relative 2^-(prec + 7) before the final rounding.  Every entry
+    is rounded once, to ``prec`` bits, so each is within a relative
+    2^-(prec - 1).  Above 3/4 the cost grows like log(1 / (1 - z)); z
+    within about 2^-28 of 1 is a PathError.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -190,15 +162,58 @@ def kummer_rows(n, z, prec=DEFAULT_PREC):
 
 
 def _li_row(n, z, prec):
-    """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| < 1 that lies in
-    (0, 1) or has |z| <= 0.75, as z S_j with S_j = sum_k z^(k-1) / k^j
-    summed in fixed point.
+    """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| <= 3/4, or real z
+    in [-1, -3/4) or (3/4, 1), each within a relative 2^-(prec + 7) of its
+    value before it is rounded once to the active precision.  This is the
+    one source of a Li row.  On the disk it is ``_li_disk``.  Elsewhere the
+    disk's row at b = +-3/4, the sign of z, is stepped by ``_step_chain``
+    along the line from b to z, with li_bits = p + ceil(log2(8 (n + 2))),
+    p = max(prec, the fraction bits of z), and margin min(3/4, |1 - z|), the
+    line's distance to the punctures.
+
+    Proof.  The disks of the chain are centred on the real line between b
+    and z, each of radius at most 0.4 times its distance to {0, 1}, so they
+    avoid 0 and the cut [1, oo), where (1, Li_1, ..., Li_n) is analytic
+    and solves the system that ``_step_row`` steps: row 0 of L(b) P_c is
+    (1, Li_1(z), ..., Li_n(z)) for the exact product P_c of the chain.  The
+    chain's points are floored to 2^-F, which keeps it in its disks as in
+    ``monodromy``, and its ends b and z are exact there: b is 3/4 in
+    modulus, and F >= li_bits + 14 exceeds the fraction bits of z.  Every
+    |Li_j(b)| <= Li_1(3/4) = log 4 < 3, so V = 3 bounds the start row, and
+    ``monodromy``'s accuracy bound puts the stepped row within
+    (n + 1) V 2^-(li_bits + 7) of the start row times P_c.  The start row
+    is within 3 V 2^-F of Li(b) after flooring, and rows 1..n of P_c are
+    exp(Lambda N) with Lambda = log(z / b) real and |Lambda| < log(4/3), so
+    that error adds at most 3 V e^0.3 2^-F < 0.1 2^-(li_bits + 7).  So each
+    entry is within 3 (n + 2) 2^-(li_bits + 7).  On the two intervals
+    |Li_j(z)| >= 3/8: Li_j(z) >= z > 3/4 on (3/4, 1), and on [-1, -3/4)
+    the series alternates with terms falling in modulus, so
+    |Li_j(z)| >= |z| - |z|^2 / 2 >= 15/32.  The error is then a relative
+    8 (n + 2) 2^-(li_bits + 7) <= 2^-(prec + 7), and ``_from_fixed`` rounds
+    once.  Near 1 the chain takes about log(1 / (1 - z)) / log(5/3) disks,
+    and ``_disk_chain``'s PathError stops it within about 2^-28 of 1.
+    """
+    if n == 0:
+        return []
+    if abs(z) <= 0.75:
+        return _li_disk(n, z, prec)
+    bits = max(prec, -z.real.man_exp[1]) + (8 * n + 15).bit_length()
+    *_, F, (r_re, r_im) = _step_chain(
+        n, PathSpec(complex(math.copysign(0.75, z.real)), (LineTo(z),)),
+        prec, float(min(0.75, abs(1 - z))), li_bits=bits)
+    return [_from_fixed(x, y, F) for x, y in zip(r_re, r_im)]
+
+
+def _li_disk(n, z, prec):
+    """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| <= 3/4, as z S_j
+    with S_j = sum_k z^(k-1) / k^j summed in fixed point.
 
     z^(k-1) is kept as the pair of integers t_k, scaled by 2^F: t_1 = 2^F and
     t_(k+1) = t_k Z, Z the parts of z floored to 2^-F, with each part shifted
     down by F.  The terms of S_j for all j come from t_k by n successive
     floor divisions by k.  With r = |z|, K terms leave a tail of at most
-    r^K / (1 - r), so K is the least count that puts it below 2^-(prec + 10).
+    r^K / (1 - r), so K is the least count that puts it below 2^-(prec + 10);
+    K < 2.5 (prec + 12).
 
     Rounding bound.  Let u = 2^-F.  Each t_k is off from Z^(k-1) by less
     than sqrt(2) u / (1 - r), Z^(k-1) from z^(k-1) by less than
@@ -209,21 +224,15 @@ def _li_row(n, z, prec):
     F = prec + 10 + ceil(log2(5 (K + 1) / (1 - r))) puts it below
     2^-(prec + 10).  F does not grow as z shrinks.
 
-    Lower bound.  |Li_j(z)| >= r / 4, so |S_j| >= 1/4, on the domain:
-    Li_j(x) >= x on (0, 1); for |z| <= 0.75, Koebe's theorem gives
+    Lower bound.  |Li_j(z)| >= r / 4, so |S_j| >= 1/4: Koebe's theorem gives
     |Li_1(z)| >= r / (1 + r)^2 >= r / 4 (-log(1 - z) is univalent on the
     unit disk), and for j >= 2 |Li_j(z)| >= r - r^2 / (4 (1 - r)) >= r / 4.
     So every S_j is within a relative 2^-(prec + 7), and z S_j, formed
     exactly and rounded once to the active precision, is within a relative
     2^-(prec + 7) of Li_j(z) before that rounding.
     """
-    if n == 0:
-        return []
     r = abs(z)
     terms = int(mp.ceil((prec + 10 - mp.log(1 - r, 2)) / -mp.log(r, 2)))
-    if terms > _SERIES_CAP:
-        raise IntegrationError(f"series would need {terms} terms, more than "
-                               f"{_SERIES_CAP}")
     F = prec + 10 + int(mp.ceil(mp.log(5 * (terms + 1) / (1 - r), 2)))
     X, Y = _to_fixed(z, F)
     t_re, t_im = 1 << F, 0
@@ -278,7 +287,8 @@ def _disk_chain(path, margin, prec):
     complex, a pair of dyadic rationals, except the end of an arc of radius
     r about p from z0: p + (mpc(z0) - p) exp(i sweep), taken once by mpmath
     at prec + 8 bits, within 2^-(prec + 6) (|p| + r) of its value, and
-    reached as an mpc.  A line ends exactly on its end point.  The last
+    reached as an mpc.  A line ends exactly on its end point, a Python
+    complex or an mpc (``_li_row`` ends its line on z itself).  The last
     segment of a closed path ends on the base point itself, which
     ``PathSpec.validate`` puts within 1e-9 of that segment's end: a line
     runs to it, and an arc turns its sweep and then runs straight to it, so
@@ -459,7 +469,8 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     disks, and R starting at 0.  With ``li_bits`` they are sized from
     ``li_bits`` instead, and R starts at (Li_1(b), ..., Li_n(b)) for the
     base point b, a real double, from ``_li_row`` at F bits and floored to
-    2^-F; F is then raised, if need be, until b converts exactly and
+    2^-F (for b > 3/4 that row is itself a chain from 3/4, nested in this
+    one); F is then raised, if need be, until b converts exactly and
     2^-F <= 2^-25 margin (see ``monodromy``).  d is the change of R across
     the chain, an exact difference of Python integers scaled by 2^F: from 0
     it is row 0 of the chain's product P.  row is the pair (r_re, r_im) of
@@ -634,10 +645,10 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     the chain.  The loop closes, so Lambda = 2 pi i m for the winding m
     about 0, and entry (i, j) of rows 1..n is
     (2 pi i)^(i-j) (2 pi i m)^(j-i) / (j-i)! = m^(j-i) / (j-i)!, exactly.
-    So only row 0 is computed: v by ``_li_row`` at the chain's F bits,
-    stepped across the disk chain that transport takes, and u - v, an
-    exact difference of integers, times E(-l) D^-1 at F bits
-    (``_step_chain``).
+    So only row 0 is computed: v by ``_li_row`` at the chain's F bits (the
+    series, or for b > 3/4 the series at 3/4 stepped to b), stepped across
+    the disk chain that transport takes, and u - v, an exact difference of
+    integers, times E(-l) D^-1 at F bits (``_step_chain``).
 
     Denominators.  The loop is a word in the loops about 0 and 1 from b,
     whose matrices are M_0 (m = 1, row 0 = e_0) and M_1 = I - E_01, with

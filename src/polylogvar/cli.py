@@ -14,7 +14,10 @@ argparse is imported and the command's parser built only for help, a usage
 error or any other spelling, and the top-level parser, which lists every
 command, only for help, a missing command or an unknown one.  The commands
 that build period matrices, li, omega and recurrence-check take
---n <= MAX_MATRIX_N (64).
+--n <= MAX_MATRIX_N (64).  li sums the Li series on |z| <= 0.75 and steps
+its row from -3/4 along the real line to z in [-1, -0.75); lambda and
+flatness take row 0 the same way, from 3/4 above it, with no term cap, so
+their z may come within about 2^-28 of 1, and closer is a domain error.
 
 --precision sets the accuracy of every series value, period matrix and
 transport; --tol never enters them.  --tol reaches only integrate, as its

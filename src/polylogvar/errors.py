@@ -12,10 +12,6 @@ class PathError(ValueError):
 class IntegrationError(RuntimeError):
     """Numerical integration failed to reach the requested accuracy."""
 
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
-
 
 class ReconstructionError(RuntimeError):
     """A numeric value could not be certified as a bounded rational."""

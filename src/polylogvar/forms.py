@@ -106,10 +106,9 @@ def pretty(poly, names):
     return text
 
 
-def omega(n, k, _exponent_shift=0):
+def omega(n, k):
     """The k-th basis form in weight n, written straight into monomials in
-    (z, tau).  (The private exponent shift exists so tests can break the
-    denominator and watch the identities fail.)
+    (z, tau).
 
     With x = z tau, the monomial z^a x^d is z^(a + d) tau^d.  So, with
     r = n - k and e = r + 1, the numerator z E_r(x) = sum_d E_r[d] z x^d is
@@ -122,7 +121,7 @@ def omega(n, k, _exponent_shift=0):
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
         return RationalForm(n, MPoly.const(2, 1), MPoly.const(2, 1))
-    e = n - k + 1 + _exponent_shift
+    e = n - k + 1
     num = MPoly(2, {(d + 1, d): c
                     for (d,), c in eulerian(n - k).terms.items()})
     den = MPoly(2, {(i, i): (-1) ** i * math.comb(e, i) for i in range(e + 1)})

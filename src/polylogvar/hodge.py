@@ -281,7 +281,8 @@ def flatness_residual(n, z=0.5, prec=192):
       at least the bit count of b's binary fraction, so b and z' = 2 b are
       exact, and the chain, as in ``monodromy``, runs from b to z' inside
       disks that avoid both cuts: L(b) P_c = L(z') on the principal branch.
-    - Series.  At F bits, w_j is within a relative
+    - Series.  ``_li_row`` sums w on z' <= 3/4 and steps it from 3/4 to z'
+      above that; either way, at F bits, w_j is within a relative
       2^-(prec + 7) + 2^-F (1 + 2^-(prec + 7)) < 1.07 2^-(prec + 7) of
       Li_j(z'), so within 0.54 2^-(prec + 6) |w_j| (1 + 2^-prec).
     So |u_j - w_j| < 0.6 rho_j.  The conversion, subtraction, modulus and
@@ -294,8 +295,8 @@ def flatness_residual(n, z=0.5, prec=192):
 
     DomainError unless z is real in (0, 1) (a complex z with imaginary part
     0 counts as real) and z' >= 2^-1021, so that b is a normal double, as
-    the chain's float64 plan needs; a z' the series cannot reach within its
-    term cap raises IntegrationError.
+    the chain's float64 plan needs.  A z' within about 2^-28 of 1, closer
+    than the chains can step in float64, raises PathError.
     """
     with mp.workprec(prec):
         zp = float(_principal_z(z).real)

@@ -98,6 +98,46 @@ def test_li_series_follows_precision(n, z, prec):
         assert abs(v - ref) <= mp.mpf(2) ** -(prec - 1) * abs(ref)
 
 
+def test_li_series_near_minus_one_needs_no_zeta_value():
+    """On [-1, -3/4) the row is the series' row at -3/4 stepped along the
+    line to z, so no eta or zeta value enters: with mpmath's altzeta and
+    zeta made to raise, Li_8(-1) is -(1 - 2^-7) zeta(8) at 256 bits, and
+    each value is within a relative 2^-(prec - 1) of mpmath's polylog."""
+    def no_zeta(*args, **kwargs):
+        raise AssertionError("a zeta value was used")
+    cases = ((8, -1.0, 256), (3, -0.8, 128), (64, -0.99, 128))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mp, "altzeta", no_zeta)
+        patch.setattr(mp, "zeta", no_zeta)
+        values = [li_series(n, z, prec=prec) for n, z, prec in cases]
+    with mp.workprec(320):
+        assert abs(values[0] + (1 - mp.mpf(2) ** -7) * mp.zeta(8)) \
+            <= mp.mpf(2) ** -255
+    for v, (n, z, prec) in zip(values, cases):
+        ref = ref_polylog(n, z, prec + 64)
+        with mp.workprec(prec + 64):
+            assert abs(v - ref) <= mp.mpf(2) ** -(prec - 1) * abs(ref)
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(1, 8),
+       z=st.floats(0.75, 1 - 1e-6, exclude_min=True, exclude_max=True),
+       prec=st.sampled_from([64, 128, 256]))
+@example(n=8, z=1 - 1e-6 - 2 ** -52, prec=256)
+@example(n=2, z=0.75 + 2 ** -52, prec=64)
+@example(n=64, z=0.9999, prec=512)
+def test_principal_row0_above_three_quarters(n, z, prec):
+    """Above 3/4 row 0 is the series' row at 3/4 stepped along the line to
+    z; every entry is within a relative 2^-(prec - 1) of mpmath's polylog.
+    At z = 0.9999 and 512 bits the series would need about 3.7 million
+    terms; the chain from 3/4 takes 16 disks."""
+    row = principal_lambda(n, z, prec=prec).entries[0]
+    for j in range(1, n + 1):
+        ref = ref_polylog(j, z, prec + 64)
+        with mp.workprec(prec + 64):
+            assert abs(row[j] - ref) <= mp.mpf(2) ** -(prec - 1) * abs(ref)
+
+
 class TestPrincipalLambda:
     def test_weight_zero(self):
         lam = principal_lambda(0, 0.5)
@@ -478,6 +518,31 @@ def test_certified_bits_is_the_least_that_certify(n):
             assert (n + 1) * max(1, -mp.log(1 - b)) / b \
                 / mp.mpf(2) ** (need + 6) \
                 <= mp.mpf(radius.numerator) / radius.denominator
+
+
+def _rectangle_from(base, around):
+    """A counterclockwise rectangle from the real base point ``base`` around
+    puncture ``around``, 0.3 above and below the real line."""
+    far = 1.3 if around == 1 else -0.5
+    corners = [(base, -0.3), (far, -0.3), (far, 0.3), (base, 0.3)]
+    if around == 0:
+        corners.reverse()
+    return PathSpec(complex(base, 0.0),
+                    tuple(LineTo(complex(x, y)) for x, y in corners)
+                    + (LineTo(complex(base, 0.0)),), closed=True)
+
+
+@pytest.mark.parametrize("base", [0.9, 0.99])
+@pytest.mark.parametrize("around", [0, 1])
+def test_monodromy_based_above_three_quarters(base, around):
+    """From a base above 3/4 the start row v is itself the series' row at
+    3/4 stepped to the base, a chain nested in the loop's.  Rectangles about
+    either puncture and their reverses have the generators' closed forms."""
+    n = 4
+    loop = _rectangle_from(base, around)
+    for sign, path in ((1, loop), (-1, loop.reversed())):
+        assert monodromy(n, path) == \
+            RationalMatrix(ref_word_monodromy(n, [(around, sign)]))
 
 
 def test_certified_bits_at_the_named_weights():

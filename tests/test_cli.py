@@ -534,6 +534,40 @@ def test_integrate_below_float64_resolution_exit_4():
     assert r.returncode == 4, r.stderr
 
 
+def test_row0_near_one_exit_0():
+    """Row 0 near 1 is the series' row at 3/4 stepped to z, with no term
+    cap: lambda at z = 0.9999 and 512 bits prints entries 1, 2 and 64 of
+    row 0 to within one unit in their last printed place, and lambda and
+    flatness pass at z = 0.99999."""
+    prec = 512
+    code, out = run_cli(["lambda", "--n", "64", "--z", "0.9999",
+                         "--precision", str(prec)])
+    assert code == 0
+    row = json.loads(out)["result"]["matrix"][0]
+    with mp.workprec(prec):
+        z = mp.mpf("0.9999")
+    for j in (1, 2, 64):
+        ref = ref_polylog(j, z, prec + 64)
+        with mp.workprec(prec + 64):
+            re, im = row[j]
+            assert abs(mp.mpf(re) - ref.real) <= _last_place(re)
+            assert mp.mpf(im) == 0
+    code, _ = run_cli(["lambda", "--n", "4", "--z", "0.99999"])
+    assert code == 0
+    code, out = run_cli(["flatness", "--n", "4", "--z", "0.99999"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["lambda", "flatness"])
+def test_z_closer_to_one_than_float64_steps_exit_3(command, capsys):
+    """z = 1 - 1e-10 is closer to 1 than a disk chain planned in float64
+    can step (about 2^-28): a PathError, exit 3."""
+    code, _ = run_cli([command, "--n", "4", "--z", "0.9999999999"])
+    assert code == 3
+    assert "too close to step in float64" in capsys.readouterr().err
+
+
 def test_malformed_path_file_exit_2(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -669,8 +703,8 @@ def test_filtration_report():
 
 
 def test_filtration_needs_no_li_series(monkeypatch):
-    """Row 0's series would need more than its 2 000 000-term cap at
-    z = 0.9999 and 512 bits; filtration never sums it."""
+    """filtration reads its fiber's shape from kummer_rows and row 0's
+    diagonal 1; it never builds row 0, even at z = 0.9999 and 512 bits."""
     def no_series(*args):
         raise AssertionError("filtration summed row 0")
     monkeypatch.setattr(analytic, "_li_row", no_series)

@@ -58,12 +58,15 @@ def test_omega_3_1_uses_e2():
 def test_omega_matches_product_construction(n):
     """The closed-form monomials in (z, tau), carried to the cube by the
     oracle's substitution, equal the MPoly product construction term for
-    term, for every k and a broken exponent too."""
+    term, for every k and a broken exponent too: the denominator times
+    1 - z tau is the oracle's with its exponent raised by one."""
+    one_less_x = MPoly.const(2, 1) - MPoly.var(2, 0) * MPoly.var(2, 1)
     for k in range(n + 1):
-        for shift in (0, 1):
-            got, want = omega(n, k, shift), ref_omega(n, k, shift)
+        w = omega(n, k)
+        broken = w if k == 0 else RationalForm(n, w.num, w.den * one_less_x)
+        for got, shift in ((w, 0), (broken, 1)):
             assert got.num.nvars == got.den.nvars == 2
-            assert _on_cube(got) == want
+            assert _on_cube(got) == ref_omega(n, k, shift)
             assert all(type(c) is int for c in got.num.terms.values())
             assert all(type(c) is int for c in got.den.terms.values())
 
@@ -131,9 +134,10 @@ def test_recurrence_fails_with_wrong_exponent():
     """A broken denominator fails the recurrence in (z, tau), and so does
     its image in the cube coordinates."""
     n, k = 3, 2
-    lhs = omega(n, k, _exponent_shift=1).d_dz()
+    w = omega(n, k)
+    z, tau = MPoly.var(2, 0), MPoly.var(2, 1)
+    lhs = RationalForm(n, w.num, w.den * (MPoly.const(2, 1) - z * tau)).d_dz()
     rhs = omega(n, k - 1)
-    z = MPoly.var(2, 0)
     assert not rational_functions_equal(lhs.num, lhs.den, rhs.num, z * rhs.den)
     assert not rational_functions_equal(*_on_cube(lhs),
                                         ref_on_cube(rhs.num, n),

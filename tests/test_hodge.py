@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polylogvar import acceptance, analytic, cli, hodge
@@ -76,9 +76,15 @@ class TestFlatness:
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(1, 20), z=st.floats(0.01, 0.99),
            prec=st.integers(64, 512))
+    @example(n=1, z=0.41315746116475677, prec=64)
     def test_every_drawn_case_passes(self, n, z, prec):
+        """Every drawn case passes.  The residual may be 0: in the example
+        the stepped and the summed Li_1 are the same number at F = 84 bits,
+        each a relative 2.9e-24 from -log(1 - z), inside the proved radius.
+        test_residual_does_not_underflow_at_4096_bits keeps the guard
+        against an underflowed 0."""
         rep = flatness_residual(n, z, prec=prec)
-        assert rep.passed and 0 < rep.residual <= 1, rep
+        assert rep.passed and 0 <= rep.residual <= 1, rep
 
     @pytest.mark.parametrize("z", ["0.1", "0.5", "0.9"])
     def test_weight_64_passes_at_128_bits(self, z):
@@ -119,6 +125,8 @@ class TestFlatness:
         monkeypatch.setattr(analytic, "_li_row", biased)
         monkeypatch.setattr(hodge, "_li_row", biased)
         assert flatness_residual(2, "0.5").residual > 1e6
+        # above 3/4 both sides of the tie are chains, from 3/4 and from z'/2
+        assert flatness_residual(2, "0.9").residual > 1e6
         _flatness_fails(2)
 
     @pytest.mark.parametrize("z", ["1e-5", "1e-100", "1e-300"])
@@ -261,8 +269,8 @@ class TestKummerBlock:
         assert kummer_block_check(n, f"{k / 10 ** 6:.6f}", prec=prec).passed
 
     def test_needs_no_li_series(self, monkeypatch):
-        """Row 0's series would need more than its 2 000 000-term cap at
-        z = 0.9999 and 512 bits; the block never sums it."""
+        """The block reads rows 1..n alone; it never builds row 0, even at
+        z = 0.9999 and 512 bits."""
         def no_series(*args):
             raise AssertionError("kummer_block_check summed row 0")
         monkeypatch.setattr(analytic, "_li_row", no_series)
