@@ -24,14 +24,19 @@ to z by the same disk chain, so no special value and no term cap enters.
 Monodromy matrices share transport's disk chain and row step
 (``_step_chain``).  Below row 0 the system is the Tate-twisted symmetric
 power of the Kummer (log) system, so rows 1..n of a monodromy matrix are
-fixed by the loop's winding number about 0; only the n entries of row 0,
-from the row (1, Li_1, ..., Li_n) stepped around the loop, are reconstructed
-as exact rationals.  The normalization by powers of 2*pi*i is what makes
-those entries rational; entry (0, j) lies in the lattice (1/j!) Z, so it is
-certified by rounding once its proved radius is below half the spacing
-1/j!, with no tolerance.  Monodromy runs at the least precision that
-certifies: its row step is sized for the fewest bits whose proved row-0
-radius is below 1/(2 n!), and the caller's precision only caps that count.
+fixed by the loop's winding number about 0, read from the phase sum of the
+closed chain; only the n entries of row 0, from the row (1, Li_1, ..., Li_n)
+stepped around the loop, are reconstructed as exact rationals.  The
+normalization by powers of 2*pi*i is what makes those entries rational;
+entry (0, j) lies in the lattice (1/j!) Z, so it is certified by rounding
+once its proved radius is below half the spacing 1/j!, with no tolerance.
+Monodromy runs at the least precision that certifies: its row step is sized
+for the fewest bits whose proved row-0 radius is below 1/(2 n!), and the
+caller's precision only caps that count.  From that count to the lattice
+points it runs on Python integers: the sizing, the start row, the twist of
+the stepped row by log b and 2*pi*i, and the radius tests.  mpmath enters
+only at an arc's end, in libmp's fixed-point log b and pi, and in
+transport's final product.
 """
 
 import cmath
@@ -40,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpf_log, pi_fixed, to_fixed
 
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
-from .exact import RationalMatrix, mpf_to_fraction, rational_reconstruct
+from .exact import RationalMatrix, rational_reconstruct
 from .paths import DEFAULT_MARGIN, LineTo, PathSpec
 
 DEFAULT_PREC = 128
@@ -164,12 +169,20 @@ def kummer_rows(n, z, prec=DEFAULT_PREC):
 def _li_row(n, z, prec):
     """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| <= 3/4, or real z
     in [-1, -3/4) or (3/4, 1), each within a relative 2^-(prec + 7) of its
-    value before it is rounded once to the active precision.  This is the
-    one source of a Li row.  On the disk it is ``_li_disk``.  Elsewhere the
-    disk's row at b = +-3/4, the sign of z, is stepped by ``_step_chain``
-    along the line from b to z, with li_bits = p + ceil(log2(8 (n + 2))),
-    p = max(prec, the fraction bits of z), and margin min(3/4, |1 - z|), the
-    line's distance to the punctures.
+    value before it is rounded once to the active precision: the row of
+    ``_li_fixed`` so rounded.  This is the one source of a Li row."""
+    re, im, E = _li_fixed(n, z, prec)
+    return [_from_fixed(a, b, E) for a, b in zip(re, im)]
+
+
+def _li_fixed(n, z, prec):
+    """(re, im, E) with Li_j(z) = (re_j + i im_j) 2^-E, j = 1..n, each within
+    a relative 2^-(prec + 7), for an mpc or a Python number z as in
+    ``_li_row``: exact integers, before any rounding.  On the disk it is
+    ``_li_disk``.  Elsewhere the disk's row at b = +-3/4, the sign of z, is
+    stepped by ``_step_chain`` along the line from b to z, with
+    li_bits = p + ceil(log2(8 (n + 2))), p = max(prec, the fraction bits of
+    z), and margin min(3/4, |1 - z|), the line's distance to the punctures.
 
     Proof.  The disks of the chain are centred on the real line between b
     and z, each of radius at most 0.4 times its distance to {0, 1}, so they
@@ -189,24 +202,37 @@ def _li_row(n, z, prec):
     |Li_j(z)| >= 3/8: Li_j(z) >= z > 3/4 on (3/4, 1), and on [-1, -3/4)
     the series alternates with terms falling in modulus, so
     |Li_j(z)| >= |z| - |z|^2 / 2 >= 15/32.  The error is then a relative
-    8 (n + 2) 2^-(li_bits + 7) <= 2^-(prec + 7), and ``_from_fixed`` rounds
-    once.  Near 1 the chain takes about log(1 / (1 - z)) / log(5/3) disks,
-    and ``_disk_chain``'s PathError stops it within about 2^-28 of 1.
+    8 (n + 2) 2^-(li_bits + 7) <= 2^-(prec + 7).  Near 1 the chain takes
+    about log(1 / (1 - z)) / log(5/3) disks, and ``_disk_chain``'s
+    PathError stops it within about 2^-28 of 1.
     """
     if n == 0:
-        return []
+        return [], [], 0
     if abs(z) <= 0.75:
         return _li_disk(n, z, prec)
-    bits = max(prec, -z.real.man_exp[1]) + (8 * n + 15).bit_length()
+    bits = max(prec, _dyadic(z)[2]) + (8 * n + 15).bit_length()
     *_, F, (r_re, r_im) = _step_chain(
         n, PathSpec(complex(math.copysign(0.75, z.real)), (LineTo(z),)),
         prec, float(min(0.75, abs(1 - z))), li_bits=bits)
-    return [_from_fixed(x, y, F) for x, y in zip(r_re, r_im)]
+    return r_re, r_im, F
+
+
+def _dyadic(v):
+    """[X, Y, s] with v = (X + i Y) 2^-s for integers X, Y and the least
+    s >= 0, for an mpc or a Python number."""
+    if isinstance(v, mp.mpc):
+        parts = [(-man if sign else man, exp) for sign, man, exp, _ in v._mpc_]
+    else:
+        v = complex(v)
+        parts = [(m, 1 - d.bit_length()) for m, d in
+                 (v.real.as_integer_ratio(), v.imag.as_integer_ratio())]
+    s = max(0, *(-e for _, e in parts))
+    return [m << (e + s) for m, e in parts] + [s]
 
 
 def _li_disk(n, z, prec):
-    """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| <= 3/4, as z S_j
-    with S_j = sum_k z^(k-1) / k^j summed in fixed point.
+    """(re, im, E) for 0 < |z| <= 3/4 as in ``_li_fixed``: the exact
+    products z S_j, with S_j = sum_k z^(k-1) / k^j summed in fixed point.
 
     z^(k-1) is kept as the pair of integers t_k, scaled by 2^F: t_1 = 2^F and
     t_(k+1) = t_k Z, Z the parts of z floored to 2^-F, with each part shifted
@@ -222,19 +248,18 @@ def _li_disk(n, z, prec):
     sqrt(2) u ((H_K + 1) / (1 - r) + 2 K) < 5 (K + 1) u / (1 - r), the
     factor 5 > 3 sqrt(2) covering |Z| > r to second order, so
     F = prec + 10 + ceil(log2(5 (K + 1) / (1 - r))) puts it below
-    2^-(prec + 10).  F does not grow as z shrinks.
+    2^-(prec + 10).  F does not grow as z shrinks.  ``_li_disk_size`` finds
+    K and F exactly from the parts of z.
 
     Lower bound.  |Li_j(z)| >= r / 4, so |S_j| >= 1/4: Koebe's theorem gives
     |Li_1(z)| >= r / (1 + r)^2 >= r / 4 (-log(1 - z) is univalent on the
     unit disk), and for j >= 2 |Li_j(z)| >= r - r^2 / (4 (1 - r)) >= r / 4.
-    So every S_j is within a relative 2^-(prec + 7), and z S_j, formed
-    exactly and rounded once to the active precision, is within a relative
-    2^-(prec + 7) of Li_j(z) before that rounding.
+    So every S_j is within a relative 2^-(prec + 7), and so is z S_j, formed
+    exactly, of Li_j(z).
     """
-    r = abs(z)
-    terms = int(mp.ceil((prec + 10 - mp.log(1 - r, 2)) / -mp.log(r, 2)))
-    F = prec + 10 + int(mp.ceil(mp.log(5 * (terms + 1) / (1 - r), 2)))
-    X, Y = _to_fixed(z, F)
+    X, Y, s = _dyadic(z)
+    terms, F = _li_disk_size(X * X + Y * Y, s, prec)
+    Xf, Yf = (X << F) >> s, (Y << F) >> s
     t_re, t_im = 1 << F, 0
     s_re = [0] * (n + 1)
     s_im = [0] * (n + 1)
@@ -245,10 +270,60 @@ def _li_disk(n, z, prec):
             b //= k
             s_re[j] += a
             s_im[j] += b
-        t_re, t_im = (t_re * X - t_im * Y) >> F, (t_re * Y + t_im * X) >> F
-    return [z * mp.make_mpc((from_man_exp(s_re[j], -F),
-                             from_man_exp(s_im[j], -F)))
-            for j in range(1, n + 1)]
+        t_re, t_im = (t_re * Xf - t_im * Yf) >> F, (t_re * Yf + t_im * Xf) >> F
+    return ([X * a - Y * b for a, b in zip(s_re[1:], s_im[1:])],
+            [X * b + Y * a for a, b in zip(s_re[1:], s_im[1:])], F + s)
+
+
+def _li_disk_size(q, s, prec):
+    """(K, F) of ``_li_disk`` for r = sqrt(q) 2^-s in (0, 3/4]: the least K
+    with r^K <= 2^-t (1 - r), t = prec + 10, and F = t + f for the least f
+    with 2^f (1 - r) >= 5 (K + 1), both decided exactly.
+
+    Each test has the form sqrt(q) A <= B for integers A >= 0 and B, true
+    exactly when B >= 0 and q A^2 <= B^2.  For f, A = 2^f and
+    B = 2^s (2^f - 5 (K + 1)).  For the tail, multiplied by 2^(s K + t),
+    A = 2^(s (K - 1)) + [K odd] q^h 2^t and B = 2^(s K) - [K even] q^h 2^t
+    with h = floor(K / 2), integers of about s K bits.  So it is first
+    bounded at P = t + 64 fraction bits: R = floor(r 2^P) <= r 2^P < R + 1,
+    r^K 2^P lies between the powers of R and R + 1 formed with a floor and a
+    ceiling at every product, and 2^-t (1 - r) 2^P between
+    2^-t (2^P - R - 1) and 2^-t (2^P - R).  The exact test runs only when
+    the two ranges meet.  A float estimate of K starts the search, which
+    then steps to the least K that passes.
+    """
+    t = prec + 10
+    P = t + 64
+    one, R = 1 << P, math.isqrt((q << 2 * P) >> 2 * s)
+
+    def sqrt_le(A, B):
+        return B >= 0 and q * A * A <= B * B
+
+    def tail_below(K):
+        lo = hi = one
+        for bit in bin(K)[2:]:
+            lo, hi = lo * lo >> P, -(-hi * hi >> P)
+            if bit == "1":
+                lo, hi = lo * R >> P, -(-hi * (R + 1) >> P)
+        if hi << t <= one - R - 1:
+            return True
+        if lo << t > one - R:
+            return False
+        h, odd = divmod(K, 2)
+        power = q ** h << t
+        return sqrt_le((1 << s * (K - 1)) + (power if odd else 0),
+                       (1 << s * K) - (0 if odd else power))
+
+    log_r = (math.log2(q) - 2 * s) / 2
+    K = max(1, math.ceil((t - math.log2(1 - 2 ** log_r)) / -log_r))
+    while not tail_below(K):
+        K += 1
+    while K > 1 and tail_below(K - 1):
+        K -= 1
+    f = (5 * K + 4).bit_length()
+    while not sqrt_le(1 << f, ((1 << f) - 5 * (K + 1)) << s):
+        f += 1
+    return K, t + f
 
 
 # Each disk step covers at most this fraction of the distance from its centre
@@ -262,9 +337,16 @@ _GUARD_BITS = 8
 
 
 def _series_terms(prec):
-    """Least K with _STEP_RATIO^K / (1 - _STEP_RATIO) <= 2^-(prec + guard)."""
-    return math.ceil((prec + _GUARD_BITS - math.log2(1 - _STEP_RATIO))
-                     / -math.log2(_STEP_RATIO))
+    """Least K with _STEP_RATIO^K / (1 - _STEP_RATIO) <= 2^-(prec + guard):
+    for the ratio 2/5, 5 2^(K + m) <= 3 5^K with m = prec + guard >= 0,
+    decided in integers from a float estimate."""
+    m = prec + _GUARD_BITS
+    K = math.ceil((m - math.log2(1 - _STEP_RATIO)) / -math.log2(_STEP_RATIO))
+    while 5 << (K + m) > 3 * 5 ** K:
+        K += 1
+    while 5 << (K - 1 + m) <= 3 * 5 ** (K - 1):
+        K -= 1
+    return K
 
 
 def _fraction_bits(prec, terms):
@@ -355,14 +437,16 @@ def _plan_step(zf, p, left, end, step):
 
 
 def _product_guard(n, disks):
-    """Least G with 2^G >= D * sum_{l < n} (0.52 D)^l / l!, for D = ``disks``;
-    the growth bound of a product of D transitions (see ``transport``)."""
-    b = Fraction(13 * disks, 25)
-    total, term = 0, Fraction(1)
+    """Least G with 2^G >= D * sum_{l < n} (0.52 D)^l / l!, for D = ``disks``
+    and n >= 1; the growth bound of a product of D transitions (see
+    ``transport``).  The sum is formed in integers, scaled by
+    25^(n-1) (n-1)!, where each of its terms is an integer."""
+    scale = 25 ** (n - 1) * math.factorial(n - 1)
+    term, total = scale, 0
     for l in range(n):
         total += term
-        term *= b / (l + 1)
-    return (math.ceil(disks * total) - 1).bit_length() if disks else 0
+        term = term * 13 * disks // (25 * (l + 1))
+    return (-(-disks * total // scale) - 1).bit_length() if disks else 0
 
 
 def _step_row(r_re, r_im, c, z1, terms, F):
@@ -448,8 +532,8 @@ def _to_fixed(v, F):
     if isinstance(v, mp.mpc):
         return [to_fixed(x, F) for x in v._mpc_]
     v = complex(v)
-    return [(m << F) // d for m, d in (v.real.as_integer_ratio(),
-                                       v.imag.as_integer_ratio())]
+    (a, c), (b, d) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+    return [(a << F) >> (c.bit_length() - 1), (b << F) >> (d.bit_length() - 1)]
 
 
 def _from_fixed(re, im, F):
@@ -460,7 +544,7 @@ def _from_fixed(re, im, F):
 
 
 def _step_chain(n, path, prec, margin, li_bits=None):
-    """(d_re, d_im, m, Lambda, F, row) for ``path``, as ``transport``'s
+    """(d_re, d_im, turn, ends, F, row) for ``path``, as ``transport``'s
     docstring sizes and bounds them.
 
     The solution row (1, R) is stepped by ``_step_row`` across the disk
@@ -468,47 +552,49 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     K terms a disk and F fraction bits sized from ``prec`` and the number of
     disks, and R starting at 0.  With ``li_bits`` they are sized from
     ``li_bits`` instead, and R starts at (Li_1(b), ..., Li_n(b)) for the
-    base point b, a real double, from ``_li_row`` at F bits and floored to
-    2^-F (for b > 3/4 that row is itself a chain from 3/4, nested in this
-    one); F is then raised, if need be, until b converts exactly and
-    2^-F <= 2^-25 margin (see ``monodromy``).  d is the change of R across
-    the chain, an exact difference of Python integers scaled by 2^F: from 0
-    it is row 0 of the chain's product P.  row is the pair (r_re, r_im) of
-    the stepped row itself, the start plus d.  Lambda = Log(z_end / z_base)
-    + 2 pi i m is the continued log(z_end / z_base), at F + 20 bits from
-    the fixed-point end points, with the integer m from the float64 phase
-    sum of the steps.
+    base point b, a real double: ``_li_fixed``'s exact row for F bits (for
+    b > 3/4 itself a chain from 3/4, nested in this one), rounded once to F
+    significant bits, as ``_li_row`` rounds a row, and floored to 2^-F, by
+    libmp on integers.  F is then raised, if need be, until b converts
+    exactly and 2^-F <= 2^-25 margin (see ``monodromy``).  d is the change
+    of R across the chain, an exact difference of Python integers scaled by
+    2^F: from 0 it is row 0 of the chain's product P.  row is the pair
+    (r_re, r_im) of the stepped row itself, the start plus d.  turn is the
+    float64 sum of the steps' phases Arg(z1 / c), and ends the chain's first
+    and last points in fixed point: ``transport`` forms Lambda from both,
+    and ``monodromy``, whose chain closes, reads its winding from turn.
     """
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
     steps = _disk_chain(path, margin, prec)
     bits = prec if li_bits is None else li_bits
-    guard = _product_guard(n, len(steps))
+    # the second-order term of the growth bound needs
+    # bits + G >= bitlen(n - 1) - 4 + G_0 (``transport``)
+    guard = _product_guard(n, len(steps)) \
+        + max(0, (n - 1).bit_length() - 4 - bits)
     terms = _series_terms(bits + guard)
     F = _fraction_bits(bits + guard, terms)
+    base = path.base_point
     if li_bits is not None:
-        F = max(F, Fraction(path.base_point.real).denominator.bit_length() - 1,
-                math.ceil(25 - math.log2(margin)))
-    points = [_to_fixed(z, F)
-              for z in [path.base_point] + [z1 for _, z1 in steps]]
-    s_re, s_im = [0] * n, [0] * n
+        # 2^-F <= 2^-25 margin for margin = a / d, d a power of 2
+        a, d = float(margin).as_integer_ratio()
+        F = max(F, base.real.as_integer_ratio()[1].bit_length() - 1,
+                d.bit_length() + 25 - a.bit_length())
+    points = [_to_fixed(z, F) for z in [base] + [z1 for _, z1 in steps]]
+    s_re = s_im = [0] * n
     if li_bits is not None:
-        with mp.workprec(F):
-            s_re, s_im = zip(*(_to_fixed(v, F) for v in
-                               _li_row(n, mp.mpc(path.base_point), F)))
+        re, im, E = _li_fixed(n, base, F)
+        s_re, s_im = ([to_fixed(from_man_exp(v, -E, F, "n"), F) for v in part]
+                      for part in (re, im))
     r_re, r_im = s_re, s_im
     for c, z1 in zip(points, points[1:]):
         r_re, r_im = _step_row(r_re, r_im, c, z1, terms, F)
     turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
                      for z0, z1 in steps)
-    with mp.workprec(F + 20):
-        log_ratio = mp.log(_from_fixed(*points[-1], F)
-                           / _from_fixed(*points[0], F))
-        m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
-        log_sum = log_ratio + 2j * m * mp.pi
     return ([a - b for a, b in zip(r_re, s_re)],
-            [a - b for a, b in zip(r_im, s_im)], m, log_sum, F, (r_re, r_im))
+            [a - b for a, b in zip(r_im, s_im)], turn,
+            (points[0], points[-1]), F, (r_re, r_im))
 
 
 def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
@@ -540,33 +626,51 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     from 0, with its argument at least 2.7 from the cut at +-pi, so each
     phase is within 2^-48 of theta_k, and for D <= ``_DISK_CAP`` the sum of
     phases, and with it the quotient, is within 2^-30 of its exact value.
-    The logarithm is taken once, at F + 20 bits, from the fixed-point end
-    points; as |Log(z_end / z_base)| < 2^11 for points of double range and
+    ``transport``, the one caller that reads Lambda, forms it from
+    ``_step_chain``'s phase sum and end points: the logarithm is taken
+    once, at F + 20 bits, from the fixed-point end points; as
+    |Log(z_end / z_base)| < 2^11 for points of double range and
     2 pi |m| < 0.42 D + 7, Lambda is within u = 2^-F of the exact sum.
+    (A closed chain ends on its base point, so there m is the nearest
+    integer to sum theta_k / (2 pi), with no logarithm: ``monodromy``.)
 
-    Growth of the product.  Write d = dist(c, {0, 1}).  Since |l_k| and
-    |-log(1 - w/d)| are at most -log 0.6 < 0.52, every T_k is bounded
-    entrywise by exp(0.52 S), S the (n+1) x (n+1) upper shift (the
-    majorants of ``_step_row``); these matrices are polynomials in S, so
-    they commute, and every partial product is bounded by exp(0.52 D S),
-    with entries (0.52 D)^m / m!.  Let each step return R T~_k + rho_k, with
-    T~_k within e of T_k per entry above the diagonal and every |rho_k| at
-    most r.  The error of R after step k is the old error times T_k, plus R
-    times T~_k - T_k, plus rho_k; R is bounded by row 0 of
-    exp(0.52 (k - 1) S), and the errors are carried to the end by
-    T_(k+1) ... T_D, bounded by exp(0.52 (D - k) S).  So entry (0, j) of P
-    ends within (e + r) E of the exact product, where
-    E = D sum_{l < n} (0.52 D)^l / l!, up to a second-order term in e.
+    Growth of the product.  Write d = dist(c, {0, 1}) and a = -log 0.6,
+    below 0.511.  Majorants below are polynomials in S, the (n+1) x (n+1)
+    upper shift, with coefficients >= 0, compared coefficient by
+    coefficient; they commute.  Since |l_k| and |-log(1 - w/d)| are at most
+    a, every T_k is bounded entrywise by A = exp(a S) (the majorants of
+    ``_step_row``), and every partial product of k of them by exp(a k S),
+    with entries below (0.52 k)^m / m!.  Let each step return
+    R T~_k + rho_k, with |T~_k - T_k| <= e U entrywise, U = S + ... + S^n,
+    and every |rho_k| <= r.  The error of R after step k is the old error
+    times T~_k, plus R_(k-1) (T~_k - T_k), plus rho_k, with R_(k-1) the
+    exact row, bounded by e_0 A^(k-1), and |rho_k| <= r e_0 U.  Carried to
+    the end by T~_(k+1) ... T~_D, each bounded by B = A + e U, the error is
+    at most (e + r) sum_k e_0 U A^(k-1) B^(D-k).  As A >= I, B <= A (I + e U),
+    and for N < D, (I + e U)^N <= exp(N e U) <= I + delta U with
+    eps = D e and delta = eps (1 + eps)^(n-1): the coefficient of S^m in
+    exp(eps U) - I is sum_i eps^i C(m-1, i-1) / i! <= eps (1 + eps)^(m-1).
+    Entry j of e_0 U A^(D-1) (I + delta U) is at most
+    (1 + (j - 1) delta) sum_{l < j} (a (D - 1))^l / l!, so entry (0, j) of P
+    ends within (e + r) E (1 + (n - 1) delta) of the exact product, where
+    E = D sum_{l < n} (0.52 D)^l / l!.
 
-    Guard bits.  G = ceil(log2 E) (``_product_guard``) grows like
-    log2 D + n log2(0.52 D).  K is the least count that puts 0.4^K / 0.6
+    Guard bits.  G_0 = ceil(log2 E) (``_product_guard``) grows like
+    log2 D + n log2(0.52 D), and G = G_0 + max(0, bitlen(n - 1) - 4 - prec),
+    so that p' = prec + G - G_0 >= bitlen(n - 1) - 4; the second term is 0
+    for every --precision (at least 64 bits) at n <= 64 and for every
+    monodromy certificate.  K is the least count that puts 0.4^K / 0.6
     below 2^-(prec + G + 8) (114 terms at 128 bits for a canonical loop at
     n = 4, where D = 21 and G = 13), and
     F = prec + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``).  By
-    ``_step_row``, e < 2^-(prec + G + 8) + 4u and r < 3.8 K u, so
-    e + r < 2^-(prec + G + 8) + (5 K + 6) u <= 2^-(prec + G + 7): every
-    entry of row 0 of P is within 2^-(prec + 7) of the exact product for the
-    chain.
+    ``_step_row``, e < 2^-(prec + G + 8) + 4u and r < 3.8 K u, and
+    (5 K + 6) u <= 2^-(prec + G + 8), so
+    e + r < 2^-(prec + G + 8) + (3.8 K + 4) u < 1.76 2^-(prec + G + 8).
+    Also eps = D e <= 2^G_0 e < (15/11) 2^-(p' + 8), and
+    2^(p' + 8) > 16 (n - 1), so (n - 1) eps < 0.086,
+    (1 + eps)^(n-1) < 1.09 and (n - 1) delta < 0.094.  Every entry of row 0
+    of P is then within 1.76 1.094 2^-(prec + 8) < 2^-(prec + 7) of the
+    exact product for the chain, to every order in e.
 
     Whole-transport bound.  The chain runs from the base point to the end of
     the last segment, exactly for a line and within 2^-(prec + 6) (|p| + r)
@@ -590,7 +694,11 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
         raise DomainError("transport needs n >= 1")
     if start.n != n:
         raise DomainError("start matrix has the wrong weight")
-    r_re, r_im, _, log_sum, F, _ = _step_chain(n, path, prec, margin)
+    r_re, r_im, turn, (z0, z1), F, _ = _step_chain(n, path, prec, margin)
+    with mp.workprec(F + 20):
+        log_ratio = mp.log(_from_fixed(*z1, F) / _from_fixed(*z0, F))
+        m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
+        log_sum = log_ratio + 2j * m * mp.pi
     with mp.workprec(F):
         # P: row 0 as stepped, exp(Lambda N) below; zeros of start stay exact
         power = [mp.mpf(1)]
@@ -613,22 +721,22 @@ def _row0_radius(n, base, bits):
     ``monodromy`` proves row 0 from a chain sized for ``bits``, as an exact
     Fraction for the double b = ``base`` in (0, 1).  V = max(1, b / (1 - b))
     bounds Li_1(b) = -log(1 - b) <= b / (1 - b), hence every
-    |Li_j(b)| <= Li_1(b), and e^|log b| = 1 / b."""
-    b = Fraction(base)
-    return (n + 1) * max(1, b / (1 - b)) / b * Fraction(2) ** -(bits + 6)
+    |Li_j(b)| <= Li_1(b), and e^|log b| = 1 / b, so V e^|log b| is
+    max(1/b, 1/(1 - b)) = 2^s / min(a, 2^s - a) for b = a / 2^s."""
+    a, den = base.as_integer_ratio()
+    e = den.bit_length() - 1 - bits - 6
+    return Fraction((n + 1) << max(e, 0), min(a, den - a) << max(-e, 0))
 
 
 def _certified_bits(n, base):
     """p*, the least integer p with ``_row0_radius``(n, base, p) < 1 / (2 n!),
-    half the spacing of the lattice (1/n!) Z that holds every row-0 entry."""
-    half = Fraction(1, 2 * math.factorial(n))
-    q = _row0_radius(n, base, -6) / half
-    p = q.numerator.bit_length() - q.denominator.bit_length() - 6
-    while _row0_radius(n, base, p) >= half:
-        p += 1
-    while _row0_radius(n, base, p - 1) < half:
-        p -= 1
-    return p
+    half the spacing of the lattice (1/n!) Z that holds every row-0 entry.
+    For b = a / 2^s that is the least p with
+    min(a, 2^s - a) 2^(p + 6) > 2 (n + 1)! 2^s, one integer comparison."""
+    a, den = base.as_integer_ratio()
+    near, bound = min(a, den - a), 2 * math.factorial(n + 1) * den
+    k = bound.bit_length() - near.bit_length()
+    return k - 6 + ((near << k) <= bound)
 
 
 def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
@@ -645,10 +753,13 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     the chain.  The loop closes, so Lambda = 2 pi i m for the winding m
     about 0, and entry (i, j) of rows 1..n is
     (2 pi i)^(i-j) (2 pi i m)^(j-i) / (j-i)! = m^(j-i) / (j-i)!, exactly.
-    So only row 0 is computed: v by ``_li_row`` at the chain's F bits (the
-    series, or for b > 3/4 the series at 3/4 stepped to b), stepped across
-    the disk chain that transport takes, and u - v, an exact difference of
-    integers, times E(-l) D^-1 at F bits (``_step_chain``).
+    The chain closes on b itself, so Log(z_end / z_base) = 0 and m is the
+    nearest integer to its phase sum over 2 pi (``transport``), with no
+    logarithm.  So only row 0 is computed: v by ``_li_fixed`` at the chain's
+    F bits (the series, or for b > 3/4 the series at 3/4 stepped to b),
+    stepped across the disk chain that transport takes (``_step_chain``),
+    and u - v, an exact difference of integers, times E(-l) D^-1 on
+    integers at 2^-F (row 0 in integers, below).
 
     Denominators.  The loop is a word in the loops about 0 and 1 from b,
     whose matrices are M_0 (m = 1, row 0 = e_0) and M_1 = I - E_01, with
@@ -668,12 +779,44 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     in place of ``prec``.  The floored start row is within 3 V 2^-F of v,
     and it cancels from u - v up to its image under P - I.  In
     ``transport``'s growth bound, a start row bounded by V in every entry,
-    in place of e_0, multiplies the carried error by at most n V, so u - v
-    is within (n + 1) V 2^-(p + 7) of its value for the chain.  So row 0 of
-    M, certified at F bits, is within
-    rho(p) = (n + 1) V e^|l| 2^-(p + 6)
-    of row 0 of L(b) P_c L(b)^-1 for the exact product P_c of the chain,
-    the product at F bits taking less than half of rho(p).
+    in place of e_0, multiplies the carried error by at most n V (entry j
+    of e_0 (I + U) U is j) and its second-order factor by no more, and the
+    image of the start row's error under P - I, at most
+    3 V 2^-F 1.7 2^G < V 2^-(p + 7), adds the rest: u - v is within
+    (n + 1) V 2^-(p + 7) of its value for the chain.  Its image under
+    E(-l) D^-1 moves entry j by at most that times
+    sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, and the twist's rounding (below)
+    by less than rho(p) / 32, so row 0 of M, certified at 2^-F, is within
+    rho(p) / 7 of row 0 of L(b) P_c L(b)^-1 for the exact product P_c of
+    the chain, where
+    rho(p) = (n + 1) V e^|l| 2^-(p + 6).
+
+    Row 0 in integers.  With d = u - v, c = 1/(2 pi) and x = -l c >= 0,
+    entry j of row 0 is (-i)^j sum_{k <= j} e_k x^(j-k) / (j-k)!,
+    e_k = d_k c^k.  It is formed on integers that stand for multiples of
+    h = 2^-F, with no guard bits (H = F); each d_k 2^F is one:
+    - C = floor(2^(2F + 3) / pi_fixed(F + 4)), so C h is within 1.1 h of c;
+    - L, libmp's log b at F + 10 bits (within an ulp, as libmp adds 20
+      guard bits) floored to h, so L h is within 2 h of l, as |l| < 2^10;
+    - X = -floor(L C / 2^F) >= 0, so X h is within (1.4 + 1.1 |l|) h of x;
+    - C_1 = C, C_k = floor(C_(k-1) C / 2^F): C_k h is within 1.5 h of c^k,
+      as its error obeys err_k <= 0.16 err_(k-1) + 1.2 h;
+    - P_0 = 2^F, P_m = floor(P_(m-1) X / (m 2^F)), one floor as
+      floor(floor(y) / m) = floor(y / m): P_m h is at most (X h)^m / m! and
+      within (h + |X h - x|) e^x' of x^m / m!, x' = max(x, X h);
+    - E_k = floor(d_k C_k) per part, so E_k h is within
+      (1.5 |d_k| + 1.5) h of e_k;
+    - each entry's sum formed exactly and floored once per part, 1.5 h
+      more; (-i)^j swaps and negates parts exactly.
+    With B >= every |d_k| and sum_k |e_k| <= 0.19 B, entry j is within
+    e^x' h (1.5 B + 1.5 + 0.19 B (2.4 + 1.1 |l|)) + 1.5 h, and as
+    e^(|l| / (2 pi)) (1.96 + 0.21 |l|) <= 1.96 e^|l|, within
+    h e^|l| (2 B + 3.1).  By the growth bound, |u_k| <= 1.52 V E, so
+    B <= V (1 + 1.52 2^G + (n + 1) 2^-(p + 7)); with p >= -2 (below), K >= 6
+    and F >= p + G + 14, so the rounding stays below
+    (n + 1) V e^|l| 2^-(p + 11) = rho(p) / 32.  The imaginary part is
+    tested against rho by one integer comparison, and the real part is
+    handed to ``rational_reconstruct`` as the exact dyadic Fraction it is.
 
     The chain.  Its points are floored to 2^-F, which moves each by less
     than sqrt(2) 2^-F; for F below 53 that is no longer exact for most
@@ -692,10 +835,12 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     so the floored closed chain is homotopic to the loop in C \\ {0, 1}.
     Then P_c = L(b)^-1 M L(b), and its winding m is the loop's.
 
-    Precision.  ``_row0_radius`` forms rho(p) exactly in Fractions from the
-    double b, with V <= max(1, b / (1 - b)) and e^|l| = 1 / b, and
+    Precision.  ``_row0_radius`` forms rho(p) as one Fraction from the
+    integers of the double b = a / 2^s, with V <= max(1, b / (1 - b)) and
+    e^|l| = 1 / b, so V e^|l| <= 2^s / min(a, 2^s - a), and
     ``_certified_bits`` finds p*, the least p with rho(p) < 1/(2 n!), which
-    is at most 1/(2 j!) for every column j.  ``prec`` is the most bits the
+    is at most 1/(2 j!) for every column j, by one integer comparison.
+    As V e^|l| >= 2, p* >= -2.  ``prec`` is the most bits the
     certificate may use: the chain is sized for p = min(prec, p*), and when
     rho(p) >= 1/(2 n!), that is when prec < p*, DomainError, naming p*, is
     raised before any transport.  At b = 1/2, p* is about
@@ -716,34 +861,42 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     need = _certified_bits(n, base.real)
     bits = min(prec, need)
     radius = _row0_radius(n, base.real, bits)
-    if radius >= Fraction(1, 2 * math.factorial(n)):
+    if 2 * math.factorial(n) * radius.numerator >= radius.denominator:
         raise DomainError(
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
-    d_re, d_im, m, _, F, _ = _step_chain(n, loop, prec, margin, li_bits=bits)
-    with mp.workprec(F):
-        # row 0: (u - v) E(-log b) D^-1; D^-1 divides entry j by (2 pi i)^j
-        lg, two_pi = mp.log(base.real), 2 * mp.pi
-        power = [mp.mpf(1)]
-        for k in range(1, n):
-            power.append(-power[-1] * lg / k)
-        diff = [_from_fixed(a, b, F) for a, b in zip(d_re, d_im)]
-        row0 = [sum(diff[k] * power[j - 1 - k] for k in range(j))
-                * (1, -1j, -1, 1j)[j % 4] / two_pi ** j
-                for j in range(1, n + 1)]
+    d_re, d_im, turn, _, F, _ = _step_chain(n, loop, prec, margin,
+                                            li_bits=bits)
+    m = round(turn / (2 * math.pi))
+    # row 0 = (u - v) E(-log b) D^-1 at 2^-F: e_k = d_k / (2 pi)^k, then
+    # entry j = (-i)^j sum_k e_k x^(j-k) / (j-k)!, x = -log(b) / (2 pi)
+    a, den = base.real.as_integer_ratio()
+    c = (1 << 2 * F + 3) // pi_fixed(F + 4)
+    x = -(to_fixed(mpf_log(from_man_exp(a, 1 - den.bit_length()), F + 10),
+                   F) * c >> F)
+    powers, c_k, e_re, e_im = [1 << F], c, [], []
+    for k, (dr, di) in enumerate(zip(d_re, d_im), 1):
+        powers.append((powers[-1] * x >> F) // k)
+        e_re.append(dr * c_k >> F)
+        e_im.append(di * c_k >> F)
+        c_k = c_k * c >> F
     out = [[Fraction(1)]]
-    for j, v in enumerate(row0, 1):
-        if abs(mpf_to_fraction(v.imag)) > radius:
+    for j in range(1, n + 1):
+        re = sum(e * w for e, w in zip(e_re[:j], powers[j - 1::-1])) >> F
+        im = sum(e * w for e, w in zip(e_im[:j], powers[j - 1::-1])) >> F
+        re, im = ((re, im), (im, -re), (-re, -im), (-im, re))[j % 4]
+        if abs(im) * radius.denominator > radius.numerator << F:
             raise ReconstructionError(
-                f"entry (0,{j}) has imaginary part {mp.nstr(v.imag, 5)}, "
+                f"entry (0,{j}) has imaginary part {im / (1 << F):.5g}, "
                 f"beyond its proved radius {float(radius):.3g}")
-        r = rational_reconstruct(v.real, math.factorial(j), radius)
+        x_j = Fraction(re, 1 << F)
+        r = rational_reconstruct(x_j, math.factorial(j), radius)
         if r is None:
             raise ReconstructionError(
-                f"entry (0,{j}) = {mp.nstr(v.real, 20)} is not within "
+                f"entry (0,{j}) = {float(x_j):.17g} is not within "
                 f"{float(radius):.3g} of a multiple of 1/{j}!")
         out[0].append(r)
-    out += [[0] * i + [Fraction(m ** k, math.factorial(k))
-                       for k in range(n + 1 - i)] for i in range(1, n + 1)]
+    winding = [Fraction(m ** k, math.factorial(k)) for k in range(n)]
+    out += [[0] * i + winding[:n + 1 - i] for i in range(1, n + 1)]
     return RationalMatrix(out)

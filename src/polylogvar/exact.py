@@ -54,17 +54,21 @@ def rational_reconstruct(x, denominator, radius):
 
     So a value known to lie in (1/q) Z and within ``radius`` of x is k / q.
     ``x`` and ``radius`` may be ints, floats, Fractions or mpmath mpfs; every
-    comparison is exact.
+    comparison is exact, on the integers of x = a / b and radius = c / d.
+    A tie, q x halfway between integers, lies 1 / (2 q) from both
+    neighbours, beyond any radius that passes, so k rounds it up.
     """
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
     x, radius = (mpf_to_fraction(v) if isinstance(v, mp.mpf) else Fraction(v)
                  for v in (x, radius))
-    if radius < 0:
+    (a, b), (c, d) = x.as_integer_ratio(), radius.as_integer_ratio()
+    if c < 0:
         raise ValueError("radius must be nonnegative")
-    k = Fraction(round(denominator * x), denominator)
-    if 2 * denominator * radius < 1 and abs(x - k) <= radius:
-        return k
+    q = denominator
+    k = (2 * q * a + b) // (2 * b)
+    if 2 * q * c < d and abs(q * a - k * b) * d <= c * q * b:
+        return Fraction(k, q)
     return None
 
 

@@ -96,6 +96,38 @@ def ref_generator(n, which, sign):
     return m
 
 
+def ref_li_disk_counts(prec, z):
+    """(K, F) as ``analytic._li_disk``'s docstring defines them for a complex
+    z of doubles with 0 < |z| <= 3/4 and r = |z|: K the least count with
+    r^K / (1 - r) <= 2^-(prec + 10), F = prec + 10 + ceil(log2(5 (K + 1) /
+    (1 - r))).  Each candidate is decided in Fractions, r entering only
+    through r^2 (r a <= b, a >= 0, exactly when b >= 0 and r^2 a^2 <= b^2);
+    a 600-bit mpmath estimate only picks where the search starts."""
+    r2 = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    T = Fraction(1, 2 ** (prec + 10))
+
+    def r_times_le(a, b):
+        return b >= 0 and r2 * a * a <= b * b
+
+    def tail_ok(K):  # r^K <= T (1 - r)
+        h, odd = divmod(K, 2)
+        return r_times_le(T + (r2 ** h if odd else 0),
+                          T - (0 if odd else r2 ** h))
+
+    with mp.workprec(600):
+        r = mp.sqrt(mp.mpf(r2.numerator) / r2.denominator)
+        K = max(1, int(mp.ceil((prec + 10 - mp.log(1 - r, 2))
+                               / -mp.log(r, 2))))
+    while not tail_ok(K):
+        K += 1
+    while K > 1 and tail_ok(K - 1):
+        K -= 1
+    f = 0
+    while not r_times_le(2 ** f, 2 ** f - 5 * (K + 1)):
+        f += 1
+    return K, prec + 10 + f
+
+
 def ref_word_monodromy(n, word):
     """The product, in word order, of ``ref_generator(n, which, sign)`` over
     the letters (which, sign) of ``word``."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_rational, mpf_div
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,9 @@ from polylogvar.exact import RationalMatrix
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
-                     period_matrix_invariants, ref_loop_word, ref_polylog,
-                     ref_minus_log1m, ref_solution, ref_word_monodromy)
+                     period_matrix_invariants, ref_li_disk_counts,
+                     ref_loop_word, ref_polylog, ref_minus_log1m,
+                     ref_solution, ref_word_monodromy)
 
 TOL = 1e-10
 
@@ -465,12 +467,15 @@ _LETTERS = st.tuples(st.sampled_from([0, 1]), st.sampled_from([1, -1]),
 
 def _spy_reconstruct(monkeypatch):
     """Record (x, denominator, radius) of every ``rational_reconstruct``
-    call that ``monodromy`` makes, x as an exact Fraction."""
+    call that ``monodromy`` makes; x is handed over as an exact dyadic
+    Fraction."""
     seen = []
     reconstruct = analytic.rational_reconstruct
 
     def spy(x, denominator, radius):
-        seen.append((analytic.mpf_to_fraction(x), denominator, radius))
+        assert isinstance(x, Fraction)
+        assert x.denominator & (x.denominator - 1) == 0
+        seen.append((x, denominator, radius))
         return reconstruct(x, denominator, radius)
 
     monkeypatch.setattr(analytic, "rational_reconstruct", spy)
@@ -518,6 +523,88 @@ def test_certified_bits_is_the_least_that_certify(n):
             assert (n + 1) * max(1, -mp.log(1 - b)) / b \
                 / mp.mpf(2) ** (need + 6) \
                 <= mp.mpf(radius.numerator) / radius.denominator
+
+
+@settings(deadline=None, max_examples=200)
+@given(n=st.integers(1, 64),
+       base=st.floats(0, 1, exclude_min=True, exclude_max=True))
+@example(n=4, base=0.5)
+@example(n=64, base=2 ** -1074)
+@example(n=1, base=1 - 2 ** -53)
+def test_certified_bits_is_the_least_p_for_any_base(n, base):
+    """p*, found by one integer comparison, is the least p with
+    rho(p) < 1/(2 n!) for any double b in (0, 1), and ``_row0_radius`` is
+    (n + 1) max(1, b / (1 - b)) / b 2^-(p + 6) exactly."""
+    half = Fraction(1, 2 * math.factorial(n))
+    need = analytic._certified_bits(n, base)
+    b = Fraction(base)
+    for p in (need, need - 1):
+        assert analytic._row0_radius(n, base, p) == \
+            (n + 1) * max(1, b / (1 - b)) / b / Fraction(2) ** (p + 6)
+    assert analytic._row0_radius(n, base, need) < half \
+        <= analytic._row0_radius(n, base, need - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(prec=st.integers(1, 300), x=st.floats(-0.75, 0.75),
+       y=st.floats(-0.75, 0.75))
+@example(prec=53, x=0.5, y=0.0)  # r^K meets 2^-t (1 - r) exactly at K = t + 1
+@example(prec=128, x=0.75, y=0.0)
+@example(prec=64, x=0.375, y=0.25)
+@example(prec=128, x=1e-300, y=0.0)
+def test_li_disk_counts_are_the_least_its_docstring_defines(prec, x, y):
+    """``_li_disk_size`` finds the least K and F of ``_li_disk``'s
+    docstring, as an exact oracle decides them."""
+    assume(0 < Fraction(x) ** 2 + Fraction(y) ** 2 <= Fraction(9, 16))
+    X, Y, s = analytic._dyadic(complex(x, y))
+    assert analytic._li_disk_size(X * X + Y * Y, s, prec) == \
+        ref_li_disk_counts(prec, complex(x, y))
+
+
+def test_growth_bound_second_order_fits_its_slack():
+    """``transport``'s growth bound: the per-disk error is
+    e + r < 1.76 2^-(p + G + 8), and the terms past the first order in e
+    multiply the bound by at most 1 + (n - 1) delta, where
+    delta = eps (1 + eps)^(n - 1) and eps = (15/11) 2^-(p' + 8) for the
+    bits p' >= bitlen(n - 1) - 4 that the chain is sized for.  So every
+    entry stays within 2^-(p + 7) when 1.76 (1 + (n - 1) delta) < 2.  delta
+    falls as p' grows, so the least p' is the worst case; monodromy's p*
+    is never below it."""
+    for n in range(1, 65):
+        least = (n - 1).bit_length() - 4
+        eps = Fraction(15, 11) / Fraction(2) ** (least + 8)
+        delta = eps * (1 + eps) ** (n - 1)
+        assert Fraction(176, 100) * (1 + (n - 1) * delta) < 2
+        assert analytic._certified_bits(n, 0.5) >= least
+
+
+def test_chain_is_sized_for_at_least_the_second_order_floor():
+    # at n = 64 the floor is bitlen(63) - 4 = 2 bits: 1 and 2 size alike
+    F = [analytic._step_chain(64, canonical_loop(1), prec, 1e-3)[4]
+         for prec in (1, 2, 3)]
+    assert F[0] == F[1] < F[2]
+
+
+@pytest.mark.parametrize("scale", [Fraction(16, 17), Fraction(16, 15)])
+def test_biased_constants_fail_the_radius_checks(monkeypatch, scale):
+    """1/(2 pi) off by a relative 2^-4 moves entry (0, 1) of loop 1's
+    matrix by 1/16, beyond rho(3) = 0.0195 at n = 4.  log b off by a
+    relative 2^-4 moves entry (0, 2) by i |log b| / (32 pi) = 0.0069 i:
+    within rho at n = 4, beyond it (0.0029) at n = 5, where the integer
+    test of the imaginary part catches it."""
+    pi_fixed, mpf_log = analytic.pi_fixed, analytic.mpf_log
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "pi_fixed", lambda prec: pi_fixed(prec)
+                      * scale.numerator // scale.denominator)
+        with pytest.raises(ReconstructionError, match=r"entry \(0,1\) ="):
+            monodromy(4, canonical_loop(1))
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "mpf_log", lambda x, prec: mpf_div(
+            mpf_log(x, prec), from_rational(scale.numerator,
+                                            scale.denominator, prec), prec))
+        with pytest.raises(ReconstructionError,
+                           match=r"entry \(0,2\) has imaginary part"):
+            monodromy(5, canonical_loop(1))
 
 
 def _rectangle_from(base, around):
