@@ -79,9 +79,6 @@ class PeriodMatrix:
                 if not mp.isfinite(v):
                     raise ValueError("period matrix entries must be finite")
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
 
 def li_series(n, z, prec=DEFAULT_PREC):
     """Li_n(z) for |z| <= 0.75 or real z in [-1, -0.75], to ``prec`` bits.
@@ -99,7 +96,8 @@ def li_series(n, z, prec=DEFAULT_PREC):
         zc = mp.mpc(mp.mpmathify(z))
         if not zc:
             return mp.mpc(0)
-        if abs(zc) > 0.75 and not (zc.imag == 0 and -1 <= zc.real < 0):
+        # negated, so that a NaN part fails it too
+        if not abs(zc) <= 0.75 and not (zc.imag == 0 and -1 <= zc.real < 0):
             raise DomainError("li_series requires |z| <= 0.75 or real z in "
                               "[-1, -0.75]; use transport elsewhere")
         return _li_row(n, zc, prec)[-1]

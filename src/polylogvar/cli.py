@@ -19,9 +19,12 @@ its row from -3/4 along the real line to z in [-1, -0.75); lambda and
 flatness take row 0 the same way, from 3/4 above it, with no term cap, so
 their z may come within about 2^-28 of 1, and closer is a domain error.
 
---precision sets the accuracy of every series value, period matrix and
-transport; --tol never enters them.  --tol reaches only integrate, as its
-quadrature target, and only integrate checks it.  monodromy, kummer-block and
+Every command takes --precision, --format and --timing, and any other flag
+only if it reads it, with one exception.  --precision sets the accuracy of
+every series value, period matrix and transport.  --seed belongs to paving
+and suite, the two commands that draw random points.  --tol belongs to
+integrate, as its quadrature target, which it checks; li, lambda and
+kummer-block accept it too and read none of it.  monodromy, kummer-block and
 flatness take no tolerance.  monodromy certifies entry (0, j) on the lattice
 (1/j!) Z by its proved radius, below half the spacing 1/j!; its output is
 exact, so it runs at the least precision that certifies, the fewest bits
@@ -122,15 +125,9 @@ def _resolve_loop(name_or_path):
 
 # The flags every command takes, before its own; (flag, add_argument kwargs).
 _SHARED_FLAGS = (
-    ("--tol", dict(type=float, default=1e-12, help=(
-        "quadrature target of integrate, the only command it reaches "
-        "(default 1e-12); the accuracy of series, matrices and transport, "
-        "and the monodromy certificate, follow --precision alone"))),
     ("--precision", dict(type=int, default=128, help=(
         "working precision in bits (default 128); monodromy runs at the "
         "least precision that certifies, and this caps it"))),
-    ("--seed", dict(type=int, default=0,
-                    help="seed for randomized checks (default 0)")),
     ("--format", dict(choices=("json", "csv"), default="json")),
     ("--timing", dict(action="store_true", help=(
         "include wall time in the report (breaks byte reproducibility)"))),
@@ -138,6 +135,13 @@ _SHARED_FLAGS = (
 _N = ("--n", dict(type=int, required=True))
 _Z = ("--z", dict(type=_parse_z, required=True))
 _K = ("--k", dict(type=int, required=True))
+_SEED = ("--seed", dict(type=int, default=0,
+                        help="seed for randomized checks (default 0)"))
+# li, lambda and kummer-block read no tolerance; they take --tol only because
+# perfbench's cli-mix still passes it to them (ROADMAP items 1 and 5)
+_TOL = ("--tol", dict(type=float, default=1e-12, help=(
+    "quadrature target of integrate (default 1e-12); li, lambda and "
+    "kummer-block accept it and read none of it")))
 
 
 # flags are (flag, add_argument kwargs); run returns (result, passed), passed
@@ -156,14 +160,15 @@ def _command(name, help, max_n, *flags):
     return register
 
 
-@_command("li", "evaluate the polylogarithm series", MAX_MATRIX_N, _N, _Z)
+@_command("li", "evaluate the polylogarithm series", MAX_MATRIX_N, _N, _Z,
+          _TOL)
 def _li(args):
     return {"value": li_series(args.n, _z_value(args),
                                prec=args.precision)}, None
 
 
 @_command("lambda", "principal fundamental solution matrix", MAX_MATRIX_N,
-          _N, _Z)
+          _N, _Z, _TOL)
 def _lambda(args):
     lam = principal_lambda(args.n, _z_value(args), prec=args.precision)
     return {"matrix": [list(row) for row in lam.entries],
@@ -224,7 +229,7 @@ def _filtration(args):
 
 
 @_command("kummer-block", "divided-power symmetric-power block check",
-          MAX_MATRIX_N, _N, _Z)
+          MAX_MATRIX_N, _N, _Z, _TOL)
 def _kummer_block(args):
     rep = kummer_block_check(args.n, _z_value(args), prec=args.precision)
     return {"max_error": rep.max_error, "failing_entry":
@@ -238,7 +243,7 @@ def _omega(args):
                                       ["x"])}, None
 
 
-@_command("integrate", "cube integral of a basis form", None, _N, _K, _Z)
+@_command("integrate", "cube integral of a basis form", None, _N, _K, _Z, _TOL)
 def _integrate(args):
     # the quadrature runs in float64: report the double it is, not digits
     # that --precision would pad onto it
@@ -298,7 +303,7 @@ def _postnikov(args):
 
 
 @_command("paving", "simplex paving of the rescaled cube", None, _N, _Z,
-          ("--samples", dict(type=int, default=10000)))
+          ("--samples", dict(type=int, default=10000)), _SEED)
 def _paving(args):
     if "," in args.z:
         raise DomainError("paving needs real z in (0, 1)")
@@ -308,7 +313,7 @@ def _paving(args):
             "volume_identity": rep.volume_identity_ok}, rep.passed
 
 
-@_command("suite", "run the full acceptance battery", None)
+@_command("suite", "run the full acceptance battery", None, _SEED)
 def _suite(args):
     results = acceptance.run_battery(seed=args.seed)
     return {"criteria": [{"number": r.number, "name": r.name,

@@ -81,10 +81,6 @@ class RationalForm:
             return RationalForm(self.n, reduced, q)
         return RationalForm(self.n, num, q * q)
 
-    def product_variable_degree(self):
-        """Numerator degree in tau, so in the product variable x = z tau."""
-        return self.num.degree_in(1)
-
     def __repr__(self):
         """The form in the cube coordinates, tau^d printed as t1^d*...*tn^d
         (in an MPoly's repr every factor after the coefficient follows a
@@ -238,18 +234,21 @@ def integrate_cube(n, k, z, tol):
     the integrand is analytic; the pole of g at s = log z is what narrows
     it, so z near the cut needs more halvings.
 
-    Cost guard: 1 <= n <= 4.  The point z must keep distance >= 0.05 from
-    the half-line [1, oo).
+    Cost guard: 1 <= n <= 4.  The point z must be finite and keep distance
+    >= 0.05 from the half-line [1, oo), and tol must be positive and finite;
+    each is checked before any node is evaluated.
     """
     if not 1 <= n <= 4:
         raise DomainError("integrate_cube supports 1 <= n <= 4")
     if not 0 <= k <= n:
         raise DomainError("k must satisfy 0 <= k <= n")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    # both tests are negated so that NaN fails them
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     zc = complex(mp.mpc(mp.mpmathify(z)))
-    if _distance_to_cut(zc) < 0.05:
-        raise DomainError("z too close to the half-line [1, oo)")
+    if not (abs(zc) < math.inf and _distance_to_cut(zc) >= 0.05):
+        raise DomainError("z must be finite and keep distance >= 0.05 from "
+                          "the half-line [1, oo)")
     r = n - k
     e = eulerian(r)
     descending = [float(e.terms.get((d,), 0))

@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import mpmath as mp
 
-# monodromy and principal_lambda are unused here; perfbench's tracer pins
-# hodge's imports of them (ROADMAP item 1)
+# monodromy is unused here; perfbench's tracer test pins hodge's import of
+# it (ROADMAP item 1)
 from .analytic import (_from_fixed, _li_row, _principal_z, _step_chain,
-                       kummer_rows, monodromy, principal_lambda)  # noqa: F401
+                       kummer_rows, monodromy)  # noqa: F401
 from .errors import DomainError
 from .mpoly import MPoly
 from .paths import LineTo, PathSpec
@@ -42,9 +42,6 @@ class ConnectionMatrix:
 
     n: int
     entries: tuple
-
-    def entry(self, i, j):
-        return self.entries[i][j]
 
 
 def connection(n):

@@ -47,9 +47,9 @@ class MPoly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def var(cls, nvars, i, power=1):
+    def var(cls, nvars, i):
         mono = [0] * nvars
-        mono[i] = power
+        mono[i] = 1
         return cls(nvars, {tuple(mono): 1})
 
     def is_zero(self):

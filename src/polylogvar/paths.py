@@ -7,7 +7,6 @@ stay geometric; transport steps along them on the circle itself.
 """
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -115,31 +114,10 @@ class PathSpec:
         return PathSpec(self.base_point, self.segments + other.segments,
                         closed=closed, name="")
 
-    def winding_number(self, p):
-        """Winding of the path around the point p (path must avoid p)."""
-        starts, _ = self.segment_starts()
-        turns = sum(_sweep_angle(start, seg, p) for start, seg
-                    in zip(starts, self.segments)) / (2 * math.pi)
-        n = round(turns)
-        if abs(turns - n) > 1e-6:
-            raise PathError(f"winding number did not converge: {turns}")
-        return int(n)
-
     def describe(self):
         if self.name:
             return self.name
         return f"path(base={self.base_point}, {len(self.segments)} segments)"
-
-    def to_json_dict(self):
-        segs = []
-        for seg in self.segments:
-            if isinstance(seg, LineTo):
-                segs.append({"line": [seg.end.real, seg.end.imag]})
-            else:
-                segs.append({"arc": {"center": [seg.center.real, seg.center.imag],
-                                     "sweep": seg.sweep}})
-        return {"base": [self.base_point.real, self.base_point.imag],
-                "segments": segs, "closed": self.closed}
 
     @classmethod
     def from_json_dict(cls, d, name=""):
@@ -160,50 +138,12 @@ class PathSpec:
         except (KeyError, IndexError, TypeError) as e:
             raise PathError(f"malformed path JSON: {e}") from e
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text, name=""):
-        return cls.from_json_dict(json.loads(text), name=name)
-
 
 def _segment_end(start, seg):
     if isinstance(seg, LineTo):
         return seg.end
     w0 = start - seg.center
     return seg.center + w0 * complex(math.cos(seg.sweep), math.sin(seg.sweep))
-
-
-def _sweep_angle(start, seg, p):
-    """Continuous change of arg(z - p) along one segment.
-
-    Along a line it is the principal argument of the end point ratio.  An
-    arc is cut into pieces of sweep at most pi / 2, and along each the
-    change is that along its chord, plus 2 pi with the sign of the sweep
-    when p lies between the piece and its chord: the piece and the chord
-    back then wind once about p, the way the arc turns.
-    """
-    if isinstance(seg, LineTo):
-        return _chord_angle(start, seg.end, p)
-    pieces = max(1, math.ceil(abs(seg.sweep) / (math.pi / 2)))
-    turn = cmath.rect(1, seg.sweep / pieces)
-    w, total = start - seg.center, 0.0
-    for _ in range(pieces):
-        a, b = seg.center + w, seg.center + w * turn
-        total += _chord_angle(a, b, p)
-        # the arc lies right of the chord a -> b when it turns left
-        beside = ((b - a).conjugate() * (p - a)).imag * seg.sweep < 0
-        if beside and abs(p - seg.center) < abs(w):
-            total += math.copysign(2 * math.pi, seg.sweep)
-        w *= turn
-    return total
-
-
-def _chord_angle(a, b, p):
-    if a == p or b == p:
-        raise PathError("path passes through the winding point")
-    return cmath.phase((b - p) / (a - p))
 
 
 def canonical_loop(which):

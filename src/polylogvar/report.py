@@ -39,8 +39,6 @@ def to_jsonable(value, prec_bits=128):
         return [mp.nstr(value.real, digits), mp.nstr(value.imag, digits)]
     if isinstance(value, complex):
         return [repr(value.real), repr(value.imag)]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return to_jsonable(dataclasses.asdict(value), prec_bits)
     if isinstance(value, dict):
         return {str(k): to_jsonable(v, prec_bits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -73,6 +73,12 @@ class TestLiSeries:
         with pytest.raises(DomainError):
             li_series(0, 0.5)
 
+    @pytest.mark.parametrize("z", [mp.nan, mp.mpc(0.1, mp.nan),
+                                   mp.mpc(mp.nan, 0), complex(-0.9, math.nan)])
+    def test_non_finite_z_fails_the_domain_gate(self, z):
+        with pytest.raises(DomainError, match="li_series requires"):
+            li_series(1, z)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_reference_polylog(self, n):
         for z in (0.5, -0.75, mp.mpc(0.3, -0.3)):

@@ -770,16 +770,55 @@ def test_flatness_follows_precision(monkeypatch, prec):
     assert json.loads(out)["result"] == {"residual": 0.25, "tolerance": 1.0}
 
 
-def test_tol_is_checked_only_where_it_is_read():
-    """monodromy never reads --tol, so --tol 0 runs; integrate's quadrature
-    refuses a target that is not positive."""
-    code, out = run_cli(["monodromy", "--n", "2", "--loop", "loop0",
-                         "--tol", "0"])
-    assert code == 0
-    assert json.loads(out)["result"]["matrix"][1] == ["0", "1", "1"]
+def test_tol_is_checked_only_where_it_is_read(capsys):
+    """monodromy and transport take neither --tol nor --seed, so passing one
+    is a usage error; integrate's quadrature refuses a target that is not
+    positive."""
+    for argv in (["monodromy", "--n", "2", "--loop", "loop0", "--tol", "0"],
+                 ["transport", "--n", "2", "--loop", "loop0", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     code, _ = run_cli(["integrate", "--n", "2", "--k", "1", "--z", "0.3",
                        "--tol", "0"])
     assert code == 3
+
+
+def test_each_flag_is_on_the_commands_that_take_it():
+    """Every command takes --precision, --format and --timing; --seed only
+    the commands that draw random points, and --tol only integrate, which
+    reads it, and the three that cli-mix still passes it to."""
+    assert [flag for flag, _ in cli._SHARED_FLAGS] == \
+        ["--precision", "--format", "--timing"]
+
+    def takes(flag):
+        return {name for name, command in cli.COMMANDS.items()
+                if flag in dict(command.flags)}
+
+    assert takes("--seed") == {"paving", "suite"}
+    assert takes("--tol") == {"integrate", "li", "lambda", "kummer-block"}
+
+
+@pytest.mark.parametrize("z", ["nan", "0.1,nan", "nan,0"])
+def test_li_rejects_a_non_finite_z(capsys, z):
+    """A NaN part fails li's own domain test, not the chain's later."""
+    code, _ = run_cli(["li", "--n", "1", "--z", z])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "domain error: li_series requires |z| <= 0.75")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--z", "nan"], "z must be finite and keep distance >= 0.05"),
+    (["--z", "0.1,inf"], "z must be finite and keep distance >= 0.05"),
+    (["--z", "0.5", "--tol", "nan"], "tol must be positive and finite"),
+    (["--z", "0.5", "--tol", "inf"], "tol must be positive and finite"),
+])
+def test_integrate_rejects_non_finite_input(capsys, argv, message):
+    code, _ = run_cli(["integrate", "--n", "1", "--k", "1"] + argv)
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"domain error: {message}")
 
 
 def test_poset_homology_cli():

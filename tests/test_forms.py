@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylogvar import forms
 from polylogvar.errors import DomainError, IntegrationError
 from polylogvar.forms import (RationalForm, form_recurrence_check, gauge_form,
                               gauge_exactness_check, integrate_cube, omega)
@@ -168,7 +170,7 @@ def test_degree_bookkeeping():
         for k in range(n + 1):
             w = omega(n, k)
             expected = max(n - k - 1, 0) if k >= 1 else 0
-            assert w.product_variable_degree() == expected
+            assert w.num.degree_in(1) == expected
 
 
 def test_derivative_reduces_denominator():
@@ -218,6 +220,20 @@ class TestIntegrateCube:
     def test_size_guard(self):
         with pytest.raises(DomainError):
             integrate_cube(5, 1, 0.5, 1e-8)
+
+    @pytest.mark.parametrize("z, tol", [
+        (math.nan, 1e-8), (complex(0.5, math.nan), 1e-8),
+        (-math.inf, 1e-8), (complex(0, math.inf), 1e-8),
+        (0.5, math.nan), (0.5, math.inf), (0.5, 0.0), (0.5, -1e-8),
+    ])
+    def test_non_finite_input_fails_before_any_node(self, monkeypatch, z,
+                                                    tol):
+        def no_nodes(r):
+            raise AssertionError("the guards let the quadrature start")
+
+        monkeypatch.setattr(forms, "eulerian", no_nodes)
+        with pytest.raises(DomainError):
+            integrate_cube(2, 1, z, tol)
 
     def test_nonconvergence_raises(self):
         # no float64 sum resolves 1e-30, so every halving runs and it raises

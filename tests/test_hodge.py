@@ -29,18 +29,18 @@ class TestConnection:
 
     def test_weight_one(self):
         c = connection(1)
-        assert c.entry(0, 1) == OneForm.DLOG_1MZ
-        assert c.entry(0, 0) == OneForm.ZERO
-        assert c.entry(1, 1) == OneForm.ZERO
+        assert c.entries[0][1] == OneForm.DLOG_1MZ
+        assert c.entries[0][0] == OneForm.ZERO
+        assert c.entries[1][1] == OneForm.ZERO
 
     def test_weight_three_superdiagonal(self):
         c = connection(3)
-        sup = tuple(c.entry(k, k + 1) for k in range(3))
+        sup = tuple(c.entries[k][k + 1] for k in range(3))
         assert sup == (OneForm.DLOG_1MZ, OneForm.DLOG_Z, OneForm.DLOG_Z)
         for i in range(4):
             for j in range(4):
                 if j != i + 1:
-                    assert c.entry(i, j) == OneForm.ZERO
+                    assert c.entries[i][j] == OneForm.ZERO
 
 
 def _patched_kummer_rows(old, new):

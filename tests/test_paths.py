@@ -8,12 +8,24 @@ from hypothesis import strategies as st
 from polylogvar.errors import PathError
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
+from oracles import ref_loop_word
+
+
+def _inverse(word):
+    return [(p, -sign) for p, sign in reversed(word)]
+
+
+def _windings(loop):
+    """Winding about 0 and about 1: the signed count of each letter."""
+    word = ref_loop_word(loop)
+    return tuple(sum(sign for q, sign in word if q == p) for p in (0, 1))
+
 
 def test_canonical_loop_windings():
     l0 = canonical_loop(0)
     l1 = canonical_loop(1)
-    assert (l0.winding_number(0), l0.winding_number(1)) == (1, 0)
-    assert (l1.winding_number(0), l1.winding_number(1)) == (0, 1)
+    assert ref_loop_word(l0) == [(0, 1)] and _windings(l0) == (1, 0)
+    assert ref_loop_word(l1) == [(1, 1)] and _windings(l1) == (0, 1)
 
 
 def test_canonical_loops_are_closed_and_valid():
@@ -27,21 +39,14 @@ def test_loop_then_reverse_winds_zero():
     l0 = canonical_loop(0)
     both = l0.then(l0.reversed())
     assert both.closed
-    assert (both.winding_number(0), both.winding_number(1)) == (0, 0)
+    assert ref_loop_word(both) == [(0, 1), (0, -1)]
+    assert _windings(both) == (0, 0)
 
 
 def test_reversed_windings_negate():
     l1 = canonical_loop(1)
-    assert l1.reversed().winding_number(1) == -1
-
-
-def test_winding_between_an_arc_and_its_chord():
-    # a quarter circle about 0 from 1 to i and back along its chord winds
-    # once about a point between the two, and not about 0
-    path = PathSpec(1 + 0j, (Arc(0j, math.pi / 2), LineTo(1 + 0j)))
-    assert path.winding_number(0.6 + 0.6j) == 1
-    assert path.reversed().winding_number(0.6 + 0.6j) == -1
-    assert (path.winding_number(0), path.winding_number(0.4 + 0.4j)) == (0, 0)
+    assert ref_loop_word(l1.reversed()) == [(1, -1)]
+    assert _windings(l1.reversed()) == (0, -1)
 
 
 @st.composite
@@ -66,8 +71,7 @@ def closed_loops(draw):
 @settings(max_examples=60, deadline=None)
 @given(loop=closed_loops())
 def test_reversed_negates_winding(loop):
-    for p in (0, 1):
-        assert loop.reversed().winding_number(p) == -loop.winding_number(p)
+    assert ref_loop_word(loop.reversed()) == _inverse(ref_loop_word(loop))
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,9 +79,7 @@ def test_reversed_negates_winding(loop):
 def test_then_adds_windings(a, b):
     both = a.then(b)
     assert both.closed
-    for p in (0, 1):
-        assert both.winding_number(p) == \
-            a.winding_number(p) + b.winding_number(p)
+    assert ref_loop_word(both) == ref_loop_word(a) + ref_loop_word(b)
 
 
 def test_margin_violation_rejected():
@@ -106,18 +108,10 @@ def test_closed_flag_requires_return():
         path.validate()
 
 
-def test_json_round_trip():
-    loop = canonical_loop(1)
-    again = PathSpec.from_json(loop.to_json())
-    assert again.base_point == loop.base_point
-    assert again.closed
-    assert again.winding_number(1) == 1
-    assert json.loads(loop.to_json())["segments"][1]["arc"]["sweep"] == pytest.approx(2 * math.pi)
-
-
 def test_json_malformed():
     with pytest.raises(PathError):
-        PathSpec.from_json('{"base": [0.5, 0], "segments": [{"bad": 1}]}')
+        PathSpec.from_json_dict(
+            json.loads('{"base": [0.5, 0], "segments": [{"bad": 1}]}'))
 
 
 @pytest.mark.parametrize("bad", [
