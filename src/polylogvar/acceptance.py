@@ -13,7 +13,7 @@ suite.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import mpmath as mp
@@ -33,12 +33,7 @@ from .poset import poset_homology
 PREC = 128
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    details: dict
+CriterionResult = namedtuple("CriterionResult", "number name passed details")
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ transport's final product.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -57,8 +57,7 @@ DEFAULT_PREC = 128
 # The most disks one transport may take; a longer chain is a PathError.
 _DISK_CAP = 100_000
 
-@dataclass(frozen=True)
-class PeriodMatrix:
+class PeriodMatrix(namedtuple("PeriodMatrix", "n entries branch_tag")):
     """Fundamental solution matrix on some branch.
 
     ``entries`` is an (n+1) x (n+1) grid of mpmath complex numbers;
@@ -66,18 +65,16 @@ class PeriodMatrix:
     used to reach this branch.
     """
 
-    n: int
-    entries: tuple
-    branch_tag: str = "principal"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.n + 1 or any(
-                len(row) != self.n + 1 for row in self.entries):
+    def __new__(cls, n, entries, branch_tag="principal"):
+        if len(entries) != n + 1 or any(len(row) != n + 1 for row in entries):
             raise ValueError("entries must form an (n+1) x (n+1) grid")
-        for row in self.entries:
+        for row in entries:
             for v in row:
                 if not mp.isfinite(v):
                     raise ValueError("period matrix entries must be finite")
+        return super().__new__(cls, n, entries, branch_tag)
 
 
 def li_series(n, z, prec=DEFAULT_PREC):
@@ -258,6 +255,15 @@ def _li_disk(n, z, prec):
     X, Y, s = _dyadic(z)
     terms, F = _li_disk_size(X * X + Y * Y, s, prec)
     Xf, Yf = (X << F) >> s, (Y << F) >> s
+    if not Y:  # real z: every imaginary part below stays 0
+        t, s_re = 1 << F, [0] * (n + 1)
+        for k in range(1, terms + 1):
+            a = t
+            for j in range(1, n + 1):
+                a //= k
+                s_re[j] += a
+            t = t * Xf >> F
+        return [X * a for a in s_re[1:]], [0] * n, F + s
     t_re, t_im = 1 << F, 0
     s_re = [0] * (n + 1)
     s_im = [0] * (n + 1)

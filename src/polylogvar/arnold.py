@@ -25,8 +25,7 @@ ArithmeticError if it fails.  Dimension and character are capped at n = 8
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,13 +75,12 @@ def cycle_type_representative(lam):
     return perm
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(namedtuple("ClassFunction", "n values")):
     """A rational class function on the symmetric group, stored per cycle
-    type (integer partition of n)."""
+    type (integer partition of n): ``values`` holds Fractions, aligned with
+    integer_partitions(n)."""
 
-    n: int
-    values: tuple  # Fractions, aligned with integer_partitions(n)
+    __slots__ = ()
 
     def classes(self):
         return integer_partitions(self.n)
@@ -109,6 +107,11 @@ class ClassFunction:
     def __eq__(self, other):
         return (isinstance(other, ClassFunction) and self.n == other.n
                 and self.values == other.values)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _sort_sign(seq):

@@ -53,7 +53,6 @@ from types import SimpleNamespace
 
 import mpmath as mp
 
-from . import acceptance
 from .analytic import (kummer_rows, li_series, monodromy, principal_lambda,
                        transport)
 from .arnold import (arnold_character, arnold_dimension,
@@ -315,6 +314,8 @@ def _paving(args):
 
 @_command("suite", "run the full acceptance battery", None, _SEED)
 def _suite(args):
+    # imported here, as no other command reads the battery
+    from . import acceptance
     results = acceptance.run_battery(seed=args.seed)
     return {"criteria": [{"number": r.number, "name": r.name,
                           "passed": r.passed, "details": r.details}

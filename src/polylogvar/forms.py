@@ -24,7 +24,7 @@ evaluated once across the halvings of the step.
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 import mpmath as mp
 
@@ -33,8 +33,7 @@ from .exact import eulerian
 from .mpoly import MPoly, rational_functions_equal
 
 
-@dataclass(frozen=True)
-class RationalForm:
+class RationalForm(namedtuple("RationalForm", "n num den")):
     """(num/den) * dt_1...dt_n, with num and den exact polynomials in
     (z, tau), tau = t_1...t_n: two exponents a monomial, not n + 1.
 
@@ -59,16 +58,15 @@ class RationalForm:
     form there is omega(0, 0) = 1, and no identity is decided at n = 0.
     """
 
-    n: int
-    num: MPoly
-    den: MPoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __new__(cls, n, num, den):
+        if den.is_zero():
             raise ValueError("denominator is identically zero")
-        if self.n < 0 or self.num.nvars != 2 or self.den.nvars != 2:
+        if n < 0 or num.nvars != 2 or den.nvars != 2:
             raise ValueError("need n >= 0 and coefficient polynomials in "
                              "the variables (z, tau)")
+        return super().__new__(cls, n, num, den)
 
     def d_dz(self):
         """z-derivative, as a new RationalForm: the quotient rule's

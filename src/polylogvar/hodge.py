@@ -14,7 +14,7 @@ tolerance.
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,13 +35,9 @@ class OneForm(enum.Enum):
     DLOG_1MZ = "dz/(1-z)"
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
-    """Strictly upper triangular matrix of one-form tags, nonzero only on the
-    superdiagonal: slot (0,1) carries dz/(1-z), slots (k,k+1) carry dz/z."""
-
-    n: int
-    entries: tuple
+# Strictly upper triangular matrix of one-form tags, nonzero only on the
+# superdiagonal: slot (0,1) carries dz/(1-z), slots (k,k+1) carry dz/z.
+ConnectionMatrix = namedtuple("ConnectionMatrix", "n entries")
 
 
 def connection(n):
@@ -55,8 +51,7 @@ def connection(n):
     return ConnectionMatrix(n, tuple(tuple(row) for row in grid))
 
 
-@dataclass(frozen=True)
-class FilteredFiber:
+class FilteredFiber(namedtuple("FilteredFiber", "n matrix")):
     """A fiber with its two flags: W_{2k} spanned by e_0..e_k, and F^k by
     columns k..n of the solution matrix.
 
@@ -64,10 +59,10 @@ class FilteredFiber:
     (hodge_transversality_check's docstring proves that this decides
     transversality for an upper-triangular fiber).  So the CLI's
     ``filtration`` builds its fiber without row 0's Li series and leaves
-    None in row 0 above the diagonal."""
+    None in row 0 above the diagonal.  ``matrix`` is (n+1) x (n+1) nested
+    tuples, mpmath or python complex."""
 
-    n: int
-    matrix: tuple  # (n+1) x (n+1) nested tuples, mpmath or python complex
+    __slots__ = ()
 
     @classmethod
     def from_period_matrix(cls, pm):
@@ -83,10 +78,8 @@ def graded_dimensions(fiber):
     return [(2 * k, 1) for k in range(fiber.n + 1)]
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
-    passed: bool
-    failures: tuple  # (k, reason) pairs
+# failures: (k, reason) pairs
+TransversalityReport = namedtuple("TransversalityReport", "passed failures")
 
 
 def hodge_transversality_check(fiber):
@@ -134,11 +127,7 @@ def hodge_transversality_check(fiber):
     return TransversalityReport(False, tuple(failures))
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    passed: bool
-    max_error: float
-    failing_entry: tuple | None
+BlockReport = namedtuple("BlockReport", "passed max_error failing_entry")
 
 
 def _closed_block(n):
@@ -233,10 +222,8 @@ def kummer_block_check(n, z, prec=128):
                        failing_entry=outside[0] if outside else None)
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
-    passed: bool
-    residual: float  # row 0's largest distance over its proved radius
+# residual: row 0's largest distance over its proved radius
+FlatnessReport = namedtuple("FlatnessReport", "passed residual")
 
 
 def flatness_residual(n, z=0.5, prec=192):
@@ -319,10 +306,7 @@ def flatness_residual(n, z=0.5, prec=192):
     return FlatnessReport(passed and ratio <= 1, float(ratio))
 
 
-@dataclass(frozen=True)
-class TrivialSubReport:
-    passed: bool
-    details: tuple
+TrivialSubReport = namedtuple("TrivialSubReport", "passed details")
 
 
 def trivial_subobject_check(n):

@@ -6,7 +6,7 @@ rescaled hypercube.
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,17 +15,15 @@ from .errors import DomainError
 MAX_PARTITION_N = 9
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(namedtuple("SetPartition", "blocks")):
     """Partition of {1,...,n} into disjoint nonempty blocks, each block
     sorted, blocks ordered by their minimum."""
 
-    blocks: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks",
-                           tuple(tuple(sorted(b)) for b in
-                                 sorted(self.blocks, key=min)))
+    def __new__(cls, blocks):
+        self = super().__new__(cls, tuple(tuple(sorted(b)) for b in
+                                          sorted(blocks, key=min)))
         seen = set()
         for b in self.blocks:
             if not b:
@@ -36,6 +34,7 @@ class SetPartition:
                 seen.add(x)
         if seen != set(range(1, len(seen) + 1)):
             raise ValueError("blocks must cover {1,...,n}")
+        return self
 
     @property
     def n(self):
@@ -104,12 +103,9 @@ def _block_factor(size):
     return arnold_dimension(size)
 
 
-@dataclass(frozen=True)
-class PostnikovReport:
-    n: int
-    passed: bool
-    table: tuple  # (k, partition_sum, stirling) rows
-    total_matches_factorial: bool
+# table: (k, partition_sum, stirling) rows
+PostnikovReport = namedtuple("PostnikovReport",
+                             "n passed table total_matches_factorial")
 
 
 def postnikov_graded_check(n):
@@ -138,15 +134,8 @@ def postnikov_graded_check(n):
                            total_matches_factorial=total_ok)
 
 
-@dataclass(frozen=True)
-class PavingReport:
-    n: int
-    passed: bool
-    samples: int
-    redraws: int
-    min_cover: int
-    max_cover: int
-    volume_identity_ok: bool
+PavingReport = namedtuple("PavingReport", "n passed samples redraws min_cover "
+                          "max_cover volume_identity_ok")
 
 
 _BLOCK_ROWS = 8192

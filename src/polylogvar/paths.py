@@ -8,7 +8,7 @@ stay geometric; transport steps along them on the circle itself.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PathError
 
@@ -17,15 +17,9 @@ DEFAULT_MARGIN = 1e-3
 _CLOSE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LineTo:
-    end: complex
-
-
-@dataclass(frozen=True)
-class Arc:
-    center: complex
-    sweep: float  # radians, counterclockwise when positive
+LineTo = namedtuple("LineTo", "end")
+# sweep in radians, counterclockwise when positive
+Arc = namedtuple("Arc", "center sweep")
 
 
 def _line_distance(a, b, p):
@@ -51,20 +45,17 @@ def _arc_distance(start, center, sweep, p):
     return min(abs(p - start), abs(p - end))
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    base_point: complex
-    segments: tuple
-    closed: bool = False
-    name: str = ""
+class PathSpec(namedtuple("PathSpec", "base_point segments closed name")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __new__(cls, base_point, segments, closed=False, name=""):
+        self = super().__new__(cls, base_point, tuple(segments), closed, name)
         if not self.segments:
             raise PathError("path needs at least one segment")
         if not all(cmath.isfinite(v) for seg in self.segments
-                   for v in (self.base_point, *vars(seg).values())):
+                   for v in (self.base_point, *seg)):
             raise PathError("path points and sweeps must be finite")
+        return self
 
     def segment_starts(self):
         starts = []
@@ -133,8 +124,11 @@ class PathSpec:
                                     float(a["sweep"])))
                 else:
                     raise KeyError("segment must be 'line' or 'arc'")
-            return cls(base, tuple(segs), closed=bool(d.get("closed", False)),
-                       name=name)
+            closed = d.get("closed", False)
+            if not isinstance(closed, bool):
+                raise TypeError(f"'closed' must be true or false, "
+                                f"not {closed!r}")
+            return cls(base, tuple(segs), closed=closed, name=name)
         except (KeyError, IndexError, TypeError) as e:
             raise PathError(f"malformed path JSON: {e}") from e
 

@@ -9,10 +9,10 @@ reported only on request, since a varying field would break byte
 reproducibility.
 """
 
-import dataclasses
 import io
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -46,13 +46,10 @@ def to_jsonable(value, prec_bits=128):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-@dataclasses.dataclass
-class RunReport:
-    command: str
-    params: dict
-    result: object
-    verdict: str | None = None
-    elapsed_ms: float | None = None
+class RunReport(namedtuple("RunReport",
+                           "command params result verdict elapsed_ms",
+                           defaults=(None, None))):
+    __slots__ = ()
 
     def as_dict(self, prec_bits=128):
         return {

@@ -567,6 +567,37 @@ def test_li_disk_counts_are_the_least_its_docstring_defines(prec, x, y):
         ref_li_disk_counts(prec, complex(x, y))
 
 
+class _TruthyZero(int):
+    """An imaginary part 0 that tests true, so ``_li_disk`` runs its
+    complex loop on a real z."""
+
+    def __bool__(self):
+        return True
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(1, 8), prec=st.integers(1, 300),
+       x=st.floats(-0.75, 0.75).filter(bool), as_mpc=st.booleans())
+@example(n=4, prec=35, x=0.3, as_mpc=False)
+@example(n=2, prec=128, x=-0.75, as_mpc=True)
+def test_li_disk_real_branch_matches_the_complex_loop(n, prec, x, as_mpc):
+    """On real z ``_li_disk`` skips the imaginary half of its loop; the
+    integers are those of the complex loop, where that half stays 0."""
+    z = mp.mpc(x) if as_mpc else x
+    got = analytic._li_disk(n, z, prec)
+    dyadic = analytic._dyadic
+
+    def truthy_zero_im(v):
+        X, Y, s = dyadic(v)
+        assert Y == 0
+        return [X, _TruthyZero(0), s]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_dyadic", truthy_zero_im)
+        want = analytic._li_disk(n, z, prec)
+    assert got == want and got[1] == [0] * n
+
+
 def test_growth_bound_second_order_fits_its_slack():
     """``transport``'s growth bound: the per-disk error is
     e + r < 1.76 2^-(p + G + 8), and the terms past the first order in e

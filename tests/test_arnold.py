@@ -198,3 +198,13 @@ def test_class_function_inner_orthogonality():
     assert sgn.inner(sgn) == 1
     assert triv.inner(triv) == 1
     assert sgn.inner(triv) == 0
+
+
+def test_class_function_equals_only_class_functions():
+    """Equality is by type, n and values, never with the plain tuple of the
+    same fields, and equal class functions hash alike."""
+    chi = arnold_character(4)
+    same = ClassFunction(4, tuple(chi.values))
+    assert chi == same and not chi != same and hash(chi) == hash(same)
+    assert chi != (chi.n, chi.values) and not chi == (chi.n, chi.values)
+    assert chi != sign_character(4) and len({chi, same}) == 1

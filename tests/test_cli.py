@@ -104,8 +104,8 @@ def test_byte_determinism_subprocess():
 
 
 # what ``import polylogvar.cli`` adds to sys.modules after numpy and mpmath
-_IMPORT_ADDS = {"_decimal", "_json", "dataclasses", "decimal", "fractions",
-                "json", "json.decoder", "json.encoder", "json.scanner"}
+_IMPORT_ADDS = {"_decimal", "_json", "decimal", "fractions", "json",
+                "json.decoder", "json.encoder", "json.scanner"}
 
 _MODULE_PROBE = """
 import contextlib, io, json, sys
@@ -142,6 +142,26 @@ def test_paving_and_integrate_import_no_numpy_submodules():
             if m.split(".")[0] != "polylogvar"} <= _IMPORT_ADDS
     # canonical calls read their flags from the table, without argparse
     assert not {"argparse", "gettext"} & set(added["run"])
+
+
+_IMPORT_PROBE = """
+import json, sys
+import mpmath
+before = set(sys.modules)
+import polylogvar.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_battery():
+    """Without numpy, which loads inspect itself, ``import polylogvar.cli``
+    adds neither the stdlib's dataclasses and inspect nor the acceptance
+    battery, which only ``suite`` reads."""
+    r = _fresh_python(_IMPORT_PROBE)
+    assert r.returncode == 0, r.stderr
+    added = set(json.loads(r.stdout))
+    assert "polylogvar.cli" in added
+    assert not {"dataclasses", "inspect", "polylogvar.acceptance"} & added
 
 
 _NO_NUMPY_PROBE = """
@@ -566,6 +586,18 @@ def test_z_closer_to_one_than_float64_steps_exit_3(command, capsys):
     code, _ = run_cli([command, "--n", "4", "--z", "0.9999999999"])
     assert code == 3
     assert "too close to step in float64" in capsys.readouterr().err
+
+
+def test_path_file_closed_must_be_a_boolean(tmp_path, capsys):
+    """A "closed" that is not a JSON boolean is malformed (exit 3), not read
+    by truthiness as a closed path that then fails to return."""
+    f = tmp_path / "open.json"
+    f.write_text('{"base": [0.5, 0], "segments": [{"line": [0.6, 0]}], '
+                 '"closed": "no"}')
+    code, out = run_cli(["monodromy", "--n", "1", "--loop", str(f)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "malformed path JSON" in err and "base point" not in err
 
 
 def test_malformed_path_file_exit_2(tmp_path):

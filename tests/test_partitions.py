@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -263,7 +262,7 @@ class TestPavingStream:
             if tied:
                 patch.setattr(partitions, "_words", _first_draw_tied([]))
             got = paving_check(n, z, samples, seed, family=family)
-        assert dataclasses.asdict(got) == want
+        assert got._asdict() == want
 
     def test_memory_does_not_grow_with_samples(self):
         paving_check(6, 0.5, 10, 0)

@@ -114,6 +114,22 @@ def test_json_malformed():
             json.loads('{"base": [0.5, 0], "segments": [{"bad": 1}]}'))
 
 
+@pytest.mark.parametrize("closed", ['"no"', "1", "null"])
+def test_json_closed_must_be_a_boolean(closed):
+    with pytest.raises(PathError, match="malformed path JSON"):
+        PathSpec.from_json_dict(json.loads(
+            '{"base": [0.5, 0], "segments": [{"line": [0.6, 0]}], '
+            f'"closed": {closed}}}'))
+
+
+@pytest.mark.parametrize("closed", ["true", "false"])
+def test_json_closed_booleans(closed):
+    path = PathSpec.from_json_dict(json.loads(
+        '{"base": [0.5, 0], "segments": [{"line": [0.5, 0.1]}, '
+        f'{{"line": [0.5, 0]}}], "closed": {closed}}}'))
+    assert path.closed is (closed == "true") and path.validate()
+
+
 @pytest.mark.parametrize("bad", [
     dict(base=complex(math.nan, 0)),
     dict(end=complex(0.25, math.inf)),
