@@ -16,7 +16,7 @@ The package has four layers:
   graded-dimension identities.
 """
 
-from .exact import (Rational, RationalMatrix, eulerian, nilpotency_index,
+from .exact import (RationalMatrix, eulerian, nilpotency_index,
                     rational_reconstruct)
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
@@ -33,19 +33,18 @@ from .partitions import (SetPartition, bell_number, partitions_of,
                          paving_check, postnikov_graded_check,
                          stirling_first_unsigned)
 from .poset import poset_homology
-from .arnold import (ArnoldElement, ClassFunction, arnold_basis,
-                     arnold_character, arnold_dimension,
+from .arnold import (ClassFunction, arnold_character, arnold_dimension,
                      induced_character_check, induced_cyclic_character,
                      sign_multiplicity)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "ArnoldElement", "ClassFunction", "ConnectionMatrix", "DomainError",
+    "Arc", "ClassFunction", "ConnectionMatrix", "DomainError",
     "FilteredFiber", "IntegrationError", "LineTo", "OneForm", "PathError",
-    "PathSpec", "PeriodMatrix", "Rational", "RationalForm", "RationalMatrix",
+    "PathSpec", "PeriodMatrix", "RationalForm", "RationalMatrix",
     "ReconstructionError", "SetPartition",
-    "arnold_basis", "arnold_character", "arnold_dimension", "bell_number",
+    "arnold_character", "arnold_dimension", "bell_number",
     "canonical_loop",
     "connection", "eulerian", "flatness_residual",
     "form_recurrence_check", "gauge_exactness_check", "gauge_form",

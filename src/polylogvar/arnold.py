@@ -10,15 +10,18 @@ of the exterior algebra.  Straightening rewrites
 until no vertex has two edges from below; the monomials left are the
 no-broken-circuit (nbc) monomials.  In degree n - 1 every vertex k >= 2 then
 has exactly one edge from below, so the nbc monomials are the (n - 1)!
-increasing trees (Bjorner & Ziegler 1991).  Normal forms are memoised per
-process; elements are stored in nbc coordinates, and the character is the
-trace of each class representative on the nbc basis.
+increasing trees (Bjorner & Ziegler 1991).  An element is a dict from
+sorted monomial to int coefficient; ``_reduce`` gives its normal form, a
+dict of the same kind keyed by nbc monomials only, with zero coefficients
+dropped, so an element is zero exactly when its normal form is empty.
+Normal forms of monomials are memoised per process, and the character is
+the trace of each class representative on the nbc basis.
 
 That the nbc monomials are independent, not only spanning, is certified by
 ``_certify`` (the diamond lemma on the 100 degree-3 relation multiples of
 K_5, whose rank it takes over F_2 on int bitsets; its docstring has the
 argument, and why that rank is the rational one), which runs once per
-process before any dimension, basis or character is returned and raises
+process before any dimension or character is returned and raises
 ArithmeticError if it fails.  Dimension and character are capped at n = 8
 (5 040 basis monomials; the character takes about 2 s there).
 """
@@ -232,65 +235,6 @@ def _nbc_top(n):
     return sorted(tuple(sorted(zip(parents, range(2, n + 1))))
                   for parents in itertools.product(
                       *(range(1, k) for k in range(2, n + 1))))
-
-
-class ArnoldElement:
-    """An element of the top component in nbc coordinates: a dict from
-    increasing-tree monomial (sorted tuple of edge pairs) to its nonzero
-    Fraction coefficient."""
-
-    __slots__ = ("n", "coords")
-
-    def __init__(self, n, coords=None):
-        """``coords`` maps monomials of degree n - 1, sorted tuples of
-        distinct edge pairs, nbc or not, to coefficients; they are
-        straightened."""
-        self.n = n
-        self.coords = {b: Fraction(c) for b, c in _reduce(coords or {}).items()}
-
-    @classmethod
-    def from_edges(cls, n, edge_pairs):
-        """The product of generators e_{i,j} over the given vertex pairs,
-        reduced modulo the relations."""
-        if len(edge_pairs) != n - 1:
-            raise ValueError("need degree n-1 monomials")
-        pairs = [tuple(sorted(e)) for e in edge_pairs]
-        if not all(1 <= a < b <= n for a, b in pairs):
-            raise ValueError("edges must join two distinct vertices in 1..n")
-        mono, sgn = _sort_sign(pairs)
-        return cls(n, {mono: sgn} if sgn else None)
-
-    def is_zero(self):
-        return not self.coords
-
-    def __add__(self, other):
-        combo = dict(self.coords)
-        for mono, c in other.coords.items():
-            combo[mono] = combo.get(mono, 0) + c
-        return ArnoldElement(self.n, combo)
-
-    def __rmul__(self, scalar):
-        return ArnoldElement(self.n, {m: Fraction(scalar) * c
-                                      for m, c in self.coords.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, ArnoldElement) and self.n == other.n
-                and self.coords == other.coords)
-
-    def apply(self, perm):
-        """Image under a vertex permutation (dict v -> image)."""
-        raw = {}
-        for mono, c in self.coords.items():
-            m, sgn = _act(perm, mono)
-            raw[m] = raw.get(m, 0) + sgn * c
-        return ArnoldElement(self.n, raw)
-
-
-def arnold_basis(n):
-    """The nbc basis of the top component, (n - 1)! increasing trees, as
-    (edge pairs, element) in sorted order of the edge pairs."""
-    _certify()
-    return [(mono, ArnoldElement(n, {mono: 1})) for mono in _nbc_top(n)]
 
 
 @lru_cache(maxsize=None)

@@ -118,7 +118,8 @@ def _resolve_loop(name_or_path):
     # argparse hands "--loop=--" over as an empty list
     if not isinstance(name_or_path, str) or not name_or_path:
         raise _UsageError("--loop needs loop0, loop1 or the path of a JSON file")
-    with open(name_or_path) as fh:
+    # JSON is UTF-8 (RFC 8259), whatever the locale
+    with open(name_or_path, encoding="utf-8") as fh:
         return PathSpec.from_json_dict(json.load(fh), name=name_or_path)
 
 
@@ -260,6 +261,8 @@ def _gauge_check(args):
           MAX_MATRIX_N, _N, ("--k", dict(type=int, default=None)))
 def _recurrence_check(args):
     ks = [args.k] if args.k is not None else list(range(2, args.n + 1))
+    if not ks:
+        raise DomainError("recurrence-check needs --n >= 2")
     results = {f"k{k}": form_recurrence_check(args.n, k) for k in ks}
     return {"checks": results}, all(results.values())
 
@@ -306,7 +309,9 @@ def _postnikov(args):
 def _paving(args):
     if "," in args.z:
         raise DomainError("paving needs real z in (0, 1)")
-    rep = paving_check(args.n, args.z.strip(), args.samples, args.seed)
+    # a double keeps small the Fraction that paving_check's exact volume
+    # identity builds from z (1e-1000000000 read exactly takes gigabytes)
+    rep = paving_check(args.n, float(_z_value(args)), args.samples, args.seed)
     return {"samples": rep.samples, "redraws": rep.redraws,
             "min_cover": rep.min_cover, "max_cover": rep.max_cover,
             "volume_identity": rep.volume_identity_ok}, rep.passed
@@ -436,7 +441,10 @@ def main(argv=None):
     except (ArithmeticError, IntegrationError, ReconstructionError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except (FileNotFoundError, json.JSONDecodeError, _UsageError) as e:
+    # _resolve_loop's file is the only one a command reads, so an OSError
+    # (missing, a directory, unreadable) or a decode error is about that file
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            _UsageError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     verdict = None if passed is None else "pass" if passed else "fail"

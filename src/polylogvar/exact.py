@@ -2,9 +2,9 @@
 certification of high-precision floats on a lattice (1/q) Z.
 
 Rationals are `fractions.Fraction` throughout (arbitrary-size integers,
-normalized gcd, positive denominator), aliased as :data:`Rational`.
-Polynomials are `mpoly.MPoly`, the package's one polynomial class; the
-Eulerian polynomials are MPolys in one variable.
+normalized gcd, positive denominator).  Polynomials are `mpoly.MPoly`, the
+package's one polynomial class; the Eulerian polynomials are MPolys in one
+variable.
 """
 
 from fractions import Fraction
@@ -12,8 +12,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .mpoly import MPoly
-
-Rational = Fraction
 
 
 def mpf_to_fraction(x):

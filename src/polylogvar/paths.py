@@ -128,9 +128,9 @@ class PathSpec(namedtuple("PathSpec", "base_point segments closed name")):
             if not isinstance(closed, bool):
                 raise TypeError(f"'closed' must be true or false, "
                                 f"not {closed!r}")
-            return cls(base, tuple(segs), closed=closed, name=name)
-        except (KeyError, IndexError, TypeError) as e:
+        except (KeyError, IndexError, TypeError, ValueError) as e:
             raise PathError(f"malformed path JSON: {e}") from e
+        return cls(base, tuple(segs), closed=closed, name=name)
 
 
 def _segment_end(start, seg):

@@ -514,6 +514,20 @@ def test_missing_path_file_exit_2():
     assert code == 2
 
 
+def test_path_file_that_is_a_directory_exit_2(tmp_path, capsys):
+    code, out = run_cli(["monodromy", "--n", "1", "--loop", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("usage error: [Errno")
+
+
+def test_path_file_not_utf8_exit_2(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes(b'{"base": [0.5, 0], "name": "\xe9"}')
+    code, out = run_cli(["monodromy", "--n", "1", "--loop", str(f)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("usage error: 'utf-8' codec")
+
+
 @pytest.mark.parametrize("command", ["transport", "monodromy"])
 def test_loop_without_a_value_exit_2(command, capsys):
     for loop in (["--loop=--"], ["--loop", ""]):
@@ -600,6 +614,15 @@ def test_path_file_closed_must_be_a_boolean(tmp_path, capsys):
     assert "malformed path JSON" in err and "base point" not in err
 
 
+def test_path_file_non_numeric_sweep_exit_3(tmp_path, capsys):
+    f = tmp_path / "sweep.json"
+    f.write_text('{"base": [0.5, 0], "segments": '
+                 '[{"arc": {"center": [0, 0], "sweep": "x"}}]}')
+    code, out = run_cli(["monodromy", "--n", "1", "--loop", str(f)])
+    assert code == 3 and out == ""
+    assert "malformed path JSON" in capsys.readouterr().err
+
+
 def test_malformed_path_file_exit_2(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -631,6 +654,16 @@ def test_endless_arc_exit_3_at_the_disk_cap(tmp_path):
         '{"base":[0.5,0],"segments":[{"arc":{"center":[0,0],"sweep":1e9}}]}'))
     assert r.returncode == 3, r.stderr
     assert "disks" in r.stderr
+
+
+def test_paving_reads_z_as_every_command_does():
+    """A z that _parse_z accepts and li reads, such as 1/3, paving reads
+    too, and its volume identity stays exact."""
+    code, out = run_cli(["paving", "--n", "2", "--z", "1/3", "--samples",
+                         "2000"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "pass" and rep["result"]["volume_identity"]
 
 
 def test_paving_nonrational_z_still_works():
@@ -679,6 +712,15 @@ def test_recurrence_check_all_k():
     rep = json.loads(out)
     assert rep["verdict"] == "pass"
     assert set(rep["result"]["checks"]) == {"k2", "k3", "k4"}
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_recurrence_check_with_no_k_to_check_exit_3(n, capsys):
+    """With n < 2 no k satisfies 2 <= k <= n: a domain error, not a pass
+    over an empty set of checks."""
+    code, out = run_cli(["recurrence-check", "--n", str(n)])
+    assert code == 3 and out == ""
+    assert "--n >= 2" in capsys.readouterr().err
 
 
 def _eval_printed(text, point):

@@ -122,6 +122,13 @@ def test_json_closed_must_be_a_boolean(closed):
             f'"closed": {closed}}}'))
 
 
+def test_json_non_numeric_sweep_is_malformed():
+    with pytest.raises(PathError, match="malformed path JSON"):
+        PathSpec.from_json_dict(json.loads(
+            '{"base": [0.5, 0], "segments": '
+            '[{"arc": {"center": [0, 0], "sweep": "x"}}]}'))
+
+
 @pytest.mark.parametrize("closed", ["true", "false"])
 def test_json_closed_booleans(closed):
     path = PathSpec.from_json_dict(json.loads(
