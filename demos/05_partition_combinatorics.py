@@ -1,8 +1,8 @@
-"""Partition-lattice combinatorics: order-complex homology, top Arnol'd
+"""Partition-lattice combinatorics: the proper part's homology, top Arnol'd
 components, characters, the graded Stirling identity, and the simplex paving.
 
-Everything here is exact: homology dimensions come from ranks of the
-boundary maps over F_2, certified to be the rational ones, characters from
+Everything here is exact: homology dimensions come from the decreasing
+maximal chains of an EL-labelling checked on every interval, characters from
 the permutation action on the nbc basis of the Arnol'd algebra, and the
 paving check combines seeded sampling with a symbolic volume identity.
 """
@@ -17,8 +17,8 @@ from polylogvar import (arnold_character, arnold_dimension, bell_number,
 print("set partitions of {1..5}:", len(partitions_of(5)), "= Bell(5) =",
       bell_number(5))
 
-print("\nreduced homology of the proper partition lattice (over Q, from F_2 "
-      "ranks):")
+print("\nreduced homology of the proper partition lattice (over Q, from a "
+      "checked EL-labelling):")
 for n in (3, 4, 5, 6):
     hom = poset_homology(n)
     top = dict(hom)[n - 3]

@@ -11,9 +11,9 @@ The package has four layers:
 * structure checks (`hodge`, `forms`): connection matrix, weight/Hodge
   flags, the divided-power block comparison, the explicit de Rham basis on
   the cube with its exact derivative identities, and cube quadrature;
-* combinatorics (`partitions`, `poset`, `arnold`): set partitions, order
-  complex homology, top Arnol'd components, characters, and the paving and
-  graded-dimension identities.
+* combinatorics (`partitions`, `poset`, `arnold`): set partitions, the
+  partition lattice's homology by EL-labelling, top Arnol'd components,
+  characters, and the paving and graded-dimension identities.
 """
 
 from .exact import (RationalMatrix, eulerian, nilpotency_index,

@@ -176,9 +176,8 @@ def criterion_7():
     details = {}
     for n in range(3, 7):
         hom = poset_homology(n)
-        dims = {q: d for q, d in hom}
         conc = all(d == 0 for q, d in hom if q != n - 3)
-        top = dims.get(n - 3, 0)
+        top = hom[-1][1]
         a = arnold_dimension(n)
         good = conc and top == math.factorial(n - 1) and a == top
         details[f"poset_n{n}"] = {"concentrated": conc, "top_dim": top,

@@ -18,6 +18,8 @@ that build period matrices, li, omega and recurrence-check take
 its row from -3/4 along the real line to z in [-1, -0.75); lambda and
 flatness take row 0 the same way, from 3/4 above it, with no term cap, so
 their z may come within about 2^-28 of 1, and closer is a domain error.
+A --loop path file over MAX_PATH_BYTES (1 MiB) is a usage error, found by
+reading one byte past the cap, not the whole file.
 
 Every command takes --precision, --format and --timing, and any other flag
 only if it reads it, with one exception.  --precision sets the accuracy of
@@ -80,6 +82,8 @@ MAX_PRECISION = 4096
 # cli.main (0.5-0.6 s for the whole command) on a 2-core x86-64 VM; paving's
 # memory stays one block of points whatever the sample count.
 MAX_SAMPLES = 10 ** 6
+# Largest --loop path file, in bytes.
+MAX_PATH_BYTES = 2 ** 20
 
 
 def _parse_z(text):
@@ -118,9 +122,12 @@ def _resolve_loop(name_or_path):
     # argparse hands "--loop=--" over as an empty list
     if not isinstance(name_or_path, str) or not name_or_path:
         raise _UsageError("--loop needs loop0, loop1 or the path of a JSON file")
-    # JSON is UTF-8 (RFC 8259), whatever the locale
-    with open(name_or_path, encoding="utf-8") as fh:
-        return PathSpec.from_json_dict(json.load(fh), name=name_or_path)
+    with open(name_or_path, "rb") as fh:
+        raw = fh.read(MAX_PATH_BYTES + 1)
+    if len(raw) > MAX_PATH_BYTES:
+        raise _UsageError(f"--loop file is over {MAX_PATH_BYTES} bytes")
+    # JSON is UTF-8 (RFC 8259), as bytes.decode reads it whatever the locale
+    return PathSpec.from_json_dict(json.loads(raw.decode()), name=name_or_path)
 
 
 # The flags every command takes, before its own; (flag, add_argument kwargs).
@@ -278,10 +285,9 @@ def _arnold(args):
           _N)
 def _poset_homology(args):
     hom = poset_homology(args.n)
-    top = args.n - 3
-    ok = all(d == 0 for q, d in hom if q != top) and \
-        dict(hom).get(top) == math.factorial(args.n - 1)
-    return {"dimensions": [list(p) for p in hom]}, ok
+    # the lower degrees are 0 by construction
+    return ({"dimensions": [list(p) for p in hom]},
+            hom[-1][1] == math.factorial(args.n - 1))
 
 
 @_command("characters", "Arnol'd character, sign multiplicity, induction",

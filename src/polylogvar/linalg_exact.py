@@ -1,19 +1,16 @@
-"""Sparse exact linear algebra: rank over F_2 for the certificates, and a
-reduced echelon form over Q for the test oracles.
+"""Sparse exact linear algebra: rank over F_2 for the Arnol'd certificate,
+and a reduced echelon form over Q for the test oracles.
 
-``sparse_rank`` is what poset homology and the Arnol'd certificate run.  It
-takes the reduction mod 2 of an integer matrix, each row the list of columns
-where the matrix is odd, and eliminates on Python-int bitsets, so no
-rational arithmetic is done; its docstring says why its result bounds the
-rank over Q from below, and each caller's docstring why that is enough.
+``sparse_rank`` takes the reduction mod 2 of an integer matrix, each row the
+list of columns where it is odd, and eliminates on Python-int bitsets; its
+docstring says why the result bounds the rank over Q from below, and
+``arnold._certify``'s why that is enough.
 
-``sparse_rref`` eliminates over Q on rows that are dicts mapping column
-index to a nonzero Fraction, echelon-by-leading-column: each row is reduced
-at its largest column, so the support of a row under reduction moves
-strictly downward and never revisits a column.  No certificate runs it: the
-tests use it as the reference over Q that the F_2 results are checked
-against, and it stays in the package because the benchmark's tracer
-(``perfbench/tracer.py``) wraps it by name.
+``sparse_rref`` eliminates over Q on rows that are dicts mapping column to
+a nonzero Fraction, each row reduced at its largest column, so its support
+moves strictly downward.  No certificate runs it: the tests use it as the
+reference over Q, and the benchmark's tracer (``perfbench/tracer.py``)
+wraps it by name.
 """
 
 

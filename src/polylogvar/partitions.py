@@ -36,13 +36,6 @@ class SetPartition(namedtuple("SetPartition", "blocks")):
             raise ValueError("blocks must cover {1,...,n}")
         return self
 
-    @property
-    def n(self):
-        return sum(len(b) for b in self.blocks)
-
-    def num_blocks(self):
-        return len(self.blocks)
-
 
 @lru_cache(maxsize=None)
 def partitions_of(n):
@@ -116,7 +109,7 @@ def postnikov_graded_check(n):
         raise DomainError("postnikov_graded_check supports 2 <= n <= 8")
     sums = {}
     for pi in partitions_of(n):
-        k = n - pi.num_blocks()
+        k = n - len(pi.blocks)
         prod = 1
         for b in pi.blocks:
             prod *= _block_factor(len(b))

@@ -113,15 +113,15 @@ class PathSpec(namedtuple("PathSpec", "base_point segments closed name")):
     @classmethod
     def from_json_dict(cls, d, name=""):
         try:
-            base = complex(d["base"][0], d["base"][1])
+            base = _point(d["base"])
             segs = []
             for s in d["segments"]:
                 if "line" in s:
-                    segs.append(LineTo(complex(s["line"][0], s["line"][1])))
+                    segs.append(LineTo(_point(s["line"])))
                 elif "arc" in s:
                     a = s["arc"]
-                    segs.append(Arc(complex(a["center"][0], a["center"][1]),
-                                    float(a["sweep"])))
+                    segs.append(Arc(_point(a["center"]),
+                                    float(_number(a["sweep"]))))
                 else:
                     raise KeyError("segment must be 'line' or 'arc'")
             closed = d.get("closed", False)
@@ -131,6 +131,17 @@ class PathSpec(namedtuple("PathSpec", "base_point segments closed name")):
         except (KeyError, IndexError, TypeError, ValueError) as e:
             raise PathError(f"malformed path JSON: {e}") from e
         return cls(base, tuple(segs), closed=closed, name=name)
+
+
+def _number(v):
+    # complex() and float() would read JSON true and false as 1 and 0
+    if isinstance(v, bool):
+        raise TypeError(f"{str(v).lower()} is not a number")
+    return v
+
+
+def _point(xy):
+    return complex(_number(xy[0]), _number(xy[1]))
 
 
 def _segment_end(start, seg):

@@ -1,92 +1,78 @@
-"""Reduced homology of the proper part of the partition lattice, computed
-from ranks over F_2 of the simplicial boundary maps of its order complex.
-
-Mod 2 the boundary signs vanish, so a boundary row is the list of the
-faces of a chain, and ``sparse_rank`` eliminates it on int bitsets with no
-rational arithmetic.  The proper part of the partition lattice is
-EL-shellable (Bjorner 1980), so its integral homology is free and the F_2
-ranks agree with the rational ones; ``poset_homology`` does not assume
-this, it checks the one consequence it needs and raises ArithmeticError
-otherwise (its docstring has the argument).
+"""Reduced homology of the proper part of the partition lattice Pi_n from a
+checked EL-labelling of its covers; ``poset_homology`` has the argument.
 """
 
+from collections import Counter, defaultdict
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import DomainError
-from .linalg_exact import sparse_rank
-from .partitions import SetPartition, partitions_of
+# unused; test_wrappers_reach_every_importing_namespace pins it (ROADMAP 1)
+from .linalg_exact import sparse_rank  # noqa: F401
+from .partitions import partitions_of
 
 
-def _proper_part(n):
-    """Partitions strictly between the discrete and the one-block partition,
-    plus the strict order relation as adjacency lists.
-
-    The partitions strictly above p, with k blocks, are p's blocks merged
-    along each partition of {1, ..., k} strictly between the discrete and
-    the one-block one."""
-    elems = [p for p in partitions_of(n) if 1 < p.num_blocks() < n]
-    index = {p: i for i, p in enumerate(elems)}
-    above = []
-    for p in elems:
-        k = p.num_blocks()
-        merged = (SetPartition(tuple(sum((p.blocks[b - 1] for b in group), ())
-                                     for group in sigma.blocks))
-                  for sigma in partitions_of(k) if 1 < sigma.num_blocks() < k)
-        above.append(sorted(index[q] for q in merged))
-    return elems, above
+def _label(blocks, a, b):
+    """Label of merging blocks a < b: the larger minimum, which retires."""
+    return blocks[b][0]
 
 
-def _chains(elems, above):
-    """All chains of the order complex, grouped by number of elements."""
-    by_len = {}
+def _covers(n):
+    """Per partition of ``partitions_of(n)``, (index, label) of each merge."""
+    index = {p.blocks: i for i, p in enumerate(partitions_of(n))}
+    return [[(index[bs[:a] + (tuple(sorted(bs[a] + bs[b])),) + bs[a + 1:b]
+                    + bs[b + 1:]], _label(bs, a, b))
+             for a, b in combinations(range(len(bs)), 2)] for bs in index]
 
-    def extend(chain):
-        by_len.setdefault(len(chain), []).append(chain)
-        for j in above[chain[-1]]:
-            extend(chain + (j,))
 
-    for i in range(len(elems)):
-        extend((i,))
-    return by_len
+def _interval_pass(n, x, up):
+    """Check every [x, y] by rank, carrying the increasing and decreasing
+    chains from x by last label and the least word with its chain count;
+    return the decreasing maximal chains of [x, 1]."""
+    inc, dec = defaultdict(Counter), defaultdict(Counter)
+    inc[x][0], dec[x][n + 1] = 1, 1  # labels lie in 1..n
+    least, level = {x: ((), 1)}, [x]
+    while up[level[0]]:
+        words = defaultdict(Counter)  # word to y via a least word to z
+        for z in level:
+            for y, k in up[z]:  # chains to z, last label j, then label k
+                inc[y][k] += sum(c for j, c in inc[z].items() if j < k)
+                dec[y][k] += sum(c for j, c in dec[z].items() if j >= k)
+                words[y][least[z][0] + (k,)] += least[z][1]
+        level = sorted(words)
+        for y in level:
+            w, count = least[y] = min(words[y].items())
+            if (count != 1 or sum(inc[y].values()) != 1
+                    or any(a >= b for a, b in zip(w, w[1:]))):
+                raise ArithmeticError(f"not an EL-labelling of Pi_{n}")
+    return sum(dec[level[0]].values())
 
 
 @lru_cache(maxsize=None)
 def poset_homology(n):
-    """Reduced rational homology dimensions of the order complex, returned as
-    a tuple of (degree, dimension) for every degree 0 .. n-3.
+    """Reduced rational homology dimensions of the proper part of Pi_n, as a
+    tuple of (degree, dimension) for every degree 0 .. n-3.
 
-    The dimensions are computed over F_2; the function raises
-    ArithmeticError unless every degree below n - 3 is 0, and then they are
-    the rational ones in every degree.  In degree q the Betti number is c_q - r_q - r_{q+1}, with c_q
-    the number of q-simplices and r_q the rank of the boundary out of
-    degree q (the augmentation, r_0 = 1, is the same over every field).
-    ``sparse_rank`` bounds the rational ranks from below by the F_2 ones,
-    so each rational Betti number is at most the F_2 one.  The alternating
-    sum of the Betti numbers is the reduced Euler characteristic, the
-    alternating sum of the c_q, over every field.  So when the F_2 numbers
-    vanish below the top degree, the rational ones vanish there too, and
-    the two alternating sums force the top numbers to agree as well.
+    Theorem (Bjorner 1980, Trans. AMS 260; Bjorner and Wachs 1983, Trans.
+    AMS 277): label the covers of a bounded graded poset P so that every
+    interval has one increasing (labels strictly rise) maximal chain, whose
+    word precedes every other's lexicographically.  Then P's proper part is
+    homotopy equivalent to a wedge of spheres of dimension rank(P) - 2,
+    n - 3 for Pi_n, one per decreasing (weakly falling) maximal chain.
 
-    Guarded at 3 <= n <= 7: below 3 the proper part is empty (the reduced
-    homology of the empty complex lives in degree -1 and is left out), above
-    7 the chain complex is too large for the F_2 elimination here.
+    Checked: each cover is labelled by the larger minimum of the blocks it
+    merges; for every x < y in Pi_n, [x, y] has one increasing maximal
+    chain and its least word is strictly increasing and had by one chain,
+    so it is that chain's; else ArithmeticError.  Then the decreasing
+    maximal chains are counted.  Strict and weak agree here: a merge
+    retires a block minimum for good, so labels on a chain are distinct.
+
+    Guarded at 3 <= n <= 8, ``arnold_dimension``'s cap; below 3 the proper
+    part is empty.
     """
-    if not 3 <= n <= 7:
-        raise DomainError("poset_homology supports 3 <= n <= 7")
-    by_len = _chains(*_proper_part(n))
-    top = max(by_len)
-
-    # rank over F_2 of the boundary d_q : C_q -> C_{q-1}; a chain's row is
-    # the list of its faces, a chain of length L being a (L - 1)-simplex
-    ranks = {0: 1}
-    for L in range(2, top + 1):
-        tgt = {c: k for k, c in enumerate(by_len[L - 1])}
-        ranks[L - 1] = sparse_rank([[tgt[c[:d] + c[d + 1:]] for d in range(L)]
-                                    for c in by_len[L]])
-
-    out = tuple((q, len(by_len[q + 1]) - ranks[q] - ranks.get(q + 1, 0))
-                for q in range(top))
-    if any(d for _, d in out[:-1]):
-        raise ArithmeticError(f"the F_2 homology of the partition poset at "
-                              f"n = {n} is not concentrated in degree {n - 3}")
-    return out
+    if not 3 <= n <= 8:
+        raise DomainError("poset_homology supports 3 <= n <= 8")
+    up = _covers(n)
+    # partitions_of lists the discrete partition, the bottom of Pi_n, last
+    chains = [_interval_pass(n, x, up) for x in range(len(up))][-1]
+    return tuple((q, chains if q == n - 3 else 0) for q in range(n - 2))

@@ -623,6 +623,33 @@ def test_path_file_non_numeric_sweep_exit_3(tmp_path, capsys):
     assert "malformed path JSON" in capsys.readouterr().err
 
 
+def test_path_file_boolean_base_exit_3(tmp_path, capsys):
+    """A JSON false is not the number 0: the base [0.5, false] is malformed,
+    not the point 0.5."""
+    f = tmp_path / "base.json"
+    f.write_text('{"base": [0.5, false], "segments": [{"line": [0.6, 0]}]}')
+    code, out = run_cli(["monodromy", "--n", "1", "--loop", str(f)])
+    assert code == 3 and out == ""
+    assert "malformed path JSON" in capsys.readouterr().err
+
+
+def test_path_file_over_the_byte_cap_exit_2(tmp_path, capsys):
+    f = tmp_path / "big.json"
+    f.write_bytes(b" " * cli.MAX_PATH_BYTES + b"{")
+    code, out = run_cli(["monodromy", "--n", "1", "--loop", str(f)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("usage error: --loop file is over")
+
+
+def test_endless_path_file_exit_2_promptly():
+    """/dev/zero never ends; the read stops one byte past the cap."""
+    r = subprocess.run([sys.executable, "-m", "polylogvar", "monodromy",
+                        "--n", "1", "--loop", "/dev/zero"],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == "" and "--loop file is over" in r.stderr
+
+
 def test_malformed_path_file_exit_2(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -943,13 +970,13 @@ def test_printed_digits_are_correct(prec):
 
 @pytest.mark.parametrize("command", ["arnold", "poset-homology"])
 def test_failed_certificate_exits_4(monkeypatch, capsys, command):
-    """A rank that comes out one short fails the Arnol'd certificate and the
-    poset homology check; the command exits 4 with a message, not a
-    traceback."""
+    """A rank that comes out one short fails the Arnol'd certificate, and
+    labelling each merge by the smaller minimum fails the poset homology's
+    EL check; the command exits 4 with a message, not a traceback."""
     caches = (arnold._certify, arnold.arnold_dimension, poset.poset_homology)
-    for module in (arnold, poset):
-        monkeypatch.setattr(module, "sparse_rank",
-                            lambda rows, rank=module.sparse_rank: rank(rows) - 1)
+    monkeypatch.setattr(arnold, "sparse_rank",
+                        lambda rows, rank=arnold.sparse_rank: rank(rows) - 1)
+    monkeypatch.setattr(poset, "_label", lambda blocks, a, b: blocks[a][0])
     for cached in caches:
         cached.cache_clear()
     try:

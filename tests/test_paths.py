@@ -129,6 +129,20 @@ def test_json_non_numeric_sweep_is_malformed():
             '[{"arc": {"center": [0, 0], "sweep": "x"}}]}'))
 
 
+@pytest.mark.parametrize("base,segment", [
+    ("[0.5, false]", '{"line": [0.6, 0]}'),
+    ("[0.5, 0]", '{"line": [0.6, true]}'),
+    ("[0.5, 0]", '{"arc": {"center": [false, 0], "sweep": 1}}'),
+    ("[0.5, 0]", '{"arc": {"center": [0, 0], "sweep": true}}'),
+], ids=["base", "line", "center", "sweep"])
+def test_json_boolean_number_is_malformed(base, segment):
+    """complex() and float() take true and false as 1 and 0; a path file
+    must not."""
+    with pytest.raises(PathError, match="malformed path JSON"):
+        PathSpec.from_json_dict(json.loads(
+            f'{{"base": {base}, "segments": [{segment}]}}'))
+
+
 @pytest.mark.parametrize("closed", ["true", "false"])
 def test_json_closed_booleans(closed):
     path = PathSpec.from_json_dict(json.loads(

@@ -29,6 +29,12 @@ def test_weight_seven():
     assert all(d == 0 for q, d in hom.items() if q != 4)
 
 
+@pytest.mark.slow
+def test_weight_eight():
+    assert poset_homology(8) == tuple((q, 5040 if q == 5 else 0)
+                                      for q in range(6))
+
+
 def test_top_degree_matches_factorial():
     for n in (3, 4, 5):
         hom = dict(poset_homology(n))
@@ -46,7 +52,7 @@ def test_small_n_refused():
     with pytest.raises(DomainError):
         poset_homology(2)
     with pytest.raises(DomainError):
-        poset_homology(8)
+        poset_homology(9)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -54,15 +60,24 @@ def test_matches_rational_oracle(n):
     assert poset_homology(n) == ref_poset_homology(n)
 
 
-def test_undercounted_rank_is_refused(monkeypatch):
-    rank = poset.sparse_rank
-    monkeypatch.setattr(poset, "sparse_rank", lambda rows: rank(rows) - 1)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_min_min_labelling_is_refused(monkeypatch, n):
+    """Labelling a merge by the smaller of the two minima is not an
+    EL-labelling (1 is that label at every merge that touches 1), and the
+    check must say so rather than count chains."""
+    monkeypatch.setattr(poset, "_label", lambda blocks, a, b: blocks[a][0])
     poset_homology.cache_clear()
     try:
-        with pytest.raises(ArithmeticError):
-            poset_homology(5)
+        with pytest.raises(ArithmeticError, match="not an EL-labelling"):
+            poset_homology(n)
     finally:
         poset_homology.cache_clear()
+
+
+def test_label_is_the_retired_minimum():
+    # merging {2, 5} into {1, 3} retires 2; merging {4} into {2, 5} retires 4
+    blocks = ((1, 3), (2, 5), (4,))
+    assert [poset._label(blocks, a, b) for a, b in [(0, 1), (1, 2)]] == [2, 4]
 
 
 def test_cached_result_cannot_be_changed():
