@@ -4,7 +4,8 @@ components, characters, the graded Stirling identity, and the simplex paving.
 Everything here is exact: homology dimensions come from the decreasing
 maximal chains of an EL-labelling checked on every interval, characters from
 the permutation action on the nbc basis of the Arnol'd algebra, and the
-paving check combines seeded sampling with a symbolic volume identity.
+paving verdict from the family's multiplicities and a symbolic volume
+identity; its seeded points only feed the report's sample and redraw counts.
 """
 
 import math

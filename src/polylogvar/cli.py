@@ -78,9 +78,10 @@ from .report import RunReport
 MAX_MATRIX_N = 64
 # Largest --precision in bits; mpmath's cost grows faster than linearly in it.
 MAX_PRECISION = 4096
-# Largest --samples for paving.  It bounds time, about 0.4 s at n = 6 inside
-# cli.main (0.5-0.6 s for the whole command) on a 2-core x86-64 VM; paving's
-# memory stays one block of points whatever the sample count.
+# Largest --samples for paving.  It bounds time, 0.10 s at n = 6 inside
+# cli.main (0.17 s for the whole command; medians of 5, 2-core Xeon VM); the
+# verdict reads no sample, and paving's memory stays one block of points
+# whatever the sample count.
 MAX_SAMPLES = 10 ** 6
 # Largest --loop path file, in bytes.
 MAX_PATH_BYTES = 2 ** 20

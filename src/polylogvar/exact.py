@@ -9,19 +9,7 @@ variable.
 
 from fractions import Fraction
 
-import mpmath as mp
-
 from .mpoly import MPoly
-
-
-def mpf_to_fraction(x):
-    """Exact dyadic Fraction equal to the finite mpf ``x`` (no re-rounding)."""
-    if not mp.isfinite(x):
-        raise ValueError("cannot convert non-finite value to Fraction")
-    sign, man, exp, _ = x._mpf_
-    man, exp = int(man), int(exp)
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
 
 
 # E_0, E_1, ... as far as any call has needed them, shared by the process.
@@ -51,15 +39,14 @@ def rational_reconstruct(x, denominator, radius):
     of x: radius < 1 / (2 q), and |x - k / q| <= radius.  None otherwise.
 
     So a value known to lie in (1/q) Z and within ``radius`` of x is k / q.
-    ``x`` and ``radius`` may be ints, floats, Fractions or mpmath mpfs; every
-    comparison is exact, on the integers of x = a / b and radius = c / d.
+    ``x`` and ``radius`` may be ints, floats or Fractions; every comparison
+    is exact, on the integers of x = a / b and radius = c / d.
     A tie, q x halfway between integers, lies 1 / (2 q) from both
     neighbours, beyond any radius that passes, so k rounds it up.
     """
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
-    x, radius = (mpf_to_fraction(v) if isinstance(v, mp.mpf) else Fraction(v)
-                 for v in (x, radius))
+    x, radius = Fraction(x), Fraction(radius)
     (a, b), (c, d) = x.as_integer_ratio(), radius.as_integer_ratio()
     if c < 0:
         raise ValueError("radius must be nonnegative")

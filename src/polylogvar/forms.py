@@ -44,17 +44,9 @@ class RationalForm(namedtuple("RationalForm", "n num den")):
       is 0 exactly when its image is, and cross-multiplication decides the
       same equalities on either side.
     - phi commutes with d/dz, since phi(tau) does not involve z.
-    - phi preserves exact division.  If phi(a) = phi(b) c, then every
-      substitution t_i -> lambda_i t_i with prod lambda_i = 1 fixes phi(a)
-      and phi(b), hence c, as the ring has no zero divisors and b != 0.  A monomial
-      z^a t^e fixed by all of them has e_i = e_j for all i, j (take
-      lambda_i = 2, lambda_j = 1/2), so c = phi(c') and, phi being
-      injective, a = b c'.  ``MPoly.divide_exact`` succeeds exactly when
-      the division is exact, so it succeeds on (a, b) exactly when it does
-      on their images, and returns the preimage of the image quotient.
-    Hence d_dz, and every identity built from sums, products, exact
-    quotients and d/dz, gives in (z, tau) the preimage of what it gives in
-    the cube coordinates.  At n = 0, tau is the empty product 1; the only
+    Hence d_dz, and every identity built from sums, products and d/dz,
+    gives in (z, tau) the preimage of what it gives in the cube
+    coordinates.  At n = 0, tau is the empty product 1; the only
     form there is omega(0, 0) = 1, and no identity is decided at n = 0.
     """
 
@@ -69,15 +61,11 @@ class RationalForm(namedtuple("RationalForm", "n num den")):
         return super().__new__(cls, n, num, den)
 
     def d_dz(self):
-        """z-derivative, as a new RationalForm: the quotient rule's
-        numerator over q when q divides it exactly, else over q^2 (formed
-        only then)."""
+        """z-derivative by the quotient rule, (p'q - pq') / q^2, as a new
+        RationalForm.  It is not reduced: every identity is decided by
+        cross-multiplication, which needs no common factor cancelled."""
         p, q = self.num, self.den
-        num = p.diff(0) * q - p * q.diff(0)
-        reduced = num.divide_exact(q)
-        if reduced is not None:
-            return RationalForm(self.n, reduced, q)
-        return RationalForm(self.n, num, q * q)
+        return RationalForm(self.n, p.diff(0) * q - p * q.diff(0), q * q)
 
     def __repr__(self):
         """The form in the cube coordinates, tau^d printed as t1^d*...*tn^d

@@ -11,7 +11,7 @@ cross-multiplication, which needs nothing beyond exact ring arithmetic.
 """
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 
 def _exact(c):
@@ -126,39 +126,6 @@ class MPoly:
         if not self.terms:
             return 0
         return max(m[i] for m in self.terms)
-
-    def divide_exact(self, divisor):
-        """Quotient self/divisor if the division is exact, else None.  Each
-        quotient coefficient is divided exactly, never as int / int, which
-        would round to a float."""
-        if divisor.is_zero():
-            raise ZeroDivisionError
-        if self.is_zero():
-            return MPoly(self.nvars, {})
-        rem = dict(self.terms)
-        # leading term of divisor under lex order
-        dlead = max(divisor.terms)
-        dc = divisor.terms[dlead]
-        quot = {}
-        while rem:
-            mono = max(rem)
-            c = rem[mono]
-            qm = tuple(map(sub, mono, dlead))
-            if any(e < 0 for e in qm):
-                return None
-            if type(c) is int and type(dc) is int and not c % dc:
-                qc = c // dc
-            else:
-                qc = _exact(Fraction(c) / dc)
-            quot[qm] = qc
-            for m2, c2 in divisor.terms.items():
-                tm = tuple(map(add, qm, m2))
-                v = rem.get(tm, 0) - qc * c2
-                if v:
-                    rem[tm] = v
-                else:
-                    rem.pop(tm, None)
-        return MPoly(self.nvars, quot)
 
     def __repr__(self):
         if not self.terms:

@@ -5,8 +5,7 @@ rescaled hypercube.
 
 import itertools
 import math
-import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -132,7 +131,9 @@ PavingReport = namedtuple("PavingReport", "n passed samples redraws min_cover "
 
 
 _BLOCK_ROWS = 8192
-_HIGH = 1 << 31  # the top bit of a 32-bit field; set on a tied row's code
+# The top bit of a 32-bit field: set in a field of (k_i ^ k_j) + _HIGH - 1
+# exactly when k_i != k_j (see _count_ties).
+_HIGH = 1 << 31
 
 
 def _words(rng, count):
@@ -150,39 +151,26 @@ def _masks(rows):
     return fields(_HIGH - 1), fields(_HIGH)
 
 
-def _rank_codes(block, n):
-    """Classify the rows of ``block``, little-endian 32-bit words in
-    row-major order, n words a row, by the values k_i = word_i >> 1.
-    Returns (codes, bad): ``codes[r]`` is sum_i rank_i * n^i for row r, with
-    rank_i the number of k_j below k_i, and has bit 31 set when two k_i of
-    the row tie; ``bad`` counts the tied rows.
+def _count_ties(block, n):
+    """The number of rows of ``block``, little-endian 32-bit words in
+    row-major order, n words a row, in which two of the values
+    k_i = word_i >> 1 are equal.
 
-    All rows are classified at once on Python ints in 32-bit fields, field r
+    All rows are tested at once on Python ints in 32-bit fields, field r
     belonging to row r (SWAR, several values packed in one int).  Column i
     is one int K_i: the words i, i + n, ... of the block, sliced out as
     4-byte items and read little-endian, so the platform's byte order plays
     no part.  Shifted down one bit and masked to 31 bits a field, field r
     of K_i holds k_i of row r.
 
-    Comparison.  Let H hold 2^31 in every field.  For ints A, B whose
-    fields a_r, b_r are below 2^31, ((A | H) - B) & H has bit 31 of field r
-    set exactly when a_r >= b_r, and no borrow crosses a field.  Proof:
-    A | H = A + H, as a_r < 2^31, so (A | H) - B is the sum over r of
-    (2^31 + a_r - b_r) 2^(32 r).  Each 2^31 + a_r - b_r lies in
-    [1, 2^32 - 1], because |a_r - b_r| < 2^31, so this sum is the base-2^32
-    expansion of the difference: field r holds 2^31 + a_r - b_r, whose
-    bit 31 is set iff 2^31 + a_r - b_r >= 2^31, that is iff a_r >= b_r.
-
-    Each pair i < j gives two flag ints, for k_i >= k_j and for
-    k_j >= k_i.  Where both are set the row ties, and the tie flags are
-    OR'd together.  Otherwise exactly one is set, and it counts one
-    coordinate below the larger k.  A flag int is 2^31 times an int of
-    0/1 fields, so the sum over i of n^i times the flags of column i is
-    2^31 times the int whose field r is the code of row r: one shift by 31
-    at the end reads the codes off exactly.  Every code, a tied row's too,
-    is at most (n - 1)(1 + n + ... + n^(n-1)) = n^n - 1 < 6^6 < 2^31, so no
-    field reaches its neighbour, nor bit 31, where the tie flag goes.  The
-    code int is then turned into bytes, one 32-bit word a row.
+    Let L hold 2^31 - 1 in every field.  For a pair i < j, field r of
+    K_i ^ K_j is k_i ^ k_j of row r, below 2^31, so field r of
+    (K_i ^ K_j) + L is (k_i ^ k_j) + 2^31 - 1, at most 2^32 - 2: no carry
+    crosses a field, and bit 31 of the field is set exactly when
+    k_i ^ k_j >= 1, that is when k_i != k_j.  Let H hold 2^31 in every
+    field.  The AND of H with these ints over all pairs can set only bit 31
+    of a field, and sets it in field r exactly when row r has no tie, so
+    its bit count is the number of tie-free rows.
     """
     from array import array
 
@@ -191,57 +179,35 @@ def _rank_codes(block, n):
     words = array("I", block)  # only the 4-byte item size matters here
     cols = [(int.from_bytes(words[i::n], "little") >> 1) & low
             for i in range(n)]
-    raised = [k | high for k in cols]
-    flags = [0] * n  # 2^31 rank_i
-    tied = 0
+    distinct = high
     for i in range(n):
         for j in range(i + 1, n):
-            ge = (raised[i] - cols[j]) & high  # k_i >= k_j
-            le = (raised[j] - cols[i]) & high  # k_j >= k_i
-            tied |= ge & le
-            flags[i] += ge
-            flags[j] += le
-    code = sum(f * n ** i for i, f in enumerate(flags)) >> 31
-    codes = array("I", (code | tied).to_bytes(4 * rows, "little"))
-    if sys.byteorder == "big":
-        codes.byteswap()
-    return codes, tied.bit_count()
+            distinct &= (cols[i] ^ cols[j]) + low
+    return rows - distinct.bit_count()
 
 
 def _family_table(family, n):
-    """Multiplicity of each permutation s in ``family``, indexed by the code
-    sum_i (s(i) - 1) * n^i.  Every entry must be a permutation of 1..n."""
-    table = [0] * n ** n
+    """Multiplicity of each permutation s in ``family``, as a Counter keyed
+    by the tuple (s(1), ..., s(n)).  Every entry must be a permutation of
+    1..n."""
+    table = Counter()
     for sigma in family:
+        sigma = tuple(sigma)
         if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
             raise DomainError(
-                f"family entry {tuple(sigma)} is not a permutation of 1..{n}")
-        table[sum((v - 1) * n ** i for i, v in enumerate(sigma))] += 1
+                f"family entry {sigma} is not a permutation of 1..{n}")
+        table[sigma] += 1
     return table
 
 
 def paving_check(n, z, samples, seed, family=None):
-    """Sample points of the open cube (1, 1/z)^n and count, per point, the
-    order simplices 1 < x_{s^{-1}(1)} < ... < x_{s^{-1}(n)} < 1/z containing
-    it strictly; a paving means every point lies in exactly one.  Also
+    """Decide whether the order simplices
+    1 < x_{s^{-1}(1)} < ... < x_{s^{-1}(n)} < 1/z of the permutations s of
+    ``family``, counted with multiplicity, pave the open cube (1, 1/z)^n:
+    every point off the hyperplanes x_i = x_j lies in exactly one.  Also
     checks, in exact Fraction arithmetic, that the family's simplices, each
-    of volume side^n / n! with side = 1/z - 1 and counted with multiplicity,
-    add up to the cube's volume side^n; that fails for a family of any size
-    but n!.
-
-    The points.  Each coordinate is one little-endian 32-bit word of the
-    stdlib Mersenne Twister stream ``random.Random(seed)`` (MT19937), drawn
-    row by row: the word's top 31 bits k_i give the exact real
-    x_i = 1 + (1/z - 1)(k_i + 1/2) / 2^31.  As 0 <= k_i < 2^31, that lies
-    strictly inside (1, 1/z), so no point is ever on the boundary.  And
-    x_i is strictly increasing in k_i, so the ranks of the coordinates of x
-    are the ranks of the k_i, and x_i = x_j exactly when k_i = k_j: the
-    point itself is never formed.  So the points are centres of the cells
-    of a grid of 2^31 cells a side, and neither the draw nor the covers
-    depend on z, which enters only the volume identity.  A row is redrawn
-    only when two of its k_i are equal; redraws continue the same stream.  Earlier releases drew
-    53 bits a coordinate from this stream, so a ``seed`` now picks other
-    points than they did.
+    of volume side^n / n! with side = 1/z - 1, add up to the cube's volume
+    side^n; that fails for a family of any size but n!.
 
     Lemma: a tie-free point x of the open cube lies in the simplex of s iff
     x_i is the s(i)-th smallest coordinate for every i, that is iff s(i) - 1
@@ -249,16 +215,27 @@ def paving_check(n, z, samples, seed, family=None):
     bounds 1 < x_i < 1/z hold for every coordinate, so x lies in the simplex
     of s iff x_{s^{-1}(1)} < ... < x_{s^{-1}(n)}, which says x_{s^{-1}(r)}
     has exactly r - 1 coordinates below it.  With no ties the ranks are a
-    permutation, so exactly one s qualifies.  So the cover of x is the
-    multiplicity in the family of the s with code sum_i rank_i * n^i; it is
-    looked up in a table built once from the family.
+    permutation, so exactly one s qualifies, and the cover of x is the
+    multiplicity of that s in the family.  Every permutation is the rank
+    vector of some tie-free point, so the covers of the tie-free points are
+    exactly the multiplicities of the n! permutations.  ``passed``,
+    ``min_cover`` and ``max_cover`` are read off those n! values: the
+    verdict is exact, whatever ``samples`` and ``seed``.
 
-    The points stream through in blocks of ``_BLOCK_ROWS`` rows, each
-    classified by ``_rank_codes`` and then dropped: only the set of codes
-    seen and the count of tied rows survive a block.  The tied rows of a
-    pass are redrawn as the next pass, in order, so the stream and the
-    report equal those of drawing all points at once.  Memory is
-    O(_BLOCK_ROWS n + n^n) whatever ``samples``.
+    The points.  ``samples`` points are still drawn, only to report
+    ``samples`` and ``redraws``, which the benchmark's cli-mix workload pins
+    (ROADMAP items 1 and 3).  Each coordinate is one little-endian 32-bit
+    word of the stdlib Mersenne Twister stream ``random.Random(seed)``
+    (MT19937), drawn row by row: the word's top 31 bits k_i stand for the
+    real x_i = 1 + (1/z - 1)(k_i + 1/2) / 2^31, strictly inside (1, 1/z)
+    and strictly increasing in k_i.  A row is redrawn when two of its k_i
+    are equal; redraws continue the same stream.  The rows stream through
+    in blocks of ``_BLOCK_ROWS``, each reduced by ``_count_ties`` to its
+    count of tied rows and dropped.  The tied rows of a pass are redrawn as
+    the next pass, so the stream and the report equal those of drawing all
+    points at once, and memory is O(_BLOCK_ROWS n + n!) whatever
+    ``samples``.  Earlier releases drew 53 bits a coordinate from this
+    stream, so a ``seed`` now picks other points than they did.
 
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n
@@ -279,16 +256,13 @@ def paving_check(n, z, samples, seed, family=None):
         family = itertools.permutations(range(1, n + 1))
     table = _family_table(family, n)
     rng = random.Random(seed)
-    seen = set()
 
     rows, redraws = samples, 0
     for _ in range(100):
         bad = 0
         for start in range(0, rows, _BLOCK_ROWS):
-            codes, tied = _rank_codes(
+            bad += _count_ties(
                 _words(rng, min(_BLOCK_ROWS, rows - start) * n), n)
-            seen.update(codes)
-            bad += tied
         if not bad:
             break
         rows = bad
@@ -296,12 +270,12 @@ def paving_check(n, z, samples, seed, family=None):
     else:
         raise DomainError("could not draw tie-free samples")
 
-    cover = [table[code] for code in seen if code < _HIGH]
+    cover = [table[s] for s in itertools.permutations(range(1, n + 1))]
 
     zq = Fraction(str(z)) if not isinstance(z, Fraction) else z
     side = 1 / zq - 1
     vol_simplex = side ** n / math.factorial(n)
-    volume_ok = sum(table) * vol_simplex == side ** n
+    volume_ok = sum(table.values()) * vol_simplex == side ** n
 
     return PavingReport(n=n, passed=set(cover) == {1} and volume_ok,
                         samples=samples, redraws=redraws,

@@ -283,19 +283,22 @@ def ref_paving_cover(pts, lo, hi, family):
 
 
 def ref_paving_report(n, z, samples, seed, family=None, tied_rows=0):
-    """The fields of ``paving_check(n, z, samples, seed, family)`` from the
-    whole first pass drawn in one ``randbytes`` call: each little-endian
-    32-bit word of ``random.Random(seed)`` gives k = word >> 1 and the
-    coordinate 1 + (1/z - 1)(k + 1/2) / 2^31 in float64, which keeps the
-    order of the k strictly for 0.05 <= z <= 0.95.  The first ``tied_rows``
+    """The fields of ``paving_check(n, z, samples, seed, family)``.
+    ``passed``, ``min_cover`` and ``max_cover`` come from the family's
+    multiset: the multiplicities of the n! permutations.  ``samples`` and
+    ``redraws`` come from the whole first pass drawn in one ``randbytes``
+    call: each little-endian 32-bit word of ``random.Random(seed)`` gives
+    k = word >> 1 and the coordinate 1 + (1/z - 1)(k + 1/2) / 2^31 in
+    float64, which keeps the order of the k strictly for 0.05 <= z <= 0.95.  The first ``tied_rows``
     rows are drawn as words of 0, so all their coordinates tie.  The rows
     that tie or touch the boundary, found by sorting, are redrawn in row
-    order from the same stream, up to 100 passes; covers are counted by
-    ``ref_paving_cover``.  None if bad rows remain after 100 passes."""
+    order from the same stream, up to 100 passes.  None if bad rows remain
+    after 100 passes."""
     rng = random.Random(seed)
     lo, hi = 1.0, 1.0 / float(z)
+    perms = list(itertools.permutations(range(1, n + 1)))
     if family is None:
-        family = list(itertools.permutations(range(1, n + 1)))
+        family = perms
 
     def draw(rows):
         words = np.frombuffer(rng.randbytes(4 * rows * n), dtype="<u4")
@@ -315,20 +318,19 @@ def ref_paving_report(n, z, samples, seed, family=None, tied_rows=0):
         pts[bad] = lo + (hi - lo) * (draw(int(bad.sum())) + 0.5) * 2.0 ** -31
     else:
         return None
-    cover = ref_paving_cover(pts, lo, hi, family)
+    cover = [sum(tuple(s) == p for s in family) for p in perms]
     volume_ok = len(family) == math.factorial(n)
-    return dict(n=n, passed=bool((cover == 1).all()) and volume_ok,
-                samples=samples, redraws=redraws, min_cover=int(cover.min()),
-                max_cover=int(cover.max()), volume_identity_ok=volume_ok)
+    return dict(n=n, passed=set(cover) == {1} and volume_ok,
+                samples=samples, redraws=redraws, min_cover=min(cover),
+                max_cover=max(cover), volume_identity_ok=volume_ok)
 
 
-def ref_rank_code(row):
-    """For a row of integers: None if two of them are equal, else
-    sum_i rank_i * n^i with rank_i the number of entries below row[i]."""
-    n = len(row)
-    if len(set(row)) < n:
+def ref_rank_permutation(row):
+    """For a row of integers: None if two of them are equal, else the
+    tuple whose i-th entry is 1 + the number of entries below row[i]."""
+    if len(set(row)) < len(row):
         return None
-    return sum(sum(v < x for v in row) * n ** i for i, x in enumerate(row))
+    return tuple(1 + sum(v < x for v in row) for x in row)
 
 
 def arnold_relation_rows(n, degree):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylogvar import exact
-from polylogvar.exact import (RationalMatrix, eulerian, mpf_to_fraction,
-                              nilpotency_index, rational_reconstruct)
+from polylogvar.exact import (RationalMatrix, eulerian, nilpotency_index,
+                              rational_reconstruct)
 from polylogvar.mpoly import MPoly
 
 import mpmath as mp
@@ -90,7 +90,7 @@ class TestRationalReconstruct:
     def test_roundtrip_small_fractions(self):
         for q in range(1, 51):
             for p in range(-50, 51):
-                x = mp.mpf(p) / q
+                x = Fraction(round(Fraction(p, q) * 2 ** 128), 2 ** 128)
                 got = rational_reconstruct(x, q, Fraction(1, 10 ** 12))
                 assert got == Fraction(p, q)
 
@@ -120,21 +120,20 @@ class TestRationalReconstruct:
         x = Fraction(p, q) + sign * noise * radius
         assert rational_reconstruct(x, q, radius) is None
 
-    def test_mpf_inputs(self):
-        with mp.workprec(128):
-            x = mp.mpf(3) / 7
-            radius = mp.mpf(2) ** -100
+    def test_dyadic_fraction_inputs(self):
+        """The values ``monodromy`` hands over: a real part rounded to
+        2^-F, F = 128, and a Fraction radius."""
+        x = Fraction(round(Fraction(3, 7) * 2 ** 128), 2 ** 128)
+        radius = Fraction(1, 2 ** 100)
         assert rational_reconstruct(x, 7, 1e-20) == Fraction(3, 7)
         assert rational_reconstruct(x, 14, radius) == Fraction(3, 7)
         # x is within 2^-129 of 3/7, not exactly on it
         assert rational_reconstruct(x, 7, 0) is None
 
-    def test_mpf_to_fraction_exact(self):
-        assert mpf_to_fraction(mp.mpf("0.25")) == Fraction(1, 4)
-        assert mpf_to_fraction(mp.mpf(0)) == 0
-        assert mpf_to_fraction(mp.mpf(-3) * 2 ** 70) == -3 * 2 ** 70
-        with pytest.raises(ValueError):
-            mpf_to_fraction(mp.inf)
+    def test_mpf_inputs(self):
+        """An mpmath mpf is refused: callers convert it exactly first."""
+        with pytest.raises(TypeError):
+            rational_reconstruct(mp.mpf(3) / 7, 7, 1e-20)
 
 
 class TestNilpotency:

@@ -101,22 +101,14 @@ _ZT_POLYS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(p=_ZT_POLYS, q=_ZT_POLYS, n=st.integers(1, 4))
 def test_substitution_commutes_with_ring_operations_and_d_dz(p, q, n):
-    """tau -> t_1...t_n is an injective ring map that commutes with d/dz
-    and preserves exact quotients, so every identity the forms decide in
-    (z, tau) holds in the cube coordinates."""
+    """tau -> t_1...t_n is an injective ring map that commutes with d/dz,
+    so every identity the forms decide in (z, tau) holds in the cube
+    coordinates."""
     phi_p, phi_q = ref_on_cube(p, n), ref_on_cube(q, n)
     assert ref_on_cube(p + q, n) == phi_p + phi_q
     assert ref_on_cube(p * q, n) == phi_p * phi_q
     assert ref_on_cube(p.diff(0), n) == phi_p.diff(0)
     assert (phi_p == phi_q) is (p == q)
-    if not q.is_zero():
-        assert (p * q).divide_exact(q) == p
-        assert ref_on_cube(p * q, n).divide_exact(phi_q) == phi_p
-        quot = p.divide_exact(q)
-        cube_quot = phi_p.divide_exact(phi_q)
-        assert (quot is None) is (cube_quot is None)
-        if quot is not None:
-            assert ref_on_cube(quot, n) == cube_quot
 
 
 def test_omega_bad_indices():
@@ -173,11 +165,14 @@ def test_degree_bookkeeping():
             assert w.num.degree_in(1) == expected
 
 
-def test_derivative_reduces_denominator():
+def test_derivative_is_the_plain_quotient_rule():
+    # d/dz [z/(1-x)] = ((1-x) + x)/(1-x)^2, with x = z tau, left unreduced
     w = omega(3, 3)
     d = w.d_dz()
-    # d/dz [z/(1-x)] = 1/(1-x)^2; the quotient-rule square must cancel
-    assert d.den.degree_in(0) == 2
+    one, z, tau = MPoly.const(2, 1), MPoly.var(2, 0), MPoly.var(2, 1)
+    assert d.num == (one - z * tau) + z * tau
+    assert d.den == w.den * w.den
+    assert rational_functions_equal(d.num, d.den, one, (one - z * tau) ** 2)
 
 
 def test_derivative_keeps_the_square_when_division_fails():
