@@ -4,18 +4,26 @@ e_{i,j} e_{i,k} - e_{i,j} e_{j,k} + e_{i,k} e_{j,k} = 0 (i < j < k), the
 Arnol'd algebra of the braid arrangement; its symmetric-group character, and
 the induced-character and sign-multiplicity identities it satisfies.
 
-A monomial is a sorted tuple of distinct edges (i, j), i < j, with the sign
-of the exterior algebra.  Straightening rewrites
+A monomial is a set of distinct edges (i, j), i < j, read in increasing
+lexicographic order, with the sign of the exterior algebra, and is stored as
+a machine integer: the 28 edges of K_8 are numbered lexicographically, edge
+c is the bit 1 << c, and a monomial is the OR of its edges.  Bit order is
+then the lexicographic order, so the bits of a monomial m read upward are its
+sorted edges, and e_x m, zero if x is in m, is (-1)^popcount(m & (x - 1))
+times x | m: one transposition for each edge of m below e_x, the sign an
+inversion count on sorted edge tuples gives.  Every sign, normal form and
+trace is therefore the same as with monomials stored as sorted tuples.
+Straightening rewrites
     e_{i,k} e_{j,k} -> e_{i,j} e_{j,k} - e_{i,j} e_{i,k}    (i < j < k)
 until no vertex has two edges from below; the monomials left are the
 no-broken-circuit (nbc) monomials.  In degree n - 1 every vertex k >= 2 then
 has exactly one edge from below, so the nbc monomials are the (n - 1)!
 increasing trees (Bjorner & Ziegler 1991).  An element is a dict from
-sorted monomial to int coefficient; ``_reduce`` gives its normal form, a
-dict of the same kind keyed by nbc monomials only, with zero coefficients
-dropped, so an element is zero exactly when its normal form is empty.
-Normal forms of monomials are memoised per process, and the character is
-the trace of each class representative on the nbc basis.
+monomial to int coefficient; ``_reduce`` gives its normal form, a dict of
+the same kind keyed by nbc monomials only, with zero coefficients dropped,
+so an element is zero exactly when its normal form is empty.  Normal forms
+of monomials are memoised per process, and the character is the trace of
+each class representative on the nbc basis.
 
 That the nbc monomials are independent, not only spanning, is certified by
 ``_certify`` (the diamond lemma on the 100 degree-3 relation multiples of
@@ -23,7 +31,8 @@ K_5, whose rank it takes over F_2 on int bitsets; its docstring has the
 argument, and why that rank is the rational one), which runs once per
 process before any dimension or character is returned and raises
 ArithmeticError if it fails.  Dimension and character are capped at n = 8
-(5 040 basis monomials; the character takes about 2 s there).
+(5 040 basis monomials; the character takes about 0.22 s there in
+process on a 2-core x86-64 VM).
 """
 
 import itertools
@@ -117,40 +126,58 @@ class ClassFunction(namedtuple("ClassFunction", "n values")):
     __hash__ = tuple.__hash__
 
 
-def _sort_sign(seq):
-    """Sorted tuple and permutation sign; zero sign on repeats."""
-    seq = tuple(seq)
-    mono = tuple(sorted(seq))
-    if len(set(mono)) < len(mono):
-        return None, 0
-    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
-    return mono, -1 if inversions % 2 else 1
+# the edges of K_8 in lexicographic order: edge c is the bit 1 << c, and
+# _BIT maps (i, j) and (j, i) to it; _INTO[k - 2] holds the edges into k
+# from below
+_VERTICES = range(1, MAX_CHARACTER_N + 1)
+_EDGES = tuple(itertools.combinations(_VERTICES, 2))
+_BIT = {e: 1 << c for c, (i, j) in enumerate(_EDGES) for e in ((i, j), (j, i))}
+_INTO = [sum(_BIT[i, k] for i in range(1, k)) for k in _VERTICES[1:]]
+
+
+def _times(x, m):
+    """e_x times the monomial m, e_x put first: (monomial, sign), the sign 0
+    if e_x is in m, else -1 to the number of edges of m below it."""
+    if x & m:
+        return 0, 0
+    return x | m, -1 if (m & (x - 1)).bit_count() & 1 else 1
 
 
 def _act(perm, mono):
-    """Signed image (sorted monomial, sign) of a monomial under a vertex
+    """Signed image (monomial, sign) of a monomial under a vertex
     permutation (dict v -> image)."""
-    return _sort_sign(tuple(sorted((perm[a], perm[b]))) for a, b in mono)
+    image = inversions = 0
+    while mono:  # the edges from the last, each image put in front
+        c = mono.bit_length() - 1
+        mono ^= 1 << c
+        i, j = _EDGES[c]
+        x = _BIT[perm[i], perm[j]]
+        inversions += (image & (x - 1)).bit_count()
+        image |= x
+    return image, -1 if inversions & 1 else 1
 
 
 @lru_cache(maxsize=None)
 def _straighten(mono):
-    """Normal form of a monomial (sorted tuple of distinct edges): a dict
-    from nbc monomial to nonzero int coefficient.  Shared by every caller;
-    do not mutate it."""
-    first = {}  # vertex k -> position of the first edge from below into k
-    for p, (j, k) in enumerate(mono):
-        q = first.setdefault(k, p)
-        if q < p:
-            i = mono[q][0]
-            rest = mono[:q] + mono[q + 1:p] + mono[p + 1:]
-            sign = (-1) ** (p + q - 1)  # moves e_ik e_jk to the front
-            combo = {}
-            for pair, c in ((((i, j), (j, k)), sign),
-                            (((i, j), (i, k)), -sign)):
-                m, s = _sort_sign(pair + rest)
-                if s:
-                    combo[m] = c * s
+    """Normal form of a monomial: a dict from nbc monomial to nonzero int
+    coefficient.  Shared by every caller; do not mutate it."""
+    for into in _INTO:
+        v = mono & into
+        w = v & (v - 1)
+        if w:  # two edges e_ik, e_jk (i < j) into k from below
+            a, b = v ^ w, w & -w
+            rest = mono ^ a ^ b
+            ij = _BIT[_EDGES[a.bit_length() - 1][0],
+                      _EDGES[b.bit_length() - 1][0]]
+            # mono = sign e_ik e_jk rest: the pair passes the edges below a
+            # together, and e_jk alone those between a and b, bits of b - 2a
+            sign = -1 if (mono & (b - 2 * a)).bit_count() & 1 else 1
+            combo = {}  # e_ik e_jk -> e_ij e_jk - e_ij e_ik
+            for y, c in ((b, sign), (a, -sign)):
+                m, s = _times(y, rest)
+                m, t = _times(ij, m)
+                if s * t:
+                    combo[m] = c * s * t
             return _reduce(combo)
     return {mono: 1}
 
@@ -210,19 +237,21 @@ def _certify():
     generator could leave.
     """
     edges = list(itertools.combinations(range(1, 6), 2))
-    col = {m: c for c, m in enumerate(itertools.combinations(edges, 3))}
-    rows = []  # each relation times each edge, {sorted monomial: +-1}
+    trios = list(itertools.combinations(edges, 3))
+    col = {sum(_BIT[e] for e in t): c for c, t in enumerate(trios)}
+    # each edge times each relation, which is the relation times the edge
+    # (degree 2 is central), {monomial: +-1}
+    rows = []
     for i, j, k in itertools.combinations(range(1, 6), 3):
-        terms = ((((i, j), (i, k)), 1), (((i, j), (j, k)), -1),
-                 (((i, k), (j, k)), 1))
+        ij, ik, jk = _BIT[i, j], _BIT[i, k], _BIT[j, k]
         for e in edges:
             row = {}
-            for pair, coef in terms:
-                mono, sgn = _sort_sign(pair + (e,))
-                if sgn:
-                    row[mono] = coef * sgn
+            for pair, coef in ((ij | ik, 1), (ij | jk, -1), (ik | jk, 1)):
+                mono, s = _times(_BIT[e], pair)
+                if s:
+                    row[mono] = coef * s
             rows.append(row)
-    nbc = sum(1 for m in col if len({k for _, k in m}) == 3)
+    nbc = sum(1 for t in trios if len({k for _, k in t}) == 3)
     rank = sparse_rank([[col[m] for m in row] for row in rows])
     if any(_reduce(row) for row in rows) or rank != len(col) - nbc:
         raise ArithmeticError("the straightening certificate failed")
@@ -232,7 +261,7 @@ def _certify():
 def _nbc_top(n):
     """The nbc monomials of degree n - 1, sorted: the increasing trees, each
     vertex k >= 2 joined to one parent below it."""
-    return sorted(tuple(sorted(zip(parents, range(2, n + 1))))
+    return sorted(sum(map(_BIT.get, zip(parents, range(2, n + 1))))
                   for parents in itertools.product(
                       *(range(1, k) for k in range(2, n + 1))))
 

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -96,29 +98,93 @@ class TestInducedCharacter:
             Fraction(1) for _ in integer_partitions(4))
 
 
+# the edges of K_8 in lexicographic order; the engine stores a monomial as
+# the OR of 1 << (index of each edge), the oracles as a sorted tuple of pairs
+EDGES = list(itertools.combinations(range(1, 9), 2))
+
+
+def mask(mono):
+    """The bitmask of a monomial given as edge pairs (i, j), i < j."""
+    return sum(1 << EDGES.index(e) for e in mono)
+
+
+def pairs(m):
+    """The sorted tuple of edge pairs of a bitmask monomial."""
+    return tuple(e for c, e in enumerate(EDGES) if m >> c & 1)
+
+
+def masked(combo):
+    """A combination keyed by edge-pair tuples, keyed by bitmasks."""
+    return {mask(mono): c for mono, c in combo.items()}
+
+
+def sort_sign(word):
+    """Sorted tuple of a word of edge pairs and the sign of sorting it,
+    (None, 0) on a repeat."""
+    if len(set(word)) < len(word):
+        return None, 0
+    inversions = sum(a > b for a, b in itertools.combinations(word, 2))
+    return tuple(sorted(word)), (-1) ** inversions
+
+
 def action_matrix(n, perm):
     """Matrix of a vertex permutation (dict v -> image) on the nbc basis, by
-    the normal form: {(row monomial, column monomial): coefficient}, zeros
-    left out."""
+    the normal form: {(row monomial, column monomial): coefficient} in edge
+    pairs, zeros left out."""
     out = {}
     for b in arnold._nbc_top(n):
         m, sgn = arnold._act(perm, b)
         for row, v in arnold._reduce({m: sgn}).items():
-            out[(row, b)] = v
+            out[(pairs(row), pairs(b))] = v
     return out
+
+
+def mutant(old, new):
+    """A fresh copy of the arnold module with the one occurrence of ``old``
+    in its source replaced by ``new``; the real module is left alone."""
+    source = inspect.getsource(arnold)
+    assert source.count(old) == 1, old
+    module = types.ModuleType(arnold.__name__)
+    module.__package__ = arnold.__package__
+    exec(compile(source.replace(old, new), arnold.__file__, "exec"),
+         module.__dict__)
+    return module
 
 
 class TestArnoldElements:
     def test_three_term_relation_reduces_to_zero(self):
         # e12 e13 - e12 e23 + e13 e23 = 0 in the top component of n = 3
-        assert arnold._reduce({((1, 2), (1, 3)): 1, ((1, 2), (2, 3)): -1,
-                               ((1, 3), (2, 3)): 1}) == {}
-        assert arnold._reduce({((1, 3), (2, 3)): 1}) == {
-            ((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
+        assert arnold._reduce(masked({((1, 2), (1, 3)): 1,
+                                      ((1, 2), (2, 3)): -1,
+                                      ((1, 3), (2, 3)): 1})) == {}
+        assert arnold._reduce({mask(((1, 3), (2, 3))): 1}) == masked({
+            ((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1})
 
     def test_squares_vanish(self):
-        assert arnold._sort_sign([(1, 2), (1, 2)]) == (None, 0)
-        assert arnold._sort_sign([(1, 3), (1, 2)]) == (((1, 2), (1, 3)), -1)
+        e12, e13 = mask([(1, 2)]), mask([(1, 3)])
+        assert arnold._times(e12, e12) == (0, 0)
+        assert arnold._times(e13, e12) == (mask([(1, 2), (1, 3)]), -1)
+        assert arnold._times(e12, e13) == (mask([(1, 2), (1, 3)]), 1)
+
+    def test_signs_match_sorted_tuples(self):
+        # every edge times every monomial of degree <= 3 on K_5, and every
+        # permutation of 1..4 on every monomial of degree <= 3 on K_4,
+        # against sorting the tuple of edge pairs
+        k5 = list(itertools.combinations(range(1, 6), 2))
+        for d in range(4):
+            for mono in itertools.combinations(k5, d):
+                for e in k5:
+                    m, s = sort_sign((e,) + mono)
+                    assert arnold._times(mask([e]), mask(mono)) == (
+                        (mask(m), s) if s else (0, 0))
+        k4 = list(itertools.combinations(range(1, 5), 2))
+        for images in itertools.permutations(range(1, 5)):
+            perm = dict(zip(range(1, 5), images))
+            for d in range(4):
+                for mono in itertools.combinations(k4, d):
+                    m, s = sort_sign(tuple(tuple(sorted((perm[i], perm[j])))
+                                           for i, j in mono))
+                    assert arnold._act(perm, mask(mono)) == (mask(m), s)
 
     def test_basis_size(self):
         assert len(arnold._nbc_top(3)) == 2
@@ -128,7 +194,8 @@ class TestArnoldElements:
     def test_explicit_action_matrices_weight_three(self):
         # the 2x2 matrices of a transposition and a 3-cycle on the nbc basis
         # reproduce the character values 0 and -1
-        basis = arnold._nbc_top(3)
+        basis = [pairs(b) for b in arnold._nbc_top(3)]
+        assert sorted(basis) == [((1, 2), (1, 3)), ((1, 2), (2, 3))]
         for lam, trace in (((2, 1), 0), ((3,), -1)):
             m = action_matrix(3, cycle_type_representative(lam))
             assert {key for pair in m for key in pair} <= set(basis)
@@ -140,7 +207,7 @@ class TestStraightening:
     def test_kills_every_top_degree_relation_multiple(self, n):
         rows = list(arnold_relation_rows(n, n - 1))
         assert rows
-        assert not any(arnold._reduce(row) for row in rows)
+        assert not any(arnold._reduce(masked(row)) for row in rows)
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_character_matches_elimination(self, n):
@@ -155,6 +222,23 @@ class TestStraightening:
         for images in itertools.permutations(range(1, n + 1)):
             perm = dict(zip(range(1, n + 1), images))
             assert action_matrix(n, perm) == ref_arnold_action(n, perm)
+
+    @pytest.mark.parametrize("old,new", [
+        # the product sign forced to +1
+        ("return x | m, -1 if (m & (x - 1)).bit_count() & 1 else 1",
+         "return x | m, 1"),
+        # the rewrite's second term dropped
+        ("for y, c in ((b, sign), (a, -sign)):", "for y, c in ((b, sign),):"),
+        # the rewrite's signs flipped
+        ("for y, c in ((b, sign), (a, -sign)):",
+         "for y, c in ((b, -sign), (a, sign)):"),
+    ], ids=["product-sign-plus-one", "rewrite-second-term-dropped",
+            "rewrite-signs-flipped"])
+    def test_certificate_catches_a_faulty_engine(self, old, new):
+        """The kill check is not vacuous: each of these faults in the
+        engine makes the certificate fail."""
+        with pytest.raises(ArithmeticError):
+            mutant(old, new)._certify()
 
     def test_certificate_guards_every_result(self, monkeypatch):
         cached = (arnold._certify, arnold.arnold_dimension,
