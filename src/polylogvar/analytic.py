@@ -17,9 +17,12 @@ multiplies the start matrix by that product once, at the end.  The row
 step, the series and the principal first row of Li values run on Python
 integers in fixed point, with guard bits sized from the term count and the
 number of disks so that their rounding stays below the truncation error.
-A Li row has one source, ``_li_row``: the series on the disk |z| <= 3/4,
-and for real z in [-1, -3/4) or (3/4, 1) the series' row at +-3/4 stepped
-to z by the same disk chain, so no special value and no term cap enters.
+One exact rule, ``_least_terms``, gives both term counts: the least K whose
+geometric tail falls below the target, for the chain's ratio 2/5 and for a
+dyadic bound on |z| about 24 bits wide in the Li series.  A Li row has one
+source, ``_li_row``: the series on the disk |z| <= 3/4, and for real z in
+[-1, -3/4) or (3/4, 1) the series' row at +-3/4 stepped to z by the same
+disk chain, so no special value and no term cap enters.
 
 Monodromy matrices share transport's disk chain and row step
 (``_step_chain``).  Below row 0 the system is the Tate-twisted symmetric
@@ -216,13 +219,14 @@ def _dyadic(v):
     """[X, Y, s] with v = (X + i Y) 2^-s for integers X, Y and the least
     s >= 0, for an mpc or a Python number."""
     if isinstance(v, mp.mpc):
-        parts = [(-man if sign else man, exp) for sign, man, exp, _ in v._mpc_]
+        (x, ex), (y, ey) = [(-man if sign else man, exp)
+                            for sign, man, exp, _ in v._mpc_]
     else:
         v = complex(v)
-        parts = [(m, 1 - d.bit_length()) for m, d in
-                 (v.real.as_integer_ratio(), v.imag.as_integer_ratio())]
-    s = max(0, *(-e for _, e in parts))
-    return [m << (e + s) for m, e in parts] + [s]
+        (x, c), (y, d) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+        ex, ey = 1 - c.bit_length(), 1 - d.bit_length()
+    s = max(0, -ex, -ey)
+    return [x << (ex + s), y << (ey + s), s]
 
 
 def _li_disk(n, z, prec):
@@ -232,19 +236,20 @@ def _li_disk(n, z, prec):
     z^(k-1) is kept as the pair of integers t_k, scaled by 2^F: t_1 = 2^F and
     t_(k+1) = t_k Z, Z the parts of z floored to 2^-F, with each part shifted
     down by F.  The terms of S_j for all j come from t_k by n successive
-    floor divisions by k.  With r = |z|, K terms leave a tail of at most
-    r^K / (1 - r), so K is the least count that puts it below 2^-(prec + 10);
-    K < 2.5 (prec + 12).
+    floor divisions by k.  ``_li_disk_size`` bounds r = |z| above by a
+    dyadic rho < 1.  K terms leave a tail of at most
+    r^K / (1 - r) <= rho^K / (1 - rho), so K is the least count that puts
+    the latter below 2^-(prec + 10); K < 2.5 (prec + 12).
 
     Rounding bound.  Let u = 2^-F.  Each t_k is off from Z^(k-1) by less
     than sqrt(2) u / (1 - r), Z^(k-1) from z^(k-1) by less than
     sqrt(2) (k-1) r^(k-2) u, and the divisions add less than 2 sqrt(2) u per
     term.  Over K terms the error is below
     sqrt(2) u ((H_K + 1) / (1 - r) + 2 K) < 5 (K + 1) u / (1 - r), the
-    factor 5 > 3 sqrt(2) covering |Z| > r to second order, so
-    F = prec + 10 + ceil(log2(5 (K + 1) / (1 - r))) puts it below
-    2^-(prec + 10).  F does not grow as z shrinks.  ``_li_disk_size`` finds
-    K and F exactly from the parts of z.
+    factor 5 > 3 sqrt(2) covering |Z| > r to second order, and
+    1 / (1 - r) <= 1 / (1 - rho), so
+    F = prec + 10 + ceil(log2(5 (K + 1) / (1 - rho))) puts it below
+    2^-(prec + 10).  F does not grow as z shrinks.
 
     Lower bound.  |Li_j(z)| >= r / 4, so |S_j| >= 1/4: Koebe's theorem gives
     |Li_1(z)| >= r / (1 + r)^2 >= r / 4 (-log(1 - z) is univalent on the
@@ -280,52 +285,26 @@ def _li_disk(n, z, prec):
 
 
 def _li_disk_size(q, s, prec):
-    """(K, F) of ``_li_disk`` for r = sqrt(q) 2^-s in (0, 3/4]: the least K
-    with r^K <= 2^-t (1 - r), t = prec + 10, and F = t + f for the least f
-    with 2^f (1 - r) >= 5 (K + 1), both decided exactly.
+    """(K, F) of ``_li_disk`` for r = sqrt(q) 2^-s in (0, 3/4]: with
+    t = prec + 10 and the bound rho = m 2^-P >= r, the least K with
+    rho^K <= 2^-t (1 - rho), and F = t + f for the least f with
+    2^f (1 - rho) >= 5 (K + 1), both decided exactly in integers.
 
-    Each test has the form sqrt(q) A <= B for integers A >= 0 and B, true
-    exactly when B >= 0 and q A^2 <= B^2.  For f, A = 2^f and
-    B = 2^s (2^f - 5 (K + 1)).  For the tail, multiplied by 2^(s K + t),
-    A = 2^(s (K - 1)) + [K odd] q^h 2^t and B = 2^(s K) - [K even] q^h 2^t
-    with h = floor(K / 2), integers of about s K bits.  So it is first
-    bounded at P = t + 64 fraction bits: R = floor(r 2^P) <= r 2^P < R + 1,
-    r^K 2^P lies between the powers of R and R + 1 formed with a floor and a
-    ceiling at every product, and 2^-t (1 - r) 2^P between
-    2^-t (2^P - R - 1) and 2^-t (2^P - R).  The exact test runs only when
-    the two ranges meet.  A float estimate of K starts the search, which
-    then steps to the least K that passes.
+    m is the least integer with m^2 >= q 2^(2P - 2s), one ``isqrt`` of that
+    product's ceiling, so r <= rho < r + 2^-P.  P is 24 plus L, the leading
+    zero bits of r: the largest L >= 0 with r < 2^-L, that is with
+    q < 4^(s - L).  As r >= 2^-(L + 1), rho is within a relative 2^-23 of r.
+    L is capped at t + 1: past the cap r < 2^-(t + 2), so rho < 2^-(t + 1)
+    and K = 1, and the cap keeps every integer at O(t) bits however small z
+    is.  rho <= 3/4 + 2^-P < 1.
     """
     t = prec + 10
-    P = t + 64
-    one, R = 1 << P, math.isqrt((q << 2 * P) >> 2 * s)
-
-    def sqrt_le(A, B):
-        return B >= 0 and q * A * A <= B * B
-
-    def tail_below(K):
-        lo = hi = one
-        for bit in bin(K)[2:]:
-            lo, hi = lo * lo >> P, -(-hi * hi >> P)
-            if bit == "1":
-                lo, hi = lo * R >> P, -(-hi * (R + 1) >> P)
-        if hi << t <= one - R - 1:
-            return True
-        if lo << t > one - R:
-            return False
-        h, odd = divmod(K, 2)
-        power = q ** h << t
-        return sqrt_le((1 << s * (K - 1)) + (power if odd else 0),
-                       (1 << s * K) - (0 if odd else power))
-
-    log_r = (math.log2(q) - 2 * s) / 2
-    K = max(1, math.ceil((t - math.log2(1 - 2 ** log_r)) / -log_r))
-    while not tail_below(K):
-        K += 1
-    while K > 1 and tail_below(K - 1):
-        K -= 1
+    P = 24 + min(t + 1, s - (q.bit_length() + 1) // 2)
+    e = 2 * (P - s)
+    m = math.isqrt((q << e if e >= 0 else -(-q >> -e)) - 1) + 1
+    K = _least_terms(m, 1 << P, t)
     f = (5 * K + 4).bit_length()
-    while not sqrt_le(1 << f, ((1 << f) - 5 * (K + 1)) << s):
+    while ((1 << P) - m) << f < 5 * (K + 1) << P:
         f += 1
     return K, t + f
 
@@ -340,17 +319,29 @@ _CHECK_RATIO = _STEP_RATIO * (1 - 2 ** -40)
 _GUARD_BITS = 8
 
 
-def _series_terms(prec):
-    """Least K with _STEP_RATIO^K / (1 - _STEP_RATIO) <= 2^-(prec + guard):
-    for the ratio 2/5, 5 2^(K + m) <= 3 5^K with m = prec + guard >= 0,
-    decided in integers from a float estimate."""
-    m = prec + _GUARD_BITS
-    K = math.ceil((m - math.log2(1 - _STEP_RATIO)) / -math.log2(_STEP_RATIO))
-    while 5 << (K + m) > 3 * 5 ** K:
+def _least_terms(a, b, t):
+    """Least K >= 1 with a^K 2^t b <= b^K (b - a), for integers 0 < a < b
+    and t >= 0: the count at which the geometric tail x^K / (1 - x) of the
+    ratio x = a / b falls to 2^-t.  A float estimate starts the search,
+    which exact integer tests then step to the least K."""
+    def below(K):
+        return a ** K * b << t <= b ** K * (b - a)
+
+    log_b = math.log2(b)
+    K = max(1, math.ceil((t + log_b - math.log2(b - a))
+                         / (log_b - math.log2(a))))
+    while not below(K):
         K += 1
-    while 5 << (K - 1 + m) <= 3 * 5 ** (K - 1):
+    while K > 1 and below(K - 1):
         K -= 1
     return K
+
+
+def _series_terms(prec):
+    """Least K with _STEP_RATIO^K / (1 - _STEP_RATIO) <= 2^-(prec + guard),
+    ``_least_terms`` for the ratio 2/5: 5 2^(K + m) <= 3 5^K with
+    m = prec + guard."""
+    return _least_terms(2, 5, prec + _GUARD_BITS)
 
 
 def _fraction_bits(prec, terms):
@@ -533,11 +524,8 @@ def _to_fixed(v, F):
     """The parts of v, an mpc or a Python number, floored to 2^-F and
     scaled by 2^F; exact for a double whose nonzero parts are at least
     2^(53 - F) in modulus."""
-    if isinstance(v, mp.mpc):
-        return [to_fixed(x, F) for x in v._mpc_]
-    v = complex(v)
-    (a, c), (b, d) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
-    return [(a << F) >> (c.bit_length() - 1), (b << F) >> (d.bit_length() - 1)]
+    X, Y, s = _dyadic(v)
+    return [(X << F) >> s, (Y << F) >> s]
 
 
 def _from_fixed(re, im, F):
@@ -583,8 +571,7 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     if li_bits is not None:
         # 2^-F <= 2^-25 margin for margin = a / d, d a power of 2
         a, d = float(margin).as_integer_ratio()
-        F = max(F, base.real.as_integer_ratio()[1].bit_length() - 1,
-                d.bit_length() + 25 - a.bit_length())
+        F = max(F, _dyadic(base)[2], d.bit_length() + 25 - a.bit_length())
     points = [_to_fixed(z, F) for z in [base] + [z1 for _, z1 in steps]]
     s_re = s_im = [0] * n
     if li_bits is not None:

@@ -331,20 +331,15 @@ def _mobius(m):
     return r
 
 
-def _euler_phi(m):
-    return sum(1 for e in range(1, m + 1) if math.gcd(e, m) == 1)
-
-
-def induced_cyclic_character(n, primitive=True):
-    """Character induced from a cyclic subgroup generated by an n-cycle,
-    from a primitive character (default) or the trivial one.
+def induced_cyclic_character(n):
+    """Character induced from a primitive character of the cyclic subgroup
+    generated by an n-cycle.
 
     Standard induction formula: the value on a class K is
     |centralizer| / n times the character sum over the cyclic elements lying
     in K.  The powers d of the n-cycle with gcd(d, n) = g form the classes of
     rectangular type (n/g)^g, and the primitive-character sums over them are
-    Ramanujan sums, i.e. Moebius values; for the trivial character they count
-    the powers, i.e. Euler phi.
+    Ramanujan sums, i.e. Moebius values.
     """
     if n < 2:
         raise DomainError("need n >= 2")
@@ -352,17 +347,16 @@ def induced_cyclic_character(n, primitive=True):
     for lam in integer_partitions(n):
         g = len(lam)
         if n % g == 0 and all(p == n // g for p in lam):
-            s = _mobius(n // g) if primitive else _euler_phi(n // g)
-            vals.append(Fraction(centralizer_order(lam) * s, n))
+            vals.append(Fraction(centralizer_order(lam) * _mobius(n // g), n))
         else:
             vals.append(Fraction(0))
     return ClassFunction(n, tuple(vals))
 
 
-def induced_character_check(n, primitive=True):
+def induced_character_check(n):
     """Classwise identity between the top-component character (its own
     dual) and sign tensor the induced cyclic character."""
     if not 2 <= n <= MAX_CHARACTER_N:
         raise DomainError(f"induced_character_check supports 2 <= n <= {MAX_CHARACTER_N}")
-    rhs = induced_cyclic_character(n, primitive=primitive).tensor_sign()
+    rhs = induced_cyclic_character(n).tensor_sign()
     return arnold_character(n) == rhs

@@ -316,9 +316,9 @@ def _postnikov(args):
 def _paving(args):
     if "," in args.z:
         raise DomainError("paving needs real z in (0, 1)")
-    # a double keeps small the Fraction that paving_check's exact volume
-    # identity builds from z (1e-1000000000 read exactly takes gigabytes)
-    rep = paving_check(args.n, float(_z_value(args)), args.samples, args.seed)
+    # paving_check reads z as a double; its verdict depends on z only
+    # through the domain check 0 < z < 1
+    rep = paving_check(args.n, _z_value(args), args.samples, args.seed)
     return {"samples": rep.samples, "redraws": rep.redraws,
             "min_cover": rep.min_cover, "max_cover": rep.max_cover,
             "volume_identity": rep.volume_identity_ok}, rep.passed

@@ -97,35 +97,40 @@ def ref_generator(n, which, sign):
 
 
 def ref_li_disk_counts(prec, z):
-    """(K, F) as ``analytic._li_disk``'s docstring defines them for a complex
-    z of doubles with 0 < |z| <= 3/4 and r = |z|: K the least count with
-    r^K / (1 - r) <= 2^-(prec + 10), F = prec + 10 + ceil(log2(5 (K + 1) /
-    (1 - r))).  Each candidate is decided in Fractions, r entering only
-    through r^2 (r a <= b, a >= 0, exactly when b >= 0 and r^2 a^2 <= b^2);
-    a 600-bit mpmath estimate only picks where the search starts."""
+    """(K, F) as ``analytic._li_disk_size``'s docstring defines them for a
+    complex z of doubles with 0 < |z| <= 3/4, r = |z| and t = prec + 10:
+    rho = m 2^-P with P = 24 + min(t + 1, L), L the largest L >= 0 with
+    r < 2^-L, and m the least integer with m >= r 2^P; K the least count
+    with rho^K <= 2^-t (1 - rho), and F = t + f for the least f with
+    2^f (1 - rho) >= 5 (K + 1).  Everything is decided in Fractions, r
+    entering only through r^2; a 600-bit mpmath estimate only picks where
+    the search for K starts."""
     r2 = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
-    T = Fraction(1, 2 ** (prec + 10))
+    t = prec + 10
+    L = 0
+    while L <= t and r2 < Fraction(1, 4 ** (L + 1)):
+        L += 1
+    P = 24 + L
+    c = r2 * 4 ** P  # m is the least integer with m^2 >= c
+    m = math.isqrt(math.ceil(c))
+    m += m * m < c
+    rho = Fraction(m, 2 ** P)
+    T = Fraction(1, 2 ** t)
 
-    def r_times_le(a, b):
-        return b >= 0 and r2 * a * a <= b * b
-
-    def tail_ok(K):  # r^K <= T (1 - r)
-        h, odd = divmod(K, 2)
-        return r_times_le(T + (r2 ** h if odd else 0),
-                          T - (0 if odd else r2 ** h))
+    def tail_ok(K):
+        return rho ** K <= T * (1 - rho)
 
     with mp.workprec(600):
-        r = mp.sqrt(mp.mpf(r2.numerator) / r2.denominator)
-        K = max(1, int(mp.ceil((prec + 10 - mp.log(1 - r, 2))
-                               / -mp.log(r, 2))))
+        x = mp.mpf(m) / 2 ** P
+        K = max(1, int(mp.ceil((t - mp.log(1 - x, 2)) / -mp.log(x, 2))))
     while not tail_ok(K):
         K += 1
     while K > 1 and tail_ok(K - 1):
         K -= 1
     f = 0
-    while not r_times_le(2 ** f, 2 ** f - 5 * (K + 1)):
+    while 2 ** f * (1 - rho) < 5 * (K + 1):
         f += 1
-    return K, prec + 10 + f
+    return K, t + f
 
 
 def ref_word_monodromy(n, word):

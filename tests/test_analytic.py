@@ -551,6 +551,12 @@ def test_certified_bits_is_the_least_p_for_any_base(n, base):
         <= analytic._row0_radius(n, base, need - 1)
 
 
+def _r_times_le(r2, a, b):
+    """r a <= b for r = sqrt(r2) and a >= 0, decided exactly: b >= 0 and
+    r2 a^2 <= b^2."""
+    return b >= 0 and r2 * a * a <= b * b
+
+
 @settings(deadline=None, max_examples=60)
 @given(prec=st.integers(1, 300), x=st.floats(-0.75, 0.75),
        y=st.floats(-0.75, 0.75))
@@ -558,13 +564,54 @@ def test_certified_bits_is_the_least_p_for_any_base(n, base):
 @example(prec=128, x=0.75, y=0.0)
 @example(prec=64, x=0.375, y=0.25)
 @example(prec=128, x=1e-300, y=0.0)
+@example(prec=1, x=2.0 ** -14, y=0.0)  # past the cap on the leading zeros
+@example(prec=1, x=2.0 ** -13, y=0.0)  # at the cap
+# just below 1 / (2^t + 1), where K = 1
+@example(prec=1, x=2.0 ** -11 * (1 - 2.0 ** -10), y=0.0)
 def test_li_disk_counts_are_the_least_its_docstring_defines(prec, x, y):
-    """``_li_disk_size`` finds the least K and F of ``_li_disk``'s
-    docstring, as an exact oracle decides them."""
-    assume(0 < Fraction(x) ** 2 + Fraction(y) ** 2 <= Fraction(9, 16))
+    """``_li_disk_size`` finds the least K and F of its docstring for the
+    dyadic bound rho >= r = |z|, as an exact oracle decides them, and they
+    are sound for r itself: r^K <= 2^-t (1 - r) and
+    2^f (1 - r) >= 5 (K + 1), F = t + f, t = prec + 10."""
+    r2 = Fraction(x) ** 2 + Fraction(y) ** 2
+    assume(0 < r2 <= Fraction(9, 16))
     X, Y, s = analytic._dyadic(complex(x, y))
-    assert analytic._li_disk_size(X * X + Y * Y, s, prec) == \
-        ref_li_disk_counts(prec, complex(x, y))
+    K, F = analytic._li_disk_size(X * X + Y * Y, s, prec)
+    assert (K, F) == ref_li_disk_counts(prec, complex(x, y))
+    T, h, f = Fraction(1, 2 ** (prec + 10)), K // 2, F - prec - 10
+    if K % 2:  # r (r^(K-1) + T) <= T
+        assert _r_times_le(r2, r2 ** h + T, T)
+    else:  # r T <= T - r^K
+        assert _r_times_le(r2, T, T - r2 ** h)
+    assert _r_times_le(r2, 2 ** f, 2 ** f - 5 * (K + 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(ab=st.integers(2, 64).flatmap(
+    lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+    t=st.integers(0, 300))
+@example(ab=(1, 2), t=0)
+@example(ab=(1, 2), t=300)
+@example(ab=(63, 64), t=300)
+def test_least_terms_is_the_least_count(ab, t):
+    """``_least_terms`` against a brute-force count up from K = 1; (1, 2, t)
+    meets the bound with equality at K = t + 1."""
+    a, b = ab
+    K, left, right = 1, a * b << t, b * (b - a)  # a^K 2^t b, b^K (b - a)
+    while left > right:
+        K, left, right = K + 1, left * a, right * b
+    assert analytic._least_terms(a, b, t) == K
+    if ab == (1, 2):
+        assert K == t + 1
+
+
+def test_series_terms_is_the_least_for_the_ratio_two_fifths():
+    """K = ``_series_terms(prec)`` is the least K >= 1 with
+    5 2^(K + m) <= 3 5^K, m = prec + 8, for every prec from 0 to 2000."""
+    for prec in range(2001):
+        K, m = analytic._series_terms(prec), prec + analytic._GUARD_BITS
+        assert 5 << (K + m) <= 3 * 5 ** K
+        assert 5 << (K - 1 + m) > 3 * 5 ** (K - 1)
 
 
 class _TruthyZero(int):

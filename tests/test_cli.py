@@ -121,12 +121,16 @@ print(json.dumps({"import": sorted(imported - before),
 """
 
 
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _fresh_python(code):
     """Run ``code`` in a fresh interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True)
 
 
@@ -502,6 +506,29 @@ def test_resource_guards_admit_their_limits():
                        str(cli.MAX_PRECISION)])
     assert code == 0
     assert cli.MAX_PRECISION == 4096 and cli.MAX_SAMPLES == 10 ** 6
+
+
+def test_tiny_z_runs_in_bounded_memory():
+    """A z of modulus 1e-300000000 carries a binary exponent of about 10^9;
+    the series sizing must not build integers of that many bits.  Each run
+    gets 400 MB of address space and 20 s."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
+
+    tiny = "1e-300000000"
+    for cmd, z in (("li", tiny), ("li", f"{tiny},{tiny}"), ("lambda", tiny)):
+        r = subprocess.run([sys.executable, "-m", "polylogvar", cmd, "--n",
+                            "2", "--z", z], env=_package_env(),
+                           capture_output=True, text=True, timeout=20,
+                           preexec_fn=limit)
+        assert r.returncode == 0, (cmd, z, r.stderr[-500:])
+        result = json.loads(r.stdout)["result"]
+        if cmd == "li":
+            assert result["value"][0] == "1.0e-300000000", result
+        else:
+            assert result["matrix"][0][1] == ["1.0e-300000000", "0.0"]
 
 
 def test_flag_validation_before_compute():
