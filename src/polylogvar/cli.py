@@ -22,28 +22,30 @@ A --loop path file over MAX_PATH_BYTES (1 MiB) is a usage error, found by
 reading one byte past the cap, not the whole file.
 
 Every command takes --precision, --format and --timing, and any other flag
-only if it reads it, with one exception.  --precision sets the accuracy of
-every series value, period matrix and transport.  --seed belongs to paving
-and suite, the two commands that draw random points.  --tol belongs to
-integrate, as its quadrature target, which it checks; li, lambda and
-kummer-block accept it too and read none of it.  monodromy, kummer-block and
-flatness take no tolerance.  monodromy certifies entry (0, j) on the lattice
-(1/j!) Z by its proved radius, below half the spacing 1/j!; its output is
-exact, so it runs at the least precision that certifies, the fewest bits
-whose proved row-0 radius is below 1/(2 n!), and --precision only caps it: a
-cap too low is a domain error that names the bits needed (--n 33 certifies
-at the default 128, --n 64 needs 299).  kummer-block's block is an exact
-identity, and each entry must lie within principal_lambda's proved relative
-radius 2^-(prec - 1); its max_error is the largest relative distance of an
-entry from the closed form, about 2^-prec.  flatness reads the connection's
-tags, checks rows 1..n as kummer-block does, and ties row 0, stepped along
-the line from z/2 to z, to its series within the sum of their proved radii;
-its residual is the largest distance over that sum, which must be at most
-its tolerance 1.0, and it passes at every --n up to 64 at the default 128
-bits.  integrate computes the cube integral as the one-dimensional integral
-it equals, by a double-exponential rule in float64 with at most 65 537 nodes
-a level, and reports its value as that double, not padded to --precision
-digits; a --tol below the rounding of that sum ends in exit 4.
+only if it reads it, with two exceptions.  --precision sets the accuracy of
+every series value, period matrix and transport.  paving takes --samples and
+--seed, and suite takes --seed and hands it to paving; paving checks both,
+echoes --samples and reads neither, as its verdict is exact and draws no
+point.  --tol belongs to integrate, as its quadrature target, which it
+checks; li, lambda and kummer-block accept it too and read none of it.
+monodromy, kummer-block and flatness take no tolerance.  monodromy certifies
+entry (0, j) on the lattice (1/j!) Z by its proved radius, below half the
+spacing 1/j!; its output is exact, so it runs at the least precision that
+certifies, the fewest bits whose proved row-0 radius is below 1/(2 n!), and
+--precision only caps it: a cap too low is a domain error that names the
+bits needed (--n 33 certifies at the default 128, --n 64 needs 299).
+kummer-block's block is an exact identity, and each entry must lie within
+principal_lambda's proved relative radius 2^-(prec - 1); its max_error is
+the largest relative distance of an entry from the closed form, about
+2^-prec.  flatness reads the connection's tags, checks rows 1..n as
+kummer-block does, and ties row 0, stepped along the line from z/2 to z, to
+its series within the sum of their proved radii; its residual is the largest
+distance over that sum, which must be at most its tolerance 1.0, and it
+passes at every --n up to 64 at the default 128 bits.  integrate computes
+the cube integral as the one-dimensional integral it equals, by a
+double-exponential rule in float64 with at most 65 537 nodes a level, and
+reports its value as that double, not padded to --precision digits; a --tol
+below the rounding of that sum ends in exit 4.
 """
 
 import json
@@ -78,10 +80,7 @@ from .report import RunReport
 MAX_MATRIX_N = 64
 # Largest --precision in bits; mpmath's cost grows faster than linearly in it.
 MAX_PRECISION = 4096
-# Largest --samples for paving.  It bounds time, 0.10 s at n = 6 inside
-# cli.main (0.17 s for the whole command; medians of 5, 2-core Xeon VM); the
-# verdict reads no sample, and paving's memory stays one block of points
-# whatever the sample count.
+# Largest --samples for paving (see _SAMPLES).
 MAX_SAMPLES = 10 ** 6
 # Largest --loop path file, in bytes.
 MAX_PATH_BYTES = 2 ** 20
@@ -143,8 +142,13 @@ _SHARED_FLAGS = (
 _N = ("--n", dict(type=int, required=True))
 _Z = ("--z", dict(type=_parse_z, required=True))
 _K = ("--k", dict(type=int, required=True))
-_SEED = ("--seed", dict(type=int, default=0,
-                        help="seed for randomized checks (default 0)"))
+# paving draws no point: it checks --samples and --seed, echoes --samples
+# and reads neither; it takes them only because perfbench's cli-mix still
+# passes them (ROADMAP items 1 and 3)
+_SAMPLES = ("--samples", dict(type=int, default=10000, help=(
+    "checked and echoed, read by nothing (default 10000)")))
+_SEED = ("--seed", dict(type=int, default=0, help=(
+    "checked, read by nothing (default 0)")))
 # li, lambda and kummer-block read no tolerance; they take --tol only because
 # perfbench's cli-mix still passes it to them (ROADMAP items 1 and 5)
 _TOL = ("--tol", dict(type=float, default=1e-12, help=(
@@ -312,12 +316,12 @@ def _postnikov(args):
 
 
 @_command("paving", "simplex paving of the rescaled cube", None, _N, _Z,
-          ("--samples", dict(type=int, default=10000)), _SEED)
+          _SAMPLES, _SEED)
 def _paving(args):
     if "," in args.z:
         raise DomainError("paving needs real z in (0, 1)")
-    # paving_check reads z as a double; its verdict depends on z only
-    # through the domain check 0 < z < 1
+    # paving_check reads z as a double, and z, samples and seed enter only
+    # its domain checks: the verdict is the family's multiplicities
     rep = paving_check(args.n, _z_value(args), args.samples, args.seed)
     return {"samples": rep.samples, "redraws": rep.redraws,
             "min_cover": rep.min_cover, "max_cover": rep.max_cover,

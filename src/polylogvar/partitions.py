@@ -129,62 +129,6 @@ PavingReport = namedtuple("PavingReport", "n passed samples redraws min_cover "
                           "max_cover volume_identity_ok")
 
 
-_BLOCK_ROWS = 8192
-# The top bit of a 32-bit field: set in a field of (k_i ^ k_j) + _HIGH - 1
-# exactly when k_i != k_j (see _count_ties).
-_HIGH = 1 << 31
-
-
-def _words(rng, count):
-    """``count`` little-endian 32-bit words of the stdlib Mersenne Twister
-    stream ``rng``, as bytes."""
-    return rng.randbytes(4 * count)
-
-
-@lru_cache(maxsize=4)
-def _masks(rows):
-    """Two ints of ``rows`` 32-bit fields: 2^31 - 1 in every field, and
-    2^31 in every field."""
-    def fields(value):
-        return int.from_bytes(value.to_bytes(4, "little") * rows, "little")
-    return fields(_HIGH - 1), fields(_HIGH)
-
-
-def _count_ties(block, n):
-    """The number of rows of ``block``, little-endian 32-bit words in
-    row-major order, n words a row, in which two of the values
-    k_i = word_i >> 1 are equal.
-
-    All rows are tested at once on Python ints in 32-bit fields, field r
-    belonging to row r (SWAR, several values packed in one int).  Column i
-    is one int K_i: the words i, i + n, ... of the block, sliced out as
-    4-byte items and read little-endian, so the platform's byte order plays
-    no part.  Shifted down one bit and masked to 31 bits a field, field r
-    of K_i holds k_i of row r.
-
-    Let L hold 2^31 - 1 in every field.  For a pair i < j, field r of
-    K_i ^ K_j is k_i ^ k_j of row r, below 2^31, so field r of
-    (K_i ^ K_j) + L is (k_i ^ k_j) + 2^31 - 1, at most 2^32 - 2: no carry
-    crosses a field, and bit 31 of the field is set exactly when
-    k_i ^ k_j >= 1, that is when k_i != k_j.  Let H hold 2^31 in every
-    field.  The AND of H with these ints over all pairs can set only bit 31
-    of a field, and sets it in field r exactly when row r has no tie, so
-    its bit count is the number of tie-free rows.
-    """
-    from array import array
-
-    rows = len(block) // (4 * n)
-    low, high = _masks(rows)
-    words = array("I", block)  # only the 4-byte item size matters here
-    cols = [(int.from_bytes(words[i::n], "little") >> 1) & low
-            for i in range(n)]
-    distinct = high
-    for i in range(n):
-        for j in range(i + 1, n):
-            distinct &= (cols[i] ^ cols[j]) + low
-    return rows - distinct.bit_count()
-
-
 def _family_table(family, n):
     """Multiplicity of each permutation s in ``family``, as a Counter keyed
     by the tuple (s(1), ..., s(n)).  Every entry must be a permutation of
@@ -221,27 +165,15 @@ def paving_check(n, z, samples, seed, family=None):
     ``min_cover`` and ``max_cover`` are read off those n! values: the
     verdict is exact, whatever ``samples`` and ``seed``.
 
-    The points.  ``samples`` points are still drawn, only to report
-    ``samples`` and ``redraws``, which the benchmark's cli-mix workload pins
-    (ROADMAP items 1 and 3).  Each coordinate is one little-endian 32-bit
-    word of the stdlib Mersenne Twister stream ``random.Random(seed)``
-    (MT19937), drawn row by row: the word's top 31 bits k_i stand for the
-    real x_i = 1 + (1/z - 1)(k_i + 1/2) / 2^31, strictly inside (1, 1/z)
-    and strictly increasing in k_i.  A row is redrawn when two of its k_i
-    are equal; redraws continue the same stream.  The rows stream through
-    in blocks of ``_BLOCK_ROWS``, each reduced by ``_count_ties`` to its
-    count of tied rows and dropped.  The tied rows of a pass are redrawn as
-    the next pass, so the stream and the report equal those of drawing all
-    points at once, and memory is O(_BLOCK_ROWS n + n!) whatever
-    ``samples``.  Earlier releases drew 53 bits a coordinate from this
-    stream, so a ``seed`` now picks other points than they did.
+    No point is drawn.  ``samples`` and ``seed`` are checked and
+    ``samples`` is echoed in the report, with ``redraws`` always 0; nothing
+    else reads them.  They stay only because the benchmark's cli-mix workload
+    passes and reads them (ROADMAP items 1 and 3).
 
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n
-    raises DomainError before any sampling.
+    raises DomainError.
     """
-    import random
-
     if not 1 <= n <= 6:
         raise DomainError("paving_check supports 1 <= n <= 6")
     zf = float(z)
@@ -254,21 +186,6 @@ def paving_check(n, z, samples, seed, family=None):
     if family is None:
         family = itertools.permutations(range(1, n + 1))
     table = _family_table(family, n)
-    rng = random.Random(seed)
-
-    rows, redraws = samples, 0
-    for _ in range(100):
-        bad = 0
-        for start in range(0, rows, _BLOCK_ROWS):
-            bad += _count_ties(
-                _words(rng, min(_BLOCK_ROWS, rows - start) * n), n)
-        if not bad:
-            break
-        rows = bad
-        redraws += bad
-    else:
-        raise DomainError("could not draw tie-free samples")
-
     cover = [table[s] for s in itertools.permutations(range(1, n + 1))]
 
     # each simplex has volume side^n / n!, side = 1/z - 1 > 0, so the
@@ -276,6 +193,6 @@ def paving_check(n, z, samples, seed, family=None):
     volume_ok = sum(table.values()) == math.factorial(n)
 
     return PavingReport(n=n, passed=set(cover) == {1} and volume_ok,
-                        samples=samples, redraws=redraws,
+                        samples=samples, redraws=0,
                         min_cover=min(cover), max_cover=max(cover),
                         volume_identity_ok=volume_ok)

@@ -15,7 +15,6 @@ import cmath
 import functools
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -287,46 +286,19 @@ def ref_paving_cover(pts, lo, hi, family):
     return cover
 
 
-def ref_paving_report(n, z, samples, seed, family=None, tied_rows=0):
-    """The fields of ``paving_check(n, z, samples, seed, family)``.
-    ``passed``, ``min_cover`` and ``max_cover`` come from the family's
-    multiset: the multiplicities of the n! permutations.  ``samples`` and
-    ``redraws`` come from the whole first pass drawn in one ``randbytes``
-    call: each little-endian 32-bit word of ``random.Random(seed)`` gives
-    k = word >> 1 and the coordinate 1 + (1/z - 1)(k + 1/2) / 2^31 in
-    float64, which keeps the order of the k strictly for 0.05 <= z <= 0.95.  The first ``tied_rows``
-    rows are drawn as words of 0, so all their coordinates tie.  The rows
-    that tie or touch the boundary, found by sorting, are redrawn in row
-    order from the same stream, up to 100 passes.  None if bad rows remain
-    after 100 passes."""
-    rng = random.Random(seed)
-    lo, hi = 1.0, 1.0 / float(z)
+def ref_paving_report(n, samples, family=None):
+    """The fields of ``paving_check(n, z, samples, seed, family)``, which
+    do not depend on z or seed.  ``passed``, ``min_cover`` and
+    ``max_cover`` come from the family's multiset: the multiplicities of the
+    n! permutations, each counted by scanning the family.  ``samples`` is
+    echoed and ``redraws`` is 0."""
     perms = list(itertools.permutations(range(1, n + 1)))
     if family is None:
         family = perms
-
-    def draw(rows):
-        words = np.frombuffer(rng.randbytes(4 * rows * n), dtype="<u4")
-        return words.reshape(rows, n) >> 1
-
-    k = draw(samples)
-    k[:tied_rows] = 0
-    pts = lo + (hi - lo) * (k + 0.5) * 2.0 ** -31
-    redraws = 0
-    for _ in range(100):
-        ordered = np.sort(pts, axis=1)
-        bad = ((ordered[:, 0] <= lo) | (ordered[:, -1] >= hi)
-               | (np.diff(ordered, axis=1) <= 0).any(axis=1))
-        if not bad.any():
-            break
-        redraws += int(bad.sum())
-        pts[bad] = lo + (hi - lo) * (draw(int(bad.sum())) + 0.5) * 2.0 ** -31
-    else:
-        return None
     cover = [sum(tuple(s) == p for s in family) for p in perms]
     volume_ok = len(family) == math.factorial(n)
     return dict(n=n, passed=set(cover) == {1} and volume_ok,
-                samples=samples, redraws=redraws, min_cover=min(cover),
+                samples=samples, redraws=0, min_cover=min(cover),
                 max_cover=max(cover), volume_identity_ok=volume_ok)
 
 

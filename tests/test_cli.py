@@ -915,8 +915,8 @@ def test_tol_is_checked_only_where_it_is_read(capsys):
 
 def test_each_flag_is_on_the_commands_that_take_it():
     """Every command takes --precision, --format and --timing; --seed only
-    the commands that draw random points, and --tol only integrate, which
-    reads it, and the three that cli-mix still passes it to."""
+    paving and suite, and --tol only integrate, which reads it, and the
+    three that cli-mix still passes it to."""
     assert [flag for flag, _ in cli._SHARED_FLAGS] == \
         ["--precision", "--format", "--timing"]
 
@@ -926,6 +926,15 @@ def test_each_flag_is_on_the_commands_that_take_it():
 
     assert takes("--seed") == {"paving", "suite"}
     assert takes("--tol") == {"integrate", "li", "lambda", "kummer-block"}
+
+
+def test_suite_criteria_do_not_depend_on_the_seed():
+    """--seed reaches only paving, whose verdict draws no point, so the
+    suite's byte-reproducibility (criterion 9) holds whatever the seed."""
+    runs = [run_cli(["suite", "--seed", seed]) for seed in ("0", "5")]
+    assert [code for code, _ in runs] == [0, 0]
+    first, second = (json.loads(out)["result"]["criteria"] for _, out in runs)
+    assert first == second
 
 
 @pytest.mark.parametrize("z", ["nan", "0.1,nan", "nan,0"])

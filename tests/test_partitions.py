@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -8,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylogvar import partitions
 from polylogvar.errors import DomainError
-from polylogvar.partitions import (SetPartition, _count_ties, _family_table,
+from polylogvar.partitions import (SetPartition, _family_table,
                                    bell_number, partitions_of, paving_check,
                                    postnikov_graded_check,
                                    stirling_first_unsigned)
@@ -127,23 +127,6 @@ class TestPaving:
         with pytest.raises(DomainError):
             paving_check(2, 0.5, 10, seed=-1)
 
-    def test_tied_rows_are_redrawn(self, monkeypatch):
-        # the first draw ties every row; the redraw is the first draw of a
-        # genuine stream.  (A point is never on the boundary: each k_i
-        # stands for a real strictly inside (1, 1/z).)
-        calls = []
-        monkeypatch.setattr(partitions, "_words", _first_draw_tied(calls))
-        rep = paving_check(3, 0.5, 500, seed=0)
-        assert calls == [1500, 1500]
-        assert rep.redraws == 500
-        assert rep.passed and rep.min_cover == rep.max_cover == 1
-
-    def test_endless_ties_are_domain_error(self, monkeypatch):
-        monkeypatch.setattr(partitions, "_words",
-                            lambda rng, count: bytes(4 * count))
-        with pytest.raises(DomainError):
-            paving_check(2, 0.5, 10, seed=0)
-
     @pytest.mark.parametrize("bad", [(1, 1, 3), (1, 2), (1, 2, 3, 4),
                                      (0, 1, 2), (1, 2, 4)])
     def test_non_permutation_entry_is_domain_error(self, bad):
@@ -153,32 +136,7 @@ class TestPaving:
             paving_check(3, 0.5, 1000, seed=0, family=fam)
 
 
-def _first_draw_tied(calls):
-    """A ``_words`` that records each count and returns words of 0, so every
-    coordinate of every row ties, on its first call, having consumed the
-    stream as usual."""
-    real = partitions._words
-
-    def first_tied(rng, count):
-        calls.append(count)
-        words = real(rng, count)
-        return bytes(len(words)) if len(calls) == 1 else words
-    return first_tied
-
-
-def _block(rows, low_bits):
-    """Little-endian 32-bit words, row by row, with top 31 bits k and the
-    dropped low bit taken in turn from ``low_bits``."""
-    words = [k for row in rows for k in row]
-    return b"".join((2 * k + low_bits[i % len(low_bits)]).to_bytes(4, "little")
-                    for i, k in enumerate(words))
-
-
-# drawn rows are tiled to these block sizes: one row, a short block and a
-# full one
-_BLOCK_SIZES = [1, 7, partitions._BLOCK_ROWS]
-# few distinct values, the extremes 0 and 2^31 - 1 among them, so ties are
-# common and a field borrow would show
+# a few values, the extremes 0 and 2^31 - 1 among them
 _FEW_VALUES = st.sampled_from([0, 1, 2, 2 ** 30, 2 ** 31 - 2, 2 ** 31 - 1])
 
 
@@ -219,52 +177,34 @@ class TestPavingCover:
         assert [table[ref_rank_permutation(row)] for row in rows] == \
             direct.tolist()
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.data())
-    def test_count_ties_matches_per_row_ties(self, n, data):
-        drawn = data.draw(st.lists(st.lists(_FEW_VALUES, min_size=n,
-                                            max_size=n),
-                                   min_size=1, max_size=20))
-        low_bits = data.draw(st.lists(st.integers(0, 1), min_size=1))
-        for size in _BLOCK_SIZES:
-            rows = [drawn[r % len(drawn)] for r in range(size)]
-            want = [ref_rank_permutation(row) for row in rows].count(None)
-            assert _count_ties(_block(rows, low_bits), n) == want
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_order_is_covered_once(self, n):
         # one point per simplex: coordinate i gets k = s(i)
         perms = list(itertools.permutations(range(1, n + 1)))
         direct = ref_paving_cover(np.array(perms), -1, 2 ** 31, perms)
         assert direct.tolist() == [1] * len(perms)
-        assert _count_ties(_block(perms, [0]), n) == 0
         table = _family_table(perms, n)
         assert [table[ref_rank_permutation(s)] for s in perms] == \
             direct.tolist()
 
 
 class TestPavingStream:
-    @pytest.mark.parametrize("block", [partitions._BLOCK_ROWS, 7])
-    @pytest.mark.parametrize("tied", [False, True])
-    @settings(max_examples=25, deadline=None)
-    @given(case=_families(max_n=5), whole=st.booleans(),
-           z=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
-           samples=st.integers(1, 600))
-    def test_matches_the_whole_stream_oracle(self, block, tied, case, whole,
-                                             z, seed, samples):
-        """Blocks of any size draw the same points, redraws included, as
-        one draw of the whole first pass; the patch ties every row of the
-        first block, which forces the redraws."""
-        n, _, fam = case
-        family = None if whole else fam
-        want = ref_paving_report(n, z, samples, seed, family,
-                                 tied_rows=min(block, samples) if tied else 0)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(partitions, "_BLOCK_ROWS", block)
-            if tied:
-                patch.setattr(partitions, "_words", _first_draw_tied([]))
-            got = paving_check(n, z, samples, seed, family=family)
-        assert got._asdict() == want
+    """``samples`` and ``seed`` are checked and echoed; no point is drawn."""
+
+    def test_paving_draws_no_points(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paving_check drew a random number")
+        monkeypatch.setattr(random.Random, "randbytes", no_draw)
+        monkeypatch.setattr(random.Random, "getrandbits", no_draw)
+        for n in range(1, 7):
+            few = paving_check(n, 0.5, 1, 0)
+            many = paving_check(n, 0.5, 10 ** 6, 2 ** 31 - 1)
+            assert few.passed and many.passed, n
+            assert few._replace(samples=10 ** 6) == many, n
+            assert few._asdict() == ref_paving_report(n, 1), n
+            fam = list(itertools.permutations(range(1, n + 1)))[1:] * 2
+            assert paving_check(n, 0.3, 7, 5, family=fam)._asdict() == \
+                ref_paving_report(n, 7, fam), n
 
     def test_memory_does_not_grow_with_samples(self):
         paving_check(6, 0.5, 10, 0)
