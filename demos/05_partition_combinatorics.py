@@ -2,7 +2,8 @@
 components, characters, the graded Stirling identity, and the simplex paving.
 
 Everything here is exact: homology dimensions come from the decreasing
-maximal chains of an EL-labelling checked on every interval, characters from
+maximal chains of an EL-labelling checked on every lower interval (each
+interval of the lattice is one, label for label), characters from
 the permutation action on the nbc basis of the Arnol'd algebra, and the
 paving verdict from the family's multiplicities and a symbolic volume
 identity; it draws no point.

@@ -202,21 +202,21 @@ def criterion_7():
     return CriterionResult(7, "partition and Arnol'd combinatorics", ok, details)
 
 
-def criterion_8(seed=0):
+def criterion_8():
     """Paving of the rescaled cube by order simplices."""
     ok = True
     details = {}
     for n in range(1, 5):
-        rep = paving_check(n, 0.5, 100_000, seed)
-        details[f"n{n}"] = {"passed": rep.passed, "redraws": rep.redraws,
+        rep = paving_check(n, 0.5, 100_000, 0)
+        details[f"n{n}"] = {"passed": rep.passed,
                             "volume_identity": rep.volume_identity_ok}
         ok = ok and rep.passed
     return CriterionResult(8, "simplex paving of the cube", ok, details)
 
 
-def run_battery(seed=0):
+def run_battery():
     """Criteria 1 through 8.  (Criterion 9, byte-reproducibility of the suite
     command, is a property of the CLI run as a whole and is exercised
     externally by running the suite twice.)"""
     return [criterion_1(), criterion_2(), criterion_3(), criterion_4(),
-            criterion_5(), criterion_6(), criterion_7(), criterion_8(seed)]
+            criterion_5(), criterion_6(), criterion_7(), criterion_8()]

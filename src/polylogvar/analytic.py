@@ -85,9 +85,9 @@ def li_series(n, z, prec=DEFAULT_PREC):
 
     It is the last entry of ``_li_row``: the series on the disk |z| <= 0.75,
     and on [-1, -0.75) that series at -3/4 stepped along the line to z.
-    Either way the value is within a relative 2^-(prec + 7) of Li_n(z)
-    before the final rounding to ``prec`` bits, so within 2^-(prec - 1)
-    after it.  z = 0 gives an exact 0.  Anywhere else, callers must use
+    Either way the value is within a relative 2^-(prec + 6) of Li_n(z)
+    before the final rounding to ``prec`` bits (2^-(prec + 7) unless
+    ``_li_disk`` cuts a part of z), so within 2^-(prec - 1) after it.  z = 0 gives an exact 0.  Anywhere else, callers must use
     transport.
     """
     if n < 1:
@@ -167,7 +167,8 @@ def kummer_rows(n, z, prec=DEFAULT_PREC):
 def _li_row(n, z, prec):
     """[Li_1(z), ..., Li_n(z)] for an mpc z with 0 < |z| <= 3/4, or real z
     in [-1, -3/4) or (3/4, 1), each within a relative 2^-(prec + 7) of its
-    value before it is rounded once to the active precision: the row of
+    value (2^-(prec + 6) where ``_li_disk`` cuts a part of a complex z)
+    before it is rounded once to the active precision: the row of
     ``_li_fixed`` so rounded.  This is the one source of a Li row."""
     re, im, E = _li_fixed(n, z, prec)
     return [_from_fixed(a, b, E) for a, b in zip(re, im)]
@@ -175,8 +176,9 @@ def _li_row(n, z, prec):
 
 def _li_fixed(n, z, prec):
     """(re, im, E) with Li_j(z) = (re_j + i im_j) 2^-E, j = 1..n, each within
-    a relative 2^-(prec + 7), for an mpc or a Python number z as in
-    ``_li_row``: exact integers, before any rounding.  On the disk it is
+    a relative 2^-(prec + 7) (2^-(prec + 6) where ``_li_disk`` cuts a part
+    of a complex z), for an mpc or a Python number z as in ``_li_row``:
+    exact integers, before any rounding.  On the disk it is
     ``_li_disk``.  Elsewhere the disk's row at b = +-3/4, the sign of z, is
     stepped by ``_step_chain`` along the line from b to z, with
     li_bits = p + ceil(log2(8 (n + 2))), p = max(prec, the fraction bits of
@@ -215,16 +217,24 @@ def _li_fixed(n, z, prec):
     return r_re, r_im, F
 
 
-def _dyadic(v):
+def _dyadic(v, keep=None):
     """[X, Y, s] with v = (X + i Y) 2^-s for integers X, Y and the least
-    s >= 0, for an mpc or a Python number."""
+    s >= 0, for an mpc or a Python number.  Given ``keep``, when both parts
+    are nonzero each is first truncated toward 0 to a multiple of
+    2^(e - keep), where 2^(e - 1) <= |larger part| < 2^e, and s need not
+    then be the least.  Only bits below 2^(e - keep) go, so a larger part
+    of at most ``keep`` significant bits is kept whole."""
     if isinstance(v, mp.mpc):
-        (x, ex), (y, ey) = [(-man if sign else man, exp)
-                            for sign, man, exp, _ in v._mpc_]
+        parts = [(-man if sign else man, exp) for sign, man, exp, _ in v._mpc_]
     else:
         v = complex(v)
-        (x, c), (y, d) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
-        ex, ey = 1 - c.bit_length(), 1 - d.bit_length()
+        parts = [(m, 1 - d.bit_length()) for m, d in
+                 (v.real.as_integer_ratio(), v.imag.as_integer_ratio())]
+    if keep is not None and all(m for m, _ in parts):
+        cut = max(e + abs(m).bit_length() for m, e in parts) - keep
+        parts = [((abs(m) >> max(0, cut - e)) * (1 if m > 0 else -1),
+                  max(e, cut)) for m, e in parts]
+    (x, ex), (y, ey) = parts
     s = max(0, -ex, -ey)
     return [x << (ex + s), y << (ey + s), s]
 
@@ -256,8 +266,23 @@ def _li_disk(n, z, prec):
     unit disk), and for j >= 2 |Li_j(z)| >= r - r^2 / (4 (1 - r)) >= r / 4.
     So every S_j is within a relative 2^-(prec + 7), and so is z S_j, formed
     exactly, of Li_j(z).
+
+    Parts of very different size.  So that no integer above outgrows the
+    larger part of z, z is first replaced by z' = ``_dyadic(z, prec + 32)``:
+    both parts truncated toward 0 to multiples of 2^(e - prec - 32), where
+    2^(e - 1) <= |larger part| < 2^e.  Truncating toward 0 keeps
+    |z'| <= |z| <= 3/4, and |z - z'| < 2^(e - prec - 31) <= 2^(-prec - 30) r.
+    On the segment from z to z', inside |w| <= 3/4, |Li_j'(w)| <= 4:
+    Li_1'(w) = 1 / (1 - w), and for j >= 2 Li_j'(w) = Li_(j-1)(w) / w, of
+    modulus at most -log(1 - |w|) / |w| < 2.  With |Li_j(z)| >= r / 4, the
+    truncation moves Li_j by a relative at most 2^-(prec + 26).  A real z
+    is untouched, and so is a z whose parts each have at most prec
+    significant bits and lie within 2^32 of each other in modulus.  Only
+    ``li_series`` passes a complex z, and its 2^-(prec - 1) holds with
+    room: 2^-(prec + 7) + 2^-(prec + 26) < 2^-(prec + 6) before its
+    rounding, and 2^-(prec + 6) + 2^-prec after it.
     """
-    X, Y, s = _dyadic(z)
+    X, Y, s = _dyadic(z, prec + 32)
     terms, F = _li_disk_size(X * X + Y * Y, s, prec)
     Xf, Yf = (X << F) >> s, (Y << F) >> s
     if not Y:  # real z: every imaginary part below stays 0

@@ -2,9 +2,9 @@
 
 Every subcommand validates its flags, runs one library operation, and writes
 a RunReport to stdout as JSON (or CSV with --format csv).  Exit codes:
-0 success, 1 suite failure, 2 usage error, 3 domain error, 4 numerical
-failure (reconstruction, integration, or a combinatorial certificate that
-does not hold: ArithmeticError).
+0 success, 1 a report whose verdict is fail, 2 usage error, 3 domain
+error, 4 numerical failure (reconstruction, integration, or a combinatorial
+certificate that does not hold: ArithmeticError).
 
 The table COMMANDS is the one place a command is defined: its help line, its
 own flags, its --n cap and its handler.  A call reads its flags straight from
@@ -24,10 +24,10 @@ reading one byte past the cap, not the whole file.
 Every command takes --precision, --format and --timing, and any other flag
 only if it reads it, with two exceptions.  --precision sets the accuracy of
 every series value, period matrix and transport.  paving takes --samples and
---seed, and suite takes --seed and hands it to paving; paving checks both,
-echoes --samples and reads neither, as its verdict is exact and draws no
-point.  --tol belongs to integrate, as its quadrature target, which it
-checks; li, lambda and kummer-block accept it too and read none of it.
+--seed; it checks both, echoes --samples and reads neither, as its verdict
+is exact and draws no point.  --tol belongs to integrate, as its
+quadrature target, which it checks; li, lambda and kummer-block accept it
+too and read none of it.
 monodromy, kummer-block and flatness take no tolerance.  monodromy certifies
 entry (0, j) on the lattice (1/j!) Z by its proved radius, below half the
 spacing 1/j!; its output is exact, so it runs at the least precision that
@@ -328,11 +328,11 @@ def _paving(args):
             "volume_identity": rep.volume_identity_ok}, rep.passed
 
 
-@_command("suite", "run the full acceptance battery", None, _SEED)
+@_command("suite", "run the full acceptance battery", None)
 def _suite(args):
     # imported here, as no other command reads the battery
     from . import acceptance
-    results = acceptance.run_battery(seed=args.seed)
+    results = acceptance.run_battery()
     return {"criteria": [{"number": r.number, "name": r.name,
                           "passed": r.passed, "details": r.details}
                          for r in results]}, all(r.passed for r in results)
@@ -464,7 +464,7 @@ def main(argv=None):
                        elapsed_ms=elapsed if args.timing else None)
     print(report.to_json(args.precision) if args.format == "json"
           else report.to_csv(args.precision))
-    return 1 if args.command == "suite" and not passed else 0
+    return 1 if passed is False else 0
 
 
 if __name__ == "__main__":

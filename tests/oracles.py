@@ -6,12 +6,14 @@ direct series with proven error bounds, for the paving through a direct
 per-simplex count on the whole stream drawn at once, for the Arnol'd
 algebra through exhaustive elimination of its relation multiples, for ranks
 over F_2 and poset homology through dense mod-2 elimination and signed
-boundary maps reduced over Q, for Hodge transversality through nullspaces
+boundary maps reduced over Q, for the EL-labelling of Pi_n through a check
+of every interval from every partition, for Hodge transversality through nullspaces
 over Q, and for cube integrals through a tensor Gauss-Legendre rule on the
 cube itself - never through the package code paths being tested.
 """
 
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -425,6 +427,53 @@ def ref_poset_homology(n):
     ranks.append(0)
     return tuple((q, len(chains[q]) - ranks[q] - ranks[q + 1])
                  for q in range(len(chains) - 1))
+
+
+def _canonical_partitions(n):
+    """Every set partition of {1..n} as a tuple of sorted block tuples,
+    ordered by their minima."""
+    return [tuple(sorted(tuple(sorted(b)) for b in p))
+            for p in _set_partitions(tuple(range(1, n + 1)))]
+
+
+def _interval_pass(n, x, up):
+    """Check every [x, y] by rank, carrying the increasing and decreasing
+    chains from x by last label and the least word with its chain count;
+    return the decreasing maximal chains of [x, 1]."""
+    inc, dec = collections.defaultdict(collections.Counter), \
+        collections.defaultdict(collections.Counter)
+    inc[x][0], dec[x][n + 1] = 1, 1  # labels lie in 1..n
+    least, level = {x: ((), 1)}, [x]
+    while up[level[0]]:
+        words = collections.defaultdict(collections.Counter)
+        for z in level:
+            for y, k in up[z]:  # chains to z, last label j, then label k
+                inc[y][k] += sum(c for j, c in inc[z].items() if j < k)
+                dec[y][k] += sum(c for j, c in dec[z].items() if j >= k)
+                words[y][least[z][0] + (k,)] += least[z][1]
+        level = sorted(words)
+        for y in level:
+            w, count = least[y] = min(words[y].items())
+            if (count != 1 or sum(inc[y].values()) != 1
+                    or any(a >= b for a, b in zip(w, w[1:]))):
+                raise ArithmeticError(f"not an EL-labelling of Pi_{n}")
+    return sum(dec[level[0]].values())
+
+
+def ref_el_all_intervals(n, label):
+    """The EL check of ``label`` on every interval [x, y] of Pi_n, one pass
+    from each of the Bell(n) partitions x; ArithmeticError if an interval
+    fails it, else the number of decreasing maximal chains of Pi_n.
+    ``label(blocks, a, b)`` labels the merge of blocks a < b."""
+    parts = _canonical_partitions(n)
+    index = {bs: i for i, bs in enumerate(parts)}
+    up = [[(index[tuple(sorted(bs[:a] + bs[a + 1:b] + bs[b + 1:]
+                                + (tuple(sorted(bs[a] + bs[b])),)))],
+            label(bs, a, b))
+           for a, b in itertools.combinations(range(len(bs)), 2)]
+          for bs in parts]
+    chains = [_interval_pass(n, x, up) for x in range(len(up))]
+    return chains[index[tuple((i,) for i in range(1, n + 1))]]
 
 
 def _nullspace(rows, ncols):

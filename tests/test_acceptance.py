@@ -46,12 +46,12 @@ def test_criterion_7_arnold_poset_suite():
 
 
 def test_criterion_8_paving():
-    _report(acceptance.criterion_8(seed=0))
+    _report(acceptance.criterion_8())
 
 
 @pytest.mark.slow
 def test_criterion_9_suite_determinism():
-    cmd = [sys.executable, "-m", "polylogvar", "suite", "--seed", "0"]
+    cmd = [sys.executable, "-m", "polylogvar", "suite"]
     r1 = subprocess.run(cmd, capture_output=True, timeout=1200)
     r2 = subprocess.run(cmd, capture_output=True, timeout=1200)
     assert r1.returncode == 0, r1.stdout.decode()[-2000:]

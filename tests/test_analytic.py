@@ -586,6 +586,42 @@ def test_li_disk_counts_are_the_least_its_docstring_defines(prec, x, y):
     assert _r_times_le(r2, 2 ** f, 2 ** f - 5 * (K + 1))
 
 
+def test_dyadic_truncates_toward_zero_below_the_larger_part():
+    """Given ``keep``, both parts are cut toward 0 at 2^(e - keep),
+    2^(e - 1) <= |larger part| < 2^e; a real z, and parts of 128 bits
+    within 2^32 of each other, stay as they are at keep = 160."""
+    def value(v, keep=None):
+        X, Y, s = analytic._dyadic(v, keep)
+        return Fraction(X, 2 ** s), Fraction(Y, 2 ** s)
+
+    dyadic = analytic._dyadic
+    assert value(complex(-(2 ** -20 + 2 ** -50), 0.75), 40) == \
+        value(complex(-2 ** -20, 0.75))
+    assert value(complex(0.5, -(2 ** -20 + 2 ** -50)), 40) == \
+        value(complex(0.5, -2 ** -20))
+    assert value(complex(0.75 + 2 ** -50, 2 ** -20), 40) == \
+        value(complex(0.75, 2 ** -20))
+    with mp.workprec(128):
+        tiny = mp.mpf("1e-300000000")
+        assert value(mp.mpc(tiny, 0.5), 160) == (0, Fraction(1, 2))
+        for v in (mp.mpc(tiny), mp.mpc(1, 3) / 7,
+                  mp.mpc(2 ** 31, 1) / 7 / 2 ** 32):
+            assert dyadic(v, 160) == dyadic(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_li_series_within_its_bound_when_a_part_is_cut(n):
+    """z = 1/2 + 3^-95 i at 128 bits: its imaginary part, near 2^-150, loses
+    its bits below 2^-160, and Li_n(z) stays within 2^-127 relative."""
+    with mp.workprec(128):
+        z = mp.mpc(0.5, mp.mpf(3) ** -95)
+        assert analytic._dyadic(z, 160) != analytic._dyadic(z)
+        got = li_series(n, z, prec=128)
+    with mp.workprec(320):
+        ref = mp.polylog(n, z)
+        assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** -127
+
+
 @settings(deadline=None, max_examples=200)
 @given(ab=st.integers(2, 64).flatmap(
     lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
@@ -634,8 +670,8 @@ def test_li_disk_real_branch_matches_the_complex_loop(n, prec, x, as_mpc):
     got = analytic._li_disk(n, z, prec)
     dyadic = analytic._dyadic
 
-    def truthy_zero_im(v):
-        X, Y, s = dyadic(v)
+    def truthy_zero_im(v, keep=None):
+        X, Y, s = dyadic(v, keep)
         assert Y == 0
         return [X, _TruthyZero(0), s]
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from polylogvar import analytic, arnold, cli, poset
 from polylogvar.cli import main
 from polylogvar.hodge import FlatnessReport
+from polylogvar.partitions import paving_check
 
 from oracles import ref_eulerian, ref_polylog, ref_solution
 
@@ -531,6 +532,35 @@ def test_tiny_z_runs_in_bounded_memory():
             assert result["matrix"][0][1] == ["1.0e-300000000", "0.0"]
 
 
+def test_z_parts_of_very_different_size_run_in_bounded_memory():
+    """One part of z of modulus 1e-300000000 beside one near 1/2 or 3/4: the
+    series must not write both over the tiny part's denominator.  Each run
+    gets 400 MB of address space and 20 s, and prints Li_n at z with the
+    tiny part dropped, each part within one unit in its last place; in
+    process the value is within a relative 2^-(prec - 1) of it."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
+
+    tiny = "1e-300000000"
+    for n, z, near in ((2, f"{tiny},0.5", mp.mpc(0, 0.5)),
+                       (2, f"0.5,{tiny}", mp.mpc(0.5)),
+                       (64, f"0.75,{tiny}", mp.mpc(0.75))):
+        r = subprocess.run([sys.executable, "-m", "polylogvar", "li", "--n",
+                            str(n), "--z", z], env=_package_env(),
+                           capture_output=True, text=True, timeout=20,
+                           preexec_fn=limit)
+        assert r.returncode == 0, (z, r.stderr[-500:])
+        value = json.loads(r.stdout)["result"]["value"]
+        got = analytic.li_series(n, mp.mpc(*z.split(",")), prec=128)
+        with mp.workprec(256):
+            ref = mp.polylog(n, near)
+            for text, part in zip(value, (ref.real, ref.imag)):
+                assert abs(mp.mpf(text) - part) <= _last_place(text), (z, text)
+            assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** -127, (z, got)
+
+
 def test_flag_validation_before_compute():
     code, _ = run_cli(["paving", "--n", "3", "--z", "0.5", "--samples", "-5"])
     assert code == 3
@@ -915,8 +945,8 @@ def test_tol_is_checked_only_where_it_is_read(capsys):
 
 def test_each_flag_is_on_the_commands_that_take_it():
     """Every command takes --precision, --format and --timing; --seed only
-    paving and suite, and --tol only integrate, which reads it, and the
-    three that cli-mix still passes it to."""
+    paving, and --tol only integrate, which reads it, and the three that
+    cli-mix still passes it to."""
     assert [flag for flag, _ in cli._SHARED_FLAGS] == \
         ["--precision", "--format", "--timing"]
 
@@ -924,17 +954,54 @@ def test_each_flag_is_on_the_commands_that_take_it():
         return {name for name, command in cli.COMMANDS.items()
                 if flag in dict(command.flags)}
 
-    assert takes("--seed") == {"paving", "suite"}
+    assert takes("--seed") == {"paving"}
     assert takes("--tol") == {"integrate", "li", "lambda", "kummer-block"}
 
 
-def test_suite_criteria_do_not_depend_on_the_seed():
-    """--seed reaches only paving, whose verdict draws no point, so the
-    suite's byte-reproducibility (criterion 9) holds whatever the seed."""
-    runs = [run_cli(["suite", "--seed", seed]) for seed in ("0", "5")]
-    assert [code for code, _ in runs] == [0, 0]
-    first, second = (json.loads(out)["result"]["criteria"] for _, out in runs)
-    assert first == second
+def test_suite_takes_no_seed(capsys):
+    """The suite draws nothing, so it takes no --seed; its paving criterion
+    reports each n's verdict and volume identity, and no redraw count."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["suite", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out = run_cli(["suite"])
+    rep = json.loads(out)
+    assert code == 0 and rep["verdict"] == "pass" and rep["params"] == {
+        "precision": 128}
+    paving = rep["result"]["criteria"][7]
+    assert paving["details"] == {
+        f"n{n}": {"passed": True, "volume_identity": True} for n in range(1, 5)}
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (None, 0), (False, 1)])
+def test_exit_code_follows_the_verdict(monkeypatch, passed, code):
+    """Every command's report exits 0 unless its verdict is fail, which
+    exits 1."""
+    for name, command in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            command._replace(run=lambda args: ({}, passed)))
+    for argv in (["postnikov", "--n", "3"], ["flatness", "--n", "1"],
+                 ["gauge-check"], ["suite"]):
+        got, out = run_cli(argv)
+        verdict = json.loads(out)["verdict"]
+        assert (got, verdict) == (code, {True: "pass", None: None,
+                                         False: "fail"}[passed]), argv
+
+
+def test_failing_paving_family_exits_1(monkeypatch):
+    """A family that covers one order twice and another not at all fails
+    the paving check, and the command says so in its exit code."""
+    import itertools
+    doubled = list(itertools.permutations(range(1, 4)))
+    doubled[-1] = doubled[0]
+    monkeypatch.setattr(cli, "paving_check",
+                        lambda n, z, samples, seed: paving_check(
+                            n, z, samples, seed, family=doubled))
+    code, out = run_cli(["paving", "--n", "3", "--z", "0.5"])
+    rep = json.loads(out)
+    assert code == 1 and rep["verdict"] == "fail"
+    assert (rep["result"]["min_cover"], rep["result"]["max_cover"]) == (0, 2)
 
 
 @pytest.mark.parametrize("z", ["nan", "0.1,nan", "nan,0"])

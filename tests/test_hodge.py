@@ -58,7 +58,7 @@ def _flatness_fails(n, prec=128):
     assert not flatness_residual(n, "0.5", prec=prec).passed
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert cli.main(["flatness", "--n", str(n),
-                         "--precision", str(prec)]) == 0
+                         "--precision", str(prec)]) == 1
     assert json.loads(out.getvalue())["verdict"] == "fail"
     assert acceptance.criterion_2().passed is (n > 4)
 
@@ -287,7 +287,7 @@ class TestKummerBlock:
         assert not rep.passed and rep.failing_entry == (1, 2)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["kummer-block", "--n", "3", "--z", "0.5",
-                             "--precision", str(prec)]) == 0
+                             "--precision", str(prec)]) == 1
         assert json.loads(out.getvalue())["verdict"] == "fail"
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
