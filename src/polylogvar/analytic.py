@@ -37,9 +37,10 @@ Monodromy runs at the least precision that certifies: its row step is sized
 for the fewest bits whose proved row-0 radius is below 1/(2 n!), and the
 caller's precision only caps that count.  From that count to the lattice
 points it runs on Python integers: the sizing, the start row, the twist of
-the stepped row by log b and 2*pi*i, and the radius tests.  mpmath enters
-only at an arc's end, in libmp's fixed-point log b and pi, and in
-transport's final product.
+the stepped row by log b and 2*pi*i, and the radius tests.  A chain's
+interior points are float64; only an open path's final arc end is taken by
+mpmath.  So a closed loop's certificate meets mpmath only in libmp's
+fixed-point log b and pi, and transport also in its final product.
 """
 
 import cmath
@@ -53,7 +54,7 @@ from mpmath.libmp import from_man_exp, mpf_log, pi_fixed, to_fixed
 from .errors import (DomainError, IntegrationError, PathError,
                      ReconstructionError)
 from .exact import RationalMatrix, rational_reconstruct
-from .paths import DEFAULT_MARGIN, LineTo, PathSpec
+from .paths import DEFAULT_MARGIN, Arc, LineTo, PathSpec
 
 DEFAULT_PREC = 128
 
@@ -385,18 +386,45 @@ def _disk_chain(path, margin, prec):
     ``_PLAN_RATIO`` * dist(zf, {0, 1}) (``_plan_step``): along an arc it
     turns zf about the centre while the sweep left is longer than that,
     then it runs straight for the segment's end, which it takes once it is
-    that close.  z1 becomes the next centre.  So every point is a Python
-    complex, a pair of dyadic rationals, except the end of an arc of radius
-    r about p from z0: p + (mpc(z0) - p) exp(i sweep), taken once by mpmath
-    at prec + 8 bits, within 2^-(prec + 6) (|p| + r) of its value, and
-    reached as an mpc.  A line ends exactly on its end point, a Python
+    that close.  z1 becomes the next centre.  A segment ends on the start
+    of the next, the Python complex that ``PathSpec.segment_starts`` gives
+    and ``PathSpec.validate`` checks, so a chain's interior points are
+    float64; only an open path's final arc end is taken by mpmath:
+    p + (mpc(s) - p) exp(i sweep) for its start s, at prec + 8 bits,
+    within 2^-(prec + 6) (|p| + r) of its value, and reached as an mpc.
+    An open path's final line ends exactly on its end point, a Python
     complex or an mpc (``_li_row`` ends its line on z itself).  The last
     segment of a closed path ends on the base point itself, which
     ``PathSpec.validate`` puts within 1e-9 of that segment's end: a line
     runs to it, and an arc turns its sweep and then runs straight to it, so
-    the chain of a closed path is closed.  As a step is planned from its own
-    start, its rounding scales with |z1|, not with the length of the
-    segment.
+    the chain of a closed path is closed, and it calls no mpmath.  As a
+    step is planned from its own start, its rounding scales with |z1|, not
+    with the length of the segment.
+
+    Proof that the chain is homotopic, relative to its end points, to the
+    path.  The chain follows the polyline and arcs that ``validate``
+    measured: each segment from its float64 start s, a line to its end
+    point, an arc of radius r = |s - p| about p to its exact end
+    e = p + (s - p) exp(i sweep).  The next segment starts at e', the
+    double that ``segment_starts`` forms from s, cos(sweep) and
+    sin(sweep); the difference s - p, the two libm values, the complex
+    product and the sum with p each add at most a few units in the last
+    place of |p| + r, so |e' - e| < 2^-50 (|p| + r), and every arc with
+    |p| + r >= 2^48 margin is a PathError: the gap [e, e'] is shorter than
+    margin / 4.  The chain stops turning at a point t of the arc, at least
+    margin / 2 from both punctures (below), where the rest of the arc is
+    shorter than a planned step, 0.4 d with d = dist(t, {0, 1}), and it
+    runs straight from t to e'.  The rest of the arc, the gap and that run
+    all lie within 0.4 d + margin / 4 < d of t, in the disk about t of
+    radius d, which is convex and misses the punctures, so the run is
+    homotopic in it, relative to its ends, to the rest of the arc followed
+    by [e, e'].  So the chain is homotopic, relative to its end points, to
+    the exact path with each arc joined to the next segment by its gap,
+    and its end points are the path's own: the base point, and the last
+    segment's end (the base point again for a closed path).
+    ``transport``'s whole-transport bound and ``monodromy``'s rho(p) read
+    only the chain's end points and the class of the path, so both stand
+    as proved.
 
     Every step must pass, in float64,
     |z1 - zf| + 2^-51 (|z1| + |zf|) <= ``_CHECK_RATIO`` dist(zf, {0, 1}).
@@ -407,21 +435,23 @@ def _disk_chain(path, margin, prec):
     relative 2^-20 of the bound, fails the test only when dist(zf, {0, 1})
     is below about 2^-28 |zf|, within a few 1e-9 of 1 (a margin below 1e-8
     allows that).  Such a step, a centre closer than margin / 2 to a
-    puncture, or a chain of more than ``_DISK_CAP`` disks raises PathError
-    before any step is taken.
+    puncture, an arc too wide for the margin (above), or a chain of more
+    than ``_DISK_CAP`` disks raises PathError before any step is taken.
     """
     steps = []
     z = zf = path.base_point
-    last = len(path.segments) - 1
-    for k, seg in enumerate(path.segments):
-        if isinstance(seg, LineTo):
-            p, left, end = None, 0.0, seg.end
-        else:
-            p, left = seg.center, seg.sweep
-            with mp.workprec(prec + _GUARD_BITS):
-                end = p + (mp.mpc(z) - p) * mp.expj(left)
-        if path.closed and k == last:
-            end = path.base_point
+    starts, last = path.segment_starts()
+    if path.closed:
+        last = path.base_point
+    elif isinstance(path.segments[-1], Arc):
+        p, sweep = path.segments[-1]
+        with mp.workprec(prec + _GUARD_BITS):
+            last = p + (mp.mpc(starts[-1]) - p) * mp.expj(sweep)
+    for seg, end in zip(path.segments, starts[1:] + [last]):
+        p, left = (None, 0.0) if isinstance(seg, LineTo) else seg
+        if p is not None and abs(p) + abs(z - p) >= 2 ** 48 * margin:
+            raise PathError(f"an arc of radius {abs(z - p):.3e} about {p} "
+                            f"is too wide for margin {margin} in float64")
         while left or z != end:
             dist = min(abs(zf), abs(1 - zf))
             if dist < margin / 2:
@@ -565,7 +595,8 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     docstring sizes and bounds them.
 
     The solution row (1, R) is stepped by ``_step_row`` across the disk
-    chain of ``path`` (``_disk_chain``, arc ends at ``prec`` + 8 bits), with
+    chain of ``path`` (``_disk_chain``: its interior points are float64;
+    only an open path's final arc end is taken by mpmath), with
     K terms a disk and F fraction bits sized from ``prec`` and the number of
     disks, and R starting at 0.  With ``li_bits`` they are sized from
     ``li_bits`` instead, and R starts at (Li_1(b), ..., Li_n(b)) for the
@@ -688,10 +719,13 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     of P is then within 1.76 1.094 2^-(prec + 8) < 2^-(prec + 7) of the
     exact product for the chain, to every order in e.
 
-    Whole-transport bound.  The chain runs from the base point to the end of
-    the last segment, exactly for a line and within 2^-(prec + 6) (|p| + r)
-    for an arc of radius r about p, or back to the base point itself for a
-    closed path; the exact product for it is
+    Whole-transport bound.  The chain's interior points are float64; only
+    an open path's final arc end is taken by mpmath.  The chain is
+    homotopic to the path relative to its end points (``_disk_chain``),
+    and it runs from the base point to the end of the last segment,
+    exactly for a line and within 2^-(prec + 6) (|p| + r) for an arc of
+    radius r about p, or back to the base point itself for a closed path;
+    the exact product for it is
     L(base)^-1 L(end) on the continued branch.  Moving Lambda by at most
     2^-(prec + 7) moves each Lambda^m / m! by at most
     2^-(prec + 7) e^|Lambda|, and the final product
@@ -845,10 +879,11 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     sqrt(2) 2^-F, together less than 3.4 2^-F < 0.4 2^-21 margin: every
     floored step from c' to z1' passes the exact test
     |z1' - c'| <= 0.4 dist(c', {0, 1}) of ``_step_row``, which checks it
-    again, so the row's series converges across it.  The planned chain
-    follows the loop inside its disks, and the quadrilateral of a planned
-    step and its floored image lies within 0.4 d + 2 sqrt(2) 2^-F < d of c,
-    so the floored closed chain is homotopic to the loop in C \\ {0, 1}.
+    again, so the row's series converges across it.  The planned chain,
+    all float64 points, is homotopic to the loop relative to b
+    (``_disk_chain``), and the quadrilateral of a planned step and its
+    floored image lies within 0.4 d + 2 sqrt(2) 2^-F < d of c, so the
+    floored closed chain is homotopic to the loop in C \\ {0, 1}.
     Then P_c = L(b)^-1 M L(b), and its winding m is the loop's.
 
     Precision.  ``_row0_radius`` forms rho(p) as one Fraction from the
@@ -861,11 +896,11 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     rho(p) >= 1/(2 n!), that is when prec < p*, DomainError, naming p*, is
     raised before any transport.  At b = 1/2, p* is about
     log2((n + 1)!) - 4: 3 bits at n = 4, 124 at n = 33, 299 at n = 64.  The
-    matrix is exact, so any cap that certifies gives the same one; the cap
-    still sets the precision of the chain's arc ends.  No tolerance enters:
-    ``tol`` is accepted, for callers that still pass it, and read nowhere;
-    it goes once the benchmark's workloads stop passing it (ROADMAP.md,
-    item 1).
+    closed chain calls no mpmath and reads no ``prec``, so every cap
+    prec >= p* runs the same computation and gives the same matrix.  No
+    tolerance enters: ``tol`` is accepted, for callers that still pass it,
+    and read nowhere; it goes once the benchmark's workloads stop passing
+    it (ROADMAP.md, item 1).
     """
     if n < 1:
         raise DomainError("monodromy needs n >= 1")

@@ -23,7 +23,6 @@ evaluated once across the halvings of the step.
 """
 
 import math
-import re
 from collections import namedtuple
 
 import mpmath as mp
@@ -68,16 +67,24 @@ class RationalForm(namedtuple("RationalForm", "n num den")):
         return RationalForm(self.n, p.diff(0) * q - p * q.diff(0), q * q)
 
     def __repr__(self):
-        """The form in the cube coordinates, tau^d printed as t1^d*...*tn^d
-        (in an MPoly's repr every factor after the coefficient follows a
-        '*')."""
+        """The form in the cube coordinates."""
         tag = "".join(f" dt{i}" for i in range(1, self.n + 1)) or " (0-form)"
-        num, den = (re.sub(r"\*x1(\^\d+|)", self._tau_on_cube, repr(p))
-                    .replace("x0", "z") for p in (self.num, self.den))
+        num, den = (self._on_cube(p) for p in (self.num, self.den))
         return f"({num}) / ({den})" + tag
 
-    def _tau_on_cube(self, power):
-        return "".join(f"*t{i}{power[1]}" for i in range(1, self.n + 1))
+    def _on_cube(self, poly):
+        """``poly`` term by term as an MPoly prints it, with z for x0 and
+        tau^d printed as t1^d*...*tn^d."""
+        terms = [str(c) + _factor("z", a)
+                 + "".join(_factor(f"t{i}", d) for i in range(1, self.n + 1))
+                 for (a, d), c in sorted(poly.terms.items(), reverse=True)]
+        return " + ".join(terms) or "0"
+
+
+def _factor(name, e):
+    """'*name^e' as an MPoly's repr writes a factor: nothing for e = 0 and
+    no exponent for e = 1."""
+    return "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
 
 
 def pretty(poly, names):

@@ -1051,6 +1051,95 @@ def test_long_segment_past_the_punctures(path, m0, m1):
             assert abs(v - want) <= bound
 
 
+def _turn_loop(around, sweeps):
+    """A closed loop from 1/2 to 1/4 from ``around`` (0 or 1), arcs of the
+    given sweeps about it, and back to 1/2."""
+    approach = complex(0.25 + 0.5 * around, 0.0)
+    arcs = tuple(Arc(complex(around, 0.0), s) for s in sweeps)
+    return PathSpec(complex(0.5, 0.0),
+                    (LineTo(approach),) + arcs + (LineTo(complex(0.5, 0.0)),),
+                    closed=True)
+
+
+_CLOSED_LOOPS = {
+    "loop0": canonical_loop(0),
+    "loop1": canonical_loop(1),
+    "loop0-reversed": canonical_loop(0).reversed(),
+    "loop1-reversed": canonical_loop(1).reversed(),
+    "double-turn-0": _turn_loop(0, [4 * math.pi]),
+    "double-turn-1": _turn_loop(1, [4 * math.pi]),
+    "turn-and-back": _turn_loop(0, [2 * math.pi, -2 * math.pi]),
+    "loop0-then-loop1": canonical_loop(0).then(canonical_loop(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_LOOPS))
+def test_closed_chain_is_float64_and_calls_no_mpmath(monkeypatch, name):
+    """A closed loop's disk chain is all Python complex points, the same at
+    every precision, and its certificate calls neither mpmath.expj nor
+    mpmath.workprec: ``monodromy`` still returns the matrix of the word
+    that ``ref_loop_word`` reads from the loop."""
+    loop = _CLOSED_LOOPS[name]
+    steps = analytic._disk_chain(loop, 1e-3, 64)
+    assert all(type(z) is complex for step in steps for z in step)
+    assert steps == analytic._disk_chain(loop, 1e-3, 4096)
+    assert steps[-1][1] == loop.base_point
+
+    def no_mpmath(*args, **kwargs):
+        raise AssertionError("a closed chain called mpmath")
+
+    monkeypatch.setattr(mp, "expj", no_mpmath)
+    monkeypatch.setattr(mp, "workprec", no_mpmath)
+    n = 3
+    assert monodromy(n, loop) == \
+        RationalMatrix(ref_word_monodromy(n, ref_loop_word(loop)))
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_open_path_through_an_interior_arc(prec):
+    """From 1/2 an arc about 0 by pi/3, then a line to 0.3 + 0.3i: the arc
+    ends on its float64 end, the line's start, and transport's row 0 lies
+    within the whole-transport bound of row 0 of start L(1/2)^-1 L(end),
+    from mpmath's polylog and log at 2 prec + 64 bits.  (Against the
+    polylog itself the start row's own rounding, up to 2^-prec times its
+    weight, would have to be added: at 256 bits it is the larger part.)"""
+    n = 4
+    end = complex(0.3, 0.3)
+    path = PathSpec(complex(0.5, 0.0), (Arc(0j, math.pi / 3), LineTo(end)))
+    steps = analytic._disk_chain(path, 1e-3, prec)
+    arc_end = path.segment_starts()[0][1]
+    assert arc_end in [z1 for _, z1 in steps]
+    assert all(type(z) is complex for step in steps for z in step)
+    start = principal_lambda(n, 0.5, prec=prec)
+    moved = transport(n, path, start, prec=prec)
+    oracle_prec = 2 * prec + 64
+    with mp.workprec(oracle_prec):
+        want = mp.matrix([list(start.entries[0])]) \
+            * mp.inverse(ref_solution(n, 0.5, oracle_prec)) \
+            * ref_solution(n, end, oracle_prec)
+        growth = mp.exp(abs(mp.log(mp.mpc(end)) - mp.log(0.5)))
+        weight = sum(abs(v) for v in start.entries[0])
+        for j in range(1, n + 1):
+            v = moved.entries[0][j]
+            bound = mp.mpf(2) ** -prec * abs(v) \
+                + mp.mpf(2) ** -(prec + 6) * growth * weight
+            assert abs(v - want[0, j]) <= bound
+
+
+def test_arc_too_wide_for_its_margin_is_a_path_error():
+    """An arc with |p| + r >= 2^48 margin could end, in float64, more than
+    a quarter of the margin from its exact end: PathError.  Below the bound
+    the same arc is stepped; at margin 1/8 the bound is 2^45."""
+    for r, ok in ((2.0 ** 44, True), (2.0 ** 45, False)):
+        path = PathSpec(complex(r, 0.0), (Arc(0j, 0.5),
+                                          LineTo(complex(r, r))))
+        if ok:
+            assert analytic._disk_chain(path, 2.0 ** -3, 128)
+        else:
+            with pytest.raises(PathError, match="too wide"):
+                analytic._disk_chain(path, 2.0 ** -3, 128)
+
+
 @settings(deadline=None, max_examples=12)
 @given(n=st.integers(1, 4), side=st.sampled_from([1, -1]),
        corners=st.lists(st.tuples(st.floats(-1.2, 2.2), st.floats(0.3, 1.2)),
