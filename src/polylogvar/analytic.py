@@ -88,8 +88,11 @@ def li_series(n, z, prec=DEFAULT_PREC):
     and on [-1, -0.75) that series at -3/4 stepped along the line to z.
     Either way the value is within a relative 2^-(prec + 6) of Li_n(z)
     before the final rounding to ``prec`` bits (2^-(prec + 7) unless
-    ``_li_disk`` cuts a part of z), so within 2^-(prec - 1) after it.  z = 0 gives an exact 0.  Anywhere else, callers must use
-    transport.
+    ``_li_disk`` cuts a part of z), so within 2^-(prec - 1) after it.
+    The disk is decided exactly (``_in_li_disk``) on z as read at ``prec``
+    bits, or, when one part lies more than 2^32 below the other, on the z'
+    the series sums at, within 2^-(prec + 30) |z| of it.  z = 0 gives an
+    exact 0.  Anywhere else, callers must use transport.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -97,8 +100,10 @@ def li_series(n, z, prec=DEFAULT_PREC):
         zc = mp.mpc(mp.mpmathify(z))
         if not zc:
             return mp.mpc(0)
-        # negated, so that a NaN part fails it too
-        if not abs(zc) <= 0.75 and not (zc.imag == 0 and -1 <= zc.real < 0):
+        # a NaN or infinite part has mantissa 0 in libmp, so it is tested
+        # first; NaN fails the comparisons of the real case too
+        if not (mp.isfinite(zc) and _in_li_disk(zc, prec)) \
+                and not (zc.imag == 0 and -1 <= zc.real < 0):
             raise DomainError("li_series requires |z| <= 0.75 or real z in "
                               "[-1, -0.75]; use transport elsewhere")
         return _li_row(n, zc, prec)[-1]
@@ -209,7 +214,7 @@ def _li_fixed(n, z, prec):
     """
     if n == 0:
         return [], [], 0
-    if abs(z) <= 0.75:
+    if _in_li_disk(z, prec):
         return _li_disk(n, z, prec)
     bits = max(prec, _dyadic(z)[2]) + (8 * n + 15).bit_length()
     *_, F, (r_re, r_im) = _step_chain(
@@ -225,12 +230,7 @@ def _dyadic(v, keep=None):
     2^(e - keep), where 2^(e - 1) <= |larger part| < 2^e, and s need not
     then be the least.  Only bits below 2^(e - keep) go, so a larger part
     of at most ``keep`` significant bits is kept whole."""
-    if isinstance(v, mp.mpc):
-        parts = [(-man if sign else man, exp) for sign, man, exp, _ in v._mpc_]
-    else:
-        v = complex(v)
-        parts = [(m, 1 - d.bit_length()) for m, d in
-                 (v.real.as_integer_ratio(), v.imag.as_integer_ratio())]
+    parts = _parts(v)
     if keep is not None and all(m for m, _ in parts):
         cut = max(e + abs(m).bit_length() for m, e in parts) - keep
         parts = [((abs(m) >> max(0, cut - e)) * (1 if m > 0 else -1),
@@ -240,9 +240,35 @@ def _dyadic(v, keep=None):
     return [x << (ex + s), y << (ey + s), s]
 
 
+def _parts(v):
+    """The real and imaginary parts of v, an mpc or a Python number, as
+    pairs (m, e) of integers, each part m 2^e."""
+    if isinstance(v, mp.mpc):
+        return [(-man if sign else man, exp) for sign, man, exp, _ in v._mpc_]
+    v = complex(v)
+    return [(m, 1 - d.bit_length()) for m, d in
+            (v.real.as_integer_ratio(), v.imag.as_integer_ratio())]
+
+
+def _in_li_disk(v, prec):
+    """Whether z' = ``_dyadic``(v, prec + 32) = (X + i Y) 2^-s, the point
+    that ``_li_disk`` sums at, has |z'| <= 3/4: 16 (X^2 + Y^2) <= 9 4^s,
+    decided exactly.  9 4^s has 2 s + 4 bits, so unless the left side has
+    as many the bit lengths decide, and 4^s, whose s grows as a tiny z
+    shrinks, is formed only when it is about as wide as X^2 + Y^2.
+    z' = v unless both parts are nonzero and one has bits below
+    2^(e - prec - 32), 2^(e - 1) <= |larger part| < 2^e (``_li_disk``)."""
+    X, Y, s = _dyadic(v, prec + 32)
+    q = 16 * (X * X + Y * Y)
+    if q.bit_length() != 2 * s + 4:
+        return q.bit_length() < 2 * s + 4
+    return q <= 9 << 2 * s
+
+
 def _li_disk(n, z, prec):
-    """(re, im, E) for 0 < |z| <= 3/4 as in ``_li_fixed``: the exact
-    products z S_j, with S_j = sum_k z^(k-1) / k^j summed in fixed point.
+    """(re, im, E) for z != 0 with |z'| <= 3/4, z' = z unless a part is cut
+    (below), as in ``_li_fixed``: the exact products z S_j, with
+    S_j = sum_k z^(k-1) / k^j summed in fixed point.
 
     z^(k-1) is kept as the pair of integers t_k, scaled by 2^F: t_1 = 2^F and
     t_(k+1) = t_k Z, Z the parts of z floored to 2^-F, with each part shifted
@@ -272,15 +298,18 @@ def _li_disk(n, z, prec):
     larger part of z, z is first replaced by z' = ``_dyadic(z, prec + 32)``:
     both parts truncated toward 0 to multiples of 2^(e - prec - 32), where
     2^(e - 1) <= |larger part| < 2^e.  Truncating toward 0 keeps
-    |z'| <= |z| <= 3/4, and |z - z'| < 2^(e - prec - 31) <= 2^(-prec - 30) r.
-    On the segment from z to z', inside |w| <= 3/4, |Li_j'(w)| <= 4:
-    Li_1'(w) = 1 / (1 - w), and for j >= 2 Li_j'(w) = Li_(j-1)(w) / w, of
-    modulus at most -log(1 - |w|) / |w| < 2.  With |Li_j(z)| >= r / 4, the
-    truncation moves Li_j by a relative at most 2^-(prec + 26).  A real z
+    |z'| <= |z|, and |z - z'| < 2^(e - prec - 31) <= 2^(-prec - 30) r.
+    The disk test (``_in_li_disk``) reads z', so |z'| <= 3/4 and
+    r < R = 3/4 (1 + 2^-(prec + 30)).  On the segment from z to z', inside
+    |w| <= R, |Li_j'(w)| < 4.01: Li_1'(w) = 1 / (1 - w), and for j >= 2
+    Li_j'(w) = Li_(j-1)(w) / w, of modulus at most -log(1 - |w|) / |w| < 2;
+    and the lower bound above, at r < R, is 0.2499 r.  So the truncation
+    moves Li_j by a relative at most 4.01 2^-(prec + 30) / 0.2499, below
+    2^-(prec + 25).  A real z
     is untouched, and so is a z whose parts each have at most prec
     significant bits and lie within 2^32 of each other in modulus.  Only
     ``li_series`` passes a complex z, and its 2^-(prec - 1) holds with
-    room: 2^-(prec + 7) + 2^-(prec + 26) < 2^-(prec + 6) before its
+    room: 2^-(prec + 7) + 2^-(prec + 25) < 2^-(prec + 6) before its
     rounding, and 2^-(prec + 6) + 2^-prec after it.
     """
     X, Y, s = _dyadic(z, prec + 32)
@@ -379,7 +408,9 @@ def _fraction_bits(prec, terms):
 
 
 def _disk_chain(path, margin, prec):
-    """The steps (c, z1) of the disk chain that covers ``path``.
+    """(steps, nearest): the steps (c, z1) of the disk chain that covers
+    ``path``, and the least float64 distance dist(zf, {0, 1}) from which a
+    step was planned (infinity for no step).
 
     Each step is planned in float64 from zf, the double nearest its centre
     c, the end of the step before.  Its length is
@@ -437,8 +468,10 @@ def _disk_chain(path, margin, prec):
     allows that).  Such a step, a centre closer than margin / 2 to a
     puncture, an arc too wide for the margin (above), or a chain of more
     than ``_DISK_CAP`` disks raises PathError before any step is taken.
+    So nearest >= margin / 2.  Each dist(zf, {0, 1}) is within a relative
+    2^-51 of the distance from the centre c itself.
     """
-    steps = []
+    steps, nearest = [], math.inf
     z = zf = path.base_point
     starts, last = path.segment_starts()
     if path.closed:
@@ -466,8 +499,9 @@ def _disk_chain(path, margin, prec):
                 raise PathError(f"transport came within {dist:.3e} of a "
                                 f"puncture, too close to step in float64")
             steps.append((z, z1))
+            nearest = min(nearest, dist)
             z, zf = z1, z1f
-    return steps
+    return steps, nearest
 
 
 def _plan_step(zf, p, left, end, step):
@@ -578,9 +612,9 @@ def _step_row(r_re, r_im, c, z1, terms, F):
 def _to_fixed(v, F):
     """The parts of v, an mpc or a Python number, floored to 2^-F and
     scaled by 2^F; exact for a double whose nonzero parts are at least
-    2^(53 - F) in modulus."""
-    X, Y, s = _dyadic(v)
-    return [(X << F) >> s, (Y << F) >> s]
+    2^(53 - F) in modulus.  Each part m 2^e takes one shift of m by F + e,
+    a right shift flooring."""
+    return [m << F + e if F + e >= 0 else m >> -F - e for m, e in _parts(v)]
 
 
 def _from_fixed(re, im, F):
@@ -588,6 +622,22 @@ def _from_fixed(re, im, F):
     prec = mp.mp.prec
     return mp.make_mpc((from_man_exp(re, -F, prec, "n"),
                         from_man_exp(im, -F, prec, "n")))
+
+
+def _floor_bits(d):
+    """The least F >= 0 with 3.4 2^-F < 0.4 2^-20 d, that is
+    17 2^19 < d 2^F, for a double d > 0 or infinity: the fraction bits at
+    which a chain whose steps were planned at least d from {0, 1} may be
+    floored (``monodromy``).  For d = a / den, den a power of 2, and
+    N = 17 den 2^19 >= a, a 2^k shares its bit length with N for
+    k = bitlen(N) - bitlen(a) >= 0, so a 2^(k - 1) < N < a 2^(k + 1): F is
+    k when a 2^k > N and k + 1 otherwise."""
+    if d > 17 << 19:
+        return 0
+    a, den = d.as_integer_ratio()
+    num = 17 * den << 19
+    k = num.bit_length() - a.bit_length()
+    return k + ((a << k) <= num)
 
 
 def _step_chain(n, path, prec, margin, li_bits=None):
@@ -604,7 +654,8 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     b > 3/4 itself a chain from 3/4, nested in this one), rounded once to F
     significant bits, as ``_li_row`` rounds a row, and floored to 2^-F, by
     libmp on integers.  F is then raised, if need be, until b converts
-    exactly and 2^-F <= 2^-25 margin (see ``monodromy``).  d is the change
+    exactly and 3.4 2^-F < 0.4 2^-20 d for the chain's nearest approach d
+    (``_floor_bits``, see ``monodromy``).  d is the change
     of R across the chain, an exact difference of Python integers scaled by
     2^F: from 0 it is row 0 of the chain's product P.  row is the pair
     (r_re, r_im) of the stepped row itself, the start plus d.  turn is the
@@ -615,7 +666,7 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
-    steps = _disk_chain(path, margin, prec)
+    steps, nearest = _disk_chain(path, margin, prec)
     bits = prec if li_bits is None else li_bits
     # the second-order term of the growth bound needs
     # bits + G >= bitlen(n - 1) - 4 + G_0 (``transport``)
@@ -625,9 +676,7 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     F = _fraction_bits(bits + guard, terms)
     base = path.base_point
     if li_bits is not None:
-        # 2^-F <= 2^-25 margin for margin = a / d, d a power of 2
-        a, d = float(margin).as_integer_ratio()
-        F = max(F, _dyadic(base)[2], d.bit_length() + 25 - a.bit_length())
+        F = max(F, _dyadic(base)[2], _floor_bits(nearest))
     points = [_to_fixed(z, F) for z in [base] + [z1 for _, z1 in steps]]
     s_re = s_im = [0] * n
     if li_bits is not None:
@@ -767,26 +816,27 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
 
 
 def _row0_radius(n, base, bits):
-    """rho(bits) = (n + 1) V e^|log b| 2^-(bits + 6), the radius within which
-    ``monodromy`` proves row 0 from a chain sized for ``bits``, as an exact
-    Fraction for the double b = ``base`` in (0, 1).  V = max(1, b / (1 - b))
-    bounds Li_1(b) = -log(1 - b) <= b / (1 - b), hence every
-    |Li_j(b)| <= Li_1(b), and e^|log b| = 1 / b, so V e^|log b| is
-    max(1/b, 1/(1 - b)) = 2^s / min(a, 2^s - a) for b = a / 2^s."""
+    """rho(bits) / 7, where rho(p) = (n + 1) V e^|log b| 2^-(p + 6): the
+    radius within which ``monodromy`` proves row 0 from a chain sized for
+    ``bits``, as an exact Fraction for the double b = ``base`` in (0, 1).
+    V = max(1, b / (1 - b)) bounds Li_1(b) = -log(1 - b) <= b / (1 - b),
+    hence every |Li_j(b)| <= Li_1(b), and e^|log b| = 1 / b, so V e^|log b|
+    is max(1/b, 1/(1 - b)) = 2^s / min(a, 2^s - a) for b = a / 2^s."""
     a, den = base.as_integer_ratio()
     e = den.bit_length() - 1 - bits - 6
-    return Fraction((n + 1) << max(e, 0), min(a, den - a) << max(-e, 0))
+    return Fraction((n + 1) << max(e, 0), 7 * min(a, den - a) << max(-e, 0))
 
 
 def _certified_bits(n, base):
-    """p*, the least integer p with ``_row0_radius``(n, base, p) < 1 / (2 n!),
-    half the spacing of the lattice (1/n!) Z that holds every row-0 entry.
-    For b = a / 2^s that is the least p with
-    min(a, 2^s - a) 2^(p + 6) > 2 (n + 1)! 2^s, one integer comparison."""
+    """p*, the least integer p >= -2 with ``_row0_radius``(n, base, p) <
+    1 / (2 n!), half the spacing of the lattice (1/n!) Z that holds every
+    row-0 entry.  For b = a / 2^s that is the least p >= -2 with
+    7 min(a, 2^s - a) 2^(p + 6) > 2 (n + 1)! 2^s, one integer comparison;
+    as 7 min(a, 2^s - a) < 2 (n + 1)! 2^s, the shift k below is >= 0."""
     a, den = base.as_integer_ratio()
-    near, bound = min(a, den - a), 2 * math.factorial(n + 1) * den
+    near, bound = 7 * min(a, den - a), 2 * math.factorial(n + 1) * den
     k = bound.bit_length() - near.bit_length()
-    return k - 6 + ((near << k) <= bound)
+    return max(-2, k - 6 + ((near << k) <= bound))
 
 
 def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
@@ -817,10 +867,10 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     (1/(j-i)!) Z, and a product of upper triangular matrices keeps that, as
     1 / ((k-i)! (j-k)!) = C(j-i, k-i) / (j-i)! and binomial coefficients are
     integers.  So entry (0, j) of M lies in the lattice (1/j!) Z, whose
-    points lie 1/j! apart.  A computed entry v within rho < 1/(2 j!) of it
-    has it as the one lattice point within rho of Re v: k/j! with
-    k = round(j! Re v) (``rational_reconstruct``).  That Re v lies within rho
-    of k/j! and Im v within rho of 0 are consistency checks; an entry that
+    points lie 1/j! apart.  A computed entry v within r < 1/(2 j!) of it
+    has it as the one lattice point within r of Re v: k/j! with
+    k = round(j! Re v) (``rational_reconstruct``).  That Re v lies within r
+    of k/j! and Im v within r of 0 are consistency checks; an entry that
     fails either raises ReconstructionError, the sign of a fault or of an
     inadmissible path.
 
@@ -835,11 +885,12 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     3 V 2^-F 1.7 2^G < V 2^-(p + 7), adds the rest: u - v is within
     (n + 1) V 2^-(p + 7) of its value for the chain.  Its image under
     E(-l) D^-1 moves entry j by at most that times
-    sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, and the twist's rounding (below)
-    by less than rho(p) / 32, so row 0 of M, certified at 2^-F, is within
-    rho(p) / 7 of row 0 of L(b) P_c L(b)^-1 for the exact product P_c of
-    the chain, where
-    rho(p) = (n + 1) V e^|l| 2^-(p + 6).
+    sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, that is by less than 0.095 rho(p),
+    and the twist's rounding (below) by less than rho(p) / 32, where
+    rho(p) = (n + 1) V e^|l| 2^-(p + 6).  As 0.095 + 1/32 < 1/7, row 0 of
+    M, certified at 2^-F, is within rho(p) / 7 of row 0 of
+    L(b) P_c L(b)^-1 for the exact product P_c of the chain, and rho(p) / 7
+    is the radius that both tests below read.
 
     Row 0 in integers.  With d = u - v, c = 1/(2 pi) and x = -l c >= 0,
     entry j of row 0 is (-i)^j sum_{k <= j} e_k x^(j-k) / (j-k)!,
@@ -865,37 +916,44 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     B <= V (1 + 1.52 2^G + (n + 1) 2^-(p + 7)); with p >= -2 (below), K >= 6
     and F >= p + G + 14, so the rounding stays below
     (n + 1) V e^|l| 2^-(p + 11) = rho(p) / 32.  The imaginary part is
-    tested against rho by one integer comparison, and the real part is
+    tested against rho(p) / 7 by one integer comparison, and the real part is
     handed to ``rational_reconstruct`` as the exact dyadic Fraction it is.
 
     The chain.  Its points are floored to 2^-F, which moves each by less
     than sqrt(2) 2^-F; for F below 53 that is no longer exact for most
     doubles.  F is at least the bit count of b's binary fraction, so b stays
     exact, and the chain, which closes on b (``_disk_chain``), stays closed;
-    and 2^-F <= 2^-25 margin.  A planned step from c to z1 keeps a relative
-    2^-20 of the ratio 0.4 in reserve (``_PLAN_RATIO``), at least
-    0.4 2^-21 margin as d = dist(c, {0, 1}) >= margin / 2, and flooring
-    lengthens it by less than 2 sqrt(2) 2^-F and shortens d by less than
-    sqrt(2) 2^-F, together less than 3.4 2^-F < 0.4 2^-21 margin: every
+    and 3.4 2^-F < 0.4 2^-20 d (``_floor_bits``), where d, the chain's
+    nearest approach, is the least float64 dist(zf, {0, 1}) over its step
+    centres (``_disk_chain``), so that each centre c has
+    d_c = dist(c, {0, 1}) >= d (1 - 2^-51).  A planned step from c to z1
+    keeps a relative 2^-20 of the ratio 0.4 in reserve (``_PLAN_RATIO``),
+    0.4 2^-20 d_c, and flooring lengthens it by less than 2 sqrt(2) 2^-F
+    and shortens 0.4 d_c by less than 0.4 sqrt(2) 2^-F, together less than
+    2.4 sqrt(2) 2^-F < 3.4 (1 - 2^-51) 2^-F < 0.4 2^-20 d_c: every
     floored step from c' to z1' passes the exact test
     |z1' - c'| <= 0.4 dist(c', {0, 1}) of ``_step_row``, which checks it
-    again, so the row's series converges across it.  The planned chain,
+    again, so the row's series converges across it (a failure would be an
+    IntegrationError, never a wrong matrix).  As d >= margin / 2, the
+    margin alone would allow 2^-F <= 2^-25 margin <= 2^-24 d, which meets
+    the test, so F is never above that margin's floor.  The planned chain,
     all float64 points, is homotopic to the loop relative to b
     (``_disk_chain``), and the quadrilateral of a planned step and its
-    floored image lies within 0.4 d + 2 sqrt(2) 2^-F < d of c, so the
+    floored image lies within 0.4 d_c + 2 sqrt(2) 2^-F < d_c of c, so the
     floored closed chain is homotopic to the loop in C \\ {0, 1}.
     Then P_c = L(b)^-1 M L(b), and its winding m is the loop's.
 
-    Precision.  ``_row0_radius`` forms rho(p) as one Fraction from the
+    Precision.  ``_row0_radius`` forms rho(p) / 7 as one Fraction from the
     integers of the double b = a / 2^s, with V <= max(1, b / (1 - b)) and
     e^|l| = 1 / b, so V e^|l| <= 2^s / min(a, 2^s - a), and
-    ``_certified_bits`` finds p*, the least p with rho(p) < 1/(2 n!), which
-    is at most 1/(2 j!) for every column j, by one integer comparison.
-    As V e^|l| >= 2, p* >= -2.  ``prec`` is the most bits the
-    certificate may use: the chain is sized for p = min(prec, p*), and when
-    rho(p) >= 1/(2 n!), that is when prec < p*, DomainError, naming p*, is
-    raised before any transport.  At b = 1/2, p* is about
-    log2((n + 1)!) - 4: 3 bits at n = 4, 124 at n = 33, 299 at n = 64.  The
+    ``_certified_bits`` finds p*, the least p >= -2 with
+    rho(p) / 7 < 1/(2 n!), which is at most 1/(2 j!) for every column j, by
+    one integer comparison; the floor at -2 is the rounding paragraph's.
+    ``prec`` is the most bits the certificate may use: the chain is sized
+    for p = min(prec, p*), and when p < -2 or rho(p) / 7 >= 1/(2 n!), that
+    is when prec < p*, DomainError, naming p*, is raised before any
+    transport.  At b = 1/2, p* is about log2((n + 1)!) - 6.8: 1 bit at
+    n = 4, 121 at n = 33, 296 at n = 64.  The
     closed chain calls no mpmath and reads no ``prec``, so every cap
     prec >= p* runs the same computation and gives the same matrix.  No
     tolerance enters: ``tol`` is accepted, for callers that still pass it,
@@ -912,7 +970,8 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     need = _certified_bits(n, base.real)
     bits = min(prec, need)
     radius = _row0_radius(n, base.real, bits)
-    if 2 * math.factorial(n) * radius.numerator >= radius.denominator:
+    if bits < -2 or \
+            2 * math.factorial(n) * radius.numerator >= radius.denominator:
         raise DomainError(
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "

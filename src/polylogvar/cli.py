@@ -33,7 +33,8 @@ entry (0, j) on the lattice (1/j!) Z by its proved radius, below half the
 spacing 1/j!; its output is exact, so it runs at the least precision that
 certifies, the fewest bits whose proved row-0 radius is below 1/(2 n!), and
 --precision only caps it: a cap too low is a domain error that names the
-bits needed (--n 33 certifies at the default 128, --n 64 needs 299).
+bits needed (--n 34 certifies at the default 128, --n 35 needs 132 and
+--n 64 needs 296).
 kummer-block's block is an exact identity, and each entry must lie within
 principal_lambda's proved relative radius 2^-(prec - 1); its max_error is
 the largest relative distance of an entry from the closed form, about

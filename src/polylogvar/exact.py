@@ -63,7 +63,8 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(Fraction(v) for v in row) for row in entries)
+        entries = tuple(tuple(v if isinstance(v, Fraction) else Fraction(v)
+                              for v in row) for row in entries)
         if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
         self.rows = len(entries)

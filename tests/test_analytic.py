@@ -73,6 +73,21 @@ class TestLiSeries:
         with pytest.raises(DomainError):
             li_series(0, 0.5)
 
+    def test_disk_is_decided_exactly(self):
+        """0.6 + 0.45i read at 128 bits lies outside |z| <= 3/4, by less
+        than its rounded modulus shows; 0.75i and -0.75 lie on the rim."""
+        with mp.workprec(128):
+            z = mp.mpc("0.6", "0.45")
+            assert abs(z) <= 0.75
+        x, y = _fractions(z)
+        assert x * x + y * y > Fraction(9, 16)
+        with pytest.raises(DomainError, match="li_series requires"):
+            li_series(2, "0.6+0.45j", prec=128)
+        for z in (0.75j, -0.75, mp.mpc(0, "0.75")):
+            with mp.workprec(ORACLE_PREC):
+                assert abs(li_series(2, z) - ref_polylog(2, z)) \
+                    < mp.mpf(2) ** -120
+
     @pytest.mark.parametrize("z", [mp.nan, mp.mpc(0.1, mp.nan),
                                    mp.mpc(mp.nan, 0), complex(-0.9, math.nan)])
     def test_non_finite_z_fails_the_domain_gate(self, z):
@@ -291,26 +306,30 @@ class TestTransport:
     def test_open_path_ends_on_its_arc(self, prec, corner, centre):
         """Transport along an arc of sweep pi/3 ends at
         p + (a - p) exp(i sweep) itself, for the start a and centre p, not
-        at its float64 neighbour: row 0 matches mpmath's polylog there
-        within the whole-transport bound.  From 0.5 + 0.5j about
-        0.1 + 0.1j, a - p is not exact in float64."""
+        at its float64 neighbour: row 0 lies within the whole-transport
+        bound of row 0 of start L(1/2)^-1 L(end), from mpmath's polylog and
+        log at 2 prec + 64 bits, the product that bound is stated against.
+        From 0.5 + 0.5j about 0.1 + 0.1j, a - p is not exact in float64."""
         n = 4
         sweep = math.pi / 3
         lines = (LineTo(corner),) if corner else ()
         path = PathSpec(complex(0.5, 0.0), lines + (Arc(centre, sweep),))
         start = principal_lambda(n, 0.5, prec=prec)
         moved = transport(n, path, start, prec=prec)
-        oracle_prec = ORACLE_PREC + 64
+        oracle_prec = 2 * prec + 64
         with mp.workprec(oracle_prec):
             a, p = mp.mpc(corner or 0.5), mp.mpc(centre)
             end = p + (a - p) * mp.expj(mp.mpf(sweep))
+            want = mp.matrix([list(start.entries[0])]) \
+                * mp.inverse(ref_solution(n, 0.5, oracle_prec)) \
+                * ref_solution(n, end, oracle_prec)
             growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
             weight = sum(abs(v) for v in start.entries[0])
             for j in range(1, n + 1):
                 v = moved.entries[0][j]
                 bound = mp.mpf(2) ** -prec * abs(v) \
                     + mp.mpf(2) ** -(prec + 6) * growth * weight
-                assert abs(v - ref_polylog(j, end, oracle_prec)) <= bound
+                assert abs(v - want[0, j]) <= bound
 
     def test_path_through_puncture_rejected(self):
         through = PathSpec(complex(0.5, 0), (LineTo(complex(-0.5, 0)),))
@@ -386,7 +405,7 @@ class TestMonodromy:
     def test_tight_denominator_bound_fails(self, first_step_off):
         # the first disk step leaves Li_1 1 too large, which every later step
         # carries unchanged, so entry (0, 1) is off by i / (2 pi), about
-        # 0.16 i, beyond its proved radius, 1/16 at n = 3
+        # 0.16 i, beyond its proved radius, rho(-2) / 7 = 1/14 at n = 3
         with pytest.raises(ReconstructionError, match=r"entry \(0,1\)"):
             monodromy(3, canonical_loop(1))
 
@@ -397,7 +416,7 @@ class TestMonodromy:
                         (LineTo(complex(0.75, 0.0)), Arc(1 + 0j, 2 * math.pi),
                          LineTo(complex(0.5 + 5e-10, 0.0))), closed=True)
         assert monodromy(3, loop) == expected_monodromy_loop1(3)
-        steps = analytic._disk_chain(loop, 1e-3, 128)
+        steps, _ = analytic._disk_chain(loop, 1e-3, 128)
         assert steps[-1][1] == loop.base_point
 
     def test_precision_independence(self):
@@ -425,13 +444,17 @@ class TestMonodromy:
             raise AssertionError("a disk step ran")
 
         monkeypatch.setattr(analytic, "_step_row", no_step)
-        # 128 bits prove row 0 within 3.2e-39, just over 1 / (2 * 34!)
-        with pytest.raises(DomainError, match="needs 129 bits"):
-            monodromy(34, canonical_loop(0))
-        with pytest.raises(DomainError, match="needs 299 bits"):
+        # 128 bits prove row 0 within 4.7e-40, over 1 / (2 * 35!) = 4.8e-41
+        with pytest.raises(DomainError, match="needs 132 bits"):
+            monodromy(35, canonical_loop(0))
+        with pytest.raises(DomainError, match="needs 296 bits"):
             monodromy(64, canonical_loop(0))
-        with pytest.raises(DomainError, match="needs 299 bits"):
-            monodromy(64, canonical_loop(1), prec=298)
+        with pytest.raises(DomainError, match="needs 296 bits"):
+            monodromy(64, canonical_loop(1), prec=295)
+        # rho(-3) / 7 = 1/14 would pass at n = 1, but the rounding proof
+        # needs p >= -2
+        with pytest.raises(DomainError, match="needs -2 bits"):
+            monodromy(1, canonical_loop(1), prec=-3)
 
 
 def _seeded_rectangle(around, seed):
@@ -522,13 +545,15 @@ def test_certified_bits_is_the_least_that_certify(n):
     for base in (0.5, 0.3, 0.05, 0.9, 2 ** -20):
         need = analytic._certified_bits(n, base)
         radius = analytic._row0_radius(n, base, need)
-        assert radius < half <= analytic._row0_radius(n, base, need - 1)
+        assert radius < half
+        assert need == -2 or half <= analytic._row0_radius(n, base, need - 1)
         # the radius with V = max(1, Li_1(b)) itself is no larger
+        rho = 7 * radius
         with mp.workprec(ORACLE_PREC):
             b = mp.mpf(base)
             assert (n + 1) * max(1, -mp.log(1 - b)) / b \
                 / mp.mpf(2) ** (need + 6) \
-                <= mp.mpf(radius.numerator) / radius.denominator
+                <= mp.mpf(rho.numerator) / rho.denominator
 
 
 @settings(deadline=None, max_examples=200)
@@ -538,17 +563,18 @@ def test_certified_bits_is_the_least_that_certify(n):
 @example(n=64, base=2 ** -1074)
 @example(n=1, base=1 - 2 ** -53)
 def test_certified_bits_is_the_least_p_for_any_base(n, base):
-    """p*, found by one integer comparison, is the least p with
-    rho(p) < 1/(2 n!) for any double b in (0, 1), and ``_row0_radius`` is
-    (n + 1) max(1, b / (1 - b)) / b 2^-(p + 6) exactly."""
+    """p*, found by one integer comparison, is the least p >= -2 with
+    rho(p) / 7 < 1/(2 n!) for any double b in (0, 1), and ``_row0_radius``
+    is (n + 1) max(1, b / (1 - b)) / b 2^-(p + 6) / 7 exactly."""
     half = Fraction(1, 2 * math.factorial(n))
     need = analytic._certified_bits(n, base)
     b = Fraction(base)
     for p in (need, need - 1):
         assert analytic._row0_radius(n, base, p) == \
-            (n + 1) * max(1, b / (1 - b)) / b / Fraction(2) ** (p + 6)
-    assert analytic._row0_radius(n, base, need) < half \
-        <= analytic._row0_radius(n, base, need - 1)
+            (n + 1) * max(1, b / (1 - b)) / b / Fraction(2) ** (p + 6) / 7
+    assert need >= -2
+    assert analytic._row0_radius(n, base, need) < half
+    assert need == -2 or half <= analytic._row0_radius(n, base, need - 1)
 
 
 def _r_times_le(r2, a, b):
@@ -708,10 +734,10 @@ def test_chain_is_sized_for_at_least_the_second_order_floor():
 @pytest.mark.parametrize("scale", [Fraction(16, 17), Fraction(16, 15)])
 def test_biased_constants_fail_the_radius_checks(monkeypatch, scale):
     """1/(2 pi) off by a relative 2^-4 moves entry (0, 1) of loop 1's
-    matrix by 1/16, beyond rho(3) = 0.0195 at n = 4.  log b off by a
+    matrix by 1/16, beyond rho(1) / 7 = 0.0112 at n = 4.  log b off by a
     relative 2^-4 moves entry (0, 2) by i |log b| / (32 pi) = 0.0069 i:
-    within rho at n = 4, beyond it (0.0029) at n = 5, where the integer
-    test of the imaginary part catches it."""
+    within the radius at n = 4, beyond it (rho(3) / 7 = 0.0033) at n = 5,
+    where the integer test of the imaginary part catches it."""
     pi_fixed, mpf_log = analytic.pi_fixed, analytic.mpf_log
     with monkeypatch.context() as patch:
         patch.setattr(analytic, "pi_fixed", lambda prec: pi_fixed(prec)
@@ -753,9 +779,9 @@ def test_monodromy_based_above_three_quarters(base, around):
 
 
 def test_certified_bits_at_the_named_weights():
-    # at b = 1/2, p* is the least p with 2^(p + 5) > (n + 1)! * 2
+    # at b = 1/2, p* is the least p >= -2 with 7 * 2^(p + 5) > (n + 1)! * 2
     assert [analytic._certified_bits(n, 0.5) for n in (4, 20, 30, 33, 34, 64)] \
-        == [3, 62, 109, 124, 129, 299]
+        == [1, 59, 106, 121, 127, 296]
 
 
 @pytest.mark.parametrize("prec", [16, 24, 64, 128])
@@ -770,8 +796,9 @@ def test_monodromy_sizes_its_chain_for_the_certificate(monkeypatch, prec):
     monkeypatch.setattr(analytic, "_step_chain", spy)
     assert monodromy(4, canonical_loop(0), prec=prec) == \
         expected_monodromy_loop0(4)
-    # rho(3) = 5 * 2^-8 < 1 / 48 <= rho(2) at n = 4: three bits certify
-    assert calls == [min(prec, 3)]
+    # rho(1) / 7 = 5 * 2^-6 / 7 < 1 / 48 <= rho(0) / 7 at n = 4: one bit
+    # certifies
+    assert calls == [min(prec, 1)]
 
 
 @pytest.mark.parametrize("n, word, tol", [
@@ -1007,7 +1034,7 @@ def test_disk_chain_steps_stay_in_their_disks(base, segments):
         path.validate(margin=0.05)
     except PathError:
         assume(False)
-    steps = analytic._disk_chain(path, 0.05, 128)
+    steps, _ = analytic._disk_chain(path, 0.05, 128)
     points = [base] + [z1 for _, z1 in steps]
     for k, (c, z1) in enumerate(steps):
         assert c == points[k]
@@ -1034,7 +1061,7 @@ def test_long_segment_past_the_punctures(path, m0, m1):
     Log(1 - base) - Log(1 - end) - 2 pi i m1 in entry (0, 1), within the
     whole-transport bound.  The arc crosses both cuts once."""
     path.validate()
-    steps = analytic._disk_chain(path, 1e-3, 128)
+    steps, _ = analytic._disk_chain(path, 1e-3, 128)
     assert all(_within_step_ratio(c, z1) for c, z1 in steps)
     one, zero = mp.mpc(1), mp.mpc(0)
     start = analytic.PeriodMatrix(2, tuple(
@@ -1051,10 +1078,10 @@ def test_long_segment_past_the_punctures(path, m0, m1):
             assert abs(v - want) <= bound
 
 
-def _turn_loop(around, sweeps):
-    """A closed loop from 1/2 to 1/4 from ``around`` (0 or 1), arcs of the
-    given sweeps about it, and back to 1/2."""
-    approach = complex(0.25 + 0.5 * around, 0.0)
+def _turn_loop(around, sweeps, radius=0.25):
+    """A closed loop from 1/2 to ``radius`` from ``around`` (0 or 1), arcs
+    of the given sweeps about it, and back to 1/2."""
+    approach = complex(around + (1 - 2 * around) * radius, 0.0)
     arcs = tuple(Arc(complex(around, 0.0), s) for s in sweeps)
     return PathSpec(complex(0.5, 0.0),
                     (LineTo(approach),) + arcs + (LineTo(complex(0.5, 0.0)),),
@@ -1080,9 +1107,9 @@ def test_closed_chain_is_float64_and_calls_no_mpmath(monkeypatch, name):
     mpmath.workprec: ``monodromy`` still returns the matrix of the word
     that ``ref_loop_word`` reads from the loop."""
     loop = _CLOSED_LOOPS[name]
-    steps = analytic._disk_chain(loop, 1e-3, 64)
+    steps, _ = analytic._disk_chain(loop, 1e-3, 64)
     assert all(type(z) is complex for step in steps for z in step)
-    assert steps == analytic._disk_chain(loop, 1e-3, 4096)
+    assert steps == analytic._disk_chain(loop, 1e-3, 4096)[0]
     assert steps[-1][1] == loop.base_point
 
     def no_mpmath(*args, **kwargs):
@@ -1093,6 +1120,89 @@ def test_closed_chain_is_float64_and_calls_no_mpmath(monkeypatch, name):
     n = 3
     assert monodromy(n, loop) == \
         RationalMatrix(ref_word_monodromy(n, ref_loop_word(loop)))
+
+
+def _near_loop(shape, around, delta):
+    """A counterclockwise loop from 1/2 about puncture ``around`` that comes
+    within ``delta`` of it and no nearer: for "rect" a rectangle whose
+    sides pass ``delta`` from it, for "arc" one turn of radius ``delta``
+    about it."""
+    if shape == "arc":
+        return _turn_loop(around, [2 * math.pi], delta)
+    far = -delta if around == 0 else 1 + delta
+    ys = (delta, -delta) if around == 0 else (-delta, delta)
+    corners = [(0.5, ys[0]), (far, ys[0]), (far, ys[1]), (0.5, ys[1]),
+               (0.5, 0.0)]
+    return PathSpec(complex(0.5, 0.0),
+                    tuple(LineTo(complex(x, y)) for x, y in corners),
+                    closed=True)
+
+
+def _floored(z, F):
+    """The parts of z floored to 2^-F and scaled by 2^F, in Fractions."""
+    return tuple(math.floor(v * 2 ** F) for v in _fractions(z))
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(1, 3), shape=st.sampled_from(["rect", "arc"]),
+       around=st.sampled_from([0, 1]), sign=st.sampled_from([1, -1]),
+       exponent=st.floats(2, math.log2(1000)))
+@example(n=1, shape="arc", around=0, sign=1, exponent=2)
+@example(n=1, shape="rect", around=1, sign=-1, exponent=math.log2(1000))
+@example(n=3, shape="arc", around=1, sign=1, exponent=math.log2(1000))
+def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
+                                                  exponent):
+    """Closed loops about 0 and 1 whose nearest approach d runs from 1/4
+    down to the default margin 1e-3, near the floor's worst case
+    margin / 2 (``validate`` keeps a path itself at least the margin away).
+    The matrix is the generator's; the chain's fraction bits are the sizing
+    for p* or, when larger, the least F with 3.4 2^-F < 0.4 2^-20 d, found
+    here in Fractions, and never above the margin's floor
+    2^-F <= 2^-25 margin; and every floored step passes the exact test
+    25 |w|^2 <= 4 min(|c|^2, |1 - c|^2)."""
+    margin = 1e-3
+    delta = max(margin, 2.0 ** -exponent)
+    loop = _near_loop(shape, around, delta)
+    if sign == -1:
+        loop = loop.reversed()
+    seen = []
+    step_chain = analytic._step_chain
+
+    def spy(*args, **kwargs):
+        chain = step_chain(*args, **kwargs)
+        seen.append(chain[4])
+        return chain
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_step_chain", spy)
+        assert monodromy(n, loop) == \
+            RationalMatrix(ref_word_monodromy(n, [(around, sign)]))
+    [F] = seen
+    steps, d = analytic._disk_chain(loop, margin, analytic.DEFAULT_PREC)
+    assert d == min(min(abs(c), abs(1 - c)) for c, _ in steps)
+    # two centres at distance D either side of the nearest point are at
+    # most 0.4 D apart, so D <= delta / sqrt(0.96)
+    assert margin / 2 <= d <= 1.03 * delta
+    least = 0
+    while Fraction(34, 10) / 2 ** least >= \
+            Fraction(4, 10) * Fraction(d) / 2 ** 20:
+        least += 1
+    need = analytic._certified_bits(n, 0.5)
+    guard = analytic._product_guard(n, len(steps)) \
+        + max(0, (n - 1).bit_length() - 4 - need)
+    sized = analytic._fraction_bits(
+        need + guard, analytic._series_terms(need + guard))
+    assert F == max(sized, least)
+    by_margin = 0
+    while Fraction(1, 2 ** by_margin) > Fraction(margin) / 2 ** 25:
+        by_margin += 1
+    assert least <= by_margin
+    points = [_floored(loop.base_point, F)] \
+        + [_floored(z1, F) for _, z1 in steps]
+    one = 2 ** F
+    for (a, b), (x, y) in zip(points, points[1:]):
+        assert 25 * ((x - a) ** 2 + (y - b) ** 2) <= \
+            4 * min(a * a + b * b, (one - a) ** 2 + b * b)
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -1106,7 +1216,7 @@ def test_open_path_through_an_interior_arc(prec):
     n = 4
     end = complex(0.3, 0.3)
     path = PathSpec(complex(0.5, 0.0), (Arc(0j, math.pi / 3), LineTo(end)))
-    steps = analytic._disk_chain(path, 1e-3, prec)
+    steps, _ = analytic._disk_chain(path, 1e-3, prec)
     arc_end = path.segment_starts()[0][1]
     assert arc_end in [z1 for _, z1 in steps]
     assert all(type(z) is complex for step in steps for z in step)
@@ -1134,7 +1244,7 @@ def test_arc_too_wide_for_its_margin_is_a_path_error():
         path = PathSpec(complex(r, 0.0), (Arc(0j, 0.5),
                                           LineTo(complex(r, r))))
         if ok:
-            assert analytic._disk_chain(path, 2.0 ** -3, 128)
+            assert analytic._disk_chain(path, 2.0 ** -3, 128)[0]
         else:
             with pytest.raises(PathError, match="too wide"):
                 analytic._disk_chain(path, 2.0 ** -3, 128)

@@ -439,23 +439,23 @@ def test_loop_closing_within_the_closure_tolerance_exit_0(tmp_path):
 
 
 def test_precision_cap_below_the_certificate_exit_3(capsys):
-    # at the default 128 bits row 0 is proved only within about 3.2e-39,
-    # just over 1 / (2 * 34!); at 129 bits it certifies
-    code, _ = run_cli(["monodromy", "--n", "34", "--loop", "loop0"])
+    # at the default 128 bits row 0 is proved only within about 4.7e-40,
+    # over 1 / (2 * 35!) = 4.8e-41; at 132 bits it certifies
+    code, _ = run_cli(["monodromy", "--n", "35", "--loop", "loop0"])
     assert code == 3
-    assert "needs 129 bits" in capsys.readouterr().err
-    code, out = run_cli(["monodromy", "--n", "34", "--loop", "loop0",
-                         "--precision", "129"])
+    assert "needs 132 bits" in capsys.readouterr().err
+    code, out = run_cli(["monodromy", "--n", "35", "--loop", "loop0",
+                         "--precision", "132"])
     assert code == 0
     assert json.loads(out)["result"]["matrix"][1][2:4] == ["1", "1/2"]
 
 
 def test_ambiguous_certificate_exit_3(capsys):
     # 128 bits cannot single out a point of (1/64!) Z: the error names the
-    # 299 bits that can
+    # 296 bits that can
     code, _ = run_cli(["monodromy", "--n", "64", "--loop", "loop0"])
     assert code == 3
-    assert "needs 299 bits" in capsys.readouterr().err
+    assert "needs 296 bits" in capsys.readouterr().err
 
 
 def test_matrix_size_guard_exit_3():
@@ -1002,6 +1002,18 @@ def test_failing_paving_family_exits_1(monkeypatch):
     rep = json.loads(out)
     assert code == 1 and rep["verdict"] == "fail"
     assert (rep["result"]["min_cover"], rep["result"]["max_cover"]) == (0, 2)
+
+
+def test_li_rejects_a_z_just_outside_the_disk(capsys):
+    """0.6 + 0.45i read at 128 bits has |z| > 3/4 exactly: exit 3.  The rim
+    points 0.75i and -0.75 still run."""
+    code, _ = run_cli(["li", "--n", "2", "--z", "0.6,0.45"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "domain error: li_series requires |z| <= 0.75")
+    for z in ("0,0.75", "-0.75"):
+        code, _ = run_cli(["li", "--n", "2", "--z", z])
+        assert code == 0
 
 
 @pytest.mark.parametrize("z", ["nan", "0.1,nan", "nan,0"])
