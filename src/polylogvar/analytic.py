@@ -255,9 +255,13 @@ def _in_li_disk(v, prec):
     that ``_li_disk`` sums at, has |z'| <= 3/4: 16 (X^2 + Y^2) <= 9 4^s,
     decided exactly.  9 4^s has 2 s + 4 bits, so unless the left side has
     as many the bit lengths decide, and 4^s, whose s grows as a tiny z
-    shrinks, is formed only when it is about as wide as X^2 + Y^2.
-    z' = v unless both parts are nonzero and one has bits below
+    shrinks, is formed only when it is about as wide as X^2 + Y^2.  A part
+    m 2^e with e + bitlen(m) > 0 is at least 1, so such a v is outside at
+    once, before X or Y, as wide as a huge v, is formed.  z' = v unless
+    both parts are nonzero and one has bits below
     2^(e - prec - 32), 2^(e - 1) <= |larger part| < 2^e (``_li_disk``)."""
+    if any(e + abs(m).bit_length() > 0 for m, e in _parts(v)):
+        return False
     X, Y, s = _dyadic(v, prec + 32)
     q = 16 * (X * X + Y * Y)
     if q.bit_length() != 2 * s + 4:
@@ -408,9 +412,7 @@ def _fraction_bits(prec, terms):
 
 
 def _disk_chain(path, margin, prec):
-    """(steps, nearest): the steps (c, z1) of the disk chain that covers
-    ``path``, and the least float64 distance dist(zf, {0, 1}) from which a
-    step was planned (infinity for no step).
+    """The steps (c, z1) of the disk chain that covers ``path``.
 
     Each step is planned in float64 from zf, the double nearest its centre
     c, the end of the step before.  Its length is
@@ -468,10 +470,8 @@ def _disk_chain(path, margin, prec):
     allows that).  Such a step, a centre closer than margin / 2 to a
     puncture, an arc too wide for the margin (above), or a chain of more
     than ``_DISK_CAP`` disks raises PathError before any step is taken.
-    So nearest >= margin / 2.  Each dist(zf, {0, 1}) is within a relative
-    2^-51 of the distance from the centre c itself.
     """
-    steps, nearest = [], math.inf
+    steps = []
     z = zf = path.base_point
     starts, last = path.segment_starts()
     if path.closed:
@@ -499,9 +499,8 @@ def _disk_chain(path, margin, prec):
                 raise PathError(f"transport came within {dist:.3e} of a "
                                 f"puncture, too close to step in float64")
             steps.append((z, z1))
-            nearest = min(nearest, dist)
             z, zf = z1, z1f
-    return steps, nearest
+    return steps
 
 
 def _plan_step(zf, p, left, end, step):
@@ -624,22 +623,6 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-def _floor_bits(d):
-    """The least F >= 0 with 3.4 2^-F < 0.4 2^-20 d, that is
-    17 2^19 < d 2^F, for a double d > 0 or infinity: the fraction bits at
-    which a chain whose steps were planned at least d from {0, 1} may be
-    floored (``monodromy``).  For d = a / den, den a power of 2, and
-    N = 17 den 2^19 >= a, a 2^k shares its bit length with N for
-    k = bitlen(N) - bitlen(a) >= 0, so a 2^(k - 1) < N < a 2^(k + 1): F is
-    k when a 2^k > N and k + 1 otherwise."""
-    if d > 17 << 19:
-        return 0
-    a, den = d.as_integer_ratio()
-    num = 17 * den << 19
-    k = num.bit_length() - a.bit_length()
-    return k + ((a << k) <= num)
-
-
 def _step_chain(n, path, prec, margin, li_bits=None):
     """(d_re, d_im, turn, ends, F, row) for ``path``, as ``transport``'s
     docstring sizes and bounds them.
@@ -654,19 +637,24 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     b > 3/4 itself a chain from 3/4, nested in this one), rounded once to F
     significant bits, as ``_li_row`` rounds a row, and floored to 2^-F, by
     libmp on integers.  F is then raised, if need be, until b converts
-    exactly and 3.4 2^-F < 0.4 2^-20 d for the chain's nearest approach d
-    (``_floor_bits``, see ``monodromy``).  d is the change
-    of R across the chain, an exact difference of Python integers scaled by
-    2^F: from 0 it is row 0 of the chain's product P.  row is the pair
-    (r_re, r_im) of the stepped row itself, the start plus d.  turn is the
-    float64 sum of the steps' phases Arg(z1 / c), and ends the chain's first
-    and last points in fixed point: ``transport`` forms Lambda from both,
-    and ``monodromy``, whose chain closes, reads its winding from turn.
+    exactly and 3.4 2^-F < 0.4 2^-20 d for the chain's nearest approach d,
+    the least float64 dist(c, {0, 1}) over its step centres c (margin / 2
+    for no step; see ``monodromy``).  That is 17 2^19 < d 2^F: for
+    d = m 2^e with 1/2 <= m < 1 (``math.frexp``), d 2^(24 - e) = m 2^24,
+    which exceeds 17 2^19 just when m > 17/32, and d 2^(23 - e) < 2^23,
+    so the least such F is 24 - e when m > 17/32, else 25 - e.
+    (d_re, d_im) is the change of R across the chain, an exact difference
+    of Python integers scaled by 2^F: from 0 it is row 0 of the chain's
+    product P.  row is the pair (r_re, r_im) of the stepped row itself,
+    the start plus that change.  turn is the float64 sum of the steps'
+    phases Arg(z1 / c), and ends the chain's first and last points in fixed
+    point: ``transport`` forms Lambda from both, and ``monodromy``, whose
+    chain closes, reads its winding from turn.
     """
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
-    steps, nearest = _disk_chain(path, margin, prec)
+    steps = _disk_chain(path, margin, prec)
     bits = prec if li_bits is None else li_bits
     # the second-order term of the growth bound needs
     # bits + G >= bitlen(n - 1) - 4 + G_0 (``transport``)
@@ -676,7 +664,9 @@ def _step_chain(n, path, prec, margin, li_bits=None):
     F = _fraction_bits(bits + guard, terms)
     base = path.base_point
     if li_bits is not None:
-        F = max(F, _dyadic(base)[2], _floor_bits(nearest))
+        m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c, _ in steps),
+                              default=margin / 2))
+        F = max(F, _dyadic(base)[2], 24 - e + (m <= 17 / 32))
     points = [_to_fixed(z, F) for z in [base] + [z1 for _, z1 in steps]]
     s_re = s_im = [0] * n
     if li_bits is not None:
@@ -923,9 +913,9 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     than sqrt(2) 2^-F; for F below 53 that is no longer exact for most
     doubles.  F is at least the bit count of b's binary fraction, so b stays
     exact, and the chain, which closes on b (``_disk_chain``), stays closed;
-    and 3.4 2^-F < 0.4 2^-20 d (``_floor_bits``), where d, the chain's
-    nearest approach, is the least float64 dist(zf, {0, 1}) over its step
-    centres (``_disk_chain``), so that each centre c has
+    and 3.4 2^-F < 0.4 2^-20 d (``_step_chain``), where d, the chain's
+    nearest approach, is the least float64 dist(c, {0, 1}) over its step
+    centres c, float64 points (``_disk_chain``), so that each centre has
     d_c = dist(c, {0, 1}) >= d (1 - 2^-51).  A planned step from c to z1
     keeps a relative 2^-20 of the ratio 0.4 in reserve (``_PLAN_RATIO``),
     0.4 2^-20 d_c, and flooring lengthens it by less than 2 sqrt(2) 2^-F

@@ -416,7 +416,7 @@ class TestMonodromy:
                         (LineTo(complex(0.75, 0.0)), Arc(1 + 0j, 2 * math.pi),
                          LineTo(complex(0.5 + 5e-10, 0.0))), closed=True)
         assert monodromy(3, loop) == expected_monodromy_loop1(3)
-        steps, _ = analytic._disk_chain(loop, 1e-3, 128)
+        steps = analytic._disk_chain(loop, 1e-3, 128)
         assert steps[-1][1] == loop.base_point
 
     def test_precision_independence(self):
@@ -1034,7 +1034,7 @@ def test_disk_chain_steps_stay_in_their_disks(base, segments):
         path.validate(margin=0.05)
     except PathError:
         assume(False)
-    steps, _ = analytic._disk_chain(path, 0.05, 128)
+    steps = analytic._disk_chain(path, 0.05, 128)
     points = [base] + [z1 for _, z1 in steps]
     for k, (c, z1) in enumerate(steps):
         assert c == points[k]
@@ -1061,7 +1061,7 @@ def test_long_segment_past_the_punctures(path, m0, m1):
     Log(1 - base) - Log(1 - end) - 2 pi i m1 in entry (0, 1), within the
     whole-transport bound.  The arc crosses both cuts once."""
     path.validate()
-    steps, _ = analytic._disk_chain(path, 1e-3, 128)
+    steps = analytic._disk_chain(path, 1e-3, 128)
     assert all(_within_step_ratio(c, z1) for c, z1 in steps)
     one, zero = mp.mpc(1), mp.mpc(0)
     start = analytic.PeriodMatrix(2, tuple(
@@ -1107,9 +1107,9 @@ def test_closed_chain_is_float64_and_calls_no_mpmath(monkeypatch, name):
     mpmath.workprec: ``monodromy`` still returns the matrix of the word
     that ``ref_loop_word`` reads from the loop."""
     loop = _CLOSED_LOOPS[name]
-    steps, _ = analytic._disk_chain(loop, 1e-3, 64)
+    steps = analytic._disk_chain(loop, 1e-3, 64)
     assert all(type(z) is complex for step in steps for z in step)
-    assert steps == analytic._disk_chain(loop, 1e-3, 4096)[0]
+    assert steps == analytic._disk_chain(loop, 1e-3, 4096)
     assert steps[-1][1] == loop.base_point
 
     def no_mpmath(*args, **kwargs):
@@ -1178,8 +1178,8 @@ def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
         assert monodromy(n, loop) == \
             RationalMatrix(ref_word_monodromy(n, [(around, sign)]))
     [F] = seen
-    steps, d = analytic._disk_chain(loop, margin, analytic.DEFAULT_PREC)
-    assert d == min(min(abs(c), abs(1 - c)) for c, _ in steps)
+    steps = analytic._disk_chain(loop, margin, analytic.DEFAULT_PREC)
+    d = min(min(abs(c), abs(1 - c)) for c, _ in steps)
     # two centres at distance D either side of the nearest point are at
     # most 0.4 D apart, so D <= delta / sqrt(0.96)
     assert margin / 2 <= d <= 1.03 * delta
@@ -1216,7 +1216,7 @@ def test_open_path_through_an_interior_arc(prec):
     n = 4
     end = complex(0.3, 0.3)
     path = PathSpec(complex(0.5, 0.0), (Arc(0j, math.pi / 3), LineTo(end)))
-    steps, _ = analytic._disk_chain(path, 1e-3, prec)
+    steps = analytic._disk_chain(path, 1e-3, prec)
     arc_end = path.segment_starts()[0][1]
     assert arc_end in [z1 for _, z1 in steps]
     assert all(type(z) is complex for step in steps for z in step)
@@ -1244,7 +1244,7 @@ def test_arc_too_wide_for_its_margin_is_a_path_error():
         path = PathSpec(complex(r, 0.0), (Arc(0j, 0.5),
                                           LineTo(complex(r, r))))
         if ok:
-            assert analytic._disk_chain(path, 2.0 ** -3, 128)[0]
+            assert analytic._disk_chain(path, 2.0 ** -3, 128)
         else:
             with pytest.raises(PathError, match="too wide"):
                 analytic._disk_chain(path, 2.0 ** -3, 128)

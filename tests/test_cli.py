@@ -561,6 +561,26 @@ def test_z_parts_of_very_different_size_run_in_bounded_memory():
             assert abs(got - ref) <= abs(ref) * mp.mpf(2) ** -127, (z, got)
 
 
+def test_huge_z_is_rejected_in_bounded_memory():
+    """A z with a part of modulus 1e300000000 is far outside li's domain:
+    the disk test must say so without writing z over its ~10^9-bit
+    integer.  Each run gets 400 MB of address space and 20 s, and exits 3."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
+
+    huge = "1e300000000"
+    for z in (huge, f"-{huge},0", f"{huge},1", f"0.5,-{huge}"):
+        r = subprocess.run([sys.executable, "-m", "polylogvar", "li", "--n",
+                            "2", f"--z={z}"], env=_package_env(),
+                           capture_output=True, text=True, timeout=20,
+                           preexec_fn=limit)
+        assert r.returncode == 3, (z, r.stderr[-500:])
+        assert r.stderr.startswith(
+            "domain error: li_series requires |z| <= 0.75"), (z, r.stderr)
+
+
 def test_flag_validation_before_compute():
     code, _ = run_cli(["paving", "--n", "3", "--z", "0.5", "--samples", "-5"])
     assert code == 3
