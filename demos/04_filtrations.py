@@ -5,7 +5,9 @@ The weight flag is spanned by leading basis vectors, the Hodge flag by
 trailing columns of the solution matrix; each graded piece must be a line of
 pure type (k, k).  The solution matrix is upper triangular with diagonal
 (2*pi*i)^k, so that is read from which of its entries are exactly zero, with
-no tolerance.  The flatness check reads the connection's tags, ties rows
+no tolerance.  transport continues the principal solution at the loop's
+base point, so the fiber after a loop around 0 still has that shape.  The
+flatness check reads the connection's tags, ties rows
 1..n to their closed form and row 0 to the row transported from z/2, each by
 a proved radius.  The lower-right block of the solution matrix is the
 2*pi*i-twist of a divided-power symmetric power of [[1, log z], [0, 2*pi*i]].
@@ -37,7 +39,7 @@ print("\nweight graded dimensions:", graded_dimensions(fib))
 print("transversality (each graded piece pure of type (k,k), exactly):",
       hodge_transversality_check(fib).passed)
 
-moved = transport(n, canonical_loop(0), lam)
+moved = transport(n, canonical_loop(0))
 print("still transversal after a loop around 0:",
       hodge_transversality_check(FilteredFiber.from_period_matrix(moved)).passed)
 

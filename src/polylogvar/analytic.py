@@ -6,14 +6,15 @@ matrix with first row (1, Li_1(z), ..., Li_n(z)) and rows i >= 1 given by
 (2*pi*i)^i log(z)^(j-i)/(j-i)!.  It solves the linear system
 dL = L * A(z) dz, where A(z) has 1/(1-z) in slot (0,1) and 1/z on the rest
 of the superdiagonal: a nilpotent Fuchsian system with poles only at 0, 1
-and infinity.  Transport continues it along a path by a chain of disks, each
-at most 0.4 times as wide as the distance to the punctures (van der Hoeven
-1999; Mezzarobba 2016).  The product of the disks' transition matrices is
-unitriangular with exp(Lambda N) below row 0, N the upper shift and Lambda
-the continued log(end / base), so transport carries only its row 0, as the
-solution row of the system stepped across each disk by its truncated
-Taylor series, and takes Lambda once from the two end points.  It
-multiplies the start matrix by that product once, at the end.  The row
+and infinity.  Transport continues the principal solution at a real base b
+in (0, 1) along a path by a chain of disks, each at most 0.4 times as wide
+as the distance to the punctures (van der Hoeven 1999; Mezzarobba 2016).
+The product of the disks' transition matrices is unitriangular with
+exp(Lambda N) below row 0, N the upper shift and Lambda the continued
+log(end / b), so below row 0 the continued solution is the closed form
+above with log b + Lambda in place of log z, taken once from the chain's
+end point and winding.  Only row 0, (1, Li_1(b), ..., Li_n(b)), is stepped
+across each disk by its truncated Taylor series.  The row
 step, the series and the principal first row of Li values run on Python
 integers in fixed point, with guard bits sized from the term count and the
 number of disks so that their rounding stays below the truncation error.
@@ -40,7 +41,7 @@ points it runs on Python integers: the sizing, the start row, the twist of
 the stepped row by log b and 2*pi*i, and the radius tests.  A chain's
 interior points are float64; only an open path's final arc end is taken by
 mpmath.  So a closed loop's certificate meets mpmath only in libmp's
-fixed-point log b and pi, and transport also in its final product.
+fixed-point log b and pi.
 """
 
 import cmath
@@ -139,35 +140,53 @@ def _principal_z(z):
 
 def kummer_rows(n, z, prec=DEFAULT_PREC):
     """Rows 1..n of ``principal_lambda(n, z, prec)``, entry for entry, with
-    no Li series: row i is zero before column i and holds
-    (2 pi i)^i log(z)^(j-i) / (j-i)! in column j >= i, with the real
-    principal logarithm, each rounded once to ``prec`` bits.
-
-    Bound.  The real magnitude (2 pi)^i lg^m / m!, m = j - i, is formed at
-    F bits, u = 2^-F, as P_i T_m with P_i = P_(i-1) (2 pi) and
-    T_m = T_(m-1) lg / m, then multiplied exactly by the unit i^i.  Take
-    2 pi and lg = log(z) each within a relative 2u and every product or
-    quotient within u: P_i carries at most 3 i such factors (1 + u), T_m at
-    most 4 m and the product one more, 4 n + 1 in all as i + m <= n, so the
-    magnitude is within a relative 1.01 (4 n + 1) u < (5 n + 6) u.
-    F = prec + 10 + bitlength(5 n + 5) puts that below 2^-(prec + 10), and
-    the rounding to ``prec`` bits adds at most 2^-prec.
-    """
+    no Li series: ``_log_rows`` for z read at ``prec`` bits, real in
+    (0, 1), on the real principal branch of log z."""
     with mp.workprec(prec):
-        zr = _principal_z(z).real
-        with mp.workprec(prec + 10 + (5 * n + 5).bit_length()):
-            two_pi, lg = 2 * mp.pi, mp.log(zr)
-            terms = [mp.mpf(1)]
-            for m in range(1, n):
-                terms.append(terms[-1] * lg / m)
-            power, rows = mp.mpf(1), []
-            for i in range(1, n + 1):
-                power *= two_pi
-                rows.append([power * t for t in terms[:n + 1 - i]])
+        return _log_rows(n, _principal_z(z).real, 0, prec)
+
+
+def _log_rows(n, z, w, prec):
+    """Rows 1..n of the solution matrix at z on the branch
+    l = Log z + 2 pi i w of the logarithm, for an exact mpf or mpc z != 0
+    and an integer w: row i is zero before column i and holds
+    (2 pi i)^i l^(j-i) / (j-i)! in column j >= i, each rounded once to
+    ``prec`` bits.
+
+    Bound.  The value (2 pi)^i lg^m / m!, m = j - i, is formed at F bits,
+    u = 2^-F, as P_i T_m with P_i = P_(i-1) (2 pi) and T_m = T_(m-1) lg / m,
+    then multiplied exactly by the unit i^i; each product or quotient rounds
+    each part once, so it is within u of its value in modulus.  libmp takes
+    2 pi and each part of Log z within a relative 2u.  For w = 0 that is lg:
+    P_i carries at most 3 i factors (1 + u), T_m at most 4 m and the
+    product one more, 4 n + 1 in all as i + m <= n, so the value is within
+    a relative 1.01 (4 n + 1) u < (5 n + 6) u.  For w != 0, lg adds
+    2 pi i w, formed within a relative 2u and summed within u more; as
+    |Arg z| <= pi <= |2 pi w| / 2, the imaginary part of l is at least
+    |2 pi w| / 2 and at least |Arg z| in modulus, so lg is within a relative
+    7u, T_m carries 9 m factors and the value is within a relative
+    1.01 (3 i + 9 m + 1) u <= 1.01 (9 n - 5) u < 2 (5 n + 6) u.
+    F = prec + 10 + bitlength(5 n + 5) puts (5 n + 6) u below
+    2^-(prec + 10): the value is within a relative 2^-(prec + 10) for w = 0
+    and 2^-(prec + 9) for w != 0, and the rounding to ``prec`` bits adds at
+    most 2^-prec of the rounded value, part by part.
+    """
+    with mp.workprec(prec + 10 + (5 * n + 5).bit_length()):
+        two_pi, lg = 2 * mp.pi, mp.log(z)
+        if w:
+            lg += 2j * w * mp.pi
+        terms = [mp.mpf(1)]
+        for m in range(1, n):
+            terms.append(terms[-1] * lg / m)
+        power, rows = mp.mpf(1), []
+        for i in range(1, n + 1):
+            power *= two_pi
+            rows.append([power * t for t in terms[:n + 1 - i]])
+    with mp.workprec(prec):
         for i, row in enumerate(rows, 1):
             unit = mp.mpc((1, 1j, -1, -1j)[i % 4])
             rows[i - 1] = [mp.mpc(0)] * i + [unit * v for v in row]
-        return rows
+    return rows
 
 
 def _li_row(n, z, prec):
@@ -186,9 +205,9 @@ def _li_fixed(n, z, prec):
     of a complex z), for an mpc or a Python number z as in ``_li_row``:
     exact integers, before any rounding.  On the disk it is
     ``_li_disk``.  Elsewhere the disk's row at b = +-3/4, the sign of z, is
-    stepped by ``_step_chain`` along the line from b to z, with
-    li_bits = p + ceil(log2(8 (n + 2))), p = max(prec, the fraction bits of
-    z), and margin min(3/4, |1 - z|), the line's distance to the punctures.
+    stepped by ``_step_chain`` along the line from b to z, sized for
+    bits = p + ceil(log2(8 (n + 2))), p = max(prec, the fraction bits of
+    z), with margin min(3/4, |1 - z|), the line's distance to the punctures.
 
     Proof.  The disks of the chain are centred on the real line between b
     and z, each of radius at most 0.4 times its distance to {0, 1}, so they
@@ -197,18 +216,18 @@ def _li_fixed(n, z, prec):
     (1, Li_1(z), ..., Li_n(z)) for the exact product P_c of the chain.  The
     chain's points are floored to 2^-F, which keeps it in its disks as in
     ``monodromy``, and its ends b and z are exact there: b is 3/4 in
-    modulus, and F >= li_bits + 14 exceeds the fraction bits of z.  Every
+    modulus, and F >= bits + 14 exceeds the fraction bits of z.  Every
     |Li_j(b)| <= Li_1(3/4) = log 4 < 3, so V = 3 bounds the start row, and
     ``monodromy``'s accuracy bound puts the stepped row within
-    (n + 1) V 2^-(li_bits + 7) of the start row times P_c.  The start row
+    (n + 1) V 2^-(bits + 7) of the start row times P_c.  The start row
     is within 3 V 2^-F of Li(b) after flooring, and rows 1..n of P_c are
     exp(Lambda N) with Lambda = log(z / b) real and |Lambda| < log(4/3), so
-    that error adds at most 3 V e^0.3 2^-F < 0.1 2^-(li_bits + 7).  So each
-    entry is within 3 (n + 2) 2^-(li_bits + 7).  On the two intervals
+    that error adds at most 3 V e^0.3 2^-F < 0.1 2^-(bits + 7).  So each
+    entry is within 3 (n + 2) 2^-(bits + 7).  On the two intervals
     |Li_j(z)| >= 3/8: Li_j(z) >= z > 3/4 on (3/4, 1), and on [-1, -3/4)
     the series alternates with terms falling in modulus, so
     |Li_j(z)| >= |z| - |z|^2 / 2 >= 15/32.  The error is then a relative
-    8 (n + 2) 2^-(li_bits + 7) <= 2^-(prec + 7).  Near 1 the chain takes
+    8 (n + 2) 2^-(bits + 7) <= 2^-(prec + 7).  Near 1 the chain takes
     about log(1 / (1 - z)) / log(5/3) disks, and ``_disk_chain``'s
     PathError stops it within about 2^-28 of 1.
     """
@@ -217,10 +236,10 @@ def _li_fixed(n, z, prec):
     if _in_li_disk(z, prec):
         return _li_disk(n, z, prec)
     bits = max(prec, _dyadic(z)[2]) + (8 * n + 15).bit_length()
-    *_, F, (r_re, r_im) = _step_chain(
+    chain = _step_chain(
         n, PathSpec(complex(math.copysign(0.75, z.real)), (LineTo(z),)),
-        prec, float(min(0.75, abs(1 - z))), li_bits=bits)
-    return r_re, r_im, F
+        bits, float(min(0.75, abs(1 - z))))
+    return *chain.row, chain.F
 
 
 def _dyadic(v, keep=None):
@@ -623,102 +642,112 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-def _step_chain(n, path, prec, margin, li_bits=None):
-    """(d_re, d_im, turn, ends, F, row) for ``path``, as ``transport``'s
-    docstring sizes and bounds them.
+_Chain = namedtuple("_Chain", "F start row turn end")
 
-    The solution row (1, R) is stepped by ``_step_row`` across the disk
-    chain of ``path`` (``_disk_chain``: its interior points are float64;
-    only an open path's final arc end is taken by mpmath), with
-    K terms a disk and F fraction bits sized from ``prec`` and the number of
-    disks, and R starting at 0.  With ``li_bits`` they are sized from
-    ``li_bits`` instead, and R starts at (Li_1(b), ..., Li_n(b)) for the
-    base point b, a real double: ``_li_fixed``'s exact row for F bits (for
-    b > 3/4 itself a chain from 3/4, nested in this one), rounded once to F
-    significant bits, as ``_li_row`` rounds a row, and floored to 2^-F, by
-    libmp on integers.  F is then raised, if need be, until b converts
-    exactly and 3.4 2^-F < 0.4 2^-20 d for the chain's nearest approach d,
-    the least float64 dist(c, {0, 1}) over its step centres c (margin / 2
-    for no step; see ``monodromy``).  That is 17 2^19 < d 2^F: for
-    d = m 2^e with 1/2 <= m < 1 (``math.frexp``), d 2^(24 - e) = m 2^24,
-    which exceeds 17 2^19 just when m > 17/32, and d 2^(23 - e) < 2^23,
-    so the least such F is 24 - e when m > 17/32, else 25 - e.
-    (d_re, d_im) is the change of R across the chain, an exact difference
-    of Python integers scaled by 2^F: from 0 it is row 0 of the chain's
-    product P.  row is the pair (r_re, r_im) of the stepped row itself,
-    the start plus that change.  turn is the float64 sum of the steps'
-    phases Arg(z1 / c), and ends the chain's first and last points in fixed
-    point: ``transport`` forms Lambda from both, and ``monodromy``, whose
-    chain closes, reads its winding from turn.
+
+def _step_chain(n, path, bits, margin):
+    """The ``_Chain`` of ``path``: the row (1, Li_1(b), ..., Li_n(b)) at its
+    real base point b stepped across its disk chain, sized for ``bits`` as
+    ``transport``'s docstring sizes and bounds it.
+
+    The row (1, R) is stepped by ``_step_row`` across the disk chain of
+    ``path`` (``_disk_chain``: its interior points are float64; only an open
+    path's final arc end is taken by mpmath, at bits + 8 bits), with K terms
+    a disk and F fraction bits sized from ``bits`` and the number of disks.
+    R starts at (Li_1(b), ..., Li_n(b)), b a real double: ``_li_fixed``'s
+    exact row for F bits (for b > 3/4 itself a chain from 3/4, nested in
+    this one), rounded once to F significant bits, as ``_li_row`` rounds a
+    row, and floored to 2^-F, by libmp on integers.  F is then raised, if
+    need be, until b converts exactly and 3.4 2^-F < 0.4 2^-20 d for the
+    chain's nearest approach d, the least float64 dist(c, {0, 1}) over its
+    step centres c (margin / 2 for no step; see ``monodromy``).  That is
+    17 2^19 < d 2^F: for d = m 2^e with 1/2 <= m < 1 (``math.frexp``),
+    d 2^(24 - e) = m 2^24, which exceeds 17 2^19 just when m > 17/32, and
+    d 2^(23 - e) < 2^23, so the least such F is 24 - e when m > 17/32, else
+    25 - e.
+
+    The chain holds F; start, the floored start row, and row, the stepped
+    row, each a pair (re, im) of lists of Python integers scaled by 2^F;
+    turn, the float64 sum of the steps' phases Arg(z1 / c); and end, the
+    chain's last point in fixed point.  ``monodromy``, whose chain closes,
+    certifies row - start and reads its winding from turn; ``transport``
+    reads its winding from turn and end.
     """
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
-    steps = _disk_chain(path, margin, prec)
-    bits = prec if li_bits is None else li_bits
+    steps = _disk_chain(path, margin, bits)
     # the second-order term of the growth bound needs
     # bits + G >= bitlen(n - 1) - 4 + G_0 (``transport``)
     guard = _product_guard(n, len(steps)) \
         + max(0, (n - 1).bit_length() - 4 - bits)
     terms = _series_terms(bits + guard)
-    F = _fraction_bits(bits + guard, terms)
     base = path.base_point
-    if li_bits is not None:
-        m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c, _ in steps),
-                              default=margin / 2))
-        F = max(F, _dyadic(base)[2], 24 - e + (m <= 17 / 32))
+    m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c, _ in steps),
+                          default=margin / 2))
+    F = max(_fraction_bits(bits + guard, terms), _dyadic(base)[2],
+            24 - e + (m <= 17 / 32))
     points = [_to_fixed(z, F) for z in [base] + [z1 for _, z1 in steps]]
-    s_re = s_im = [0] * n
-    if li_bits is not None:
-        re, im, E = _li_fixed(n, base, F)
-        s_re, s_im = ([to_fixed(from_man_exp(v, -E, F, "n"), F) for v in part]
-                      for part in (re, im))
-    r_re, r_im = s_re, s_im
+    re, im, E = _li_fixed(n, base, F)
+    start = [[to_fixed(from_man_exp(v, -E, F, "n"), F) for v in part]
+             for part in (re, im)]
+    r_re, r_im = start
     for c, z1 in zip(points, points[1:]):
         r_re, r_im = _step_row(r_re, r_im, c, z1, terms, F)
     turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
                      for z0, z1 in steps)
-    return ([a - b for a, b in zip(r_re, s_re)],
-            [a - b for a, b in zip(r_im, s_im)], turn,
-            (points[0], points[-1]), F, (r_re, r_im))
+    return _Chain(F, start, (r_re, r_im), turn, points[-1])
 
 
-def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
-    """Analytic continuation of ``start`` along ``path``.
+def _real_base(path):
+    """The base point b of ``path`` as a float, where ``transport`` and
+    ``monodromy`` start from the principal L(b); DomainError unless it is
+    real and in (0, 1)."""
+    base = path.base_point
+    if base.imag or not 0 < base.real < 1:
+        raise DomainError("the path must be based at real z in (0, 1)")
+    return base.real
+
+
+def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
+    """The principal solution L(b) at the base point b of ``path``, real in
+    (0, 1) (``_real_base``), continued along the path.
 
     The path is covered by a chain of D disks (``_disk_chain``) with
-    |z1 - c| <= 0.4 * dist(c, {0, 1}) for every step from c to z1.  The
-    transition T(c -> z1), L(z1) = L(c) T, is upper unitriangular, and its
-    rows i >= 1 are those of exp(l N), N the upper shift and
-    l = log(1 + w/c), w = z1 - c, the principal logarithm since
+    |z1 - c| <= 0.4 * dist(c, {0, 1}) for every step from c to z1, from b to
+    its last point z_D.  The transition T(c -> z1), L(z1) = L(c) T, is upper
+    unitriangular, and its rows i >= 1 are those of exp(l N), N the upper
+    shift and l = log(1 + w/c), w = z1 - c, the principal logarithm since
     |w/c| <= 0.4.  So the product P = T_1 ... T_D is exp(Lambda N) below
-    row 0, with Lambda = sum l_k, and transport returns start * P, formed
-    once at the end, in mpmath at F bits, and rounded to ``prec``.  The
+    row 0, with Lambda = sum l_k, and below row 0 the continuation L(b) P
+    is L(b)'s closed form with log b + Lambda in place of log b: row i
+    holds (2 pi i)^i (log b + Lambda)^(j-i) / (j-i)! in column j >= i
+    (``_log_rows``), as E(x) E(y) = E(x + y) for ``monodromy``'s E.  Row 0
+    is (1, Li_1(b), ..., Li_n(b)) P, the solution row stepped across the
+    chain by ``_step_chain`` from ``_li_fixed``'s exact row at b, sized for
+    p = prec + bitlen(n + 2) bits.  No matrix product is formed.  The
     chain, the sizing, the row step and the phase sum below are
     ``_step_chain``'s, which ``monodromy`` shares.
 
-    Row 0 of P is the solution row R <- R T_k, from R = e_0, stepped by
-    ``_step_row`` across each disk in Python-int fixed point at 2^-F, about
-    n K complex products a disk.  The points of the chain are converted to
-    fixed point once; a double converts exactly unless a nonzero part is
-    below 2^(53 - F) in modulus.
+    The row R <- R T_k is stepped by ``_step_row`` across each disk in
+    Python-int fixed point at 2^-F, about n K complex products a disk.  The
+    points of the chain are converted to fixed point once; a double
+    converts exactly unless a nonzero part is below 2^(53 - F) in modulus.
 
-    Lambda.  As 1 + w/c = z1/c, exp(Lambda) = z_end / z_base, so
-    Lambda = Log(z_end / z_base) + 2 pi i m for an integer
-    m = (sum theta_k - Arg(z_end / z_base)) / (2 pi), where
-    theta_k = Im l_k = Arg(z1/c) and |theta_k| <= asin 0.4 < 0.42.  m is
-    the nearest integer to that quotient taken in float64 from the phase of
-    the quotient of the doubles nearest c and z1: z1/c lies at least 0.6
-    from 0, with its argument at least 2.7 from the cut at +-pi, so each
-    phase is within 2^-48 of theta_k, and for D <= ``_DISK_CAP`` the sum of
-    phases, and with it the quotient, is within 2^-30 of its exact value.
-    ``transport``, the one caller that reads Lambda, forms it from
-    ``_step_chain``'s phase sum and end points: the logarithm is taken
-    once, at F + 20 bits, from the fixed-point end points; as
-    |Log(z_end / z_base)| < 2^11 for points of double range and
-    2 pi |m| < 0.42 D + 7, Lambda is within u = 2^-F of the exact sum.
-    (A closed chain ends on its base point, so there m is the nearest
-    integer to sum theta_k / (2 pi), with no logarithm: ``monodromy``.)
+    Lambda.  As 1 + w/c = z1/c, exp(Lambda) = z_D / b, so, as b > 0,
+    log b + Lambda = Log z_D + 2 pi i m for an integer
+    m = (sum theta_k - Arg z_D) / (2 pi), where theta_k = Im l_k = Arg(z1/c)
+    and |theta_k| <= asin 0.4 < 0.42.  m is the nearest integer to that
+    quotient taken in float64 from the phase of the quotient of the doubles
+    nearest c and z1: z1/c lies at least 0.6 from 0, with its argument at
+    least 2.7 from the cut at +-pi, so each phase is within 2^-48 of
+    theta_k, and for D <= ``_DISK_CAP`` the sum of phases, and with it the
+    quotient, is within 2^-30 of its exact value.  Arg z_D is libmp's
+    atan2 at 64 bits of the exact z_D, which reads the sign of its
+    imaginary part exactly, so even on the cut it is the Arg of the Log z_D
+    that ``_log_rows`` takes; in float64 it is within 2^-50 of it.  (A
+    closed chain ends on b, so there m is the nearest integer to
+    sum theta_k / (2 pi), with no Arg: ``monodromy``.)
 
     Growth of the product.  Write d = dist(c, {0, 1}) and a = -log 0.6,
     below 0.511.  Majorants below are polynomials in S, the (n+1) x (n+1)
@@ -742,67 +771,72 @@ def transport(n, path, start, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     E = D sum_{l < n} (0.52 D)^l / l!.
 
     Guard bits.  G_0 = ceil(log2 E) (``_product_guard``) grows like
-    log2 D + n log2(0.52 D), and G = G_0 + max(0, bitlen(n - 1) - 4 - prec),
-    so that p' = prec + G - G_0 >= bitlen(n - 1) - 4; the second term is 0
-    for every --precision (at least 64 bits) at n <= 64 and for every
-    monodromy certificate.  K is the least count that puts 0.4^K / 0.6
-    below 2^-(prec + G + 8) (114 terms at 128 bits for a canonical loop at
-    n = 4, where D = 21 and G = 13), and
-    F = prec + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``).  By
-    ``_step_row``, e < 2^-(prec + G + 8) + 4u and r < 3.8 K u, and
-    (5 K + 6) u <= 2^-(prec + G + 8), so
-    e + r < 2^-(prec + G + 8) + (3.8 K + 4) u < 1.76 2^-(prec + G + 8).
+    log2 D + n log2(0.52 D), and G = G_0 + max(0, bitlen(n - 1) - 4 - p),
+    so that p' = p + G - G_0 >= bitlen(n - 1) - 4; the second term is 0
+    for every transport, as p > bitlen(n - 1) - 4 for prec >= -3, and for
+    every monodromy certificate.  K is the least count that puts
+    0.4^K / 0.6 below 2^-(p + G + 8) (116 terms at prec = 128 for a
+    canonical loop at n = 4, where p = 131, D = 21 and G = 13), and
+    F = p + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``), or more
+    (``_step_chain``).  By ``_step_row``, e < 2^-(p + G + 8) + 4u and
+    r < 3.8 K u, and (5 K + 6) u <= 2^-(p + G + 8), so
+    e + r < 2^-(p + G + 8) + (3.8 K + 4) u < 1.76 2^-(p + G + 8).
     Also eps = D e <= 2^G_0 e < (15/11) 2^-(p' + 8), and
     2^(p' + 8) > 16 (n - 1), so (n - 1) eps < 0.086,
     (1 + eps)^(n-1) < 1.09 and (n - 1) delta < 0.094.  Every entry of row 0
-    of P is then within 1.76 1.094 2^-(prec + 8) < 2^-(prec + 7) of the
-    exact product for the chain, to every order in e.
+    of P is then within 1.76 1.094 2^-(p + 8) < 2^-(p + 7) of the exact
+    product for the chain, to every order in e.
 
-    Whole-transport bound.  The chain's interior points are float64; only
-    an open path's final arc end is taken by mpmath.  The chain is
-    homotopic to the path relative to its end points (``_disk_chain``),
-    and it runs from the base point to the end of the last segment,
-    exactly for a line and within 2^-(prec + 6) (|p| + r) for an arc of
-    radius r about p, or back to the base point itself for a closed path;
-    the exact product for it is
-    L(base)^-1 L(end) on the continued branch.  Moving Lambda by at most
-    2^-(prec + 7) moves each Lambda^m / m! by at most
-    2^-(prec + 7) e^|Lambda|, and the final product
-    at F bits adds less than that again, so every entry v of row i of the
-    result lies within
-    2^-prec |v| + 2^-(prec + 6) e^|Lambda| sum_k |start[i][k]|
-    of row i of start times L(base)^-1 L(end); the first term is the final
-    rounding.  The accuracy follows ``prec``.
+    Whole-transport bound.  The chain is homotopic to the path relative to
+    its end points (``_disk_chain``).  It starts on b, exact at 2^-F
+    (``_step_chain``), and ends on z_D: b itself for a closed path, the
+    end of a final line, floored to 2^-F (so exact for a double unless a
+    nonzero part is below 2^(53 - F)), or the end of a final arc of radius
+    r about c_0, taken by mpmath within 2^-(p + 6) (|c_0| + r) of its
+    value.  Let L(z_D) be L(b) continued along the chain, Lambda the
+    continued log(z_D / b), and W_i = sum_k |L(b)[i][k]| the weight of
+    row i of L(b).
+    - Row 0.  Every |Li_j(b)| <= Li_1(b), so V = max(1, Li_1(b)) bounds
+      the start row, and V <= W_0.  ``monodromy``'s accuracy paragraph,
+      which rests on the growth bound above and not on the chain's
+      closing, puts the stepped row's change from its floored start within
+      (n + 1) V 2^-(p + 7) of v (P_c - I), for the exact start row v and
+      the exact product P_c for the chain; the floored start is within
+      3 V 2^-F of v, and F >= p + 14.  So the stepped row is within
+      (n + 1.03) V 2^-(p + 7) < V 2^-(prec + 7) of v P_c, row 0 of L(z_D),
+      as 2^bitlen(n + 2) >= n + 3.
+    - Rows 1..n.  ``_log_rows`` forms entry (i, j), k = j - i, within a
+      relative 2^-(prec + 9) of (2 pi i)^i (log b + Lambda)^k / k!, whose
+      modulus is at most e^|Lambda| W_i: by the binomial theorem
+      (log b + Lambda)^k / k! is the sum over a + c = k of
+      (log b)^a / a! Lambda^c / c!, at most
+      e^|Lambda| sum_(a <= n - i) |log b|^a / a!, and W_i is that sum
+      times (2 pi)^i.
+    - Each entry is rounded once to ``prec`` bits, which moves each part by
+      at most 2^-prec of its rounded value, so the entry v by at most
+      2^-prec |v|.
+    So, as e^|Lambda| >= 1, every entry v of row i lies within
+    2^-prec |v| + 2^-(prec + 6) e^|Lambda| W_i
+    of entry (i, j) of L(z_D).  The accuracy follows ``prec``.  Entries
+    below the diagonal are exact zeros.
 
     Every step that does not end a segment advances by almost 0.4 times the
     distance to the punctures, so the step count is bounded by the
-    arclength over 0.2 * margin, and by ``_DISK_CAP``.  Exact zeros of
-    ``start`` stay exact.
+    arclength over 0.2 * margin, and by ``_DISK_CAP``.
     """
     if n < 1:
         raise DomainError("transport needs n >= 1")
-    if start.n != n:
-        raise DomainError("start matrix has the wrong weight")
-    r_re, r_im, turn, (z0, z1), F, _ = _step_chain(n, path, prec, margin)
-    with mp.workprec(F + 20):
-        log_ratio = mp.log(_from_fixed(*z1, F) / _from_fixed(*z0, F))
-        m = round((turn - float(log_ratio.imag)) / (2 * math.pi))
-        log_sum = log_ratio + 2j * m * mp.pi
-    with mp.workprec(F):
-        # P: row 0 as stepped, exp(Lambda N) below; zeros of start stay exact
-        power = [mp.mpf(1)]
-        for k in range(1, n + 1):
-            power.append(power[-1] * log_sum / k)
-        P = [[mp.mpf(1)] + [_from_fixed(a, b, F)
-                            for a, b in zip(r_re, r_im)]]
-        P += [[0] * i + power[:n + 1 - i] for i in range(1, n + 1)]
-        moved = [[sum((mp.mpc(row[k]) * P[k][j] for k in range(j + 1)
-                       if row[k]), mp.mpc(0)) for j in range(n + 1)]
-                 for row in start.entries]
+    _real_base(path)
+    chain = _step_chain(n, path, prec + (n + 2).bit_length(), margin)
+    end = mp.make_mpc(tuple(from_man_exp(v, -chain.F) for v in chain.end))
+    with mp.workprec(64):
+        m = round((chain.turn - float(mp.arg(end))) / (2 * math.pi))
     with mp.workprec(prec):
-        tag = f"{start.branch_tag} . {path.describe()}"
-        return PeriodMatrix(n, tuple(tuple(+v for v in row) for row in moved),
-                            tag)
+        rows = [[mp.mpc(1)] + [_from_fixed(a, b, chain.F)
+                               for a, b in zip(*chain.row)]]
+        rows += _log_rows(n, end, m, prec)
+    return PeriodMatrix(n, tuple(tuple(row) for row in rows),
+                        f"principal . {path.describe()}")
 
 
 def _row0_radius(n, base, bits):
@@ -865,8 +899,8 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     inadmissible path.
 
     Accuracy.  Let V = max(1, Li_1(b)), which bounds every |Li_j(b)|.  The
-    chain is sized for p bits (below): K, G and F are ``transport``'s with p
-    in place of ``prec``.  The floored start row is within 3 V 2^-F of v,
+    chain is sized for p bits (below): K, G and F are ``transport``'s for a
+    chain sized for p.  The floored start row is within 3 V 2^-F of v,
     and it cancels from u - v up to its image under P - I.  In
     ``transport``'s growth bound, a start row bounded by V in every entry,
     in place of e_0, multiplies the carried error by at most n V (entry j
@@ -954,24 +988,23 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
         raise DomainError("monodromy needs n >= 1")
     if not loop.closed:
         raise DomainError("monodromy needs a closed loop")
-    base = loop.base_point
-    if abs(base.imag) > 0 or not 0 < base.real < 1:
-        raise DomainError("monodromy loops must be based at real z in (0, 1)")
-    need = _certified_bits(n, base.real)
+    base = _real_base(loop)
+    need = _certified_bits(n, base)
     bits = min(prec, need)
-    radius = _row0_radius(n, base.real, bits)
+    radius = _row0_radius(n, base, bits)
     if bits < -2 or \
             2 * math.factorial(n) * radius.numerator >= radius.denominator:
         raise DomainError(
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
-    d_re, d_im, turn, _, F, _ = _step_chain(n, loop, prec, margin,
-                                            li_bits=bits)
-    m = round(turn / (2 * math.pi))
+    chain = _step_chain(n, loop, bits, margin)
+    F, m = chain.F, round(chain.turn / (2 * math.pi))
+    d_re, d_im = ([u - v for u, v in zip(*parts)]
+                  for parts in zip(chain.row, chain.start))
     # row 0 = (u - v) E(-log b) D^-1 at 2^-F: e_k = d_k / (2 pi)^k, then
     # entry j = (-i)^j sum_k e_k x^(j-k) / (j-k)!, x = -log(b) / (2 pi)
-    a, den = base.real.as_integer_ratio()
+    a, den = base.as_integer_ratio()
     c = (1 << 2 * F + 3) // pi_fixed(F + 4)
     x = -(to_fixed(mpf_log(from_man_exp(a, 1 - den.bit_length()), F + 10),
                    F) * c >> F)

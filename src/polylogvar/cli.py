@@ -192,12 +192,7 @@ def _lambda(args):
           MAX_MATRIX_N, _N, ("--loop", dict(
               required=True, help="loop0, loop1, or a path JSON file")))
 def _transport(args):
-    loop = _resolve_loop(args.loop)
-    base = loop.base_point
-    if base.imag != 0 or not 0 < base.real < 1:
-        raise DomainError("path base point must be real in (0, 1)")
-    start = principal_lambda(args.n, base.real, prec=args.precision)
-    moved = transport(args.n, loop, start, prec=args.precision)
+    moved = transport(args.n, _resolve_loop(args.loop), prec=args.precision)
     return {"matrix": [list(row) for row in moved.entries],
             "branch_tag": moved.branch_tag}, None
 

@@ -250,8 +250,8 @@ def flatness_residual(n, z=0.5, prec=192):
     term relative to the row: as z' = m 2^-s with m in [1/2, 1)
     (``math.frexp``), ceil(log2(1/z')) = s + 1, so e = max(0, s), and
     2^-e <= 2 z'.  ``_step_chain`` steps the row (1, Li_1(b), ..., Li_n(b))
-    from ``_li_row`` along the line from b to z', sized with
-    li_bits = prec + e and with margin min(b, 1 - z'), the line's distance
+    from ``_li_row`` along the line from b to z', sized for
+    prec + e bits and with margin min(b, 1 - z'), the line's distance
     to the punctures, and the stepped row u must meet
     w = ``_li_row``(n, z', prec) within
     rho_j = (n + 1) 2^-(prec + e + 6) + 2^-(prec + 6) |w_j| in every
@@ -295,13 +295,12 @@ def flatness_residual(n, z=0.5, prec=192):
         return FlatnessReport(passed, 0.0)
     passed = passed and kummer_block_check(n, z, prec).passed
     b, extra = zp / 2, max(0, -math.frexp(zp)[1])
-    *_, F, (r_re, r_im) = _step_chain(
-        n, PathSpec(complex(b), (LineTo(complex(zp)),)), prec,
-        min(b, 1 - zp), li_bits=prec + extra)
-    with mp.workprec(F):
-        ratio = max(abs(_from_fixed(x, y, F) - w)
+    chain = _step_chain(n, PathSpec(complex(b), (LineTo(complex(zp)),)),
+                        prec + extra, min(b, 1 - zp))
+    with mp.workprec(chain.F):
+        ratio = max(abs(_from_fixed(x, y, chain.F) - w)
                     / mp.ldexp(mp.ldexp(n + 1, -extra) + abs(w), -(prec + 6))
-                    for x, y, w in zip(r_re, r_im,
+                    for x, y, w in zip(*chain.row,
                                        _li_row(n, mp.mpc(zp), prec)))
     return FlatnessReport(passed and ratio <= 1, float(ratio))
 

@@ -1,9 +1,23 @@
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+def pytest_runtest_teardown(item, nextitem):
+    """After the last test under tests/, clear every polylogvar
+    ``lru_cache``, so that a run that goes on into perfbench/ in the same
+    process meets the memo caches as cold as a run of perfbench alone."""
+    if nextitem is not None and Path(__file__).parent in nextitem.path.parents:
+        return
+    for name, module in list(sys.modules.items()):
+        if name == "polylogvar" or name.startswith("polylogvar."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 @pytest.fixture

@@ -224,11 +224,29 @@ def contractible_square():
                     closed=True, name="smallbox")
 
 
+def _assert_row0_within_bound(moved, prec, end):
+    """Row 0 of ``moved``, transport from 1/2 along a path that stays on
+    the principal branch, lies within the whole-transport bound of row 0 of
+    L(end), from mpmath's polylog and log at the working precision:
+    2^-prec |v| + 2^-(prec + 6) e^|Lambda| W_0, with W_0 the weight of
+    row 0 of L(1/2)."""
+    n, oracle_prec = moved.n, mp.mp.prec
+    want = ref_solution(n, end, oracle_prec)
+    growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
+    start = ref_solution(n, 0.5, oracle_prec)
+    weight = sum(abs(start[0, k]) for k in range(n + 1))
+    for j in range(1, n + 1):
+        v = moved.entries[0][j]
+        bound = mp.mpf(2) ** -prec * abs(v) \
+            + mp.mpf(2) ** -(prec + 6) * growth * weight
+        assert abs(v - want[0, j]) <= bound
+
+
 class TestTransport:
     def test_contractible_loop_is_identity(self):
         n = 2
         start = principal_lambda(n, 0.5)
-        moved = transport(n, contractible_square(), start)
+        moved = transport(n, contractible_square())
         for i in range(n + 1):
             for j in range(n + 1):
                 assert abs(moved.entries[i][j] - start.entries[i][j]) <= 10 * TOL
@@ -236,7 +254,7 @@ class TestTransport:
     def test_loop1_weight_one_endpoint(self):
         # by-hand continuation of -log(1-z): the value drops by 2 pi i
         start = principal_lambda(1, 0.5)
-        moved = transport(1, canonical_loop(1), start)
+        moved = transport(1, canonical_loop(1))
         with mp.workprec(128):
             expected01 = start.entries[0][1] - 2j * mp.pi
             assert abs(moved.entries[0][1] - expected01) <= 10 * TOL
@@ -246,31 +264,19 @@ class TestTransport:
     def test_loop0_weight_one_endpoint(self):
         # -log(1-z) is single valued around 0
         start = principal_lambda(1, 0.5)
-        moved = transport(1, canonical_loop(0), start)
+        moved = transport(1, canonical_loop(0))
         assert abs(moved.entries[0][1] - start.entries[0][1]) <= 10 * TOL
-
-    def test_composition(self):
-        n = 2
-        start = principal_lambda(n, 0.5)
-        p1 = canonical_loop(0)
-        p2 = canonical_loop(1)
-        oneshot = transport(n, p1.then(p2), start)
-        twostep = transport(n, p2, transport(n, p1, start))
-        for i in range(n + 1):
-            for j in range(n + 1):
-                assert abs(oneshot.entries[i][j] - twostep.entries[i][j]) <= 10 * TOL
 
     def test_margin_enforced(self):
         bad = PathSpec(complex(0.5, 0), (LineTo(complex(1.0 - 1e-6, 0)),
                                          LineTo(complex(0.5, 0))), closed=True)
-        start = principal_lambda(1, 0.5)
         with pytest.raises(PathError):
-            transport(1, bad, start)
+            transport(1, bad)
 
     def test_triangular_structure_is_exact(self):
         n = 3
         start = principal_lambda(n, 0.5)
-        moved = transport(n, canonical_loop(0), start)
+        moved = transport(n, canonical_loop(0))
         for i in range(n + 1):
             for j in range(i):
                 assert moved.entries[i][j] == 0
@@ -292,8 +298,7 @@ class TestTransport:
         z1 = complex(-0.25, 0.5)
         path = PathSpec(complex(0.5, 0.0),
                         (LineTo(complex(0.5, 0.5)), LineTo(z1)))
-        start = principal_lambda(n, 0.5, prec=prec)
-        moved = transport(n, path, start, prec=prec)
+        moved = transport(n, path, prec=prec)
         with mp.workprec(ORACLE_PREC):
             bound = mp.mpf(2) ** -(prec - 16)
             for j in range(1, n + 1):
@@ -307,46 +312,46 @@ class TestTransport:
         """Transport along an arc of sweep pi/3 ends at
         p + (a - p) exp(i sweep) itself, for the start a and centre p, not
         at its float64 neighbour: row 0 lies within the whole-transport
-        bound of row 0 of start L(1/2)^-1 L(end), from mpmath's polylog and
-        log at 2 prec + 64 bits, the product that bound is stated against.
+        bound of row 0 of L(end), from mpmath's polylog and log at
+        2 prec + 64 bits, the continuation that bound is stated against.
         From 0.5 + 0.5j about 0.1 + 0.1j, a - p is not exact in float64."""
         n = 4
         sweep = math.pi / 3
         lines = (LineTo(corner),) if corner else ()
         path = PathSpec(complex(0.5, 0.0), lines + (Arc(centre, sweep),))
-        start = principal_lambda(n, 0.5, prec=prec)
-        moved = transport(n, path, start, prec=prec)
-        oracle_prec = 2 * prec + 64
-        with mp.workprec(oracle_prec):
+        moved = transport(n, path, prec=prec)
+        with mp.workprec(2 * prec + 64):
             a, p = mp.mpc(corner or 0.5), mp.mpc(centre)
-            end = p + (a - p) * mp.expj(mp.mpf(sweep))
-            want = mp.matrix([list(start.entries[0])]) \
-                * mp.inverse(ref_solution(n, 0.5, oracle_prec)) \
-                * ref_solution(n, end, oracle_prec)
-            growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
-            weight = sum(abs(v) for v in start.entries[0])
-            for j in range(1, n + 1):
-                v = moved.entries[0][j]
-                bound = mp.mpf(2) ** -prec * abs(v) \
-                    + mp.mpf(2) ** -(prec + 6) * growth * weight
-                assert abs(v - want[0, j]) <= bound
+            _assert_row0_within_bound(moved, prec,
+                                      p + (a - p) * mp.expj(mp.mpf(sweep)))
 
     def test_path_through_puncture_rejected(self):
         through = PathSpec(complex(0.5, 0), (LineTo(complex(-0.5, 0)),))
-        start = principal_lambda(1, 0.5)
         with pytest.raises(DomainError):
-            transport(1, through, start, margin=0)
+            transport(1, through, margin=0)
         # passes validation within its 1e-12 slack; transport stops short of 0
         with pytest.raises(PathError):
-            transport(1, through, start, margin=1e-13)
+            transport(1, through, margin=1e-13)
 
     def test_float64_planning_floor_is_a_path_error(self):
         # 1e-14 from 1 the doubles are too coarse to plan a step of the
         # exact ratio: a PathError, not a step that fails the exact check
         past = PathSpec(complex(0.5, 1e-14), (LineTo(complex(1.5, 1e-14)),))
-        start = principal_lambda(1, 0.5)
+        past.validate(margin=1e-14)
         with pytest.raises(PathError, match="float64"):
-            transport(1, past, start, margin=1e-14)
+            analytic._disk_chain(past, 1e-14, 128)
+
+
+@pytest.mark.parametrize("continue_along", [transport, monodromy])
+def test_base_off_the_real_interval_is_a_domain_error(continue_along):
+    """``transport`` and ``monodromy`` share one base check: a loop based
+    at 0.5 + 0.1i is refused before any chain is planned."""
+    loop = PathSpec(complex(0.5, 0.1), (LineTo(complex(0.6, 0.1)),
+                                        LineTo(complex(0.5, 0.1))),
+                    closed=True)
+    loop.validate()
+    with pytest.raises(DomainError, match=r"based at real z in \(0, 1\)"):
+        continue_along(1, loop)
 
 
 class TestMonodromy:
@@ -726,8 +731,8 @@ def test_growth_bound_second_order_fits_its_slack():
 
 def test_chain_is_sized_for_at_least_the_second_order_floor():
     # at n = 64 the floor is bitlen(63) - 4 = 2 bits: 1 and 2 size alike
-    F = [analytic._step_chain(64, canonical_loop(1), prec, 1e-3)[4]
-         for prec in (1, 2, 3)]
+    F = [analytic._step_chain(64, canonical_loop(1), bits, 1e-3).F
+         for bits in (1, 2, 3)]
     assert F[0] == F[1] < F[2]
 
 
@@ -789,9 +794,9 @@ def test_monodromy_sizes_its_chain_for_the_certificate(monkeypatch, prec):
     calls = []
     step_chain = analytic._step_chain
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs["li_bits"])
-        return step_chain(*args, **kwargs)
+    def spy(n, loop, bits, margin):
+        calls.append(bits)
+        return step_chain(n, loop, bits, margin)
 
     monkeypatch.setattr(analytic, "_step_chain", spy)
     assert monodromy(4, canonical_loop(0), prec=prec) == \
@@ -1050,31 +1055,35 @@ _FAR_ARC_START = 1e7j + (1e7 + 0.002) * complex(-math.sin(0.5),
                                                 -math.cos(0.5))
 
 
-@pytest.mark.parametrize("path, m0, m1", [
-    (PathSpec(complex(-1e7, 0.002), (LineTo(complex(1e7, 0.002)),)), 0, 0),
-    (PathSpec(_FAR_ARC_START, (Arc(1e7j, 1.0),)), 1, 1)],
-    ids=["line", "arc"])
-def test_long_segment_past_the_punctures(path, m0, m1):
-    """A line and an arc 1e7 or more long that pass 0.002 from 0 and 1: every
-    step keeps the exact ratio, and transport of the identity at n = 2 gives
-    Lambda = Log(end / base) + 2 pi i m0 in entry (1, 2) and
-    Log(1 - base) - Log(1 - end) - 2 pi i m1 in entry (0, 1), within the
-    whole-transport bound.  The arc crosses both cuts once."""
+@pytest.mark.parametrize("segment, m0, m1", [
+    ((-1e7 + 0.002j, LineTo(complex(1e7, 0.002))), 0, 0),
+    ((_FAR_ARC_START, Arc(1e7j, 1.0)), 1, 1)], ids=["line", "arc"])
+def test_long_segment_past_the_punctures(segment, m0, m1):
+    """A line and an arc 1e7 or more long that pass 0.002 from 0 and 1,
+    reached from 1/2 by a line up to 1/2 + i/2 and one out to the segment's
+    start, above both punctures: every step keeps the exact ratio, and
+    transport at n = 2 gives 2 pi i (Log(end) + 2 pi i m0) in entry (1, 2)
+    and Li_1 continued, -Log(1 - end) - 2 pi i m1, in entry (0, 1), within
+    the whole-transport bound.  The arc crosses both cuts once."""
+    start, tail = segment
+    path = PathSpec(complex(0.5, 0.0),
+                    (LineTo(complex(0.5, 0.5)), LineTo(start), tail))
     path.validate()
     steps = analytic._disk_chain(path, 1e-3, 128)
     assert all(_within_step_ratio(c, z1) for c, z1 in steps)
-    one, zero = mp.mpc(1), mp.mpc(0)
-    start = analytic.PeriodMatrix(2, tuple(
-        tuple(one if i == j else zero for j in range(3)) for i in range(3)))
-    moved = transport(2, path, start)
+    moved = transport(2, path)
     with mp.workprec(ORACLE_PREC):
-        base, end = mp.mpc(path.base_point), mp.mpc(steps[-1][1])
-        lam = mp.log(end) - mp.log(base) + 2j * mp.pi * m0
-        li1 = mp.log(1 - base) - mp.log(1 - end) - 2j * mp.pi * m1
-        for v, want in ((moved.entries[1][2], lam),
-                        (moved.entries[0][1], li1)):
+        base = ref_solution(2, 0.5)
+        end = mp.mpc(steps[-1][1])
+        lam = mp.log(end) - mp.log(0.5) + 2j * mp.pi * m0
+        li1 = -mp.log(1 - end) - 2j * mp.pi * m1
+        for (i, j), want in (((1, 2), 2j * mp.pi * (mp.log(end)
+                                                    + 2j * mp.pi * m0)),
+                             ((0, 1), li1)):
+            v = moved.entries[i][j]
+            weight = sum(abs(base[i, k]) for k in range(3))
             bound = mp.mpf(2) ** -128 * abs(v) \
-                + mp.mpf(2) ** -134 * mp.exp(abs(lam))
+                + mp.mpf(2) ** -134 * mp.exp(abs(lam)) * weight
             assert abs(v - want) <= bound
 
 
@@ -1168,9 +1177,9 @@ def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
     seen = []
     step_chain = analytic._step_chain
 
-    def spy(*args, **kwargs):
-        chain = step_chain(*args, **kwargs)
-        seen.append(chain[4])
+    def spy(*args):
+        chain = step_chain(*args)
+        seen.append(chain.F)
         return chain
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1209,10 +1218,8 @@ def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
 def test_open_path_through_an_interior_arc(prec):
     """From 1/2 an arc about 0 by pi/3, then a line to 0.3 + 0.3i: the arc
     ends on its float64 end, the line's start, and transport's row 0 lies
-    within the whole-transport bound of row 0 of start L(1/2)^-1 L(end),
-    from mpmath's polylog and log at 2 prec + 64 bits.  (Against the
-    polylog itself the start row's own rounding, up to 2^-prec times its
-    weight, would have to be added: at 256 bits it is the larger part.)"""
+    within the whole-transport bound of row 0 of L(end), the polylog
+    itself, from mpmath's polylog and log at 2 prec + 64 bits."""
     n = 4
     end = complex(0.3, 0.3)
     path = PathSpec(complex(0.5, 0.0), (Arc(0j, math.pi / 3), LineTo(end)))
@@ -1220,20 +1227,9 @@ def test_open_path_through_an_interior_arc(prec):
     arc_end = path.segment_starts()[0][1]
     assert arc_end in [z1 for _, z1 in steps]
     assert all(type(z) is complex for step in steps for z in step)
-    start = principal_lambda(n, 0.5, prec=prec)
-    moved = transport(n, path, start, prec=prec)
-    oracle_prec = 2 * prec + 64
-    with mp.workprec(oracle_prec):
-        want = mp.matrix([list(start.entries[0])]) \
-            * mp.inverse(ref_solution(n, 0.5, oracle_prec)) \
-            * ref_solution(n, end, oracle_prec)
-        growth = mp.exp(abs(mp.log(mp.mpc(end)) - mp.log(0.5)))
-        weight = sum(abs(v) for v in start.entries[0])
-        for j in range(1, n + 1):
-            v = moved.entries[0][j]
-            bound = mp.mpf(2) ** -prec * abs(v) \
-                + mp.mpf(2) ** -(prec + 6) * growth * weight
-            assert abs(v - want[0, j]) <= bound
+    moved = transport(n, path, prec=prec)
+    with mp.workprec(2 * prec + 64):
+        _assert_row0_within_bound(moved, prec, mp.mpc(end))
 
 
 def test_arc_too_wide_for_its_margin_is_a_path_error():
@@ -1257,9 +1253,9 @@ def test_arc_too_wide_for_its_margin_is_a_path_error():
        radius=st.floats(0.25, 0.74), angle=st.floats(0.3, math.pi - 0.3))
 def test_multi_disk_transport_against_oracle(n, side, corners, radius, angle):
     """Row 0 of ``transport`` along a 2-4 segment polyline from 1/2 that
-    stays at least 0.2 from the punctures inside one half-plane, against the
-    continuation of the given start matrix built from mpmath's polylog,
-    within the whole-transport bound in ``transport``'s docstring."""
+    stays at least 0.2 from the punctures inside one half-plane, against
+    the polylog at its end from mpmath at 2 prec + 64 bits, within the
+    whole-transport bound in ``transport``'s docstring."""
     end = complex(radius * math.cos(angle), side * radius * math.sin(angle))
     pts = [complex(x, side * y) for x, y in corners] + [end]
     path = PathSpec(complex(0.5, 0.0), tuple(LineTo(p) for p in pts))
@@ -1267,22 +1263,10 @@ def test_multi_disk_transport_against_oracle(n, side, corners, radius, angle):
         path.validate(margin=0.2)
     except PathError:
         assume(False)
-    oracle_prec = ORACLE_PREC + 64
-    with mp.workprec(oracle_prec):
-        P = mp.inverse(ref_solution(n, 0.5, oracle_prec)) \
-            * ref_solution(n, end, oracle_prec)
-        growth = mp.exp(abs(mp.log(end) - mp.log(0.5)))
     for prec in (64, 128, 256):
-        start = principal_lambda(n, 0.5, prec=prec)
-        moved = transport(n, path, start, prec=prec)
-        with mp.workprec(oracle_prec):
-            row = mp.matrix([list(start.entries[0])]) * P
-            weight = sum(abs(v) for v in start.entries[0])
-            for j in range(1, n + 1):
-                v = moved.entries[0][j]
-                bound = mp.mpf(2) ** -prec * abs(v) \
-                    + mp.mpf(2) ** -(prec + 6) * growth * weight
-                assert abs(v - row[0, j]) <= bound
+        moved = transport(n, path, prec=prec)
+        with mp.workprec(2 * prec + 64):
+            _assert_row0_within_bound(moved, prec, mp.mpc(end))
 
 
 class TestPrincipalLambdaPrecision:
@@ -1298,18 +1282,22 @@ class TestPrincipalLambdaPrecision:
                     assert abs(lam.entries[0][j] - ref) <= \
                         mp.mpf(2) ** -(prec - 1)
 
-    def test_loop0_entries_near_their_rationals(self):
-        # transport(L0) around loop0 is M_0 L0: at 128 bits it must sit
-        # within 2^-100 of the exact M_0 times L0
+    @pytest.mark.parametrize("loop", [
+        canonical_loop(0), canonical_loop(1),
+        canonical_loop(0).then(canonical_loop(1))],
+        ids=["loop0", "loop1", "loop0-then-loop1"])
+    def test_loop0_entries_near_their_rationals(self, loop):
+        # transport(L0) around a loop is M L0 for the exact monodromy M:
+        # at 128 bits it must sit within 2^-100 of M times L(1/2)
         n = 4
-        start = principal_lambda(n, 0.5, prec=128)
-        moved = transport(n, canonical_loop(0), start, prec=128)
-        exact = expected_monodromy_loop0(n)
-        with mp.workprec(128):
+        moved = transport(n, loop, prec=128)
+        exact = monodromy(n, loop)
+        with mp.workprec(ORACLE_PREC):
+            start = ref_solution(n, 0.5)
             for i in range(n + 1):
                 for j in range(n + 1):
                     target = sum(mp.mpf(q.numerator) / q.denominator
-                                 * start.entries[k][j]
+                                 * start[k, j]
                                  for k, q in enumerate(exact.entries[i]))
                     assert abs(moved.entries[i][j] - target) <= \
                         mp.mpf(2) ** -100

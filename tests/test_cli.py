@@ -786,6 +786,19 @@ def test_lambda_report():
     assert rep["result"]["matrix"][1][0] == ["0.0", "0.0"]
 
 
+@pytest.mark.parametrize("command", ["transport", "monodromy"])
+def test_path_based_off_the_real_interval_exit_3(command, tmp_path, capsys):
+    """transport and monodromy start from the principal solution at a real
+    base in (0, 1); a closed path based at 0.5 + 0.1i is a domain error of
+    the library's one base check, for both commands."""
+    f = tmp_path / "complex-base.json"
+    f.write_text('{"base":[0.5,0.1],"segments":[{"line":[0.6,0.1]},'
+                 '{"line":[0.5,0.1]}],"closed":true}')
+    code, out = run_cli([command, "--n", "1", "--loop", str(f)])
+    assert code == 3 and out == ""
+    assert "based at real z in (0, 1)" in capsys.readouterr().err
+
+
 def test_transport_contractible():
     loop = {"base": [0.5, 0.0],
             "segments": [{"line": [0.55, 0.1]}, {"line": [0.45, 0.1]},
