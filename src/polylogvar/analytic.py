@@ -38,10 +38,10 @@ Monodromy runs at the least precision that certifies: its row step is sized
 for the fewest bits whose proved row-0 radius is below 1/(2 n!), and the
 caller's precision only caps that count.  From that count to the lattice
 points it runs on Python integers: the sizing, the start row, the twist of
-the stepped row by log b and 2*pi*i, and the radius tests.  A chain's
-interior points are float64; only an open path's final arc end is taken by
-mpmath.  So a closed loop's certificate meets mpmath only in libmp's
-fixed-point log b and pi.
+the stepped row by log b and 2*pi*i, and the radius tests.  A chain is
+planned in float64; only an open path's final arc end, one more step, is
+taken by mpmath.  So a closed loop's certificate meets mpmath only in
+libmp's fixed-point log b and pi.
 """
 
 import cmath
@@ -75,10 +75,8 @@ class PeriodMatrix(namedtuple("PeriodMatrix", "n entries branch_tag")):
     def __new__(cls, n, entries, branch_tag="principal"):
         if len(entries) != n + 1 or any(len(row) != n + 1 for row in entries):
             raise ValueError("entries must form an (n+1) x (n+1) grid")
-        for row in entries:
-            for v in row:
-                if not mp.isfinite(v):
-                    raise ValueError("period matrix entries must be finite")
+        if not all(mp.isfinite(v) for row in entries for v in row):
+            raise ValueError("period matrix entries must be finite")
         return super().__new__(cls, n, entries, branch_tag)
 
 
@@ -124,8 +122,7 @@ def principal_lambda(n, z, prec=DEFAULT_PREC):
         raise DomainError("n must be nonnegative")
     with mp.workprec(prec):
         zm = _principal_z(z)
-        row0 = [mp.mpc(1)] + _li_row(n, zm, prec)
-        grid = [row0] + kummer_rows(n, zm, prec)
+        grid = [[mp.mpc(1)] + _li_row(n, zm, prec)] + kummer_rows(n, zm, prec)
         return PeriodMatrix(n, tuple(tuple(row) for row in grid), "principal")
 
 
@@ -210,20 +207,12 @@ def _li_fixed(n, z, prec):
     z), with margin min(3/4, |1 - z|), the line's distance to the punctures.
 
     Proof.  The disks of the chain are centred on the real line between b
-    and z, each of radius at most 0.4 times its distance to {0, 1}, so they
-    avoid 0 and the cut [1, oo), where (1, Li_1, ..., Li_n) is analytic
-    and solves the system that ``_step_row`` steps: row 0 of L(b) P_c is
-    (1, Li_1(z), ..., Li_n(z)) for the exact product P_c of the chain.  The
-    chain's points are floored to 2^-F, which keeps it in its disks as in
-    ``monodromy``, and its ends b and z are exact there: b is 3/4 in
-    modulus, and F >= bits + 14 exceeds the fraction bits of z.  Every
-    |Li_j(b)| <= Li_1(3/4) = log 4 < 3, so V = 3 bounds the start row, and
-    ``monodromy``'s accuracy bound puts the stepped row within
-    (n + 1) V 2^-(bits + 7) of the start row times P_c.  The start row
-    is within 3 V 2^-F of Li(b) after flooring, and rows 1..n of P_c are
-    exp(Lambda N) with Lambda = log(z / b) real and |Lambda| < log(4/3), so
-    that error adds at most 3 V e^0.3 2^-F < 0.1 2^-(bits + 7).  So each
-    entry is within 3 (n + 2) 2^-(bits + 7).  On the two intervals
+    and z, so they avoid 0 and the cut [1, oo), where (1, Li_1, ..., Li_n)
+    is analytic and solves the system that ``_step_row`` steps, and the
+    chain ends on z, exact at 2^-F as F >= bits + 14 exceeds its fraction
+    bits: row 0 of L(b) P_c is (1, Li_1(z), ..., Li_n(z)).  ``_step_chain``
+    with V = 3 (``_chain_radius`` at b = +-3/4) puts each entry within
+    3 (n + 1.03) 2^-(bits + 7) of it.  On the two intervals
     |Li_j(z)| >= 3/8: Li_j(z) >= z > 3/4 on (3/4, 1), and on [-1, -3/4)
     the series alternates with terms falling in modulus, so
     |Li_j(z)| >= |z| - |z|^2 / 2 >= 15/32.  The error is then a relative
@@ -348,8 +337,7 @@ def _li_disk(n, z, prec):
             t = t * Xf >> F
         return [X * a for a in s_re[1:]], [0] * n, F + s
     t_re, t_im = 1 << F, 0
-    s_re = [0] * (n + 1)
-    s_im = [0] * (n + 1)
+    s_re, s_im = [0] * (n + 1), [0] * (n + 1)
     for k in range(1, terms + 1):
         a, b = t_re, t_im
         for j in range(1, n + 1):
@@ -388,7 +376,7 @@ def _li_disk_size(q, s, prec):
 
 
 # Each disk step covers at most this fraction of the distance from its centre
-# to the nearer puncture; the series tail bound in ``transport`` relies on it.
+# to the nearer puncture; ``_step_chain``'s series tail bound relies on it.
 _STEP_RATIO = 0.4
 # Steps are planned a relative 2^-20 inside _STEP_RATIO and must pass
 # a float64 test against _CHECK_RATIO that implies the exact ratio.
@@ -425,13 +413,13 @@ def _series_terms(prec):
 def _fraction_bits(prec, terms):
     """F = prec + ceil(log2(5 K + 6)) + 8 for K = ``terms``: the fixed-point
     scale that keeps K series terms and one product step within 2^-(prec + 8)
-    (see ``transport``)."""
+    (``_step_chain``)."""
     # (5 K + 5).bit_length() is ceil(log2(5 K + 6))
     return prec + (5 * terms + 5).bit_length() + _GUARD_BITS
 
 
-def _disk_chain(path, margin, prec):
-    """The steps (c, z1) of the disk chain that covers ``path``.
+def _disk_chain(path, margin):
+    """The steps (c, z1) of the float64 disk chain that covers ``path``.
 
     Each step is planned in float64 from zf, the double nearest its centre
     c, the end of the step before.  Its length is
@@ -440,16 +428,15 @@ def _disk_chain(path, margin, prec):
     then it runs straight for the segment's end, which it takes once it is
     that close.  z1 becomes the next centre.  A segment ends on the start
     of the next, the Python complex that ``PathSpec.segment_starts`` gives
-    and ``PathSpec.validate`` checks, so a chain's interior points are
-    float64; only an open path's final arc end is taken by mpmath:
-    p + (mpc(s) - p) exp(i sweep) for its start s, at prec + 8 bits,
-    within 2^-(prec + 6) (|p| + r) of its value, and reached as an mpc.
-    An open path's final line ends exactly on its end point, a Python
-    complex or an mpc (``_li_row`` ends its line on z itself).  The last
+    and ``PathSpec.validate`` checks.  An open path's final line ends
+    exactly on its end point, a Python complex or an mpc (``_li_row`` ends
+    its line on z itself), and its final arc on e', the double nearest
+    ``_arc_end`` at 64 bits: |e' - e| < 2^-52 (|p| + r) for the arc's exact
+    end e; ``_step_chain`` adds the step from e' to e.  The last
     segment of a closed path ends on the base point itself, which
     ``PathSpec.validate`` puts within 1e-9 of that segment's end: a line
     runs to it, and an arc turns its sweep and then runs straight to it, so
-    the chain of a closed path is closed, and it calls no mpmath.  As a
+    the chain of a closed path is closed.  As a
     step is planned from its own start, its rounding scales with |z1|, not
     with the length of the segment.
 
@@ -473,10 +460,9 @@ def _disk_chain(path, margin, prec):
     by [e, e'].  So the chain is homotopic, relative to its end points, to
     the exact path with each arc joined to the next segment by its gap,
     and its end points are the path's own: the base point, and the last
-    segment's end (the base point again for a closed path).
-    ``transport``'s whole-transport bound and ``monodromy``'s rho(p) read
-    only the chain's end points and the class of the path, so both stand
-    as proved.
+    segment's end (the base point again for a closed path, e' for a final
+    arc).  ``_step_chain``'s bounds read only the chain's end points and
+    the class of the path, so they stand as proved.
 
     Every step must pass, in float64,
     |z1 - zf| + 2^-51 (|z1| + |zf|) <= ``_CHECK_RATIO`` dist(zf, {0, 1}).
@@ -496,9 +482,7 @@ def _disk_chain(path, margin, prec):
     if path.closed:
         last = path.base_point
     elif isinstance(path.segments[-1], Arc):
-        p, sweep = path.segments[-1]
-        with mp.workprec(prec + _GUARD_BITS):
-            last = p + (mp.mpc(starts[-1]) - p) * mp.expj(sweep)
+        last = complex(_arc_end(path, 64))
     for seg, end in zip(path.segments, starts[1:] + [last]):
         p, left = (None, 0.0) if isinstance(seg, LineTo) else seg
         if p is not None and abs(p) + abs(z - p) >= 2 ** 48 * margin:
@@ -522,6 +506,15 @@ def _disk_chain(path, margin, prec):
     return steps
 
 
+def _arc_end(path, prec):
+    """The exact end p + (s - p) exp(i sweep) of ``path``'s final arc, of
+    centre p, sweep and start s, formed by mpmath at ``prec`` bits: within
+    2^-(prec - 2) (|p| + r) of its value, r = |s - p|."""
+    p, sweep = path.segments[-1]
+    with mp.workprec(prec):
+        return p + (mp.mpc(path.segment_starts()[0][-1]) - p) * mp.expj(sweep)
+
+
 def _plan_step(zf, p, left, end, step):
     """(z1, sweep left after it) for one step of length at most ``step``
     from zf: zf turned about p along an arc of length ``step``, if that is
@@ -540,8 +533,8 @@ def _plan_step(zf, p, left, end, step):
 
 def _product_guard(n, disks):
     """Least G with 2^G >= D * sum_{l < n} (0.52 D)^l / l!, for D = ``disks``
-    and n >= 1; the growth bound of a product of D transitions (see
-    ``transport``).  The sum is formed in integers, scaled by
+    and n >= 1; the growth bound of a product of D transitions
+    (``_step_chain``).  The sum is formed in integers, scaled by
     25^(n-1) (n-1)!, where each of its terms is an integer."""
     scale = 25 ** (n - 1) * math.factorial(n - 1)
     term, total = scale, 0
@@ -642,61 +635,158 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-_Chain = namedtuple("_Chain", "F start row turn end")
+_Chain = namedtuple("_Chain", "F start row turn end radius")
+
+
+def _chain_radius(n, b, bits):
+    """(n + 1) V 2^-(bits + 6), V = max(1, |b| / (1 - |b|)), as an exact
+    Fraction for a real double b with |b| < 1: the radius of the row that
+    ``_step_chain`` steps from b, sized for ``bits``.  V bounds every
+    |Li_j(b)| <= Li_1(|b|) = -log(1 - |b|) <= |b| / (1 - |b|), and for
+    |b| = a / 2^s it is max(a, 2^s - a) / (2^s - a), one integer quotient."""
+    a, den = abs(b).as_integer_ratio()
+    return Fraction((n + 1) * max(a, den - a) << max(-bits - 6, 0),
+                    den - a << max(bits + 6, 0))
 
 
 def _step_chain(n, path, bits, margin):
     """The ``_Chain`` of ``path``: the row (1, Li_1(b), ..., Li_n(b)) at its
-    real base point b stepped across its disk chain, sized for ``bits`` as
-    ``transport``'s docstring sizes and bounds it.
+    real base point b stepped across its disk chain, sized for p = ``bits``,
+    and its radius, whose one proof ``transport``, ``monodromy``,
+    ``_li_fixed`` and ``hodge.flatness_residual`` cite.
 
-    The row (1, R) is stepped by ``_step_row`` across the disk chain of
-    ``path`` (``_disk_chain``: its interior points are float64; only an open
-    path's final arc end is taken by mpmath, at bits + 8 bits), with K terms
-    a disk and F fraction bits sized from ``bits`` and the number of disks.
-    R starts at (Li_1(b), ..., Li_n(b)), b a real double: ``_li_fixed``'s
-    exact row for F bits (for b > 3/4 itself a chain from 3/4, nested in
-    this one), rounded once to F significant bits, as ``_li_row`` rounds a
-    row, and floored to 2^-F, by libmp on integers.  F is then raised, if
-    need be, until b converts exactly and 3.4 2^-F < 0.4 2^-20 d for the
-    chain's nearest approach d, the least float64 dist(c, {0, 1}) over its
-    step centres c (margin / 2 for no step; see ``monodromy``).  That is
-    17 2^19 < d 2^F: for d = m 2^e with 1/2 <= m < 1 (``math.frexp``),
-    d 2^(24 - e) = m 2^24, which exceeds 17 2^19 just when m > 17/32, and
-    d 2^(23 - e) < 2^23, so the least such F is 24 - e when m > 17/32, else
-    25 - e.
+    Sizing.  The row (1, R) is stepped by ``_step_row`` across the D disks
+    of ``_disk_chain`` (and the arc end's, below) with G guard bits, K terms
+    a disk and F fraction bits: G = G_0 + max(0, bitlen(n - 1) - 4 - p),
+    G_0 = ``_product_guard``(n, D); K = ``_series_terms``(p + G), the least
+    count with 0.4^K / 0.6 <= 2^-(p + G + 8); and
+    F = ``_fraction_bits``(p + G, K) = p + G + ceil(log2(5 K + 6)) + 8, or
+    more (below).  For p >= -2 (``monodromy``'s floor; the other callers
+    size for their working precision or more) K >= 6, so F >= p + G + 14.
+    R starts at v = (Li_1(b), ..., Li_n(b)), b a real double: ``_li_fixed``'s
+    row for F bits, within a relative 2^-(F + 7) (for b > 3/4 a chain from
+    3/4, nested in this one), rounded once to F significant bits and floored
+    to 2^-F by libmp, so within 3 V 2^-F of v for any V >= 1 that bounds
+    every |Li_j(b)|.
+
+    The floored chain.  F is raised, if need be, until b converts exactly
+    and 3.4 2^-F < 0.4 2^-20 d for the nearest approach d, the least
+    float64 dist(c, {0, 1}) over the planned step centres c (margin / 2 for
+    none).  That is 17 2^19 < d 2^F: for d = m 2^e with 1/2 <= m < 1
+    (``math.frexp``), d 2^(24 - e) = m 2^24, which exceeds 17 2^19 just
+    when m > 17/32, and d 2^(23 - e) < 2^23, so the least such F is 24 - e
+    when m > 17/32, else 25 - e.  A planned step from c keeps 0.4 2^-20 d_c
+    in reserve (``_PLAN_RATIO``), d_c = dist(c, {0, 1}) >= d (1 - 2^-51).
+    Flooring moves a point by less than sqrt(2) 2^-F, so it lengthens the
+    step and shortens 0.4 d_c by less than 2.4 sqrt(2) 2^-F
+    < 3.4 (1 - 2^-51) 2^-F in all: every floored step passes the exact test
+    |z1' - c'| <= 0.4 dist(c', {0, 1}) that ``_step_row`` makes (a failure
+    is an IntegrationError, never a wrong row), and it lies with its
+    planned step within 0.4 d_c + 2 sqrt(2) 2^-F < d_c of c, so the floored
+    chain is homotopic to the planned one, relative to its ends where they
+    convert exactly: b, and a final line's end unless a nonzero part is
+    below 2^(53 - F).  As d >= margin / 2, the margin alone would allow
+    2^-F <= 2^-25 margin, which meets the test, so F never exceeds that.
+
+    The arc end.  An open path whose last segment is an arc of centre q and
+    radius r plans its chain to e', within 2^-52 (|q| + r) < margin / 16 of
+    the arc's exact end e (``_disk_chain``), as |q| + r < 2^48 margin.  One
+    more step runs to ``_arc_end`` at F + 57 + x bits, margin = m' 2^x,
+    within 2^-(F + 7) of e, so the floored last point z_D is within
+    1.44 2^-F of e.  As the last planned step has ratio at most 0.4,
+    d' = dist(e', {0, 1}) >= 0.6 d >= 0.3 margin, and the floored end step
+    has ratio below (margin / 16 + 4 2^-F) / (d' - 2 2^-F) < 0.22; it and
+    [z_D, e] lie within 0.4 d_t + margin / 8 < d_t of the point t of
+    ``_disk_chain``'s proof, in its disk, so the chain stays homotopic to
+    the path.  D counts the end step, and F >= p + G + 12 - e, so
+    1.44 2^-F <= 1.44 2^-(p + G + 11) d < 1.44 2^-(p + G + 10) d'.
+
+    Growth of the product.  Write d = dist(c, {0, 1}) and a = -log 0.6,
+    below 0.511.  Majorants below are polynomials in S, the (n+1) x (n+1)
+    upper shift, with coefficients >= 0, compared coefficient by
+    coefficient; they commute.  As |log(1 + w/c)| and |-log(1 - w/d)| are
+    at most a, every transition T_k is bounded entrywise by A = exp(a S)
+    (``_step_row``'s majorants), and a product of k of them by exp(a k S),
+    with entries below (0.52 k)^m / m!.  Let each step return
+    R T~_k + rho_k, with |T~_k - T_k| <= e U entrywise, U = S + ... + S^n,
+    and every |rho_k| <= r.  The error of R after step k is the old error
+    times T~_k, plus R_(k-1) (T~_k - T_k), plus rho_k, with R_(k-1) the
+    exact row, bounded by e_0 A^(k-1), and |rho_k| <= r e_0 U.  Carried to
+    the end by T~_(k+1) ... T~_D, each bounded by B = A + e U, the error is
+    at most (e + r) sum_k e_0 U A^(k-1) B^(D-k).  As A >= I, B <= A (I + e U),
+    and for N < D, (I + e U)^N <= exp(N e U) <= I + delta U with eps = D e
+    and delta = eps (1 + eps)^(n-1): the coefficient of S^m in
+    exp(eps U) - I is sum_i eps^i C(m-1, i-1) / i! <= eps (1 + eps)^(m-1).
+    Entry j of e_0 U A^(D-1) (I + delta U) is at most
+    (1 + (j - 1) delta) sum_{l < j} (a (D - 1))^l / l!, so entry (0, j)
+    ends within (e + r) E (1 + (n - 1) delta) of e_0 P_c, P_c the exact
+    product, with E = D sum_{l < n} (0.52 D)^l / l! <= 2^G_0.
+
+    Guard bits.  G_0 grows like log2 D + n log2(0.52 D), and
+    p' = p + G - G_0 >= bitlen(n - 1) - 4.  By ``_step_row``,
+    e < 2^-(p + G + 8) + 4u and r < 3.8 K u for u = 2^-F, and
+    (5 K + 6) u <= 2^-(p + G + 8), so e + r < 1.76 2^-(p + G + 8).  Also
+    eps = D e <= 2^G_0 e < (15/11) 2^-(p' + 8), and 2^(p' + 8) > 16 (n - 1),
+    so (n - 1) eps < 0.086, (1 + eps)^(n-1) < 1.09, (n - 1) delta < 0.094,
+    and e_0 stepped is within 1.76 1.094 2^-(p + 8) < 2^-(p + 7) of e_0 P_c
+    in every entry, to every order in e.
+
+    Row accuracy.  A start row bounded by V in every entry, in place of
+    e_0, multiplies that error by at most n V (entry j of e_0 (I + U) U is
+    j), and its second-order factor by no more; the start's own error
+    carried by P_c - I adds at most 3 V 2^-F 1.7 2^G < 0.04 V 2^-(p + 7).
+    So the stepped row u has u - start within (n + 1) V 2^-(p + 7) of
+    v (P_c - I), and u within (n + 1.03) V 2^-(p + 7) of (1, v) P_c, row 0
+    of L(z_D) for L(b) continued along the chain.  At an arc end, each
+    entry of (1, v) P_c is at most V (1 + 0.52 E) <= 1.52 V 2^G, and so,
+    within a factor 1.01, on [z_D, e], which stays 0.78 d' from {0, 1};
+    entry j of row 0 has derivative L_(0, j-1) / z (1 / (1 - z) for j = 1),
+    so it moves by at most 1.44 2^-F 1.97 V 2^G / d' < V 2^-(p + 8) from
+    z_D to e, and u is within (n + 1.53) V 2^-(p + 7) of row 0 of L(e).
+    Each bound lies below (2 n + 2) V 2^-(p + 7), the chain's radius with
+    V = max(1, |b| / (1 - |b|)) (``_chain_radius``).
+
+    Slack.  The growth bound is loose (ROADMAP item 5): row 0 of
+    ``monodromy``'s matrix along loop0 from b = 1/2 at p*, its twist formed
+    at F + 400 bits, lies this far inside rho(p*) / 7 of the exact matrix
+    of ``tests/oracles`` (loop1 within 0.6 bit):
+
+        n      4      9     20     30     64      p*  1, 15, 59, 106, 296
+        slack  17.5   24.9  28.0   28.8   29.5 bits
 
     The chain holds F; start, the floored start row, and row, the stepped
     row, each a pair (re, im) of lists of Python integers scaled by 2^F;
-    turn, the float64 sum of the steps' phases Arg(z1 / c); and end, the
-    chain's last point in fixed point.  ``monodromy``, whose chain closes,
-    certifies row - start and reads its winding from turn; ``transport``
-    reads its winding from turn and end.
+    turn, the float64 sum of the steps' phases Arg(z1 / c); end, z_D in
+    fixed point; and radius, ``_chain_radius``(n, b, p).
     """
     if not margin > 0:
         raise DomainError("margin must be positive")
     path.validate(margin)
-    steps = _disk_chain(path, margin, bits)
+    steps = _disk_chain(path, margin)
+    arc_end = not path.closed and isinstance(path.segments[-1], Arc)
     # the second-order term of the growth bound needs
-    # bits + G >= bitlen(n - 1) - 4 + G_0 (``transport``)
-    guard = _product_guard(n, len(steps)) \
+    # bits + G >= bitlen(n - 1) - 4 + G_0
+    guard = _product_guard(n, len(steps) + arc_end) \
         + max(0, (n - 1).bit_length() - 4 - bits)
     terms = _series_terms(bits + guard)
     base = path.base_point
-    m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c, _ in steps),
+    ends = [base] + [z1 for _, z1 in steps]
+    m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c in ends[:-1]),
                           default=margin / 2))
     F = max(_fraction_bits(bits + guard, terms), _dyadic(base)[2],
-            24 - e + (m <= 17 / 32))
-    points = [_to_fixed(z, F) for z in [base] + [z1 for _, z1 in steps]]
-    re, im, E = _li_fixed(n, base, F)
-    start = [[to_fixed(from_man_exp(v, -E, F, "n"), F) for v in part]
-             for part in (re, im)]
-    r_re, r_im = start
+            24 - e + (m <= 17 / 32), bits + guard + 12 - e if arc_end else 0)
+    if arc_end:
+        ends.append(_arc_end(path, F + 57 + math.frexp(margin)[1]))
+    points = [_to_fixed(z, F) for z in ends]
+    *parts, E = _li_fixed(n, base, F)
+    row = start = [[to_fixed(from_man_exp(v, -E, F, "n"), F) for v in part]
+                   for part in parts]
     for c, z1 in zip(points, points[1:]):
-        r_re, r_im = _step_row(r_re, r_im, c, z1, terms, F)
+        row = _step_row(*row, c, z1, terms, F)
     turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
-                     for z0, z1 in steps)
-    return _Chain(F, start, (r_re, r_im), turn, points[-1])
+                     for z0, z1 in zip(ends, ends[1:]))
+    return _Chain(F, start, row, turn, points[-1],
+                  _chain_radius(n, base.real, bits))
 
 
 def _real_base(path):
@@ -725,14 +815,8 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     (``_log_rows``), as E(x) E(y) = E(x + y) for ``monodromy``'s E.  Row 0
     is (1, Li_1(b), ..., Li_n(b)) P, the solution row stepped across the
     chain by ``_step_chain`` from ``_li_fixed``'s exact row at b, sized for
-    p = prec + bitlen(n + 2) bits.  No matrix product is formed.  The
-    chain, the sizing, the row step and the phase sum below are
-    ``_step_chain``'s, which ``monodromy`` shares.
-
-    The row R <- R T_k is stepped by ``_step_row`` across each disk in
-    Python-int fixed point at 2^-F, about n K complex products a disk.  The
-    points of the chain are converted to fixed point once; a double
-    converts exactly unless a nonzero part is below 2^(53 - F) in modulus.
+    p = prec + bitlen(n + 2) bits, about n K complex products of Python
+    integers a disk.  No matrix product is formed.
 
     Lambda.  As 1 + w/c = z1/c, exp(Lambda) = z_D / b, so, as b > 0,
     log b + Lambda = Log z_D + 2 pi i m for an integer
@@ -749,61 +833,17 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     closed chain ends on b, so there m is the nearest integer to
     sum theta_k / (2 pi), with no Arg: ``monodromy``.)
 
-    Growth of the product.  Write d = dist(c, {0, 1}) and a = -log 0.6,
-    below 0.511.  Majorants below are polynomials in S, the (n+1) x (n+1)
-    upper shift, with coefficients >= 0, compared coefficient by
-    coefficient; they commute.  Since |l_k| and |-log(1 - w/d)| are at most
-    a, every T_k is bounded entrywise by A = exp(a S) (the majorants of
-    ``_step_row``), and every partial product of k of them by exp(a k S),
-    with entries below (0.52 k)^m / m!.  Let each step return
-    R T~_k + rho_k, with |T~_k - T_k| <= e U entrywise, U = S + ... + S^n,
-    and every |rho_k| <= r.  The error of R after step k is the old error
-    times T~_k, plus R_(k-1) (T~_k - T_k), plus rho_k, with R_(k-1) the
-    exact row, bounded by e_0 A^(k-1), and |rho_k| <= r e_0 U.  Carried to
-    the end by T~_(k+1) ... T~_D, each bounded by B = A + e U, the error is
-    at most (e + r) sum_k e_0 U A^(k-1) B^(D-k).  As A >= I, B <= A (I + e U),
-    and for N < D, (I + e U)^N <= exp(N e U) <= I + delta U with
-    eps = D e and delta = eps (1 + eps)^(n-1): the coefficient of S^m in
-    exp(eps U) - I is sum_i eps^i C(m-1, i-1) / i! <= eps (1 + eps)^(m-1).
-    Entry j of e_0 U A^(D-1) (I + delta U) is at most
-    (1 + (j - 1) delta) sum_{l < j} (a (D - 1))^l / l!, so entry (0, j) of P
-    ends within (e + r) E (1 + (n - 1) delta) of the exact product, where
-    E = D sum_{l < n} (0.52 D)^l / l!.
-
-    Guard bits.  G_0 = ceil(log2 E) (``_product_guard``) grows like
-    log2 D + n log2(0.52 D), and G = G_0 + max(0, bitlen(n - 1) - 4 - p),
-    so that p' = p + G - G_0 >= bitlen(n - 1) - 4; the second term is 0
-    for every transport, as p > bitlen(n - 1) - 4 for prec >= -3, and for
-    every monodromy certificate.  K is the least count that puts
-    0.4^K / 0.6 below 2^-(p + G + 8) (116 terms at prec = 128 for a
-    canonical loop at n = 4, where p = 131, D = 21 and G = 13), and
-    F = p + G + ceil(log2(5 K + 6)) + 8 (``_fraction_bits``), or more
-    (``_step_chain``).  By ``_step_row``, e < 2^-(p + G + 8) + 4u and
-    r < 3.8 K u, and (5 K + 6) u <= 2^-(p + G + 8), so
-    e + r < 2^-(p + G + 8) + (3.8 K + 4) u < 1.76 2^-(p + G + 8).
-    Also eps = D e <= 2^G_0 e < (15/11) 2^-(p' + 8), and
-    2^(p' + 8) > 16 (n - 1), so (n - 1) eps < 0.086,
-    (1 + eps)^(n-1) < 1.09 and (n - 1) delta < 0.094.  Every entry of row 0
-    of P is then within 1.76 1.094 2^-(p + 8) < 2^-(p + 7) of the exact
-    product for the chain, to every order in e.
-
-    Whole-transport bound.  The chain is homotopic to the path relative to
-    its end points (``_disk_chain``).  It starts on b, exact at 2^-F
-    (``_step_chain``), and ends on z_D: b itself for a closed path, the
-    end of a final line, floored to 2^-F (so exact for a double unless a
-    nonzero part is below 2^(53 - F)), or the end of a final arc of radius
-    r about c_0, taken by mpmath within 2^-(p + 6) (|c_0| + r) of its
-    value.  Let L(z_D) be L(b) continued along the chain, Lambda the
-    continued log(z_D / b), and W_i = sum_k |L(b)[i][k]| the weight of
-    row i of L(b).
-    - Row 0.  Every |Li_j(b)| <= Li_1(b), so V = max(1, Li_1(b)) bounds
-      the start row, and V <= W_0.  ``monodromy``'s accuracy paragraph,
-      which rests on the growth bound above and not on the chain's
-      closing, puts the stepped row's change from its floored start within
-      (n + 1) V 2^-(p + 7) of v (P_c - I), for the exact start row v and
-      the exact product P_c for the chain; the floored start is within
-      3 V 2^-F of v, and F >= p + 14.  So the stepped row is within
-      (n + 1.03) V 2^-(p + 7) < V 2^-(prec + 7) of v P_c, row 0 of L(z_D),
+    Whole-transport bound.  Let e be the path's exact end, Lambda the
+    continued log(e / b), and W_i = sum_k |L(b)[i][k]| the weight of row i
+    of L(b).  The chain is homotopic to the path relative to its ends
+    (``_step_chain``).  Its last point z_D is e for a closed path and for a
+    final line whose end converts exactly at 2^-F, as a double does unless
+    a nonzero part is below 2^(53 - F) (else read z_D for e below), and
+    within 1.44 2^-F of e after a final arc, where Lambda moves by less
+    than 2^-(p + 9) from z_D to e.
+    - Row 0.  Every |Li_j(b)| <= Li_1(b), so V = max(1, Li_1(b)) <= W_0
+      bounds the start row, and ``_step_chain`` puts the stepped row
+      within (n + 1.53) V 2^-(p + 7) < V 2^-(prec + 7) of row 0 of L(e),
       as 2^bitlen(n + 2) >= n + 3.
     - Rows 1..n.  ``_log_rows`` forms entry (i, j), k = j - i, within a
       relative 2^-(prec + 9) of (2 pi i)^i (log b + Lambda)^k / k!, whose
@@ -811,13 +851,15 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
       (log b + Lambda)^k / k! is the sum over a + c = k of
       (log b)^a / a! Lambda^c / c!, at most
       e^|Lambda| sum_(a <= n - i) |log b|^a / a!, and W_i is that sum
-      times (2 pi)^i.
+      times (2 pi)^i.  Its derivative is the entry to its left over z, so
+      from z_D to e it moves by less than 2^-(p + 8) e^|Lambda| W_i, as
+      row 0 does in ``_step_chain``.
     - Each entry is rounded once to ``prec`` bits, which moves each part by
       at most 2^-prec of its rounded value, so the entry v by at most
       2^-prec |v|.
     So, as e^|Lambda| >= 1, every entry v of row i lies within
     2^-prec |v| + 2^-(prec + 6) e^|Lambda| W_i
-    of entry (i, j) of L(z_D).  The accuracy follows ``prec``.  Entries
+    of entry (i, j) of L(e).  The accuracy follows ``prec``.  Entries
     below the diagonal are exact zeros.
 
     Every step that does not end a segment advances by almost 0.4 times the
@@ -839,22 +881,12 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
                         f"principal . {path.describe()}")
 
 
-def _row0_radius(n, base, bits):
-    """rho(bits) / 7, where rho(p) = (n + 1) V e^|log b| 2^-(p + 6): the
-    radius within which ``monodromy`` proves row 0 from a chain sized for
-    ``bits``, as an exact Fraction for the double b = ``base`` in (0, 1).
-    V = max(1, b / (1 - b)) bounds Li_1(b) = -log(1 - b) <= b / (1 - b),
-    hence every |Li_j(b)| <= Li_1(b), and e^|log b| = 1 / b, so V e^|log b|
-    is max(1/b, 1/(1 - b)) = 2^s / min(a, 2^s - a) for b = a / 2^s."""
-    a, den = base.as_integer_ratio()
-    e = den.bit_length() - 1 - bits - 6
-    return Fraction((n + 1) << max(e, 0), 7 * min(a, den - a) << max(-e, 0))
-
-
 def _certified_bits(n, base):
-    """p*, the least integer p >= -2 with ``_row0_radius``(n, base, p) <
-    1 / (2 n!), half the spacing of the lattice (1/n!) Z that holds every
-    row-0 entry.  For b = a / 2^s that is the least p >= -2 with
+    """p*, the least integer p >= -2 with rho(p) / 7 < 1 / (2 n!), half the
+    spacing of the lattice (1/n!) Z that holds every row-0 entry, where
+    rho(p) = ``_chain_radius``(n, b, p) / b for the double b = ``base`` in
+    (0, 1).  As max(1, b / (1 - b)) / b = 2^s / min(a, 2^s - a) for
+    b = a / 2^s, that is the least p >= -2 with
     7 min(a, 2^s - a) 2^(p + 6) > 2 (n + 1)! 2^s, one integer comparison;
     as 7 min(a, 2^s - a) < 2 (n + 1)! 2^s, the shift k below is >= 0."""
     a, den = base.as_integer_ratio()
@@ -879,11 +911,9 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     (2 pi i)^(i-j) (2 pi i m)^(j-i) / (j-i)! = m^(j-i) / (j-i)!, exactly.
     The chain closes on b itself, so Log(z_end / z_base) = 0 and m is the
     nearest integer to its phase sum over 2 pi (``transport``), with no
-    logarithm.  So only row 0 is computed: v by ``_li_fixed`` at the chain's
-    F bits (the series, or for b > 3/4 the series at 3/4 stepped to b),
-    stepped across the disk chain that transport takes (``_step_chain``),
-    and u - v, an exact difference of integers, times E(-l) D^-1 on
-    integers at 2^-F (row 0 in integers, below).
+    logarithm.  So only row 0 is computed: (1, v) stepped across the chain
+    by ``_step_chain``, and u - v, an exact difference of integers, times
+    E(-l) D^-1 on integers at 2^-F (row 0 in integers, below).
 
     Denominators.  The loop is a word in the loops about 0 and 1 from b,
     whose matrices are M_0 (m = 1, row 0 = e_0) and M_1 = I - E_01, with
@@ -898,23 +928,17 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     fails either raises ReconstructionError, the sign of a fault or of an
     inadmissible path.
 
-    Accuracy.  Let V = max(1, Li_1(b)), which bounds every |Li_j(b)|.  The
-    chain is sized for p bits (below): K, G and F are ``transport``'s for a
-    chain sized for p.  The floored start row is within 3 V 2^-F of v,
-    and it cancels from u - v up to its image under P - I.  In
-    ``transport``'s growth bound, a start row bounded by V in every entry,
-    in place of e_0, multiplies the carried error by at most n V (entry j
-    of e_0 (I + U) U is j) and its second-order factor by no more, and the
-    image of the start row's error under P - I, at most
-    3 V 2^-F 1.7 2^G < V 2^-(p + 7), adds the rest: u - v is within
-    (n + 1) V 2^-(p + 7) of its value for the chain.  Its image under
-    E(-l) D^-1 moves entry j by at most that times
-    sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, that is by less than 0.095 rho(p),
-    and the twist's rounding (below) by less than rho(p) / 32, where
-    rho(p) = (n + 1) V e^|l| 2^-(p + 6).  As 0.095 + 1/32 < 1/7, row 0 of
-    M, certified at 2^-F, is within rho(p) / 7 of row 0 of
-    L(b) P_c L(b)^-1 for the exact product P_c of the chain, and rho(p) / 7
-    is the radius that both tests below read.
+    Accuracy.  The chain is sized for p bits (below).  By ``_step_chain``,
+    u - v is within (n + 1) V 2^-(p + 7) of v (P_c - I) for the exact
+    product P_c of the chain, with V = max(1, b / (1 - b)), which bounds
+    every |Li_j(b)|.  Its image under E(-l) D^-1 moves entry j by at most
+    that times sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, that is by less than
+    0.095 rho(p), and the twist's rounding (below) by less than
+    rho(p) / 32, where rho(p) = (n + 1) V e^|l| 2^-(p + 6), the chain's
+    radius over b, as e^|l| = 1 / b.  As 0.095 + 1/32 < 1/7, row 0 of M,
+    certified at 2^-F, is within rho(p) / 7 of row 0 of
+    L(b) P_c L(b)^-1, and rho(p) / 7 is the radius that both tests below
+    read.
 
     Row 0 in integers.  With d = u - v, c = 1/(2 pi) and x = -l c >= 0,
     entry j of row 0 is (-i)^j sum_{k <= j} e_k x^(j-k) / (j-k)!,
@@ -936,48 +960,27 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     With B >= every |d_k| and sum_k |e_k| <= 0.19 B, entry j is within
     e^x' h (1.5 B + 1.5 + 0.19 B (2.4 + 1.1 |l|)) + 1.5 h, and as
     e^(|l| / (2 pi)) (1.96 + 0.21 |l|) <= 1.96 e^|l|, within
-    h e^|l| (2 B + 3.1).  By the growth bound, |u_k| <= 1.52 V E, so
-    B <= V (1 + 1.52 2^G + (n + 1) 2^-(p + 7)); with p >= -2 (below), K >= 6
-    and F >= p + G + 14, so the rounding stays below
+    h e^|l| (2 B + 3.1).  By ``_step_chain``'s growth bound,
+    |u_k| <= 1.52 V 2^G, so B <= V (1 + 1.52 2^G + (n + 1) 2^-(p + 7)), and
+    F >= p + G + 14, so the rounding stays below
     (n + 1) V e^|l| 2^-(p + 11) = rho(p) / 32.  The imaginary part is
     tested against rho(p) / 7 by one integer comparison, and the real part is
     handed to ``rational_reconstruct`` as the exact dyadic Fraction it is.
 
-    The chain.  Its points are floored to 2^-F, which moves each by less
-    than sqrt(2) 2^-F; for F below 53 that is no longer exact for most
-    doubles.  F is at least the bit count of b's binary fraction, so b stays
-    exact, and the chain, which closes on b (``_disk_chain``), stays closed;
-    and 3.4 2^-F < 0.4 2^-20 d (``_step_chain``), where d, the chain's
-    nearest approach, is the least float64 dist(c, {0, 1}) over its step
-    centres c, float64 points (``_disk_chain``), so that each centre has
-    d_c = dist(c, {0, 1}) >= d (1 - 2^-51).  A planned step from c to z1
-    keeps a relative 2^-20 of the ratio 0.4 in reserve (``_PLAN_RATIO``),
-    0.4 2^-20 d_c, and flooring lengthens it by less than 2 sqrt(2) 2^-F
-    and shortens 0.4 d_c by less than 0.4 sqrt(2) 2^-F, together less than
-    2.4 sqrt(2) 2^-F < 3.4 (1 - 2^-51) 2^-F < 0.4 2^-20 d_c: every
-    floored step from c' to z1' passes the exact test
-    |z1' - c'| <= 0.4 dist(c', {0, 1}) of ``_step_row``, which checks it
-    again, so the row's series converges across it (a failure would be an
-    IntegrationError, never a wrong matrix).  As d >= margin / 2, the
-    margin alone would allow 2^-F <= 2^-25 margin <= 2^-24 d, which meets
-    the test, so F is never above that margin's floor.  The planned chain,
-    all float64 points, is homotopic to the loop relative to b
-    (``_disk_chain``), and the quadrilateral of a planned step and its
-    floored image lies within 0.4 d_c + 2 sqrt(2) 2^-F < d_c of c, so the
-    floored closed chain is homotopic to the loop in C \\ {0, 1}.
-    Then P_c = L(b)^-1 M L(b), and its winding m is the loop's.
+    The chain.  F is at least the bit count of b's binary fraction, so b
+    stays exact, and the floored chain, which closes on b
+    (``_disk_chain``), is closed and homotopic to the loop in C \\ {0, 1}
+    (``_step_chain``).  Then P_c = L(b)^-1 M L(b), and its winding m is the
+    loop's.
 
-    Precision.  ``_row0_radius`` forms rho(p) / 7 as one Fraction from the
-    integers of the double b = a / 2^s, with V <= max(1, b / (1 - b)) and
-    e^|l| = 1 / b, so V e^|l| <= 2^s / min(a, 2^s - a), and
-    ``_certified_bits`` finds p*, the least p >= -2 with
+    Precision.  ``_certified_bits`` finds p*, the least p >= -2 with
     rho(p) / 7 < 1/(2 n!), which is at most 1/(2 j!) for every column j, by
-    one integer comparison; the floor at -2 is the rounding paragraph's.
-    ``prec`` is the most bits the certificate may use: the chain is sized
-    for p = min(prec, p*), and when p < -2 or rho(p) / 7 >= 1/(2 n!), that
-    is when prec < p*, DomainError, naming p*, is raised before any
-    transport.  At b = 1/2, p* is about log2((n + 1)!) - 6.8: 1 bit at
-    n = 4, 121 at n = 33, 296 at n = 64.  The
+    one integer comparison; ``_step_chain``'s F >= p + G + 14 needs
+    p >= -2.  ``prec`` is the most bits the certificate may use: the chain
+    is sized for p = min(prec, p*), and when p < -2 or
+    rho(p) / 7 >= 1/(2 n!), that is when prec < p*, DomainError, naming p*,
+    is raised before any transport.  At b = 1/2, p* is about
+    log2((n + 1)!) - 6.8: 1 bit at n = 4, 121 at n = 33, 296 at n = 64.  The
     closed chain calls no mpmath and reads no ``prec``, so every cap
     prec >= p* runs the same computation and gives the same matrix.  No
     tolerance enters: ``tol`` is accepted, for callers that still pass it,
@@ -989,22 +992,22 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     if not loop.closed:
         raise DomainError("monodromy needs a closed loop")
     base = _real_base(loop)
-    need = _certified_bits(n, base)
+    a, den = base.as_integer_ratio()
+    need, over_7b = _certified_bits(n, base), Fraction(den, 7 * a)
     bits = min(prec, need)
-    radius = _row0_radius(n, base, bits)
-    if bits < -2 or \
-            2 * math.factorial(n) * radius.numerator >= radius.denominator:
+    radius = _chain_radius(n, base, bits) * over_7b
+    if bits < -2 or 2 * math.factorial(n) * radius >= 1:
         raise DomainError(
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
     chain = _step_chain(n, loop, bits, margin)
+    radius = chain.radius * over_7b
     F, m = chain.F, round(chain.turn / (2 * math.pi))
     d_re, d_im = ([u - v for u, v in zip(*parts)]
                   for parts in zip(chain.row, chain.start))
     # row 0 = (u - v) E(-log b) D^-1 at 2^-F: e_k = d_k / (2 pi)^k, then
     # entry j = (-i)^j sum_k e_k x^(j-k) / (j-k)!, x = -log(b) / (2 pi)
-    a, den = base.as_integer_ratio()
     c = (1 << 2 * F + 3) // pi_fixed(F + 4)
     x = -(to_fixed(mpf_log(from_man_exp(a, 1 - den.bit_length()), F + 10),
                    F) * c >> F)

@@ -116,10 +116,8 @@ class _UsageError(ValueError):
 
 
 def _resolve_loop(name_or_path):
-    if name_or_path == "loop0":
-        return canonical_loop(0)
-    if name_or_path == "loop1":
-        return canonical_loop(1)
+    if name_or_path in ("loop0", "loop1"):
+        return canonical_loop(int(name_or_path[-1]))
     # argparse hands "--loop=--" over as an empty list
     if not isinstance(name_or_path, str) or not name_or_path:
         raise _UsageError("--loop needs loop0, loop1 or the path of a JSON file")

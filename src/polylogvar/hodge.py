@@ -255,16 +255,15 @@ def flatness_residual(n, z=0.5, prec=192):
     to the punctures, and the stepped row u must meet
     w = ``_li_row``(n, z', prec) within
     rho_j = (n + 1) 2^-(prec + e + 6) + 2^-(prec + 6) |w_j| in every
-    entry j.  As Li_j(z') >= z' >= 2^-(e + 1), the first term is at most
+    entry j, the first term the chain's radius (``_chain_radius`` with
+    V = 1 as b < 1/2).  As Li_j(z') >= z' >= 2^-(e + 1), it is at most
     2 (n + 1) 2^-(prec + 6) Li_j(z'): rho_j is relative to the row, so a
     relative fault in Li_j shows at every z'.  For z' >= 1/2, e = 0.
-    - Transport.  As b < 1/2, every |Li_j(b)| <= Li_1(b) < log 2, so
-      V = 1 in ``monodromy``'s accuracy bound, and u is within
-      (n + 1) 2^-(prec + e + 7) + 3 2^-F of row 0 of L(b) P_c for the exact
-      product P_c of the chain, F >= prec + e + 12 its fraction bits.  F is
-      at least the bit count of b's binary fraction, so b and z' = 2 b are
-      exact, and the chain, as in ``monodromy``, runs from b to z' inside
-      disks that avoid both cuts: L(b) P_c = L(z') on the principal branch.
+    - Transport.  The chain runs from b to z' = 2 b, both exact at its
+      F >= prec + e + 14 fraction bits, inside disks that avoid both cuts,
+      so row 0 of L(b) P_c is that of L(z') on the principal branch, and
+      ``_step_chain`` puts u within (n + 1.03) 2^-(prec + e + 7) of it, at
+      most 0.52 of its radius.
     - Series.  ``_li_row`` sums w on z' <= 3/4 and steps it from 3/4 to z'
       above that; either way, at F bits, w_j is within a relative
       2^-(prec + 7) + 2^-F (1 + 2^-(prec + 7)) < 1.07 2^-(prec + 7) of
@@ -299,7 +298,7 @@ def flatness_residual(n, z=0.5, prec=192):
                         prec + extra, min(b, 1 - zp))
     with mp.workprec(chain.F):
         ratio = max(abs(_from_fixed(x, y, chain.F) - w)
-                    / mp.ldexp(mp.ldexp(n + 1, -extra) + abs(w), -(prec + 6))
+                    / (mp.mpmathify(chain.radius) + mp.ldexp(abs(w), -prec - 6))
                     for x, y, w in zip(*chain.row,
                                        _li_row(n, mp.mpc(zp), prec)))
     return FlatnessReport(passed and ratio <= 1, float(ratio))

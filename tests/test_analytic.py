@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import from_rational, mpf_div
+from mpmath.libmp import from_man_exp, from_rational, mpf_div
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -339,7 +339,7 @@ class TestTransport:
         past = PathSpec(complex(0.5, 1e-14), (LineTo(complex(1.5, 1e-14)),))
         past.validate(margin=1e-14)
         with pytest.raises(PathError, match="float64"):
-            analytic._disk_chain(past, 1e-14, 128)
+            analytic._disk_chain(past, 1e-14)
 
 
 @pytest.mark.parametrize("continue_along", [transport, monodromy])
@@ -421,7 +421,7 @@ class TestMonodromy:
                         (LineTo(complex(0.75, 0.0)), Arc(1 + 0j, 2 * math.pi),
                          LineTo(complex(0.5 + 5e-10, 0.0))), closed=True)
         assert monodromy(3, loop) == expected_monodromy_loop1(3)
-        steps = analytic._disk_chain(loop, 1e-3, 128)
+        steps = analytic._disk_chain(loop, 1e-3)
         assert steps[-1][1] == loop.base_point
 
     def test_precision_independence(self):
@@ -499,6 +499,13 @@ _LETTERS = st.tuples(st.sampled_from([0, 1]), st.sampled_from([1, -1]),
                      st.one_of(st.none(), st.integers(0, 2 ** 16)))
 
 
+def _certificate_radius(n, base, bits):
+    """rho(bits) / 7, the radius ``monodromy`` tests row 0 against: the
+    chain's radius over 7 b for a chain sized for ``bits`` from the double
+    b = ``base``."""
+    return analytic._chain_radius(n, base, bits) / (7 * Fraction(base))
+
+
 def _spy_reconstruct(monkeypatch):
     """Record (x, denominator, radius) of every ``rational_reconstruct``
     call that ``monodromy`` makes; x is handed over as an exact dyadic
@@ -537,7 +544,7 @@ def test_word_monodromy_is_the_generator_product(n, word, data):
         seen = _spy_reconstruct(patch)
         assert monodromy(n, _word_path(word), prec=cap) == \
             RationalMatrix(exact)
-    radius = analytic._row0_radius(n, 0.5, need)
+    radius = _certificate_radius(n, 0.5, need)
     assert [(d, r) for _, d, r in seen] == \
         [(math.factorial(j), radius) for j in range(1, n + 1)]
     for (x, _, _), e in zip(seen, exact[0][1:]):
@@ -549,9 +556,9 @@ def test_certified_bits_is_the_least_that_certify(n):
     half = Fraction(1, 2 * math.factorial(n))
     for base in (0.5, 0.3, 0.05, 0.9, 2 ** -20):
         need = analytic._certified_bits(n, base)
-        radius = analytic._row0_radius(n, base, need)
+        radius = _certificate_radius(n, base, need)
         assert radius < half
-        assert need == -2 or half <= analytic._row0_radius(n, base, need - 1)
+        assert need == -2 or half <= _certificate_radius(n, base, need - 1)
         # the radius with V = max(1, Li_1(b)) itself is no larger
         rho = 7 * radius
         with mp.workprec(ORACLE_PREC):
@@ -569,17 +576,18 @@ def test_certified_bits_is_the_least_that_certify(n):
 @example(n=1, base=1 - 2 ** -53)
 def test_certified_bits_is_the_least_p_for_any_base(n, base):
     """p*, found by one integer comparison, is the least p >= -2 with
-    rho(p) / 7 < 1/(2 n!) for any double b in (0, 1), and ``_row0_radius``
-    is (n + 1) max(1, b / (1 - b)) / b 2^-(p + 6) / 7 exactly."""
+    rho(p) / 7 < 1/(2 n!) for any double b in (0, 1), and the chain's
+    radius over 7 b is (n + 1) max(1, b / (1 - b)) / b 2^-(p + 6) / 7
+    exactly."""
     half = Fraction(1, 2 * math.factorial(n))
     need = analytic._certified_bits(n, base)
     b = Fraction(base)
     for p in (need, need - 1):
-        assert analytic._row0_radius(n, base, p) == \
+        assert _certificate_radius(n, base, p) == \
             (n + 1) * max(1, b / (1 - b)) / b / Fraction(2) ** (p + 6) / 7
     assert need >= -2
-    assert analytic._row0_radius(n, base, need) < half
-    assert need == -2 or half <= analytic._row0_radius(n, base, need - 1)
+    assert _certificate_radius(n, base, need) < half
+    assert need == -2 or half <= _certificate_radius(n, base, need - 1)
 
 
 def _r_times_le(r2, a, b):
@@ -820,7 +828,7 @@ def test_row0_entries_lie_within_the_proved_radius(monkeypatch, n, word, tol):
     M = monodromy(n, _word_path(word), tol=tol, prec=512)
     exact = ref_word_monodromy(n, [(w, s) for w, s, _ in word])
     assert M == RationalMatrix(exact)
-    radius = analytic._row0_radius(n, 0.5, analytic._certified_bits(n, 0.5))
+    radius = _certificate_radius(n, 0.5, analytic._certified_bits(n, 0.5))
     assert [(d, r) for _, d, r in seen] == \
         [(math.factorial(j), radius) for j in range(1, n + 1)]
     for (v, _, _), e in zip(seen, exact[0][1:]):
@@ -1039,7 +1047,7 @@ def test_disk_chain_steps_stay_in_their_disks(base, segments):
         path.validate(margin=0.05)
     except PathError:
         assume(False)
-    steps = analytic._disk_chain(path, 0.05, 128)
+    steps = analytic._disk_chain(path, 0.05)
     points = [base] + [z1 for _, z1 in steps]
     for k, (c, z1) in enumerate(steps):
         assert c == points[k]
@@ -1064,17 +1072,19 @@ def test_long_segment_past_the_punctures(segment, m0, m1):
     start, above both punctures: every step keeps the exact ratio, and
     transport at n = 2 gives 2 pi i (Log(end) + 2 pi i m0) in entry (1, 2)
     and Li_1 continued, -Log(1 - end) - 2 pi i m1, in entry (0, 1), within
-    the whole-transport bound.  The arc crosses both cuts once."""
+    the whole-transport bound, at the path's exact end.  The arc crosses
+    both cuts once."""
     start, tail = segment
     path = PathSpec(complex(0.5, 0.0),
                     (LineTo(complex(0.5, 0.5)), LineTo(start), tail))
     path.validate()
-    steps = analytic._disk_chain(path, 1e-3, 128)
+    steps = analytic._disk_chain(path, 1e-3)
     assert all(_within_step_ratio(c, z1) for c, z1 in steps)
     moved = transport(2, path)
     with mp.workprec(ORACLE_PREC):
         base = ref_solution(2, 0.5)
-        end = mp.mpc(steps[-1][1])
+        end = mp.mpc(tail.end) if isinstance(tail, LineTo) else \
+            tail.center + (mp.mpc(start) - tail.center) * mp.expj(tail.sweep)
         lam = mp.log(end) - mp.log(0.5) + 2j * mp.pi * m0
         li1 = -mp.log(1 - end) - 2j * mp.pi * m1
         for (i, j), want in (((1, 2), 2j * mp.pi * (mp.log(end)
@@ -1111,14 +1121,13 @@ _CLOSED_LOOPS = {
 
 @pytest.mark.parametrize("name", list(_CLOSED_LOOPS))
 def test_closed_chain_is_float64_and_calls_no_mpmath(monkeypatch, name):
-    """A closed loop's disk chain is all Python complex points, the same at
-    every precision, and its certificate calls neither mpmath.expj nor
+    """A closed loop's disk chain is all Python complex points, and its
+    certificate calls neither mpmath.expj nor
     mpmath.workprec: ``monodromy`` still returns the matrix of the word
     that ``ref_loop_word`` reads from the loop."""
     loop = _CLOSED_LOOPS[name]
-    steps = analytic._disk_chain(loop, 1e-3, 64)
+    steps = analytic._disk_chain(loop, 1e-3)
     assert all(type(z) is complex for step in steps for z in step)
-    assert steps == analytic._disk_chain(loop, 1e-3, 4096)
     assert steps[-1][1] == loop.base_point
 
     def no_mpmath(*args, **kwargs):
@@ -1187,7 +1196,7 @@ def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
         assert monodromy(n, loop) == \
             RationalMatrix(ref_word_monodromy(n, [(around, sign)]))
     [F] = seen
-    steps = analytic._disk_chain(loop, margin, analytic.DEFAULT_PREC)
+    steps = analytic._disk_chain(loop, margin)
     d = min(min(abs(c), abs(1 - c)) for c, _ in steps)
     # two centres at distance D either side of the nearest point are at
     # most 0.4 D apart, so D <= delta / sqrt(0.96)
@@ -1223,7 +1232,7 @@ def test_open_path_through_an_interior_arc(prec):
     n = 4
     end = complex(0.3, 0.3)
     path = PathSpec(complex(0.5, 0.0), (Arc(0j, math.pi / 3), LineTo(end)))
-    steps = analytic._disk_chain(path, 1e-3, prec)
+    steps = analytic._disk_chain(path, 1e-3)
     arc_end = path.segment_starts()[0][1]
     assert arc_end in [z1 for _, z1 in steps]
     assert all(type(z) is complex for step in steps for z in step)
@@ -1240,10 +1249,10 @@ def test_arc_too_wide_for_its_margin_is_a_path_error():
         path = PathSpec(complex(r, 0.0), (Arc(0j, 0.5),
                                           LineTo(complex(r, r))))
         if ok:
-            assert analytic._disk_chain(path, 2.0 ** -3, 128)
+            assert analytic._disk_chain(path, 2.0 ** -3)
         else:
             with pytest.raises(PathError, match="too wide"):
-                analytic._disk_chain(path, 2.0 ** -3, 128)
+                analytic._disk_chain(path, 2.0 ** -3)
 
 
 @settings(deadline=None, max_examples=12)
@@ -1310,3 +1319,123 @@ def test_invariant_validation_catches_corruption():
     from polylogvar.analytic import PeriodMatrix
     bad = PeriodMatrix(2, tuple(tuple(r) for r in grid), "tampered")
     assert not period_matrix_invariants(bad)
+
+
+# 1/2 -> 1/2 + i/2 -> s -> an arc about 1e6 i by 0.3 rad that ends at about
+# 0.02 + 0.02i: |centre| + r is 2e6 against the end's 0.028 from 0
+_WIDE_ARC = PathSpec(complex(0.5, 0.0), (
+    LineTo(complex(0.5, 0.5)),
+    LineTo(complex(-295520.18164420564, 44663.52407071972)),
+    Arc(1e6j, 0.3)))
+
+
+def _wide_final_arc(seed):
+    """A path like ``_WIDE_ARC``, drawn by ``random.Random(seed)``: its arc
+    about R i, R from 1e5 to 1e7, by 0.2 to 0.4 rad ends 0.01 to 0.05 above
+    the real line and 0.01 to 0.05 from 0 or from 1 along it.  The whole
+    path lies in the upper half-plane, on the principal branch."""
+    rng = random.Random(seed)
+    centre = complex(0.0, 10 ** rng.uniform(5, 7))
+    x, y = rng.uniform(0.01, 0.05), rng.uniform(0.01, 0.05)
+    end = complex(x if rng.random() < 0.5 else 1 - x, y)
+    sweep = rng.uniform(0.2, 0.4)
+    start = centre + (end - centre) * cmath.exp(-1j * sweep)
+    return PathSpec(complex(0.5, 0.0), (LineTo(complex(0.5, 0.5)),
+                                        LineTo(start), Arc(centre, sweep)))
+
+
+def _exact_end(path):
+    """The exact end of ``path`` at the working precision: a final line's
+    end point, or centre + (s - centre) exp(i sweep) for a final arc from
+    its float64 start s."""
+    seg = path.segments[-1]
+    if isinstance(seg, LineTo):
+        return mp.mpc(seg.end)
+    start = mp.mpc(path.segment_starts()[0][-1])
+    return seg.center + (start - seg.center) * mp.expj(seg.sweep)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256, 512])
+@pytest.mark.parametrize("path", [_WIDE_ARC] + [_wide_final_arc(seed)
+                                                for seed in range(3)],
+                         ids=["wide-arc", "seed0", "seed1", "seed2"])
+def test_transport_bound_holds_at_a_wide_arcs_exact_end(path, prec):
+    """Transport along a path whose final arc is wide beside its end's
+    distance to the punctures lies within the whole-transport bound of
+    L(e), e the arc's exact end, from mpmath at 2 prec + 64 bits.  Taken
+    to only a few bits past the row's, the arc end misses e by up to
+    2^-(prec + 6) (|centre| + r), which moved row 0 of ``_WIDE_ARC`` 294,
+    99, 351 and 579 times its bound from L(e) at 64, 128, 256 and 512
+    bits."""
+    path.validate()
+    moved = transport(2, path, prec=prec)
+    with mp.workprec(2 * prec + 64):
+        _assert_row0_within_bound(moved, prec, _exact_end(path))
+
+
+def _li_line(z):
+    """``_li_fixed``'s chain for real z: the line from 3/4 or -3/4, the
+    sign of z, to z, with margin min(3/4, |1 - z|)."""
+    return (PathSpec(complex(math.copysign(0.75, z), 0.0),
+                     (LineTo(complex(z, 0.0)),)), min(0.75, abs(1 - z)))
+
+
+def _flatness_line(z):
+    """``flatness_residual``'s chain at the double z: the line from z / 2
+    to z, with margin min(z / 2, 1 - z)."""
+    return (PathSpec(complex(z / 2, 0.0), (LineTo(complex(z, 0.0)),)),
+            min(z / 2, 1 - z))
+
+
+# (path, margin, monodromy word or None for an open path on the principal
+# branch): the chain shapes of monodromy, _li_fixed, flatness_residual and
+# transport
+_RADIUS_CHAINS = {
+    "loop0": (canonical_loop(0), 1e-3, [(0, 1)]),
+    "loop1": (canonical_loop(1), 1e-3, [(1, 1)]),
+    "loop0-reversed": (canonical_loop(0).reversed(), 1e-3, [(0, -1)]),
+    "loop1-reversed": (canonical_loop(1).reversed(), 1e-3, [(1, -1)]),
+    "rect0-seed5": (_seeded_rectangle(0, 5), 1e-3, [(0, 1)]),
+    "rect1-seed11": (_seeded_rectangle(1, 11), 1e-3, [(1, 1)]),
+    "li-0.8": (*_li_line(0.8), None),
+    "li-0.99": (*_li_line(0.99), None),
+    "li--0.9": (*_li_line(-0.9), None),
+    "li--1": (*_li_line(-1.0), None),
+    "flatness-1e-6": (*_flatness_line(1e-6), None),
+    "flatness-0.3": (*_flatness_line(0.3), None),
+    "flatness-0.99999": (*_flatness_line(0.99999), None),
+    "open-arc": (PathSpec(complex(0.5, 0.0), (Arc(0j, math.pi / 3),)),
+                 1e-3, None),
+    "wide-arc": (_WIDE_ARC, 1e-3, None),
+}
+
+
+@pytest.mark.parametrize("bits", [1, 64, 128])
+@pytest.mark.parametrize("name", list(_RADIUS_CHAINS))
+def test_chain_radius_bounds_every_stepped_entry(name, bits):
+    """``_Chain.radius``, the one radius that ``monodromy``,
+    ``_li_fixed``, ``flatness_residual`` and ``transport`` read, is an exact
+    Fraction, and every entry of the stepped row lies within it of row 0 of
+    L(b) continued along the path to its exact end, from ``tests/oracles``
+    at 2 bits + 64 bits: M L(b) for a loop of monodromy M, else the
+    principal L at the end."""
+    n = 4
+    path, margin, word = _RADIUS_CHAINS[name]
+    chain = analytic._step_chain(n, path, bits, margin)
+    assert isinstance(chain.radius, Fraction)
+    assert chain.radius == analytic._chain_radius(n, path.base_point.real,
+                                                  bits)
+    with mp.workprec(2 * bits + 64):
+        if word is None:
+            L = ref_solution(n, _exact_end(path), mp.mp.prec)
+            want = [L[0, j] for j in range(1, n + 1)]
+        else:
+            M = ref_word_monodromy(n, word)[0]
+            L = ref_solution(n, path.base_point.real, mp.mp.prec)
+            want = [sum(mp.mpf(q.numerator) / q.denominator * L[k, j]
+                        for k, q in enumerate(M)) for j in range(1, n + 1)]
+        radius = mp.mpmathify(chain.radius)
+        for a, b, w in zip(*chain.row, want):
+            u = mp.make_mpc((from_man_exp(a, -chain.F),
+                             from_man_exp(b, -chain.F)))
+            assert abs(u - w) <= radius
