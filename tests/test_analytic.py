@@ -1083,8 +1083,7 @@ def test_long_segment_past_the_punctures(segment, m0, m1):
     moved = transport(2, path)
     with mp.workprec(ORACLE_PREC):
         base = ref_solution(2, 0.5)
-        end = mp.mpc(tail.end) if isinstance(tail, LineTo) else \
-            tail.center + (mp.mpc(start) - tail.center) * mp.expj(tail.sweep)
+        end = _exact_end(path)
         lam = mp.log(end) - mp.log(0.5) + 2j * mp.pi * m0
         li1 = -mp.log(1 - end) - 2j * mp.pi * m1
         for (i, j), want in (((1, 2), 2j * mp.pi * (mp.log(end)
