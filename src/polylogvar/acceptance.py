@@ -14,7 +14,6 @@ suite.
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -34,11 +33,6 @@ PREC = 128
 
 
 CriterionResult = namedtuple("CriterionResult", "number name passed details")
-
-
-@lru_cache(maxsize=None)
-def cached_monodromy(n, which):
-    return monodromy(n, canonical_loop(which), prec=PREC)
 
 
 def square_loop_around_one():
@@ -92,9 +86,11 @@ def criterion_3():
     are unipotent of index <= n+1, and homotopic loops agree exactly."""
     ok = True
     details = {}
+    matrices = {}
     for n in range(1, 5):
         for which in (0, 1):
-            M = cached_monodromy(n, which)
+            M = matrices[n, which] = monodromy(n, canonical_loop(which),
+                                               prec=PREC)
             den = M.max_denominator()
             index = nilpotency_index(M)
             unipotent = index is not None
@@ -107,7 +103,7 @@ def criterion_3():
             ok = ok and den <= math.factorial(n) and unipotent
             ok = ok and index <= n + 1
     square = monodromy(2, square_loop_around_one(), prec=PREC)
-    homotopic = square == cached_monodromy(2, 1)
+    homotopic = square == matrices[2, 1]
     details["square_equals_loop1_n2"] = homotopic
     ok = ok and homotopic
     return CriterionResult(3, "monodromy rationality and unipotence", ok, details)

@@ -754,6 +754,16 @@ def _step_chain(n, path, bits, margin):
         n      4      9     20     30     64      p*  1, 15, 59, 106, 296
         slack  17.5   24.9  28.0   28.8   29.5 bits
 
+    Each count on the certificate's path, cut on its module global, keeps
+    the exact matrices of loop0 / loop1 at cap 4096 until the cut below,
+    from which a certificate rejects it (ReconstructionError), never
+    returning a wrong matrix; ``_certified_bits`` less one bit is rejected
+    at every n:
+
+        n                               4        9        20
+        ``_series_terms`` less c        16 / 14  24 / 21  28 / 25 terms
+        ``_chain_radius`` over 2^c      19 / 19  27 / 27  28 / 28 bits
+
     The chain holds F; start, the floored start row, and row, the stepped
     row, each a pair (re, im) of lists of Python integers scaled by 2^F;
     turn, the float64 sum of the steps' phases Arg(z1 / c); end, z_D in
@@ -860,7 +870,12 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     So, as e^|Lambda| >= 1, every entry v of row i lies within
     2^-prec |v| + 2^-(prec + 6) e^|Lambda| W_i
     of entry (i, j) of L(e).  The accuracy follows ``prec``.  Entries
-    below the diagonal are exact zeros.
+    below the diagonal are exact zeros.  That holds for the computed
+    values; the CLI prints each part with D = floor((prec - 2) log10 2)
+    significant digits (``report._digits_for``), which moves it by up to
+    5 10^-D |v| more (2^-120.6 |v| at 128 bits), so each printed part lies
+    within (2^-prec + 5 10^-D) |v| + 2^-(prec + 6) e^|Lambda| W_i of that
+    part of entry (i, j) of L(e).
 
     Every step that does not end a segment advances by almost 0.4 times the
     distance to the punctures, so the step count is bounded by the
@@ -884,15 +899,16 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
 def _certified_bits(n, base):
     """p*, the least integer p >= -2 with rho(p) / 7 < 1 / (2 n!), half the
     spacing of the lattice (1/n!) Z that holds every row-0 entry, where
-    rho(p) = ``_chain_radius``(n, b, p) / b for the double b = ``base`` in
-    (0, 1).  As max(1, b / (1 - b)) / b = 2^s / min(a, 2^s - a) for
-    b = a / 2^s, that is the least p >= -2 with
-    7 min(a, 2^s - a) 2^(p + 6) > 2 (n + 1)! 2^s, one integer comparison;
-    as 7 min(a, 2^s - a) < 2 (n + 1)! 2^s, the shift k below is >= 0."""
-    a, den = base.as_integer_ratio()
-    near, bound = 7 * min(a, den - a), 2 * math.factorial(n + 1) * den
-    k = bound.bit_length() - near.bit_length()
-    return max(-2, k - 6 + ((near << k) <= bound))
+    rho(p) = ``_chain_radius``(n, b, p) / b = rho(0) 2^-p for the double
+    b = ``base`` in (0, 1).  With rho(0) / 7 = c / (8 n! d) on integers,
+    that is the least q = p + 2 >= 0 with d 2^q > c: no lesser q passes
+    when d 2^q has fewer bits than c, and every q passes once it has more,
+    so one comparison at the bit lengths' difference decides it."""
+    radius, (a, den) = _chain_radius(n, base, 0), base.as_integer_ratio()
+    c = 8 * math.factorial(n) * radius.numerator * den
+    d = 7 * a * radius.denominator
+    q = max(0, c.bit_length() - d.bit_length())
+    return q - 2 + ((d << q) <= c)
 
 
 def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
@@ -974,18 +990,18 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     loop's.
 
     Precision.  ``_certified_bits`` finds p*, the least p >= -2 with
-    rho(p) / 7 < 1/(2 n!), which is at most 1/(2 j!) for every column j, by
-    one integer comparison; ``_step_chain``'s F >= p + G + 14 needs
-    p >= -2.  ``prec`` is the most bits the certificate may use: the chain
-    is sized for p = min(prec, p*), and when p < -2 or
-    rho(p) / 7 >= 1/(2 n!), that is when prec < p*, DomainError, naming p*,
-    is raised before any transport.  At b = 1/2, p* is about
-    log2((n + 1)!) - 6.8: 1 bit at n = 4, 121 at n = 33, 296 at n = 64.  The
-    closed chain calls no mpmath and reads no ``prec``, so every cap
-    prec >= p* runs the same computation and gives the same matrix.  No
-    tolerance enters: ``tol`` is accepted, for callers that still pass it,
-    and read nowhere; it goes once the benchmark's workloads stop passing
-    it (ROADMAP.md, item 1).
+    rho(p) / 7 < 1/(2 n!), which is at most 1/(2 j!) for every column j,
+    from ``_chain_radius``, the one place the radius is formed;
+    ``_step_chain``'s F >= p + G + 14 needs p >= -2.  ``prec`` is the most
+    bits the certificate may use: when prec < p*, DomainError, naming p*
+    and rho(prec) / 7, is raised before any transport; else the chain is
+    sized for p*, and its radius over 7 b is the one both tests read.  At
+    b = 1/2, p* is about log2((n + 1)!) - 6.8: 1 bit at n = 4, 121 at
+    n = 33, 296 at n = 64.  The closed chain calls no mpmath and reads no
+    ``prec``, so every cap prec >= p* runs the same computation and gives
+    the same matrix.  No tolerance enters: ``tol`` is accepted, for callers
+    that still pass it, and read nowhere; it goes once the benchmark's
+    workloads stop passing it (ROADMAP.md, item 1).
     """
     if n < 1:
         raise DomainError("monodromy needs n >= 1")
@@ -994,14 +1010,13 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     base = _real_base(loop)
     a, den = base.as_integer_ratio()
     need, over_7b = _certified_bits(n, base), Fraction(den, 7 * a)
-    bits = min(prec, need)
-    radius = _chain_radius(n, base, bits) * over_7b
-    if bits < -2 or 2 * math.factorial(n) * radius >= 1:
+    if prec < need:
+        radius = _chain_radius(n, base, prec) * over_7b
         raise DomainError(
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
-    chain = _step_chain(n, loop, bits, margin)
+    chain = _step_chain(n, loop, need, margin)
     radius = chain.radius * over_7b
     F, m = chain.F, round(chain.turn / (2 * math.pi))
     d_re, d_im = ([u - v for u, v in zip(*parts)]

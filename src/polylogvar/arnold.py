@@ -44,8 +44,9 @@ from functools import lru_cache
 from .errors import DomainError
 from .linalg_exact import sparse_rank
 
-MAX_DIMENSION_N = 8
-MAX_CHARACTER_N = 8
+# the one cap of dimension and character: _EDGES and _BIT are built for
+# MAX_N vertices, and both read them through _nbc_top
+MAX_N = 8
 
 
 def integer_partitions(n):
@@ -129,7 +130,7 @@ class ClassFunction(namedtuple("ClassFunction", "n values")):
 # the edges of K_8 in lexicographic order: edge c is the bit 1 << c, and
 # _BIT maps (i, j) and (j, i) to it; _INTO[k - 2] holds the edges into k
 # from below
-_VERTICES = range(1, MAX_CHARACTER_N + 1)
+_VERTICES = range(1, MAX_N + 1)
 _EDGES = tuple(itertools.combinations(_VERTICES, 2))
 _BIT = {e: 1 << c for c, (i, j) in enumerate(_EDGES) for e in ((i, j), (j, i))}
 _INTO = [sum(_BIT[i, k] for i in range(1, k)) for k in _VERTICES[1:]]
@@ -270,8 +271,8 @@ def _nbc_top(n):
 def arnold_dimension(n):
     """Dimension of the degree-(n-1) component: the number of its nbc
     monomials, which the certificate makes a basis.  Equals (n-1)!."""
-    if not 2 <= n <= MAX_DIMENSION_N:
-        raise DomainError(f"arnold_dimension supports 2 <= n <= {MAX_DIMENSION_N}")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"arnold_dimension supports 2 <= n <= {MAX_N}")
     _certify()
     return len(_nbc_top(n))
 
@@ -281,8 +282,8 @@ def arnold_character(n):
     """Character of the symmetric-group action on the top component: the
     trace of each class representative on the nbc basis, the coefficient of
     b in the normal form of sigma(b), summed over the basis."""
-    if not 2 <= n <= MAX_CHARACTER_N:
-        raise DomainError(f"arnold_character supports 2 <= n <= {MAX_CHARACTER_N}")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"arnold_character supports 2 <= n <= {MAX_N}")
     _certify()
     vals = []
     for lam in integer_partitions(n):
@@ -306,8 +307,8 @@ def sign_multiplicity(n):
     multiplicity is 1."""
     if n == 1:
         return 1
-    if not 2 <= n <= MAX_CHARACTER_N:
-        raise DomainError(f"sign_multiplicity supports 1 <= n <= {MAX_CHARACTER_N}")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"sign_multiplicity supports 1 <= n <= {MAX_N}")
     # a character of the symmetric group is real and constant on cycle
     # types, which are closed under inversion, so it is its own dual
     mult = arnold_character(n).inner(sign_character(n))
@@ -356,7 +357,7 @@ def induced_cyclic_character(n):
 def induced_character_check(n):
     """Classwise identity between the top-component character (its own
     dual) and sign tensor the induced cyclic character."""
-    if not 2 <= n <= MAX_CHARACTER_N:
-        raise DomainError(f"induced_character_check supports 2 <= n <= {MAX_CHARACTER_N}")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"induced_character_check supports 2 <= n <= {MAX_N}")
     rhs = induced_cyclic_character(n).tensor_sign()
     return arnold_character(n) == rhs

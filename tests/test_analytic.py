@@ -435,10 +435,10 @@ class TestMonodromy:
     def test_guard_sizing_at_extremes(self, monkeypatch, n, prec, tol):
         # the fixed-point guard bits follow the sized precision and the term
         # count, so the certificate holds at the smallest and largest
-        # precisions and weights; a certificate said to need more bits than
-        # any cap makes the chain be sized for the cap prec itself.  tol is
-        # accepted and read nowhere.
-        monkeypatch.setattr(analytic, "_certified_bits", lambda *args: 10 ** 6)
+        # precisions and weights; a certificate said to need the cap prec
+        # itself makes the chain be sized for it.  tol is accepted and read
+        # nowhere.
+        monkeypatch.setattr(analytic, "_certified_bits", lambda *args: prec)
         assert monodromy(n, canonical_loop(0), tol=tol, prec=prec) == \
             expected_monodromy_loop0(n)
         assert monodromy(n, canonical_loop(1), tol=tol, prec=prec) == \
@@ -795,6 +795,63 @@ def test_certified_bits_at_the_named_weights():
     # at b = 1/2, p* is the least p >= -2 with 7 * 2^(p + 5) > (n + 1)! * 2
     assert [analytic._certified_bits(n, 0.5) for n in (4, 20, 30, 33, 34, 64)] \
         == [1, 59, 106, 121, 127, 296]
+
+
+@pytest.mark.parametrize("n", [1, 4, 20, 64])
+@pytest.mark.parametrize("base", [0.5, 0.05, 0.9])
+def test_certified_bits_reads_the_chain_radius(monkeypatch, n, base):
+    """p* is decided from ``_chain_radius`` alone: doubling the radius
+    raises it by exactly one bit, unless p* sits at its floor -2, where the
+    doubled radius either still certifies at -2 or needs -1."""
+    plain = analytic._certified_bits(n, base)
+    doubled_radius = 2 * _certificate_radius(n, base, -2)
+    radius = analytic._chain_radius
+    monkeypatch.setattr(analytic, "_chain_radius",
+                        lambda *args: 2 * radius(*args))
+    doubled = analytic._certified_bits(n, base)
+    if plain > -2:
+        assert doubled == plain + 1
+    else:
+        half = Fraction(1, 2 * math.factorial(n))
+        assert doubled == (-1 if doubled_radius >= half else -2)
+
+
+def _cut(count, f, c):
+    """``analytic``'s ``count``, the function f, cut by c: c fewer series
+    terms a disk, the radius over 2^c, or c bits less than p*."""
+    if count == "_series_terms":
+        return lambda prec: f(prec) - c
+    if count == "_chain_radius":
+        return lambda n, b, bits: f(n, b, bits) / 2 ** c
+    return lambda n, base: f(n, base) - c
+
+
+@pytest.mark.parametrize("count, n, least0, least1", [
+    ("_series_terms", 4, 16, 14), ("_series_terms", 9, 24, 21),
+    ("_series_terms", 20, 28, 25),
+    ("_chain_radius", 4, 19, 19), ("_chain_radius", 9, 27, 27),
+    ("_chain_radius", 20, 28, 28),
+    ("_certified_bits", 4, 1, 1), ("_certified_bits", 9, 1, 1),
+    ("_certified_bits", 20, 1, 1), ("_certified_bits", 33, 1, 1)])
+def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
+                                             least1):
+    """Each count on the certificate's path, cut where ``monodromy`` reads
+    it as a module global, leaves loop0 and loop1 their exact matrices at
+    cap 4096 below the least cut, and from it on is rejected with a
+    ReconstructionError or DomainError, never a wrong matrix.  A smaller
+    radius lowers p* with it, so both the chain's sizing and the test
+    radius shrink.  The least cuts, for loop0 and loop1, are the slack of
+    ``_step_chain``."""
+    f = getattr(analytic, count)
+    for which, first in ((0, least0), (1, least1)):
+        exact = RationalMatrix(ref_word_monodromy(n, [(which, 1)]))
+        for c in range(first + 3):
+            monkeypatch.setattr(analytic, count, _cut(count, f, c))
+            if c < first:
+                assert monodromy(n, canonical_loop(which), prec=4096) == exact
+            else:
+                with pytest.raises((ReconstructionError, DomainError)):
+                    monodromy(n, canonical_loop(which), prec=4096)
 
 
 @pytest.mark.parametrize("prec", [16, 24, 64, 128])
