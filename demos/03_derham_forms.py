@@ -11,11 +11,10 @@ import mpmath as mp
 
 from polylogvar import (eulerian, form_recurrence_check, gauge_exactness_check,
                         integrate_cube, li_series, omega)
-from polylogvar.forms import pretty
 
 print("Eulerian polynomials (palindromic, E_r(1) = r!):")
 for r in range(5):
-    print(f"  E_{r}(x) =", pretty(eulerian(r), ["x"]))
+    print(f"  E_{r}(x) =", eulerian(r).show([("x",)]))
 
 print("\nomega(3, 1) =", omega(3, 1))
 

@@ -66,7 +66,7 @@ from .arnold import (arnold_character, arnold_dimension,
 from .errors import DomainError, IntegrationError, PathError, ReconstructionError
 from .exact import eulerian
 from .forms import (form_recurrence_check, gauge_exactness_check, integrate_cube,
-                    omega, pretty)
+                    omega)
 from .hodge import (FilteredFiber, flatness_residual, graded_dimensions,
                     hodge_transversality_check, kummer_block_check)
 from .partitions import paving_check, postnikov_graded_check
@@ -143,13 +143,13 @@ _Z = ("--z", dict(type=_parse_z, required=True))
 _K = ("--k", dict(type=int, required=True))
 # paving draws no point: it checks --samples and --seed, echoes --samples
 # and reads neither; it takes them only because perfbench's cli-mix still
-# passes them (ROADMAP items 1 and 3)
+# passes them (ROADMAP item 1)
 _SAMPLES = ("--samples", dict(type=int, default=10000, help=(
     "checked and echoed, read by nothing (default 10000)")))
 _SEED = ("--seed", dict(type=int, default=0, help=(
     "checked, read by nothing (default 0)")))
 # li, lambda and kummer-block read no tolerance; they take --tol only because
-# perfbench's cli-mix still passes it to them (ROADMAP items 1 and 5)
+# perfbench's cli-mix still passes it to them (ROADMAP item 1)
 _TOL = ("--tol", dict(type=float, default=1e-12, help=(
     "quadrature target of integrate (default 1e-12); li, lambda and "
     "kummer-block accept it and read none of it")))
@@ -245,8 +245,8 @@ def _kummer_block(args):
 @_command("omega", "print a de Rham basis form", MAX_MATRIX_N, _N, _K)
 def _omega(args):
     return {"form": repr(omega(args.n, args.k)),
-            "eulerian_factor": pretty(eulerian(max(args.n - args.k, 0)),
-                                      ["x"])}, None
+            "eulerian_factor": eulerian(max(args.n - args.k, 0)).show(
+                [("x",)])}, None
 
 
 @_command("integrate", "cube integral of a basis form", None, _N, _K, _Z, _TOL)

@@ -10,7 +10,8 @@ They depend on the cube only through tau = t_1*...*t_n, so their
 coefficients are polynomials in the two variables (z, tau): variable 0 is z
 and variable 1 is tau, whatever n is (RationalForm says why every identity
 decided there holds in the cube coordinates).  Only the printed form expands
-tau^d to t1^d*...*tn^d.  Derivative identities are decided exactly, by
+tau^d to t1^d*...*tn^d: ``RationalForm.__repr__`` hands ``MPoly.show`` the
+names t1, ..., tn for tau.  Derivative identities are decided exactly, by
 polynomial cross-multiplication, never by sampling: the k = 1 relation holds
 only up to an exact term, and the symbolic layer must keep that distinction
 sharp.
@@ -67,32 +68,11 @@ class RationalForm(namedtuple("RationalForm", "n num den")):
         return RationalForm(self.n, p.diff(0) * q - p * q.diff(0), q * q)
 
     def __repr__(self):
-        """The form in the cube coordinates."""
+        """The form in the cube coordinates: z for variable 0 and tau^d
+        printed as t1^d*...*tn^d."""
         tag = "".join(f" dt{i}" for i in range(1, self.n + 1)) or " (0-form)"
-        num, den = (self._on_cube(p) for p in (self.num, self.den))
-        return f"({num}) / ({den})" + tag
-
-    def _on_cube(self, poly):
-        """``poly`` term by term as an MPoly prints it, with z for x0 and
-        tau^d printed as t1^d*...*tn^d."""
-        terms = [str(c) + _factor("z", a)
-                 + "".join(_factor(f"t{i}", d) for i in range(1, self.n + 1))
-                 for (a, d), c in sorted(poly.terms.items(), reverse=True)]
-        return " + ".join(terms) or "0"
-
-
-def _factor(name, e):
-    """'*name^e' as an MPoly's repr writes a factor: nothing for e = 0 and
-    no exponent for e = 1."""
-    return "" if e == 0 else f"*{name}" if e == 1 else f"*{name}^{e}"
-
-
-def pretty(poly, names):
-    """Render with the variable names ``names`` instead of x0, x1, ..."""
-    text = repr(poly)
-    for i in range(poly.nvars - 1, -1, -1):  # x12 before x1
-        text = text.replace(f"x{i}", names[i])
-    return text
+        names = [("z",), tuple(f"t{i}" for i in range(1, self.n + 1))]
+        return f"({self.num.show(names)}) / ({self.den.show(names)})" + tag
 
 
 def omega(n, k):

@@ -8,6 +8,10 @@ tuples to nonzero coefficients, each an ``int`` when it is integral and a
 Eulerian polynomials have integer coefficients, so their arithmetic runs on
 ints.  Identities between rational functions are decided by
 cross-multiplication, which needs nothing beyond exact ring arithmetic.
+
+``MPoly.show`` is the one printer: the caller names each variable, so repr
+prints x0, x1, ..., a form prints z and t1...tn, and an Eulerian polynomial
+prints x, all from the same code.
 """
 
 from fractions import Fraction
@@ -127,19 +131,25 @@ class MPoly:
             return 0
         return max(m[i] for m in self.terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
+    def show(self, names):
+        """The one printer: terms by descending exponent tuple, each its
+        coefficient times, for every variable i of exponent e > 0, each name
+        in the tuple ``names[i]`` raised to e (no ``^1``), joined by "*";
+        "0" for the zero polynomial.  So one variable can print as several
+        factors, or, with an empty tuple, as none.  ``names`` needs one
+        tuple per variable."""
         parts = []
         for mono in sorted(self.terms, reverse=True):
             factors = [str(self.terms[mono])]
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
+            for spelled, e in zip(names, mono, strict=True):
+                if e:
+                    factors += [name if e == 1 else f"{name}^{e}"
+                                for name in spelled]
             parts.append("*".join(factors))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
+
+    def __repr__(self):
+        return self.show([(f"x{i}",) for i in range(self.nvars)])
 
 
 def rational_functions_equal(num1, den1, num2, den2):

@@ -8,6 +8,7 @@ import math
 from collections import Counter, namedtuple
 from functools import lru_cache
 
+from .arnold import MAX_N, arnold_dimension
 from .errors import DomainError
 
 MAX_PARTITION_N = 9
@@ -90,7 +91,6 @@ def _block_factor(size):
     ``arnold_dimension``, 1 on a single vertex."""
     if size == 1:
         return 1
-    from .arnold import arnold_dimension
     return arnold_dimension(size)
 
 
@@ -103,8 +103,8 @@ def postnikov_graded_check(n):
     """For every k, the sum over partitions with n-k blocks of the product of
     per-block top Arnol'd dimensions must equal c(n, n-k); the column sums
     over all k must add up to n!."""
-    if not 2 <= n <= 8:
-        raise DomainError("postnikov_graded_check supports 2 <= n <= 8")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"postnikov_graded_check supports 2 <= n <= {MAX_N}")
     sums = {}
     for pi in partitions_of(n):
         k = n - len(pi.blocks)
@@ -168,7 +168,7 @@ def paving_check(n, z, samples, seed, family=None):
     No point is drawn.  ``samples`` and ``seed`` are checked and
     ``samples`` is echoed in the report, with ``redraws`` always 0; nothing
     else reads them.  They stay only because the benchmark's cli-mix workload
-    passes and reads them (ROADMAP items 1 and 3).
+    passes and reads them (ROADMAP item 1).
 
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n

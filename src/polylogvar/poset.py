@@ -7,6 +7,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations
 
+from .arnold import MAX_N
 from .errors import DomainError
 # unused; test_wrappers_reach_every_importing_namespace pins it (ROADMAP 1)
 from .linalg_exact import sparse_rank  # noqa: F401
@@ -54,11 +55,11 @@ def poset_homology(n):
     so some lower interval fails it and the one pass refuses it (seen at
     every n from 3 to 8).
 
-    Guarded at 3 <= n <= 8, ``arnold_dimension``'s cap; below 3 the proper
-    part is empty.
+    Guarded at 3 <= n <= ``arnold.MAX_N``, ``arnold_dimension``'s cap; below
+    3 the proper part is empty.
     """
-    if not 3 <= n <= 8:
-        raise DomainError("poset_homology supports 3 <= n <= 8")
+    if not 3 <= n <= MAX_N:
+        raise DomainError(f"poset_homology supports 3 <= n <= {MAX_N}")
     # rank by rank up from the bottom: the increasing and decreasing chains
     # to each y by last label, and the least word to y with its chain count
     bottom = tuple((i,) for i in range(1, n + 1))

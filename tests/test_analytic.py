@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import types
 from fractions import Fraction
 
 import mpmath as mp
@@ -679,6 +680,19 @@ def test_least_terms_is_the_least_count(ab, t):
     if ab == (1, 2):
         assert K == t + 1
 
+
+
+@pytest.mark.parametrize("offset", [3, -3])
+def test_least_terms_steps_a_wrong_estimate_to_the_least(monkeypatch, offset):
+    """With the float estimate off by ``offset``, the exact integer tests
+    still step K to the least count: down for +3, up for -3."""
+    cases = ((2, 5, 100), (3, 4, 50), (1, 1000, 7))
+    want = [analytic._least_terms(*case) for case in cases]
+    off = types.SimpleNamespace(**vars(math))
+    off.ceil = lambda v: math.ceil(v) + offset
+    monkeypatch.setattr(analytic, "math", off)
+    assert [analytic._least_terms(*case) for case in cases] == want
+    assert want == [77, 126, 1]
 
 def test_series_terms_is_the_least_for_the_ratio_two_fifths():
     """K = ``_series_terms(prec)`` is the least K >= 1 with

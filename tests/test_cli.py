@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -15,6 +17,7 @@ from polylogvar import analytic, arnold, cli, poset
 from polylogvar.cli import main
 from polylogvar.hodge import FlatnessReport
 from polylogvar.partitions import paving_check
+from polylogvar.report import RunReport
 
 from oracles import ref_eulerian, ref_polylog, ref_solution
 
@@ -87,6 +90,23 @@ def test_csv_flattens_nested_tables():
     assert kv["result.table.1.dimension"] == "3"
     assert kv["result.table.1.stirling"] == "3"
 
+
+
+def test_csv_quotes_and_reads_back():
+    """A value holding a comma, a quote or a newline is quoted, its quotes
+    doubled, and csv.reader gives back the key/value pairs of the report."""
+    text = 'a,b "c"\nd'
+    rep = RunReport("omega", {"n": 1}, {"s": text, "rows": [[1, "x,y"], []]},
+                    "pass")
+    out = rep.to_csv()
+    assert '"a,b ""c""\nd"' in out
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert dict(rows[1:]) == {
+        "command": "omega", "params.n": "1", "result.s": text,
+        "result.rows.0.0": "1", "result.rows.0.1": "x,y", "verdict": "pass",
+        "elapsed_ms": ""}
+    assert len(rows) == 8
 
 def test_byte_determinism_in_process():
     args = ["paving", "--n", "3", "--z", "0.5", "--samples", "2000",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,3 +197,19 @@ def test_two_and_fraction_two_agree():
     assert hash(two) == hash(frac_two)
     assert repr(two) == repr(frac_two) == "2"
     assert type(frac_two.terms[0, 0]) is int
+
+
+def test_show_spells_each_variable_by_its_names():
+    """A variable prints as every name of its tuple, or, with an empty
+    tuple, as nothing; repr is show with x0, x1, ..., so x12 never reads
+    as x1 followed by a 2."""
+    p = MPoly(2, {(2, 3): -3, (1, 1): Fraction(1, 2), (0, 0): 1})
+    assert p.show([("z",), ("t1", "t2")]) == \
+        "-3*z^2*t1^3*t2^3 + 1/2*z*t1*t2 + 1"
+    assert p.show([("z",), ()]) == "-3*z^2 + 1/2*z + 1"
+    assert MPoly(2).show([("z",), ("t",)]) == repr(MPoly(2)) == "0"
+    x12 = MPoly.var(13, 12) * MPoly.var(13, 1)
+    assert repr(x12) == "1*x1*x12"
+    assert x12.show([(f"v{i}",) for i in range(13)]) == "1*v1*v12"
+    with pytest.raises(ValueError):
+        p.show([("z",)])
