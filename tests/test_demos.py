@@ -1,22 +1,13 @@
-"""Smoke test: every script in demos/ runs to completion and prints."""
-
-import os
-import pathlib
-import subprocess
-import sys
+"""Every script in demos/ runs to completion and prints exactly what the
+golden record holds for it (``golden_record.py``)."""
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = ("01_polylog_values.py", "02_monodromy.py", "03_derham_forms.py",
-         "04_filtrations.py", "05_partition_combinatorics.py")
+from golden_record import DEMOS, assert_matches, load, run_demo
+
+RECORD = load()["demos"]
 
 
 @pytest.mark.parametrize("script", DEMOS)
 def test_demo_runs(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert_matches(RECORD[script], *run_demo(script))
