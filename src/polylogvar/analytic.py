@@ -28,12 +28,13 @@ disk chain, so no special value and no term cap enters.
 Monodromy matrices share transport's disk chain and row step
 (``_step_chain``).  Below row 0 the system is the Tate-twisted symmetric
 power of the Kummer (log) system, so rows 1..n of a monodromy matrix are
-fixed by the loop's winding number about 0, read from the phase sum of the
-closed chain; only the n entries of row 0, from the row (1, Li_1, ..., Li_n)
-stepped around the loop, are reconstructed as exact rationals.  The
-normalization by powers of 2*pi*i is what makes those entries rational;
-entry (0, j) lies in the lattice (1/j!) Z, so it is certified by rounding
-once its proved radius is below half the spacing 1/j!, with no tolerance.
+fixed by the loop's winding number about 0, counted exactly from the
+closed chain's crossings of (-oo, 0); only the n entries of row 0, from
+the row (1, Li_1, ..., Li_n) stepped around the loop, are reconstructed as
+exact rationals.  The normalization by powers of 2*pi*i is what makes those
+entries rational; entry (0, j) lies in the lattice (1/j!) Z, so it is
+certified by rounding once its proved radius is below half the spacing
+1/j!, with no tolerance.
 Monodromy runs at the least precision that certifies: its row step is sized
 for the fewest bits whose proved row-0 radius is below 1/(2 n!), and the
 caller's precision only caps that count.  From that count to the lattice
@@ -635,7 +636,7 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-_Chain = namedtuple("_Chain", "F start row turn end radius")
+_Chain = namedtuple("_Chain", "F start row winding end radius")
 
 
 def _chain_radius(n, b, bits):
@@ -701,6 +702,20 @@ def _step_chain(n, path, bits, margin):
     the path.  D counts the end step, and F >= p + G + 12 - e, so
     1.44 2^-F <= 1.44 2^-(p + G + 11) d < 1.44 2^-(p + G + 10) d'.
 
+    The winding.  m, the floored chain's winding about 0, is the signed
+    number of its steps that cross (-oo, 0), counted on the integers of
+    its points with no float.  A point with Im = 0 counts as upper, as
+    Arg in (-pi, pi] reads it.  A step from (x0, y0) to (x1, y1) that
+    changes side meets the real axis at x = (x1 y0 - x0 y1) / (y0 - y1), so
+    left of 0 just when (x1 y0 - x0 y1) (y0 - y1) < 0; upper to lower
+    counts 1, lower to upper -1.  Every floored step has
+    |z1 - c| <= 0.4 |c| (``_step_row``'s exact test), so arg(z / c) moves
+    continuously within (-0.42, 0.42) along it, and the steps' principal
+    Im log(z1 / c) sum to a continuous argument of the polygon from
+    Arg b = 0.  That argument minus Arg z jumps by 2 pi exactly where the
+    polygon crosses (-oo, 0) from upper to lower, and by -2 pi the other
+    way, so the sum of the steps' log(z1 / c) is Log(z_D / b) + 2 pi i m.
+
     Growth of the product.  Write d = dist(c, {0, 1}) and a = -log 0.6,
     below 0.511.  Majorants below are polynomials in S, the (n+1) x (n+1)
     upper shift, with coefficients >= 0, compared coefficient by
@@ -763,11 +778,18 @@ def _step_chain(n, path, bits, margin):
         n                               4        9        20
         ``_series_terms`` less c        16 / 14  24 / 21  28 / 25 terms
         ``_chain_radius`` over 2^c      19 / 19  27 / 27  28 / 28 bits
+        ``_product_guard`` less c       21 / 18  30 / 27  28 / 28 bits
+        ``_fraction_bits`` less c       -        -        29 / 28 bits
+
+    At n = 4 and 9 no cut of F is rejected: F, 29 and 50 bits there, falls
+    to the floored chain's floor, 26 bits on these loops, which certifies.
+    A cut of G to p + G + 8 < 0 (23 at n = 4) leaves ``_series_terms`` no
+    target: a ValueError before any step.
 
     The chain holds F; start, the floored start row, and row, the stepped
     row, each a pair (re, im) of lists of Python integers scaled by 2^F;
-    turn, the float64 sum of the steps' phases Arg(z1 / c); end, z_D in
-    fixed point; and radius, ``_chain_radius``(n, b, p).
+    winding, the integer m; end, z_D in fixed point; and radius,
+    ``_chain_radius``(n, b, p).
     """
     if not margin > 0:
         raise DomainError("margin must be positive")
@@ -793,9 +815,10 @@ def _step_chain(n, path, bits, margin):
                    for part in parts]
     for c, z1 in zip(points, points[1:]):
         row = _step_row(*row, c, z1, terms, F)
-    turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
-                     for z0, z1 in zip(ends, ends[1:]))
-    return _Chain(F, start, row, turn, points[-1],
+    winding = sum((y1 < 0) - (y0 < 0)
+                  for (x0, y0), (x1, y1) in zip(points, points[1:])
+                  if (x1 * y0 - x0 * y1) * (y0 - y1) < 0)
+    return _Chain(F, start, row, winding, points[-1],
                   _chain_radius(n, base.real, bits))
 
 
@@ -829,19 +852,11 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     integers a disk.  No matrix product is formed.
 
     Lambda.  As 1 + w/c = z1/c, exp(Lambda) = z_D / b, so, as b > 0,
-    log b + Lambda = Log z_D + 2 pi i m for an integer
-    m = (sum theta_k - Arg z_D) / (2 pi), where theta_k = Im l_k = Arg(z1/c)
-    and |theta_k| <= asin 0.4 < 0.42.  m is the nearest integer to that
-    quotient taken in float64 from the phase of the quotient of the doubles
-    nearest c and z1: z1/c lies at least 0.6 from 0, with its argument at
-    least 2.7 from the cut at +-pi, so each phase is within 2^-48 of
-    theta_k, and for D <= ``_DISK_CAP`` the sum of phases, and with it the
-    quotient, is within 2^-30 of its exact value.  Arg z_D is libmp's
-    atan2 at 64 bits of the exact z_D, which reads the sign of its
-    imaginary part exactly, so even on the cut it is the Arg of the Log z_D
-    that ``_log_rows`` takes; in float64 it is within 2^-50 of it.  (A
-    closed chain ends on b, so there m is the nearest integer to
-    sum theta_k / (2 pi), with no Arg: ``monodromy``.)
+    log b + Lambda = Log z_D + 2 pi i m for the integer m that
+    ``_step_chain`` counts exactly from the floored chain's crossings of
+    (-oo, 0) (``_Chain.winding``), with Arg in (-pi, pi] as in the Log z_D
+    that ``_log_rows`` takes; on the cut, Im z_D = 0 and Arg z_D = pi.  (A
+    closed chain ends on b, so there Lambda = 2 pi i m: ``monodromy``.)
 
     Whole-transport bound.  Let e be the path's exact end, Lambda the
     continued log(e / b), and W_i = sum_k |L(b)[i][k]| the weight of row i
@@ -886,12 +901,10 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     _real_base(path)
     chain = _step_chain(n, path, prec + (n + 2).bit_length(), margin)
     end = mp.make_mpc(tuple(from_man_exp(v, -chain.F) for v in chain.end))
-    with mp.workprec(64):
-        m = round((chain.turn - float(mp.arg(end))) / (2 * math.pi))
     with mp.workprec(prec):
         rows = [[mp.mpc(1)] + [_from_fixed(a, b, chain.F)
                                for a, b in zip(*chain.row)]]
-        rows += _log_rows(n, end, m, prec)
+        rows += _log_rows(n, end, chain.winding, prec)
     return PeriodMatrix(n, tuple(tuple(row) for row in rows),
                         f"principal . {path.describe()}")
 
@@ -925,11 +938,12 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
     the chain.  The loop closes, so Lambda = 2 pi i m for the winding m
     about 0, and entry (i, j) of rows 1..n is
     (2 pi i)^(i-j) (2 pi i m)^(j-i) / (j-i)! = m^(j-i) / (j-i)!, exactly.
-    The chain closes on b itself, so Log(z_end / z_base) = 0 and m is the
-    nearest integer to its phase sum over 2 pi (``transport``), with no
-    logarithm.  So only row 0 is computed: (1, v) stepped across the chain
-    by ``_step_chain``, and u - v, an exact difference of integers, times
-    E(-l) D^-1 on integers at 2^-F (row 0 in integers, below).
+    The chain closes on b itself, so Log(z_end / z_base) = 0 and m is
+    ``_step_chain``'s exact count of the chain's crossings of (-oo, 0)
+    (``_Chain.winding``), with no logarithm.  So only row 0 is computed:
+    (1, v) stepped across the chain by ``_step_chain``, and u - v, an exact
+    difference of integers, times E(-l) D^-1 on integers at 2^-F (row 0 in
+    integers, below).
 
     Denominators.  The loop is a word in the loops about 0 and 1 from b,
     whose matrices are M_0 (m = 1, row 0 = e_0) and M_1 = I - E_01, with
@@ -1018,7 +1032,7 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
             f"certificate needs {need} bits")
     chain = _step_chain(n, loop, need, margin)
     radius = chain.radius * over_7b
-    F, m = chain.F, round(chain.turn / (2 * math.pi))
+    F, m = chain.F, chain.winding
     d_re, d_im = ([u - v for u, v in zip(*parts)]
                   for parts in zip(chain.row, chain.start))
     # row 0 = (u - v) E(-log b) D^-1 at 2^-F: e_k = d_k / (2 pi)^k, then

@@ -187,6 +187,21 @@ def ref_loop_word(path, step=1e-3):
     return word
 
 
+def ref_winding(points):
+    """The winding m about 0 of the polygon through ``points`` (Python
+    complex numbers or mpc), from a first point on (0, oo) and with every
+    step turning by less than pi about 0, read in floats: the float64 sum
+    of the phases Arg(z1 / z0) of its steps, less the Arg of its last point
+    (mpmath's atan2 at 64 bits, which reads the sign of the imaginary part
+    exactly), over 2 pi, rounded.  Arg is in (-pi, pi], so a last point on
+    (-oo, 0) has Arg pi."""
+    turn = math.fsum(cmath.phase(complex(z1) / complex(z0))
+                     for z0, z1 in zip(points, points[1:]))
+    with mp.workprec(64):
+        end = float(mp.arg(mp.mpc(points[-1])))
+    return round((turn - end) / (2 * math.pi))
+
+
 def ref_eulerian(r):
     """Coefficients of E_r, lowest degree first, from the explicit
     alternating sum A(r, m) = sum_j (-1)^j C(r+1, j) (m+1-j)^r."""

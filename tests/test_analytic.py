@@ -21,7 +21,7 @@ from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 from oracles import (LOG2, ORACLE_PREC, PI2_OVER_12, alternating_li2_minus1,
                      period_matrix_invariants, ref_li_disk_counts,
                      ref_loop_word, ref_polylog, ref_minus_log1m,
-                     ref_solution, ref_word_monodromy)
+                     ref_solution, ref_winding, ref_word_monodromy)
 
 TOL = 1e-10
 
@@ -832,12 +832,13 @@ def test_certified_bits_reads_the_chain_radius(monkeypatch, n, base):
 
 def _cut(count, f, c):
     """``analytic``'s ``count``, the function f, cut by c: c fewer series
-    terms a disk, the radius over 2^c, or c bits less than p*."""
+    terms a disk, the radius over 2^c, c bits less than p*, c fewer guard
+    bits G or c fewer fraction bits F."""
     if count == "_series_terms":
         return lambda prec: f(prec) - c
     if count == "_chain_radius":
         return lambda n, b, bits: f(n, b, bits) / 2 ** c
-    return lambda n, base: f(n, base) - c
+    return lambda *args: f(*args) - c
 
 
 @pytest.mark.parametrize("count, n, least0, least1", [
@@ -846,7 +847,11 @@ def _cut(count, f, c):
     ("_chain_radius", 4, 19, 19), ("_chain_radius", 9, 27, 27),
     ("_chain_radius", 20, 28, 28),
     ("_certified_bits", 4, 1, 1), ("_certified_bits", 9, 1, 1),
-    ("_certified_bits", 20, 1, 1), ("_certified_bits", 33, 1, 1)])
+    ("_certified_bits", 20, 1, 1), ("_certified_bits", 33, 1, 1),
+    ("_product_guard", 4, 21, 18), ("_product_guard", 9, 30, 27),
+    ("_product_guard", 20, 28, 28),
+    ("_fraction_bits", 4, None, None), ("_fraction_bits", 9, None, None),
+    ("_fraction_bits", 20, 29, 28)])
 def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
                                              least1):
     """Each count on the certificate's path, cut where ``monodromy`` reads
@@ -855,14 +860,26 @@ def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
     ReconstructionError or DomainError, never a wrong matrix.  A smaller
     radius lowers p* with it, so both the chain's sizing and the test
     radius shrink.  The least cuts, for loop0 and loop1, are the slack of
-    ``_step_chain``."""
+    ``_step_chain``.
+
+    No cut of F is rejected at n = 4 or 9 (None): F, 29 and 50 bits there,
+    falls to the canonical loops' nearest-approach floor of 26 bits after
+    a cut of 3 or 24, and 26 bits still certify, so every cut up to 29 is
+    checked to keep the exact matrix.  A cut of G to p + G + 8 < 0 leaves
+    ``_series_terms`` no target, a ValueError before any step; at n = 4
+    that is the cut of 23, two past loop0's least."""
     f = getattr(analytic, count)
     for which, first in ((0, least0), (1, least1)):
         exact = RationalMatrix(ref_word_monodromy(n, [(which, 1)]))
-        for c in range(first + 3):
+        for c in range(30 if first is None else first + 3):
             monkeypatch.setattr(analytic, count, _cut(count, f, c))
-            if c < first:
+            if first is None or c < first:
                 assert monodromy(n, canonical_loop(which), prec=4096) == exact
+            elif count == "_product_guard" and \
+                    analytic._certified_bits(n, 0.5) + f(n, 21) + 8 < c:
+                # p + G + 8 < 0 on the canonical loops' 21 disks
+                with pytest.raises(ValueError):
+                    monodromy(n, canonical_loop(which), prec=4096)
             else:
                 with pytest.raises((ReconstructionError, DomainError)):
                     monodromy(n, canonical_loop(which), prec=4096)
@@ -996,6 +1013,102 @@ def test_any_loop_has_the_monodromy_of_its_crossing_word(n, pieces):
     path = functools.reduce(PathSpec.then, loops)
     assert monodromy(n, path) == \
         RationalMatrix(ref_word_monodromy(n, ref_loop_word(path)))
+
+
+def _chain_points(path, margin=1e-3):
+    """The polygon of ``path``'s disk chain: its float64 points, and an
+    open path's final arc end at 128 bits."""
+    points = [path.base_point] + [z1 for _, z1 in
+                                  analytic._disk_chain(path, margin)]
+    if not path.closed and isinstance(path.segments[-1], Arc):
+        points.append(analytic._arc_end(path, 128))
+    return points
+
+
+def _winding_path(seed):
+    """A path from 1/2 drawn by ``random.Random(seed)``: one to three of
+    ``_seeded_loop``'s rectangles and arcs about 0, 1 or both, each maybe
+    reversed, end to end; for an odd seed an open tail follows, a line out
+    to a circle about 0 or 1, an arc on it of up to 9 radians either way,
+    and for a seed divisible by 3 a radial line off the arc's end."""
+    rng = random.Random(seed)
+    loops = [_seeded_loop(rng.choice(["rect", "arc"]), rng.randrange(3),
+                          rng.randrange(2 ** 16))
+             for _ in range(rng.randint(1, 3))]
+    path = functools.reduce(PathSpec.then, [
+        loop if rng.random() < 0.5 else loop.reversed() for loop in loops])
+    if seed % 2:
+        centre = complex(rng.randrange(2), 0.0)
+        angle = math.pi * centre.real + rng.uniform(-math.pi / 2, math.pi / 2)
+        sweep = rng.uniform(-9, 9)
+        tail = [LineTo(centre + cmath.rect(rng.uniform(0.15, 0.4), angle)),
+                Arc(centre, sweep)]
+        if seed % 3 == 0:
+            tail.append(LineTo(centre + cmath.rect(rng.uniform(0.15, 0.45),
+                                                   angle + sweep)))
+        path = PathSpec(path.base_point, path.segments + tuple(tail))
+    return path
+
+
+def test_winding_count_matches_the_float_reading():
+    """``_step_chain``'s exact count of the floored chain's crossings of
+    (-oo, 0) equals ``ref_winding``'s float reading of the chain's polygon
+    on 320 seeded paths, half of them open, with every winding from -3 to
+    4 among them."""
+    seen = set()
+    for seed in range(320):
+        path = _winding_path(seed)
+        path.validate()
+        m = analytic._step_chain(1, path, 8, 1e-3).winding
+        assert m == ref_winding(_chain_points(path)), seed
+        seen.add(m)
+    assert set(range(-3, 5)) <= seen
+
+
+_SQUARE = [(-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("corners, m", [
+    # a vertex exactly on (-oo, 0), entered from above: ended on, or left
+    # above or below
+    ([(0.5, 0.5), (-0.5, 0.5), (-0.5, 0)], 0),
+    ([(0.5, 0.5), (-0.5, 0.5), (-0.5, 0), (-0.5, 0.5)], 0),
+    ([(0.5, 0.5), (-0.5, 0.5), (-0.5, 0), (-0.5, -0.5)], 1),
+    # the same vertex entered from below
+    ([(0.5, -0.5), (-0.5, -0.5), (-0.5, 0)], -1),
+    ([(0.5, -0.5), (-0.5, -0.5), (-0.5, 0), (-0.5, -0.5)], 0),
+    ([(0.5, -0.5), (-0.5, -0.5), (-0.5, 0), (-0.5, 0.5)], -1),
+    # horizontal steps along (-oo, 0), then off it downwards
+    ([(0.5, 0.5), (-0.5, 0.5), (-0.5, 0), (-1.5, 0), (-1.5, -0.5)], 1),
+    # steps across (0, 1), then along it
+    ([(0.5, 0.3), (0.5, -0.3), (0.25, 0), (0.75, 0)], 0),
+    # steps across (1, oo), ended on it from below
+    ([(0.5, 0.5), (1.5, 0.5), (1.5, -0.5), (1.5, 0)], 0),
+    # twice round the square, ended on -1/2 from above or from below
+    ([(0.5, 0.5)] + 2 * _SQUARE + [(-0.5, 0.5), (-0.5, 0)], 2),
+    ([(0.5, 0.5)] + 2 * _SQUARE + [(-0.5, 0.5), (-0.5, -0.5), (-0.5, 0)], 2)],
+    ids=["above-end", "above-above", "above-below", "below-end",
+         "below-below", "below-above", "along-the-cut", "across-0-1",
+         "across-1-oo", "twice-from-above", "twice-from-below"])
+def test_winding_counts_crossings_of_the_negative_axis(corners, m):
+    """The count at its edge cases: a floored vertex exactly on (-oo, 0),
+    an axis point counting as upper; steps along the axis; crossings of
+    (0, 1) and (1, oo), which change nothing.  It agrees with
+    ``ref_winding``, and a path ended on the cut gets Arg pi from
+    ``transport``: entry (1, 2) is 2 pi i (Log z_D + 2 pi i m)."""
+    path = PathSpec(complex(0.5, 0.0),
+                    tuple(LineTo(complex(x, y)) for x, y in corners))
+    path.validate()
+    points = _chain_points(path)
+    assert {complex(x, y) for x, y in corners} <= set(points)
+    chain = analytic._step_chain(1, path, 8, 1e-3)
+    assert chain.winding == m == ref_winding(points)
+    if corners[-1] == (-0.5, 0):
+        assert chain.end == [-1 << chain.F - 1, 0]
+        v = transport(2, path).entries[1][2]
+        with mp.workprec(ORACLE_PREC):
+            want = 2j * mp.pi * (-mp.log(2) + (2 * m + 1) * mp.pi * 1j)
+            assert abs(v - want) <= mp.mpf(10) ** -30 * abs(want)
 
 
 def _meets_cuts(a, b):
