@@ -7,8 +7,11 @@ runs it.  Where a text is short, the record keeps it too, line by line, so
 that a changed output shows as a readable diff.  ``tests/test_golden.py``
 and ``tests/test_demos.py`` check every entry with ``assert_matches``.
 
-ARGVS are the CI argvs that read no scratch file and print no wall time,
-and ``suite``.  Regenerate the record with
+ARGVS are the CI argvs that print no wall time, and ``suite``.  The path
+files that CI writes for ``--loop`` are committed under
+``tests/golden/paths/``, with the same contents, and named relative to the
+repository root, where ``run_argv`` runs, so the ``loop`` echoed in a
+report is the same wherever the tests start.  Regenerate the record with
 
     PYTHONPATH=src python tests/golden_record.py
 
@@ -31,6 +34,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tests" / "golden" / "record.json"
 DEMOS = ("01_polylog_values.py", "02_monodromy.py", "03_derham_forms.py",
          "04_filtrations.py", "05_partition_combinatorics.py")
+# the --loop files of ARGVS, relative to ROOT
+PATHS = "tests/golden/paths"
 # a text of at most this many lines and characters is kept in the record
 SHORT_LINES, SHORT_CHARS = 40, 4000
 
@@ -80,10 +85,14 @@ ARGVS = [
     ["monodromy", "--n", "8", "--loop", "loop1", "--precision", "64"],
     ["monodromy", "--n", "8", "--loop", "loop1", "--precision", "512"],
     ["monodromy", "--n", "8", "--loop", "loop0", "--precision", "4096"],
+    ["monodromy", "--n", "6", "--loop", f"{PATHS}/both-arcs.json"],
     ["monodromy", "--n", "64", "--loop", "loop0"],
     ["transport", "--n", "64", "--loop", "loop1"],
     ["transport", "--n", "2", "--loop", "loop0"],
     ["lambda", "--n", "2", "--z", "0.5"],
+    ["transport", "--n", "2", "--loop", f"{PATHS}/cut-from-above.json"],
+    ["transport", "--n", "2", "--loop", f"{PATHS}/cut-from-below.json"],
+    ["transport", "--n", "1", "--loop", f"{PATHS}/endless-arc.json"],
     ["li", "--n", "2"],
     ["integrate", "--n", "4", "--k", "3", "--z", "0.5,0.3", "--tol", "1e-17"],
     ["monodromy", "--n", "2", "--loop", "loop0", "--tol", "0"],
@@ -91,9 +100,11 @@ ARGVS = [
     ["integrate", "--n", "1", "--k", "1", "--z", "0.5", "--tol", "nan"],
     ["paving", "--n", "2", "--z", "1/3"],
     ["monodromy", "--n", "1", "--loop", "."],
+    ["monodromy", "--n", "1", "--loop", f"{PATHS}/boolean-base.json"],
     ["monodromy", "--n", "1", "--loop", "/dev/zero"],
     ["recurrence-check", "--n", "1"],
     ["suite", "--seed", "0"],
+    ["transport", "--n", "2", "--loop", f"{PATHS}/wide-arc.json"],
     ["suite"],
 ]
 
@@ -102,18 +113,21 @@ def run_argv(argv):
     """(exit code, stdout, stderr) of ``cli.main(argv)``, run in process;
     argparse's exits (help, usage errors) give their SystemExit code.
     argparse wraps its text to $COLUMNS, or to a terminal's width, so the
-    width is pinned to 80 for the call."""
+    width is pinned to 80 for the call; it runs in ROOT, where the --loop
+    files of ARGVS are named."""
     from polylogvar.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
+    columns, cwd = os.environ.get("COLUMNS"), os.getcwd()
     os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
     except SystemExit as e:
         code = e.code or 0
     finally:
+        os.chdir(cwd)
         if columns is None:
             del os.environ["COLUMNS"]
         else:
