@@ -29,9 +29,6 @@ from .partitions import paving_check, postnikov_graded_check
 from .paths import LineTo, PathSpec, canonical_loop
 from .poset import poset_homology
 
-PREC = 128
-
-
 CriterionResult = namedtuple("CriterionResult", "number name passed details")
 
 
@@ -57,7 +54,7 @@ def criterion_1():
             ok = ok and err0 <= 1e-10
             for k in range(1, n + 1):
                 quad = integrate_cube(n, k, z, 1e-8)
-                ref = li_series(k, z, prec=PREC)
+                ref = li_series(k, z)
                 err = float(abs(quad - ref))
                 worst = max(worst, err)
                 ok = ok and err <= 1e-6
@@ -89,8 +86,7 @@ def criterion_3():
     matrices = {}
     for n in range(1, 5):
         for which in (0, 1):
-            M = matrices[n, which] = monodromy(n, canonical_loop(which),
-                                               prec=PREC)
+            M = matrices[n, which] = monodromy(n, canonical_loop(which))
             den = M.max_denominator()
             index = nilpotency_index(M)
             unipotent = index is not None
@@ -102,7 +98,7 @@ def criterion_3():
             }
             ok = ok and den <= math.factorial(n) and unipotent
             ok = ok and index <= n + 1
-    square = monodromy(2, square_loop_around_one(), prec=PREC)
+    square = monodromy(2, square_loop_around_one())
     homotopic = square == matrices[2, 1]
     details["square_equals_loop1_n2"] = homotopic
     ok = ok and homotopic
@@ -116,7 +112,7 @@ def criterion_4():
     details = {}
     for n in range(1, 5):
         for z in ("0.3", "0.5", "0.7"):
-            rep = kummer_block_check(n, mp.mpf(z), prec=PREC)
+            rep = kummer_block_check(n, mp.mpf(z))
             details[f"kummer_n{n}_z{z}"] = rep.passed
             ok = ok and rep.passed
         triv = trivial_subobject_check(n)

@@ -328,15 +328,6 @@ def _li_disk(n, z, prec):
     X, Y, s = _dyadic(z, prec + 32)
     terms, F = _li_disk_size(X * X + Y * Y, s, prec)
     Xf, Yf = (X << F) >> s, (Y << F) >> s
-    if not Y:  # real z: every imaginary part below stays 0
-        t, s_re = 1 << F, [0] * (n + 1)
-        for k in range(1, terms + 1):
-            a = t
-            for j in range(1, n + 1):
-                a //= k
-                s_re[j] += a
-            t = t * Xf >> F
-        return [X * a for a in s_re[1:]], [0] * n, F + s
     t_re, t_im = 1 << F, 0
     s_re, s_im = [0] * (n + 1), [0] * (n + 1)
     for k in range(1, terms + 1):
@@ -832,7 +823,7 @@ def _real_base(path):
     return base.real
 
 
-def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
+def transport(n, path, prec=DEFAULT_PREC):
     """The principal solution L(b) at the base point b of ``path``, real in
     (0, 1) (``_real_base``), continued along the path.
 
@@ -894,12 +885,13 @@ def transport(n, path, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
 
     Every step that does not end a segment advances by almost 0.4 times the
     distance to the punctures, so the step count is bounded by the
-    arclength over 0.2 * margin, and by ``_DISK_CAP``.
+    arclength over 0.2 times the fixed ``DEFAULT_MARGIN`` of 1e-3, and by
+    ``_DISK_CAP``.
     """
     if n < 1:
         raise DomainError("transport needs n >= 1")
     _real_base(path)
-    chain = _step_chain(n, path, prec + (n + 2).bit_length(), margin)
+    chain = _step_chain(n, path, prec + (n + 2).bit_length(), DEFAULT_MARGIN)
     end = mp.make_mpc(tuple(from_man_exp(v, -chain.F) for v in chain.end))
     with mp.workprec(prec):
         rows = [[mp.mpc(1)] + [_from_fixed(a, b, chain.F)
@@ -924,7 +916,7 @@ def _certified_bits(n, base):
     return q - 2 + ((d << q) <= c)
 
 
-def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
+def monodromy(n, loop, tol=None, prec=DEFAULT_PREC):
     """Exact monodromy matrix M of the weight-n system along a closed loop
     based at real b in (0, 1): L(b) continued around the loop is M L(b).
 
@@ -1030,7 +1022,7 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC, margin=DEFAULT_MARGIN):
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
-    chain = _step_chain(n, loop, need, margin)
+    chain = _step_chain(n, loop, need, DEFAULT_MARGIN)
     radius = chain.radius * over_7b
     F, m = chain.F, chain.winding
     d_re, d_im = ([u - v for u, v in zip(*parts)]

@@ -58,8 +58,8 @@ from types import SimpleNamespace
 
 import mpmath as mp
 
-from .analytic import (kummer_rows, li_series, monodromy, principal_lambda,
-                       transport)
+from .analytic import (DEFAULT_PREC, kummer_rows, li_series, monodromy,
+                       principal_lambda, transport)
 from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, integer_partitions,
                      sign_multiplicity)
@@ -131,9 +131,9 @@ def _resolve_loop(name_or_path):
 
 # The flags every command takes, before its own; (flag, add_argument kwargs).
 _SHARED_FLAGS = (
-    ("--precision", dict(type=int, default=128, help=(
-        "working precision in bits (default 128); monodromy runs at the "
-        "least precision that certifies, and this caps it"))),
+    ("--precision", dict(type=int, default=DEFAULT_PREC, help=(
+        f"working precision in bits (default {DEFAULT_PREC}); monodromy runs "
+        "at the least precision that certifies, and this caps it"))),
     ("--format", dict(choices=("json", "csv"), default="json")),
     ("--timing", dict(action="store_true", help=(
         "include wall time in the report (breaks byte reproducibility)"))),
@@ -407,9 +407,9 @@ def _parse(argv):
 
 
 def _validate(args):
-    if getattr(args, "precision", 128) < 64:
+    if args.precision < 64:
         raise DomainError("--precision must be at least 64 bits")
-    if getattr(args, "precision", 128) > MAX_PRECISION:
+    if args.precision > MAX_PRECISION:
         raise DomainError(f"--precision must be at most {MAX_PRECISION} bits")
     if getattr(args, "samples", 1) < 1:
         raise DomainError("--samples must be positive")

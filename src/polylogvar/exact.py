@@ -77,10 +77,6 @@ class RationalMatrix:
     def identity(cls, n):
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -98,9 +94,6 @@ class RationalMatrix:
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def is_zero(self):
         return all(v == 0 for row in self.entries for v in row)

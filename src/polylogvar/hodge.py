@@ -22,8 +22,8 @@ import mpmath as mp
 
 # monodromy is unused here; perfbench's tracer test pins hodge's import of
 # it (ROADMAP item 1)
-from .analytic import (_from_fixed, _li_row, _principal_z, _step_chain,
-                       kummer_rows, monodromy)  # noqa: F401
+from .analytic import (DEFAULT_PREC, _from_fixed, _li_row, _principal_z,
+                       _step_chain, kummer_rows, monodromy)  # noqa: F401
 from .errors import DomainError
 from .mpoly import MPoly
 from .paths import LineTo, PathSpec
@@ -163,7 +163,7 @@ def _kummer_identity(n):
     return True
 
 
-def kummer_block_check(n, z, prec=128):
+def kummer_block_check(n, z, prec=DEFAULT_PREC):
     """Rows and columns 1..n of the weight-n solution matrix against the
     2 pi i-twisted divided-power symmetric power of the rank-2 logarithmic
     matrix [[1, log z], [0, 2 pi i]], with no tolerance.

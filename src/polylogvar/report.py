@@ -24,7 +24,7 @@ def _digits_for(prec_bits):
     return int((prec_bits - 2) * math.log10(2))
 
 
-def to_jsonable(value, prec_bits=128):
+def to_jsonable(value, prec_bits):
     """Recursively convert report payloads to JSON-serializable data."""
     digits = _digits_for(prec_bits)
     if value is None or isinstance(value, (bool, int, str)):
@@ -33,8 +33,6 @@ def to_jsonable(value, prec_bits=128):
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, mp.mpf):
-        return mp.nstr(value, digits)
     if isinstance(value, mp.mpc):
         return [mp.nstr(value.real, digits), mp.nstr(value.imag, digits)]
     if isinstance(value, complex):
@@ -51,7 +49,7 @@ class RunReport(namedtuple("RunReport",
                            defaults=(None, None))):
     __slots__ = ()
 
-    def as_dict(self, prec_bits=128):
+    def as_dict(self, prec_bits):
         return {
             "command": self.command,
             "params": to_jsonable(self.params, prec_bits),
@@ -60,10 +58,10 @@ class RunReport(namedtuple("RunReport",
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def to_json(self, prec_bits=128):
+    def to_json(self, prec_bits):
         return json.dumps(self.as_dict(prec_bits), sort_keys=True, indent=2)
 
-    def to_csv(self, prec_bits=128):
+    def to_csv(self, prec_bits):
         """One row per scalar, columns (key, value); nested keys joined by dots."""
         rows = []
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from polylogvar import analytic
 from polylogvar.analytic import (li_series, monodromy, principal_lambda,
                                  transport)
-from polylogvar.errors import DomainError, PathError, ReconstructionError
+from polylogvar.errors import (DomainError, IntegrationError, PathError,
+                               ReconstructionError)
 from polylogvar.exact import RationalMatrix
 from polylogvar.paths import Arc, LineTo, PathSpec, canonical_loop
 
@@ -329,10 +330,10 @@ class TestTransport:
     def test_path_through_puncture_rejected(self):
         through = PathSpec(complex(0.5, 0), (LineTo(complex(-0.5, 0)),))
         with pytest.raises(DomainError):
-            transport(1, through, margin=0)
-        # passes validation within its 1e-12 slack; transport stops short of 0
+            analytic._step_chain(1, through, 128, 0)
+        # passes validation within its 1e-12 slack; the chain stops short of 0
         with pytest.raises(PathError):
-            transport(1, through, margin=1e-13)
+            analytic._step_chain(1, through, 128, 1e-13)
 
     def test_float64_planning_floor_is_a_path_error(self):
         # 1e-14 from 1 the doubles are too coarse to plan a step of the
@@ -384,7 +385,7 @@ class TestMonodromy:
     def test_upper_triangular(self):
         for which in (0, 1):
             M = monodromy(2, canonical_loop(which))
-            assert all(M[i, j] == 0 for i in range(3) for j in range(i))
+            assert all(M.entries[i][j] == 0 for i in range(3) for j in range(i))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_double_turn_squares_the_monodromy(self, which):
@@ -624,6 +625,9 @@ def test_li_disk_counts_are_the_least_its_docstring_defines(prec, x, y):
     else:  # r T <= T - r^K
         assert _r_times_le(r2, T, T - r2 ** h)
     assert _r_times_le(r2, 2 ** f, 2 ** f - 5 * (K + 1))
+    if not y:  # a real z, as a float or an mpc, sums an exactly 0 imaginary row
+        for z in (x, mp.mpc(x)):
+            assert analytic._li_disk(3, z, prec)[1] == [0, 0, 0]
 
 
 def test_dyadic_truncates_toward_zero_below_the_larger_part():
@@ -701,37 +705,6 @@ def test_series_terms_is_the_least_for_the_ratio_two_fifths():
         K, m = analytic._series_terms(prec), prec + analytic._GUARD_BITS
         assert 5 << (K + m) <= 3 * 5 ** K
         assert 5 << (K - 1 + m) > 3 * 5 ** (K - 1)
-
-
-class _TruthyZero(int):
-    """An imaginary part 0 that tests true, so ``_li_disk`` runs its
-    complex loop on a real z."""
-
-    def __bool__(self):
-        return True
-
-
-@settings(deadline=None, max_examples=60)
-@given(n=st.integers(1, 8), prec=st.integers(1, 300),
-       x=st.floats(-0.75, 0.75).filter(bool), as_mpc=st.booleans())
-@example(n=4, prec=35, x=0.3, as_mpc=False)
-@example(n=2, prec=128, x=-0.75, as_mpc=True)
-def test_li_disk_real_branch_matches_the_complex_loop(n, prec, x, as_mpc):
-    """On real z ``_li_disk`` skips the imaginary half of its loop; the
-    integers are those of the complex loop, where that half stays 0."""
-    z = mp.mpc(x) if as_mpc else x
-    got = analytic._li_disk(n, z, prec)
-    dyadic = analytic._dyadic
-
-    def truthy_zero_im(v, keep=None):
-        X, Y, s = dyadic(v, keep)
-        assert Y == 0
-        return [X, _TruthyZero(0), s]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analytic, "_dyadic", truthy_zero_im)
-        want = analytic._li_disk(n, z, prec)
-    assert got == want and got[1] == [0] * n
 
 
 def test_growth_bound_second_order_fits_its_slack():
@@ -1502,6 +1475,40 @@ def test_invariant_validation_catches_corruption():
     from polylogvar.analytic import PeriodMatrix
     bad = PeriodMatrix(2, tuple(tuple(r) for r in grid), "tampered")
     assert not period_matrix_invariants(bad)
+
+
+def test_period_matrix_rejects_a_bad_grid():
+    """A grid that is not (n+1) x (n+1), or that holds a non-finite entry,
+    is a ValueError."""
+    from polylogvar.analytic import PeriodMatrix
+    one = mp.mpc(1)
+    with pytest.raises(ValueError, match="grid"):
+        PeriodMatrix(1, ((one, one), (one,)))
+    with pytest.raises(ValueError, match="finite"):
+        PeriodMatrix(1, ((one, mp.mpc(mp.inf, 0)), (one, one)))
+
+
+@pytest.mark.parametrize("f", [transport, monodromy])
+def test_transport_and_monodromy_need_n_at_least_one(f):
+    with pytest.raises(DomainError, match="needs n >= 1"):
+        f(0, canonical_loop(0))
+
+
+def test_step_row_takes_exactly_two_fifths_and_no_more():
+    """``_step_row``'s exact test, 25 |w|^2 <= 4 dist(c, {0, 1})^2: at
+    c = 5/16 and F = 20 a step of 1/8 along either axis, a ratio of exactly
+    2/5, is taken, and a step one unit of 2^-20 longer is an
+    IntegrationError."""
+    c, w = 5 << 16, 1 << 17
+
+    def step(dx, dy):
+        return analytic._step_row([0, 0], [0, 0], (c, 0), (c + dx, dy), 6, 20)
+
+    for dx, dy in ((w, 0), (-w, 0), (0, w)):
+        step(dx, dy)
+    for dx, dy in ((w + 1, 0), (-w - 1, 0), (0, w + 1)):
+        with pytest.raises(IntegrationError, match="longer than 0.4"):
+            step(dx, dy)
 
 
 # 1/2 -> 1/2 + i/2 -> s -> an arc about 1e6 i by 0.3 rad that ends at about

@@ -17,7 +17,7 @@ from polylogvar import analytic, arnold, cli, poset
 from polylogvar.cli import main
 from polylogvar.hodge import FlatnessReport
 from polylogvar.partitions import paving_check
-from polylogvar.report import RunReport
+from polylogvar.report import RunReport, to_jsonable
 
 from oracles import ref_eulerian, ref_polylog, ref_solution
 
@@ -92,13 +92,40 @@ def test_csv_flattens_nested_tables():
 
 
 
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--n", "2", "--loop", "loop0"],
+    ["transport", "--n", "2", "--loop", "loop1"],
+    ["flatness", "--n", "2"],
+    ["lambda", "--n", "2", "--z", "0.9"],
+])
+def test_a_step_past_two_fifths_is_a_numerical_failure(monkeypatch, capsys,
+                                                       argv):
+    """With the float64 plan and check set past 0.4 (0.41 and 0.42), the
+    chains plan steps that ``_step_row``'s exact test refuses: exit 4 with
+    its message, and nothing on stdout."""
+    monkeypatch.setattr(analytic, "_PLAN_RATIO", 0.41)
+    monkeypatch.setattr(analytic, "_CHECK_RATIO", 0.42)
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: a disk step is longer than 0.4 times "
+                   "the distance to the punctures\n")
+
+
+def test_to_jsonable_refuses_an_unknown_type():
+    """A bare mpf or a set has no report form: TypeError."""
+    for value in (mp.mpf(1), {1}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            to_jsonable(value, analytic.DEFAULT_PREC)
+
+
 def test_csv_quotes_and_reads_back():
     """A value holding a comma, a quote or a newline is quoted, its quotes
     doubled, and csv.reader gives back the key/value pairs of the report."""
     text = 'a,b "c"\nd'
     rep = RunReport("omega", {"n": 1}, {"s": text, "rows": [[1, "x,y"], []]},
                     "pass")
-    out = rep.to_csv()
+    out = rep.to_csv(analytic.DEFAULT_PREC)
     assert '"a,b ""c""\nd"' in out
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["key", "value"]
