@@ -385,7 +385,8 @@ class TestMonodromy:
     def test_upper_triangular(self):
         for which in (0, 1):
             M = monodromy(2, canonical_loop(which))
-            assert all(M.entries[i][j] == 0 for i in range(3) for j in range(i))
+            assert all(M.entries[i][j] == 0
+                       for i in range(3) for j in range(i))
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_double_turn_squares_the_monodromy(self, which):
@@ -625,7 +626,7 @@ def test_li_disk_counts_are_the_least_its_docstring_defines(prec, x, y):
     else:  # r T <= T - r^K
         assert _r_times_le(r2, T, T - r2 ** h)
     assert _r_times_le(r2, 2 ** f, 2 ** f - 5 * (K + 1))
-    if not y:  # a real z, as a float or an mpc, sums an exactly 0 imaginary row
+    if not y:  # a real z, as a float or an mpc: an imaginary row of exact 0s
         for z in (x, mp.mpc(x)):
             assert analytic._li_disk(3, z, prec)[1] == [0, 0, 0]
 
