@@ -3,8 +3,9 @@
 Every subcommand validates its flags, runs one library operation, and writes
 a RunReport to stdout as JSON (or CSV with --format csv).  Exit codes:
 0 success, 1 a report whose verdict is fail, 2 usage error, 3 domain
-error, 4 numerical failure (reconstruction, integration, or a combinatorial
-certificate that does not hold: ArithmeticError).
+error (any DomainError, PathError among them), 4 numerical failure (any
+ArithmeticError: IntegrationError, ReconstructionError, or a combinatorial
+certificate that does not hold).
 
 The table COMMANDS is the one place a command is defined: its help line, its
 own flags, its --n cap and its handler.  A call reads its flags straight from
@@ -63,7 +64,7 @@ from .analytic import (DEFAULT_PREC, kummer_rows, li_series, monodromy,
 from .arnold import (arnold_character, arnold_dimension,
                      induced_character_check, integer_partitions,
                      sign_multiplicity)
-from .errors import DomainError, IntegrationError, PathError, ReconstructionError
+from .errors import DomainError
 from .exact import eulerian
 from .forms import (form_recurrence_check, gauge_exactness_check, integrate_cube,
                     omega)
@@ -440,10 +441,10 @@ def main(argv=None):
         t0 = time.perf_counter()
         result, passed = COMMANDS[args.command].run(args)
         elapsed = (time.perf_counter() - t0) * 1000.0
-    except (DomainError, PathError) as e:
+    except DomainError as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 3
-    except (ArithmeticError, IntegrationError, ReconstructionError) as e:
+    except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
     # _resolve_loop's file is the only one a command reads, so an OSError

@@ -226,7 +226,7 @@ def kummer_block_check(n, z, prec=DEFAULT_PREC):
 FlatnessReport = namedtuple("FlatnessReport", "passed residual")
 
 
-def flatness_residual(n, z=0.5, prec=192):
+def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
     """A FlatnessReport on whether the solution matrix L of
     ``principal_lambda`` solves dL = L A for A = connection(n), at real z in
     (0, 1) read at ``prec`` bits, with no tolerance.

@@ -7,11 +7,15 @@ runs it.  Where a text is short, the record keeps it too, line by line, so
 that a changed output shows as a readable diff.  ``tests/test_golden.py``
 and ``tests/test_demos.py`` check every entry with ``assert_matches``.
 
-ARGVS are the CI argvs that print no wall time, and ``suite``.  The path
-files that CI writes for ``--loop`` are committed under
-``tests/golden/paths/``, with the same contents, and named relative to the
-repository root, where ``run_argv`` runs, so the ``loop`` echoed in a
-report is the same wherever the tests start.  Regenerate the record with
+CI runs ARGVS, each through the installed ``polylogvar`` in its own
+process under ``run_process``'s caps, and checks each against the record:
+
+    python tests/golden_record.py --check polylogvar
+
+The ``--loop`` files of ARGVS are committed under ``tests/golden/paths/``
+and named relative to the repository root, where ``run_argv`` and
+``run_process`` run, so the ``loop`` echoed in a report is the same
+wherever the tests start.  Regenerate the record with
 
     PYTHONPATH=src python tests/golden_record.py
 
@@ -27,6 +31,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -38,6 +43,9 @@ DEMOS = ("01_polylog_values.py", "02_monodromy.py", "03_derham_forms.py",
 PATHS = "tests/golden/paths"
 # a text of at most this many lines and characters is kept in the record
 SHORT_LINES, SHORT_CHARS = 40, 4000
+# run_process's caps on a child: address space in KiB (a shell's
+# `ulimit -v 400000`) and wall time in seconds
+MEMORY_KIB, WALL_S = 400_000, 5
 
 ARGVS = [
     ["-h"],
@@ -135,6 +143,20 @@ def run_argv(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_process(command, argv):
+    """(exit code, stdout, stderr) of ``command + argv`` run as a child
+    process from ROOT with COLUMNS=80, its address space capped at
+    MEMORY_KIB and its wall time at WALL_S; a child still running at the
+    cap is killed and subprocess.TimeoutExpired raised."""
+    limit = MEMORY_KIB * 1024
+    proc = subprocess.run(
+        [*command, *argv], cwd=ROOT, capture_output=True,
+        env=dict(os.environ, COLUMNS="80"), timeout=WALL_S,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
 def run_demo(script):
     """(exit code, stdout, stderr) of ``demos/<script>`` run as a
     subprocess from the repository root, on the source tree."""
@@ -168,7 +190,7 @@ def assert_matches(want, code, stdout, stderr):
         if name in want:
             assert text.splitlines() == want[name], name
         assert sha256(text) == want[f"{name}_sha256"], name
-    assert code == want["exit"]
+    assert code == want["exit"], f"exit {code}"
 
 
 def load():
@@ -177,7 +199,24 @@ def load():
     return json.loads(RECORD.read_text())
 
 
-def main():
+def check(command):
+    """Run every argv of the record through ``command`` by
+    ``run_process``; print each that does not match, and return how
+    many did not."""
+    argvs, failed = load()["argvs"], 0
+    for want in argvs:
+        try:
+            assert_matches(want, *run_process(command, want["argv"]))
+        except (AssertionError, subprocess.TimeoutExpired) as e:
+            failed += 1
+            print(f"FAIL {' '.join(want['argv'])}: {e!r}")
+    print(f"{failed} of {len(argvs)} argvs differ from {RECORD}")
+    return failed
+
+
+def main(argv):
+    if argv[:1] == ["--check"]:
+        return 1 if check(argv[1:]) else 0
     sys.path.insert(0, str(ROOT / "src"))
     record = {
         "argvs": [dict(argv=argv, **entry(*run_argv(argv))) for argv in ARGVS],
@@ -189,4 +228,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylogvar import analytic, arnold, cli, poset
+from polylogvar import analytic, arnold, cli, errors, poset
 from polylogvar.cli import main
 from polylogvar.hodge import FlatnessReport
 from polylogvar.partitions import paving_check
@@ -294,6 +294,24 @@ def test_a_call_builds_only_its_own_parser(monkeypatch, name):
         assert exc.value.code == 2
         assert built == [f"polylogvar {name}"]
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("error, code, kind", [
+    (errors.DomainError, 3, "domain error"),
+    (errors.PathError, 3, "domain error"),
+    (errors.IntegrationError, 4, "numerical failure"),
+    (errors.ReconstructionError, 4, "numerical failure"),
+    (ArithmeticError, 4, "numerical failure")])
+def test_the_exception_class_sets_the_exit_code(monkeypatch, capsys, error,
+                                               code, kind):
+    def handler(args):
+        raise error("boom")
+
+    command = cli.COMMANDS["arnold"]
+    monkeypatch.setitem(cli.COMMANDS, "arnold",
+                        command._replace(run=handler))
+    assert main(["arnold", "--n", "4"]) == code
+    assert capsys.readouterr() == ("", f"{kind}: boom\n")
 
 
 def test_table_flags_use_only_what_the_table_read_applies():

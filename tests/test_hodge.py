@@ -94,7 +94,8 @@ class TestFlatness:
         assert rep.passed and 0 < rep.residual <= 1, rep
 
     def test_weight_zero_has_no_row_to_tie(self):
-        assert flatness_residual(0, 0.5) == hodge.FlatnessReport(True, 0.0)
+        assert (flatness_residual(0, 0.5, prec=192)
+                == hodge.FlatnessReport(True, 0.0))
 
     def test_residual_does_not_underflow_at_4096_bits(self):
         assert 0 < flatness_residual(2, 0.5, prec=4096).residual <= 1
@@ -102,7 +103,7 @@ class TestFlatness:
     @pytest.mark.parametrize("z", [0, 1, 1.5, mp.mpc(0.5, 0.1), 2.0 ** -1023])
     def test_z_outside_the_domain(self, z):
         with pytest.raises(DomainError):
-            flatness_residual(2, z)
+            flatness_residual(2, z, prec=192)
 
     @pytest.mark.parametrize("n, i, j, tag", [
         (3, 0, 1, OneForm.DLOG_Z), (3, 2, 3, OneForm.ZERO),
@@ -111,7 +112,7 @@ class TestFlatness:
     def test_patched_tag_fails(self, n, i, j, tag, monkeypatch):
         monkeypatch.setattr(hodge, "connection",
                             _connection_with_tag(i, j, tag))
-        assert flatness_residual(n, "0.5").residual <= 1
+        assert flatness_residual(n, "0.5", prec=192).residual <= 1
         _flatness_fails(n)
 
     def test_biased_li2_fails(self, monkeypatch):
@@ -126,9 +127,9 @@ class TestFlatness:
             return row
         monkeypatch.setattr(analytic, "_li_row", biased)
         monkeypatch.setattr(hodge, "_li_row", biased)
-        assert flatness_residual(2, "0.5").residual > 1e6
+        assert flatness_residual(2, "0.5", prec=192).residual > 1e6
         # above 3/4 both sides of the tie are chains, from 3/4 and from z'/2
-        assert flatness_residual(2, "0.9").residual > 1e6
+        assert flatness_residual(2, "0.9", prec=192).residual > 1e6
         _flatness_fails(2)
 
     @pytest.mark.parametrize("z", ["1e-5", "1e-100", "1e-300"])
@@ -154,7 +155,7 @@ class TestFlatness:
     def test_patched_kummer_rows_fail(self, monkeypatch):
         monkeypatch.setattr(hodge, "kummer_rows", _patched_kummer_rows(
             "terms[-1] * lg / m)", "terms[-1] * lg / (m + 1))"))
-        rep = flatness_residual(3, "0.5")
+        rep = flatness_residual(3, "0.5", prec=192)
         assert rep.residual <= 1 and not rep.passed
         _flatness_fails(3)
 
