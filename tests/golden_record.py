@@ -114,6 +114,11 @@ ARGVS = [
     ["suite", "--seed", "0"],
     ["transport", "--n", "2", "--loop", f"{PATHS}/wide-arc.json"],
     ["suite"],
+    # CSV of each leaf type: mpc, Fraction, Fraction strings, suite's details
+    ["lambda", "--n", "2", "--z", "0.5", "--format", "csv"],
+    ["monodromy", "--n", "3", "--loop", "loop1", "--format", "csv"],
+    ["characters", "--n", "4", "--format", "csv"],
+    ["suite", "--format", "csv"],
 ]
 
 
