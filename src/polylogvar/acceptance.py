@@ -94,7 +94,7 @@ def criterion_3():
                 "max_denominator": den,
                 "unipotent": unipotent,
                 "nilpotency_index": index,
-                "matrix": [[str(v) for v in row] for row in M.entries],
+                "matrix": M.entries,
             }
             ok = ok and den <= math.factorial(n) and unipotent
             ok = ok and index <= n + 1

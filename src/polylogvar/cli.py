@@ -183,8 +183,7 @@ def _li(args):
           _N, _Z, _TOL)
 def _lambda(args):
     lam = principal_lambda(args.n, _z_value(args), prec=args.precision)
-    return {"matrix": [list(row) for row in lam.entries],
-            "branch_tag": lam.branch_tag}, None
+    return {"matrix": lam.entries, "branch_tag": lam.branch_tag}, None
 
 
 @_command("transport", "continue the principal solution along a path",
@@ -192,8 +191,7 @@ def _lambda(args):
               required=True, help="loop0, loop1, or a path JSON file")))
 def _transport(args):
     moved = transport(args.n, _resolve_loop(args.loop), prec=args.precision)
-    return {"matrix": [list(row) for row in moved.entries],
-            "branch_tag": moved.branch_tag}, None
+    return {"matrix": moved.entries, "branch_tag": moved.branch_tag}, None
 
 
 @_command("monodromy", "exact monodromy matrix of a closed loop",
@@ -201,7 +199,7 @@ def _transport(args):
 def _monodromy(args):
     loop = _resolve_loop(args.loop)
     M = monodromy(args.n, loop, prec=args.precision)
-    return {"matrix": [list(row) for row in M.entries]}, None
+    return {"matrix": M.entries}, None
 
 
 @_command("flatness", "certify that the solution matrix solves the connection",
@@ -228,19 +226,17 @@ def _filtration(args):
     rows = kummer_rows(n, _z_value(args), prec=args.precision)
     fib = FilteredFiber(n, ((mp.mpc(1),) + (None,) * n,)
                         + tuple(tuple(row) for row in rows))
-    graded = graded_dimensions(fib)
     rep = hodge_transversality_check(fib)
-    return {"graded_dimensions": [list(p) for p in graded],
-            "transversal": rep.passed,
-            "failures": [list(f) for f in rep.failures]}, rep.passed
+    return {"graded_dimensions": graded_dimensions(fib),
+            "transversal": rep.passed, "failures": rep.failures}, rep.passed
 
 
 @_command("kummer-block", "divided-power symmetric-power block check",
           MAX_MATRIX_N, _N, _Z, _TOL)
 def _kummer_block(args):
     rep = kummer_block_check(args.n, _z_value(args), prec=args.precision)
-    return {"max_error": rep.max_error, "failing_entry":
-            list(rep.failing_entry) if rep.failing_entry else None}, rep.passed
+    return {"max_error": rep.max_error,
+            "failing_entry": rep.failing_entry}, rep.passed
 
 
 @_command("omega", "print a de Rham basis form", MAX_MATRIX_N, _N, _K)
@@ -286,7 +282,7 @@ def _arnold(args):
 def _poset_homology(args):
     hom = poset_homology(args.n)
     # the lower degrees are 0 by construction
-    return ({"dimensions": [list(p) for p in hom]},
+    return ({"dimensions": hom},
             hom[-1][1] == math.factorial(args.n - 1))
 
 
@@ -297,7 +293,7 @@ def _characters(args):
     classes = ["+".join(map(str, lam)) for lam in integer_partitions(args.n)]
     s = sign_multiplicity(args.n)
     ind = induced_character_check(args.n)
-    return {"classes": classes, "character": [v for v in chi.values],
+    return {"classes": classes, "character": chi.values,
             "sign_multiplicity": s, "induced_identity": ind}, s == 0 and ind
 
 

@@ -6,7 +6,8 @@ decimal strings with the digits a working-precision value carries
 (``_digits_for``), rationals as "p/q" strings.
 Serialization is deterministic for identical inputs and seed; wall time is
 reported only on request, since a varying field would break byte
-reproducibility.
+reproducibility.  The CSV form flattens the JSON document, one row per
+scalar; a value holding a comma, a quote, CR or LF is quoted.
 """
 
 import io
@@ -24,23 +25,15 @@ def _digits_for(prec_bits):
     return int((prec_bits - 2) * math.log10(2))
 
 
-def to_jsonable(value, prec_bits):
-    """Recursively convert report payloads to JSON-serializable data."""
-    digits = _digits_for(prec_bits)
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
+def _leaf(value, digits):
+    """The JSON form of a value json cannot encode itself; json.dumps calls
+    it as its ``default`` hook, so dicts, lists and tuples stay json's."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, mp.mpc):
         return [mp.nstr(value.real, digits), mp.nstr(value.imag, digits)]
     if isinstance(value, complex):
         return [repr(value.real), repr(value.imag)]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v, prec_bits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v, prec_bits) for v in value]
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -49,37 +42,31 @@ class RunReport(namedtuple("RunReport",
                            defaults=(None, None))):
     __slots__ = ()
 
-    def as_dict(self, prec_bits):
-        return {
-            "command": self.command,
-            "params": to_jsonable(self.params, prec_bits),
-            "result": to_jsonable(self.result, prec_bits),
-            "verdict": self.verdict,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
     def to_json(self, prec_bits):
-        return json.dumps(self.as_dict(prec_bits), sort_keys=True, indent=2)
+        digits = _digits_for(prec_bits)
+        return json.dumps(self._asdict(), sort_keys=True, indent=2,
+                          default=lambda value: _leaf(value, digits))
 
     def to_csv(self, prec_bits):
-        """One row per scalar, columns (key, value); nested keys joined by dots."""
+        """One row per scalar of the JSON document, columns (key, value);
+        nested keys joined by dots, in the document's sorted order."""
         rows = []
 
         def walk(prefix, value):
             if isinstance(value, dict):
-                for k in sorted(value):
-                    walk(f"{prefix}.{k}" if prefix else str(k), value[k])
+                for k, v in value.items():
+                    walk(f"{prefix}.{k}" if prefix else k, v)
             elif isinstance(value, list):
                 for i, v in enumerate(value):
                     walk(f"{prefix}.{i}", v)
             else:
                 rows.append((prefix, "" if value is None else str(value)))
 
-        walk("", self.as_dict(prec_bits))
+        walk("", json.loads(self.to_json(prec_bits)))
         out = io.StringIO()
         out.write("key,value\n")
         for k, v in rows:
-            if any(ch in v for ch in ",\"\n"):
+            if any(ch in v for ch in ",\"\r\n"):
                 v = '"' + v.replace('"', '""') + '"'
             out.write(f"{k},{v}\n")
         return out.getvalue()

@@ -17,7 +17,7 @@ from polylogvar import analytic, arnold, cli, errors, poset
 from polylogvar.cli import main
 from polylogvar.hodge import FlatnessReport
 from polylogvar.partitions import paving_check
-from polylogvar.report import RunReport, to_jsonable
+from polylogvar.report import RunReport
 
 from oracles import ref_eulerian, ref_polylog, ref_solution
 
@@ -112,28 +112,33 @@ def test_a_step_past_two_fifths_is_a_numerical_failure(monkeypatch, capsys,
                    "the distance to the punctures\n")
 
 
-def test_to_jsonable_refuses_an_unknown_type():
-    """A bare mpf or a set has no report form: TypeError."""
+def test_report_refuses_an_unknown_type():
+    """A bare mpf or a set in a result has no report form: TypeError."""
     for value in (mp.mpf(1), {1}):
+        rep = RunReport("li", {"n": 1}, {"value": value})
         with pytest.raises(TypeError, match="cannot serialize"):
-            to_jsonable(value, analytic.DEFAULT_PREC)
+            rep.to_json(analytic.DEFAULT_PREC)
 
 
 def test_csv_quotes_and_reads_back():
-    """A value holding a comma, a quote or a newline is quoted, its quotes
-    doubled, and csv.reader gives back the key/value pairs of the report."""
+    """A value holding a comma, a quote, a newline or a carriage return is
+    quoted, its quotes doubled, and csv.reader gives back the key/value
+    pairs of the report."""
     text = 'a,b "c"\nd'
-    rep = RunReport("omega", {"n": 1}, {"s": text, "rows": [[1, "x,y"], []]},
-                    "pass")
+    loop = "lo\rop.json"
+    rep = RunReport("omega", {"n": 1, "loop": loop},
+                    {"s": text, "rows": [[1, "x,y"], []]}, "pass")
     out = rep.to_csv(analytic.DEFAULT_PREC)
     assert '"a,b ""c""\nd"' in out
+    assert '\nparams.loop,"lo\rop.json"\n' in out
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["key", "value"]
     assert dict(rows[1:]) == {
-        "command": "omega", "params.n": "1", "result.s": text,
+        "command": "omega", "params.loop": loop, "params.n": "1",
+        "result.s": text,
         "result.rows.0.0": "1", "result.rows.0.1": "x,y", "verdict": "pass",
         "elapsed_ms": ""}
-    assert len(rows) == 8
+    assert len(rows) == 9
 
 def test_byte_determinism_in_process():
     args = ["paving", "--n", "3", "--z", "0.5", "--samples", "2000",
@@ -174,6 +179,19 @@ def _package_env():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def _run_capped(argv):
+    """``python -m polylogvar`` on ``argv`` as a child process with 400 MB
+    of address space and 20 s of wall time."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
+
+    return subprocess.run([sys.executable, "-m", "polylogvar", *argv],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=20, preexec_fn=limit)
 
 
 def _fresh_python(code):
@@ -578,17 +596,9 @@ def test_tiny_z_runs_in_bounded_memory():
     """A z of modulus 1e-300000000 carries a binary exponent of about 10^9;
     the series sizing must not build integers of that many bits.  Each run
     gets 400 MB of address space and 20 s."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
-
     tiny = "1e-300000000"
     for cmd, z in (("li", tiny), ("li", f"{tiny},{tiny}"), ("lambda", tiny)):
-        r = subprocess.run([sys.executable, "-m", "polylogvar", cmd, "--n",
-                            "2", "--z", z], env=_package_env(),
-                           capture_output=True, text=True, timeout=20,
-                           preexec_fn=limit)
+        r = _run_capped([cmd, "--n", "2", "--z", z])
         assert r.returncode == 0, (cmd, z, r.stderr[-500:])
         result = json.loads(r.stdout)["result"]
         if cmd == "li":
@@ -603,19 +613,11 @@ def test_z_parts_of_very_different_size_run_in_bounded_memory():
     gets 400 MB of address space and 20 s, and prints Li_n at z with the
     tiny part dropped, each part within one unit in its last place; in
     process the value is within a relative 2^-(prec - 1) of it."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
-
     tiny = "1e-300000000"
     for n, z, near in ((2, f"{tiny},0.5", mp.mpc(0, 0.5)),
                        (2, f"0.5,{tiny}", mp.mpc(0.5)),
                        (64, f"0.75,{tiny}", mp.mpc(0.75))):
-        r = subprocess.run([sys.executable, "-m", "polylogvar", "li", "--n",
-                            str(n), "--z", z], env=_package_env(),
-                           capture_output=True, text=True, timeout=20,
-                           preexec_fn=limit)
+        r = _run_capped(["li", "--n", str(n), "--z", z])
         assert r.returncode == 0, (z, r.stderr[-500:])
         value = json.loads(r.stdout)["result"]["value"]
         got = analytic.li_series(n, mp.mpc(*z.split(",")), prec=128)
@@ -630,17 +632,9 @@ def test_huge_z_is_rejected_in_bounded_memory():
     """A z with a part of modulus 1e300000000 is far outside li's domain:
     the disk test must say so without writing z over its ~10^9-bit
     integer.  Each run gets 400 MB of address space and 20 s, and exits 3."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 * 10 ** 6,) * 2)
-
     huge = "1e300000000"
     for z in (huge, f"-{huge},0", f"{huge},1", f"0.5,-{huge}"):
-        r = subprocess.run([sys.executable, "-m", "polylogvar", "li", "--n",
-                            "2", f"--z={z}"], env=_package_env(),
-                           capture_output=True, text=True, timeout=20,
-                           preexec_fn=limit)
+        r = _run_capped(["li", "--n", "2", f"--z={z}"])
         assert r.returncode == 3, (z, r.stderr[-500:])
         assert r.stderr.startswith(
             "domain error: li_series requires |z| <= 0.75"), (z, r.stderr)
