@@ -114,7 +114,8 @@ ARGVS = [
     ["suite", "--seed", "0"],
     ["transport", "--n", "2", "--loop", f"{PATHS}/wide-arc.json"],
     ["suite"],
-    # CSV of each leaf type: mpc, Fraction, Fraction strings, suite's details
+    # CSV of each leaf type: an mpc matrix, a Fraction matrix, a Fraction
+    # list, and suite's nested details
     ["lambda", "--n", "2", "--z", "0.5", "--format", "csv"],
     ["monodromy", "--n", "3", "--loop", "loop1", "--format", "csv"],
     ["characters", "--n", "4", "--format", "csv"],
