@@ -120,6 +120,7 @@ ARGVS = [
     ["monodromy", "--n", "3", "--loop", "loop1", "--format", "csv"],
     ["characters", "--n", "4", "--format", "csv"],
     ["suite", "--format", "csv"],
+    ["monodromy", "--n", "8", "--loop", "loop0", "--precision", "64"],
 ]
 
 
