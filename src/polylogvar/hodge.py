@@ -130,34 +130,29 @@ def hodge_transversality_check(fiber):
 BlockReport = namedtuple("BlockReport", "passed max_error failing_entry")
 
 
-def _closed_block(n):
-    """Rows and columns 1..n of the weight-n solution matrix in Q[l, tau],
-    l = log z and tau = 2 pi i: entry (a, b) is tau^(a+1) l^(b-a) / (b-a)!
-    on and above the diagonal, the closed form of principal_lambda."""
-    return [[MPoly(2, {(b - a, a + 1): Fraction(1, math.factorial(b - a))})
-             if b >= a else MPoly(2) for b in range(n)] for a in range(n)]
-
-
 @lru_cache(maxsize=None)
 def _kummer_identity(n):
     """Whether tau Sym^(n-1)[[1, l], [0, tau]], in the divided-power basis,
-    equals _closed_block(n), decided exactly in Q[l, tau].
+    equals the closed form of principal_lambda's rows and columns 1..n,
+    decided exactly in Q[l, tau], l = log z and tau = 2 pi i: entry (a, b)
+    is tau^(a+1) l^(b-a) / (b-a)! on and above the diagonal, 0 below it.
 
     On the basis y^b x^(n-1-b), b = 0..n-1, the matrix sends x to x and y to
     l x + tau y, so column b of Sym^(n-1) holds the coefficients of
     y^a x^(b-a) in (l x + tau y)^b.  The powers are multiplied out one
     linear form at a time with x set to 1, as the exponent of x is b - a.
     The divided-power basis y^b / b! scales entry (a, b) by a! / b!.
+    Column b is compared as a map from (a, exponent of l, exponent of tau)
+    to the entry's one nonzero coefficient.
     """
     y, lg, tau = (MPoly.var(3, i) for i in range(3))
     form, power = lg + tau * y, MPoly.const(3, 1)
-    closed = _closed_block(n)
     for b in range(n):
-        column = [{} for _ in range(n)]
-        for (a, l, t), c in power.terms.items():
-            column[a][l, t + 1] = c * Fraction(math.factorial(a),
-                                               math.factorial(b))
-        if [MPoly(2, col) for col in column] != [row[b] for row in closed]:
+        column = {(a, l, t + 1): c * Fraction(math.factorial(a),
+                                              math.factorial(b))
+                  for (a, l, t), c in power.terms.items()}
+        if column != {(a, b - a, a + 1): Fraction(1, math.factorial(b - a))
+                      for a in range(b + 1)}:
             return False
         power = power * form
     return True
@@ -203,16 +198,14 @@ def kummer_block_check(n, z, prec=DEFAULT_PREC):
     with mp.workprec(prec):
         z = mp.mpc(mp.mpmathify(z))
     rows = kummer_rows(n, z, prec=prec)
-    closed = _closed_block(n)
     rel = {}
     with mp.workprec(prec + 10 + (3 * n + 9).bit_length()):
         two_pi, lg = 2 * mp.pi, mp.log(z.real)
         for a in range(n):
             for b in range(a, n):
-                w = sum((mp.mpc((1, 1j, -1, -1j)[t % 4])
-                         * (c.numerator * lg ** m * two_pi ** t
-                            / c.denominator)
-                         for (m, t), c in closed[a][b].terms.items()))
+                # tau^(a+1) l^(b-a) / (b-a)!, tau^(a+1) = i^(a+1) (2 pi)^(a+1)
+                w = mp.mpc((1, 1j, -1, -1j)[(a + 1) % 4]) * (
+                    lg ** (b - a) * two_pi ** (a + 1) / math.factorial(b - a))
                 rel[1 + a, 1 + b] = abs(rows[a][1 + b] - w) / abs(w)
         radius = mp.ldexp(1, 1 - prec) + mp.ldexp(1, -(prec + 8))
     outside = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from polylogvar import acceptance, analytic, cli, hodge
 from polylogvar.analytic import principal_lambda, transport
 from polylogvar.errors import DomainError
+from polylogvar.mpoly import MPoly
 from polylogvar.hodge import (ConnectionMatrix, FilteredFiber, OneForm,
                               connection, flatness_residual, graded_dimensions,
                               hodge_transversality_check, kummer_block_check,
@@ -255,6 +256,23 @@ class TestKummerBlock:
 
     def test_identity_is_exact_for_every_matrix_weight(self):
         assert all(hodge._kummer_identity(n) for n in range(1, 65))
+
+    def test_a_wrong_linear_form_fails_the_identity(self, monkeypatch):
+        """With y read as 2 y, the expansion is of (l x + 2 tau y)^b: from
+        n = 2 on the identity is False, and so is the verdict, though every
+        entry of the matrix lies within its radius."""
+        var = MPoly.var
+        monkeypatch.setattr(MPoly, "var", staticmethod(
+            lambda nvars, i: var(nvars, i) * (2 if i == 0 else 1)))
+        hodge._kummer_identity.cache_clear()
+        try:
+            assert hodge._kummer_identity(1)
+            for n in (2, 3, 8):
+                assert not hodge._kummer_identity(n), n
+                rep = kummer_block_check(n, "0.5")
+                assert not rep.passed and rep.failing_entry is None, rep
+        finally:
+            hodge._kummer_identity.cache_clear()
 
     @pytest.mark.parametrize("n, z, prec", [(40, "0.230867", 128),
                                             (51, "0.880774", 64)])
