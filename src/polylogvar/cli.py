@@ -453,8 +453,10 @@ def main(argv=None):
     report = RunReport(command=args.command, params=_params_echo(args),
                        result=result, verdict=verdict,
                        elapsed_ms=elapsed if args.timing else None)
-    print(report.to_json(args.precision) if args.format == "json"
-          else report.to_csv(args.precision))
+    if args.format == "json":
+        print(report.to_json(args.precision))
+    else:  # the CSV ends its last row with its own newline
+        print(report.to_csv(args.precision), end="")
     return 1 if passed is False else 0
 
 

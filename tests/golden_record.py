@@ -12,6 +12,9 @@ process under ``run_process``'s caps, and checks each against the record:
 
     python tests/golden_record.py --check polylogvar
 
+That is CI's one check of the entry point: every property of these outputs,
+against mpmath, an exact formula or another run, is a Tier-1 test.
+
 The ``--loop`` files of ARGVS are committed under ``tests/golden/paths/``
 and named relative to the repository root, where ``run_argv`` and
 ``run_process`` run, so the ``loop`` echoed in a report is the same

@@ -254,20 +254,24 @@ class TestTransport:
                 assert abs(moved.entries[i][j] - start.entries[i][j]) <= 10 * TOL
 
     def test_loop1_weight_one_endpoint(self):
-        # by-hand continuation of -log(1-z): the value drops by 2 pi i
-        start = principal_lambda(1, 0.5)
-        moved = transport(1, canonical_loop(1))
-        with mp.workprec(128):
-            expected01 = start.entries[0][1] - 2j * mp.pi
-            assert abs(moved.entries[0][1] - expected01) <= 10 * TOL
-            assert abs(moved.entries[1][1] - start.entries[1][1]) <= 10 * TOL
+        # by-hand continuation of -log(1-z): the value drops by 2 pi i, to
+        # log 2 - 2 pi i; the diagonal, up to (2 pi i)^64, does not move
+        moved = transport(64, canonical_loop(1))
+        with mp.workprec(ORACLE_PREC):
+            tau = 2j * mp.pi
+            for (i, j), want in (((0, 1), mp.log(2) - tau), ((1, 1), tau),
+                                 ((64, 64), tau ** 64)):
+                assert abs(moved.entries[i][j] - want) <= \
+                    mp.mpf("1e-30") * abs(want), (i, j)
         assert moved.entries[0][0] == 1
 
     def test_loop0_weight_one_endpoint(self):
-        # -log(1-z) is single valued around 0
-        start = principal_lambda(1, 0.5)
-        moved = transport(1, canonical_loop(0))
-        assert abs(moved.entries[0][1] - start.entries[0][1]) <= 10 * TOL
+        # row 0, (1, -log(1-z), Li_2(z)), is single valued around 0
+        start = principal_lambda(2, 0.5)
+        moved = transport(2, canonical_loop(0))
+        for j in range(3):
+            assert abs(moved.entries[0][j] - start.entries[0][j]) <= \
+                mp.mpf("1e-35"), j
 
     def test_margin_enforced(self):
         bad = PathSpec(complex(0.5, 0), (LineTo(complex(1.0 - 1e-6, 0)),
@@ -428,13 +432,23 @@ class TestMonodromy:
         assert steps[-1][1] == loop.base_point
 
     def test_precision_independence(self):
-        # the certified matrix is exact, so precision cannot change it
-        a = monodromy(2, canonical_loop(1), prec=128)
-        b = monodromy(2, canonical_loop(1), prec=192)
-        assert a == b
+        """The certified matrix is exact, so no cap at or above p* changes
+        it: loop0 and loop1 at each listed cap give their generators'
+        closed forms, up to n = 64, whose p* is 296 bits."""
+        for n, which, caps in ((2, 1, (128, 192)), (4, 1, (64,)),
+                               (8, 0, (64, 128, 4096)), (8, 1, (64, 512)),
+                               (20, 0, (512,)), (20, 1, (512,)),
+                               (30, 0, (128,)), (34, 1, (128,)),
+                               (64, 1, (296, 299))):
+            want = (expected_monodromy_loop0,
+                    expected_monodromy_loop1)[which](n)
+            for cap in caps:
+                assert monodromy(n, canonical_loop(which), prec=cap) == \
+                    want, (n, which, cap)
 
     @pytest.mark.parametrize("n, prec, tol", [(4, 64, 1e-10), (4, 512, 1e-14),
-                                              (8, 128, 1e-14)])
+                                              (8, 64, 1e-10), (8, 128, 1e-14),
+                                              (8, 512, 1e-14)])
     def test_guard_sizing_at_extremes(self, monkeypatch, n, prec, tol):
         # the fixed-point guard bits follow the sized precision and the term
         # count, so the certificate holds at the smallest and largest

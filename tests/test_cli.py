@@ -19,7 +19,9 @@ from polylogvar.hodge import FlatnessReport
 from polylogvar.partitions import paving_check
 from polylogvar.report import RunReport
 
-from oracles import ref_eulerian, ref_polylog, ref_solution
+from golden_record import PATHS, ROOT
+from oracles import (ref_eulerian, ref_polylog, ref_solution,
+                     ref_word_monodromy)
 
 
 def run_cli(args):
@@ -62,6 +64,13 @@ def test_monodromy_from_path_file(tmp_path):
     assert code == 0
     rep = json.loads(out)
     assert rep["result"]["matrix"] == [["1", "-1"], ["0", "1"]]
+    # a turn about 0, then one about 1, joined by one line: M_0 M_1 at n = 6
+    code, out = run_cli(["monodromy", "--n", "6", "--loop",
+                         str(ROOT / PATHS / "both-arcs.json")])
+    assert code == 0
+    assert [[Fraction(v) for v in row]
+            for row in json.loads(out)["result"]["matrix"]] == \
+        ref_word_monodromy(6, [(0, 1), (1, 1)])
 
 
 def test_postnikov_pass():
@@ -81,6 +90,19 @@ def test_csv_format():
     kv = dict(line.split(",", 1) for line in lines[1:])
     assert kv["result.dimension"] == "6"
     assert kv["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [["omega", "--n", "3", "--k", "1"],
+                                  ["lambda", "--n", "2", "--z", "0.5"],
+                                  ["characters", "--n", "4"]],
+                         ids=["omega", "lambda", "characters"])
+def test_csv_ends_at_its_last_row(argv):
+    """stdout ends with the last row's newline: csv.reader reads no empty
+    row after it."""
+    code, out = run_cli(argv + ["--format", "csv"])
+    assert code == 0 and out.endswith("\n")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"] and [] not in rows
 
 
 def test_csv_flattens_nested_tables():
@@ -216,22 +238,25 @@ def test_paving_and_integrate_import_no_numpy_submodules():
 
 _IMPORT_PROBE = """
 import json, sys
+start = set(sys.modules)
 import mpmath
 before = set(sys.modules)
 import polylogvar.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps([sorted(set(sys.modules) - m) for m in (before, start)]))
 """
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_battery():
     """Without numpy, which loads inspect itself, ``import polylogvar.cli``
     adds neither the stdlib's dataclasses and inspect nor the acceptance
-    battery, which only ``suite`` reads."""
+    battery, which only ``suite`` reads; with the mpmath it imports, it
+    still adds no dataclasses."""
     r = _fresh_python(_IMPORT_PROBE)
     assert r.returncode == 0, r.stderr
-    added = set(json.loads(r.stdout))
+    added, with_mpmath = map(set, json.loads(r.stdout))
     assert "polylogvar.cli" in added
     assert not {"dataclasses", "inspect", "polylogvar.acceptance"} & added
+    assert "dataclasses" not in with_mpmath
 
 
 _NO_NUMPY_PROBE = """
@@ -883,11 +908,13 @@ def test_gauge_check():
 
 
 def test_recurrence_check_all_k():
-    code, out = run_cli(["recurrence-check", "--n", "4"])
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["verdict"] == "pass"
-    assert set(rep["result"]["checks"]) == {"k2", "k3", "k4"}
+    for n in (4, 64):
+        code, out = run_cli(["recurrence-check", "--n", str(n)])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["verdict"] == "pass"
+        assert rep["result"]["checks"] == {f"k{k}": True
+                                           for k in range(2, n + 1)}
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -1173,6 +1200,23 @@ def test_printed_digits_are_correct(prec):
             for text, part in zip(printed, (ref.real, ref.imag)):
                 assert abs(mp.mpf(text) - part) <= _last_place(text), \
                     (prec, text, part)
+
+
+def test_printed_digits_are_correct_at_the_precision_cap():
+    """At 4096 bits each printed part of Li_5(0.53 + 0.53i) lies within one
+    unit in its last printed place, 1e-1232, of mpmath's value at 4160
+    bits."""
+    code, out = run_cli(["li", "--n", "5", "--z", "0.53,0.53",
+                         "--precision", "4096"])
+    assert code == 0
+    with mp.workprec(4096):
+        z = mp.mpc("0.53", "0.53")
+    ref = ref_polylog(5, z, 4160)
+    with mp.workprec(4160):
+        for text, part in zip(json.loads(out)["result"]["value"],
+                              (ref.real, ref.imag)):
+            assert abs(mp.mpf(text) - part) <= _last_place(text) \
+                <= mp.mpf(10) ** -1232
 
 
 @pytest.mark.parametrize("command", ["arnold", "poset-homology"])
