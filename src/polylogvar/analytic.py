@@ -25,8 +25,9 @@ source, ``_li_row``: the series on the disk |z| <= 3/4, and for real z in
 [-1, -3/4) or (3/4, 1) the series' row at +-3/4 stepped to z by the same
 disk chain, so no special value and no term cap enters.
 
-Monodromy matrices share transport's disk chain and row step
-(``_step_chain``).  Below row 0 the system is the Tate-twisted symmetric
+Monodromy matrices share transport's disk chain and row step: the plan of
+the chain (``_plan_chain``), read before any row is stepped, and the step
+(``_step_plan``).  Below row 0 the system is the Tate-twisted symmetric
 power of the Kummer (log) system, so rows 1..n of a monodromy matrix are
 fixed by the loop's winding number about 0, counted exactly from the
 closed chain's crossings of (-oo, 0); only the n entries of row 0, from
@@ -203,16 +204,18 @@ def _li_fixed(n, z, prec):
     of a complex z), for an mpc or a Python number z as in ``_li_row``:
     exact integers, before any rounding.  On the disk it is
     ``_li_disk``.  Elsewhere the disk's row at b = +-3/4, the sign of z, is
-    stepped by ``_step_chain`` along the line from b to z, sized for
-    bits = p + ceil(log2(8 (n + 2))), p = max(prec, the fraction bits of
-    z), with margin min(3/4, |1 - z|), the line's distance to the punctures.
+    stepped by ``_step_plan`` along the ``_plan_chain`` of the line from b
+    to z, sized for bits = p + ceil(log2(8 (n + 2))), p = max(prec, the
+    fraction bits of z), with margin min(3/4, |1 - z|), the line's distance
+    to the punctures.
 
     Proof.  The disks of the chain are centred on the real line between b
     and z, so they avoid 0 and the cut [1, oo), where (1, Li_1, ..., Li_n)
     is analytic and solves the system that ``_step_row`` steps, and the
-    chain ends on z, exact at 2^-F as F >= bits + 14 exceeds its fraction
-    bits: row 0 of L(b) P_c is (1, Li_1(z), ..., Li_n(z)).  ``_step_chain``
-    with V = 3 (``_chain_radius`` at b = +-3/4) puts each entry within
+    chain ends on z, exact at 2^-F as F >= bits + 14 (the plan's "Sizing")
+    exceeds its fraction bits: row 0 of L(b) P_c is
+    (1, Li_1(z), ..., Li_n(z)).  ``_step_plan``'s "Row accuracy", with
+    V = 3 (``_chain_radius`` at b = +-3/4), puts each entry within
     3 (n + 1.03) 2^-(bits + 7) of it.  On the two intervals
     |Li_j(z)| >= 3/8: Li_j(z) >= z > 3/4 on (3/4, 1), and on [-1, -3/4)
     the series alternates with terms falling in modulus, so
@@ -226,10 +229,10 @@ def _li_fixed(n, z, prec):
     if _in_li_disk(z, prec):
         return _li_disk(n, z, prec)
     bits = max(prec, _dyadic(z)[2]) + (8 * n + 15).bit_length()
-    chain = _step_chain(
+    plan = _plan_chain(
         n, PathSpec(complex(math.copysign(0.75, z.real)), (LineTo(z),)),
         bits, float(min(0.75, abs(1 - z))))
-    return *chain.row, chain.F
+    return *_step_plan(plan)[1], plan.F
 
 
 def _dyadic(v, keep=None):
@@ -368,7 +371,7 @@ def _li_disk_size(q, s, prec):
 
 
 # Each disk step covers at most this fraction of the distance from its centre
-# to the nearer puncture; ``_step_chain``'s series tail bound relies on it.
+# to the nearer puncture; ``_step_row``'s series tail bound relies on it.
 _STEP_RATIO = 0.4
 # Steps are planned a relative 2^-20 inside _STEP_RATIO and must pass
 # a float64 test against _CHECK_RATIO that implies the exact ratio.
@@ -405,7 +408,7 @@ def _series_terms(prec):
 def _fraction_bits(prec, terms):
     """F = prec + ceil(log2(5 K + 6)) + 8 for K = ``terms``: the fixed-point
     scale that keeps K series terms and one product step within 2^-(prec + 8)
-    (``_step_chain``)."""
+    (``_step_plan``, "Guard bits")."""
     # (5 K + 5).bit_length() is ceil(log2(5 K + 6))
     return prec + (5 * terms + 5).bit_length() + _GUARD_BITS
 
@@ -424,7 +427,7 @@ def _disk_chain(path, margin):
     exactly on its end point, a Python complex or an mpc (``_li_row`` ends
     its line on z itself), and its final arc on e', the double nearest
     ``_arc_end`` at 64 bits: |e' - e| < 2^-52 (|p| + r) for the arc's exact
-    end e; ``_step_chain`` adds the step from e' to e.  The last
+    end e; ``_plan_chain`` adds the step from e' to e.  The last
     segment of a closed path ends on the base point itself, which
     ``PathSpec.validate`` puts within 1e-9 of that segment's end: a line
     runs to it, and an arc turns its sweep and then runs straight to it, so
@@ -453,8 +456,8 @@ def _disk_chain(path, margin):
     the exact path with each arc joined to the next segment by its gap,
     and its end points are the path's own: the base point, and the last
     segment's end (the base point again for a closed path, e' for a final
-    arc).  ``_step_chain``'s bounds read only the chain's end points and
-    the class of the path, so they stand as proved.
+    arc).  The bounds of ``_plan_chain`` and ``_step_plan`` read only the
+    chain's end points and the class of the path, so they stand as proved.
 
     Every step must pass, in float64,
     |z1 - zf| + 2^-51 (|z1| + |zf|) <= ``_CHECK_RATIO`` dist(zf, {0, 1}).
@@ -526,8 +529,9 @@ def _plan_step(zf, p, left, end, step):
 def _product_guard(n, disks):
     """Least G with 2^G >= D * sum_{l < n} (0.52 D)^l / l!, for D = ``disks``
     and n >= 1; the growth bound of a product of D transitions
-    (``_step_chain``).  The sum is formed in integers, scaled by
-    25^(n-1) (n-1)!, where each of its terms is an integer."""
+    (``_step_plan``, "Growth of the product").  The sum is formed in
+    integers, scaled by 25^(n-1) (n-1)!, where each of its terms is an
+    integer."""
     scale = 25 ** (n - 1) * math.factorial(n - 1)
     term, total = scale, 0
     for l in range(n):
@@ -627,13 +631,14 @@ def _from_fixed(re, im, F):
                         from_man_exp(im, -F, prec, "n")))
 
 
-_Chain = namedtuple("_Chain", "F start row winding end radius")
+_Plan = namedtuple("_Plan", "n base bits guard terms F points winding radius")
 
 
 def _chain_radius(n, b, bits):
     """(n + 1) V 2^-(bits + 6), V = max(1, |b| / (1 - |b|)), as an exact
     Fraction for a real double b with |b| < 1: the radius of the row that
-    ``_step_chain`` steps from b, sized for ``bits``.  V bounds every
+    ``_step_plan`` steps from b across a chain planned for ``bits`` (its
+    "Row accuracy").  V bounds every
     |Li_j(b)| <= Li_1(|b|) = -log(1 - |b|) <= |b| / (1 - |b|), and for
     |b| = a / 2^s it is max(a, 2^s - a) / (2^s - a), one integer quotient."""
     a, den = abs(b).as_integer_ratio()
@@ -641,11 +646,13 @@ def _chain_radius(n, b, bits):
                     den - a << max(bits + 6, 0))
 
 
-def _step_chain(n, path, bits, margin):
-    """The ``_Chain`` of ``path``: the row (1, Li_1(b), ..., Li_n(b)) at its
-    real base point b stepped across its disk chain, sized for p = ``bits``,
-    and its radius, whose one proof ``transport``, ``monodromy``,
-    ``_li_fixed`` and ``hodge.flatness_residual`` cite.
+def _plan_chain(n, path, bits, margin):
+    """The ``_Plan`` of ``path`` for the row (1, Li_1(b), ..., Li_n(b)) at
+    its real base point b, sized for p = ``bits``: its disks, their sizing,
+    their floored points, its winding and its radius, with no series summed
+    and no row stepped.  ``_step_plan`` steps the row across it.  The proofs
+    of the two are the one proof of the chain that ``transport``,
+    ``monodromy``, ``_li_fixed`` and ``hodge.flatness_residual`` cite.
 
     Sizing.  The row (1, R) is stepped by ``_step_row`` across the D disks
     of ``_disk_chain`` (and the arc end's, below) with G guard bits, K terms
@@ -655,11 +662,6 @@ def _step_chain(n, path, bits, margin):
     F = ``_fraction_bits``(p + G, K) = p + G + ceil(log2(5 K + 6)) + 8, or
     more (below).  For p >= -2 (``monodromy``'s floor; the other callers
     size for their working precision or more) K >= 6, so F >= p + G + 14.
-    R starts at v = (Li_1(b), ..., Li_n(b)), b a real double: ``_li_fixed``'s
-    row for F bits, within a relative 2^-(F + 7) (for b > 3/4 a chain from
-    3/4, nested in this one), rounded once to F significant bits and floored
-    to 2^-F by libmp, so within 3 V 2^-F of v for any V >= 1 that bounds
-    every |Li_j(b)|.
 
     The floored chain.  F is raised, if need be, until b converts exactly
     and 3.4 2^-F < 0.4 2^-20 d for the nearest approach d, the least
@@ -706,6 +708,51 @@ def _step_chain(n, path, bits, margin):
     Arg b = 0.  That argument minus Arg z jumps by 2 pi exactly where the
     polygon crosses (-oo, 0) from upper to lower, and by -2 pi the other
     way, so the sum of the steps' log(z1 / c) is Log(z_D / b) + 2 pi i m.
+
+    The plan holds n; base, b; bits, p; guard, G; terms, K; F; points, the
+    floored points b = z_0, ..., z_D, each a pair of Python integers
+    scaled by 2^F, so D = len(points) - 1; winding, the integer m; and
+    radius, ``_chain_radius``(n, b, p).
+    """
+    if not margin > 0:
+        raise DomainError("margin must be positive")
+    path.validate(margin)
+    steps = _disk_chain(path, margin)
+    arc_end = not path.closed and isinstance(path.segments[-1], Arc)
+    # the second-order term of the growth bound needs
+    # bits + G >= bitlen(n - 1) - 4 + G_0
+    guard = _product_guard(n, len(steps) + arc_end) \
+        + max(0, (n - 1).bit_length() - 4 - bits)
+    terms = _series_terms(bits + guard)
+    base = path.base_point
+    ends = [base] + [z1 for _, z1 in steps]
+    m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c in ends[:-1]),
+                          default=margin / 2))
+    F = max(_fraction_bits(bits + guard, terms), _dyadic(base)[2],
+            24 - e + (m <= 17 / 32), bits + guard + 12 - e if arc_end else 0)
+    if arc_end:
+        ends.append(_arc_end(path, F + 57 + math.frexp(margin)[1]))
+    points = [_to_fixed(z, F) for z in ends]
+    winding = sum((y1 < 0) - (y0 < 0)
+                  for (x0, y0), (x1, y1) in zip(points, points[1:])
+                  if (x1 * y0 - x0 * y1) * (y0 - y1) < 0)
+    return _Plan(n, base, bits, guard, terms, F, points, winding,
+                 _chain_radius(n, base.real, bits))
+
+
+def _step_plan(plan):
+    """(start, row): the row (1, Li_1(b), ..., Li_n(b)) at the base point b
+    of ``plan`` (``_plan_chain``), floored, and that row stepped by
+    ``_step_row`` across the plan's points, each a pair (re, im) of lists
+    of Python integers scaled by 2^F.  With G, K, F, D and p as in the
+    plan's "Sizing", the stepped row lies within the plan's radius of row 0
+    of L(b) continued along the path to its end (below).
+
+    The start row.  R starts at v = (Li_1(b), ..., Li_n(b)), b a real
+    double: ``_li_fixed``'s row for F bits, within a relative 2^-(F + 7)
+    (for b > 3/4 a chain from 3/4, planned and stepped for it), rounded
+    once to F significant bits and floored to 2^-F by libmp, so within
+    3 V 2^-F of v for any V >= 1 that bounds every |Li_j(b)|.
 
     Growth of the product.  Write d = dist(c, {0, 1}) and a = -log 0.6,
     below 0.511.  Majorants below are polynomials in S, the (n+1) x (n+1)
@@ -776,41 +823,13 @@ def _step_chain(n, path, bits, margin):
     to the floored chain's floor, 26 bits on these loops, which certifies.
     A cut of G to p + G + 8 < 0 (23 at n = 4) leaves ``_series_terms`` no
     target: a ValueError before any step.
-
-    The chain holds F; start, the floored start row, and row, the stepped
-    row, each a pair (re, im) of lists of Python integers scaled by 2^F;
-    winding, the integer m; end, z_D in fixed point; and radius,
-    ``_chain_radius``(n, b, p).
     """
-    if not margin > 0:
-        raise DomainError("margin must be positive")
-    path.validate(margin)
-    steps = _disk_chain(path, margin)
-    arc_end = not path.closed and isinstance(path.segments[-1], Arc)
-    # the second-order term of the growth bound needs
-    # bits + G >= bitlen(n - 1) - 4 + G_0
-    guard = _product_guard(n, len(steps) + arc_end) \
-        + max(0, (n - 1).bit_length() - 4 - bits)
-    terms = _series_terms(bits + guard)
-    base = path.base_point
-    ends = [base] + [z1 for _, z1 in steps]
-    m, e = math.frexp(min((min(abs(c), abs(1 - c)) for c in ends[:-1]),
-                          default=margin / 2))
-    F = max(_fraction_bits(bits + guard, terms), _dyadic(base)[2],
-            24 - e + (m <= 17 / 32), bits + guard + 12 - e if arc_end else 0)
-    if arc_end:
-        ends.append(_arc_end(path, F + 57 + math.frexp(margin)[1]))
-    points = [_to_fixed(z, F) for z in ends]
-    *parts, E = _li_fixed(n, base, F)
-    row = start = [[to_fixed(from_man_exp(v, -E, F, "n"), F) for v in part]
-                   for part in parts]
-    for c, z1 in zip(points, points[1:]):
-        row = _step_row(*row, c, z1, terms, F)
-    winding = sum((y1 < 0) - (y0 < 0)
-                  for (x0, y0), (x1, y1) in zip(points, points[1:])
-                  if (x1 * y0 - x0 * y1) * (y0 - y1) < 0)
-    return _Chain(F, start, row, winding, points[-1],
-                  _chain_radius(n, base.real, bits))
+    *parts, E = _li_fixed(plan.n, plan.base, plan.F)
+    row = start = [[to_fixed(from_man_exp(v, -E, plan.F, "n"), plan.F)
+                    for v in part] for part in parts]
+    for c, z1 in zip(plan.points, plan.points[1:]):
+        row = _step_row(*row, c, z1, plan.terms, plan.F)
+    return start, row
 
 
 def _real_base(path):
@@ -837,28 +856,30 @@ def transport(n, path, prec=DEFAULT_PREC):
     is L(b)'s closed form with log b + Lambda in place of log b: row i
     holds (2 pi i)^i (log b + Lambda)^(j-i) / (j-i)! in column j >= i
     (``_log_rows``), as E(x) E(y) = E(x + y) for ``monodromy``'s E.  Row 0
-    is (1, Li_1(b), ..., Li_n(b)) P, the solution row stepped across the
-    chain by ``_step_chain`` from ``_li_fixed``'s exact row at b, sized for
-    p = prec + bitlen(n + 2) bits, about n K complex products of Python
-    integers a disk.  No matrix product is formed.
+    is (1, Li_1(b), ..., Li_n(b)) P, the solution row stepped by
+    ``_step_plan`` from ``_li_fixed``'s exact row at b across the chain of
+    ``_plan_chain``, sized for p = prec + bitlen(n + 2) bits, about n K
+    complex products of Python integers a disk.  No matrix product is
+    formed.
 
     Lambda.  As 1 + w/c = z1/c, exp(Lambda) = z_D / b, so, as b > 0,
     log b + Lambda = Log z_D + 2 pi i m for the integer m that
-    ``_step_chain`` counts exactly from the floored chain's crossings of
-    (-oo, 0) (``_Chain.winding``), with Arg in (-pi, pi] as in the Log z_D
+    ``_plan_chain`` counts exactly from the floored chain's crossings of
+    (-oo, 0) ("The winding"), with Arg in (-pi, pi] as in the Log z_D
     that ``_log_rows`` takes; on the cut, Im z_D = 0 and Arg z_D = pi.  (A
     closed chain ends on b, so there Lambda = 2 pi i m: ``monodromy``.)
 
     Whole-transport bound.  Let e be the path's exact end, Lambda the
     continued log(e / b), and W_i = sum_k |L(b)[i][k]| the weight of row i
     of L(b).  The chain is homotopic to the path relative to its ends
-    (``_step_chain``).  Its last point z_D is e for a closed path and for a
-    final line whose end converts exactly at 2^-F, as a double does unless
-    a nonzero part is below 2^(53 - F) (else read z_D for e below), and
-    within 1.44 2^-F of e after a final arc, where Lambda moves by less
-    than 2^-(p + 9) from z_D to e.
+    (``_plan_chain``, "The floored chain" and "The arc end").  Its last
+    point z_D is e for a closed path and for a final line whose end
+    converts exactly at 2^-F, as a double does unless a nonzero part is
+    below 2^(53 - F) (else read z_D for e below), and within 1.44 2^-F of
+    e after a final arc, where Lambda moves by less than 2^-(p + 9) from
+    z_D to e.
     - Row 0.  Every |Li_j(b)| <= Li_1(b), so V = max(1, Li_1(b)) <= W_0
-      bounds the start row, and ``_step_chain`` puts the stepped row
+      bounds the start row, and ``_step_plan`` puts the stepped row
       within (n + 1.53) V 2^-(p + 7) < V 2^-(prec + 7) of row 0 of L(e),
       as 2^bitlen(n + 2) >= n + 3.
     - Rows 1..n.  ``_log_rows`` forms entry (i, j), k = j - i, within a
@@ -869,7 +890,7 @@ def transport(n, path, prec=DEFAULT_PREC):
       e^|Lambda| sum_(a <= n - i) |log b|^a / a!, and W_i is that sum
       times (2 pi)^i.  Its derivative is the entry to its left over z, so
       from z_D to e it moves by less than 2^-(p + 8) e^|Lambda| W_i, as
-      row 0 does in ``_step_chain``.
+      row 0 does in ``_step_plan``'s "Row accuracy".
     - Each entry is rounded once to ``prec`` bits, which moves each part by
       at most 2^-prec of its rounded value, so the entry v by at most
       2^-prec |v|.
@@ -891,12 +912,12 @@ def transport(n, path, prec=DEFAULT_PREC):
     if n < 1:
         raise DomainError("transport needs n >= 1")
     _real_base(path)
-    chain = _step_chain(n, path, prec + (n + 2).bit_length(), DEFAULT_MARGIN)
-    end = mp.make_mpc(tuple(from_man_exp(v, -chain.F) for v in chain.end))
+    plan = _plan_chain(n, path, prec + (n + 2).bit_length(), DEFAULT_MARGIN)
+    F, row = plan.F, _step_plan(plan)[1]
+    end = mp.make_mpc(tuple(from_man_exp(v, -F) for v in plan.points[-1]))
     with mp.workprec(prec):
-        rows = [[mp.mpc(1)] + [_from_fixed(a, b, chain.F)
-                               for a, b in zip(*chain.row)]]
-        rows += _log_rows(n, end, chain.winding, prec)
+        rows = [[mp.mpc(1)] + [_from_fixed(a, b, F) for a, b in zip(*row)]]
+        rows += _log_rows(n, end, plan.winding, prec)
     return PeriodMatrix(n, tuple(tuple(row) for row in rows),
                         f"principal . {path.describe()}")
 
@@ -931,9 +952,9 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC):
     about 0, and entry (i, j) of rows 1..n is
     (2 pi i)^(i-j) (2 pi i m)^(j-i) / (j-i)! = m^(j-i) / (j-i)!, exactly.
     The chain closes on b itself, so Log(z_end / z_base) = 0 and m is
-    ``_step_chain``'s exact count of the chain's crossings of (-oo, 0)
-    (``_Chain.winding``), with no logarithm.  So only row 0 is computed:
-    (1, v) stepped across the chain by ``_step_chain``, and u - v, an exact
+    ``_plan_chain``'s exact count of the chain's crossings of (-oo, 0)
+    (``_Plan.winding``), with no logarithm.  So only row 0 is computed:
+    (1, v) stepped across the chain by ``_step_plan``, and u - v, an exact
     difference of integers, times E(-l) D^-1 on integers at 2^-F (row 0 in
     integers, below).
 
@@ -950,12 +971,12 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC):
     fails either raises ReconstructionError, the sign of a fault or of an
     inadmissible path.
 
-    Accuracy.  The chain is sized for p bits (below).  By ``_step_chain``,
-    u - v is within (n + 1) V 2^-(p + 7) of v (P_c - I) for the exact
-    product P_c of the chain, with V = max(1, b / (1 - b)), which bounds
-    every |Li_j(b)|.  Its image under E(-l) D^-1 moves entry j by at most
-    that times sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, that is by less than
-    0.095 rho(p), and the twist's rounding (below) by less than
+    Accuracy.  The chain is sized for p bits (below).  By ``_step_plan``'s
+    "Row accuracy", u - v is within (n + 1) V 2^-(p + 7) of v (P_c - I)
+    for the exact product P_c of the chain, with V = max(1, b / (1 - b)),
+    which bounds every |Li_j(b)|.  Its image under E(-l) D^-1 moves entry
+    j by at most that times sum_k (2 pi)^-k e^|l| < 0.19 e^|l|, that is by
+    less than 0.095 rho(p), and the twist's rounding (below) by less than
     rho(p) / 32, where rho(p) = (n + 1) V e^|l| 2^-(p + 6), the chain's
     radius over b, as e^|l| = 1 / b.  As 0.095 + 1/32 < 1/7, row 0 of M,
     certified at 2^-F, is within rho(p) / 7 of row 0 of
@@ -982,7 +1003,7 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC):
     With B >= every |d_k| and sum_k |e_k| <= 0.19 B, entry j is within
     e^x' h (1.5 B + 1.5 + 0.19 B (2.4 + 1.1 |l|)) + 1.5 h, and as
     e^(|l| / (2 pi)) (1.96 + 0.21 |l|) <= 1.96 e^|l|, within
-    h e^|l| (2 B + 3.1).  By ``_step_chain``'s growth bound,
+    h e^|l| (2 B + 3.1).  By ``_step_plan``'s "Row accuracy",
     |u_k| <= 1.52 V 2^G, so B <= V (1 + 1.52 2^G + (n + 1) 2^-(p + 7)), and
     F >= p + G + 14, so the rounding stays below
     (n + 1) V e^|l| 2^-(p + 11) = rho(p) / 32.  The imaginary part is
@@ -992,22 +1013,23 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC):
     The chain.  F is at least the bit count of b's binary fraction, so b
     stays exact, and the floored chain, which closes on b
     (``_disk_chain``), is closed and homotopic to the loop in C \\ {0, 1}
-    (``_step_chain``).  Then P_c = L(b)^-1 M L(b), and its winding m is the
-    loop's.
+    (``_plan_chain``, "The floored chain").  Then P_c = L(b)^-1 M L(b),
+    and its winding m is the loop's.
 
     Precision.  ``_certified_bits`` finds p*, the least p >= -2 with
     rho(p) / 7 < 1/(2 n!), which is at most 1/(2 j!) for every column j,
     from ``_chain_radius``, the one place the radius is formed;
-    ``_step_chain``'s F >= p + G + 14 needs p >= -2.  ``prec`` is the most
-    bits the certificate may use: when prec < p*, DomainError, naming p*
-    and rho(prec) / 7, is raised before any transport; else the chain is
-    sized for p*, and its radius over 7 b is the one both tests read.  At
-    b = 1/2, p* is about log2((n + 1)!) - 6.8: 1 bit at n = 4, 121 at
-    n = 33, 296 at n = 64.  The closed chain calls no mpmath and reads no
-    ``prec``, so every cap prec >= p* runs the same computation and gives
-    the same matrix.  No tolerance enters: ``tol`` is accepted, for callers
-    that still pass it, and read nowhere; it goes once the benchmark's
-    workloads stop passing it (ROADMAP.md, item 1).
+    ``_plan_chain``'s F >= p + G + 14 ("Sizing") needs p >= -2.  ``prec``
+    is the most bits the certificate may use: when prec < p*, DomainError,
+    naming p* and rho(prec) / 7, is raised before any chain is planned or
+    series summed; else the chain is sized for p*, and its radius over 7 b
+    is the one both tests read.  At b = 1/2, p* is about
+    log2((n + 1)!) - 6.8: 1 bit at n = 4, 121 at n = 33, 296 at n = 64.
+    The closed chain calls no mpmath and reads no ``prec``, so every cap
+    prec >= p* runs the same computation and gives the same matrix.  No
+    tolerance enters: ``tol`` is accepted, for callers that still pass it,
+    and read nowhere; it goes once the benchmark's workloads stop passing
+    it (ROADMAP.md, item 1).
     """
     if n < 1:
         raise DomainError("monodromy needs n >= 1")
@@ -1022,11 +1044,11 @@ def monodromy(n, loop, tol=None, prec=DEFAULT_PREC):
             f"{prec} bits prove row 0 only within {float(radius):.3g}, not "
             f"below 1/(2 * {n}!), half the spacing of its lattice; this "
             f"certificate needs {need} bits")
-    chain = _step_chain(n, loop, need, DEFAULT_MARGIN)
-    radius = chain.radius * over_7b
-    F, m = chain.F, chain.winding
+    plan = _plan_chain(n, loop, need, DEFAULT_MARGIN)
+    start, row = _step_plan(plan)
+    radius, F, m = plan.radius * over_7b, plan.F, plan.winding
     d_re, d_im = ([u - v for u, v in zip(*parts)]
-                  for parts in zip(chain.row, chain.start))
+                  for parts in zip(row, start))
     # row 0 = (u - v) E(-log b) D^-1 at 2^-F: e_k = d_k / (2 pi)^k, then
     # entry j = (-i)^j sum_k e_k x^(j-k) / (j-k)!, x = -log(b) / (2 pi)
     c = (1 << 2 * F + 3) // pi_fixed(F + 4)

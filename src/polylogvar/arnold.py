@@ -344,14 +344,11 @@ def induced_cyclic_character(n):
     """
     if n < 2:
         raise DomainError("need n >= 2")
-    vals = []
-    for lam in integer_partitions(n):
-        g = len(lam)
-        if n % g == 0 and all(p == n // g for p in lam):
-            vals.append(Fraction(centralizer_order(lam) * _mobius(n // g), n))
-        else:
-            vals.append(Fraction(0))
-    return ClassFunction(n, tuple(vals))
+    # a class of type (n/g)^g has g equal parts n/g
+    return ClassFunction(n, tuple(
+        Fraction(centralizer_order(lam) * _mobius(lam[0]), n)
+        if len(set(lam)) == 1 else Fraction(0)
+        for lam in integer_partitions(n)))
 
 
 def induced_character_check(n):

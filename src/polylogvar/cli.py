@@ -197,8 +197,7 @@ def _transport(args):
 @_command("monodromy", "exact monodromy matrix of a closed loop",
           MAX_MATRIX_N, _N, ("--loop", dict(required=True)))
 def _monodromy(args):
-    loop = _resolve_loop(args.loop)
-    M = monodromy(args.n, loop, prec=args.precision)
+    M = monodromy(args.n, _resolve_loop(args.loop), prec=args.precision)
     return {"matrix": M.entries}, None
 
 
@@ -309,11 +308,13 @@ def _postnikov(args):
 @_command("paving", "simplex paving of the rescaled cube", None, _N, _Z,
           _SAMPLES, _SEED)
 def _paving(args):
-    if "," in args.z:
+    # z is read as every command reads it, so 0.5,0 is the real 0.5
+    z = _z_value(args)
+    if z.imag:
         raise DomainError("paving needs real z in (0, 1)")
     # paving_check reads z as a double, and z, samples and seed enter only
     # its domain checks: the verdict is the family's multiplicities
-    rep = paving_check(args.n, _z_value(args), args.samples, args.seed)
+    rep = paving_check(args.n, z.real, args.samples, args.seed)
     return {"samples": rep.samples, "redraws": rep.redraws,
             "min_cover": rep.min_cover, "max_cover": rep.max_cover,
             "volume_identity": rep.volume_identity_ok}, rep.passed

@@ -22,8 +22,9 @@ import mpmath as mp
 
 # monodromy is unused here; perfbench's tracer test pins hodge's import of
 # it (ROADMAP item 1)
-from .analytic import (DEFAULT_PREC, _from_fixed, _li_row, _principal_z,
-                       _step_chain, kummer_rows, monodromy)  # noqa: F401
+from .analytic import (DEFAULT_PREC, _from_fixed, _li_row, _plan_chain,
+                       _principal_z, _step_plan, kummer_rows,
+                       monodromy)  # noqa: F401
 from .errors import DomainError
 from .mpoly import MPoly
 from .paths import LineTo, PathSpec
@@ -242,10 +243,10 @@ def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
     e = max(0, ceil(log2(1/z')) - 1) extra bits, which make the transport
     term relative to the row: as z' = m 2^-s with m in [1/2, 1)
     (``math.frexp``), ceil(log2(1/z')) = s + 1, so e = max(0, s), and
-    2^-e <= 2 z'.  ``_step_chain`` steps the row (1, Li_1(b), ..., Li_n(b))
-    from ``_li_row`` along the line from b to z', sized for
-    prec + e bits and with margin min(b, 1 - z'), the line's distance
-    to the punctures, and the stepped row u must meet
+    2^-e <= 2 z'.  ``_step_plan`` steps the row (1, Li_1(b), ..., Li_n(b))
+    from ``_li_fixed`` across the ``_plan_chain`` of the line from b to z',
+    sized for prec + e bits and with margin min(b, 1 - z'), the line's
+    distance to the punctures, and the stepped row u must meet
     w = ``_li_row``(n, z', prec) within
     rho_j = (n + 1) 2^-(prec + e + 6) + 2^-(prec + 6) |w_j| in every
     entry j, the first term the chain's radius (``_chain_radius`` with
@@ -253,10 +254,10 @@ def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
     2 (n + 1) 2^-(prec + 6) Li_j(z'): rho_j is relative to the row, so a
     relative fault in Li_j shows at every z'.  For z' >= 1/2, e = 0.
     - Transport.  The chain runs from b to z' = 2 b, both exact at its
-      F >= prec + e + 14 fraction bits, inside disks that avoid both cuts,
-      so row 0 of L(b) P_c is that of L(z') on the principal branch, and
-      ``_step_chain`` puts u within (n + 1.03) 2^-(prec + e + 7) of it, at
-      most 0.52 of its radius.
+      F >= prec + e + 14 fraction bits (the plan's "Sizing"), inside disks
+      that avoid both cuts, so row 0 of L(b) P_c is that of L(z') on the
+      principal branch, and ``_step_plan``'s "Row accuracy" puts u within
+      (n + 1.03) 2^-(prec + e + 7) of it, at most 0.52 of its radius.
     - Series.  ``_li_row`` sums w on z' <= 3/4 and steps it from 3/4 to z'
       above that; either way, at F bits, w_j is within a relative
       2^-(prec + 7) + 2^-F (1 + 2^-(prec + 7)) < 1.07 2^-(prec + 7) of
@@ -287,13 +288,13 @@ def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
         return FlatnessReport(passed, 0.0)
     passed = passed and kummer_block_check(n, z, prec).passed
     b, extra = zp / 2, max(0, -math.frexp(zp)[1])
-    chain = _step_chain(n, PathSpec(complex(b), (LineTo(complex(zp)),)),
-                        prec + extra, min(b, 1 - zp))
-    with mp.workprec(chain.F):
-        ratio = max(abs(_from_fixed(x, y, chain.F) - w)
-                    / (mp.mpmathify(chain.radius) + mp.ldexp(abs(w), -prec - 6))
-                    for x, y, w in zip(*chain.row,
-                                       _li_row(n, mp.mpc(zp), prec)))
+    plan = _plan_chain(n, PathSpec(complex(b), (LineTo(complex(zp)),)),
+                       prec + extra, min(b, 1 - zp))
+    row = _step_plan(plan)[1]
+    with mp.workprec(plan.F):
+        ratio = max(abs(_from_fixed(x, y, plan.F) - w)
+                    / (mp.mpmathify(plan.radius) + mp.ldexp(abs(w), -prec - 6))
+                    for x, y, w in zip(*row, _li_row(n, mp.mpc(zp), prec)))
     return FlatnessReport(passed and ratio <= 1, float(ratio))
 
 

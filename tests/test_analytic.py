@@ -334,10 +334,10 @@ class TestTransport:
     def test_path_through_puncture_rejected(self):
         through = PathSpec(complex(0.5, 0), (LineTo(complex(-0.5, 0)),))
         with pytest.raises(DomainError):
-            analytic._step_chain(1, through, 128, 0)
+            analytic._plan_chain(1, through, 128, 0)
         # passes validation within its 1e-12 slack; the chain stops short of 0
         with pytest.raises(PathError):
-            analytic._step_chain(1, through, 128, 1e-13)
+            analytic._plan_chain(1, through, 128, 1e-13)
 
     def test_float64_planning_floor_is_a_path_error(self):
         # 1e-14 from 1 the doubles are too coarse to plan a step of the
@@ -462,9 +462,12 @@ class TestMonodromy:
             expected_monodromy_loop1(n)
 
     def test_ambiguous_certificate_rejected_before_transport(self, monkeypatch):
+        """p*'s DomainError comes before any Li series is summed and any
+        disk is stepped."""
         def no_step(*args, **kwargs):
-            raise AssertionError("a disk step ran")
+            raise AssertionError("a series or a disk step ran")
 
+        monkeypatch.setattr(analytic, "_li_fixed", no_step)
         monkeypatch.setattr(analytic, "_step_row", no_step)
         # 128 bits prove row 0 within 4.7e-40, over 1 / (2 * 35!) = 4.8e-41
         with pytest.raises(DomainError, match="needs 132 bits"):
@@ -741,7 +744,7 @@ def test_growth_bound_second_order_fits_its_slack():
 
 def test_chain_is_sized_for_at_least_the_second_order_floor():
     # at n = 64 the floor is bitlen(63) - 4 = 2 bits: 1 and 2 size alike
-    F = [analytic._step_chain(64, canonical_loop(1), bits, 1e-3).F
+    F = [analytic._plan_chain(64, canonical_loop(1), bits, 1e-3).F
          for bits in (1, 2, 3)]
     assert F[0] == F[1] < F[2]
 
@@ -848,7 +851,7 @@ def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
     ReconstructionError or DomainError, never a wrong matrix.  A smaller
     radius lowers p* with it, so both the chain's sizing and the test
     radius shrink.  The least cuts, for loop0 and loop1, are the slack of
-    ``_step_chain``.
+    ``_step_plan``.
 
     No cut of F is rejected at n = 4 or 9 (None): F, 29 and 50 bits there,
     falls to the canonical loops' nearest-approach floor of 26 bits after
@@ -873,21 +876,55 @@ def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
                     monodromy(n, canonical_loop(which), prec=4096)
 
 
+def _stepped_plans(patch):
+    """Patch ``analytic._step_plan`` to record each plan it steps; the
+    list it returns fills as plans are stepped."""
+    plans, step_plan = [], analytic._step_plan
+
+    def spy(plan):
+        plans.append(plan)
+        return step_plan(plan)
+
+    patch.setattr(analytic, "_step_plan", spy)
+    return plans
+
+
 @pytest.mark.parametrize("prec", [16, 24, 64, 128])
 def test_monodromy_sizes_its_chain_for_the_certificate(monkeypatch, prec):
-    calls = []
-    step_chain = analytic._step_chain
-
-    def spy(n, loop, bits, margin):
-        calls.append(bits)
-        return step_chain(n, loop, bits, margin)
-
-    monkeypatch.setattr(analytic, "_step_chain", spy)
+    plans = _stepped_plans(monkeypatch)
     assert monodromy(4, canonical_loop(0), prec=prec) == \
         expected_monodromy_loop0(4)
     # rho(1) / 7 = 5 * 2^-6 / 7 < 1 / 48 <= rho(0) / 7 at n = 4: one bit
-    # certifies
-    assert calls == [min(prec, 1)]
+    # certifies, and one plan, the loop's, is stepped
+    [plan] = plans
+    assert plan.bits == min(prec, 1)
+    assert plan == analytic._plan_chain(4, canonical_loop(0), 1, 1e-3)
+
+
+@pytest.mark.parametrize("n, p, terms, F", [
+    (1, -2, 9, 26), (2, -2, 12, 26), (3, -2, 14, 26), (4, 1, 18, 29)])
+def test_the_plan_is_read_before_any_row_step(monkeypatch, n, p, terms, F):
+    """With no Li series and no disk step allowed, the plan of each
+    canonical loop at p* still gives its 21 disks, its sizing and its
+    winding, 1 about 0 and 0 about 1; F is the 26-bit floor of the loops'
+    nearest approach at n <= 3, where p* = -2, and the sizing's at n = 4,
+    where p* = 1."""
+    def no_step(*args, **kwargs):
+        raise AssertionError("a series or a disk step ran")
+
+    monkeypatch.setattr(analytic, "_li_fixed", no_step)
+    monkeypatch.setattr(analytic, "_step_row", no_step)
+    assert analytic._certified_bits(n, 0.5) == p
+    for which in (0, 1):
+        plan = analytic._plan_chain(n, canonical_loop(which), p, 1e-3)
+        assert (len(plan.points) - 1, plan.terms, plan.F, plan.winding) \
+            == (21, terms, F, 1 - which)
+        assert plan.guard == analytic._product_guard(n, 21) \
+            + max(0, (n - 1).bit_length() - 4 - p)
+        assert plan.terms == analytic._series_terms(p + plan.guard)
+        assert plan.radius == analytic._chain_radius(n, 0.5, p)
+    with pytest.raises(AssertionError, match="a series or a disk step ran"):
+        analytic._step_plan(plan)
 
 
 @pytest.mark.parametrize("n, word, tol", [
@@ -1039,7 +1076,7 @@ def _winding_path(seed):
 
 
 def test_winding_count_matches_the_float_reading():
-    """``_step_chain``'s exact count of the floored chain's crossings of
+    """``_plan_chain``'s exact count of the floored chain's crossings of
     (-oo, 0) equals ``ref_winding``'s float reading of the chain's polygon
     on 320 seeded paths, half of them open, with every winding from -3 to
     4 among them."""
@@ -1047,7 +1084,7 @@ def test_winding_count_matches_the_float_reading():
     for seed in range(320):
         path = _winding_path(seed)
         path.validate()
-        m = analytic._step_chain(1, path, 8, 1e-3).winding
+        m = analytic._plan_chain(1, path, 8, 1e-3).winding
         assert m == ref_winding(_chain_points(path)), seed
         seen.add(m)
     assert set(range(-3, 5)) <= seen
@@ -1089,10 +1126,10 @@ def test_winding_counts_crossings_of_the_negative_axis(corners, m):
     path.validate()
     points = _chain_points(path)
     assert {complex(x, y) for x, y in corners} <= set(points)
-    chain = analytic._step_chain(1, path, 8, 1e-3)
-    assert chain.winding == m == ref_winding(points)
+    plan = analytic._plan_chain(1, path, 8, 1e-3)
+    assert plan.winding == m == ref_winding(points)
     if corners[-1] == (-0.5, 0):
-        assert chain.end == [-1 << chain.F - 1, 0]
+        assert plan.points[-1] == [-1 << plan.F - 1, 0]
         v = transport(2, path).entries[1][2]
         with mp.workprec(ORACLE_PREC):
             want = 2j * mp.pi * (-mp.log(2) + (2 * m + 1) * mp.pi * 1j)
@@ -1344,30 +1381,28 @@ def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
     """Closed loops about 0 and 1 whose nearest approach d runs from 1/4
     down to the default margin 1e-3, near the floor's worst case
     margin / 2 (``validate`` keeps a path itself at least the margin away).
-    The matrix is the generator's; the chain's fraction bits are the sizing
-    for p* or, when larger, the least F with 3.4 2^-F < 0.4 2^-20 d, found
-    here in Fractions, and never above the margin's floor
-    2^-F <= 2^-25 margin; and every floored step passes the exact test
-    25 |w|^2 <= 4 min(|c|^2, |1 - c|^2)."""
+    The matrix is the generator's; the stepped plan's fraction bits are
+    the sizing for p* or, when larger, the least F with
+    3.4 2^-F < 0.4 2^-20 d, found here in Fractions, and never above the
+    margin's floor 2^-F <= 2^-25 margin; its points are the float64
+    centres floored to 2^-F; and every floored step passes the exact test
+    25 |w|^2 <= 4 min(|c|^2, |1 - c|^2).  The plan keeps only the floored
+    points, so d, the float64 nearest approach, is read from the centres
+    of ``_disk_chain``."""
     margin = 1e-3
     delta = max(margin, 2.0 ** -exponent)
     loop = _near_loop(shape, around, delta)
     if sign == -1:
         loop = loop.reversed()
-    seen = []
-    step_chain = analytic._step_chain
-
-    def spy(*args):
-        chain = step_chain(*args)
-        seen.append(chain.F)
-        return chain
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analytic, "_step_chain", spy)
+        plans = _stepped_plans(patch)
         assert monodromy(n, loop) == \
             RationalMatrix(ref_word_monodromy(n, [(around, sign)]))
-    [F] = seen
+    [plan] = plans
+    F, need = plan.F, analytic._certified_bits(n, 0.5)
+    assert plan.bits == need
     steps = analytic._disk_chain(loop, margin)
+    assert len(plan.points) - 1 == len(steps)
     d = min(min(abs(c), abs(1 - c)) for c, _ in steps)
     # two centres at distance D either side of the nearest point are at
     # most 0.4 D apart, so D <= delta / sqrt(0.96)
@@ -1376,20 +1411,19 @@ def test_chain_floor_follows_the_nearest_approach(n, shape, around, sign,
     while Fraction(34, 10) / 2 ** least >= \
             Fraction(4, 10) * Fraction(d) / 2 ** 20:
         least += 1
-    need = analytic._certified_bits(n, 0.5)
-    guard = analytic._product_guard(n, len(steps)) \
+    guard = plan.guard
+    assert guard == analytic._product_guard(n, len(plan.points) - 1) \
         + max(0, (n - 1).bit_length() - 4 - need)
-    sized = analytic._fraction_bits(
-        need + guard, analytic._series_terms(need + guard))
-    assert F == max(sized, least)
+    assert plan.terms == analytic._series_terms(need + guard)
+    assert F == max(analytic._fraction_bits(need + guard, plan.terms), least)
     by_margin = 0
     while Fraction(1, 2 ** by_margin) > Fraction(margin) / 2 ** 25:
         by_margin += 1
     assert least <= by_margin
-    points = [_floored(loop.base_point, F)] \
+    assert [tuple(z) for z in plan.points] == [_floored(loop.base_point, F)] \
         + [_floored(z1, F) for _, z1 in steps]
     one = 2 ** F
-    for (a, b), (x, y) in zip(points, points[1:]):
+    for (a, b), (x, y) in zip(plan.points, plan.points[1:]):
         assert 25 * ((x - a) ** 2 + (y - b) ** 2) <= \
             4 * min(a * a + b * b, (one - a) ** 2 + b * b)
 
@@ -1618,18 +1652,20 @@ _RADIUS_CHAINS = {
 @pytest.mark.parametrize("bits", [1, 64, 128])
 @pytest.mark.parametrize("name", list(_RADIUS_CHAINS))
 def test_chain_radius_bounds_every_stepped_entry(name, bits):
-    """``_Chain.radius``, the one radius that ``monodromy``,
+    """``_Plan.radius``, the one radius that ``monodromy``,
     ``_li_fixed``, ``flatness_residual`` and ``transport`` read, is an exact
-    Fraction, and every entry of the stepped row lies within it of row 0 of
+    Fraction, and every entry of the row that ``_step_plan`` steps across
+    the plan lies within it of row 0 of
     L(b) continued along the path to its exact end, from ``tests/oracles``
     at 2 bits + 64 bits: M L(b) for a loop of monodromy M, else the
     principal L at the end."""
     n = 4
     path, margin, word = _RADIUS_CHAINS[name]
-    chain = analytic._step_chain(n, path, bits, margin)
-    assert isinstance(chain.radius, Fraction)
-    assert chain.radius == analytic._chain_radius(n, path.base_point.real,
-                                                  bits)
+    plan = analytic._plan_chain(n, path, bits, margin)
+    assert isinstance(plan.radius, Fraction)
+    assert plan.radius == analytic._chain_radius(n, path.base_point.real,
+                                                 bits)
+    _, row = analytic._step_plan(plan)
     with mp.workprec(2 * bits + 64):
         if word is None:
             L = ref_solution(n, _exact_end(path), mp.mp.prec)
@@ -1639,8 +1675,8 @@ def test_chain_radius_bounds_every_stepped_entry(name, bits):
             L = ref_solution(n, path.base_point.real, mp.mp.prec)
             want = [sum(mp.mpf(q.numerator) / q.denominator * L[k, j]
                         for k, q in enumerate(M)) for j in range(1, n + 1)]
-        radius = mp.mpmathify(chain.radius)
-        for a, b, w in zip(*chain.row, want):
-            u = mp.make_mpc((from_man_exp(a, -chain.F),
-                             from_man_exp(b, -chain.F)))
+        radius = mp.mpmathify(plan.radius)
+        for a, b, w in zip(*row, want):
+            u = mp.make_mpc((from_man_exp(a, -plan.F),
+                             from_man_exp(b, -plan.F)))
             assert abs(u - w) <= radius

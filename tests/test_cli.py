@@ -833,14 +833,26 @@ def test_endless_arc_exit_3_at_the_disk_cap(tmp_path):
     assert "disks" in r.stderr
 
 
-def test_paving_reads_z_as_every_command_does():
+def test_paving_reads_z_as_every_command_does(capsys):
     """A z that _parse_z accepts and li reads, such as 1/3, paving reads
-    too, and its volume identity stays exact."""
+    too, and its volume identity stays exact.  0.5,0 and 0.5,-0 are the
+    real 0.5, as flatness, lambda and kummer-block read them: the same
+    report, but for the echoed text; 0.5,0.1 is no real z."""
     code, out = run_cli(["paving", "--n", "2", "--z", "1/3", "--samples",
                          "2000"])
     assert code == 0
     rep = json.loads(out)
     assert rep["verdict"] == "pass" and rep["result"]["volume_identity"]
+    code, out = run_cli(["paving", "--n", "2", "--z", "0.5"])
+    assert code == 0
+    for z in ("0.5,0", "0.5,-0"):
+        code, same = run_cli(["paving", "--n", "2", "--z", z])
+        assert code == 0
+        assert same == out.replace('"z": "0.5"', f'"z": "{z}"')
+    capsys.readouterr()
+    assert main(["paving", "--n", "2", "--z", "0.5,0.1"]) == 3
+    assert capsys.readouterr() == \
+        ("", "domain error: paving needs real z in (0, 1)\n")
 
 
 def test_paving_nonrational_z_still_works():
