@@ -129,11 +129,11 @@ def principal_lambda(n, z, prec=DEFAULT_PREC):
 
 
 def _principal_z(z):
-    """z read at the working precision as an mpc; DomainError unless it is
-    real and in (0, 1)."""
+    """z read once at the working precision as an mpc; DomainError unless
+    that exact value is real and in (0, 1), the principal fiber's domain."""
     zm = mp.mpc(mp.mpmathify(z))
     if zm.imag != 0 or not 0 < zm.real < 1:
-        raise DomainError("principal_lambda needs real z in (0, 1)")
+        raise DomainError("z must be real and in (0, 1)")
     return zm
 
 
@@ -358,6 +358,13 @@ def _li_disk_size(q, s, prec):
     L is capped at t + 1: past the cap r < 2^-(t + 2), so rho < 2^-(t + 1)
     and K = 1, and the cap keeps every integer at O(t) bits however small z
     is.  rho <= 3/4 + 2^-P < 1.
+
+    Slack.  ``monodromy``'s canonical loops sum their start row at b = 1/2
+    for the plan's F bits: K = 40 and F = 48 at n = 4, 61 and 70 at n = 9.
+    loop0 keeps its exact matrix until K is cut by 39 or 49 (to 1 or 12
+    terms) or F by 47 or 52 (to 1 or 18 bits), and is then rejected, never
+    wrong; loop1's matrix reads none of the row's Li entries, so no cut
+    changes it (``test_cut_counts_are_rejected_never_wrong``).
     """
     t = prec + 10
     P = 24 + min(t + 1, s - (q.bit_length() + 1) // 2)

@@ -20,7 +20,10 @@ its row from -3/4 along the real line to z in [-1, -0.75); lambda and
 flatness take row 0 the same way, from 3/4 above it, with no term cap, so
 their z may come within about 2^-28 of 1, and closer is a domain error.
 A --loop path file over MAX_PATH_BYTES (1 MiB) is a usage error, found by
-reading one byte past the cap, not the whole file.
+reading one byte past the cap, not the whole file.  The parser keeps --z as
+text; the handler reads it once (_z_value), at --precision, so after the
+domain caps, and a malformed value is a usage error, as a bad --loop is.
+Whether z lies in (0, 1) is decided on that exact value, not its double.
 
 Every command takes --precision, --format and --timing, and any other flag
 only if it reads it, with two exceptions.  --precision sets the accuracy of
@@ -88,32 +91,24 @@ MAX_SAMPLES = 10 ** 6
 MAX_PATH_BYTES = 2 ** 20
 
 
-def _parse_z(text):
-    """Validate the 're[,im]' shape; defer numeric parsing to _z_value so the
-    value is read at the command's working precision, not the default one."""
-    parts = text.split(",")
-    if len(parts) not in (1, 2):
-        import argparse
-        raise argparse.ArgumentTypeError("z must be 're' or 're,im'")
-    try:
-        for p in parts:
-            mp.mpf(p.strip())
-    except ValueError as e:
-        import argparse
-        raise argparse.ArgumentTypeError(f"bad z component: {e}") from e
-    return text
+class _UsageError(ValueError):
+    """A flag value no command can use; reported as a usage error."""
 
 
 def _z_value(args):
-    parts = args.z.split(",")
-    with mp.workprec(args.precision):
-        if len(parts) == 1:
-            return mp.mpf(parts[0].strip())
-        return mp.mpc(mp.mpf(parts[0].strip()), mp.mpf(parts[1].strip()))
-
-
-class _UsageError(ValueError):
-    """A flag value no command can use; reported as a usage error."""
+    """--z, 're' or 're,im', read once, at the command's --precision: an mpf,
+    or an mpc for two parts.  A malformed value is a usage error."""
+    # argparse hands "--z=--" over as an empty list
+    parts = args.z.split(",") if isinstance(args.z, str) else []
+    try:
+        if not 1 <= len(parts) <= 2:
+            raise ValueError
+        with mp.workprec(args.precision):
+            values = [mp.mpf(p.strip()) for p in parts]
+            return values[0] if len(values) == 1 else mp.mpc(*values)
+    except (ValueError, ZeroDivisionError):  # mpmath reads "1/0" as a quotient
+        raise _UsageError(f"--z needs 're' or 're,im', not {args.z!r}") \
+            from None
 
 
 def _resolve_loop(name_or_path):
@@ -140,7 +135,7 @@ _SHARED_FLAGS = (
         "include wall time in the report (breaks byte reproducibility)"))),
 )
 _N = ("--n", dict(type=int, required=True))
-_Z = ("--z", dict(type=_parse_z, required=True))
+_Z = ("--z", dict(required=True))
 _K = ("--k", dict(type=int, required=True))
 # paving draws no point: it checks --samples and --seed, echoes --samples
 # and reads neither; it takes them only because perfbench's cli-mix still
@@ -202,7 +197,7 @@ def _monodromy(args):
 
 
 @_command("flatness", "certify that the solution matrix solves the connection",
-          MAX_MATRIX_N, _N, ("--z", dict(type=_parse_z, default="0.5")))
+          MAX_MATRIX_N, _N, ("--z", dict(default="0.5")))
 def _flatness(args):
     rep = flatness_residual(args.n, _z_value(args), prec=args.precision)
     return {"residual": rep.residual, "tolerance": 1.0}, rep.passed
@@ -312,8 +307,9 @@ def _paving(args):
     z = _z_value(args)
     if z.imag:
         raise DomainError("paving needs real z in (0, 1)")
-    # paving_check reads z as a double, and z, samples and seed enter only
-    # its domain checks: the verdict is the family's multiplicities
+    # paving_check decides 0 < z < 1 on this exact z, and z, samples and
+    # seed enter only its domain checks: the verdict is the family's
+    # multiplicities
     rep = paving_check(args.n, z.real, args.samples, args.seed)
     return {"samples": rep.samples, "redraws": rep.redraws,
             "min_cover": rep.min_cover, "max_cover": rep.max_cover,

@@ -173,12 +173,13 @@ def kummer_block_check(n, z, prec=DEFAULT_PREC):
     proved radius.  They come from ``kummer_rows``, which computes rows 1..n
     of principal_lambda entry for entry and skips row 0's Li series, so the
     check costs no series terms, even for z near 1 where that series needs
-    millions.  z is read once at ``prec`` bits, as principal_lambda reads
-    it.  Each entry l^m tau^t / m!, t = a + 1 and m + t <= n, is
-    evaluated at F bits, u = 2^-F: l within a relative 2u, l^m within
-    2 m u + 2u, 2 pi within u, (2 pi)^t within t u + 2u, their product
-    within u and the division by m! within 2u; at most (2 n + 8) u in all,
-    and 1.01 (2 n + 8) u < (3 n + 9) u, so
+    millions.  z is read once at ``prec`` bits by ``_principal_z``, as
+    principal_lambda reads it, and refused unless real in (0, 1).  Each
+    entry l^m tau^t / m!, t = a + 1 and m + t <= n, is evaluated at F
+    bits, u = 2^-F: l within a relative 2u, l^m within 2 m u + 2u, 2 pi
+    within u, (2 pi)^t within t u + 2u, their product within u and the
+    division by m! within 2u; at most (2 n + 8) u in all, and
+    1.01 (2 n + 8) u < (3 n + 9) u, so
     F = prec + 10 + bitlength(3 n + 9) puts the value w within a relative
     e < 2^-(prec + 10) of the exact W.  principal_lambda's entry g is within
     a relative 2^-(prec - 1) of W, so
@@ -197,7 +198,7 @@ def kummer_block_check(n, z, prec=DEFAULT_PREC):
     if n < 1:
         raise DomainError("kummer_block_check needs n >= 1")
     with mp.workprec(prec):
-        z = mp.mpc(mp.mpmathify(z))
+        z = _principal_z(z)
     rows = kummer_rows(n, z, prec=prec)
     rel = {}
     with mp.workprec(prec + 10 + (3 * n + 9).bit_length()):
@@ -245,8 +246,11 @@ def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
     (``math.frexp``), ceil(log2(1/z')) = s + 1, so e = max(0, s), and
     2^-e <= 2 z'.  ``_step_plan`` steps the row (1, Li_1(b), ..., Li_n(b))
     from ``_li_fixed`` across the ``_plan_chain`` of the line from b to z',
-    sized for prec + e bits and with margin min(b, 1 - z'), the line's
-    distance to the punctures, and the stepped row u must meet
+    sized for prec + e bits and with margin min(b, g), g the double nearest
+    1 - z formed at ``prec`` bits: the line's distance to the punctures to
+    within a double's rounding, which is harmless, as the chain's own
+    float64 tests keep each step off them (``_disk_chain``).  The stepped
+    row u must meet
     w = ``_li_row``(n, z', prec) within
     rho_j = (n + 1) 2^-(prec + e + 6) + 2^-(prec + 6) |w_j| in every
     entry j, the first term the chain's radius (``_chain_radius`` with
@@ -270,13 +274,16 @@ def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
     unless it is itself a solution of the system.  ``residual`` is the
     largest ratio; n = 0 has no row 0 to tie, residual 0.
 
-    DomainError unless z is real in (0, 1) (a complex z with imaginary part
-    0 counts as real) and z' >= 2^-1021, so that b is a normal double, as
-    the chain's float64 plan needs.  A z' within about 2^-28 of 1, closer
-    than the chains can step in float64, raises PathError.
+    DomainError unless z, read once at ``prec`` bits, is real in (0, 1)
+    (a complex z with imaginary part 0 counts as real), decided on that
+    exact value, and z' >= 2^-1021, so that b is a normal double, as the
+    chain's float64 plan needs.  A z within about 2^-28 of 1, closer than
+    the chains can step in float64, raises PathError, even one whose z' is
+    1, as g > 0 comes from the exact 1 - z.
     """
     with mp.workprec(prec):
-        zp = float(_principal_z(z).real)
+        z = _principal_z(z).real
+        zp, gap = float(z), float(1 - z)
     if not zp >= 2 ** -1021:
         raise DomainError("flatness needs z >= 2^-1021: its row-0 tie "
                           "starts from z / 2 as a normal double")
@@ -289,7 +296,7 @@ def flatness_residual(n, z=0.5, prec=DEFAULT_PREC):
     passed = passed and kummer_block_check(n, z, prec).passed
     b, extra = zp / 2, max(0, -math.frexp(zp)[1])
     plan = _plan_chain(n, PathSpec(complex(b), (LineTo(complex(zp)),)),
-                       prec + extra, min(b, 1 - zp))
+                       prec + extra, min(b, gap))
     row = _step_plan(plan)[1]
     with mp.workprec(plan.F):
         ratio = max(abs(_from_fixed(x, y, plan.F) - w)

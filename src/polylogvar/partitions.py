@@ -170,14 +170,16 @@ def paving_check(n, z, samples, seed, family=None):
     else reads them.  They stay only because the benchmark's cli-mix workload
     passes and reads them (ROADMAP item 1).
 
+    DomainError unless 0 < z < 1 for z as given (an mpf, a Fraction or a
+    float), with no rounding to a double first.
+
     ``family`` overrides the permutation family (used to demonstrate that a
     defective family fails); an entry that is not a permutation of 1..n
     raises DomainError.
     """
     if not 1 <= n <= 6:
         raise DomainError("paving_check supports 1 <= n <= 6")
-    zf = float(z)
-    if not 0 < zf < 1:
+    if not 0 < z < 1:
         raise DomainError("z must lie in (0, 1)")
     if samples < 1:
         raise DomainError("need at least one sample")

@@ -824,11 +824,15 @@ def test_certified_bits_reads_the_chain_radius(monkeypatch, n, base):
 def _cut(count, f, c):
     """``analytic``'s ``count``, the function f, cut by c: c fewer series
     terms a disk, the radius over 2^c, c bits less than p*, c fewer guard
-    bits G or c fewer fraction bits F."""
+    bits G, c fewer fraction bits F, or c fewer terms K or fraction bits F
+    of the start row's Li series (``_li_disk_size.K`` and ``.F``)."""
     if count == "_series_terms":
         return lambda prec: f(prec) - c
     if count == "_chain_radius":
         return lambda n, b, bits: f(n, b, bits) / 2 ** c
+    if count.startswith("_li_disk_size."):
+        cut = (c, 0) if count.endswith("K") else (0, c)
+        return lambda *args: tuple(v - d for v, d in zip(f(*args), cut))
     return lambda *args: f(*args) - c
 
 
@@ -842,7 +846,9 @@ def _cut(count, f, c):
     ("_product_guard", 4, 21, 18), ("_product_guard", 9, 30, 27),
     ("_product_guard", 20, 28, 28),
     ("_fraction_bits", 4, None, None), ("_fraction_bits", 9, None, None),
-    ("_fraction_bits", 20, 29, 28)])
+    ("_fraction_bits", 20, 29, 28),
+    ("_li_disk_size.K", 4, 39, None), ("_li_disk_size.K", 9, 49, None),
+    ("_li_disk_size.F", 4, 47, None), ("_li_disk_size.F", 9, 52, None)])
 def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
                                              least1):
     """Each count on the certificate's path, cut where ``monodromy`` reads
@@ -858,17 +864,30 @@ def test_cut_counts_are_rejected_never_wrong(monkeypatch, count, n, least0,
     a cut of 3 or 24, and 26 bits still certify, so every cut up to 29 is
     checked to keep the exact matrix.  A cut of G to p + G + 8 < 0 leaves
     ``_series_terms`` no target, a ValueError before any step; at n = 4
-    that is the cut of 23, two past loop0's least."""
-    f = getattr(analytic, count)
+    that is the cut of 23, two past loop0's least.
+
+    ``_li_disk_size`` sizes the start row at b = 1/2 for the plan's F
+    bits: K = 40 and F = 48 at n = 4, K = 61 and F = 70 at n = 9.  No cut
+    of either rejects loop1 (None): an error in the start row's Li entries
+    is a row with 0 in column 0, which solves the system without its
+    dz/(1-z) term and so comes back unchanged around 1.  A cut of F past F
+    is a negative shift, a ValueError before any sum; at n = 4 that is the
+    cut of 49, two past loop0's least."""
+    name = count.partition(".")[0]
+    f = getattr(analytic, name)
     for which, first in ((0, least0), (1, least1)):
         exact = RationalMatrix(ref_word_monodromy(n, [(which, 1)]))
         for c in range(30 if first is None else first + 3):
-            monkeypatch.setattr(analytic, count, _cut(count, f, c))
+            monkeypatch.setattr(analytic, name, _cut(count, f, c))
             if first is None or c < first:
                 assert monodromy(n, canonical_loop(which), prec=4096) == exact
             elif count == "_product_guard" and \
-                    analytic._certified_bits(n, 0.5) + f(n, 21) + 8 < c:
-                # p + G + 8 < 0 on the canonical loops' 21 disks
+                    analytic._certified_bits(n, 0.5) + f(n, 21) + 8 < c or \
+                    count == "_li_disk_size.F" and \
+                    f(1, 1, {4: 29, 9: 50}[n])[1] < c:
+                # p + G + 8 < 0 on the canonical loops' 21 disks, or
+                # F - c < 0 for the row at b = 1/2 = 1 2^-1 summed for the
+                # plan's F, 29 and 50 bits
                 with pytest.raises(ValueError):
                     monodromy(n, canonical_loop(which), prec=4096)
             else:

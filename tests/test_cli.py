@@ -360,8 +360,9 @@ def test_table_flags_use_only_what_the_table_read_applies():
                 assert kwargs["type"](default) == default, (name, flag)
 
 
-def _valid_text(kwargs):
-    """A value the flag's type and choices accept, as text."""
+def _valid_text(flag, kwargs):
+    """A value the flag's type and choices accept, as text; for --z, which
+    the parser keeps as text, one that its handler reads."""
     if "choices" in kwargs:
         return st.sampled_from(kwargs["choices"])
     kind = kwargs.get("type")
@@ -369,7 +370,7 @@ def _valid_text(kwargs):
         return st.integers(-10 ** 6, 10 ** 6).map(str)
     if kind is float:
         return st.floats(allow_nan=False).map(repr)
-    if kind is cli._parse_z:
+    if flag == "--z":
         return st.lists(st.floats(-2, 2).map(repr), min_size=1,
                         max_size=2).map(",".join)
     return st.sampled_from(["loop0", "loop1", "a=b.json", ""])
@@ -396,7 +397,7 @@ def _argv(draw, flags):
         kwargs = spec[flag]
         if kwargs.get("action") == "store_true":
             return [flag], True
-        value = draw(_valid_text(kwargs))
+        value = draw(_valid_text(flag, kwargs))
         if draw(st.booleans()):
             return [f"{flag}={value}"], True
         return [flag, value], not value.startswith("-")
@@ -413,8 +414,8 @@ def _argv(draw, flags):
             add(flag, *canonical_item(flag))
         elif kind == "abbreviated" and len(flag) > 3:  # else a stray token
             cut = draw(st.integers(3, len(flag) - 1))
-            add(None, [flag[:cut]] + draw(st.lists(_valid_text(spec[flag]),
-                                                  max_size=1)), False)
+            value = draw(st.lists(_valid_text(flag, spec[flag]), max_size=1))
+            add(None, [flag[:cut]] + value, False)
         elif kind == "odd":
             add(flag, [flag, draw(_ODD_TEXT)], False)
         elif kind == "odd=":
@@ -685,6 +686,26 @@ def test_loop_without_a_value_exit_2(command, capsys):
         assert capsys.readouterr().err.startswith("usage error: --loop")
 
 
+@pytest.mark.parametrize("z", ["abc", "1,2,3", "1/0", "", "--"])
+def test_malformed_z_exit_2(z, capsys):
+    """--z is read once, by its handler: a value that is not 're' or
+    're,im' is one usage error line, exit 2, as a bad --loop is.  mpmath
+    reads 1/0 as a quotient, and argparse hands --z=-- over as []."""
+    assert main(["li", "--n", "2", f"--z={z}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("usage error: --z needs 're' or 're,im', not ")
+
+
+def test_domain_caps_come_before_reading_z_or_loop(capsys):
+    """The --n cap is checked before the handler reads --z or --loop."""
+    for argv in (["li", "--n", "100", "--z", "abc"],
+                 ["monodromy", "--n", "100", "--loop", "bogus"]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == \
+            ("", f"domain error: --n must be at most 64 for {argv[0]}\n")
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_integrate_prints_only_the_digits_of_its_double(prec):
     code, out = run_cli(["integrate", "--n", "3", "--k", "2", "--z", "0.3,0.2",
@@ -746,10 +767,20 @@ def test_row0_near_one_exit_0():
 @pytest.mark.parametrize("command", ["lambda", "flatness"])
 def test_z_closer_to_one_than_float64_steps_exit_3(command, capsys):
     """z = 1 - 1e-10 is closer to 1 than a disk chain planned in float64
-    can step (about 2^-28): a PathError, exit 3."""
-    code, _ = run_cli([command, "--n", "4", "--z", "0.9999999999"])
-    assert code == 3
-    assert "too close to step in float64" in capsys.readouterr().err
+    can step (about 2^-28): a PathError, exit 3.  So is 1 - 1e-20, whose
+    double is 1: flatness takes its margin from the exact 1 - z."""
+    for n, z in (("4", "0.9999999999"), ("1", "0.99999999999999999999")):
+        code, _ = run_cli([command, "--n", n, "--z", z])
+        assert code == 3
+        assert "too close to step in float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command",
+                         ["lambda", "kummer-block", "filtration", "flatness"])
+def test_principal_fiber_commands_refuse_z_outside_0_1(command, capsys):
+    assert main([command, "--n", "2", "--z", "2"]) == 3
+    assert capsys.readouterr() == \
+        ("", "domain error: z must be real and in (0, 1)\n")
 
 
 def test_path_file_closed_must_be_a_boolean(tmp_path, capsys):
@@ -834,10 +865,12 @@ def test_endless_arc_exit_3_at_the_disk_cap(tmp_path):
 
 
 def test_paving_reads_z_as_every_command_does(capsys):
-    """A z that _parse_z accepts and li reads, such as 1/3, paving reads
-    too, and its volume identity stays exact.  0.5,0 and 0.5,-0 are the
-    real 0.5, as flatness, lambda and kummer-block read them: the same
-    report, but for the echoed text; 0.5,0.1 is no real z."""
+    """A z that li reads, such as 1/3, paving reads too, and its volume
+    identity stays exact.  0.5,0 and 0.5,-0 are the real 0.5, as flatness,
+    lambda and kummer-block read them, and (0, 1) is decided on the exact
+    z, so 1e-400 and 0.99999999999999999999, whose doubles are 0 and 1, lie
+    in it: the same report, but for the echoed text; 0.5,0.1 is no real
+    z."""
     code, out = run_cli(["paving", "--n", "2", "--z", "1/3", "--samples",
                          "2000"])
     assert code == 0
@@ -845,7 +878,7 @@ def test_paving_reads_z_as_every_command_does(capsys):
     assert rep["verdict"] == "pass" and rep["result"]["volume_identity"]
     code, out = run_cli(["paving", "--n", "2", "--z", "0.5"])
     assert code == 0
-    for z in ("0.5,0", "0.5,-0"):
+    for z in ("0.5,0", "0.5,-0", "1e-400", "0.99999999999999999999"):
         code, same = run_cli(["paving", "--n", "2", "--z", z])
         assert code == 0
         assert same == out.replace('"z": "0.5"', f'"z": "{z}"')
